@@ -514,7 +514,9 @@ def run_sweep_bench(
 
     ``timeout`` bounds each of the two sweeps (serial, fanned-out)
     separately, like the per-workload guard in
-    :func:`run_engine_bench`.
+    :func:`run_engine_bench`.  With one worker there is nothing to fan
+    out: the sweep runs once and ``parallel_s``/``speedup`` are ``None``,
+    not a second serial run's noise dressed up as a speedup.
     """
     workers = workers or default_workers()
     apps = ("WC",) if quick else ("WC", "SG")
@@ -541,14 +543,18 @@ def run_sweep_bench(
 
     with _deadline("sweep-serial", timeout):
         serial_s = sweep(1)
-    with _deadline("sweep-parallel", timeout):
-        parallel_s = sweep(workers)
+    parallel_s = speedup = None
+    if workers > 1:
+        with _deadline("sweep-parallel", timeout):
+            parallel_s = sweep(workers)
+        speedup = round(serial_s / max(parallel_s, 1e-9), 2)
+        parallel_s = round(parallel_s, 3)
     return {
         "cells": len(apps) * len(categories),
         "workers": workers,
         "serial_s": round(serial_s, 3),
-        "parallel_s": round(parallel_s, 3),
-        "speedup": round(serial_s / max(parallel_s, 1e-9), 2),
+        "parallel_s": parallel_s,
+        "speedup": speedup,
     }
 
 
@@ -713,11 +719,15 @@ def run_bench(
         sweep = None
         if with_sweep:
             sweep = run_sweep_bench(quick=quick, timeout=timeout)
+            fanned = (
+                "n/a (1 worker)"
+                if sweep["speedup"] is None
+                else f"{sweep['workers']} workers {sweep['parallel_s']}s "
+                f"({sweep['speedup']}x)"
+            )
             print(
                 f"sweep: {sweep['cells']} cells, "
-                f"serial {sweep['serial_s']}s, "
-                f"{sweep['workers']} workers {sweep['parallel_s']}s "
-                f"({sweep['speedup']}x)"
+                f"serial {sweep['serial_s']}s, {fanned}"
             )
     except WorkloadTimeout as exc:
         print(f"PERF CHECK FAILED: {exc}")

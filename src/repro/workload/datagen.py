@@ -71,12 +71,17 @@ class StreamSpec:
         return len(self.fields)
 
     def generator(self):
-        """Compile to a ``(rng, now) -> StreamTuple`` callable."""
-        distributions = [fs.distribution for fs in self.fields]
+        """Compile to a ``(rng, now) -> StreamTuple`` callable.
+
+        The per-field samplers and the tuple size are bound once here; the
+        closure is shared by every subtask of a source, so the samplers
+        take ``rng`` per call.
+        """
+        samplers = tuple(fs.distribution.sample for fs in self.fields)
         size = float(self.schema().tuple_size_bytes())
 
         def generate(rng: np.random.Generator, now: float) -> StreamTuple:
-            values = tuple(dist.sample(rng) for dist in distributions)
+            values = tuple([sample(rng) for sample in samplers])
             return StreamTuple(values=values, event_time=now, size_bytes=size)
 
         return generate

@@ -77,6 +77,15 @@ TUPLE_WIDTHS: tuple[int, ...] = tuple(range(1, 16))
 PARTITIONING_STRATEGIES: tuple[str, ...] = ("forward", "rebalance", "hashing")
 
 
+def _pick(options: tuple, rng: np.random.Generator):
+    """One option, uniformly.
+
+    Draws the same index from the same bits as ``Generator.choice`` does,
+    which converts the tuple to an array on every call first.
+    """
+    return options[int(rng.integers(len(options)))]
+
+
 @dataclass(frozen=True)
 class ParameterSpace:
     """One concrete workload parameter space, with sampling helpers."""
@@ -116,36 +125,34 @@ class ParameterSpace:
 
     def sample_event_rate(self, rng: np.random.Generator) -> float:
         """Draw one of the configured event rates."""
-        return float(rng.choice(self.event_rates))
+        return float(_pick(self.event_rates, rng))
 
     def sample_tuple_width(self, rng: np.random.Generator) -> int:
         """Draw a tuple width."""
-        return int(rng.choice(self.tuple_widths))
+        return int(_pick(self.tuple_widths, rng))
 
     def sample_window_duration_s(self, rng: np.random.Generator) -> float:
         """Draw a time-window duration (seconds)."""
-        return float(rng.choice(self.window_durations_ms)) * 1e-3
+        return float(_pick(self.window_durations_ms, rng)) * 1e-3
 
     def sample_window_length(self, rng: np.random.Generator) -> int:
         """Draw a count-window length (tuples)."""
-        return int(rng.choice(self.window_lengths))
+        return int(_pick(self.window_lengths, rng))
 
     def sample_sliding_ratio(self, rng: np.random.Generator) -> float:
         """Draw a sliding ratio."""
-        return float(rng.choice(self.sliding_ratios))
+        return float(_pick(self.sliding_ratios, rng))
 
     def sample_parallelism(self, rng: np.random.Generator) -> int:
         """Draw a parallelism degree."""
-        return int(rng.choice(self.parallelism_degrees))
+        return int(_pick(self.parallelism_degrees, rng))
 
     def sample_aggregate(
         self, rng: np.random.Generator
     ) -> AggregateFunction:
         """Draw an aggregate function."""
-        return self.aggregate_functions[
-            int(rng.integers(len(self.aggregate_functions)))
-        ]
+        return _pick(self.aggregate_functions, rng)
 
     def sample_data_type(self, rng: np.random.Generator) -> DataType:
         """Draw a data type for a field."""
-        return self.data_types[int(rng.integers(len(self.data_types)))]
+        return _pick(self.data_types, rng)

@@ -162,14 +162,15 @@ def _conjunction_selectivity(
     """Monte-Carlo estimate of P(all predicates pass) on one field."""
     from repro.sps.tuples import StreamTuple
 
+    # The probe tuple has one field, so the predicates are re-indexed to 0.
+    shifted = [
+        Predicate(0, p.function, p.literal, p.selectivity_hint)
+        for p in predicates
+    ]
     passed = 0
     for _ in range(samples):
         value = distribution.sample(rng)
         probe = StreamTuple(values=(value,), event_time=0.0)
-        shifted = [
-            Predicate(0, p.function, p.literal, p.selectivity_hint)
-            for p in predicates
-        ]
         if all(p.evaluate(probe) for p in shifted):
             passed += 1
     return passed / samples

@@ -1,6 +1,9 @@
 """Unit tests for value distributions."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.sps.types import DataType
@@ -153,3 +156,95 @@ class TestDefaultDistribution:
             for _ in range(20)
         }
         assert len(descriptions) > 1
+
+
+def _same_stream(dist, reference, seed=99, draws=10_000):
+    """``dist.sample`` vs the numpy call it replaces, draw for draw.
+
+    The reference is the installed numpy itself, so the pin holds (or
+    fails loudly) on whatever numpy the environment has. Comparing the
+    next ``random()`` of both generators checks that each draw consumed
+    the same number of words, not only that the values agree.
+    """
+    ours = np.random.default_rng(seed)
+    theirs = np.random.default_rng(seed)
+    for _ in range(draws):
+        got, want = dist.sample(ours), reference(theirs)
+        assert got == want
+        assert type(got) is type(want)
+    assert ours.random() == theirs.random()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestSamplersMatchNumpy:
+    """Each sampler consumes exactly the bit stream of its numpy twin."""
+
+    def test_zipf_int(self):
+        dist = ZipfInt(n=137, s=1.1)
+        pmf = dist._pmf
+        _same_stream(
+            dist, lambda rng: int(rng.choice(dist.n, p=pmf)) + 1
+        )
+
+    def test_default_vocabulary(self):
+        dist = StringVocabulary()
+        pmf = dist._pmf
+        _same_stream(
+            dist,
+            lambda rng: dist.words[int(rng.choice(len(dist.words), p=pmf))],
+        )
+
+    def test_uniform_double(self):
+        dist = UniformDouble(-3.25, 977.5)
+        _same_stream(
+            dist, lambda rng: float(rng.uniform(dist.lo, dist.hi))
+        )
+
+    def test_gaussian_double(self):
+        dist = GaussianDouble(mean=-4.5, std=2.75)
+        _same_stream(
+            dist, lambda rng: float(rng.normal(dist.mean, dist.std))
+        )
+
+    def test_uniform_int_keeps_the_half_word_buffer_in_step(self):
+        # UniformInt stays on rng.integers (32-bit buffered draws); the
+        # 64-bit samplers interleaved with it must leave that buffer as
+        # the numpy calls they replace would.
+        key, val = UniformInt(0, 99), UniformDouble(0.0, 10.0)
+        zipf = ZipfInt(n=50, s=1.1)
+        ours = np.random.default_rng(7)
+        theirs = np.random.default_rng(7)
+        for _ in range(2_000):
+            got = (key.sample(ours), val.sample(ours), zipf.sample(ours))
+            want = (
+                int(theirs.integers(0, 100)),
+                float(theirs.uniform(0.0, 10.0)),
+                int(theirs.choice(50, p=zipf._pmf)) + 1,
+            )
+            assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1e-6, max_value=1e6),
+            ),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda ws: sum(ws) > 0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(weights=[1.0], seed=0)
+    @example(weights=[0.0, 2.0, 0.0, 0.0], seed=1)
+    def test_any_weight_vector(self, weights, seed):
+        words = tuple(f"w{i}" for i in range(len(weights)))
+        dist = StringVocabulary(words, tuple(weights))
+        pmf = dist._pmf
+        _same_stream(
+            dist,
+            lambda rng: words[int(rng.choice(len(words), p=pmf))],
+            seed=seed,
+            draws=200,
+        )

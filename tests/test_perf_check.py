@@ -127,3 +127,56 @@ class TestCalibrationProbes:
         report = json.loads(path.read_text())
         assert report["calibration_kops"] == 100.0
         assert report["calibration_spread_kops"] == 5.0
+
+
+class TestSweepBench:
+    """One worker has nothing to fan out: no fake "parallel" number."""
+
+    @pytest.fixture
+    def runner_workers(self, monkeypatch):
+        """Swap in a runner that records each sweep's worker count."""
+        seen: list[int] = []
+
+        class _Runner:
+            def __init__(self, cluster, config):
+                seen.append(config.workers)
+
+            def measure_app(self, abbrev, parallelism):
+                return None
+
+        monkeypatch.setattr(perf, "BenchmarkRunner", _Runner)
+        return seen
+
+    def test_one_worker_runs_the_sweep_once(self, runner_workers):
+        sweep = perf.run_sweep_bench(quick=True, workers=1)
+        assert runner_workers == [1]
+        assert sweep["workers"] == 1
+        assert sweep["parallel_s"] is None
+        assert sweep["speedup"] is None
+        assert sweep["serial_s"] >= 0.0
+
+    def test_several_workers_measure_both(self, runner_workers):
+        sweep = perf.run_sweep_bench(quick=True, workers=3)
+        assert runner_workers == [1, 3]
+        assert sweep["parallel_s"] is not None
+        assert sweep["speedup"] is not None
+
+    def test_report_prints_na_and_records_null(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            perf,
+            "run_sweep_bench",
+            lambda **_: {
+                "cells": 3,
+                "workers": 1,
+                "serial_s": 0.5,
+                "parallel_s": None,
+                "speedup": None,
+            },
+        )
+        path = tmp_path / "BENCH_engine.json"
+        assert perf.run_bench(quick=True, write=True, report_path=path) == 0
+        assert "n/a (1 worker)" in capsys.readouterr().out
+        sweep = json.loads(path.read_text())["sweep"]
+        assert sweep["parallel_s"] is None and sweep["speedup"] is None

@@ -14,7 +14,13 @@ from repro.workload import (
     random_stream_spec,
 )
 from repro.workload.datagen import FieldSpec, StreamSpec
-from repro.workload.distributions import UniformDouble, UniformInt
+from repro.workload.distributions import (
+    GaussianDouble,
+    StringVocabulary,
+    UniformDouble,
+    UniformInt,
+    ZipfInt,
+)
 from repro.workload.generator import scale_plan_costs
 from repro.workload.parameter_space import (
     EVENT_RATES,
@@ -51,6 +57,34 @@ class TestParameterSpace:
                 space.parallelism_degrees
             )
 
+    def test_sampling_draws_what_rng_choice_drew(self):
+        # The sample_* helpers index with rng.integers instead of calling
+        # rng.choice(tuple); same values, same generator state afterwards,
+        # so no generated plan moves.
+        space = ParameterSpace()
+        ours = np.random.default_rng(31)
+        theirs = np.random.default_rng(31)
+        for _ in range(300):
+            assert space.sample_event_rate(ours) == float(
+                theirs.choice(space.event_rates)
+            )
+            assert space.sample_tuple_width(ours) == int(
+                theirs.choice(space.tuple_widths)
+            )
+            assert space.sample_window_duration_s(ours) == (
+                float(theirs.choice(space.window_durations_ms)) * 1e-3
+            )
+            assert space.sample_window_length(ours) == int(
+                theirs.choice(space.window_lengths)
+            )
+            assert space.sample_sliding_ratio(ours) == float(
+                theirs.choice(space.sliding_ratios)
+            )
+            assert space.sample_parallelism(ours) == int(
+                theirs.choice(space.parallelism_degrees)
+            )
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_invalid_band(self):
         with pytest.raises(ConfigurationError):
             ParameterSpace(selectivity_band=(0.9, 0.1))
@@ -84,6 +118,37 @@ class TestStreamSpec:
         assert 0 <= tup.values[0] <= 9
         assert tup.event_time == 1.5
         assert tup.size_bytes == spec.schema().tuple_size_bytes()
+
+    def test_generator_matches_per_field_sampling(self):
+        # Width 15, every distribution kind, int fields interleaved with
+        # 64-bit draws: the compiled generator must be the straight
+        # field-by-field loop, value for value and word for word.
+        kinds = (
+            UniformInt(0, 99),
+            ZipfInt(n=80, s=1.1),
+            StringVocabulary(),
+            GaussianDouble(1.0, 2.0),
+            UniformDouble(0.0, 50.0),
+        )
+        spec = StreamSpec(
+            name="wide",
+            fields=tuple(
+                FieldSpec(f"f{i}", kinds[i % len(kinds)]) for i in range(15)
+            ),
+            event_rate=1000.0,
+        )
+        generate = spec.generator()
+        ours = np.random.default_rng(2024)
+        theirs = np.random.default_rng(2024)
+        size = spec.schema().tuple_size_bytes()
+        for step in range(500):
+            tup = generate(ours, step * 0.5)
+            assert tup.values == tuple(
+                fs.distribution.sample(theirs) for fs in spec.fields
+            )
+            assert tup.event_time == tup.origin_time == step * 0.5
+            assert tup.size_bytes == size
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_invalid_specs(self):
         with pytest.raises(ConfigurationError):
