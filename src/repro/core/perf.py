@@ -662,7 +662,12 @@ def check_report(
     mode: str,
     tolerance: float = TOLERANCE,
 ) -> list[str]:
-    """Regression messages (empty = pass) vs. the committed numbers."""
+    """Regression messages (empty = pass) vs. the committed numbers.
+
+    Throughput may drop by ``tolerance``; the event count may not move
+    at all — every workload is fixed-seed, so a different count means
+    the simulated results drifted, whatever the speed.
+    """
     committed = report.get(mode, {}).get("current")
     if not committed:
         return [f"no committed '{mode}' numbers to check against"]
@@ -675,6 +680,12 @@ def check_report(
         reference = committed.get(name)
         if reference is None:
             continue
+        if result["events"] != reference["events"]:
+            failures.append(
+                f"{name}: processed {result['events']} events, the "
+                f"committed {mode} run {reference['events']} — results "
+                "drifted (fixed seed)"
+            )
         expected = reference["events_per_sec"] * scale
         floor = expected * (1.0 - tolerance)
         if result["events_per_sec"] < floor:

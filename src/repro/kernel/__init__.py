@@ -9,14 +9,21 @@ drives the loop, and the sharded executor
 conservative-time controller in :mod:`repro.kernel.sharded`.
 """
 
-from repro.kernel.core import BudgetExceededError, Kernel
+from repro.kernel.core import (
+    TB_SEQ_BITS,
+    BudgetExceededError,
+    Kernel,
+    pack_tiebreak,
+)
 from repro.kernel.partition import partition_nodes, shard_of_gids
 from repro.kernel.sharded import ShardController
 
 __all__ = [
+    "TB_SEQ_BITS",
     "BudgetExceededError",
     "Kernel",
     "ShardController",
+    "pack_tiebreak",
     "partition_nodes",
     "shard_of_gids",
 ]

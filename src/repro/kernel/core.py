@@ -3,11 +3,12 @@
 One :class:`Kernel` executes one totally ordered event sequence. Events
 are 6-tuples ``(time, tiebreak, kind, gid, payload, port)``; the kernel
 pops them in ``(time, tiebreak)`` order and dispatches on ``kind``
-through a caller-supplied handler table. The tie-break is an opaque
-comparable: :meth:`push` assigns a monotone integer (the classic serial
-sequence number), while sharded execution pushes ``(origin, oseq)``
-pairs via :meth:`push_tb` so the order of equal-time events is invariant
-under re-partitioning (see :mod:`repro.kernel.sharded`).
+through a caller-supplied handler table. The tie-break is an int:
+:meth:`push` assigns the kernel's own monotone counter (the classic
+serial sequence number), while a host that numbers events per producer
+passes :func:`pack_tiebreak` ``(origin, seq)`` to :meth:`push_tb`, so
+the order of equal-time events is invariant under re-partitioning (see
+:mod:`repro.kernel.sharded`). Heap entries have one shape either way.
 
 **Work accounting.** ``work_mask[kind]`` marks the *data-plane* kinds:
 pushing one increments :attr:`work`, popping one decrements it, and when
@@ -26,7 +27,23 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 
-__all__ = ["BudgetExceededError", "Kernel"]
+__all__ = [
+    "TB_SEQ_BITS",
+    "BudgetExceededError",
+    "Kernel",
+    "pack_tiebreak",
+]
+
+#: Width of the per-producer sequence field of a packed tie-break. With
+#: ``seq < 2**TB_SEQ_BITS`` the packed int compares exactly as the pair
+#: ``(origin, seq)`` does: the origin sits entirely above the sequence
+#: bits, so it decides first and the sequence breaks origin ties.
+TB_SEQ_BITS = 40
+
+
+def pack_tiebreak(origin: int, seq: int) -> int:
+    """One int ordered like ``(origin, seq)``; ``seq < 2**TB_SEQ_BITS``."""
+    return (origin << TB_SEQ_BITS) | seq
 
 
 class BudgetExceededError(RuntimeError):
@@ -89,13 +106,15 @@ class Kernel:
             self.work += 1
         heappush(self.heap, (time, self.seq, kind, gid, payload, port))
 
-    def push_tb(self, time: float, tb, kind: int, gid: int, payload, port):
+    def push_tb(
+        self, time: float, tb: int, kind: int, gid: int, payload, port
+    ):
         """Schedule an event under a caller-supplied tie-break.
 
-        Sharded execution uses ``(origin_gid, origin_seq)`` pairs: the
-        tie-break then depends only on the event's producer, never on
-        global pop order, so equal-time ordering is identical for every
-        shard count.
+        Sharded execution packs ``(origin_gid, origin_seq)``
+        (:func:`pack_tiebreak`): the tie-break then depends only on the
+        event's producer, never on global pop order, so equal-time
+        ordering is identical for every shard count.
         """
         if self.work_mask[kind]:
             self.work += 1

@@ -375,7 +375,7 @@ class EngineObserver:
             self.tracer.complete(
                 f"recovery node={node_id} ckpt={ckpt_id}",
                 "ft",
-                engine._now,
+                engine._k.now,
                 pause_s,
                 parent_id=self._run_span,
                 replayed=replayed,

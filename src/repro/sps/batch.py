@@ -110,8 +110,9 @@ class ColumnarExecutor:
         loop would.
         """
         eng = self.engine
-        eng._events_processed = 0
-        eng._now = 0.0
+        kernel = eng._k
+        kernel.events_processed = 0
+        kernel.now = 0.0
         eng._flush_time = None
         eng._last_source_time = 0.0
         eng._throttled_arrivals = 0
@@ -147,7 +148,7 @@ class ColumnarExecutor:
                 else:
                     self._run_instance(runtime)
                 if self._events > self._max_events:
-                    eng._events_processed = self._events
+                    kernel.events_processed = self._events
                     raise SimulationError(
                         f"event budget exceeded ({self._max_events}); "
                         "the configuration likely diverged"
@@ -157,10 +158,10 @@ class ColumnarExecutor:
             eng._flush_time = self._drain
             if self._drain > self._final_now:
                 self._final_now = self._drain
-        eng._now = self._final_now
-        eng._events_processed = self._events
+        kernel.now = self._final_now
+        kernel.events_processed = self._events
         if self._obs is not None:
-            self._obs.on_run_end(eng._now)
+            self._obs.on_run_end(kernel.now)
         return eng._collect_metrics()
 
     # ------------------------------------------------------------- arrivals

@@ -65,6 +65,12 @@ build time rather than per event:
   handler skips routing when a tick fires no window. Timer cadence is
   unchanged — ``TIMER`` events still count toward ``events_processed``.
 
+- *One step, two universes*: a sharded run
+  (:mod:`repro.sps.shard_exec`) drives this same step over one kernel
+  per shard. What differs — which generator a subtask draws from, whose
+  counter numbers its events, whether a consumer is local — is data
+  that ``_begin_run`` binds, never a branch on the universe.
+
 None of the precomputation changes any simulated result: the same RNG
 draws happen in the same order, and every floating-point expression keeps
 the exact operand order of the straightforward implementation. The golden
@@ -91,7 +97,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.network import Network
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RngFactory
-from repro.kernel.core import BudgetExceededError, Kernel
+from repro.kernel.core import BudgetExceededError, Kernel, pack_tiebreak
 from repro.ft.store import StateStore, estimate_items, validate_delivery
 from repro.sps.costs import COORD_LOG_COST_S, SERDE_COST_S
 from repro.sps.logical import LogicalPlan, OperatorKind
@@ -445,6 +451,18 @@ class _SubtaskRuntime:
     ft_ckpt: int | None = None
     ft_aligned: set | None = None
     ft_buffer: list | None = None
+    #: the deterministic universe (DESIGN.md §14), bound at run start by
+    #: ``StreamEngine._begin_run``: where this subtask draws arrival gaps
+    #: and service noise, and whose ``seq`` numbers the events it
+    #: schedules. Legacy: the bound methods of the one shared
+    #: ("engine", "arrivals") generator, and the kernel. Shard: the
+    #: subtask's own ``…/arrivals`` and ``…/noise`` streams, and the
+    #: runtime itself, ``seq`` starting one below ``pack_tiebreak(gid,
+    #: 0)`` so its tie-breaks are ``pack_tiebreak(gid, 0), (gid, 1), …``.
+    exponential: object = None
+    lognormal: object = None
+    ticker: object = None
+    seq: int = 0
 
 
 class StreamEngine:
@@ -546,30 +564,11 @@ class StreamEngine:
         #: where fork is available (the serial reference of the DET609
         #: cross-check, and the property tests' fast path)
         self.shard_force_inline = False
-        #: the discrete-event kernel; reset at every run() and shared
-        #: with the batch executor through the _now/_events_processed
-        #: properties below
+        #: the discrete-event kernel: owns the clock and the event
+        #: counter; reset at every run() and written by the batch
+        #: executor and the sharded run's stats merge
         self._k = Kernel(_WORK_MASK)
         self._build_runtimes()
-
-    # Compatibility mirrors: the kernel owns the clock and the event
-    # counter, but the batch executor and observers address them as
-    # plain engine attributes.
-    @property
-    def _now(self) -> float:
-        return self._k.now
-
-    @_now.setter
-    def _now(self, value: float) -> None:
-        self._k.now = value
-
-    @property
-    def _events_processed(self) -> int:
-        return self._k.events_processed
-
-    @_events_processed.setter
-    def _events_processed(self, value: int) -> None:
-        self._k.events_processed = value
 
     # ----------------------------------------------------------- build-time
 
@@ -756,48 +755,7 @@ class StreamEngine:
             return run_sharded(self)
         k = self._k
         k.reset()
-        self._finished = False
-        self._flush_rounds = 0
-        self._flush_time: float | None = None
-        self._last_source_time = 0.0
-        self._congested: set[int] = set()
-        self._throttled_arrivals = 0
-        self._bp_limit = self.config.backpressure_queue_limit
-        self._rng_arrivals = self._rngs.fresh("engine", "arrivals")
-        # Bound RNG methods: the service and arrival paths draw from the
-        # generator once per tuple, so skip the attribute walk each time.
-        self._lognormal = self._rng_arrivals.lognormal
-        self._exponential = self._rng_arrivals.exponential
-        # Routed-path indirection: the default path binds the plain
-        # implementations here, so checkpointing can swap in its FT
-        # variants without a branch inside the hot path. FT-off runs
-        # make byte-identical calls through these bindings.
-        self._route_live = self._route
-        self._serve_next = self._begin_service_now
-        self._state_loss: dict | None = None
-        # Instance binding: event producers schedule through the kernel
-        # directly, skipping the class-level _push delegation frame.
-        self._push = k.push
-        if self._ft:
-            self._ft_init()
-
-        for runtime in self._runtimes:
-            if runtime.is_source:
-                self._schedule_next_arrival(runtime, 0.0)
-            interval = getattr(runtime.logic, "timer_interval", None)
-            if interval:
-                self._push(interval, _TIMER, runtime.gid, None, 0)
-
-        for stall in self.config.stalls:
-            if stall.op_id not in self.physical.op_subtasks:
-                raise SimulationError(
-                    f"stall targets unknown operator {stall.op_id!r}"
-                )
-            if stall.at_time > self.config.max_sim_time:
-                continue
-            for gid in self.physical.op_subtasks[stall.op_id]:
-                self._push(stall.at_time, _STALL, gid, stall.duration, 0)
-
+        self._begin_run(k)
         if self._elastic:
             self._start_elastic()
 
@@ -822,6 +780,93 @@ class StreamEngine:
         if obs is not None:
             obs.on_run_end(k.now)
         return self._collect_metrics()
+
+    def _begin_run(self, kernel: Kernel, owned=None) -> None:
+        """Bind one kernel's run state on this object, then seed it.
+
+        :meth:`run` calls this once, for every subtask. Sharded
+        execution calls it once per shard on a shallow copy of the
+        engine (:class:`repro.sps.shard_exec.ShardExecutor`) with
+        ``owned``, that shard's gids in ascending order: the copy shares
+        the plan and the runtimes, and what is bound here — kernel,
+        ``_push``, clocks, outbox, owned-gid filter — is the copy's own.
+
+        ``owned`` also selects the universe, which is data on each
+        runtime (see ``_SubtaskRuntime.exponential``), not a code path:
+        the step below reads ``runtime.exponential``/``lognormal``/
+        ``ticker`` and never asks which universe it is in.
+        """
+        config = self.config
+        runtimes = self._runtimes
+        mine = runtimes if owned is None else [runtimes[g] for g in owned]
+        self._k = kernel
+        #: None: every consumer is local. Else deliveries to a gid
+        #: outside the set leave through ``_outbox`` as wire messages
+        #: ``(at, origin gid, origin seq, dst gid, port, tuple)``.
+        self._owned = None if owned is None else frozenset(owned)
+        self._outbox: list = []
+        self._finished = False
+        self._flush_rounds = 0
+        self._flush_time: float | None = None
+        self._last_source_time = 0.0
+        self._congested: set[int] = set()
+        self._throttled_arrivals = 0
+        self._bp_limit = config.backpressure_queue_limit
+        # Routed-path indirection: the default path binds the plain
+        # implementations here, so checkpointing can swap in its FT
+        # variants without a branch inside the hot path. FT-off runs
+        # make byte-identical calls through these bindings.
+        self._route_live = self._route
+        self._serve_next = self._begin_service_now
+        self._state_loss: dict | None = None
+        if owned is None:
+            # Event producers schedule through the kernel directly.
+            self._push = kernel.push
+            self._rng_arrivals = self._rngs.fresh("engine", "arrivals")
+            exponential = self._rng_arrivals.exponential
+            lognormal = self._rng_arrivals.lognormal
+            for runtime in mine:
+                runtime.exponential = exponential
+                runtime.lognormal = lognormal
+                runtime.ticker = kernel
+        else:
+            # A sanitize=True engine carries a RaceDetector in _obs, but
+            # hooks would need cross-process event ordering (the
+            # constructor rejects a user observer for the same reason).
+            self._obs = None
+            self._push = self._push_own
+            # Streams derive purely from the factory seed and the
+            # subtask's stable name, so every transport and every K
+            # builds byte-identical generators.
+            fresh = self._rngs.fresh
+            for runtime in mine:
+                name = ("engine", runtime.op_id, str(runtime.index))
+                if runtime.is_source:
+                    runtime.exponential = fresh(*name, "arrivals").exponential
+                if runtime.noise_sigma > 0:
+                    runtime.lognormal = fresh(*name, "noise").lognormal
+                runtime.ticker = runtime
+                runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
+        if self._ft:
+            self._ft_init()
+
+        for runtime in mine:
+            if runtime.is_source:
+                self._schedule_next_arrival(runtime, 0.0)
+            interval = getattr(runtime.logic, "timer_interval", None)
+            if interval:
+                self._push(interval, _TIMER, runtime.gid, None, 0)
+
+        for stall in config.stalls:
+            if stall.op_id not in self.physical.op_subtasks:
+                raise SimulationError(
+                    f"stall targets unknown operator {stall.op_id!r}"
+                )
+            if stall.at_time > config.max_sim_time:
+                continue
+            for gid in self.physical.op_subtasks[stall.op_id]:
+                if owned is None or gid in self._owned:
+                    self._push(stall.at_time, _STALL, gid, stall.duration, 0)
 
     def _make_handlers(self) -> list:
         """The kernel's dispatch table, one entry per event kind."""
@@ -888,12 +933,14 @@ class StreamEngine:
 
     # -------------------------------------------------------------- events
 
-    def _push(
+    def _push_own(
         self, time: float, kind: int, gid: int, payload, port: int
     ) -> None:
-        # Class-level fallback; run() shadows this with the bound
-        # kernel push so scheduling skips the delegation frame.
-        self._k.push(time, kind, gid, payload, port)
+        """The shard universe's ``_push``: subtask ``gid`` schedules an
+        event for itself, numbered from its own counter."""
+        runtime = self._runtimes[gid]
+        runtime.seq += 1
+        self._k.push_tb(time, runtime.seq, kind, gid, payload, port)
 
     def _schedule_next_arrival(
         self, runtime: _SubtaskRuntime, now: float
@@ -902,13 +949,13 @@ class StreamEngine:
             return
         kind = runtime.arrival_kind
         if kind == _ARR_POISSON:
-            gap = self._exponential(runtime.mean_gap)
+            gap = runtime.exponential(runtime.mean_gap)
         elif kind == _ARR_CONSTANT:
             gap = runtime.mean_gap
         elif kind == _ARR_BURSTY:
             # On/off: bursts at 4x rate for 50ms, then silence balancing it.
             phase = (now * 10.0) % 1.0
-            gap = self._exponential(
+            gap = runtime.exponential(
                 runtime.burst_fast_gap
                 if phase < 0.25
                 else runtime.burst_slow_gap
@@ -924,7 +971,7 @@ class StreamEngine:
                     "'rate_profile' callable in the source metadata"
                 )
             instant = max(float(profile(now)) / runtime.profile_divisor, 1e-9)
-            gap = self._rng_arrivals.exponential(1.0 / instant)
+            gap = runtime.exponential(1.0 / instant)
         at = now + gap
         if at > self.config.max_sim_time:
             return
@@ -999,17 +1046,18 @@ class StreamEngine:
             service = runtime.base_service * work
             sigma = runtime.noise_sigma
             if sigma > 0:
-                service *= self._lognormal(runtime.noise_mu, sigma)
+                service *= runtime.lognormal(runtime.noise_mu, sigma)
             runtime.busy_time += service
             if obs is not None:
                 obs.on_serve(runtime, now, service, 0.0)
-            k.seq += 1
+            ticker = runtime.ticker
+            ticker.seq += 1
             k.work += 1
             heappush(
                 k.heap,
                 (
                     now + service,
-                    k.seq,
+                    ticker.seq,
                     _DONE,
                     runtime.gid,
                     tup,
@@ -1066,15 +1114,16 @@ class StreamEngine:
         service = runtime.base_service * work
         sigma = runtime.noise_sigma
         if sigma > 0:
-            service *= self._lognormal(runtime.noise_mu, sigma)
+            service *= runtime.lognormal(runtime.noise_mu, sigma)
         runtime.busy_time += service
         if self._obs is not None:
             self._obs.on_serve(runtime, now, service, wait)
-        k.seq += 1
+        ticker = runtime.ticker
+        ticker.seq += 1
         k.work += 1
         heappush(
             k.heap,
-            (now + service, k.seq, _DONE, runtime.gid, tup, port),
+            (now + service, ticker.seq, _DONE, runtime.gid, tup, port),
         )
 
     def _handle_done(self, gid: int, tup: StreamTuple, port: int) -> None:
@@ -1312,7 +1361,7 @@ class StreamEngine:
                     runtime.burst_fast_gap /= factor
                     runtime.burst_slow_gap /= factor
             self._push(
-                self._now + duration, _SCENARIO, 0, ("spike_end", saved), 0
+                self._k.now + duration, _SCENARIO, 0, ("spike_end", saved), 0
             )
         elif kind == "spike_end":
             # Restore the exact pre-spike gaps (saved, not re-derived).
@@ -1328,7 +1377,7 @@ class StreamEngine:
             original = runtime.base_service
             runtime.base_service = original * factor
             self._push(
-                self._now + duration,
+                self._k.now + duration,
                 _SCENARIO,
                 0,
                 ("unstraggle", runtime.gid, original),
@@ -1367,7 +1416,7 @@ class StreamEngine:
                     for i, bandwidth in enumerate(bandwidths):
                         bandwidths[i] = bandwidth * bandwidth_factor
             self._push(
-                self._now + duration,
+                self._k.now + duration,
                 _SCENARIO,
                 0,
                 ("restore_net", saved),
@@ -1416,7 +1465,7 @@ class StreamEngine:
                 continue
             loss["failed_subtasks"] += 1
             if runtime.is_source:
-                mark = self._now + duration
+                mark = self._k.now + duration
                 if mark > runtime.fail_until:
                     runtime.fail_until = mark
                 continue
@@ -1570,7 +1619,7 @@ class StreamEngine:
         - new subtasks stay busy for a migration pause whose noise comes
           from the dedicated rescale stream, then drain their queues.
         """
-        now = self._now
+        now = self._k.now
         old_gids = self._op_gids[op_id]
         old_runtimes = [self._runtimes[gid] for gid in old_gids]
         epoch = self._op_epoch.get(op_id, 0) + 1
@@ -1620,6 +1669,8 @@ class StreamEngine:
                 noise_mu=-0.5 * sigma * sigma,
                 slot_load=load,
                 epoch=epoch,
+                lognormal=donor.lognormal,
+                ticker=donor.ticker,
             )
             self._runtimes.append(runtime)
             new_runtimes.append(runtime)
@@ -1774,7 +1825,7 @@ class StreamEngine:
 
     def _handle_control(self) -> None:
         """One autoscaler tick: snapshot, decide, emit rescales."""
-        now = self._now
+        now = self._k.now
         interval = self.config.autoscale_interval
         make_snapshot = self._snapshot_cls
         snapshots = []
@@ -1888,7 +1939,7 @@ class StreamEngine:
 
     def _handle_ft(self, action) -> None:
         if action[0] == "trigger":
-            nxt = self._now + self._ft_interval
+            nxt = self._k.now + self._ft_interval
             if nxt <= self.config.max_sim_time:
                 self._push(nxt, _FT, 0, ("trigger",), 0)
             store = self._ft_store
@@ -1899,7 +1950,7 @@ class StreamEngine:
                 return
             if self._ft_num_acks == 0:
                 return
-            record = store.begin(self._now)
+            record = store.begin(self._k.now)
             self._ft_pending = self._ft_num_acks
             for runtime in self._runtimes:
                 if runtime.is_source:
@@ -1924,7 +1975,7 @@ class StreamEngine:
         provenance ledger first.
         """
         tup, src = payload
-        now = self._now
+        now = self._k.now
         if tup.__class__ is _Barrier:
             runtime.queue.append((tup, port, now, src))
             if not runtime.busy:
@@ -1960,7 +2011,7 @@ class StreamEngine:
         consumed at zero cost; the first servable tuple starts service
         exactly as ``_begin_service_now`` would."""
         queue = runtime.queue
-        now = self._now
+        now = self._k.now
         while True:
             head = runtime.queue_head
             if head >= len(queue):
@@ -1993,7 +2044,7 @@ class StreamEngine:
         service = runtime.base_service * work
         sigma = runtime.noise_sigma
         if sigma > 0:
-            service *= self._lognormal(runtime.noise_mu, sigma)
+            service *= runtime.lognormal(runtime.noise_mu, sigma)
         runtime.busy_time += service
         if self._obs is not None:
             self._obs.on_serve(runtime, now, service, wait)
@@ -2037,7 +2088,7 @@ class StreamEngine:
                 self._ft_forward_barrier(runtime, record.ckpt_id)
             self._ft_pending -= 1
             if self._ft_pending == 0:
-                completed = store.complete(self._now)
+                completed = store.complete(self._k.now)
                 if self._obs is not None:
                     self._obs.on_checkpoint(self, completed)
         # Release input buffered during alignment, ahead of the rest.
@@ -2104,7 +2155,7 @@ class StreamEngine:
         self._ft_enqueue(runtime, (tup, -1), 0)
         if runtime.ft_head < len(log):
             gap = runtime.mean_gap * _REPLAY_GAP_FRACTION
-            self._push(self._now + gap, _REPLAY, gid, None, 0)
+            self._push(self._k.now + gap, _REPLAY, gid, None, 0)
 
     def _ft_failure(self, node_id: int, duration: float) -> None:
         """Chaos node failure with checkpointing ON: actual recovery.
@@ -2269,7 +2320,7 @@ class StreamEngine:
             if runtime.is_source:
                 log = runtime.ft_log
                 if log and runtime.ft_head < len(log):
-                    self._push(self._now, _REPLAY, runtime.gid, None, 0)
+                    self._push(self._k.now, _REPLAY, runtime.gid, None, 0)
             elif len(runtime.queue) > runtime.queue_head:
                 self._ft_begin_service_now(runtime)
         if self._k.work == 0:
@@ -2386,6 +2437,16 @@ class StreamEngine:
         tuples — a tuple's delivery time never depends on its position in
         the output batch, only on the (deterministic) group order. The
         precompiled routing tables reproduce exactly this accounting.
+
+        **Local or outbox.** A sharded run's kernel holds only the
+        subtasks in ``_owned``; a delivery to any other gid is appended
+        to ``_outbox`` as the wire message ``(at, origin, seq, dst,
+        port, tuple)`` — the tie-break it would have carried on the
+        heap is ``pack_tiebreak(origin, seq)`` — for the shard executor
+        to ship. The producer's counter advances identically either
+        way, so tie-breaks do not depend on the partition. (Sharding
+        requires the affine network, so the custom-network branch below
+        is always local.)
         """
         if not outputs:
             return 0.0
@@ -2395,8 +2456,14 @@ class StreamEngine:
         k = self._k
         now = k.now
         heap = k.heap
-        seq = k.seq
+        ticker = runtime.ticker
+        seq = ticker.seq
         obs = self._obs
+        owned = self._owned
+        if owned is not None:
+            outbox = self._outbox
+            origin = runtime.gid
+            base = pack_tiebreak(origin, 0)
         pushed = 0
         offset = 0.0
         for (
@@ -2427,10 +2494,12 @@ class StreamEngine:
                             nbytes += out.size_bytes
                         obs.shuffle_bytes[runtime.gid] += nbytes * len(fixed)
                 routed = None
-            elif shuffle_cost:
-                # Dynamic fan-out with serde overhead: all selects of the
-                # group run first so the full group overhead offsets every
-                # delivery, then the buffered batch departs.
+            else:
+                # Dynamic fan-out (always a shuffle — only a forward
+                # edge is overhead-free, and its fan-out is constant):
+                # all selects of the group run first so the full group
+                # overhead offsets every delivery, then the buffered
+                # batch departs.
                 routed = []
                 group_overhead = 0.0
                 for tup in outputs:
@@ -2446,86 +2515,76 @@ class StreamEngine:
                     for out, indices in routed:
                         nbytes += out.size_bytes * len(indices)
                     obs.shuffle_bytes[runtime.gid] += nbytes
-            else:
-                # Dynamic fan-out, overhead-free group: the offset cannot
-                # change, so skip the buffering pass entirely.
-                routed = None
             if latencies is not None:
                 if fixed is not None:
                     for out in outputs:
                         size = out.size_bytes
                         for idx in fixed:
                             delay = latencies[idx] + size / bandwidths[idx]
+                            dst = consumers[idx]
                             seq += 1
-                            pushed += 1
-                            heappush(
-                                heap,
-                                (
-                                    now + delay + offset,
-                                    seq,
-                                    _DELIVER,
-                                    consumers[idx],
-                                    out,
-                                    port,
-                                ),
-                            )
-                    continue
-                if routed is None:
-                    for tup in outputs:
-                        out = (
-                            tup.with_key(rekey(tup))
-                            if rekey is not None
-                            else tup
-                        )
-                        size = out.size_bytes
-                        for idx in select(out, num_channels):
-                            delay = latencies[idx] + size / bandwidths[idx]
-                            seq += 1
-                            pushed += 1
-                            heappush(
-                                heap,
-                                (
-                                    now + delay + offset,
-                                    seq,
-                                    _DELIVER,
-                                    consumers[idx],
-                                    out,
-                                    port,
-                                ),
-                            )
+                            if owned is None or dst in owned:
+                                pushed += 1
+                                heappush(
+                                    heap,
+                                    (
+                                        now + delay + offset,
+                                        seq,
+                                        _DELIVER,
+                                        dst,
+                                        out,
+                                        port,
+                                    ),
+                                )
+                            else:
+                                outbox.append(
+                                    (
+                                        now + delay + offset,
+                                        origin,
+                                        seq - base,
+                                        dst,
+                                        port,
+                                        out,
+                                    )
+                                )
                     continue
                 for out, indices in routed:
                     size = out.size_bytes
                     for idx in indices:
                         delay = latencies[idx] + size / bandwidths[idx]
+                        dst = consumers[idx]
                         seq += 1
-                        pushed += 1
-                        heappush(
-                            heap,
-                            (
-                                now + delay + offset,
-                                seq,
-                                _DELIVER,
-                                consumers[idx],
-                                out,
-                                port,
-                            ),
-                        )
+                        if owned is None or dst in owned:
+                            pushed += 1
+                            heappush(
+                                heap,
+                                (
+                                    now + delay + offset,
+                                    seq,
+                                    _DELIVER,
+                                    dst,
+                                    out,
+                                    port,
+                                ),
+                            )
+                        else:
+                            outbox.append(
+                                (
+                                    now + delay + offset,
+                                    origin,
+                                    seq - base,
+                                    dst,
+                                    port,
+                                    out,
+                                )
+                            )
             else:
                 # Custom network model: ask it for every delivery.
                 network = self.cluster.network
                 src_node = runtime.node_id
                 runtimes = self._runtimes
                 if routed is None:
-                    lazy = []
-                    for tup in outputs:
-                        out = (
-                            tup.with_key(rekey(tup))
-                            if rekey is not None
-                            else tup
-                        )
-                        lazy.append((out, fixed or select(out, num_channels)))
-                    routed = lazy
+                    routed = [(out, fixed) for out in outputs]
                 for out, indices in routed:
                     for idx in indices:
                         delay = network.transfer_delay(
@@ -2546,7 +2605,7 @@ class StreamEngine:
                                 port,
                             ),
                         )
-        k.seq = seq
+        ticker.seq = seq
         k.work += pushed
         return offset
 
@@ -2554,9 +2613,11 @@ class StreamEngine:
 
     def _flush_all(self) -> bool:
         """Flush stateful logics once; True if anything was emitted."""
+        now = self._k.now
         if self._flush_time is None:
-            self._flush_time = self._now
+            self._flush_time = now
         emitted = False
+        owned = self._owned
         for op_id in self.logical.topological_order():
             # Fused chain tails have no subtasks of their own; their
             # flush runs inside the chain head's ChainedLogic. The live
@@ -2565,12 +2626,14 @@ class StreamEngine:
             if op_id not in self._op_gids:
                 continue
             for gid in self._op_gids[op_id]:
+                if owned is not None and gid not in owned:
+                    continue
                 runtime = self._runtimes[gid]
-                outputs = runtime.logic.flush(self._now)
+                outputs = runtime.logic.flush(now)
                 if outputs:
                     emitted = True
                     if self._obs is not None:
-                        self._obs.on_flush(runtime, self._now, len(outputs))
+                        self._obs.on_flush(runtime, now, len(outputs))
                     self._route_live(runtime, outputs)
         return emitted
 
@@ -2625,7 +2688,7 @@ class StreamEngine:
                 slo_violation_s = float(
                     np.diff(arr_steady)[violating[1:]].sum()
                 )
-        span = max(self._now, 1e-9)
+        span = max(self._k.now, 1e-9)
         if self.config.batch_size is not None:
             # Batch mode: a whole micro-batch lands at its completion
             # time, so anchoring the window at the first sink arrival
@@ -2661,7 +2724,7 @@ class StreamEngine:
             if served > 0
         }
         extras: dict = {
-            "events_processed": self._events_processed,
+            "events_processed": self._k.events_processed,
             "throttled_arrivals": self._throttled_arrivals,
         }
         if slo is not None:

@@ -16,20 +16,26 @@ controller and produce bit-identical results:
   controller. This is the no-fork fallback and the serial reference the
   runner's DET609 cross-check compares a forked run against.
 
-**The shard universe.** ``shards=K`` is a *separate deterministic
-universe* from ``shards=None``: every subtask draws arrival gaps and
-service noise from its own named streams
-(``engine/<op>/<i>/arrivals|noise``) instead of the legacy engine's one
-shared arrival stream, equal-time events order by ``(origin gid, origin
-seq)`` instead of global push order, and end-of-stream flushes happen at
-epoch boundaries. Within the universe results are invariant in K — the
-property suite pins ``shards∈{1,2,4}`` plus both transports identical —
-but they intentionally differ from the ``shards=None`` event loop, which
-stays byte-identical to all committed goldens.
+**One step, two universes.** A shard runs the stream engine's own
+arrival → enqueue → serve → route step (:mod:`repro.sps.engine`), not a
+copy of it. ``shards=K`` is nevertheless a *separate deterministic
+universe* from ``shards=None``, and the whole difference is data that
+``StreamEngine._begin_run`` binds at run start: every subtask draws
+arrival gaps and service noise from its own named streams
+(``engine/<op>/<i>/arrivals|noise``) instead of the one shared arrival
+stream, numbers the events it schedules itself — tie-break
+``pack_tiebreak(origin gid, origin seq)`` instead of global push order —
+and routes to an outbox what its shard does not own; end-of-stream
+flushes happen at epoch boundaries. Within the universe results are
+invariant in K — the property suite pins ``shards∈{1,2,4}`` plus both
+transports identical, and ``tests/test_golden_determinism.py`` pins the
+universe itself — but they intentionally differ from the ``shards=None``
+event loop, which stays byte-identical to all committed goldens.
 """
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import pickle
@@ -38,364 +44,58 @@ import traceback
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import state_fingerprint
-from repro.kernel.core import BudgetExceededError, Kernel
+from repro.kernel.core import (
+    TB_SEQ_BITS,
+    BudgetExceededError,
+    Kernel,
+    pack_tiebreak,
+)
 from repro.kernel.partition import partition_nodes, shard_of_gids
 from repro.kernel.sharded import ShardController
 from repro.kernel.wire import decode_batch, encode_batch
-from repro.sps.engine import (
-    _ARR_BURSTY,
-    _ARR_CONSTANT,
-    _ARR_POISSON,
-    _ARRIVAL,
-    _BEGIN,
-    _DELIVER,
-    _DONE,
-    _STALL,
-    _TIMER,
-    _WORK_MASK,
-)
+from repro.sps.engine import _DELIVER, _WORK_MASK
 from repro.sps.operators.sink import SinkLogic
 
 __all__ = ["ShardExecutor", "run_sharded"]
 
 
 class ShardExecutor:
-    """Drives the subset of an engine's subtasks owned by one shard.
+    """Runs the engine's own subtask step for one shard's subtasks.
 
-    Mirrors the serial engine's hot path (arrival → enqueue → serve →
-    done → route) over its own kernel, with three shard-mode changes:
-    per-runtime RNG streams, ``(origin gid, origin seq)`` tie-breaks via
-    :meth:`Kernel.push_tb`, and an outbox for deliveries whose consumer
-    lives on another shard. It never touches a runtime it doesn't own,
-    so inline executors can share one engine object safely.
+    The step is :class:`~repro.sps.engine.StreamEngine`'s, unchanged:
+    the executor holds a shallow copy of the engine — same plan, same
+    ``_SubtaskRuntime`` objects — on which ``_begin_run`` binds this
+    shard's kernel, outbox, clocks and owned-gid filter. It never
+    touches a runtime it doesn't own, so inline executors can share the
+    runtimes of one engine safely. What remains here is the controller
+    protocol: seed, inject, drain an epoch, flush, report.
     """
 
-    def __init__(self, engine, shard_id, owned, shard_of_gid) -> None:
-        self.engine = engine
-        self.shard_id = shard_id
+    def __init__(self, engine, owned, shard_of_gid) -> None:
         self.owned = list(owned)
-        self.owned_set = frozenset(owned)
         self.shard_of_gid = shard_of_gid
         self.kernel = Kernel(_WORK_MASK)
-        self.runtimes = engine._runtimes
-        #: per-gid producer sequence counters; every event a subtask
-        #: schedules gets the next number, so equal-time ordering
-        #: depends only on producers, never on the shard count
-        self.oseq = [0] * len(self.runtimes)
-        self.outbox: list = []
-        self.last_source_time = 0.0
-        self.flush_time: float | None = None
-        self.max_sim_time = engine.config.max_sim_time
-        # Shard-universe RNG streams. Derived purely from the factory
-        # seed and the subtask's stable name, so every transport and
-        # every K builds byte-identical generators.
-        rngs = engine._rngs
-        self.arr_rngs: dict = {}
-        self.noise_rngs: dict = {}
-        for gid in self.owned:
-            runtime = self.runtimes[gid]
-            name = (runtime.op_id, str(runtime.index))
-            if runtime.is_source:
-                self.arr_rngs[gid] = rngs.fresh("engine", *name, "arrivals")
-            if runtime.noise_sigma > 0:
-                self.noise_rngs[gid] = rngs.fresh("engine", *name, "noise")
-        self.handlers = self._make_handlers()
-
-    # ------------------------------------------------------------ scheduling
-
-    def _push(self, time, kind, gid, payload, port, origin) -> None:
-        seq = self.oseq[origin]
-        self.oseq[origin] = seq + 1
-        self.kernel.push_tb(time, (origin, seq), kind, gid, payload, port)
-
-    def _schedule_next_arrival(self, runtime, now: float) -> None:
-        if runtime.emitted >= runtime.arrival_budget:
-            return
-        kind = runtime.arrival_kind
-        rng = self.arr_rngs[runtime.gid]
-        if kind == _ARR_POISSON:
-            gap = rng.exponential(runtime.mean_gap)
-        elif kind == _ARR_CONSTANT:
-            gap = runtime.mean_gap
-        elif kind == _ARR_BURSTY:
-            phase = (now * 10.0) % 1.0
-            gap = rng.exponential(
-                runtime.burst_fast_gap
-                if phase < 0.25
-                else runtime.burst_slow_gap
-            )
-        else:
-            profile = runtime.rate_profile
-            if profile is None:
-                raise ConfigurationError(
-                    f"{runtime.op_id}: arrival 'profile' needs a "
-                    "'rate_profile' callable in the source metadata"
-                )
-            instant = max(
-                float(profile(now)) / runtime.profile_divisor, 1e-9
-            )
-            gap = rng.exponential(1.0 / instant)
-        at = now + gap
-        if at > self.max_sim_time:
-            return
-        self._push(at, _ARRIVAL, runtime.gid, None, 0, runtime.gid)
-
-    # -------------------------------------------------------------- handlers
-
-    def _make_handlers(self) -> list:
-        runtimes = self.runtimes
-
-        def arrival(gid: int, payload, port: int) -> None:
-            runtime = runtimes[gid]
-            now = self.kernel.now
-            tup = runtime.logic.generate(now)
-            runtime.emitted += 1
-            if now > self.last_source_time:
-                self.last_source_time = now
-            self._enqueue(runtime, tup, 0)
-            self._schedule_next_arrival(runtime, now)
-
-        def deliver(gid: int, payload, port: int) -> None:
-            self._enqueue(runtimes[gid], payload, port)
-
-        def begin(gid: int, payload, port: int) -> None:
-            runtime = runtimes[gid]
-            runtime.busy = False
-            if len(runtime.queue) > runtime.queue_head:
-                self._begin_service_now(runtime)
-
-        def timer(gid: int, payload, port: int) -> None:
-            runtime = runtimes[gid]
-            now = self.kernel.now
-            logic = runtime.logic
-            outputs = logic.on_time(now)
-            if outputs:
-                runtime.busy_time += self._route(runtime, outputs)
-            interval = logic.timer_interval
-            next_time = now + interval
-            if next_time <= self.max_sim_time + 10.0 * interval:
-                self._push(next_time, _TIMER, gid, None, 0, gid)
-
-        def stall(gid: int, duration, port: int) -> None:
-            runtime = runtimes[gid]
-            now = self.kernel.now
-            if runtime.busy:
-                self._push(now + 1e-4, _STALL, gid, duration, 0, gid)
-                return
-            runtime.busy = True
-            self._push(now + duration, _BEGIN, gid, None, 0, gid)
-
-        def done(gid: int, tup, port: int) -> None:
-            runtime = runtimes[gid]
-            now = self.kernel.now
-            if runtime.is_source:
-                outputs = [tup]
-            else:
-                outputs = runtime.logic.process(tup, now, port)
-            overhead = self._route(runtime, outputs)
-            runtime.busy_time += overhead
-            if overhead > 0:
-                self._push(now + overhead, _BEGIN, gid, None, 0, gid)
-            else:
-                runtime.busy = False
-                if len(runtime.queue) > runtime.queue_head:
-                    self._begin_service_now(runtime)
-
-        handlers: list = [None] * len(_WORK_MASK)
-        handlers[_ARRIVAL] = arrival
-        handlers[_DELIVER] = deliver
-        handlers[_BEGIN] = begin
-        handlers[_DONE] = done
-        handlers[_TIMER] = timer
-        handlers[_STALL] = stall
-        return handlers
-
-    def _enqueue(self, runtime, tup, port: int) -> None:
-        now = self.kernel.now
-        queue = runtime.queue
-        if not runtime.busy and runtime.queue_head == len(queue):
-            if runtime.queue_peak < 1:
-                runtime.queue_peak = 1
-            runtime.served += 1
-            runtime.busy = True
-            work = runtime.static_work
-            if work is None:
-                work = runtime.logic.work_units(tup)
-            service = runtime.base_service * work
-            sigma = runtime.noise_sigma
-            if sigma > 0:
-                service *= self.noise_rngs[runtime.gid].lognormal(
-                    runtime.noise_mu, sigma
-                )
-            runtime.busy_time += service
-            self._push(
-                now + service, _DONE, runtime.gid, tup, port, runtime.gid
-            )
-            return
-        queue.append((tup, port, now))
-        depth = len(queue) - runtime.queue_head
-        if depth > runtime.queue_peak:
-            runtime.queue_peak = depth
-        if not runtime.busy:
-            self._begin_service_now(runtime)
-
-    def _begin_service_now(self, runtime) -> None:
-        queue = runtime.queue
-        head = runtime.queue_head
-        tup, port, enqueued_at = queue[head]
-        now = self.kernel.now
-        wait = now - enqueued_at
-        runtime.wait_time += wait
-        runtime.served += 1
-        head += 1
-        runtime.queue_head = head
-        if head > 256 and head * 2 >= len(queue):
-            del queue[:head]
-            runtime.queue_head = 0
-        runtime.busy = True
-        work = runtime.static_work
-        if work is None:
-            work = runtime.logic.work_units(tup)
-        service = runtime.base_service * work
-        sigma = runtime.noise_sigma
-        if sigma > 0:
-            service *= self.noise_rngs[runtime.gid].lognormal(
-                runtime.noise_mu, sigma
-            )
-        runtime.busy_time += service
-        self._push(now + service, _DONE, runtime.gid, tup, port, runtime.gid)
-
-    def _route(self, runtime, outputs) -> float:
-        """The serial engine's affine routing with an outbox fork.
-
-        Same group-ordered overhead accounting as ``StreamEngine._route``
-        (sharding requires the affine network, so only the precompiled
-        latency path exists here); deliveries whose consumer lives on
-        another shard go to the outbox instead of the local heap, and
-        the producer's sequence counter advances identically either way.
-        """
-        if not outputs:
-            return 0.0
-        table = runtime.route_table
-        if not table:
-            return 0.0
-        kernel = self.kernel
-        now = kernel.now
-        origin = runtime.gid
-        oseq = self.oseq
-        outbox = self.outbox
-        shard_of = self.shard_of_gid
-        shard_id = self.shard_id
-        offset = 0.0
-        for (
-            select,
-            fixed,
-            rekey,
-            consumers,
-            num_channels,
-            latencies,
-            bandwidths,
-            port,
-            shuffle_cost,
-        ) in table:
-            if fixed is not None:
-                if shuffle_cost:
-                    per_output = shuffle_cost * len(fixed)
-                    group_overhead = 0.0
-                    for _ in outputs:
-                        group_overhead += per_output
-                    offset += group_overhead
-                routed = None
-            elif shuffle_cost:
-                routed = []
-                group_overhead = 0.0
-                for tup in outputs:
-                    out = (
-                        tup.with_key(rekey(tup)) if rekey is not None else tup
-                    )
-                    indices = select(out, num_channels)
-                    group_overhead += shuffle_cost * len(indices)
-                    routed.append((out, indices))
-                offset += group_overhead
-            else:
-                routed = None
-            if fixed is not None:
-                for out in outputs:
-                    size = out.size_bytes
-                    for idx in fixed:
-                        delay = latencies[idx] + size / bandwidths[idx]
-                        at = now + delay + offset
-                        dst = consumers[idx]
-                        seq = oseq[origin]
-                        oseq[origin] = seq + 1
-                        if shard_of[dst] == shard_id:
-                            kernel.push_tb(
-                                at, (origin, seq), _DELIVER, dst, out, port
-                            )
-                        else:
-                            outbox.append((at, origin, seq, dst, port, out))
-                continue
-            if routed is None:
-                routed = []
-                for tup in outputs:
-                    out = (
-                        tup.with_key(rekey(tup)) if rekey is not None else tup
-                    )
-                    routed.append((out, select(out, num_channels)))
-            for out, indices in routed:
-                size = out.size_bytes
-                for idx in indices:
-                    delay = latencies[idx] + size / bandwidths[idx]
-                    at = now + delay + offset
-                    dst = consumers[idx]
-                    seq = oseq[origin]
-                    oseq[origin] = seq + 1
-                    if shard_of[dst] == shard_id:
-                        kernel.push_tb(
-                            at, (origin, seq), _DELIVER, dst, out, port
-                        )
-                    else:
-                        outbox.append((at, origin, seq, dst, port, out))
-        return offset
+        self.engine = copy.copy(engine)
+        self.handlers = self.engine._make_handlers()
 
     # ----------------------------------------------------- controller verbs
 
     def start(self):
         """Seed initial events for owned subtasks; report (0, work, next)."""
-        for gid in self.owned:
-            runtime = self.runtimes[gid]
-            if runtime.is_source:
-                self._schedule_next_arrival(runtime, 0.0)
-            interval = getattr(runtime.logic, "timer_interval", None)
-            if interval:
-                self._push(interval, _TIMER, gid, None, 0, gid)
-        for injection in self.engine.config.stalls:
-            if injection.at_time > self.max_sim_time:
-                continue
-            gids = self.engine.physical.op_subtasks.get(injection.op_id, ())
-            for gid in gids:
-                if gid in self.owned_set:
-                    self._push(
-                        injection.at_time,
-                        _STALL,
-                        gid,
-                        injection.duration,
-                        0,
-                        gid,
-                    )
         kernel = self.kernel
+        self.engine._begin_run(kernel, self.owned)
         return (0, kernel.work, kernel.next_event_time())
 
     def inject(self, messages) -> None:
         """Queue cross-shard arrivals, tie-broken by (origin, seq).
 
-        The caller-supplied tie-break (not local insertion order) is
-        what keeps equal-time delivery order invariant in the shard
-        count — see DESIGN.md §14.
+        The producer's tie-break (not local insertion order) is what
+        keeps equal-time delivery order invariant in the shard count —
+        see DESIGN.md §14.
         """
-        kernel = self.kernel
+        push_tb = self.kernel.push_tb
         for at, origin, seq, dst, port, tup in messages:
-            kernel.push_tb(at, (origin, seq), _DELIVER, dst, tup, port)
+            push_tb(at, pack_tiebreak(origin, seq), _DELIVER, dst, tup, port)
 
     def _collect_outbox(self) -> list:
         """Drain the outbox into per-destination-shard packets.
@@ -405,10 +105,11 @@ class ShardExecutor:
         payload, so the (forked) transport can serialize each packet
         once inside the worker instead of per hop in the parent.
         """
-        outbox = self.outbox
+        engine = self.engine
+        outbox = engine._outbox
         if not outbox:
             return []
-        self.outbox = []
+        engine._outbox = []
         shard_of = self.shard_of_gid
         groups: dict[int, list] = {}
         for message in outbox:
@@ -448,25 +149,8 @@ class ShardExecutor:
         """
         kernel = self.kernel
         kernel.now = boundary
-        if self.flush_time is None:
-            self.flush_time = boundary
-        emitted = False
-        engine = self.engine
-        owned = self.owned_set
-        for op_id in engine.logical.topological_order():
-            gids = engine._op_gids.get(op_id)
-            if gids is None:
-                continue
-            for gid in gids:
-                if gid not in owned:
-                    continue
-                runtime = self.runtimes[gid]
-                outputs = runtime.logic.flush(boundary)
-                if outputs:
-                    emitted = True
-                    self._route(runtime, outputs)
         return (
-            emitted,
+            self.engine._flush_all(),
             kernel.events_processed,
             kernel.work,
             kernel.next_event_time(),
@@ -475,11 +159,12 @@ class ShardExecutor:
 
     def stats(self) -> dict:
         """Everything the parent needs to finish metrics collection."""
+        engine = self.engine
         runtimes: dict = {}
         sinks: dict = {}
         ledger: dict = {}
         for gid in self.owned:
-            runtime = self.runtimes[gid]
+            runtime = engine._runtimes[gid]
             runtimes[gid] = (
                 runtime.busy_time,
                 runtime.queue_peak,
@@ -499,18 +184,21 @@ class ShardExecutor:
             rng = getattr(getattr(logic, "ctx", None), "rng", None)
             if rng is not None:
                 ledger[label] = state_fingerprint(rng)
-            arr = self.arr_rngs.get(gid)
-            if arr is not None:
-                ledger[label + "/arrivals"] = state_fingerprint(arr)
-            noise = self.noise_rngs.get(gid)
-            if noise is not None:
-                ledger[label + "/noise"] = state_fingerprint(noise)
+            # The universe's streams, reached through the bound draws.
+            if runtime.is_source:
+                ledger[label + "/arrivals"] = state_fingerprint(
+                    runtime.exponential.__self__
+                )
+            if runtime.noise_sigma > 0:
+                ledger[label + "/noise"] = state_fingerprint(
+                    runtime.lognormal.__self__
+                )
         return {
             "runtimes": runtimes,
             "sinks": sinks,
             "ledger": ledger,
-            "last_source_time": self.last_source_time,
-            "flush_time": self.flush_time,
+            "last_source_time": engine._last_source_time,
+            "flush_time": engine._flush_time,
         }
 
 
@@ -577,10 +265,10 @@ def _unpack_outbox(frame: bytes, pos: int, n: int) -> list:
     return packets
 
 
-def _shard_child(conn, parent_conn, engine, shard_id, owned, shard_of_gid):
+def _shard_child(conn, parent_conn, engine, owned, shard_of_gid):
     parent_conn.close()
     try:
-        executor = ShardExecutor(engine, shard_id, owned, shard_of_gid)
+        executor = ShardExecutor(engine, owned, shard_of_gid)
         while True:
             frame = conn.recv_bytes()
             op = frame[:1]
@@ -785,11 +473,11 @@ def run_sharded(engine):
             "sharded execution requires network base latency > 0; zero "
             "inter-node delay leaves no conservative time window"
         )
-    for injection in config.stalls:
-        if injection.op_id not in engine.physical.op_subtasks:
-            raise SimulationError(
-                f"stall targets unknown operator {injection.op_id!r}"
-            )
+    if config.max_events >= 1 << TB_SEQ_BITS:
+        raise ConfigurationError(
+            f"sharded execution needs max_events < 2**{TB_SEQ_BITS}: a "
+            "subtask's event counter shares its tie-break int with the gid"
+        )
     node_of_gid = [runtime.node_id for runtime in engine._runtimes]
     shard_of_node = partition_nodes(node_of_gid, shards)
     shard_of_gid = shard_of_gids(node_of_gid, shard_of_node)
@@ -813,7 +501,6 @@ def run_sharded(engine):
                     child_conn,
                     parent_conn,
                     engine,
-                    i,
                     owned[i],
                     shard_of_gid,
                 ),
@@ -825,9 +512,7 @@ def run_sharded(engine):
     else:
         for i in range(shards):
             handles.append(
-                _InlineHandle(
-                    ShardExecutor(engine, i, owned[i], shard_of_gid)
-                )
+                _InlineHandle(ShardExecutor(engine, owned[i], shard_of_gid))
             )
 
     controller = ShardController(

@@ -23,7 +23,7 @@ import json
 
 import pytest
 
-from repro.cluster import homogeneous_cluster
+from repro.cluster import NetworkSpec, homogeneous_cluster
 from repro.core.runner import BenchmarkRunner, RunnerConfig
 
 #: The apps pinned by the goldens: WC exercises keyed aggregation over a
@@ -59,11 +59,37 @@ GOLDEN = {
     ],
 }
 
+#: The shard universe (``shards=K``, DESIGN.md §14) at the same recipe
+#: on the 2 ms cluster the ``-s<K>`` bench workloads use (a wide
+#: lookahead keeps the epoch count small). Per-app, per-repeat
+#: (events_processed, results, mean latency s, epochs), captured at
+#: ``shards=1`` from the pre-unification ``ShardExecutor`` — the
+#: K-invariance suite compares the universe only with itself, so
+#: without these a refactor that shifts every K alike would pass.
+SHARD_GOLDEN = {
+    "WC": [
+        (21668, 26, 0.3375014204407278, 166),
+        (21678, 26, 0.3074837902083449, 152),
+    ],
+    "SG": [
+        (8076, 286, 5.144761416522206, 1821),
+        (8124, 294, 5.28455941328646, 1841),
+    ],
+    "AD": [
+        (13323, 42, 0.33001454425339916, 438),
+        (13580, 58, 0.3488466268355101, 419),
+    ],
+}
 
-def _run_all(workers: int = 1) -> dict[str, list[dict]]:
-    cluster = homogeneous_cluster("m510", 4)
+
+def _run_all(
+    workers: int = 1, shards: int | None = None
+) -> dict[str, list[dict]]:
+    network = None if shards is None else NetworkSpec(base_latency_s=2e-3)
+    cluster = homogeneous_cluster("m510", 4, network_spec=network)
     runner = BenchmarkRunner(
-        cluster, RunnerConfig(**GOLDEN_CONFIG, workers=workers)
+        cluster,
+        RunnerConfig(**GOLDEN_CONFIG, workers=workers, shards=shards),
     )
     out = {}
     for abbrev in GOLDEN_APPS:
@@ -93,6 +119,25 @@ def test_golden_values_hold():
             assert run["latency"]["mean"] == pytest.approx(
                 mean_latency, rel=1e-9
             ), (abbrev, i)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_shard_universe_golden_values_hold(shards):
+    """``shards=1`` (one in-process kernel) and forked ``shards=2``
+    both reproduce the recorded shard universe."""
+    results = _run_all(shards=shards)
+    for abbrev, repeats in SHARD_GOLDEN.items():
+        for i, (events, num_results, mean_latency, epochs) in enumerate(
+            repeats
+        ):
+            run = results[abbrev][i]
+            where = (abbrev, i, shards)
+            assert run["extras"]["events_processed"] == events, where
+            assert run["results"] == num_results, where
+            assert run["latency"]["mean"] == pytest.approx(
+                mean_latency, rel=1e-9
+            ), where
+            assert run["extras"]["shards"]["epochs"] == epochs, where
 
 
 def test_parallel_fanout_matches_serial():

@@ -11,11 +11,23 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster import homogeneous_cluster
 from repro.common.errors import ConfigurationError
-from repro.kernel import BudgetExceededError, Kernel, partition_nodes
+from repro.kernel import (
+    TB_SEQ_BITS,
+    BudgetExceededError,
+    Kernel,
+    pack_tiebreak,
+    partition_nodes,
+)
 from repro.kernel.wire import decode_batch, encode_batch
+from repro.sps.engine import SimulationConfig, StreamEngine
+from repro.sps.shard_exec import ShardExecutor
 from repro.sps.tuples import StreamTuple
+from tests.test_sharded_properties import generated_plan
 
 # Two event kinds: kind 0 counts as work, kind 1 (a "timer") does not.
 WORK_MASK = (True, False)
@@ -61,9 +73,9 @@ class TestKernelOrdering:
         k = make_kernel()
         log = []
         # Insert in an order scrambled relative to the tie-breaks.
-        k.push_tb(1.0, (2, 0), 0, 0, "c", 0)
-        k.push_tb(1.0, (1, 1), 0, 0, "b", 0)
-        k.push_tb(1.0, (1, 0), 0, 0, "a", 0)
+        k.push_tb(1.0, pack_tiebreak(2, 0), 0, 0, "c", 0)
+        k.push_tb(1.0, pack_tiebreak(1, 1), 0, 0, "b", 0)
+        k.push_tb(1.0, pack_tiebreak(1, 0), 0, 0, "a", 0)
         k.run(handlers(log, k), max_events=10)
         assert [e[3] for e in log] == ["a", "b", "c"]
 
@@ -152,6 +164,57 @@ def message(at, origin, oseq, dst, port, values, key):
                       size_bytes=24.0)
     tup.origin_time = at - 1.0
     return (at, origin, oseq, dst, port, tup)
+
+
+def shard_engine(**config):
+    return StreamEngine(
+        generated_plan(2, 4, False, False),
+        homogeneous_cluster("m510", 2),
+        config=SimulationConfig(max_tuples_per_source=20, **config),
+    )
+
+
+class TestTiebreakPacking:
+    """The shard universe numbers events per producer and packs
+    ``(origin gid, origin seq)`` into the kernel's int tie-break."""
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, 2**20),
+                st.integers(0, 2**TB_SEQ_BITS - 1),
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_packed_ints_order_like_pairs_through_the_wire(self, pairs):
+        packed = [pack_tiebreak(origin, seq) for origin, seq in pairs]
+        for pair_a, tb_a in zip(pairs, packed):
+            for pair_b, tb_b in zip(pairs, packed):
+                assert (tb_a < tb_b) == (pair_a < pair_b)
+        # As _route leaves them in the outbox, out through the codec,
+        # and back onto another shard's heap.
+        engine = shard_engine(shards=2)
+        sender = ShardExecutor(engine, [0], [0, 1])
+        receiver = ShardExecutor(engine, [1], [0, 1])
+        tup = StreamTuple(values=(1, 2.0), key=1, event_time=0.5)
+        sender.engine._outbox = [
+            (1.0 + i, origin, seq, 1, 0, tup)
+            for i, (origin, seq) in enumerate(pairs)
+        ]
+        ((dst_shard, _, count, messages),) = sender._collect_outbox()
+        assert (dst_shard, count) == (1, len(pairs))
+        receiver.inject(decode_batch(encode_batch(messages)))
+        assert [e[1] for e in sorted(receiver.kernel.heap)] == packed
+
+    def test_sharded_run_rejects_a_budget_that_could_overflow(self):
+        """A subtask's counter may not reach the gid bits."""
+        engine = shard_engine(shards=1, max_events=2**TB_SEQ_BITS)
+        with pytest.raises(ConfigurationError, match="max_events"):
+            engine.run()
+        assert shard_engine(shards=1, max_events=2**TB_SEQ_BITS - 1).run()
 
 
 class TestWireCodec:

@@ -91,6 +91,37 @@ class TestCheckFailureModes:
         assert code == 1
         assert "PERF REGRESSION" in capsys.readouterr().out
 
+    def test_event_count_drift_detected(self, tmp_path, capsys):
+        """Same speed, different results: every workload is fixed-seed,
+        so an event count off the committed one fails by name."""
+        report = _committed_report()
+        report["quick"]["current"] = {
+            **_FAKE_RESULTS,
+            "WC": {"events_per_sec": 50_000.0, "events": 1001},
+        }
+        path = tmp_path / "BENCH_engine.json"
+        path.write_text(json.dumps(report))
+        code = perf.run_bench(
+            quick=True, check=True, report_path=path, with_sweep=False
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "PERF REGRESSION: WC: processed 1000 events" in out
+        assert "PERF REGRESSION: hotpath" not in out
+
+    def test_event_counts_compare_within_the_mode(self, tmp_path, capsys):
+        """A full-mode entry with other counts does not fail a quick run."""
+        report = _committed_report()
+        report["full"] = {
+            "current": {"WC": {"events_per_sec": 50_000.0, "events": 5000}}
+        }
+        path = tmp_path / "BENCH_engine.json"
+        path.write_text(json.dumps(report))
+        code = perf.run_bench(
+            quick=True, check=True, report_path=path, with_sweep=False
+        )
+        assert code == 0
+
     def test_write_recreates_missing_report(self, tmp_path):
         path = tmp_path / "BENCH_engine.json"
         code = perf.run_bench(

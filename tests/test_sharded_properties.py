@@ -204,8 +204,33 @@ class TestKernelExtractionPins:
             rng_factory=RngFactory(0),
         )
         assert isinstance(engine._k, Kernel)
-        engine.run()
-        assert engine._events_processed == engine._k.events_processed
+        metrics = engine.run()
+        assert engine._k.events_processed > 0
+        assert metrics.extras["events_processed"] == engine._k.events_processed
+
+
+#: ``extras["race"]["rng_ledger"]`` of the sanitized run below, recorded
+#: while ``ShardExecutor`` still had an event loop of its own with no
+#: observer hooks in it: the shared step must not start calling the
+#: ``RaceDetector`` a ``sanitize=True`` engine carries.
+SANITIZED_LEDGER = {
+    "agg[0]": "088f1245b8dafc5e",
+    "agg[0]/noise": "a19b1e086aca9613",
+    "agg[1]": "03ad2cf1c569fdff",
+    "agg[1]/noise": "5bed927beb3ab50d",
+    "sink[0]": "ecb66ea1a2563f2e",
+    "sink[0]/noise": "62076a762ced8f3e",
+    "src[0]": "37970241c54b6152",
+    "src[0]/arrivals": "9cfde2a2ec546922",
+    "src[0]/noise": "24b9d987f7d8de32",
+    "src[1]": "88e810849646ab31",
+    "src[1]/arrivals": "332218e8920a6152",
+    "src[1]/noise": "c133ef2bf8286e4a",
+    "udo[0]": "98a9aa88d90b16cb",
+    "udo[0]/noise": "62833e924f080286",
+    "udo[1]": "c2bc9e7b37fc7501",
+    "udo[1]/noise": "55cee59b51f0a32b",
+}
 
 
 class TestRunnerIntegration:
@@ -225,7 +250,10 @@ class TestRunnerIntegration:
             ),
         )
         runs = runner.run_plan(plan)
-        assert runs[0].extras["race"]["findings"] == []
+        assert runs[0].extras["race"] == {
+            "findings": [],
+            "rng_ledger": SANITIZED_LEDGER,
+        }
         assert runs[0].extras["shards"]["shards"] == 2
 
     def test_runner_config_rejects_shards_with_workers(self):
