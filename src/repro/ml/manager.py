@@ -88,34 +88,32 @@ class MLManager:
             train, val, _ = dataset.split(
                 rng, val_fraction=val_fraction, test_fraction=0.02
             )
+        latencies = test.latencies()
         reports: dict[str, ModelReport] = {}
         for model in self.models:
             result = model.fit(train, val, seed=self.seed)
             predictions = model.predict(test)
-            report = ModelReport(
+            reports[model.name] = ModelReport(
                 model_name=model.name,
                 training=result,
-                q_error=model.evaluate(test),
-                per_structure=self._per_structure(model, test),
-                regression=regression_metrics(
-                    test.latencies(), predictions
+                q_error=summarize_q_errors(latencies, predictions),
+                per_structure=self._per_structure(
+                    test, latencies, predictions
                 ),
+                regression=regression_metrics(latencies, predictions),
             )
-            reports[model.name] = report
         return reports
 
     @staticmethod
     def _per_structure(
-        model: CostModel, test: Dataset
+        test: Dataset, latencies: np.ndarray, predictions: np.ndarray
     ) -> dict[str, dict[str, float]]:
         by_structure: dict[str, list[int]] = {}
-        for i, record in enumerate(test.records):
-            by_structure.setdefault(record.structure or "?", []).append(i)
+        for i, structure in enumerate(test.structures()):
+            by_structure.setdefault(structure or "?", []).append(i)
         results: dict[str, dict[str, float]] = {}
         for structure, indices in sorted(by_structure.items()):
-            subset = test.subset(indices)
-            predictions = model.predict(subset)
             results[structure] = summarize_q_errors(
-                subset.latencies(), predictions
+                latencies[indices], predictions[indices]
             )
         return results

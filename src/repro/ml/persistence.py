@@ -100,7 +100,6 @@ def model_state(model: CostModel) -> dict:
             "hidden": model.hidden,
             "layers": model.layers,
             "head_hidden": model.head_hidden,
-            "global_dim": model.global_dim,
             "params": {k: v.tolist() for k, v in model.params.items()},
         }
     raise TrainingError(
@@ -145,7 +144,6 @@ def restore_model(state: dict) -> CostModel:
             hidden=int(state["hidden"]),
             layers=int(state["layers"]),
             head_hidden=int(state["head_hidden"]),
-            global_dim=int(state["global_dim"]),
         )
         model.params = {
             k: np.asarray(v, dtype=float)

@@ -6,6 +6,10 @@ all models to maintain consistency"); :class:`EarlyStopping` implements
 exactly that, and :class:`TrainingResult` carries the training-efficiency
 metrics (time, epochs, parameters) the ML Manager reports alongside
 accuracy.
+
+:class:`Adam` (MLP and GNN) steps parameters, gradients and moments as one
+contiguous vector each, in place; per element the arithmetic and its order
+are the textbook per-array loop's, so results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, TrainingError
 
 __all__ = ["EarlyStopping", "TrainingResult", "Adam", "Standardizer"]
 
@@ -60,8 +64,11 @@ class EarlyStopping:
         """Record an epoch's validation loss; True means stop now.
 
         Sets :attr:`should_snapshot` when this epoch is the new best, so
-        callers know to store a copy of the parameters.
+        callers know to store a copy of the parameters. A NaN or infinite
+        loss is a diverged run, not a stale epoch, and raises.
         """
+        if not np.isfinite(val_loss):
+            raise TrainingError(f"epoch {epoch}: validation loss {val_loss}")
         if val_loss < self.best_loss - self.min_delta:
             self.best_loss = val_loss
             self.best_epoch = epoch
@@ -74,7 +81,12 @@ class EarlyStopping:
 
 
 class Adam:
-    """The Adam optimiser over a dict of named parameter arrays."""
+    """The Adam optimiser over a dict of named parameter arrays.
+
+    The arrays are packed in dict order into one flat vector; each entry of
+    ``params`` becomes a view into it and :attr:`grads` holds like-shaped
+    views into the flat gradient, which a caller may fill and pass to ``step``.
+    """
 
     def __init__(
         self,
@@ -86,28 +98,47 @@ class Adam:
     ) -> None:
         if lr <= 0:
             raise ConfigurationError("learning rate must be positive")
-        self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = {k: np.zeros_like(v) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._flat = np.concatenate([v.ravel() for v in params.values()])
+        n = self._flat.size
+        self._grad, self._m, self._v, self._num, self._den = np.zeros((5, n))
+        self.grads: dict[str, np.ndarray] = {}
         self._t = 0
+        lo = 0
+        for key, value in list(params.items()):
+            span = slice(lo, lo + value.size)
+            params[key] = self._flat[span].reshape(value.shape)
+            self.grads[key] = self._grad[span].reshape(value.shape)
+            lo = span.stop
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """Apply one update from gradients keyed like the parameters."""
-        self._t += 1
+        if grads.keys() != self.grads.keys():
+            raise ConfigurationError(f"not the parameters: {sorted(grads)}")
         for key, grad in grads.items():
-            if key not in self.params:
-                raise ConfigurationError(f"unknown parameter {key!r}")
-            self._m[key] = self.beta1 * self._m[key] + (1 - self.beta1) * grad
-            self._v[key] = self.beta2 * self._v[key] + (1 - self.beta2) * (
-                grad * grad
-            )
-            m_hat = self._m[key] / (1 - self.beta1**self._t)
-            v_hat = self._v[key] / (1 - self.beta2**self._t)
-            self.params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.grads[key][...] = grad
+        self._t += 1
+        grad, m, v = self._grad, self._m, self._v
+        num, den = self._num, self._den
+        # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+        m *= self.beta1
+        np.multiply(grad, 1 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(grad, grad, out=num)
+        num *= 1 - self.beta2
+        v += num
+        # p -= lr m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, 1 - self.beta2**self._t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, 1 - self.beta1**self._t, out=num)
+        num *= self.lr
+        num /= den
+        self._flat -= num
 
 
 class Standardizer:

@@ -206,6 +206,15 @@ class TestTrainingUtilities:
         assert not stopper.step(0.6, 3)
         assert stopper.step(0.7, 4)
 
+    def test_early_stopping_rejects_non_finite_loss(self):
+        stopper = EarlyStopping(patience=3)
+        stopper.step(1.0, 0)
+        for loss in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(TrainingError, match="epoch 4") as error:
+                stopper.step(loss, 4)
+            assert str(loss) in str(error.value)
+        assert stopper.best_loss == 1.0
+
     def test_adam_reduces_quadratic(self):
         params = {"w": np.array([5.0])}
         optimizer = Adam(params, lr=0.1)
