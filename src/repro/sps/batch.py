@@ -48,7 +48,10 @@ from heapq import heappop, heappush
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.sps.columnar import TupleBatch, require_numpy
-from repro.sps.operators.aggregate import WindowAggregateLogic
+from repro.sps.operators.aggregate import (
+    RESULT_SIZE_BYTES,
+    WindowAggregateLogic,
+)
 from repro.sps.operators.event_aggregate import EventTimeWindowAggregateLogic
 from repro.sps.operators.filter_op import FilterLogic
 from repro.sps.operators.map_op import FlatMapLogic, MapLogic
@@ -58,6 +61,7 @@ from repro.sps.partitioning import (
     RebalancePartitioner,
     _stable_hash,
 )
+from repro.sps.windows import ordered_sum
 
 try:  # pragma: no cover - numpy is present in every supported env
     import numpy as np
@@ -68,6 +72,10 @@ __all__ = ["ColumnarExecutor"]
 
 # Arrival-process kinds; values mirror repro.sps.engine's resolution.
 _ARR_POISSON, _ARR_CONSTANT, _ARR_BURSTY, _ARR_PROFILE = range(4)
+
+#: Arrival gaps drawn per RNG call; bounds the block when a time-cut run
+#: carries a tuple budget it will never reach.
+_GAP_BLOCK = 1 << 16
 
 _NUMERIC = (int, float, bool)
 
@@ -182,7 +190,6 @@ class ColumnarExecutor:
         """
         eng = self.engine
         rng = eng._rngs.fresh("engine", "arrivals")
-        exponential = rng.exponential
         max_time = eng.config.max_sim_time
         runtimes = eng._runtimes
         n_rt = len(runtimes)
@@ -195,10 +202,14 @@ class ColumnarExecutor:
         profiles = [None] * n_rt
         divisors = [1.0] * n_rt
         budgets = [0] * n_rt
-        counts = [0] * n_rt
+        # -1: every source starts as a pseudo-arrival at now = 0 that is
+        # not recorded, so its first gap is drawn by the loop below — in
+        # runtime order, before any real arrival, as the scalar loop does.
+        counts = [-1] * n_rt
         heap: list = []
         counter = 0
         per: dict[int, list] = {}
+        draws_left = 0
         for runtime in runtimes:
             if not runtime.is_source:
                 continue
@@ -217,62 +228,58 @@ class ColumnarExecutor:
                     f"{runtime.op_id}: arrival 'profile' needs a "
                     "'rate_profile' callable in the source metadata"
                 )
-            # First arrival, from now = 0 (budget is always >= 1).
-            counter = self._first_gap(
-                heap, counter, gid, kind, runtime, exponential, max_time
-            )
+            if kind != _ARR_CONSTANT:
+                draws_left += runtime.arrival_budget
+            counter += 1
+            heap.append((0.0, counter, gid))
+        # Unit-mean gaps come in blocks from the private stream and are
+        # scaled per source: ``mean * E`` is what ``exponential(mean)``
+        # computes, draw for draw, and nothing else reads this stream, so
+        # drawing ahead of a max_sim_time cut changes no result.
+        gaps: list = []
+        cursor = 0
         last = 0.0
         while heap:
             at, _, gid = heappop(heap)
-            per[gid].append(at)
             count = counts[gid] + 1
             counts[gid] = count
-            if at > last:
-                last = at
-            if count >= budgets[gid]:
-                continue
+            if count:
+                per[gid].append(at)
+                if at > last:
+                    last = at
+                if count >= budgets[gid]:
+                    continue
             kind = kinds[gid]
-            if kind == _ARR_POISSON:
-                gap = exponential(means[gid])
-            elif kind == _ARR_CONSTANT:
+            if kind == _ARR_CONSTANT:
                 gap = means[gid]
-            elif kind == _ARR_BURSTY:
-                gap = exponential(
-                    fasts[gid]
-                    if (at * 10.0) % 1.0 < 0.25
-                    else slows[gid]
-                )
             else:
-                instant = max(
-                    float(profiles[gid](at)) / divisors[gid], 1e-9
-                )
-                gap = exponential(1.0 / instant)
+                if cursor == len(gaps):
+                    block = min(draws_left, _GAP_BLOCK)
+                    draws_left -= block
+                    gaps = rng.standard_exponential(size=block).tolist()
+                    cursor = 0
+                gap = gaps[cursor]
+                cursor += 1
+                if kind == _ARR_POISSON:
+                    gap *= means[gid]
+                elif kind == _ARR_BURSTY:
+                    gap *= (
+                        fasts[gid]
+                        if (at * 10.0) % 1.0 < 0.25
+                        else slows[gid]
+                    )
+                else:
+                    instant = max(
+                        float(profiles[gid](at)) / divisors[gid], 1e-9
+                    )
+                    gap *= 1.0 / instant
             at += gap
             if at <= max_time:
                 counter += 1
                 heappush(heap, (at, counter, gid))
         eng._last_source_time = last
-        self._n_arrivals = sum(counts)
+        self._n_arrivals = sum(len(times) for times in per.values())
         return per
-
-    @staticmethod
-    def _first_gap(heap, counter, gid, kind, runtime, exponential, max_time):
-        if kind == _ARR_POISSON:
-            gap = exponential(runtime.mean_gap)
-        elif kind == _ARR_CONSTANT:
-            gap = runtime.mean_gap
-        elif kind == _ARR_BURSTY:
-            gap = exponential(runtime.burst_fast_gap)  # phase(0) < 0.25
-        else:
-            instant = max(
-                float(runtime.rate_profile(0.0)) / runtime.profile_divisor,
-                1e-9,
-            )
-            gap = exponential(1.0 / instant)
-        if gap <= max_time:
-            counter += 1
-            heappush(heap, (gap, counter, gid))
-        return counter
 
     # ------------------------------------------------------------- plumbing
 
@@ -281,10 +288,10 @@ class ColumnarExecutor:
         self._next_seq += n
         return np.arange(start, start + n, dtype=np.int64)
 
-    def _tick_array(self, interval):
+    def _tick_times(self, interval) -> list:
         """This instance's ideal timer schedule (scalar tick times)."""
         if not interval:
-            return None
+            return []
         drain = self._drain
         if drain is None:
             horizon = self.engine.config.max_sim_time + 10.0 * interval
@@ -297,7 +304,7 @@ class ColumnarExecutor:
         while t <= horizon:
             out.append(t)
             t += interval
-        return np.asarray(out, dtype=np.float64)
+        return out
 
     def _merge(self, entries):
         """Merge deliveries into one (now, seq)-ordered batch.
@@ -580,46 +587,44 @@ class ColumnarExecutor:
         return self._route_batch(runtime, batch, emit)
 
     def _emit_fires(self, runtime, fires, tick_base: float, tuple_emit):
-        """Route window-fire triples ``(fire_time, tick_triggered, tuple)``.
+        """Route fired windows, given as the window kernels' columns.
 
+        ``fires`` is five parallel lists — fire time, tick-triggered
+        flag, key, aggregate, earliest origin — in emission order.
         Tick-triggered outputs become available at ``max(fire_time,
         tick_base)`` (the previous batch's completion — the server was
         free when the timer fired); tuple-triggered ones at the firing
         batch's own completion time.  Consecutive outputs sharing an
         availability are routed as one sub-batch.
         """
+        times, flags, keys, aggregates, origins = fires
         obs = self._obs
         overhead = 0.0
-        total = len(fires)
+        total = len(times)
         i = 0
         while i < total:
-            is_tick = fires[i][1]
-            if is_tick:
-                emit = fires[i][0]
-                if emit < tick_base:
-                    emit = tick_base
-            else:
-                emit = tuple_emit
-            j = i
-            while j < total and fires[j][1] == is_tick:
-                if is_tick:
-                    e = fires[j][0]
-                    if e < tick_base:
-                        e = tick_base
-                    if e != emit:
-                        break
+            is_tick = flags[i]
+            emit = max(times[i], tick_base) if is_tick else tuple_emit
+            j = i + 1
+            while (
+                j < total
+                and flags[j] == is_tick
+                and (not is_tick or max(times[j], tick_base) == emit)
+            ):
                 j += 1
-            group = fires[i:j]
-            nows = np.asarray([f[0] for f in group], dtype=np.float64)
-            batch = TupleBatch.from_tuples(
-                [f[2] for f in group], nows, np.zeros(len(group))
+            batch = TupleBatch.from_lists(
+                (keys[i:j], aggregates[i:j]),
+                0,
+                origins[i:j],
+                RESULT_SIZE_BYTES,
+                times[i:j],
+                self._new_seqs(j - i),
             )
-            batch.seq = self._new_seqs(len(group))
             if obs is not None:
                 if is_tick:
-                    obs.on_window_fire(runtime, float(nows[0]), len(group))
+                    obs.on_window_fire(runtime, times[i], j - i)
                 else:
-                    obs.tuples_out[runtime.gid] += len(group)
+                    obs.tuples_out[runtime.gid] += j - i
             self._track(emit)
             overhead += self._route_batch(runtime, batch, emit)
             i = j
@@ -698,7 +703,9 @@ class ColumnarExecutor:
             work = (
                 work_per * rows
                 if work_per is not None
-                else sum(logic.work_units(t) for t in chunk.to_tuples())
+                else ordered_sum(
+                    (logic.work_units(t) for t in chunk.to_tuples()), 0
+                )
             )
             start, service, done = self._serve(
                 runtime, work, float(np.max(chunk_avail)), free
@@ -839,10 +846,10 @@ class ColumnarExecutor:
 
     def _run_window_kernel(self, runtime, logic, merged, avail) -> None:
         event_time = isinstance(logic, EventTimeWindowAggregateLogic)
-        ticks = self._tick_array(getattr(logic, "timer_interval", None))
-        if ticks is None:
-            ticks = np.empty(0, dtype=np.float64)
+        ticks = self._tick_times(getattr(logic, "timer_interval", None))
         self._events += len(ticks)
+        if event_time:  # consumes its ticks as per-batch array spans
+            ticks = np.asarray(ticks, dtype=np.float64)
         key_field = logic.key_field
         value_field = logic.value_field
         size = self.batch_size
@@ -895,29 +902,19 @@ class ColumnarExecutor:
                     fires = logic.process_time_batch(
                         keys, values, chunk.now, chunk.origin_time, ticks
                     )
-                overhead = 0.0
-                if fires:
-                    overhead = self._emit_fires(
-                        runtime, fires, prev_done, done
-                    )
+                overhead = self._emit_fires(runtime, fires, prev_done, done)
                 self._track(done)
                 prev_done = done
                 free = done + overhead
         # Trailing ticks past the last batch still fire ready windows.
         if event_time:
-            rest = ticks[cursor:]
             empty = np.empty(0, dtype=np.float64)
-            fires = (
-                logic.process_event_batch(
-                    None, empty, empty, empty, empty, rest
-                )
-                if len(rest)
-                else []
+            fires = logic.process_event_batch(
+                None, empty, empty, empty, empty, ticks[cursor:]
             )
         else:
             fires = logic.finalize_time_batch(ticks)
-        if fires:
-            free += self._emit_fires(runtime, fires, prev_done, prev_done)
+        free += self._emit_fires(runtime, fires, prev_done, prev_done)
         if self._drain is not None:
             self._emit_flush(runtime, logic.flush(self._drain), free)
 
@@ -939,8 +936,7 @@ class ColumnarExecutor:
                 for i in range(len(tuples))
             )
         rows.sort(key=_row_order)
-        ticks = self._tick_array(getattr(logic, "timer_interval", None))
-        tick_list = ticks.tolist() if ticks is not None else []
+        tick_list = self._tick_times(getattr(logic, "timer_interval", None))
         n_ticks = len(tick_list)
         self._events += n_ticks + 2 * len(rows)
         cursor = 0

@@ -37,7 +37,13 @@ except ImportError:  # pragma: no cover - exercised via require_numpy tests
     np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
-__all__ = ["HAVE_NUMPY", "TupleBatch", "require_numpy", "sequential_sum"]
+__all__ = [
+    "HAVE_NUMPY",
+    "TupleBatch",
+    "require_numpy",
+    "run_heads",
+    "segment_reduce",
+]
 
 _NUMERIC_TYPES = (int, float, bool)
 
@@ -52,23 +58,37 @@ def require_numpy() -> None:
         )
 
 
-def sequential_sum(acc: float, values) -> float:
-    """Left fold ``((acc + v0) + v1) + ...`` over a float64 array.
+def run_heads(breaks):
+    """First-row index of every run; ``breaks[i]`` cuts before row
+    ``i + 1``."""
+    heads = np.flatnonzero(breaks)
+    heads += 1
+    return np.concatenate(((0,), heads))
 
-    ``np.add.reduce``/``reduceat`` switch to pairwise summation above a
-    few elements and would re-associate the fold; ``np.cumsum`` is a
-    sequential left scan at every size, so its last prefix is bit-equal
-    to the scalar accumulation loop the engine's window operators run.
+
+def segment_reduce(breaks, values, origins):
+    """Reduce every run of a run-sorted micro-batch in one pass.
+
+    ``breaks[i]`` says row ``i + 1`` opens a new run.  Returns ``(heads,
+    bounds, seg_min, seg_max, seg_origin, values)``: the run-head row
+    index array (to pick each run's identity columns with), then plain
+    lists — run ``s`` covers rows ``bounds[s]:bounds[s + 1]``, its value
+    min/max and earliest origin come from one ``reduceat`` each, and
+    ``values`` is left for the caller's order-exact sum
+    (:func:`repro.sps.windows.ordered_sum` over the run's slice; a
+    ``reduceat`` sum is pairwise and would re-associate it).
     """
-    n = len(values)
-    if n == 0:
-        return acc
-    if n == 1:
-        return float(acc + values[0])
-    buf = np.empty(n + 1, dtype=np.float64)
-    buf[0] = acc
-    buf[1:] = values
-    return float(np.cumsum(buf)[-1])
+    heads = run_heads(breaks)
+    bounds = heads.tolist()
+    bounds.append(len(values))
+    return (
+        heads,
+        bounds,
+        np.minimum.reduceat(values, heads).tolist(),
+        np.maximum.reduceat(values, heads).tolist(),
+        np.minimum.reduceat(origins, heads).tolist(),
+        values.tolist(),
+    )
 
 
 def _column_from(items: list) -> "np.ndarray":
@@ -182,6 +202,28 @@ class TupleBatch:
             size_bytes,
             np.asarray(now, dtype=np.float64),
             np.asarray(seq, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_lists(
+        cls, fields, key_field: int, origin_time, size_bytes: float, now, seq
+    ) -> "TupleBatch":
+        """Columnarize per-field value lists, typed as :meth:`from_tuples`
+        types them; every row is stamped ``event_time = now`` and carries
+        ``size_bytes``.  Field ``key_field`` is also the rows' key (an
+        unkeyed stream holds ``None`` in every row of it)."""
+        now = np.asarray(now, dtype=np.float64)
+        columns = tuple(_column_from(items) for items in fields)
+        keyed = any(key is not None for key in fields[key_field])
+        return cls(
+            columns,
+            None,
+            now,
+            np.asarray(origin_time, dtype=np.float64),
+            columns[key_field] if keyed else None,
+            np.full(len(now), size_bytes),
+            now,
+            seq,
         )
 
     # ----------------------------------------------------------- reshaping

@@ -43,13 +43,14 @@ latency definition (window time counts toward latency).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.sps.columnar import sequential_sum
+from repro.sps.columnar import run_heads, segment_reduce
 from repro.sps.operators.base import OperatorLogic
 from repro.sps.tuples import StreamTuple
 from repro.sps.windows import (
@@ -59,9 +60,13 @@ from repro.sps.windows import (
     TumblingCountWindows,
     WindowAssigner,
     index_range_arrays as _index_range_arrays,
+    ordered_sum,
 )
 
-__all__ = ["WindowAggregateLogic"]
+__all__ = ["RESULT_SIZE_BYTES", "WindowAggregateLogic", "empty_fires"]
+
+#: Payload size of every window-result tuple.
+RESULT_SIZE_BYTES = 40.0
 
 _GLOBAL_KEY = "__global__"
 
@@ -465,6 +470,18 @@ class WindowAggregateLogic(OperatorLogic):
     def _emit_window(
         self, key: object, st: _KeyTimeState, w: int, fire_time: float
     ) -> StreamTuple:
+        aggregate, min_origin = self._window_result(st, w)
+        out_key = None if key is _GLOBAL_KEY else key
+        return StreamTuple(
+            values=(out_key, aggregate),
+            event_time=fire_time,
+            origin_time=min_origin,
+            key=out_key,
+            size_bytes=RESULT_SIZE_BYTES,
+        )
+
+    def _window_result(self, st: _KeyTimeState, w: int) -> tuple[float, float]:
+        """Window ``w``'s aggregate and earliest origin, from its slices."""
         slices = st.slices
         # Slices wholly before the oldest pending window are dead; the
         # fire order (ascending per key) makes this safe to pop eagerly.
@@ -523,14 +540,7 @@ class WindowAggregateLogic(OperatorLogic):
             else:
                 aggregate = acc / total  # AVG and MEAN
         self.windows_fired += 1
-        out_key = None if key is _GLOBAL_KEY else key
-        return StreamTuple(
-            values=(out_key, aggregate),
-            event_time=fire_time,
-            origin_time=min_origin,
-            key=out_key,
-            size_bytes=40.0,
-        )
+        return aggregate, min_origin
 
     def _emit_tumbling_count(
         self, key: object, st: _KeyCountState, now: float
@@ -560,7 +570,7 @@ class WindowAggregateLogic(OperatorLogic):
         else:
             # Ordered fold over the live window keeps float sums
             # bit-identical to the reference (see module docstring).
-            total = float(sum(values))
+            total = ordered_sum(values)
             aggregate = total if self._is_sum else total / len(values)
         return self._emit_count(key, aggregate, st.origins[0][1], now)
 
@@ -574,7 +584,7 @@ class WindowAggregateLogic(OperatorLogic):
             event_time=now,
             origin_time=min_origin,
             key=out_key,
-            size_bytes=40.0,
+            size_bytes=RESULT_SIZE_BYTES,
         )
 
     # --------------------------------------------------------- batch kernel
@@ -584,60 +594,47 @@ class WindowAggregateLogic(OperatorLogic):
         # state; they stay on the scalar fallback (see repro.sps.batch).
         return self._time_based
 
-    def process_time_batch(
-        self, keys, values, nows, origins, ticks
-    ) -> list[tuple[float, bool, StreamTuple]]:
-        """Fold one micro-batch into the slice state, vectorized.
+    def process_time_batch(self, keys, values, nows, origins, ticks):
+        """Fold one micro-batch into the slice state, then fire.
 
-        ``keys`` is a list of per-row group keys (or ``None`` when every
+        ``keys`` is the per-row group-key array (or ``None`` when every
         row is global), ``values``/``nows``/``origins`` float64 arrays
         with ``nows`` non-decreasing, and ``ticks`` this instance's full
-        timer-tick schedule (sorted array) used to attribute fire times.
+        timer-tick schedule (sorted list) used to attribute fire times.
 
         Updates the *same* per-key slice/pending/heap state the scalar
-        path uses — segments of rows sharing a (key, slice) pair are
-        reduced at once (``cumsum`` for the order-exact sum fold,
-        ``reduceat`` for the order-free min/max/origin) — then fires every
-        window whose end the batch's clock passed, each at the earliest
-        tuple-or-tick opportunity ``>=`` its end, exactly where the scalar
-        event loop would have fired it.  Returns
-        ``(fire_time, tick_triggered, tuple)`` triples in emission order.
+        path uses, in one segmented pass: rows are sorted by key once,
+        cut into runs sharing a (key, lo, hi) triple — the slices — and
+        every run's min/max/earliest origin comes out of three
+        ``reduceat`` calls over the whole batch; what is left per run is
+        slice bookkeeping and the order-exact ``acc += v`` sum over a
+        list slice.  Then every window whose end the batch's clock
+        passed fires at the earliest tuple-or-tick opportunity ``>=`` its
+        end, exactly where the scalar event loop would have fired it.
+        Returns the fired windows as columns (see :meth:`_fire_ready`).
         """
-        n = len(values)
-        if n:
-            lo, hi = _index_range_arrays(self.assigner, nows)
-            valid = lo <= hi
-            if keys is None:
-                st = self._get_time_state(_GLOBAL_KEY)
-                idxs = np.flatnonzero(valid)
-                self._fold_key_rows(st, idxs, values, origins, lo, hi)
-            else:
-                codes, firsts, uniques = _group_codes(keys)
-                # Ranks are assigned at key-first-seen, in arrival order
-                # (scalar creates the key state on its first tuple even
-                # when rounding leaves that tuple without a window).
-                states = [None] * len(uniques)
-                for gi in np.argsort(firsts, kind="stable").tolist():
-                    states[gi] = self._get_time_state(uniques[gi])
-                order = np.argsort(codes, kind="stable")
-                order = order[valid[order]]
-                if len(order):
-                    codes_o = codes[order]
-                    bounds = np.flatnonzero(codes_o[1:] != codes_o[:-1])
-                    starts = np.concatenate(([0], bounds + 1)).tolist()
-                    stops = np.concatenate(
-                        (bounds + 1, [len(order)])
-                    ).tolist()
-                    for a, b in zip(starts, stops):
-                        self._fold_key_rows(
-                            states[codes_o[a]],
-                            order[a:b],
-                            values,
-                            origins,
-                            lo,
-                            hi,
-                        )
-        return self._fire_batch(nows, ticks)
+        if not len(values):
+            return empty_fires()
+        lo, hi = _index_range_arrays(self.assigner, nows)
+        valid = lo <= hi
+        if keys is None:
+            self._get_time_state(_GLOBAL_KEY)
+            order = np.flatnonzero(valid)
+            key_o = None
+        else:
+            order = np.argsort(keys, kind="stable")
+            key_o = keys[order]
+            self._rank_new_keys(order, key_o)
+            if not valid.all():
+                keep = valid[order]
+                order = order[keep]
+                key_o = key_o[keep]
+        if len(order):
+            self._fold_rows(
+                key_o, lo[order], hi[order], values[order], origins[order]
+            )
+        nows = nows.tolist()
+        return self._fire_ready(nows, ticks, nows[-1])
 
     def _get_time_state(self, key) -> _KeyTimeState:
         st = self._time_state.get(key)
@@ -648,177 +645,136 @@ class WindowAggregateLogic(OperatorLogic):
             self._keys_by_rank.append(key)
         return st
 
-    def _fold_key_rows(self, st, idxs, values, origins, lo, hi) -> None:
-        """Fold rows ``idxs`` (arrival order, one key) into its slices.
+    def _rank_new_keys(self, order, key_o) -> None:
+        """Create the state of every key this batch sees first.
 
-        ``lo``/``hi`` are the whole batch's index-interval arrays; the
-        rows are cut into runs sharing one (lo, hi) — the slices — and
-        each run is reduced at once.
+        Ranks follow arrival order (scalar creates the key state on its
+        first tuple even when rounding leaves that tuple without a
+        window); ``order`` is a stable sort, so each key run's head is
+        that key's earliest row.
         """
-        count = len(idxs)
-        if count == 0:
-            return
-        vals = values[idxs]
-        lo_r = lo[idxs]
-        hi_r = hi[idxs]
-        if lo_r[0] == lo_r[count - 1] and hi_r[0] == hi_r[count - 1]:
-            # Fast path: the whole run lands in one slice — the common
-            # case for tumbling windows, where only the chunks straddling
-            # a window boundary ever split.
-            self._fold_segment(
-                st,
-                int(lo_r[0]),
-                int(hi_r[0]),
-                vals.min(),
-                vals.max(),
-                origins[idxs].min(),
-                vals,
-            )
-            return
-        orgs = origins[idxs]
-        bounds = np.flatnonzero(
-            (lo_r[1:] != lo_r[:-1]) | (hi_r[1:] != hi_r[:-1])
+        heads = run_heads(key_o[1:] != key_o[:-1])
+        states = self._time_state
+        fresh = [
+            (first, key)
+            for first, key in zip(order[heads].tolist(), key_o[heads].tolist())
+            if key not in states
+        ]
+        fresh.sort()
+        for _first, key in fresh:
+            self._get_time_state(key)
+
+    def _fold_rows(self, key_o, lo_o, hi_o, vals_o, orgs_o) -> None:
+        """Fold key-sorted rows (arrival order within a key) into slices."""
+        breaks = lo_o[1:] != lo_o[:-1]
+        breaks |= hi_o[1:] != hi_o[:-1]
+        if key_o is not None:
+            breaks |= key_o[1:] != key_o[:-1]
+        heads, bounds, seg_min, seg_max, seg_org, vals = segment_reduce(
+            breaks, vals_o, orgs_o
         )
-        starts = np.concatenate(([0], bounds + 1))
-        stops = np.concatenate((bounds + 1, [count]))
-        seg_min = np.minimum.reduceat(vals, starts)
-        seg_max = np.maximum.reduceat(vals, starts)
-        seg_org = np.minimum.reduceat(orgs, starts)
-        for si in range(len(starts)):
-            a = int(starts[si])
-            b = int(stops[si])
-            self._fold_segment(
-                st,
-                int(lo_r[a]),
-                int(hi_r[a]),
-                seg_min[si],
-                seg_max[si],
-                seg_org[si],
-                vals[a:b],
-            )
-
-    def _fold_segment(
-        self, st, s_lo: int, s_hi: int, smin, smax, sorg, vals
-    ) -> None:
-        """Fold one same-(lo, hi) run of values into its slice state."""
-        slices = st.slices
-        if slices:
-            sl = slices[-1]
-            if sl.lo != s_lo or sl.hi != s_hi:
-                sl = _Slice(s_lo, s_hi, self._keep_values)
-                slices.append(sl)
+        seg_lo = lo_o[heads].tolist()
+        seg_hi = hi_o[heads].tolist()
+        states = self._time_state
+        if key_o is None:
+            seg_key = [_GLOBAL_KEY] * len(seg_lo)
         else:
-            sl = _Slice(s_lo, s_hi, self._keep_values)
-            slices.append(sl)
-        if sl.count:
-            if smin < sl.vmin:
-                sl.vmin = smin
-            if smax > sl.vmax:
-                sl.vmax = smax
-        else:
-            sl.vmin = smin
-            sl.vmax = smax
-        sl.count += len(vals)
-        sl.vsum = sequential_sum(sl.vsum, vals)
-        if sorg < sl.min_origin:
-            sl.min_origin = sorg
-        if sl.values is not None:
-            sl.values.extend(vals.tolist())
-        mark = st.next_mark
-        w = s_lo if (mark is None or mark < s_lo) else mark
-        if w <= s_hi:
-            pending = st.pending
-            heap = self._fire_heap
-            rank = st.rank
-            window_end = self.assigner.window_end
-            while w <= s_hi:
-                pending.add(w)
-                heappush(heap, (window_end(w), rank, w))
-                w += 1
-            st.next_mark = s_hi + 1
-
-    def _fire_batch(
-        self, nows, ticks
-    ) -> list[tuple[float, bool, StreamTuple]]:
+            seg_key = key_o[heads].tolist()
+        keep_values = self._keep_values
         heap = self._fire_heap
-        n = len(nows)
-        if not heap or n == 0 or heap[0][0] > nows[n - 1]:
-            return []
-        last_now = nows[n - 1]
+        window_end = self.assigner.window_end
+        for si, key in enumerate(seg_key):
+            st = states[key]
+            s_lo = seg_lo[si]
+            s_hi = seg_hi[si]
+            slices = st.slices
+            sl = slices[-1] if slices else None
+            if sl is None or sl.lo != s_lo or sl.hi != s_hi:
+                sl = _Slice(s_lo, s_hi, keep_values)
+                slices.append(sl)
+            smin = seg_min[si]
+            smax = seg_max[si]
+            if sl.count:
+                if smin < sl.vmin:
+                    sl.vmin = smin
+                if smax > sl.vmax:
+                    sl.vmax = smax
+            else:
+                sl.vmin = smin
+                sl.vmax = smax
+            run = vals[bounds[si] : bounds[si + 1]]
+            sl.count += len(run)
+            sl.vsum = ordered_sum(run, sl.vsum)
+            if seg_org[si] < sl.min_origin:
+                sl.min_origin = seg_org[si]
+            if sl.values is not None:
+                sl.values.extend(run)
+            mark = st.next_mark
+            w = s_lo if (mark is None or mark < s_lo) else mark
+            if w <= s_hi:
+                pending = st.pending
+                rank = st.rank
+                while w <= s_hi:
+                    pending.add(w)
+                    heappush(heap, (window_end(w), rank, w))
+                    w += 1
+                st.next_mark = s_hi + 1
+
+    def _fire_ready(self, nows: list, ticks: list, horizon: float):
+        """Pop and emit every pending window ending by ``horizon``.
+
+        A window fires at the first tuple time in ``nows`` or timer tick
+        in ``ticks`` at or past its end, the tick winning only when
+        strictly earlier.  Pops arrive end-ascending, hence fire-time
+        non-decreasing, and every window of one fire time shares one
+        tick flag — so sorting the pops reproduces, per fire
+        opportunity, the scalar ``_fire_time_windows`` call and its
+        ``ready.sort()`` (rank, window) order.  Returns five parallel
+        lists: fire time, tick-triggered flag, output key, aggregate and
+        earliest origin.
+        """
+        fires = empty_fires()
+        heap = self._fire_heap
+        if not heap or heap[0][0] > horizon:
+            return fires
         states = self._time_state
         keys_by_rank = self._keys_by_rank
+        n_nows = len(nows)
         n_ticks = len(ticks)
         popped: list[tuple[float, bool, int, int]] = []
-        while heap and heap[0][0] <= last_now:
+        while heap and heap[0][0] <= horizon:
             end, rank, w = heappop(heap)
-            st = states[keys_by_rank[rank]]
-            if w in st.pending:
-                st.pending.discard(w)
-                ti = int(np.searchsorted(nows, end, side="left"))
-                t_tuple = float(nows[ti])  # exists: end <= last_now
-                tk = int(np.searchsorted(ticks, end, side="left"))
-                if tk < n_ticks and float(ticks[tk]) < t_tuple:
-                    popped.append((float(ticks[tk]), True, rank, w))
+            pending = states[keys_by_rank[rank]].pending
+            if w in pending:
+                pending.discard(w)
+                ti = bisect_left(nows, end)
+                t_tuple = nows[ti] if ti < n_nows else _INF
+                tk = bisect_left(ticks, end)
+                if tk < n_ticks and ticks[tk] < t_tuple:
+                    popped.append((ticks[tk], True, rank, w))
                 else:
                     popped.append((t_tuple, False, rank, w))
-        return self._emit_fire_groups(popped)
+        popped.sort()
+        times, flags, out_keys, aggregates, min_origins = fires
+        for fire_time, is_tick, rank, w in popped:
+            key = keys_by_rank[rank]
+            aggregate, min_origin = self._window_result(states[key], w)
+            times.append(fire_time)
+            flags.append(is_tick)
+            out_keys.append(None if key is _GLOBAL_KEY else key)
+            aggregates.append(aggregate)
+            min_origins.append(min_origin)
+        return fires
 
-    def _emit_fire_groups(
-        self, popped: list[tuple[float, bool, int, int]]
-    ) -> list[tuple[float, bool, StreamTuple]]:
-        """Emit pops grouped by fire opportunity, (rank, window) within.
-
-        Pops arrive end-ascending, hence fire-time non-decreasing; each
-        equal-fire-time run is one scalar ``_fire_time_windows`` call,
-        whose ``ready.sort()`` order is reproduced here.
-        """
-        out: list[tuple[float, bool, StreamTuple]] = []
-        states = self._time_state
-        keys_by_rank = self._keys_by_rank
-        i = 0
-        total = len(popped)
-        while i < total:
-            fire_time = popped[i][0]
-            is_tick = popped[i][1]
-            j = i
-            while j < total and popped[j][0] == fire_time:
-                j += 1
-            group = sorted((rank, w) for _, _, rank, w in popped[i:j])
-            for rank, w in group:
-                key = keys_by_rank[rank]
-                out.append(
-                    (
-                        fire_time,
-                        is_tick,
-                        self._emit_window(key, states[key], w, fire_time),
-                    )
-                )
-            i = j
-        return out
-
-    def finalize_time_batch(
-        self, ticks
-    ) -> list[tuple[float, bool, StreamTuple]]:
+    def finalize_time_batch(self, ticks: list):
         """Fire the windows the remaining timer ticks would still reach.
 
         Called once after the last micro-batch; anything left after this
         is end-of-stream state for :meth:`flush`.
         """
-        heap = self._fire_heap
-        if not heap or len(ticks) == 0:
-            return []
-        t_max = float(ticks[-1])
-        states = self._time_state
-        keys_by_rank = self._keys_by_rank
-        popped: list[tuple[float, bool, int, int]] = []
-        while heap and heap[0][0] <= t_max:
-            end, rank, w = heappop(heap)
-            st = states[keys_by_rank[rank]]
-            if w in st.pending:
-                st.pending.discard(w)
-                tk = int(np.searchsorted(ticks, end, side="left"))
-                popped.append((float(ticks[tk]), True, rank, w))
-        return self._emit_fire_groups(popped)
+        if not ticks:
+            return empty_fires()
+        return self._fire_ready([], ticks, ticks[-1])
 
     # ------------------------------------------------------------- obs hooks
 
@@ -833,12 +789,6 @@ class WindowAggregateLogic(OperatorLogic):
         return sum(len(st.pending) for st in self._time_state.values())
 
 
-def _group_codes(keys):
-    """Group a key array: per-row group codes, first-occurrence index per
-    group, and the group key values as plain Python objects."""
-    uniques, codes = np.unique(keys, return_inverse=True)
-    order = np.argsort(codes, kind="stable")
-    codes_o = codes[order]
-    bounds = np.flatnonzero(codes_o[1:] != codes_o[:-1])
-    firsts = order[np.concatenate(([0], bounds + 1))]
-    return codes, firsts, uniques.tolist()
+def empty_fires():
+    """Fired-window columns with no rows (see ``_fire_ready``)."""
+    return [], [], [], [], []

@@ -32,18 +32,21 @@ assigner's index-range API rather than materialising ``Window`` objects.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.sps.columnar import sequential_sum
+from repro.sps.columnar import segment_reduce
+from repro.sps.operators.aggregate import RESULT_SIZE_BYTES, empty_fires
 from repro.sps.operators.base import OperatorLogic
 from repro.sps.tuples import StreamTuple
 from repro.sps.windows import (
     AggregateFunction,
     WindowAssigner,
     index_range_arrays,
+    ordered_sum,
     window_end_arrays,
 )
 
@@ -273,7 +276,7 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
 
     def process_event_batch(
         self, keys, values, event_times, origins, nows, tick_times
-    ) -> list[tuple[float, bool, StreamTuple]]:
+    ):
         """Vectorized fold + watermark advance over one micro-batch.
 
         ``keys`` is the per-row key list (``None`` when all rows are
@@ -287,16 +290,16 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
         scans, late drops and per-(key, window) folds become masked
         grouped reductions over the same ``_WindowState`` accumulators
         the scalar path mutates, and each ready window fires at the
-        first opportunity whose watermark passes its end — with
-        ``_emit`` called at that opportunity's processing time, exactly
-        as ``_fire_ready`` would.  Returns ``(fire_time, tick_triggered,
-        tuple)`` triples in emission order.
+        first opportunity whose watermark passes its end, stamped with
+        that opportunity's processing time, exactly as ``_fire_ready``
+        would.  Returns the fired windows as columns (see
+        :meth:`_fire_event_batch`).
         """
         n = len(values)
         n_ticks = len(tick_times)
         total = n + n_ticks
         if total == 0:
-            return []
+            return empty_fires()
         ooo = self.max_out_of_orderness
         lateness = self.allowed_lateness
         carry_max = self._max_event_time
@@ -400,28 +403,23 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
         order = np.lexsort((pw, p_code))
         code_o = p_code[order]
         w_o = pw[order]
-        bounds = np.flatnonzero(
-            (np.diff(code_o) != 0) | (np.diff(w_o) != 0)
+        heads, bounds, seg_min, seg_max, seg_org, vals = segment_reduce(
+            (np.diff(code_o) != 0) | (np.diff(w_o) != 0),
+            p_vals[order],
+            p_orgs[order],
         )
-        starts = np.append(0, bounds + 1)
-        stops = np.append(bounds + 1, len(order))
-        vals_o = p_vals[order]
-        orgs_o = p_orgs[order]
-        end_o = p_end[order]
-        seg_min = np.minimum.reduceat(vals_o, starts)
-        seg_max = np.maximum.reduceat(vals_o, starts)
-        seg_org = np.minimum.reduceat(orgs_o, starts)
+        seg_code = code_o[heads].tolist()
+        seg_w = w_o[heads].tolist()
+        seg_end = p_end[order[heads]].tolist()
         heap = self._fire_heap
-        for si in range(len(starts)):
-            a = int(starts[si])
-            b = int(stops[si])
-            kst = states[code_o[a]]
-            w = int(w_o[a])
+        for si, code in enumerate(seg_code):
+            kst = states[code]
+            w = seg_w[si]
             windows = kst.windows
             state = windows.get(w)
             if state is None:
                 state = windows[w] = _WindowState()
-                heappush(heap, (float(end_o[a]), kst.rank, w))
+                heappush(heap, (seg_end[si], kst.rank, w))
             smin = seg_min[si]
             smax = seg_max[si]
             if state.count:
@@ -432,8 +430,9 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
             else:
                 state.vmin = smin
                 state.vmax = smax
-            state.count += b - a
-            state.vsum = sequential_sum(state.vsum, vals_o[a:b])
+            run = vals[bounds[si] : bounds[si + 1]]
+            state.count += len(run)
+            state.vsum = ordered_sum(run, state.vsum)
             if seg_org[si] < state.min_origin:
                 state.min_origin = seg_org[si]
 
@@ -444,59 +443,59 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
             self._keys_by_rank.append(key)
         return kst
 
-    def _fire_event_batch(
-        self, wm, m_now, m_is_tick, lateness
-    ) -> list[tuple[float, bool, StreamTuple]]:
+    def _fire_event_batch(self, wm, m_now, m_is_tick, lateness):
+        """Fired windows as five parallel lists: fire time, tick-triggered
+        flag, output key, aggregate, earliest origin — in emission order."""
+        fires = empty_fires()
         heap = self._fire_heap
         final_wm = wm[-1]
         if not heap or heap[0][0] + lateness > final_wm:
-            return []
+            return fires
         states = self._state
         keys_by_rank = self._keys_by_rank
+        wm = wm.tolist()
         popped: list[tuple[int, int, int]] = []
         while heap and heap[0][0] + lateness <= final_wm:
             end, rank, w = heappop(heap)
             if w in states[keys_by_rank[rank]].windows:
                 # First opportunity whose watermark reaches the window.
-                p = int(np.searchsorted(wm, end + lateness, side="left"))
-                popped.append((p, rank, w))
-        out: list[tuple[float, bool, StreamTuple]] = []
-        i = 0
-        total = len(popped)
-        while i < total:
-            p = popped[i][0]
-            j = i
-            while j < total and popped[j][0] == p:
-                j += 1
-            group = sorted((rank, w) for _, rank, w in popped[i:j])
-            fire_now = float(m_now[p])
-            is_tick = bool(m_is_tick[p])
-            for rank, w in group:
-                key = keys_by_rank[rank]
-                state = states[key].windows.pop(w)
-                out.append((fire_now, is_tick, self._emit(key, state, fire_now)))
-            i = j
-        return out
+                popped.append((bisect_left(wm, end + lateness), rank, w))
+        # One opportunity is one scalar ``_fire_ready`` call: its pinned
+        # (rank, window) order is the sort's minor key.
+        popped.sort()
+        m_now = m_now.tolist()
+        m_is_tick = m_is_tick.tolist()
+        times, flags, out_keys, aggregates, min_origins = fires
+        for p, rank, w in popped:
+            key = keys_by_rank[rank]
+            state = states[key].windows.pop(w)
+            times.append(m_now[p])
+            flags.append(m_is_tick[p])
+            out_keys.append(None if key is _GLOBAL_KEY else key)
+            aggregates.append(self._aggregate(state))
+            min_origins.append(state.min_origin)
+        return fires
+
+    def _aggregate(self, state: _WindowState) -> float:
+        self.windows_fired += 1
+        if self._is_min:
+            return state.vmin
+        if self._is_max:
+            return state.vmax
+        if self._is_count:
+            return float(state.count)
+        if self._is_sum:
+            return state.vsum
+        return state.vsum / state.count  # AVG and MEAN
 
     def _emit(
         self, key: object, state: _WindowState, now: float
     ) -> StreamTuple:
-        self.windows_fired += 1
-        if self._is_min:
-            aggregate = state.vmin
-        elif self._is_max:
-            aggregate = state.vmax
-        elif self._is_count:
-            aggregate = float(state.count)
-        elif self._is_sum:
-            aggregate = state.vsum
-        else:
-            aggregate = state.vsum / state.count  # AVG and MEAN
         out_key = None if key is _GLOBAL_KEY else key
         return StreamTuple(
-            values=(out_key, aggregate),
+            values=(out_key, self._aggregate(state)),
             event_time=now,
             origin_time=state.min_origin,
             key=out_key,
-            size_bytes=40.0,
+            size_bytes=RESULT_SIZE_BYTES,
         )

@@ -25,8 +25,22 @@ __all__ = [
     "SlidingCountWindows",
     "AggregateFunction",
     "index_range_arrays",
+    "ordered_sum",
     "window_end_arrays",
 ]
+
+
+def ordered_sum(values, start=0.0):
+    """Left fold ``((start + v0) + v1) + ...`` in plain float arithmetic.
+
+    The one sum every window aggregate goes through, scalar or batch, so
+    a window's float sum has the same bits on every path.  Builtin
+    ``sum()`` is not that fold: since Python 3.12 it is Neumaier-
+    compensated over floats, and NumPy's ``add.reduce`` is pairwise.
+    """
+    for value in values:
+        start += value
+    return start
 
 
 def window_end_arrays(assigner: "WindowAssigner", indices):
@@ -354,7 +368,7 @@ class AggregateFunction(enum.Enum):
         if self is AggregateFunction.MAX:
             return float(max(values))
         if self is AggregateFunction.SUM:
-            return float(sum(values))
+            return float(ordered_sum(values, 0))
         if self is AggregateFunction.COUNT:
             return float(len(values))
-        return float(sum(values)) / len(values)  # AVG and MEAN
+        return float(ordered_sum(values, 0)) / len(values)  # AVG and MEAN

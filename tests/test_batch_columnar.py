@@ -14,11 +14,12 @@ from repro.apps import build_app
 from repro.common.errors import ConfigurationError
 from repro.core.runner import RunnerConfig
 from repro.sps import builders, columnar
-from repro.sps.columnar import TupleBatch, require_numpy, sequential_sum
+from repro.sps.columnar import TupleBatch, require_numpy, segment_reduce
 from repro.sps.engine import SimulationConfig, StallInjection
 from repro.sps.logical import LogicalPlan
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
+from repro.sps.windows import ordered_sum
 
 SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
 
@@ -134,14 +135,64 @@ class TestTupleBatch:
         assert out.seq is None  # the executor numbers emissions
 
     def test_sequential_sum_matches_scalar_fold(self):
-        values = np.array([1e16, 1.0, -1e16, 0.1, 7.7, 1e-9])
+        # The shared ordered fold is the scalar ``acc += v`` loop: naive,
+        # left to right, neither pairwise nor compensated.
+        values = [1e16, 1.0, -1e16, 0.1, 7.7, 1e-9]
         acc = 0.25
         expected = acc
         for v in values:
             expected += v
-        assert sequential_sum(acc, values) == expected
-        assert sequential_sum(acc, values[:0]) == acc
-        assert sequential_sum(acc, values[:1]) == acc + values[0]
+        assert ordered_sum(values, acc) == expected
+        assert ordered_sum(iter(values), acc) == expected
+        assert ordered_sum([], acc) == acc
+        assert ordered_sum(values[:1], acc) == acc + values[0]
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0  # compensated: 1.0
+
+    def test_segment_reduce_cuts_runs_at_breaks(self):
+        values = np.array([3.0, 1.0, 2.0, 9.0, 5.0, 4.0])
+        origins = np.array([0.3, 0.1, 0.2, 0.9, 0.5, 0.4])
+        group = np.array([0, 0, 0, 1, 2, 2])
+        heads, bounds, vmin, vmax, origin, rows = segment_reduce(
+            group[1:] != group[:-1], values, origins
+        )
+        assert heads.tolist() == [0, 3, 4]
+        assert bounds == [0, 3, 4, 6]
+        assert vmin == [1.0, 9.0, 4.0]
+        assert vmax == [3.0, 9.0, 5.0]
+        assert origin == [0.1, 0.9, 0.4]
+        assert rows == values.tolist()
+        single = segment_reduce(group[:0], values[:1], origins[:1])
+        assert single[1:] == ([0, 1], [3.0], [3.0], [0.3], [3.0])
+
+    def test_from_lists_types_columns_like_from_tuples(self):
+        tuples = [
+            StreamTuple(
+                (key, agg),
+                event_time=t,
+                origin_time=t / 2,
+                key=key,
+                size_bytes=40.0,
+            )
+            for key, agg, t in (("a", 1.5, 0.1), ("b", 2.5, 0.2))
+        ]
+        now = [0.1, 0.2]
+        seq = np.arange(2)
+        want = TupleBatch.from_tuples(tuples, now, seq)
+        got = TupleBatch.from_lists(
+            (["a", "b"], [1.5, 2.5]), 0, [0.05, 0.1], 40.0, now, seq
+        )
+        for name in ("event_time", "origin_time", "key", "size_bytes", "now"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype, name
+            np.testing.assert_array_equal(mine, theirs)
+        for mine, theirs in zip(got.columns, want.columns):
+            assert mine.dtype == theirs.dtype
+            np.testing.assert_array_equal(mine, theirs)
+        unkeyed = TupleBatch.from_lists(
+            ([None, None], [1.5, 2.5]), 0, now, 40.0, now, seq
+        )
+        assert unkeyed.key is None
+        assert unkeyed.columns[0].dtype == object
 
 
 class TestNumpyGate:
