@@ -3,13 +3,15 @@
 
 Runs the ``hotpath`` engine workload with aligned-barrier checkpointing
 at a ladder of checkpoint intervals (plus a checkpointing-off baseline)
-and prints simulator events/sec next to the checkpoint accounting from
-``extras["ft"]`` — how many checkpoints completed, the snapshotted
-state size, and the mean barrier round-trip.  Shorter intervals mean
-more barrier traffic and more alignment stalls, so throughput decays as
-the interval shrinks; this sweep makes that control-plane cost visible
-(the regression gate pins one point of it via the ``hotpath-ckpt``
-workload in ``BENCH_engine.json``).
+and prints simulator events/sec and the host wall-clock as a ratio of
+the plain (checkpointing-off) run of the same job — the number the
+suite records as ``ft.ckpt_overhead_ratio`` — next to the checkpoint
+accounting from ``extras["ft"]``: how many checkpoints completed, the
+snapshotted state size and the mean barrier round-trip.  Shorter
+intervals mean more barrier traffic, more snapshots and more alignment
+stalls, so throughput decays as the interval shrinks; this sweep makes
+that control-plane cost visible (the regression gate pins one point of
+it via the ``hotpath-ckpt`` workload in ``BENCH_engine.json``).
 
     python benchmarks/bench_ft_overhead.py [--quick]
 """
@@ -33,7 +35,7 @@ INTERVALS: tuple[float | None, ...] = (None, 1.0, 0.5, 0.25, 0.1, 0.05)
 
 
 def run_ft_overhead_sweep(quick: bool = False) -> list[dict]:
-    """events/sec and checkpoint accounting per interval."""
+    """events/sec, wall-clock and checkpoint accounting per interval."""
     tuples = 1500 if quick else 5000
     rounds = 1 if quick else 2
     cluster = homogeneous_cluster("m510", 4)
@@ -44,7 +46,7 @@ def run_ft_overhead_sweep(quick: bool = False) -> list[dict]:
             max_sim_time=8.0,
             checkpoint_interval=interval,
         )
-        best = 0.0
+        wall = float("inf")
         ft: dict = {}
         for _ in range(rounds):
             engine = StreamEngine(
@@ -56,13 +58,14 @@ def run_ft_overhead_sweep(quick: bool = False) -> list[dict]:
             start = time.perf_counter()
             metrics = engine.run()
             elapsed = time.perf_counter() - start
-            events = metrics.extras["events_processed"]
-            best = max(best, events / elapsed)
+            events = metrics.extras["events_processed"]  # same each round
+            wall = min(wall, elapsed)
             ft = metrics.extras.get("ft", {})
         rows.append(
             {
                 "checkpoint_interval": interval,
-                "events_per_sec": round(best, 1),
+                "events_per_sec": round(events / wall, 1),
+                "wall_s": wall,
                 "checkpoints_completed": ft.get("checkpoints_completed", 0),
                 "state_bytes": ft.get("state_bytes", 0.0),
                 "checkpoint_duration_mean_s": ft.get(
@@ -79,6 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     rows = run_ft_overhead_sweep(quick=args.quick)
     baseline = rows[0]["events_per_sec"]
+    plain_wall = rows[0]["wall_s"]
     print("checkpoint interval vs simulator throughput (hotpath):")
     for row in rows:
         label = (
@@ -89,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"  {label:>6s}  {row['events_per_sec']:>12,.0f} ev/s"
             f"  ({100.0 * row['events_per_sec'] / baseline:5.1f}%)"
+            f"  wall {row['wall_s'] / plain_wall:4.2f}x plain"
             f"  ckpts {row['checkpoints_completed']:>3d}"
             f"  state {row['state_bytes']:>8,.0f} B"
             f"  rtt {1000.0 * row['checkpoint_duration_mean_s']:7.3f} ms"

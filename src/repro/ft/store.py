@@ -9,10 +9,15 @@ store keeps the completed :class:`CheckpointRecord` sequence plus the
 accounting (durations, sizes, skips) that surfaces in
 ``RunMetrics.extras["ft"]`` and the obs summary.
 
-The store is deliberately simulation-local: snapshots are deep copies
-of in-memory operator state, and "bytes" is a nominal per-item cost —
-the benchmark measures protocol behaviour (alignment, recovery time,
-delivery guarantees), not serialization throughput.
+The store is deliberately simulation-local: a snapshot is whatever
+``OperatorLogic.snapshot_state`` returned — an immutable view that may
+share sealed structure with the live operator (see the invariant in
+``sps/operators/base.py``); the store only holds it and never looks
+inside beyond :func:`estimate_items`. "Bytes" is a nominal per-item
+cost — the benchmark measures protocol behaviour (alignment, recovery
+time, delivery guarantees), not serialization throughput. Only the
+newest completed record keeps its snapshots (it is the only one a
+recovery restores); older records keep their accounting.
 """
 
 from __future__ import annotations
@@ -77,7 +82,8 @@ class CheckpointRecord:
     source_offsets: dict = field(default_factory=dict)
     #: producer gid -> sink-bound emission sequence number at the barrier
     emit_seqs: dict = field(default_factory=dict)
-    #: subtask gid -> deep-copied operator state (None = stateless)
+    #: subtask gid -> operator state snapshot (None = stateless);
+    #: emptied once a newer checkpoint completes
     snapshots: dict = field(default_factory=dict)
     state_items: int = 0
     state_bytes: float = 0.0
@@ -130,6 +136,8 @@ class StateStore:
         if record is None:
             raise RuntimeError("no checkpoint in progress")
         record.completed_at = now
+        if self.completed:
+            self.completed[-1].snapshots = {}  # superseded: never restored
         self.completed.append(record)
         self._active = None
         return record

@@ -1469,9 +1469,7 @@ class StreamEngine:
                 if mark > runtime.fail_until:
                     runtime.fail_until = mark
                 continue
-            loss["lost_keys"] += estimate_items(
-                runtime.logic.snapshot_state()
-            )
+            loss["lost_keys"] += runtime.logic.state_items()
             loss["lost_tuples"] += len(runtime.queue) - runtime.queue_head
             runtime.ft_incarnation += 1
             logic = self.physical.effective_factory(runtime.op_id)()

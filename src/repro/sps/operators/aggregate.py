@@ -32,9 +32,7 @@ reproducible when folded in arrival order, so on genuinely overlapping
 sliding windows each slice also keeps its raw value list and a window's
 sum is folded as *first slice's running sum, then the later slices'
 individual values in order* — bit-identical to summing the window's
-value list.  Pass ``exact_sums=False`` to combine per-slice partial sums
-instead (O(slices) per fire, but re-associated: results can differ in
-the last ulp from the reference fold).
+value list.
 
 Output tuples carry ``(key, aggregate)`` values and inherit the *earliest*
 origin time of the window's contributors, matching the paper's end-to-end
@@ -46,12 +44,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from heapq import heappop, heappush
+from operator import attrgetter
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.sps.columnar import run_heads, segment_reduce
-from repro.sps.operators.base import OperatorLogic
+from repro.sps.operators.base import OperatorLogic, clone_slots
 from repro.sps.tuples import StreamTuple
 from repro.sps.windows import (
     AggregateFunction,
@@ -63,7 +62,13 @@ from repro.sps.windows import (
     ordered_sum,
 )
 
-__all__ = ["RESULT_SIZE_BYTES", "WindowAggregateLogic", "empty_fires"]
+__all__ = [
+    "ACCUMULATED",
+    "RESULT_SIZE_BYTES",
+    "WindowAggregateLogic",
+    "empty_fires",
+    "result_tuple",
+]
 
 #: Payload size of every window-result tuple.
 RESULT_SIZE_BYTES = 40.0
@@ -71,6 +76,51 @@ RESULT_SIZE_BYTES = 40.0
 _GLOBAL_KEY = "__global__"
 
 _INF = float("inf")
+
+#: each function's value from one scalar accumulator (a slice, a count
+#: window, an event-time window: the same five fields)
+ACCUMULATED = {
+    AggregateFunction.MIN: attrgetter("vmin"),
+    AggregateFunction.MAX: attrgetter("vmax"),
+    AggregateFunction.SUM: attrgetter("vsum"),
+    AggregateFunction.COUNT: lambda acc: float(acc.count),
+    AggregateFunction.AVG: lambda acc: acc.vsum / acc.count,
+    AggregateFunction.MEAN: lambda acc: acc.vsum / acc.count,
+}
+
+
+def result_tuple(key, aggregate, min_origin, now) -> StreamTuple:
+    """The ``(key, aggregate)`` tuple a fired window emits at ``now``."""
+    out_key = None if key is _GLOBAL_KEY else key
+    return StreamTuple(
+        values=(out_key, aggregate),
+        event_time=now,
+        origin_time=min_origin,
+        key=out_key,
+        size_bytes=RESULT_SIZE_BYTES,
+    )
+
+
+def _detach(kind: str, *parts) -> tuple:
+    """A key's migration payload, writable without touching the state it
+    was taken from: sealed slices are shared (only ``slices[-1]`` is ever
+    written); the slice deque, the open slice with its value list and the
+    pending set — or the count accumulator and its deques — are copied."""
+    if kind == "time":
+        slices, pending, next_mark = parts
+        slices = deque(slices)
+        if slices:
+            sl = slices[-1] = clone_slots(slices[-1])
+            if sl.values is not None:
+                sl.values = list(sl.values)
+        return ("time", slices, set(pending), next_mark)
+    st, since_fire = parts
+    st = clone_slots(st)
+    for name in ("values", "origins", "minq", "maxq"):
+        queue = getattr(st, name)
+        if queue is not None:
+            setattr(st, name, deque(queue))
+    return ("count", st, since_fire)
 
 
 class _Slice:
@@ -165,9 +215,6 @@ class WindowAggregateLogic(OperatorLogic):
 
     ``key_field=None`` groups by the tuple's pre-assigned key (set by an
     upstream keyBy/hash exchange) or globally when the tuple has no key.
-
-    ``exact_sums`` (default ``True``) keeps float sum/avg bit-identical
-    to the per-window reference fold; see the module docstring.
     """
 
     #: slice accumulators migrate wholesale per key (export/import below)
@@ -179,7 +226,6 @@ class WindowAggregateLogic(OperatorLogic):
         function: AggregateFunction,
         value_field: int,
         key_field: int | None = None,
-        exact_sums: bool = True,
     ) -> None:
         if value_field < 0:
             raise ConfigurationError("value_field must be non-negative")
@@ -187,7 +233,6 @@ class WindowAggregateLogic(OperatorLogic):
         self.function = function
         self.value_field = value_field
         self.key_field = key_field
-        self.exact_sums = exact_sums
         # time-window state: key -> _KeyTimeState, in key-first-seen
         # order (dict insertion order doubles as the rank order)
         self._time_state: dict[object, _KeyTimeState] = {}
@@ -203,26 +248,24 @@ class WindowAggregateLogic(OperatorLogic):
         self._time_based = assigner.is_time_based
         self._count_tumbling = isinstance(assigner, TumblingCountWindows)
         self._count_sliding = isinstance(assigner, SlidingCountWindows)
-        fn = function
-        self._is_min = fn is AggregateFunction.MIN
-        self._is_max = fn is AggregateFunction.MAX
-        self._is_count = fn is AggregateFunction.COUNT
-        self._is_sum = fn is AggregateFunction.SUM
+        self._accumulated = ACCUMULATED[function]
+        self._is_min = function is AggregateFunction.MIN
+        self._is_max = function is AggregateFunction.MAX
+        self._is_count = function is AggregateFunction.COUNT
+        self._is_sum = function is AggregateFunction.SUM
         # Raw values are only needed for the exact cross-slice sum fold:
         # float sum/avg, and only when windows can actually span more
         # than one slice (genuinely overlapping sliding time windows).
         sum_shaped = not (self._is_min or self._is_max or self._is_count)
         self._keep_values = (
-            exact_sums
-            and sum_shaped
+            sum_shaped
             and isinstance(assigner, SlidingTimeWindows)
             and assigner.slide < assigner.duration
         )
         if assigner.is_time_based:
-            interval = getattr(assigner, "slide", None) or getattr(
-                assigner, "duration"
+            self.timer_interval = float(
+                getattr(assigner, "slide", None) or assigner.duration
             )
-            self.timer_interval = float(interval)
 
     # ---------------------------------------------------------------- keys
 
@@ -243,22 +286,15 @@ class WindowAggregateLogic(OperatorLogic):
         if self._time_based:
             st = self._time_state.get(key)
             if st is None:
-                st = self._time_state[key] = _KeyTimeState(
-                    len(self._keys_by_rank)
-                )
-                self._keys_by_rank.append(key)
+                st = self._get_time_state(key)
             lo, hi = self.assigner.assign_index_range(now)
             if lo <= hi:
                 slices = st.slices
                 # The clock is non-decreasing, so (lo, hi) intervals are
                 # too: a tuple either extends the newest slice or opens
                 # the next one.
-                if slices:
-                    sl = slices[-1]
-                    if sl.lo != lo or sl.hi != hi:
-                        sl = _Slice(lo, hi, self._keep_values)
-                        slices.append(sl)
-                else:
+                sl = slices[-1] if slices else None
+                if sl is None or sl.lo != lo or sl.hi != hi:
                     sl = _Slice(lo, hi, self._keep_values)
                     slices.append(sl)
                 if sl.count:
@@ -276,21 +312,25 @@ class WindowAggregateLogic(OperatorLogic):
                     sl.min_origin = origin
                 if sl.values is not None:
                     sl.values.append(value)
-                # Mark newly-seen windows as pending on the fire heap.
                 mark = st.next_mark
-                w = lo if (mark is None or mark < lo) else mark
-                if w <= hi:
-                    pending = st.pending
-                    heap = self._fire_heap
-                    rank = st.rank
-                    window_end = self.assigner.window_end
-                    while w <= hi:
-                        pending.add(w)
-                        heappush(heap, (window_end(w), rank, w))
-                        w += 1
-                    st.next_mark = hi + 1
+                if mark is None or mark <= hi:
+                    self._mark_pending(st, lo, hi)
             return self._fire_time_windows(now)
         return self._process_count(key, value, tup.origin_time, now)
+
+    def _mark_pending(self, st: _KeyTimeState, lo: int, hi: int) -> None:
+        """Put the windows of ``lo..hi`` not yet marked on the fire heap."""
+        mark = st.next_mark
+        w = lo if (mark is None or mark < lo) else mark
+        pending = st.pending
+        heap = self._fire_heap
+        rank = st.rank
+        window_end = self.assigner.window_end
+        while w <= hi:
+            pending.add(w)
+            heappush(heap, (window_end(w), rank, w))
+            w += 1
+        st.next_mark = hi + 1
 
     # ------------------------------------------------------- count windows
 
@@ -386,13 +426,12 @@ class WindowAggregateLogic(OperatorLogic):
         outputs: list[StreamTuple] = []
         for rank, w in ready:
             key = keys_by_rank[rank]
-            outputs.append(self._emit_window(key, states[key], w, now))
+            fired = self._window_result(states[key], w)
+            outputs.append(result_tuple(key, *fired, now))
         return outputs
 
     def on_time(self, now: float) -> list[StreamTuple]:
-        if not self._time_based:
-            return []
-        return self._fire_time_windows(now)
+        return self._fire_time_windows(now)  # count windows: empty heap
 
     def flush(self, now: float) -> list[StreamTuple]:
         outputs: list[StreamTuple] = []
@@ -400,7 +439,8 @@ class WindowAggregateLogic(OperatorLogic):
             for key, st in self._time_state.items():
                 for w in sorted(st.pending):
                     st.pending.discard(w)
-                    outputs.append(self._emit_window(key, st, w, now))
+                    fired = self._window_result(st, w)
+                    outputs.append(result_tuple(key, *fired, now))
             self._time_state.clear()
             self._keys_by_rank.clear()
             self._fire_heap.clear()
@@ -414,7 +454,7 @@ class WindowAggregateLogic(OperatorLogic):
             self._count_state.clear()
         return outputs
 
-    # ------------------------------------------------------------ migration
+    # ---------------------------------------------- migration, checkpoints
 
     def export_keyed_state(self):
         """Move every key's live accumulators out for a rescale.
@@ -448,12 +488,10 @@ class WindowAggregateLogic(OperatorLogic):
         for key, payload in items:
             if payload[0] == "time":
                 _, slices, pending, next_mark = payload
-                st = _KeyTimeState(len(self._keys_by_rank))
-                self._keys_by_rank.append(key)
+                st = self._get_time_state(key)
                 st.slices = slices
                 st.pending = set(pending)
                 st.next_mark = next_mark
-                self._time_state[key] = st
                 window_end = self.assigner.window_end
                 for w in pending:
                     heappush(
@@ -465,20 +503,29 @@ class WindowAggregateLogic(OperatorLogic):
                 if since_fire:
                     self._count_since_fire[key] = since_fire
 
-    # -------------------------------------------------------------- emission
+    def snapshot_state(self):
+        """Every key's payload in the migration format, taken in place:
+        sealed slices shared, open accumulators copied (see base.py)."""
+        if self._time_based:
+            return [
+                (key, _detach("time", st.slices, st.pending, st.next_mark))
+                for key, st in self._time_state.items()
+            ]
+        since_fire = self._count_since_fire.get
+        return [
+            (key, _detach("count", st, since_fire(key, 0)))
+            for key, st in self._count_state.items()
+        ]
 
-    def _emit_window(
-        self, key: object, st: _KeyTimeState, w: int, fire_time: float
-    ) -> StreamTuple:
-        aggregate, min_origin = self._window_result(st, w)
-        out_key = None if key is _GLOBAL_KEY else key
-        return StreamTuple(
-            values=(out_key, aggregate),
-            event_time=fire_time,
-            origin_time=min_origin,
-            key=out_key,
-            size_bytes=RESULT_SIZE_BYTES,
+    def restore_state(self, snapshot) -> None:
+        self.import_keyed_state(
+            [(key, _detach(*payload)) for key, payload in snapshot or ()]
         )
+
+    def state_items(self) -> int:
+        return len(self._time_state) + len(self._count_state)
+
+    # -------------------------------------------------------------- emission
 
     def _window_result(self, st: _KeyTimeState, w: int) -> tuple[float, float]:
         """Window ``w``'s aggregate and earliest origin, from its slices."""
@@ -490,72 +537,43 @@ class WindowAggregateLogic(OperatorLogic):
         first = slices[0]
         total = first.count
         min_origin = first.min_origin
-        if self._is_min:
-            acc = first.vmin
-            for sl in slices:
-                if sl is first:
-                    continue
-                if sl.lo > w:
-                    break
-                total += sl.count
-                if sl.min_origin < min_origin:
-                    min_origin = sl.min_origin
+        is_min = self._is_min
+        is_max = self._is_max
+        acc = first.vmin if is_min else first.vmax if is_max else first.vsum
+        for sl in slices:
+            if sl is first:
+                continue
+            if sl.lo > w:
+                break
+            total += sl.count
+            if sl.min_origin < min_origin:
+                min_origin = sl.min_origin
+            if is_min:
                 if sl.vmin < acc:
                     acc = sl.vmin
-            aggregate = acc
-        elif self._is_max:
-            acc = first.vmax
-            for sl in slices:
-                if sl is first:
-                    continue
-                if sl.lo > w:
-                    break
-                total += sl.count
-                if sl.min_origin < min_origin:
-                    min_origin = sl.min_origin
+            elif is_max:
                 if sl.vmax > acc:
                     acc = sl.vmax
+            elif sl.values is not None:
+                # exact fold: replay this slice's values in order
+                for v in sl.values:
+                    acc += v
+            else:
+                acc += sl.vsum
+        if self._is_count:
+            aggregate = float(total)
+        elif is_min or is_max or self._is_sum:
             aggregate = acc
         else:
-            # sum-shaped: SUM, AVG, MEAN, COUNT
-            acc = first.vsum
-            for sl in slices:
-                if sl is first:
-                    continue
-                if sl.lo > w:
-                    break
-                total += sl.count
-                if sl.min_origin < min_origin:
-                    min_origin = sl.min_origin
-                if sl.values is not None:
-                    # exact fold: replay this slice's values in order
-                    for v in sl.values:
-                        acc += v
-                else:
-                    acc += sl.vsum
-            if self._is_count:
-                aggregate = float(total)
-            elif self._is_sum:
-                aggregate = acc
-            else:
-                aggregate = acc / total  # AVG and MEAN
+            aggregate = acc / total  # AVG and MEAN
         self.windows_fired += 1
         return aggregate, min_origin
 
     def _emit_tumbling_count(
         self, key: object, st: _KeyCountState, now: float
     ) -> StreamTuple:
-        if self._is_min:
-            aggregate = st.vmin
-        elif self._is_max:
-            aggregate = st.vmax
-        elif self._is_count:
-            aggregate = float(st.count)
-        elif self._is_sum:
-            aggregate = st.vsum
-        else:
-            aggregate = st.vsum / st.count
-        return self._emit_count(key, aggregate, st.min_origin, now)
+        self.windows_fired += 1
+        return result_tuple(key, self._accumulated(st), st.min_origin, now)
 
     def _emit_sliding_count(
         self, key: object, st: _KeyCountState, now: float
@@ -572,20 +590,8 @@ class WindowAggregateLogic(OperatorLogic):
             # bit-identical to the reference (see module docstring).
             total = ordered_sum(values)
             aggregate = total if self._is_sum else total / len(values)
-        return self._emit_count(key, aggregate, st.origins[0][1], now)
-
-    def _emit_count(
-        self, key: object, aggregate: float, min_origin: float, now: float
-    ) -> StreamTuple:
         self.windows_fired += 1
-        out_key = None if key is _GLOBAL_KEY else key
-        return StreamTuple(
-            values=(out_key, aggregate),
-            event_time=now,
-            origin_time=min_origin,
-            key=out_key,
-            size_bytes=RESULT_SIZE_BYTES,
-        )
+        return result_tuple(key, aggregate, st.origins[0][1], now)
 
     # --------------------------------------------------------- batch kernel
 
@@ -681,8 +687,6 @@ class WindowAggregateLogic(OperatorLogic):
         else:
             seg_key = key_o[heads].tolist()
         keep_values = self._keep_values
-        heap = self._fire_heap
-        window_end = self.assigner.window_end
         for si, key in enumerate(seg_key):
             st = states[key]
             s_lo = seg_lo[si]
@@ -710,15 +714,8 @@ class WindowAggregateLogic(OperatorLogic):
             if sl.values is not None:
                 sl.values.extend(run)
             mark = st.next_mark
-            w = s_lo if (mark is None or mark < s_lo) else mark
-            if w <= s_hi:
-                pending = st.pending
-                rank = st.rank
-                while w <= s_hi:
-                    pending.add(w)
-                    heappush(heap, (window_end(w), rank, w))
-                    w += 1
-                st.next_mark = s_hi + 1
+            if mark is None or mark <= s_hi:
+                self._mark_pending(st, s_lo, s_hi)
 
     def _fire_ready(self, nows: list, ticks: list, horizon: float):
         """Pop and emit every pending window ending by ``horizon``.

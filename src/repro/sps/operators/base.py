@@ -14,9 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ft.store import estimate_items
 from repro.sps.tuples import StreamTuple
 
-__all__ = ["OperatorContext", "OperatorLogic"]
+__all__ = ["OperatorContext", "OperatorLogic", "clone_slots"]
+
+
+def clone_slots(obj):
+    """Shallow copy of a ``__slots__`` accumulator — the building block
+    of the built-in logics' structure-sharing snapshots."""
+    new = object.__new__(type(obj))
+    for name in obj.__slots__:
+        setattr(new, name, getattr(obj, name))
+    return new
 
 
 @dataclass(frozen=True)
@@ -108,14 +118,20 @@ class OperatorLogic:
     #
     # Aligned-barrier checkpointing (DESIGN.md §13) snapshots a subtask's
     # state when a barrier has arrived on all of its input channels and
-    # restores it after a failure. The defaults piggyback on the rescale
-    # migration pair: ``export_keyed_state`` is *destructive*, so the
-    # snapshot round-trips the state back in, and ``restore_state`` deep
-    # copies so one checkpoint can seed several recoveries. Logics with
-    # non-keyed state (join buffers, UDO dicts) override both.
+    # restores it after a failure. A snapshot is an *immutable view*:
+    # nothing reachable from it is ever mutated — not by the live
+    # instance that took it, not by any instance restored from it (one
+    # checkpoint can seed several recoveries). The built-in stateful
+    # logics therefore share everything they never write again (sealed
+    # window slices, buffered tuples) with their snapshots and copy only
+    # the open accumulators, in ``snapshot_state`` and again in
+    # ``restore_state``. A logic that overrides ``snapshot_state`` must
+    # return something it will not mutate afterwards. The defaults below
+    # serve logics that implement only the (destructive) migration pair:
+    # they cannot know what is sealed, so they deep-copy both ways.
 
     def snapshot_state(self):
-        """Non-destructive deep copy of this instance's state (or None)."""
+        """This instance's state as an immutable snapshot (or None)."""
         exported = self.export_keyed_state()
         if exported is None:
             return None
@@ -127,6 +143,11 @@ class OperatorLogic:
         """Adopt a checkpoint snapshot into a fresh instance."""
         if snapshot:
             self.import_keyed_state(copy.deepcopy(snapshot))
+
+    def state_items(self) -> int:
+        """``estimate_items(self.snapshot_state())``, computed without
+        taking the snapshot where the logic can (state-loss accounting)."""
+        return estimate_items(self.snapshot_state())
 
     # ------------------------------------------------------- batch protocol
     #

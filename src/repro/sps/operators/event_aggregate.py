@@ -39,8 +39,12 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.sps.columnar import segment_reduce
-from repro.sps.operators.aggregate import RESULT_SIZE_BYTES, empty_fires
-from repro.sps.operators.base import OperatorLogic
+from repro.sps.operators.aggregate import (
+    ACCUMULATED,
+    empty_fires,
+    result_tuple,
+)
+from repro.sps.operators.base import OperatorLogic, clone_slots
 from repro.sps.tuples import StreamTuple
 from repro.sps.windows import (
     AggregateFunction,
@@ -70,6 +74,15 @@ class _WindowState:
         self.min_origin = _INF
 
 
+def _detach(items) -> list:
+    """Migration payloads with every window accumulator copied: any live
+    window can still be written, so a checkpoint shares none of them."""
+    return [
+        (key, ({w: clone_slots(ws) for w, ws in wins.items()}, max_et, hor))
+        for key, (wins, max_et, hor) in items
+    ]
+
+
 class _KeyState:
     """Per-key window map plus the key's pinned emission rank."""
 
@@ -82,7 +95,6 @@ class _KeyState:
 
 class EventTimeWindowAggregateLogic(OperatorLogic):
     """Keyed event-time window aggregation under a bounded-disorder
-
     watermark."""
 
     #: per-key window maps migrate wholesale; the instance-global
@@ -122,15 +134,10 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
         self._fire_heap: list[tuple[float, int, int]] = []
         self.late_dropped = 0
         self.windows_fired = 0
-        fn = function
-        self._is_min = fn is AggregateFunction.MIN
-        self._is_max = fn is AggregateFunction.MAX
-        self._is_count = fn is AggregateFunction.COUNT
-        self._is_sum = fn is AggregateFunction.SUM
-        interval = getattr(assigner, "slide", None) or getattr(
-            assigner, "duration"
+        self._accumulated = ACCUMULATED[function]
+        self.timer_interval = float(
+            getattr(assigner, "slide", None) or assigner.duration
         )
-        self.timer_interval = float(interval)
 
     @property
     def watermark(self) -> float:
@@ -164,8 +171,7 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
         value = float(tup.values[self.value_field])
         kst = self._state.get(key)
         if kst is None:
-            kst = self._state[key] = _KeyState(len(self._keys_by_rank))
-            self._keys_by_rank.append(key)
+            kst = self._get_key_state(key)
         windows = kst.windows
         origin = tup.origin_time
         for w in range(lo, hi + 1):
@@ -234,7 +240,7 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
         self._fire_heap.clear()
         return outputs
 
-    # ------------------------------------------------------------ migration
+    # ---------------------------------------------- migration, checkpoints
 
     def export_keyed_state(self):
         """Move every key's window accumulators out for a rescale.
@@ -258,16 +264,27 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
     def import_keyed_state(self, items) -> None:
         window_end = self.assigner.window_end
         for key, (windows, max_et, horizon) in items:
-            kst = _KeyState(len(self._keys_by_rank))
-            self._keys_by_rank.append(key)
+            kst = self._get_key_state(key)
             kst.windows = windows
-            self._state[key] = kst
             for w in sorted(windows):
                 heappush(self._fire_heap, (window_end(w), kst.rank, w))
             if max_et > self._max_event_time:
                 self._max_event_time = max_et
             if horizon > self._fired_horizon:
                 self._fired_horizon = horizon
+
+    def snapshot_state(self):
+        """Every key's payload in the migration format, taken in place."""
+        marks = (self._max_event_time, self._fired_horizon)
+        return _detach(
+            (key, (kst.windows, *marks)) for key, kst in self._state.items()
+        )
+
+    def restore_state(self, snapshot) -> None:
+        self.import_keyed_state(_detach(snapshot or ()))
+
+    def state_items(self) -> int:
+        return len(self._state)
 
     # --------------------------------------------------------- batch kernel
 
@@ -346,8 +363,7 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
         # ---- fires, attributed to their exact opportunity
         outputs = self._fire_event_batch(wm, m_now, m_is_tick, lateness)
         self._max_event_time = float(runmax[-1])
-        final_hor = max(carry_hor, float(wm[-1]))
-        self._fired_horizon = final_hor
+        self._fired_horizon = max(carry_hor, float(wm[-1]))
         return outputs
 
     def _fold_event_rows(
@@ -478,24 +494,9 @@ class EventTimeWindowAggregateLogic(OperatorLogic):
 
     def _aggregate(self, state: _WindowState) -> float:
         self.windows_fired += 1
-        if self._is_min:
-            return state.vmin
-        if self._is_max:
-            return state.vmax
-        if self._is_count:
-            return float(state.count)
-        if self._is_sum:
-            return state.vsum
-        return state.vsum / state.count  # AVG and MEAN
+        return self._accumulated(state)
 
     def _emit(
         self, key: object, state: _WindowState, now: float
     ) -> StreamTuple:
-        out_key = None if key is _GLOBAL_KEY else key
-        return StreamTuple(
-            values=(out_key, self._aggregate(state)),
-            event_time=now,
-            origin_time=state.min_origin,
-            key=out_key,
-            size_bytes=RESULT_SIZE_BYTES,
-        )
+        return result_tuple(key, self._aggregate(state), state.min_origin, now)

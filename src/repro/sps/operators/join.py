@@ -23,11 +23,10 @@ raising ones.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 
 from repro.common.errors import ConfigurationError
-from repro.sps.operators.base import OperatorLogic
+from repro.sps.operators.base import OperatorLogic, clone_slots
 from repro.sps.tuples import StreamTuple, merge_origin
 from repro.sps.windows import WindowAssigner
 
@@ -47,6 +46,21 @@ class _JoinSlice:
         self.end_hi = end_hi
         #: per side: key -> list[StreamTuple], in arrival order
         self.sides: tuple[dict, dict] = ({}, {})
+
+
+def _detach(slices) -> list[_JoinSlice]:
+    """``slices`` as a list that can be appended to and probed without
+    touching the original: only the newest slice is ever written, so it
+    alone is copied (its two key -> bucket dicts and their lists); the
+    sealed slices and every buffered tuple are shared."""
+    slices = list(slices)
+    if slices:
+        sl = slices[-1] = clone_slots(slices[-1])
+        sl.sides = tuple(
+            {key: list(bucket) for key, bucket in side.items()}
+            for side in sl.sides
+        )
+    return slices
 
 
 class WindowJoinLogic(OperatorLogic):
@@ -88,10 +102,9 @@ class WindowJoinLogic(OperatorLogic):
         self._next_expire = float("inf")
         self.matches_emitted = 0
         self._last_matches = 0
-        interval = getattr(assigner, "slide", None) or getattr(
-            assigner, "duration"
+        self.timer_interval = float(
+            getattr(assigner, "slide", None) or assigner.duration
         )
-        self.timer_interval = float(interval)
 
     def _key_of(self, tup: StreamTuple, port: int) -> object:
         key_field = self.key_fields[port]
@@ -233,30 +246,33 @@ class WindowJoinLogic(OperatorLogic):
 
     # Join state is buffered per (slice, side, key), not exported by the
     # keyed-migration pair (rescale_supported stays False), so checkpoints
-    # copy the slice deque and cursors wholesale.
+    # take the slice deque and cursors wholesale.
     def snapshot_state(self):
-        """Deep copy of live slices, expiry cursors and match counters."""
+        """Live slices (see ``_detach``), expiry cursors, match counters."""
         if not self._slices and self._cut is None:
             return None
-        return copy.deepcopy(
-            (
-                list(self._slices),
-                self._cut,
-                self._next_expire,
-                self.matches_emitted,
-                self._last_matches,
-            )
+        return (
+            _detach(self._slices),
+            self._cut,
+            self._next_expire,
+            self.matches_emitted,
+            self._last_matches,
         )
 
     def restore_state(self, snapshot) -> None:
         if snapshot is None:
             return
-        slices, cut, next_expire, emitted, last = copy.deepcopy(snapshot)
-        self._slices = deque(slices)
+        slices, cut, next_expire, emitted, last = snapshot
+        self._slices = deque(_detach(slices))
         self._cut = cut
         self._next_expire = next_expire
         self.matches_emitted = emitted
         self._last_matches = last
+
+    def state_items(self) -> int:
+        if not self._slices and self._cut is None:
+            return 0
+        return max(len(self._slices), 1)
 
     @property
     def buffered_windows(self) -> int:

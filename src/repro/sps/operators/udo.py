@@ -64,7 +64,8 @@ class FunctionUDO(OperatorLogic):
         return self._work_profile(tup)
 
     # The state dict is opaque to keyed migration but perfectly
-    # checkpointable: snapshots copy the whole dict.
+    # checkpointable. Nothing is known about what the user function
+    # mutates, so snapshots deep-copy the whole dict, both ways.
     def snapshot_state(self):
         """Deep copy of the opaque state dict (None when empty)."""
         if not self.state:
@@ -74,6 +75,9 @@ class FunctionUDO(OperatorLogic):
     def restore_state(self, snapshot) -> None:
         if snapshot:
             self.state = copy.deepcopy(snapshot)
+
+    def state_items(self) -> int:
+        return len(self.state)
 
     def dsan_targets(self) -> tuple[Callable | None, ...]:
         """Callables the determinism sanitizer should scan.

@@ -51,6 +51,7 @@ def _run(
     delivery="exactly_once",
     checkpoint_interval=0.05,
     seed=7,
+    observer=None,
     **cfg_kwargs,
 ):
     config = SimulationConfig(
@@ -68,6 +69,7 @@ def _run(
         homogeneous_cluster(num_nodes=4),
         config=config,
         rng_factory=RngFactory(seed),
+        observer=observer,
     )
     metrics = engine.run()
     values = sorted(
@@ -139,6 +141,26 @@ class TestStateStore:
         assert store.latest() is None
         assert store.skipped == 1
         assert record.completed_at == 0.0
+
+    def test_only_newest_record_keeps_snapshots(self):
+        store = StateStore()
+        for n in range(1, 4):
+            store.begin(float(n))
+            store.add_snapshot(0, [("k", n)] * n)
+            store.complete(n + 0.5)
+        *older, newest = store.completed
+        assert [r.snapshots for r in older] == [{}, {}]
+        assert newest.snapshots == {0: [("k", 3)] * 3}
+        # accounting survives the release
+        assert [r.state_items for r in store.completed] == [1, 2, 3]
+        assert [r.state_bytes for r in store.completed] == [48.0, 96.0, 144.0]
+        assert store.duration_mean_s() == pytest.approx(0.5)
+        # an aborted checkpoint supersedes nothing
+        store.begin(4.0)
+        store.add_snapshot(0, [("k", 4)])
+        store.abort()
+        assert store.latest() is newest
+        assert newest.snapshots == {0: [("k", 3)] * 3}
 
     def test_estimate_items(self):
         assert estimate_items(None) == 0
@@ -212,6 +234,37 @@ class TestRecovery:
         assert ft["recoveries"] == 1
         assert ft["replayed_events"] == 300
         _, oracle = _run(checkpoint_interval=None)
+        assert recovered == oracle
+
+    def test_two_failures_restore_from_one_record(self):
+        """One checkpoint seeds several recoveries: the second failure
+        hits while the instances restored by the first are replaying,
+        before any newer checkpoint completes, and restores the same
+        record again — unharmed by what the first restore did with it."""
+        from repro.obs import EngineObserver
+
+        restored_from = []
+
+        class Recorder(EngineObserver):
+            def on_recovery(self, engine, node_id, pause_s, replayed, ckpt_id):
+                super().on_recovery(
+                    engine, node_id, pause_s, replayed, ckpt_id
+                )
+                restored_from.append((ckpt_id, replayed))
+
+        _, oracle = _run(checkpoint_interval=None)
+        metrics, recovered = _run(
+            scenario="failure:at=0.45,duration=0.02"
+            "+failure:at=0.48,duration=0.02",
+            observer=Recorder(sample_interval=0.1),
+        )
+        assert len(restored_from) == 2
+        (first, replayed), second = restored_from
+        assert first is not None and 0 < replayed < 300
+        assert second == (first, replayed)
+        ft = metrics.extras["ft"]
+        assert ft["recoveries"] == 2
+        assert ft["duplicate_results"] == 0 and ft["lost_results"] == 0
         assert recovered == oracle
 
     def test_at_least_once_is_superset_with_duplicates(self):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import deque
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -403,43 +402,6 @@ class TestSlicedTimeAggEquivalence:
                     sliced.process(tup, now), naive.process(tup, now)
                 )
         _assert_same(sliced.flush(now + 1.0), naive.flush(now + 1.0))
-
-    @given(
-        assigner=_time_assigners,
-        steps=_schedule(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_fast_sums_match_values(self, assigner, steps):
-        """exact_sums=False re-associates the sum fold: results must
-
-        match the exact fold to float tolerance (and bit-exactly
-        whenever a window spans a single slice)."""
-        exact = WindowAggregateLogic(
-            assigner, AggregateFunction.SUM, value_field=1, key_field=0
-        )
-        fast = WindowAggregateLogic(
-            assigner,
-            AggregateFunction.SUM,
-            value_field=1,
-            key_field=0,
-            exact_sums=False,
-        )
-        now = 0.0
-        for step in steps:
-            now = step[1]
-            if step[0] == "timer":
-                got, want = fast.on_time(now), exact.on_time(now)
-            else:
-                tup = _tuple_of(step)
-                got, want = fast.process(tup, now), exact.process(
-                    tup, now
-                )
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.values[0] == w.values[0]
-                assert g.values[1] == pytest.approx(
-                    w.values[1], rel=1e-9, abs=1e-6
-                )
 
 
 class TestCountAggEquivalence:
