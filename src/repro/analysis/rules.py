@@ -401,9 +401,9 @@ RULE_CATALOG: dict[str, RuleSpec] = {
         _spec(
             "BAT703", "batch", Severity.INFO,
             "source emits rows, not columns",
-            "without a vector generator the source materialises "
-            "per-tuple rows; downstream vectorized kernels need "
-            "columnar input, so they fall back too — columnarity is "
+            "the source has only a row generator, so batch mode calls "
+            "it once per tuple and columnarises the rows afterwards — "
+            "the per-tuple generation cost stays; columnarity is "
             "decided at the source",
         ),
         _spec(
@@ -1225,10 +1225,12 @@ def check_batch_friendliness(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     for op in row_sources:
         yield ctx.diag(
             "BAT703",
-            f"source {op.op_id!r} has no vector generator; every "
-            "downstream columnar kernel sees rows and falls back",
+            f"source {op.op_id!r} has no vector generator; batch mode "
+            "calls its row generator once per tuple",
             op_id=op.op_id,
-            hint="pass vector_generator=... to builders.source",
+            hint="give builders.source a vector_generator, "
+            "(rng, n) -> (columns, sizes); with generator=None it "
+            "serves the scalar loop too",
         )
 
 

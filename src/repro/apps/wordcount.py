@@ -60,15 +60,13 @@ def _sample_sentence(rng: np.random.Generator) -> tuple:
     return (" ".join(_VOCAB_ARRAY[idx].tolist()),)
 
 
-def _sample_sentences_vec(
-    rng: np.random.Generator, nows: np.ndarray
-) -> tuple:
+def _sample_sentences_vec(rng: np.random.Generator, n: int) -> tuple:
     # Batch-mode columnar source. Calls _sample_sentence per row in the
     # scalar order, so the RNG stream is consumed identically to the
-    # per-tuple path (results stay bit-equal across batch sizes *and*
-    # against the scalar engine); only the tuple-object overhead goes.
-    col = np.empty(len(nows), dtype=object)
-    col[:] = [_sample_sentence(rng)[0] for _ in range(len(nows))]
+    # per-tuple path (results stay bit-equal against the scalar engine);
+    # only the tuple-object overhead goes.
+    col = np.empty(n, dtype=object)
+    col[:] = [_sample_sentence(rng)[0] for _ in range(n)]
     return (col,), float(_SENTENCE_SCHEMA.tuple_size_bytes())
 
 

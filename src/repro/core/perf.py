@@ -137,14 +137,13 @@ def _kv_generate(rng: np.random.Generator, now: float) -> StreamTuple:
     )
 
 
-def _kv_generate_vec(rng: np.random.Generator, nows: np.ndarray) -> tuple:
-    """Columnar micro-batch form of :func:`_kv_generate`.
+def _kv_generate_vec(rng: np.random.Generator, n: int) -> tuple:
+    """Columnar form of :func:`_kv_generate`: one ``(n, 2)`` uniform block.
 
-    Draws one ``(n, 2)`` uniform block — row ``i`` holds tuple ``i``'s
-    draws contiguously, so splitting the stream at any micro-batch
-    boundary consumes the RNG identically (batch-size invariance).
+    Row ``i`` holds tuple ``i``'s two draws contiguously, so the stream
+    is consumed in row order however it is split into calls.
     """
-    draws = rng.random((len(nows), 2))
+    draws = rng.random((n, 2))
     keys = (draws[:, 0] * 64.0).astype(np.int64)
     return (keys, np.ascontiguousarray(draws[:, 1])), 24.0
 

@@ -1,9 +1,12 @@
 """Source logic.
 
 Sources do not consume tuples; the engine polls them through
-:meth:`SourceLogic.generate` each time the subtask's arrival process fires.
-The tuple generator is any callable ``(rng, event_time) -> StreamTuple`` —
-the workload layer supplies synthetic and application-specific generators.
+:meth:`SourceLogic.generate` each time the subtask's arrival process fires,
+and batch mode through :meth:`SourceLogic.generate_columns` once per
+micro-batch. A source is defined by a row generator ``(rng, event_time) ->
+StreamTuple``, by a columnar generator ``(rng, n) -> (columns, sizes)``, or
+by both — the workload layer supplies synthetic and application-specific
+ones.
 """
 
 from __future__ import annotations
@@ -15,50 +18,127 @@ import numpy as np
 from repro.sps.operators.base import OperatorLogic
 from repro.sps.tuples import StreamTuple
 
-__all__ = ["SourceLogic"]
+__all__ = ["SOURCE_CHUNK", "SourceLogic"]
 
+#: Row form: ``(rng, event_time) -> StreamTuple``. A generator that keeps
+#: state between calls (a replay cursor) also defines ``per_subtask()``,
+#: returning a fresh instance; each :class:`SourceLogic` takes its own.
 TupleGenerator = Callable[[np.random.Generator, float], StreamTuple]
 
-#: Columnar form used by batch mode: ``(rng, nows) -> (columns, sizes)``
-#: where ``columns`` is a tuple of arrays (one per value field) and
-#: ``sizes`` is a float or per-tuple array of tuple sizes in bytes.  To
-#: keep runs batch-size invariant the callable must consume the RNG
-#: per-element sequentially (one tuple's draws before the next tuple's),
-#: e.g. ``rng.integers(64, size=n)`` — never draws whose layout depends
-#: on ``len(nows)``.
-VectorTupleGenerator = Callable[[np.random.Generator, np.ndarray], tuple]
+#: Columnar form: ``(rng, n) -> (columns, sizes)`` where ``columns`` is a
+#: tuple of ``n``-row arrays (one per value field) and ``sizes`` is a float
+#: or an ``n``-row array of tuple sizes in bytes. As a source's only form
+#: it may lay its draws out in the RNG stream however it likes (a
+#: ``StreamSpec`` draws column-major): :class:`SourceLogic` calls it for
+#: whole :data:`SOURCE_CHUNK`-row chunks only, so the values cannot depend
+#: on who asks for how many rows. Beside a row generator it is called
+#: directly, once per micro-batch, and stays batch-size invariant the way
+#: its author made it the row form's twin: row ``i``'s draws before row
+#: ``i + 1``'s (``rng.random((n, 2))``), never a layout that depends on ``n``.
+VectorTupleGenerator = Callable[[np.random.Generator, int], tuple]
+
+#: Rows per chunk of a columnar-only source. A constant of the stream's
+#: definition, not a tuning knob: chunk ``c`` of a subtask is the ``c``-th
+#: ``SOURCE_CHUNK``-row block drawn from its private RNG stream, whatever
+#: the batch size, request size or execution mode. Larger chunks amortise
+#: the per-call cost further but over-draw more at the end of a short run
+#: (a Fig. 3 XXL cell reads 18 rows per source subtask).
+SOURCE_CHUNK = 32
 
 
 class SourceLogic(OperatorLogic):
-    """Wraps a tuple generator; one instance per source subtask."""
+    """Wraps a tuple generator; one instance per source subtask.
+
+    A source with a row ``generator`` calls it once per tuple in
+    :meth:`generate`, and its ``vector_generator`` (if any) once per
+    micro-batch in :meth:`generate_columns`. A columnar-only source is
+    read through a per-subtask chunk buffer instead: ``generate_columns``
+    hands out the next rows as column slices and ``generate`` pops the
+    next row of the same buffer — one stream, whichever way it is read.
+    """
 
     def __init__(
         self,
-        generator: TupleGenerator,
+        generator: TupleGenerator | None,
         vector_generator: VectorTupleGenerator | None = None,
     ) -> None:
-        self._generator = generator
+        per_subtask = getattr(generator, "per_subtask", None)
+        self._generator = generator if per_subtask is None else per_subtask()
         self._vector_generator = vector_generator
         self.emitted = 0
+        # The chunk buffer: the current chunk's columns plus its sizes
+        # column, the next unread row, and the unread rows as Python
+        # values, last row first (built by the first generate() after a
+        # refill or a columnar read).
+        self._chunk: tuple = ()
+        self._cursor = SOURCE_CHUNK
+        self._rows: list | None = None
 
     @property
     def has_vector_generator(self) -> bool:
         """Whether batch mode can generate whole micro-batches at once."""
         return self._vector_generator is not None
 
+    def _refill(self) -> None:
+        columns, sizes = self._vector_generator(self.ctx.rng, SOURCE_CHUNK)
+        self._chunk = (
+            *[np.asarray(column) for column in columns],
+            np.full(SOURCE_CHUNK, sizes, dtype=np.float64),
+        )
+        self._cursor = 0
+
     def generate_columns(self, nows: np.ndarray) -> tuple:
         """Columns + sizes for one micro-batch of arrivals (batch mode)."""
-        columns, sizes = self._vector_generator(self.ctx.rng, nows)
-        self.emitted += len(nows)
-        return columns, sizes
+        wanted = len(nows)
+        self.emitted += wanted
+        if self._generator is not None:
+            return self._vector_generator(self.ctx.rng, wanted)
+        self._rows = None
+        pieces = []
+        while wanted:
+            if self._cursor == SOURCE_CHUNK:
+                self._refill()
+            start = self._cursor
+            stop = min(start + wanted, SOURCE_CHUNK)
+            pieces.append([column[start:stop] for column in self._chunk])
+            self._cursor = stop
+            wanted -= stop - start
+        if len(pieces) == 1:
+            *columns, sizes = pieces[0]
+        else:
+            *columns, sizes = [np.concatenate(part) for part in zip(*pieces)]
+        return tuple(columns), sizes
 
     def generate(self, now: float) -> StreamTuple:
         """Produce the next tuple at simulated time ``now``."""
-        tup = self._generator(self.ctx.rng, now)
-        tup.origin_time = now
-        tup.event_time = now
         self.emitted += 1
-        return tup
+        if self._generator is not None:
+            tup = self._generator(self.ctx.rng, now)
+            tup.origin_time = now
+            tup.event_time = now
+            return tup
+        rows = self._rows
+        if not rows:
+            if self._cursor == SOURCE_CHUNK:
+                self._refill()
+            # tolist(): rows carry Python int/float/str exactly as a
+            # scalar sampler returns them, never NumPy scalars. Popped
+            # as they are read, so a consumed row is not kept alive.
+            *fields, sizes = [
+                column[self._cursor :].tolist() for column in self._chunk
+            ]
+            rows = self._rows = list(zip(zip(*fields), sizes))
+            rows.reverse()
+        self._cursor += 1
+        values, size = rows.pop()
+        return StreamTuple(values, now, None, None, size)
+
+    def flush(self, now: float) -> list[StreamTuple]:
+        """End of stream: the unread rest of the chunk is let go."""
+        self._chunk = ()
+        self._cursor = SOURCE_CHUNK
+        self._rows = None
+        return []
 
     def process(
         self, tup: StreamTuple, now: float, port: int = 0

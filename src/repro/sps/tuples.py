@@ -95,11 +95,14 @@ class StreamTuple:
         )
 
 
-def merge_origin(*tuples: StreamTuple) -> float:
-    """Origin time of a derived tuple: the earliest contributor.
+def merge_origin(left: StreamTuple, right: StreamTuple) -> float:
+    """Origin time of a tuple derived from two: the earlier contributor.
 
     The paper defines end-to-end latency from the production of the *first*
-    data tuple contributing to a result, so joins and window aggregates
-    propagate the minimum origin time of their inputs.
+    data tuple contributing to a result, so a join match carries the
+    minimum origin time of its two sides (``min``'s tie rule: ``left``'s
+    on equality).
     """
-    return min(t.origin_time for t in tuples)
+    origin = left.origin_time
+    other = right.origin_time
+    return other if other < origin else origin

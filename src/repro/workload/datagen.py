@@ -2,9 +2,11 @@
 
 A :class:`StreamSpec` fixes a schema (tuple width + per-field types, per
 Table 3's domain randomization), a value distribution per field, an event
-rate and an arrival process. It compiles to the tuple-generator callable
-that :func:`repro.sps.builders.source` wraps — so the same spec drives both
-the simulated benchmark runs and the ML feature encoding.
+rate and an arrival process. It compiles to the columnar block generator
+that :func:`repro.sps.builders.source` wraps as ``vector_generator`` — one
+definition of the stream for the scalar loop, the batch executor and the
+shards alike — so the same spec drives both the simulated benchmark runs
+and the ML feature encoding.
 """
 
 from __future__ import annotations
@@ -70,12 +72,34 @@ class StreamSpec:
         """Number of data items per tuple."""
         return len(self.fields)
 
+    def block_generator(self):
+        """Compile to the columnar ``(rng, n) -> (columns, size)`` form.
+
+        One call draws ``n`` rows **column-major**: field by field in
+        schema order, ``n`` values from that field's own
+        :meth:`~repro.workload.distributions.ValueDistribution.sample_block`.
+        A source reads it in fixed
+        :data:`~repro.sps.operators.source.SOURCE_CHUNK`-row chunks
+        (DESIGN.md §1), which is what makes a generated stream's values
+        the same under every executor and batch size. The closure holds
+        no state: it is shared by every subtask of a source.
+        """
+        samplers = tuple(fs.distribution.sample_block for fs in self.fields)
+        size = float(self.schema().tuple_size_bytes())
+
+        def generate_block(rng: np.random.Generator, n: int) -> tuple:
+            return tuple([draw(rng, n) for draw in samplers]), size
+
+        return generate_block
+
     def generator(self):
         """Compile to a ``(rng, now) -> StreamTuple`` callable.
 
-        The per-field samplers and the tuple size are bound once here; the
-        closure is shared by every subtask of a source, so the samplers
-        take ``rng`` per call.
+        The row-major form — one ``sample(rng)`` per field per tuple, the
+        one-row chunk of :meth:`block_generator` — for callers that draw
+        single tuples from a bare generator. The per-field samplers and
+        the tuple size are bound once here; the closure is shared by
+        every subtask of a source, so the samplers take ``rng`` per call.
         """
         samplers = tuple(fs.distribution.sample for fs in self.fields)
         size = float(self.schema().tuple_size_bytes())

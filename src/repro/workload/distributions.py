@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,18 @@ class ValueDistribution:
         """Draw one value."""
         raise NotImplementedError
 
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw ``n`` values as one column.
+
+        The contract (DESIGN.md §1): ``sample_block(rng, n).tolist()`` is
+        ``[sample(rng) for _ in range(n)]`` — same values, same Python
+        types — and leaves ``rng`` in the same state. The built-in
+        distributions meet it with one vectorised draw and a typed
+        array; this default loops over :meth:`sample`, so a distribution
+        that only defines ``sample`` keeps working (as an object column).
+        """
+        return _object_column([self.sample(rng) for _ in range(n)])
+
     def cdf(self, value) -> float:
         """P(X <= value)."""
         raise NotImplementedError
@@ -54,6 +67,13 @@ class ValueDistribution:
     def describe(self) -> str:
         """Short label for logs and stored workload records."""
         raise NotImplementedError
+
+
+def _object_column(values) -> np.ndarray:
+    """The values themselves as a column (``tolist()`` returns them)."""
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
 
 
 def _check_q(q: float) -> None:
@@ -76,6 +96,11 @@ def _inverse_cdf_table(pmf: np.ndarray) -> array:
     return array("d", cdf.tolist())
 
 
+def _search_table(table: array, draws: np.ndarray) -> np.ndarray:
+    """``bisect_right(table, u)`` for every ``u`` of ``draws`` at once."""
+    return np.frombuffer(table).searchsorted(draws, side="right")
+
+
 class UniformInt(ValueDistribution):
     """Integers uniform on [lo, hi] inclusive."""
 
@@ -93,6 +118,9 @@ class UniformInt(ValueDistribution):
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.lo, self.hi + 1))
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.integers(self.lo, self.hi + 1, size=n)
 
     def cdf(self, value) -> float:
         if value < self.lo:
@@ -128,6 +156,9 @@ class UniformDouble(ValueDistribution):
     def sample(self, rng: np.random.Generator) -> float:
         return self.lo + (self.hi - self.lo) * rng.random()
 
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.lo + (self.hi - self.lo) * rng.random(n)
+
     def cdf(self, value) -> float:
         if value <= self.lo:
             return 0.0
@@ -159,6 +190,9 @@ class GaussianDouble(ValueDistribution):
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.mean + self.std * rng.standard_normal()
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.mean + self.std * rng.standard_normal(n)
 
     def cdf(self, value) -> float:
         z = (value - self.mean) / (self.std * math.sqrt(2.0))
@@ -204,6 +238,9 @@ class ZipfInt(ValueDistribution):
 
     def sample(self, rng: np.random.Generator) -> int:
         return bisect_right(self._table, rng.random()) + 1
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return _search_table(self._table, rng.random(n)) + 1
 
     def cdf(self, value) -> float:
         if value < 1:
@@ -267,6 +304,17 @@ class StringVocabulary(ValueDistribution):
 
     def sample(self, rng: np.random.Generator) -> str:
         return self.words[bisect_right(self._table, rng.random())]
+
+    @cached_property
+    def _word_array(self) -> np.ndarray:
+        # An object column: a block hands out the very ``str`` objects
+        # ``sample`` returns, not a fresh copy per draw. Built on the
+        # first block draw — a corpus holds hundreds of vocabularies
+        # that are encoded but never sampled.
+        return _object_column(self.words)
+
+    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self._word_array[_search_table(self._table, rng.random(n))]
 
     def cdf(self, value) -> float:
         """Lexicographic CDF: P(word <= value)."""

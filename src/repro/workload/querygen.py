@@ -264,10 +264,11 @@ def _build_pipeline_query(
     plan.add_operator(
         builders.source(
             "src0",
-            stream.generator(),
+            None,
             stream.schema(),
             stream.event_rate,
             arrival=stream.arrival,
+            vector_generator=stream.block_generator(),
         )
     )
     previous = "src0"
@@ -342,10 +343,11 @@ def _build_join_query(
         plan.add_operator(
             builders.source(
                 f"src{i}",
-                stream.generator(),
+                None,
                 stream.schema(),
                 stream.event_rate,
                 arrival=stream.arrival,
+                vector_generator=stream.block_generator(),
             )
         )
     upstream_ids = []

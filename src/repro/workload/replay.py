@@ -95,26 +95,40 @@ class RecordedTrace:
         )
 
 
+class _ReplayCursor:
+    """One reader of a trace: the rows it cycles and where it is."""
+
+    def __init__(self, rows: list[tuple], size: float) -> None:
+        self._rows = rows
+        self._size = size
+        self._cursor: int | None = None
+
+    def per_subtask(self) -> "_ReplayCursor":
+        """A reader of the same rows that has not started yet."""
+        return _ReplayCursor(self._rows, self._size)
+
+    def __call__(self, rng: np.random.Generator, now: float) -> StreamTuple:
+        rows = self._rows
+        if self._cursor is None:
+            self._cursor = int(rng.integers(len(rows)))
+        row = rows[self._cursor]
+        self._cursor = (self._cursor + 1) % len(rows)
+        return StreamTuple(values=row, event_time=now, size_bytes=self._size)
+
+
 def replay_generator(trace: RecordedTrace):
     """A ``(rng, now) -> StreamTuple`` generator cycling the trace.
 
-    Each engine subtask owns a generator instance via the closure's
-    per-call state; the starting offset is drawn from the subtask's own
-    rng so parallel source instances do not replay in lock-step (the
-    paper's Kafka consumers read distinct partitions).
+    The returned callable holds a cursor, so it is one reader; a source
+    gives every subtask its own through the generator's ``per_subtask()``
+    (see :data:`~repro.sps.operators.source.TupleGenerator`), which is
+    what keeps a plan's runs repeatable and its shards independent. Each
+    reader draws its starting offset from the first rng it is called
+    with — the subtask's own — so parallel source instances do not
+    replay in lock-step (the paper's Kafka consumers read distinct
+    partitions).
     """
-    size = float(trace.schema.tuple_size_bytes())
-    rows = trace.rows
-    state = {"cursor": None}
-
-    def generate(rng: np.random.Generator, now: float) -> StreamTuple:
-        if state["cursor"] is None:
-            state["cursor"] = int(rng.integers(len(rows)))
-        row = rows[state["cursor"]]
-        state["cursor"] = (state["cursor"] + 1) % len(rows)
-        return StreamTuple(values=row, event_time=now, size_bytes=size)
-
-    return generate
+    return _ReplayCursor(trace.rows, float(trace.schema.tuple_size_bytes()))
 
 
 def diurnal_rate_profile(

@@ -20,6 +20,7 @@ from repro.sps.logical import LogicalPlan
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
 from repro.sps.windows import ordered_sum
+from repro.workload.querygen import QueryStructure, build_structure
 
 SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
 
@@ -271,6 +272,23 @@ class TestBatchLintRules:
             d.op_id == "custom" for d in report.by_code("BAT702")
         )
         assert any(d.op_id == "src" for d in report.by_code("BAT703"))
+
+    @pytest.mark.parametrize("structure", list(QueryStructure))
+    def test_generated_plans_carry_a_columnar_source(self, structure):
+        query = build_structure(structure, np.random.default_rng(17))
+        report = analyze_plan(query.plan, batch=True)
+        assert not report.by_code("BAT703")
+        # Density counts real fallbacks only — joins and count windows,
+        # never the sources (a two-way join used to read 3 of 5).
+        fallbacks = len(report.by_code("BAT702"))
+        assert fallbacks >= structure.num_joins
+        assert bool(report.by_code("BAT701")) == (
+            fallbacks > len(query.plan.operators) / 2
+        )
+
+    def test_bat703_hint_names_the_columnar_signature(self):
+        (diag,) = analyze_plan(udo_heavy_plan(), batch=True).by_code("BAT703")
+        assert "(rng, n) -> (columns, sizes)" in diag.hint
 
     def test_vectorized_wordcount_is_batch_clean(self):
         app = build_app("WC", event_rate=1000.0)

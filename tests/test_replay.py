@@ -121,6 +121,78 @@ class TestReplayGenerator:
         assert seen_keys == set(range(10))
 
 
+class TestReplayCursorPerSubtask:
+    """The cursor belongs to the subtask, not to the plan's closure."""
+
+    def _plan(self, rows):
+        trace = RecordedTrace("t", SCHEMA, list(range_rows(rows)))
+        plan = LogicalPlan("replay")
+        plan.add_operator(
+            builders.source(
+                "src",
+                replay_generator(trace),
+                SCHEMA,
+                event_rate=1000.0,
+                parallelism=2,
+            )
+        )
+        plan.add_operator(builders.sink("sink", keep_values=True))
+        plan.connect("src", "sink")
+        return plan
+
+    def _sink_values(self, plan, tuples, shards=None, force_inline=True):
+        engine = StreamEngine(
+            plan,
+            homogeneous_cluster(num_nodes=2),
+            config=SimulationConfig(
+                max_tuples_per_source=tuples,
+                max_sim_time=2.0,
+                warmup_fraction=0.0,
+                keep_sink_values=True,
+                shards=shards,
+            ),
+            rng_factory=RngFactory(3),
+        )
+        engine.shard_force_inline = force_inline
+        engine.run()
+        from repro.sps.operators.sink import SinkLogic
+
+        return [
+            values
+            for rt in engine._runtimes
+            if isinstance(rt.logic, SinkLogic)
+            for values in rt.logic.results
+        ]
+
+    def test_same_plan_runs_twice_identically(self):
+        plan = self._plan(7)
+        first = self._sink_values(plan, 40)
+        assert len(first) == 40
+        assert self._sink_values(plan, 40) == first
+
+    def test_subtasks_walk_the_trace_from_their_own_offsets(self):
+        from repro.sps.operators.base import OperatorContext
+
+        rows = 50
+        source = self._plan(rows).operator("src")
+        starts = []
+        for index in range(8):
+            logic = source.logic_factory()
+            rng = RngFactory(3).fresh("engine", "src", str(index))
+            logic.setup(OperatorContext("src", index, 8, rng))
+            keys = [logic.generate(float(i)).values[0] for i in range(60)]
+            assert keys == [(keys[0] + i) % rows for i in range(60)]
+            starts.append(keys[0])
+        assert len(set(starts)) > 3
+
+    def test_forked_shards_match_inline(self):
+        plan = self._plan(11)
+        inline = self._sink_values(plan, 30, shards=1)
+        forked = self._sink_values(plan, 30, shards=2, force_inline=False)
+        assert len(inline) == 30
+        assert sorted(forked) == sorted(inline)
+
+
 def range_rows(n):
     for i in range(n):
         yield (i, float(i) / 10.0)

@@ -96,6 +96,7 @@ class TestStreamTuple:
         early = StreamTuple(values=(1,), event_time=1.0, origin_time=1.0)
         late = StreamTuple(values=(2,), event_time=9.0, origin_time=9.0)
         assert merge_origin(early, late) == 1.0
+        assert merge_origin(late, early) == 1.0
 
 
 class TestPredicate:
