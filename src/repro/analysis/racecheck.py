@@ -20,11 +20,12 @@ into forked processes:
   from two subtasks — or two distinct generators in identical initial
   states — makes draw interleaving schedule-dependent.
 - **DET609 — RNG draw ledger divergence.** At run end the detector
-  fingerprints the terminal state of every per-subtask generator plus
-  the engine's arrival stream (:func:`repro.common.rng.state_fingerprint`
-  — a pure read, no draws). Two runs that made the same draws in the
-  same order have equal ledgers; :func:`compare_ledgers` turns any
-  difference between a serial and a parallel run into diagnostics.
+  fingerprints the terminal state of every per-subtask generator — the
+  logic's and the engine's ``/arrivals`` and ``/noise`` streams
+  (:func:`repro.common.rng.state_fingerprint` — a pure read, no
+  draws). Two runs that made the same draws in the same order have
+  equal ledgers; :func:`compare_ledgers` turns any difference between
+  a serial and a parallel run into diagnostics.
 
 **Zero perturbation.** Like :class:`~repro.obs.EngineObserver`, the
 detector only reads: no RNG draws, no heap pushes, no engine-state
@@ -40,7 +41,7 @@ import math
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 from repro.analysis.rules import RULE_CATALOG
 
-__all__ = ["RaceDetector", "compare_ledgers"]
+__all__ = ["RaceDetector", "compare_ledgers", "stream_ledger"]
 
 _INF = math.inf
 
@@ -214,26 +215,7 @@ class RaceDetector:
         engine = self._engine
         if engine is None:
             return
-        ledger: dict[str, str] = {}
-        for runtime in engine._runtimes:
-            ctx = getattr(runtime.logic, "ctx", None)
-            rng = getattr(ctx, "rng", None)
-            if rng is not None:
-                label = f"{runtime.op_id}[{runtime.index}]"
-                # Rescale generations reuse (op, index) labels; the
-                # epoch suffix keeps every stream's entry distinct.
-                # Recovery incarnations (checkpoint restore or FT-off
-                # failure restart) get an @r suffix the same way.
-                epoch = getattr(runtime, "epoch", 0)
-                if epoch:
-                    label += f"@e{epoch}"
-                incarnation = getattr(runtime, "ft_incarnation", 0)
-                if incarnation:
-                    label += f"@r{incarnation}"
-                ledger[label] = state_fingerprint(rng)
-        arrivals = getattr(engine, "_rng_arrivals", None)
-        if arrivals is not None:
-            ledger["engine/arrivals"] = state_fingerprint(arrivals)
+        ledger = stream_ledger(engine._runtimes)
         rescale_rng = getattr(engine, "_rng_rescale", None)
         if rescale_rng is not None:
             ledger["engine/rescale"] = state_fingerprint(rescale_rng)
@@ -379,6 +361,37 @@ class RaceDetector:
         report = AnalysisReport(plan_name=plan_name)
         report.extend(self.findings)
         return report
+
+
+def stream_ledger(runtimes) -> dict[str, str]:
+    """Fingerprints of every named generator the given subtasks hold.
+
+    ``op[i]`` is the logic's stream, ``op[i]/arrivals`` and
+    ``op[i]/noise`` the engine's per-subtask streams (present once the
+    subtask has drawn from them; blocks are drawn ahead, so the state
+    is a block boundary, the same in every run that made the same
+    draws). Rescale generations reuse ``(op, index)``, so their labels
+    carry an ``@e<epoch>`` suffix; recovery incarnations (checkpoint
+    restore or FT-off failure restart) an ``@r<n>`` suffix likewise.
+    """
+    from repro.common.rng import state_fingerprint
+
+    ledger: dict[str, str] = {}
+    for runtime in runtimes:
+        label = f"{runtime.op_id}[{runtime.index}]"
+        if runtime.epoch:
+            label += f"@e{runtime.epoch}"
+        if runtime.ft_incarnation:
+            label += f"@r{runtime.ft_incarnation}"
+        ctx = getattr(runtime.logic, "ctx", None)
+        for suffix, rng in (
+            ("", getattr(ctx, "rng", None)),
+            ("/arrivals", runtime.gaps_rng),
+            ("/noise", runtime.noise_rng),
+        ):
+            if rng is not None:
+                ledger[label + suffix] = state_fingerprint(rng)
+    return ledger
 
 
 def compare_ledgers(

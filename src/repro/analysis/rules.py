@@ -1344,8 +1344,8 @@ def check_shardability(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     """SHD701-SHD704: will this plan profit from sharded execution?
 
     Opt-in via ``ctx.shards`` (``repro lint-plan --shards K``) — only in
-    :data:`SHD_RULES`. Sharding never changes results (the shard
-    universe is K-invariant, DESIGN.md §14), so every finding here is
+    :data:`SHD_RULES`. Sharding never changes results (they are
+    K-invariant, DESIGN.md §14), so every finding here is
     about *speedup*, except SHD704 which predicts an outright
     :class:`~repro.common.errors.ConfigurationError` from the engine.
     """

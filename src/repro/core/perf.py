@@ -604,8 +604,8 @@ def run_shard_identity(
 ) -> list[str]:
     """Bit-identity failure messages for sharded vs. serial execution.
 
-    Runs the shard-shaped hotpath plan three ways — the shard universe
-    in a single in-process kernel (``shards=1``, the serial reference),
+    Runs the shard-shaped hotpath plan three ways — in a single
+    in-process kernel (``shards=1``, the serial reference),
     in-process with ``shards=K``, and with ``K`` forked shard processes
     — and compares results, throughput, latency quantiles, event counts
     and the merged per-stream RNG ledgers. Any difference is a protocol

@@ -100,10 +100,10 @@ class RunnerConfig:
     #: sharded execution (DESIGN.md §14): partition the simulated
     #: cluster by placement node onto this many kernel shards and run
     #: them as forked processes under the conservative epoch protocol.
-    #: ``None`` (the default) keeps the single-kernel event loop and is
-    #: bit-identical to runs made before sharding existed; any ``K``
-    #: (including 1) selects the shard universe, whose results are
-    #: invariant in ``K`` and in the transport. With ``sanitize`` the
+    #: ``None`` (the default) keeps the single-kernel event loop; any
+    #: ``K`` (including 1) gives results invariant in ``K`` and in the
+    #: transport, equal to the unsharded run's up to the instant of the
+    #: end-of-stream flush. With ``sanitize`` the
     #: forked run's RNG ledger is cross-checked against an in-process
     #: reference run (DET609).
     shards: int | None = None
@@ -318,7 +318,7 @@ class BenchmarkRunner:
         ):
             # Same DET609 cross-check for intra-run sharding: the
             # forked shard processes' merged RNG-draw ledger must match
-            # an in-process reference of the identical shard universe.
+            # an in-process reference run of the same shards.
             forked = runs[0].extras.get("race", {}).get("rng_ledger", {})
             reference = (
                 one_repeat(0, force_inline=True)

@@ -31,9 +31,10 @@ Batch mode simulates with **two clocks**:
   latency is ``sink-batch done − origin`` per result.
 
 Known deviations from the scalar event loop, all deliberate and pinned
-in ``DESIGN.md``: service noise is drawn per batch (so the arrival RNG
-stream no longer interleaves with noise draws), timer ticks stop at the
-stream drain time (later fires surface through the end-of-stream flush),
+in ``DESIGN.md``: service noise is drawn per batch from one stream
+(arrival times are the scalar loop's: both read the sources' private
+``…/arrivals`` streams), timer ticks stop at the stream drain time
+(later fires surface through the end-of-stream flush),
 queue-depth/wait metrics are batch-granular estimates, throughput is
 measured over the full simulated span (batch-granular sink arrivals can
 collapse the scalar first-arrival-to-end window), and backpressure and
@@ -44,10 +45,9 @@ engines produce bit-identical sink samples (``tests/test_batch_engine``).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.sps.columnar import TupleBatch, require_numpy
+from repro.sps.engine import _ARR_CONSTANT, _ARR_POISSON, _paced_mean_gap
 from repro.sps.operators.aggregate import (
     RESULT_SIZE_BYTES,
     WindowAggregateLogic,
@@ -69,9 +69,6 @@ except ImportError:  # pragma: no cover - guarded by require_numpy()
     np = None  # type: ignore[assignment]
 
 __all__ = ["ColumnarExecutor"]
-
-# Arrival-process kinds; values mirror repro.sps.engine's resolution.
-_ARR_POISSON, _ARR_CONSTANT, _ARR_BURSTY, _ARR_PROFILE = range(4)
 
 #: Arrival gaps drawn per RNG call; bounds the block when a time-cut run
 #: carries a tuple budget it will never reach.
@@ -129,10 +126,8 @@ class ColumnarExecutor:
         self._final_now = 0.0
         self._next_seq = 0
         self._max_events = eng.config.max_events
-        # Dedicated noise stream: the scalar loop draws service noise
-        # from the arrivals stream between gap draws; batch mode draws
-        # once per batch from its own stream so the *arrival sequence*
-        # stays exactly reproducible at any batch size.
+        # One noise factor per batch, whichever subtask serves it, from
+        # a stream of batch mode's own.
         self._rng_noise = eng._rngs.fresh("engine", "batch-noise")
         #: per-gid, per-port delivery buffers: list of (batch, avail)
         self._inbox: list[dict[int, list]] = [{} for _ in eng._runtimes]
@@ -152,7 +147,7 @@ class ColumnarExecutor:
             for gid in gids:
                 runtime = runtimes[gid]
                 if runtime.is_source:
-                    self._run_source(runtime, arrivals.get(gid))
+                    self._run_source(runtime, arrivals[gid])
                 else:
                     self._run_instance(runtime)
                 if self._events > self._max_events:
@@ -177,109 +172,67 @@ class ColumnarExecutor:
     def _replay_arrivals(self):
         """Every source's ideal arrival times, without generating tuples.
 
-        Reproduces the scalar loop's arrival machinery exactly: the same
-        ``("engine", "arrivals")`` stream, the same per-source budget and
-        gap distributions, and the same global draw order (a min-heap
-        over the next arrival per source, ties broken by push order —
-        the scalar heap's sequence numbers induce the same order).
-
-        Only *gap* draws share a stream across sources; each source's
-        tuple values come from its private per-subtask RNG, so tuple
-        generation is deferred to :meth:`_run_source` (per micro-batch)
-        where it can be vectorized.
+        Each source reads the private ``…/arrivals`` stream the scalar
+        loop reads and folds the same gaps into the same ``at = now +
+        gap`` chain, so scalar, batch and sharded runs agree on every
+        arrival time. Tuple values come from the source's own logic
+        stream, so generation is deferred to :meth:`_run_source` (per
+        micro-batch) where it can be vectorized.
         """
         eng = self.engine
-        rng = eng._rngs.fresh("engine", "arrivals")
-        max_time = eng.config.max_sim_time
-        runtimes = eng._runtimes
-        n_rt = len(runtimes)
-        # Flat per-gid state: the loop below runs once per arrival, so
-        # attribute walks through the runtime dataclass add up.
-        kinds = [0] * n_rt
-        means = [0.0] * n_rt
-        fasts = [0.0] * n_rt
-        slows = [0.0] * n_rt
-        profiles = [None] * n_rt
-        divisors = [1.0] * n_rt
-        budgets = [0] * n_rt
-        # -1: every source starts as a pseudo-arrival at now = 0 that is
-        # not recorded, so its first gap is drawn by the loop below — in
-        # runtime order, before any real arrival, as the scalar loop does.
-        counts = [-1] * n_rt
-        heap: list = []
-        counter = 0
-        per: dict[int, list] = {}
-        draws_left = 0
-        for runtime in runtimes:
-            if not runtime.is_source:
-                continue
-            gid = runtime.gid
-            kind = runtime.arrival_kind
-            kinds[gid] = kind
-            means[gid] = runtime.mean_gap
-            fasts[gid] = runtime.burst_fast_gap
-            slows[gid] = runtime.burst_slow_gap
-            profiles[gid] = runtime.rate_profile
-            divisors[gid] = runtime.profile_divisor
-            budgets[gid] = runtime.arrival_budget
-            per[gid] = []
-            if kind == _ARR_PROFILE and runtime.rate_profile is None:
-                raise ConfigurationError(
-                    f"{runtime.op_id}: arrival 'profile' needs a "
-                    "'rate_profile' callable in the source metadata"
-                )
-            if kind != _ARR_CONSTANT:
-                draws_left += runtime.arrival_budget
-            counter += 1
-            heap.append((0.0, counter, gid))
-        # Unit-mean gaps come in blocks from the private stream and are
-        # scaled per source: ``mean * E`` is what ``exponential(mean)``
-        # computes, draw for draw, and nothing else reads this stream, so
-        # drawing ahead of a max_sim_time cut changes no result.
-        gaps: list = []
-        cursor = 0
+        per: dict = {}
         last = 0.0
-        while heap:
-            at, _, gid = heappop(heap)
-            count = counts[gid] + 1
-            counts[gid] = count
-            if count:
-                per[gid].append(at)
-                if at > last:
-                    last = at
-                if count >= budgets[gid]:
-                    continue
-            kind = kinds[gid]
-            if kind == _ARR_CONSTANT:
-                gap = means[gid]
-            else:
-                if cursor == len(gaps):
-                    block = min(draws_left, _GAP_BLOCK)
-                    draws_left -= block
-                    gaps = rng.standard_exponential(size=block).tolist()
-                    cursor = 0
-                gap = gaps[cursor]
-                cursor += 1
-                if kind == _ARR_POISSON:
-                    gap *= means[gid]
-                elif kind == _ARR_BURSTY:
-                    gap *= (
-                        fasts[gid]
-                        if (at * 10.0) % 1.0 < 0.25
-                        else slows[gid]
-                    )
-                else:
-                    instant = max(
-                        float(profiles[gid](at)) / divisors[gid], 1e-9
-                    )
-                    gap *= 1.0 / instant
-            at += gap
-            if at <= max_time:
-                counter += 1
-                heappush(heap, (at, counter, gid))
+        for runtime in eng._runtimes:
+            if runtime.is_source:
+                times = per[runtime.gid] = self._arrival_times(runtime)
+                if len(times) and times[-1] > last:
+                    last = float(times[-1])
         eng._last_source_time = last
         self._n_arrivals = sum(len(times) for times in per.values())
         return per
+
+    def _arrival_times(self, runtime):
+        """One source's arrival times up to its budget or max_sim_time.
+
+        Unit-mean gaps come in blocks and are scaled per gap: ``mean *
+        E`` is what ``exponential(mean)`` computes, draw for draw, and
+        nothing else reads the stream, so drawing ahead of a
+        max_sim_time cut changes no result. ``cumsum`` accumulates left
+        to right, which *is* the scalar chain.
+        """
+        kind = runtime.arrival_kind
+        max_time = self.engine.config.max_sim_time
+        if kind != _ARR_CONSTANT:
+            rng = self.engine._open_stream(runtime, "arrivals")
+        chunks = []
+        left = runtime.arrival_budget  # >= 1
+        at = 0.0
+        while left > 0 and at <= max_time:
+            block = min(left, _GAP_BLOCK)
+            left -= block
+            if kind == _ARR_CONSTANT:
+                gaps = np.full(block, runtime.mean_gap)
+            else:
+                gaps = rng.standard_exponential(size=block)
+            if kind == _ARR_CONSTANT or kind == _ARR_POISSON:
+                if kind == _ARR_POISSON:
+                    gaps *= runtime.mean_gap
+                gaps[0] += at
+                times = np.cumsum(gaps)
+            else:
+                # Bursty/profile: a gap's mean depends on the time
+                # reached so far, so the chain stays a loop.
+                times = gaps.tolist()
+                for i, unit in enumerate(times):
+                    times[i] = at = at + unit * _paced_mean_gap(runtime, at)
+                    if at > max_time:
+                        break
+                times = np.asarray(times[: i + 1])
+            at = float(times[-1])
+            chunks.append(
+                times[: np.searchsorted(times, max_time, side="right")]
+            )
+        return np.concatenate(chunks)
 
     # ------------------------------------------------------------- plumbing
 
@@ -646,11 +599,10 @@ class ColumnarExecutor:
 
     # ------------------------------------------------------------ operators
 
-    def _run_source(self, runtime, times) -> None:
-        if not times:
-            return
-        arrival = np.asarray(times, dtype=np.float64)
+    def _run_source(self, runtime, arrival) -> None:
         n = len(arrival)
+        if not n:
+            return
         self._events += 2 * n  # arrival + service completion per tuple
         runtime.emitted += n  # feeds RunMetrics.source_events
         logic = runtime.logic

@@ -65,16 +65,23 @@ build time rather than per event:
   handler skips routing when a tick fires no window. Timer cadence is
   unchanged — ``TIMER`` events still count toward ``events_processed``.
 
-- *One step, two universes*: a sharded run
+- *One universe, drawn in blocks* (DESIGN.md §14): every subtask draws
+  arrival gaps and service noise from its own named streams and numbers
+  the events it schedules from its own counter, so a sharded run
   (:mod:`repro.sps.shard_exec`) drives this same step over one kernel
-  per shard. What differs — which generator a subtask draws from, whose
-  counter numbers its events, whether a consumer is local — is data
-  that ``_begin_run`` binds, never a branch on the universe.
+  per shard and sees the same bits. Private streams can be drawn ahead
+  of use: gaps and noise factors are popped from per-subtask blocks
+  (``_refill_gaps``/``_refill_noise``), value for value what per-call
+  ``exponential(mean)``/``lognormal(mu, sigma)`` would return.
+- *No BEGIN round-trip*: sender overhead paid at a ``DONE`` is a known
+  delay with nothing to decide at its end, so the plain step starts the
+  next queued service at ``now + overhead`` straight away (or records
+  ``free_at`` for the idle fast path) instead of pushing a ``BEGIN``.
 
-None of the precomputation changes any simulated result: the same RNG
-draws happen in the same order, and every floating-point expression keeps
-the exact operand order of the straightforward implementation. The golden
-determinism tests (``tests/test_golden_determinism.py``) pin this down.
+None of this changes any simulated result: every floating-point
+expression keeps the exact operand order of the straightforward
+implementation. The golden determinism tests
+(``tests/test_golden_determinism.py``) pin this down.
 
 **Observability.** Passing an :class:`repro.obs.EngineObserver` lets the
 run be traced and metered without perturbing it: every hook only *reads*
@@ -89,7 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappush
 
 import numpy as np
 
@@ -97,7 +104,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.network import Network
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RngFactory
-from repro.kernel.core import BudgetExceededError, Kernel, pack_tiebreak
+from repro.kernel.core import (
+    TB_SEQ_BITS,
+    BudgetExceededError,
+    Kernel,
+    pack_tiebreak,
+)
 from repro.ft.store import StateStore, estimate_items, validate_delivery
 from repro.sps.costs import COORD_LOG_COST_S, SERDE_COST_S
 from repro.sps.logical import LogicalPlan, OperatorKind
@@ -167,6 +179,13 @@ _ARRIVAL_KINDS = {
     "bursty": _ARR_BURSTY,
     "profile": _ARR_PROFILE,
 }
+
+#: Lengths of a subtask's first and later draw blocks, by measurement
+#: (DESIGN.md §14): a sized draw costs ~4 us whatever its length, so 64
+#: values amortise it; longer blocks were no faster, and a short first
+#: block keeps the briefly active subtasks of a 130-subtask engine cheap.
+_FIRST_BLOCK = 32
+_BLOCK = 64
 
 
 class _Barrier:
@@ -293,11 +312,11 @@ class SimulationConfig:
     #: simulated cluster by placement node into this many shards, one
     #: kernel per shard, synchronized by epoch windows whose width is
     #: the inter-node network latency (the lookahead). ``None`` (the
-    #: default) keeps the single-kernel loop bit-identical to engines
-    #: built before sharding existed. Sharded runs use per-subtask
-    #: arrival/noise RNG streams and producer-local tie-breaks, so the
-    #: results are identical for every shard count (including 1) but
-    #: form a distinct deterministic universe from ``shards=None``.
+    #: default) runs the single-kernel loop. Every run draws from
+    #: per-subtask arrival/noise streams and numbers events per
+    #: producer, so results are identical for every shard count; they
+    #: differ from ``shards=None`` only in the end-of-stream flush
+    #: instant (the epoch boundary, not the last event).
     shards: int | None = None
 
     def __post_init__(self) -> None:
@@ -305,6 +324,11 @@ class SimulationConfig:
             raise ConfigurationError("max_tuples_per_source must be >= 1")
         if self.max_sim_time <= 0:
             raise ConfigurationError("max_sim_time must be positive")
+        if self.max_events >= 1 << TB_SEQ_BITS:
+            raise ConfigurationError(
+                f"max_events must be < 2**{TB_SEQ_BITS}: a subtask's event "
+                "counter shares its tie-break int with the gid"
+            )
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError("warmup_fraction must be in [0, 1)")
         if (
@@ -392,9 +416,11 @@ class _SubtaskRuntime:
     node_id: int
     base_service: float
     noise_sigma: float
-    shuffle_cost_per_output: float
     is_source: bool
     is_sink: bool
+    #: sender CPU per routed output (serde + channel management of every
+    #: shuffle group); set with the route table
+    shuffle_cost_per_output: float = 0.0
     #: constant work multiplier when the logic keeps the base
     #: ``work_units`` implementation; None forces the dynamic call
     static_work: float | None = None
@@ -416,8 +442,10 @@ class _SubtaskRuntime:
     #: (select, fixed_indices, rekey, consumer_gids, num_channels,
     #:  latencies, bandwidths, port, shuffle_cost) — fixed_indices
     #: replaces the select call for forward/broadcast exchanges whose
-    #: fan-out is constant; latencies/bandwidths are None when the
-    #: network overrides ``transfer_delay``
+    #: fan-out is constant; rekey replaces it on a ``key_field`` hash
+    #: exchange (``HashPartitioner.rekey_select``: the key is read
+    #: once); latencies/bandwidths are None when the network overrides
+    #: ``transfer_delay``
     route_table: list = field(default_factory=list)
     queue: list = field(default_factory=list)
     queue_head: int = 0
@@ -451,18 +479,48 @@ class _SubtaskRuntime:
     ft_ckpt: int | None = None
     ft_aligned: set | None = None
     ft_buffer: list | None = None
-    #: the deterministic universe (DESIGN.md §14), bound at run start by
-    #: ``StreamEngine._begin_run``: where this subtask draws arrival gaps
-    #: and service noise, and whose ``seq`` numbers the events it
-    #: schedules. Legacy: the bound methods of the one shared
-    #: ("engine", "arrivals") generator, and the kernel. Shard: the
-    #: subtask's own ``…/arrivals`` and ``…/noise`` streams, and the
-    #: runtime itself, ``seq`` starting one below ``pack_tiebreak(gid,
-    #: 0)`` so its tie-breaks are ``pack_tiebreak(gid, 0), (gid, 1), …``.
-    exponential: object = None
-    lognormal: object = None
-    ticker: object = None
+    #: the subtask's private randomness (DESIGN.md §14), reset by
+    #: ``StreamEngine._begin_run``: unit-mean arrival gaps (scaled at
+    #: use) and service-noise factors wait in reversed blocks, popped
+    #: from the end and refilled from the subtask's own ``…/arrivals``
+    #: and ``…/noise`` streams, which are opened at the first refill
+    gaps: list | None = None
+    gaps_rng: object = None
+    noise: list | None = None
+    noise_rng: object = None
+    #: numbers the events this subtask schedules; starts one below
+    #: ``pack_tiebreak(gid, 0)``, so its tie-breaks are
+    #: ``pack_tiebreak(gid, 0), (gid, 1), …`` on any kernel
     seq: int = 0
+    #: when the sender overhead paid at the last DONE ends: no service
+    #: starts, and no stall or drain takes hold, before it
+    free_at: float = 0.0
+
+
+def _paced_mean_gap(runtime: _SubtaskRuntime, now: float) -> float:
+    """Mean of a bursty or profile source's next arrival gap at ``now``."""
+    if runtime.arrival_kind == _ARR_BURSTY:
+        # On/off: bursts at 4x rate for 50ms, then silence balancing it.
+        if (now * 10.0) % 1.0 < 0.25:
+            return runtime.burst_fast_gap
+        return runtime.burst_slow_gap
+    # Non-stationary Poisson: the instantaneous rate comes from a time
+    # profile (e.g. a diurnal curve replaying a recorded trace's load).
+    profile = runtime.rate_profile
+    if profile is None:
+        raise ConfigurationError(
+            f"{runtime.op_id}: arrival 'profile' needs a "
+            "'rate_profile' callable in the source metadata"
+        )
+    return 1.0 / max(float(profile(now)) / runtime.profile_divisor, 1e-9)
+
+
+def _static_work(logic) -> float | None:
+    """The constant work multiplier of a logic that keeps the base
+    ``work_units``; None forces the dynamic call."""
+    if type(logic).work_units is OperatorLogic.work_units:
+        return logic.work_factor
+    return None
 
 
 class StreamEngine:
@@ -592,14 +650,6 @@ class StreamEngine:
             base_service = cost.base_cpu_s * coord * load / node.speed_factor
             cv = cost.cost_noise
             sigma = math.sqrt(math.log(1.0 + cv * cv)) if cv > 0 else 0.0
-            shuffle_cost = 0.0
-            for group in self.physical.out_channels[subtask.gid]:
-                if group.is_shuffle:
-                    shuffle_cost += (
-                        SERDE_COST_S
-                        + COORD_LOG_COST_S
-                        * math.log2(max(group.num_channels, 2))
-                    )
             runtime = _SubtaskRuntime(
                 gid=subtask.gid,
                 op_id=op.op_id,
@@ -608,14 +658,9 @@ class StreamEngine:
                 node_id=node.node_id,
                 base_service=base_service,
                 noise_sigma=sigma,
-                shuffle_cost_per_output=shuffle_cost,
                 is_source=op.kind is OperatorKind.SOURCE,
                 is_sink=op.kind is OperatorKind.SINK,
-                static_work=(
-                    logic.work_factor
-                    if type(logic).work_units is OperatorLogic.work_units
-                    else None
-                ),
+                static_work=_static_work(logic),
                 noise_mu=-0.5 * sigma * sigma,
                 slot_load=load,
             )
@@ -668,8 +713,9 @@ class StreamEngine:
         """Precompile per-channel-group routing state.
 
         Resolves, once per channel group: the bound partitioner ``select``,
-        the hash re-key function (or None), consumer gids, and per-channel
-        network delay terms. ``Network.transfer_delay`` is affine in the
+        the keyBy-and-select of a ``key_field`` hash exchange (or None),
+        consumer gids, and per-channel network delay terms.
+        ``Network.transfer_delay`` is affine in the
         payload size — ``base_latency + size / bandwidth``, zero for
         same-node channels — so the table stores ``(latency, bandwidth)``
         per channel and the hot path evaluates the identical expression
@@ -686,11 +732,19 @@ class StreamEngine:
             self._compile_route_table(runtime)
 
     def _compile_route_table(self, runtime: _SubtaskRuntime) -> None:
-        """(Re)compile one runtime's routing table from its channel
+        """(Re)compile one runtime's routing table, and the sender CPU
+        it pays per routed output, from its channel groups.
 
-        groups. Called at build time for every runtime and again by
+        Called at build time for every runtime and again by
         :meth:`_perform_rescale` for producers whose consumer set
         changed."""
+        shuffle_cost = 0.0
+        for group in self._out_channels[runtime.gid]:
+            if group.is_shuffle:
+                shuffle_cost += SERDE_COST_S + COORD_LOG_COST_S * math.log2(
+                    max(group.num_channels, 2)
+                )
+        runtime.shuffle_cost_per_output = shuffle_cost
         network = self.cluster.network
         affine = self._net_affine
         base_latency = self._net_base_latency
@@ -700,7 +754,7 @@ class StreamEngine:
         for group in self._out_channels[runtime.gid]:
             partitioner = group.partitioner
             rekey = (
-                partitioner.extract_key
+                partitioner.rekey_select
                 if isinstance(partitioner, HashPartitioner)
                 and partitioner.key_field is not None
                 else None
@@ -745,41 +799,42 @@ class StreamEngine:
 
     def run(self) -> RunMetrics:
         """Execute the simulation and compute metrics."""
-        if self.config.batch_size is not None:
-            from repro.sps.batch import ColumnarExecutor
-
-            return ColumnarExecutor(self).run()
-        if self.config.shards is not None:
-            from repro.sps.shard_exec import run_sharded
-
-            return run_sharded(self)
-        k = self._k
-        k.reset()
-        self._begin_run(k)
-        if self._elastic:
-            self._start_elastic()
-
-        self._max_flush_rounds = len(self.logical.operators) + 2
-        max_events = self.config.max_events
-        obs = self._obs
-        if obs is not None:
-            obs.on_run_start(self)
-            k.sampler = obs.sample
-            k.sample_next = obs.next_sample
         try:
+            if self.config.batch_size is not None:
+                from repro.sps.batch import ColumnarExecutor
+
+                return ColumnarExecutor(self).run()
+            if self.config.shards is not None:
+                from repro.sps.shard_exec import run_sharded
+
+                return run_sharded(self)
+            k = self._k
+            k.reset()
+            self._begin_run(k)
+            if self._elastic:
+                self._start_elastic()
+
+            self._max_flush_rounds = len(self.logical.operators) + 2
+            obs = self._obs
+            if obs is not None:
+                obs.on_run_start(self)
+                k.sampler = obs.sample
+                k.sample_next = obs.next_sample
             k.run(
                 self._make_handlers(),
-                max_events=max_events,
+                max_events=self.config.max_events,
                 on_idle=self._on_idle,
             )
+            if obs is not None:
+                obs.on_run_end(k.now)
+            return self._collect_metrics()
         except BudgetExceededError:
             raise SimulationError(
-                f"event budget exceeded ({max_events}); "
+                f"event budget exceeded ({self.config.max_events}); "
                 "the configuration likely diverged"
             ) from None
-        if obs is not None:
-            obs.on_run_end(k.now)
-        return self._collect_metrics()
+        finally:
+            self._end_run()
 
     def _begin_run(self, kernel: Kernel, owned=None) -> None:
         """Bind one kernel's run state on this object, then seed it.
@@ -789,12 +844,9 @@ class StreamEngine:
         engine (:class:`repro.sps.shard_exec.ShardExecutor`) with
         ``owned``, that shard's gids in ascending order: the copy shares
         the plan and the runtimes, and what is bound here — kernel,
-        ``_push``, clocks, outbox, owned-gid filter — is the copy's own.
-
-        ``owned`` also selects the universe, which is data on each
-        runtime (see ``_SubtaskRuntime.exponential``), not a code path:
-        the step below reads ``runtime.exponential``/``lognormal``/
-        ``ticker`` and never asks which universe it is in.
+        clocks, outbox, owned-gid filter — is the copy's own. A subtask
+        draws and numbers its events the same way on any kernel, so
+        ``owned`` only decides which subtasks are seeded here.
         """
         config = self.config
         runtimes = self._runtimes
@@ -814,39 +866,31 @@ class StreamEngine:
         self._bp_limit = config.backpressure_queue_limit
         # Routed-path indirection: the default path binds the plain
         # implementations here, so checkpointing can swap in its FT
-        # variants without a branch inside the hot path. FT-off runs
-        # make byte-identical calls through these bindings.
+        # variants without a branch inside the hot path. These cached
+        # bound methods are the object's only references to itself;
+        # ``_end_run`` clears them.
         self._route_live = self._route
         self._serve_next = self._begin_service_now
+        #: a DONE that paid sender overhead starts the next service
+        #: itself instead of pushing a BEGIN. Backpressure and
+        #: checkpointing keep the event: their hysteresis release and
+        #: barrier/snapshot instants are defined at dequeue time.
+        self._fused = not self._ft and self._bp_limit is None
+        #: control-plane events (RESCALE/CONTROL/SCENARIO/FT) belong to
+        #: no subtask: origin -1 numbers them ahead of every subtask's
+        #: events at an equal instant
+        self._control_seq = pack_tiebreak(-1, 0) - 1
         self._state_loss: dict | None = None
-        if owned is None:
-            # Event producers schedule through the kernel directly.
-            self._push = kernel.push
-            self._rng_arrivals = self._rngs.fresh("engine", "arrivals")
-            exponential = self._rng_arrivals.exponential
-            lognormal = self._rng_arrivals.lognormal
-            for runtime in mine:
-                runtime.exponential = exponential
-                runtime.lognormal = lognormal
-                runtime.ticker = kernel
-        else:
+        if owned is not None:
             # A sanitize=True engine carries a RaceDetector in _obs, but
             # hooks would need cross-process event ordering (the
             # constructor rejects a user observer for the same reason).
             self._obs = None
-            self._push = self._push_own
-            # Streams derive purely from the factory seed and the
-            # subtask's stable name, so every transport and every K
-            # builds byte-identical generators.
-            fresh = self._rngs.fresh
-            for runtime in mine:
-                name = ("engine", runtime.op_id, str(runtime.index))
-                if runtime.is_source:
-                    runtime.exponential = fresh(*name, "arrivals").exponential
-                if runtime.noise_sigma > 0:
-                    runtime.lognormal = fresh(*name, "noise").lognormal
-                runtime.ticker = runtime
-                runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
+        for runtime in mine:
+            runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
+            runtime.free_at = 0.0
+            runtime.gaps = runtime.noise = None
+            runtime.gaps_rng = runtime.noise_rng = None
         if self._ft:
             self._ft_init()
 
@@ -867,6 +911,13 @@ class StreamEngine:
             for gid in self.physical.op_subtasks[stall.op_id]:
                 if owned is None or gid in self._owned:
                     self._push(stall.at_time, _STALL, gid, stall.duration, 0)
+
+    def _end_run(self) -> None:
+        """Drop what only a live run needs, so a finished engine holds
+        no reference to itself and is freed by refcount."""
+        self._route_live = self._serve_next = None
+        for runtime in self._runtimes:
+            runtime.gaps = runtime.noise = None
 
     def _make_handlers(self) -> list:
         """The kernel's dispatch table, one entry per event kind."""
@@ -933,14 +984,55 @@ class StreamEngine:
 
     # -------------------------------------------------------------- events
 
-    def _push_own(
+    def _push(
         self, time: float, kind: int, gid: int, payload, port: int
     ) -> None:
-        """The shard universe's ``_push``: subtask ``gid`` schedules an
-        event for itself, numbered from its own counter."""
+        """Subtask ``gid`` schedules an event for itself, numbered from
+        its own counter."""
         runtime = self._runtimes[gid]
         runtime.seq += 1
         self._k.push_tb(time, runtime.seq, kind, gid, payload, port)
+
+    def _push_control(self, time: float, kind: int, payload) -> None:
+        """Schedule a control-plane event from the engine's own counter."""
+        self._control_seq += 1
+        self._k.push_tb(time, self._control_seq, kind, 0, payload, 0)
+
+    def _open_stream(self, runtime: _SubtaskRuntime, kind: str):
+        """The subtask's private ``arrivals`` or ``noise`` generator.
+
+        Streams derive purely from the factory seed and the subtask's
+        stable name — which carries the rescale generation and the
+        recovery incarnation, as the logic's stream does — so every
+        executor, transport and shard count builds identical ones.
+        """
+        name = ["engine", runtime.op_id, str(runtime.index)]
+        if runtime.epoch:
+            name.append(f"e{runtime.epoch}")
+        if runtime.ft_incarnation:
+            name.append(f"r{runtime.ft_incarnation}")
+        return self._rngs.fresh(*name, kind)
+
+    def _refill_gaps(self, runtime: _SubtaskRuntime) -> list:
+        """The next block of unit-mean arrival gaps, in pop order."""
+        rng = runtime.gaps_rng
+        size = _BLOCK
+        if rng is None:
+            rng = runtime.gaps_rng = self._open_stream(runtime, "arrivals")
+            size = _FIRST_BLOCK
+        runtime.gaps = rng.standard_exponential(size)[::-1].tolist()
+        return runtime.gaps
+
+    def _refill_noise(self, runtime: _SubtaskRuntime) -> list:
+        """The next block of service-noise factors, in pop order."""
+        rng = runtime.noise_rng
+        size = _BLOCK
+        if rng is None:
+            rng = runtime.noise_rng = self._open_stream(runtime, "noise")
+            size = _FIRST_BLOCK
+        block = rng.lognormal(runtime.noise_mu, runtime.noise_sigma, size)
+        runtime.noise = block[::-1].tolist()
+        return runtime.noise
 
     def _schedule_next_arrival(
         self, runtime: _SubtaskRuntime, now: float
@@ -948,30 +1040,16 @@ class StreamEngine:
         if runtime.emitted >= runtime.arrival_budget:
             return
         kind = runtime.arrival_kind
-        if kind == _ARR_POISSON:
-            gap = runtime.exponential(runtime.mean_gap)
-        elif kind == _ARR_CONSTANT:
+        if kind == _ARR_CONSTANT:
             gap = runtime.mean_gap
-        elif kind == _ARR_BURSTY:
-            # On/off: bursts at 4x rate for 50ms, then silence balancing it.
-            phase = (now * 10.0) % 1.0
-            gap = runtime.exponential(
-                runtime.burst_fast_gap
-                if phase < 0.25
-                else runtime.burst_slow_gap
-            )
         else:
-            # Non-stationary Poisson: the instantaneous rate comes from a
-            # time profile (e.g. a diurnal curve replaying a recorded
-            # trace's load pattern).
-            profile = runtime.rate_profile
-            if profile is None:
-                raise ConfigurationError(
-                    f"{runtime.op_id}: arrival 'profile' needs a "
-                    "'rate_profile' callable in the source metadata"
-                )
-            instant = max(float(profile(now)) / runtime.profile_divisor, 1e-9)
-            gap = runtime.exponential(1.0 / instant)
+            # ``mean * E`` with E a unit-mean draw is what
+            # ``Generator.exponential(mean)`` computes, bit for bit.
+            gaps = runtime.gaps or self._refill_gaps(runtime)
+            if kind == _ARR_POISSON:
+                gap = runtime.mean_gap * gaps.pop()
+            else:
+                gap = gaps.pop() * _paced_mean_gap(runtime, now)
         at = now + gap
         if at > self.config.max_sim_time:
             return
@@ -1030,34 +1108,39 @@ class StreamEngine:
         if not runtime.busy and runtime.queue_head == len(queue):
             # Idle server, empty queue: start service directly, skipping
             # the append/pop round-trip. Bookkeeping stays equivalent —
-            # the depth would be 1 (peak), the wait exactly 0.0, and an
-            # empty queue always clears this subtask's congestion flag.
+            # the depth would be 1 (peak), and an empty queue always
+            # clears this subtask's congestion flag. The wait is exactly
+            # 0.0 unless the server is still paying the last tuple's
+            # sender overhead: service then starts when that ends.
             if runtime.queue_peak < 1:
                 runtime.queue_peak = 1
             if self._bp_limit is not None:
                 if obs is not None and runtime.gid in self._congested:
                     obs.on_backpressure(runtime, now, False)
                 self._congested.discard(runtime.gid)
+            start = now
+            if runtime.free_at > now:
+                start = runtime.free_at
+                runtime.wait_time += start - now
             runtime.served += 1
             runtime.busy = True
             work = runtime.static_work
             if work is None:
                 work = runtime.logic.work_units(tup)
             service = runtime.base_service * work
-            sigma = runtime.noise_sigma
-            if sigma > 0:
-                service *= runtime.lognormal(runtime.noise_mu, sigma)
+            if runtime.noise_sigma > 0:
+                noise = runtime.noise or self._refill_noise(runtime)
+                service *= noise.pop()
             runtime.busy_time += service
             if obs is not None:
-                obs.on_serve(runtime, now, service, 0.0)
-            ticker = runtime.ticker
-            ticker.seq += 1
+                obs.on_serve(runtime, start, service, start - now)
+            runtime.seq += 1
             k.work += 1
             heappush(
                 k.heap,
                 (
-                    now + service,
-                    ticker.seq,
+                    start + service,
+                    runtime.seq,
                     _DONE,
                     runtime.gid,
                     tup,
@@ -1067,6 +1150,10 @@ class StreamEngine:
             return
         queue.append((tup, port, now))
         depth = len(queue) - runtime.queue_head
+        if now < runtime.free_at:
+            # The tuple whose service starts at free_at left the queue
+            # early; until then it still counts as waiting.
+            depth += 1
         if depth > runtime.queue_peak:
             runtime.queue_peak = depth
         limit = self._bp_limit
@@ -1075,7 +1162,7 @@ class StreamEngine:
                 obs.on_backpressure(runtime, now, True)
             self._congested.add(runtime.gid)
         if not runtime.busy:
-            self._serve_next(runtime)
+            self._serve_next(runtime, now)
 
     def _begin_service(self, gid: int) -> None:
         runtime = self._runtimes[gid]
@@ -1084,14 +1171,16 @@ class StreamEngine:
             return
         runtime.busy = False
         if len(runtime.queue) > runtime.queue_head:
-            self._serve_next(runtime)
+            self._serve_next(runtime, self._k.now)
 
-    def _begin_service_now(self, runtime: _SubtaskRuntime) -> None:
+    def _begin_service_now(
+        self, runtime: _SubtaskRuntime, now: float
+    ) -> None:
+        """Start serving the head of the queue at ``now`` — the clock,
+        or the end of the sender overhead a DONE just paid."""
         queue = runtime.queue
         head = runtime.queue_head
         tup, port, enqueued_at = queue[head]
-        k = self._k
-        now = k.now
         wait = now - enqueued_at
         runtime.wait_time += wait
         runtime.served += 1
@@ -1112,18 +1201,18 @@ class StreamEngine:
         if work is None:
             work = runtime.logic.work_units(tup)
         service = runtime.base_service * work
-        sigma = runtime.noise_sigma
-        if sigma > 0:
-            service *= runtime.lognormal(runtime.noise_mu, sigma)
+        if runtime.noise_sigma > 0:
+            noise = runtime.noise or self._refill_noise(runtime)
+            service *= noise.pop()
         runtime.busy_time += service
         if self._obs is not None:
             self._obs.on_serve(runtime, now, service, wait)
-        ticker = runtime.ticker
-        ticker.seq += 1
+        k = self._k
+        runtime.seq += 1
         k.work += 1
         heappush(
             k.heap,
-            (now + service, ticker.seq, _DONE, runtime.gid, tup, port),
+            (now + service, runtime.seq, _DONE, runtime.gid, tup, port),
         )
 
     def _handle_done(self, gid: int, tup: StreamTuple, port: int) -> None:
@@ -1147,11 +1236,17 @@ class StreamEngine:
                 self._drain_step(runtime)
             return
         if overhead > 0:
-            self._push(now + overhead, _BEGIN, gid, None, 0)
-        else:
-            runtime.busy = False
-            if len(runtime.queue) > runtime.queue_head:
-                self._serve_next(runtime)
+            if not self._fused:
+                self._push(now + overhead, _BEGIN, gid, None, 0)
+                return
+            # Nothing is decided when the overhead ends, so its end is
+            # not an event: the next service starts there directly —
+            # ``now`` below is the time a BEGIN would have popped at.
+            now += overhead
+            runtime.free_at = now
+        runtime.busy = False
+        if len(runtime.queue) > runtime.queue_head:
+            self._serve_next(runtime, now)
 
     def _handle_stall(self, gid: int, duration: float) -> None:
         runtime = self._runtimes[gid]
@@ -1162,8 +1257,9 @@ class StreamEngine:
             # (Retired runtimes are permanently busy — retrying would
             # spin forever.)
             return
-        if runtime.busy:
-            # Pause begins once the in-flight tuple completes.
+        if runtime.busy or now < runtime.free_at:
+            # Pause begins once the in-flight tuple completes and its
+            # sender overhead is paid.
             self._push(now + 1e-4, _STALL, gid, duration, 0)
             return
         runtime.busy = True
@@ -1215,12 +1311,8 @@ class StreamEngine:
                     f"cannot rescale {event.op_id!r}: {reason}"
                 )
             if event.at_time <= self.config.max_sim_time:
-                self._push(
-                    event.at_time,
-                    _RESCALE,
-                    0,
-                    (event.op_id, event.parallelism),
-                    0,
+                self._push_control(
+                    event.at_time, _RESCALE, (event.op_id, event.parallelism)
                 )
         if self.config.autoscale:
             self._policy = make_policy(self.config.autoscale)
@@ -1232,7 +1324,7 @@ class StreamEngine:
             self._control_prev: dict[str, tuple[float, int]] = {}
             interval = self.config.autoscale_interval
             if interval <= self.config.max_sim_time:
-                self._push(interval, _CONTROL, 0, None, 0)
+                self._push_control(interval, _CONTROL, None)
         if self._scenario is not None:
             self._schedule_scenario()
 
@@ -1263,20 +1355,14 @@ class StreamEngine:
                         f"node failure targets node {node}, "
                         "which hosts no subtasks"
                     )
-                self._push(
-                    injection.at,
-                    _SCENARIO,
-                    0,
-                    ("fail", node, injection.duration),
-                    0,
+                self._push_control(
+                    injection.at, _SCENARIO, ("fail", node, injection.duration)
                 )
             elif isinstance(injection, LoadSpike):
-                self._push(
+                self._push_control(
                     injection.at,
                     _SCENARIO,
-                    0,
                     ("spike", injection.factor, injection.duration),
-                    0,
                 )
             elif isinstance(injection, Straggler):
                 op_id = injection.op or self._default_straggler_op()
@@ -1284,10 +1370,9 @@ class StreamEngine:
                     raise SimulationError(
                         f"straggler targets unknown operator {op_id!r}"
                     )
-                self._push(
+                self._push_control(
                     injection.at,
                     _SCENARIO,
-                    0,
                     (
                         "straggle",
                         op_id,
@@ -1295,20 +1380,17 @@ class StreamEngine:
                         injection.factor,
                         injection.duration,
                     ),
-                    0,
                 )
             elif isinstance(injection, NetworkDegradation):
-                self._push(
+                self._push_control(
                     injection.at,
                     _SCENARIO,
-                    0,
                     (
                         "degrade",
                         injection.latency_factor,
                         injection.bandwidth_factor,
                         injection.duration,
                     ),
-                    0,
                 )
             else:
                 raise SimulationError(
@@ -1360,8 +1442,8 @@ class StreamEngine:
                     runtime.mean_gap /= factor
                     runtime.burst_fast_gap /= factor
                     runtime.burst_slow_gap /= factor
-            self._push(
-                self._k.now + duration, _SCENARIO, 0, ("spike_end", saved), 0
+            self._push_control(
+                self._k.now + duration, _SCENARIO, ("spike_end", saved)
             )
         elif kind == "spike_end":
             # Restore the exact pre-spike gaps (saved, not re-derived).
@@ -1376,12 +1458,10 @@ class StreamEngine:
             runtime = self._runtimes[gids[index % len(gids)]]
             original = runtime.base_service
             runtime.base_service = original * factor
-            self._push(
+            self._push_control(
                 self._k.now + duration,
                 _SCENARIO,
-                0,
                 ("unstraggle", runtime.gid, original),
-                0,
             )
         elif kind == "unstraggle":
             # Float-exact recovery: the saved value, not a division. A
@@ -1415,12 +1495,8 @@ class StreamEngine:
                             latencies[i] = latency * latency_factor
                     for i, bandwidth in enumerate(bandwidths):
                         bandwidths[i] = bandwidth * bandwidth_factor
-            self._push(
-                self._k.now + duration,
-                _SCENARIO,
-                0,
-                ("restore_net", saved),
-                0,
+            self._push_control(
+                self._k.now + duration, _SCENARIO, ("restore_net", saved)
             )
         elif kind == "restore_net":
             # Lists mutate in place, so tables recompiled by a rescale
@@ -1471,34 +1547,39 @@ class StreamEngine:
                 continue
             loss["lost_keys"] += runtime.logic.state_items()
             loss["lost_tuples"] += len(runtime.queue) - runtime.queue_head
-            runtime.ft_incarnation += 1
-            logic = self.physical.effective_factory(runtime.op_id)()
-            rng = self._rngs.fresh(
-                "engine",
-                runtime.op_id,
-                str(runtime.index),
-                f"r{runtime.ft_incarnation}",
-            )
-            logic.setup(
-                OperatorContext(
-                    op_id=runtime.op_id,
-                    subtask_index=runtime.index,
-                    parallelism=len(self._op_gids[runtime.op_id]),
-                    rng=rng,
-                )
-            )
-            runtime.logic = logic
-            runtime.static_work = (
-                logic.work_factor
-                if type(logic).work_units is OperatorLogic.work_units
-                else None
-            )
-            runtime.queue = []
-            runtime.queue_head = 0
+            self._restart(runtime)
             # Downtime enforcement reuses the stall machinery: it waits
             # for any in-flight tuple, fires on_stall, and wakes the
             # subtask with a BEGIN after the outage.
             self._handle_stall(runtime.gid, duration)
+
+    def _restart(self, runtime: _SubtaskRuntime) -> OperatorLogic:
+        """Replace a failed subtask's logic and queue with fresh ones.
+
+        The new incarnation draws from streams of its own: the logic's
+        is opened here, the service-noise one at its first refill."""
+        runtime.ft_incarnation += 1
+        runtime.noise = runtime.noise_rng = None
+        logic = self.physical.effective_factory(runtime.op_id)()
+        rng = self._rngs.fresh(
+            "engine",
+            runtime.op_id,
+            str(runtime.index),
+            f"r{runtime.ft_incarnation}",
+        )
+        logic.setup(
+            OperatorContext(
+                op_id=runtime.op_id,
+                subtask_index=runtime.index,
+                parallelism=len(self._op_gids[runtime.op_id]),
+                rng=rng,
+            )
+        )
+        runtime.logic = logic
+        runtime.static_work = _static_work(logic)
+        runtime.queue = []
+        runtime.queue_head = 0
+        return logic
 
     def _rescale_refusal(self, op_id: str) -> str | None:
         """Why ``op_id`` cannot rescale, or None when it can (cached —
@@ -1559,9 +1640,10 @@ class StreamEngine:
 
         Busy subtasks finish their in-flight tuple and are then locked;
         idle subtasks lock immediately (``busy = True`` keeps tuples
-        delivered before the swap queued behind the barrier). The swap
-        itself (:meth:`_perform_rescale`) runs when the last busy
-        subtask completes — synchronously here when all are idle.
+        delivered before the swap queued behind the barrier) — unless
+        still paying sender overhead, which they finish like a busy one.
+        The swap itself (:meth:`_perform_rescale`) runs when the last
+        busy subtask completes — synchronously here when all are idle.
         """
         op_id, new_parallelism = payload
         reason = self._rescale_refusal(op_id)
@@ -1580,6 +1662,9 @@ class StreamEngine:
                 pending += 1
             else:
                 runtime.busy = True
+                if self._k.now < runtime.free_at:
+                    pending += 1
+                    self._push(runtime.free_at, _BEGIN, gid, None, 0)
         if pending == 0:
             self._perform_rescale(op_id, new_parallelism)
         else:
@@ -1656,19 +1741,13 @@ class StreamEngine:
                     cost.base_cpu_s * coord * load / node.speed_factor
                 ),
                 noise_sigma=sigma,
-                shuffle_cost_per_output=0.0,
                 is_source=False,
                 is_sink=False,
-                static_work=(
-                    logic.work_factor
-                    if type(logic).work_units is OperatorLogic.work_units
-                    else None
-                ),
+                static_work=_static_work(logic),
                 noise_mu=-0.5 * sigma * sigma,
                 slot_load=load,
                 epoch=epoch,
-                lognormal=donor.lognormal,
-                ticker=donor.ticker,
+                seq=pack_tiebreak(gid, 0) - 1,
             )
             self._runtimes.append(runtime)
             new_runtimes.append(runtime)
@@ -1677,10 +1756,8 @@ class StreamEngine:
         # Outgoing channels: same logical edges, fresh partitioner
         # clones, consumers looked up from the current live sets.
         for runtime in new_runtimes:
-            groups = []
-            shuffle_cost = 0.0
-            for edge in self.logical.out_edges(op_id):
-                group = ChannelGroup(
+            self._out_channels[runtime.gid] = [
+                ChannelGroup(
                     edge=edge,
                     producer_gid=runtime.gid,
                     partitioner=edge.partitioner.clone(),
@@ -1688,12 +1765,8 @@ class StreamEngine:
                     port=edge.port,
                     is_shuffle=True,  # forward out-edges refuse rescale
                 )
-                groups.append(group)
-                shuffle_cost += SERDE_COST_S + COORD_LOG_COST_S * math.log2(
-                    max(group.num_channels, 2)
-                )
-            self._out_channels[runtime.gid] = groups
-            runtime.shuffle_cost_per_output = shuffle_cost
+                for edge in self.logical.out_edges(op_id)
+            ]
             self._compile_route_table(runtime)
 
         # In-flight forwarding state: one partitioner clone per input
@@ -1754,15 +1827,6 @@ class StreamEngine:
                     group.consumer_gids = list(new_gids)
                     changed = True
             if changed:
-                shuffle_cost = 0.0
-                for group in self._out_channels[producer.gid]:
-                    if group.is_shuffle:
-                        shuffle_cost += (
-                            SERDE_COST_S
-                            + COORD_LOG_COST_S
-                            * math.log2(max(group.num_channels, 2))
-                        )
-                producer.shuffle_cost_per_output = shuffle_cost
                 self._compile_route_table(producer)
 
         if self._bp_limit is not None:
@@ -1863,10 +1927,10 @@ class StreamEngine:
                 and target != len(self._op_gids[op_id])
                 and self._rescale_refusal(op_id) is None
             ):
-                self._push(now, _RESCALE, 0, (op_id, target), 0)
+                self._push_control(now, _RESCALE, (op_id, target))
         next_tick = now + interval
         if next_tick <= self.config.max_sim_time:
-            self._push(next_tick, _CONTROL, 0, None, 0)
+            self._push_control(next_tick, _CONTROL, None)
 
     def _resource_seconds(self, span: float) -> float:
         """∫ total subtask count dt — the resource-cost numerator."""
@@ -1933,13 +1997,13 @@ class StreamEngine:
         self._route_live = self._ft_route
         self._serve_next = self._ft_begin_service_now
         if self._ft_interval <= self.config.max_sim_time:
-            self._push(self._ft_interval, _FT, 0, ("trigger",), 0)
+            self._push_control(self._ft_interval, _FT, ("trigger",))
 
     def _handle_ft(self, action) -> None:
         if action[0] == "trigger":
             nxt = self._k.now + self._ft_interval
             if nxt <= self.config.max_sim_time:
-                self._push(nxt, _FT, 0, ("trigger",), 0)
+                self._push_control(nxt, _FT, ("trigger",))
             store = self._ft_store
             if self._ft_recovering or store.active is not None:
                 # The previous checkpoint is still aligning (or a
@@ -1963,7 +2027,9 @@ class StreamEngine:
         else:  # ("restored", token)
             self._ft_restored(action[1])
 
-    def _ft_enqueue(self, runtime: _SubtaskRuntime, payload, port: int) -> None:
+    def _ft_enqueue(
+        self, runtime: _SubtaskRuntime, payload, port: int
+    ) -> None:
         """FT delivery path: queue entries are (item, port, at, src).
 
         ``payload`` is ``(item, producer_gid)``; ``producer_gid`` is -1
@@ -1977,7 +2043,7 @@ class StreamEngine:
         if tup.__class__ is _Barrier:
             runtime.queue.append((tup, port, now, src))
             if not runtime.busy:
-                self._ft_begin_service_now(runtime)
+                self._ft_begin_service_now(runtime, now)
             return
         if runtime.is_sink:
             prov = tup.prov
@@ -2002,14 +2068,15 @@ class StreamEngine:
         if depth > runtime.queue_peak:
             runtime.queue_peak = depth
         if not runtime.busy:
-            self._ft_begin_service_now(runtime)
+            self._ft_begin_service_now(runtime, now)
 
-    def _ft_begin_service_now(self, runtime: _SubtaskRuntime) -> None:
+    def _ft_begin_service_now(
+        self, runtime: _SubtaskRuntime, now: float
+    ) -> None:
         """FT head-of-queue step: barriers and aligned-channel data are
         consumed at zero cost; the first servable tuple starts service
         exactly as ``_begin_service_now`` would."""
         queue = runtime.queue
-        now = self._k.now
         while True:
             head = runtime.queue_head
             if head >= len(queue):
@@ -2040,18 +2107,18 @@ class StreamEngine:
         if work is None:
             work = runtime.logic.work_units(tup)
         service = runtime.base_service * work
-        sigma = runtime.noise_sigma
-        if sigma > 0:
-            service *= runtime.lognormal(runtime.noise_mu, sigma)
+        if runtime.noise_sigma > 0:
+            noise = runtime.noise or self._refill_noise(runtime)
+            service *= noise.pop()
         runtime.busy_time += service
         if self._obs is not None:
             self._obs.on_serve(runtime, now, service, wait)
         k = self._k
-        k.seq += 1
+        runtime.seq += 1
         k.work += 1
         heappush(
             k.heap,
-            (now + service, k.seq, _DONE, runtime.gid, tup, port),
+            (now + service, runtime.seq, _DONE, runtime.gid, tup, port),
         )
 
     def _ft_barrier_dequeued(
@@ -2106,7 +2173,7 @@ class StreamEngine:
         k = self._k
         now = k.now
         heap = k.heap
-        seq = k.seq
+        seq = runtime.seq
         clock = self._ft_chan_clock
         runtimes = self._runtimes
         src_gid = runtime.gid
@@ -2134,11 +2201,9 @@ class StreamEngine:
                 clock[key] = at
                 seq += 1
                 pushed += 1
-                heappush(
-                    heap,
-                    (at, seq, _DELIVER, cgid, (_Barrier(ckpt_id), src_gid), port),
-                )
-        k.seq = seq
+                payload = (_Barrier(ckpt_id), src_gid)
+                heappush(heap, (at, seq, _DELIVER, cgid, payload, port))
+        runtime.seq = seq
         k.work += pushed
 
     def _handle_replay(self, gid: int) -> None:
@@ -2231,7 +2296,7 @@ class StreamEngine:
                 runtime.ft_aligned = None
                 runtime.ft_buffer = None
                 if not runtime.busy and len(queue) > runtime.queue_head:
-                    self._ft_begin_service_now(runtime)
+                    self._ft_begin_service_now(runtime, now)
                 continue
             runtime.busy = True  # paused until the recovery completes
             runtime.ft_ckpt = None
@@ -2249,34 +2314,10 @@ class StreamEngine:
                 runtime.queue = []
                 runtime.queue_head = 0
                 continue
-            runtime.ft_incarnation += 1
             snapshot = None
             if record is not None:
                 snapshot = record.snapshots.get(runtime.gid)
-            logic = self.physical.effective_factory(runtime.op_id)()
-            rng = self._rngs.fresh(
-                "engine",
-                runtime.op_id,
-                str(runtime.index),
-                f"r{runtime.ft_incarnation}",
-            )
-            logic.setup(
-                OperatorContext(
-                    op_id=runtime.op_id,
-                    subtask_index=runtime.index,
-                    parallelism=len(self._op_gids[runtime.op_id]),
-                    rng=rng,
-                )
-            )
-            logic.restore_state(snapshot)
-            runtime.logic = logic
-            runtime.static_work = (
-                logic.work_factor
-                if type(logic).work_units is OperatorLogic.work_units
-                else None
-            )
-            runtime.queue = []
-            runtime.queue_head = 0
+            self._restart(runtime).restore_state(snapshot)
             runtime.ft_emit_seq = (
                 record.emit_seqs.get(runtime.gid, 0)
                 if record is not None
@@ -2294,8 +2335,8 @@ class StreamEngine:
         self._ft_replayed += replayed
         self._ft_restore_token += 1
         self._ft_recovering = True
-        self._push(
-            now + pause, _FT, 0, ("restored", self._ft_restore_token), 0
+        self._push_control(
+            now + pause, _FT, ("restored", self._ft_restore_token)
         )
         if self._obs is not None:
             self._obs.on_recovery(
@@ -2320,7 +2361,7 @@ class StreamEngine:
                 if log and runtime.ft_head < len(log):
                     self._push(self._k.now, _REPLAY, runtime.gid, None, 0)
             elif len(runtime.queue) > runtime.queue_head:
-                self._ft_begin_service_now(runtime)
+                self._ft_begin_service_now(runtime, self._k.now)
         if self._k.work == 0:
             # The purge may have consumed the last work event without
             # the main loop seeing work hit zero; run the end-of-stream
@@ -2353,7 +2394,7 @@ class StreamEngine:
         k = self._k
         now = k.now
         heap = k.heap
-        seq = k.seq
+        seq = runtime.seq
         obs = self._obs
         clock = self._ft_chan_clock
         runtimes = self._runtimes
@@ -2374,10 +2415,15 @@ class StreamEngine:
             routed = []
             group_overhead = 0.0
             for tup in outputs:
-                out = tup.with_key(rekey(tup)) if rekey is not None else tup
-                indices = (
-                    fixed if fixed is not None else select(out, num_channels)
-                )
+                if rekey is not None:
+                    out, indices = rekey(tup, num_channels)
+                else:
+                    out = tup
+                    indices = (
+                        fixed
+                        if fixed is not None
+                        else select(out, num_channels)
+                    )
                 if shuffle_cost:
                     group_overhead += shuffle_cost * len(indices)
                 routed.append((out, indices))
@@ -2416,7 +2462,7 @@ class StreamEngine:
                         heap,
                         (at, seq, _DELIVER, cgid, (out_d, src_gid), port),
                     )
-        k.seq = seq
+        runtime.seq = seq
         k.work += pushed
         return offset
 
@@ -2454,8 +2500,7 @@ class StreamEngine:
         k = self._k
         now = k.now
         heap = k.heap
-        ticker = runtime.ticker
-        seq = ticker.seq
+        seq = runtime.seq
         obs = self._obs
         owned = self._owned
         if owned is not None:
@@ -2501,10 +2546,11 @@ class StreamEngine:
                 routed = []
                 group_overhead = 0.0
                 for tup in outputs:
-                    out = (
-                        tup.with_key(rekey(tup)) if rekey is not None else tup
-                    )
-                    indices = select(out, num_channels)
+                    if rekey is not None:
+                        out, indices = rekey(tup, num_channels)
+                    else:
+                        out = tup
+                        indices = select(out, num_channels)
                     group_overhead += shuffle_cost * len(indices)
                     routed.append((out, indices))
                 offset += group_overhead
@@ -2603,7 +2649,7 @@ class StreamEngine:
                                 port,
                             ),
                         )
-        ticker.seq = seq
+        runtime.seq = seq
         k.work += pushed
         return offset
 

@@ -172,6 +172,26 @@ class HashPartitioner(Partitioner):
             value = _stable_hash(key)
         return [value % num_consumers]
 
+    def rekey_select(
+        self, tup: StreamTuple, num_consumers: int
+    ) -> tuple[StreamTuple, list[int]]:
+        """The keyBy step and :meth:`select` of a ``key_field`` exchange
+        in one: the tuple keyed by that field, and its channel.
+
+        The engine's per-tuple route step; it reads the key once and
+        repeats :meth:`select`'s lookup rather than calling it.
+        """
+        if num_consumers <= 0:
+            raise PlanError("hash partitioning needs at least one consumer")
+        key = tup.values[self.key_field]
+        try:
+            value = self._hash_cache[key]
+        except KeyError:
+            value = self._hash_cache[key] = _stable_hash(key)
+        except TypeError:  # unhashable key: compute without caching
+            value = _stable_hash(key)
+        return tup.with_key(key), [value % num_consumers]
+
     def clone(self) -> "HashPartitioner":
         return HashPartitioner(self.key_field)
 

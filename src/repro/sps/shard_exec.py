@@ -16,21 +16,18 @@ controller and produce bit-identical results:
   controller. This is the no-fork fallback and the serial reference the
   runner's DET609 cross-check compares a forked run against.
 
-**One step, two universes.** A shard runs the stream engine's own
+**One step, one universe.** A shard runs the stream engine's own
 arrival → enqueue → serve → route step (:mod:`repro.sps.engine`), not a
-copy of it. ``shards=K`` is nevertheless a *separate deterministic
-universe* from ``shards=None``, and the whole difference is data that
-``StreamEngine._begin_run`` binds at run start: every subtask draws
+copy of it, and sees the bits ``shards=None`` sees: every subtask draws
 arrival gaps and service noise from its own named streams
-(``engine/<op>/<i>/arrivals|noise``) instead of the one shared arrival
-stream, numbers the events it schedules itself — tie-break
-``pack_tiebreak(origin gid, origin seq)`` instead of global push order —
-and routes to an outbox what its shard does not own; end-of-stream
-flushes happen at epoch boundaries. Within the universe results are
-invariant in K — the property suite pins ``shards∈{1,2,4}`` plus both
-transports identical, and ``tests/test_golden_determinism.py`` pins the
-universe itself — but they intentionally differ from the ``shards=None``
-event loop, which stays byte-identical to all committed goldens.
+(``engine/<op>/<i>/arrivals|noise``) and numbers the events it schedules
+itself — tie-break ``pack_tiebreak(origin gid, origin seq)`` — on
+whichever kernel hosts it. What a shard adds is the outbox for what it
+does not own, and end-of-stream flushes at epoch boundaries instead of
+at the last event (the one way results can differ from ``shards=None``).
+Results are invariant in K — the property suite pins ``shards∈{1,2,4}``
+plus both transports identical, and ``tests/test_golden_determinism.py``
+pins the values themselves.
 """
 
 from __future__ import annotations
@@ -42,14 +39,9 @@ import pickle
 import struct
 import traceback
 
+from repro.analysis.racecheck import stream_ledger
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.common.rng import state_fingerprint
-from repro.kernel.core import (
-    TB_SEQ_BITS,
-    BudgetExceededError,
-    Kernel,
-    pack_tiebreak,
-)
+from repro.kernel.core import BudgetExceededError, Kernel, pack_tiebreak
 from repro.kernel.partition import partition_nodes, shard_of_gids
 from repro.kernel.sharded import ShardController
 from repro.kernel.wire import decode_batch, encode_batch
@@ -162,7 +154,6 @@ class ShardExecutor:
         engine = self.engine
         runtimes: dict = {}
         sinks: dict = {}
-        ledger: dict = {}
         for gid in self.owned:
             runtime = engine._runtimes[gid]
             runtimes[gid] = (
@@ -180,23 +171,12 @@ class ShardExecutor:
                     logic.arrival_times,
                     logic.results,
                 )
-            label = f"{runtime.op_id}[{runtime.index}]"
-            rng = getattr(getattr(logic, "ctx", None), "rng", None)
-            if rng is not None:
-                ledger[label] = state_fingerprint(rng)
-            # The universe's streams, reached through the bound draws.
-            if runtime.is_source:
-                ledger[label + "/arrivals"] = state_fingerprint(
-                    runtime.exponential.__self__
-                )
-            if runtime.noise_sigma > 0:
-                ledger[label + "/noise"] = state_fingerprint(
-                    runtime.lognormal.__self__
-                )
         return {
             "runtimes": runtimes,
             "sinks": sinks,
-            "ledger": ledger,
+            "ledger": stream_ledger(
+                engine._runtimes[gid] for gid in self.owned
+            ),
             "last_source_time": engine._last_source_time,
             "flush_time": engine._flush_time,
         }
@@ -231,7 +211,7 @@ class _InlineHandle:
         return self.executor.stats()
 
     def close(self) -> None:
-        pass
+        self.executor.engine._end_run()
 
 
 # Control frames are struct-packed, tuple batches ride as wire columns;
@@ -472,11 +452,6 @@ def run_sharded(engine):
         raise ConfigurationError(
             "sharded execution requires network base latency > 0; zero "
             "inter-node delay leaves no conservative time window"
-        )
-    if config.max_events >= 1 << TB_SEQ_BITS:
-        raise ConfigurationError(
-            f"sharded execution needs max_events < 2**{TB_SEQ_BITS}: a "
-            "subtask's event counter shares its tie-break int with the gid"
         )
     node_of_gid = [runtime.node_id for runtime in engine._runtimes]
     shard_of_node = partition_nodes(node_of_gid, shards)

@@ -105,8 +105,10 @@ class TestCleanRuns:
     def test_ledger_covers_every_subtask_and_arrivals(self):
         engine, _ = run_engine(simple_plan(CleanLogic))
         ledger = engine.race_detector.rng_ledger
-        assert "engine/arrivals" in ledger
-        assert "udo[0]" in ledger and "udo[1]" in ledger
+        assert "engine/arrivals" not in ledger  # no shared stream
+        assert "src[0]/arrivals" in ledger
+        for label in ("src[0]", "udo[0]", "udo[1]", "sink[0]"):
+            assert label in ledger and label + "/noise" in ledger
 
     def test_sanitize_off_is_bit_identical(self):
         _, with_san = run_engine(simple_plan(CleanLogic), sanitize=True)
@@ -205,7 +207,7 @@ class TestKeyAliasing:
 
 class TestCompareLedgers:
     def test_equal_ledgers_no_findings(self):
-        ledger = {"udo[0]": "aa", "engine/arrivals": "bb"}
+        ledger = {"udo[0]": "aa", "src[0]/arrivals": "bb"}
         assert compare_ledgers(ledger, dict(ledger)) == []
 
     def test_diverged_stream_flagged(self):

@@ -209,27 +209,30 @@ class TestKernelExtractionPins:
         assert metrics.extras["events_processed"] == engine._k.events_processed
 
 
-#: ``extras["race"]["rng_ledger"]`` of the sanitized run below, recorded
-#: while ``ShardExecutor`` still had an event loop of its own with no
-#: observer hooks in it: the shared step must not start calling the
-#: ``RaceDetector`` a ``sanitize=True`` engine carries.
+#: ``extras["race"]["rng_ledger"]`` of the sanitized run below. The
+#: logic streams (``op[i]``) were recorded while ``ShardExecutor`` still
+#: had an event loop of its own with no observer hooks in it: the shared
+#: step must not start calling the ``RaceDetector`` a ``sanitize=True``
+#: engine carries. The ``/arrivals`` and ``/noise`` entries were
+#: re-captured when those streams began to be drawn in blocks — a
+#: stream now rests at a block boundary past its last used draw.
 SANITIZED_LEDGER = {
     "agg[0]": "088f1245b8dafc5e",
-    "agg[0]/noise": "a19b1e086aca9613",
+    "agg[0]/noise": "701c1c27b43a0636",
     "agg[1]": "03ad2cf1c569fdff",
-    "agg[1]/noise": "5bed927beb3ab50d",
+    "agg[1]/noise": "ac616bbe4d17c772",
     "sink[0]": "ecb66ea1a2563f2e",
-    "sink[0]/noise": "62076a762ced8f3e",
+    "sink[0]/noise": "7a8eb76bc7869eb5",
     "src[0]": "37970241c54b6152",
-    "src[0]/arrivals": "9cfde2a2ec546922",
-    "src[0]/noise": "24b9d987f7d8de32",
+    "src[0]/arrivals": "3803d6f967dc5408",
+    "src[0]/noise": "1a50993622e31ffd",
     "src[1]": "88e810849646ab31",
-    "src[1]/arrivals": "332218e8920a6152",
-    "src[1]/noise": "c133ef2bf8286e4a",
+    "src[1]/arrivals": "b8b7b46b62888c0c",
+    "src[1]/noise": "92d3e9d4cb4d1d37",
     "udo[0]": "98a9aa88d90b16cb",
-    "udo[0]/noise": "62833e924f080286",
+    "udo[0]/noise": "c65ec62e4e917267",
     "udo[1]": "c2bc9e7b37fc7501",
-    "udo[1]/noise": "55cee59b51f0a32b",
+    "udo[1]/noise": "76c4fafb8af8eef9",
 }
 
 

@@ -1,0 +1,510 @@
+"""One universe, drawn in blocks (DESIGN.md §14).
+
+Every execution mode reads the same per-subtask ``…/arrivals`` and
+``…/noise`` streams, in blocks, and the plain step starts a service
+straight from the ``DONE`` that paid sender overhead instead of through
+a ``BEGIN`` event. Pinned here:
+
+- block ≡ call: whatever the block lengths, a subtask sees the gaps and
+  noise factors per-call ``exponential(mean)`` / ``lognormal(mu, σ)``
+  would have drawn from its stream;
+- ``shards=None`` ≡ ``shards=1`` ≡ forked ``shards=2``;
+- scalar and batch mode see the same arrival times;
+- a timing oracle written by hand — the Lindley recursion ``start_i =
+  max(arrive_i, done_{i-1} + o)`` — for the ``BEGIN``-free step, and a
+  stall and a rescale drain landing inside a ``free_at`` window;
+- rescale generations and recovery incarnations get streams of their
+  own.
+"""
+
+from __future__ import annotations
+
+import gc
+import math
+import weakref
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.sps.engine as engine_module
+from repro.analysis.racecheck import stream_ledger
+from repro.cluster import NetworkSpec, homogeneous_cluster
+from repro.common.rng import RngFactory, state_fingerprint
+from repro.core.experiments.exp5 import ft_workload_plan
+from repro.core.runner import BenchmarkRunner, RunnerConfig
+from repro.obs import EngineObserver
+from repro.sps import builders
+from repro.sps.costs import OperatorCost
+from repro.sps.engine import (
+    RescaleEvent,
+    SimulationConfig,
+    StallInjection,
+    StreamEngine,
+)
+from repro.sps.logical import LogicalPlan
+from repro.sps.operators.base import OperatorLogic
+from repro.sps.operators.sink import SinkLogic
+from repro.sps.partitioning import HashPartitioner
+from repro.sps.tuples import StreamTuple
+from repro.sps.types import DataType, Field, Schema
+from tests.conftest import kv_generator
+from tests.test_golden_determinism import (
+    GOLDEN_APPS,
+    GOLDEN_CONFIG,
+    GOLDEN_PARALLELISM,
+)
+from tests.test_window_kernel import per_call_arrivals
+
+SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
+
+ARRIVALS = ("poisson", "constant", "bursty", "profile")
+
+
+# ----------------------------------------------------------- block ≡ call
+
+
+def arrivals_engine(parallelism, seed=23, max_sim_time=60.0, **config):
+    """One source per arrival kind, unequal rates, a noisy map, a sink."""
+    plan = LogicalPlan("universe")
+    plan.add_operator(builders.map_op("map", lambda t: t, parallelism=2))
+    plan.add_operator(builders.sink("sink"))
+    plan.connect("map", "sink")
+    rates = (900.0, 400.0, 1500.0, 700.0)
+    for arrival, rate in zip(ARRIVALS, rates):
+        op = builders.source(
+            arrival,
+            kv_generator(),
+            SCHEMA,
+            event_rate=rate,
+            parallelism=parallelism,
+            arrival=arrival,
+        )
+        if arrival == "profile":
+            op.metadata["rate_profile"] = lambda t: 700.0 + 600.0 * math.sin(
+                9.0 * t
+            )
+        plan.add_operator(op)
+        plan.connect(arrival, "map")
+    return StreamEngine(
+        plan,
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(
+            max_tuples_per_source=240, max_sim_time=max_sim_time, **config
+        ),
+        rng_factory=RngFactory(seed),
+    )
+
+
+def record_arrivals(engine):
+    """Per-source lists of the times ``generate`` is called with."""
+    log = {}
+    for rt in engine._runtimes:
+        if rt.is_source:
+            times = log[rt.gid] = []
+
+            def generate(now, inner=rt.logic.generate, times=times):
+                times.append(now)
+                return inner(now)
+
+            rt.logic.generate = generate
+    return log
+
+
+class ServeLog(EngineObserver):
+    """Records ``(start, service, wait)`` per subtask, stalls by time."""
+
+    def __init__(self):
+        super().__init__(sample_interval=1e9, serve_spans=False)
+        self.serves = {}
+        self.stalls = []
+
+    def on_serve(self, runtime, now, service, wait):
+        self.serves.setdefault(runtime.gid, []).append((now, service, wait))
+
+    def on_stall(self, runtime, now, duration):
+        self.stalls.append(now)
+
+
+@given(
+    first=st.integers(1, 9),
+    later=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_blocks_pop_the_per_call_draws(first, later, seed):
+    """Any refill schedule: gaps are per-call ``exponential(mean)`` for
+    all four arrival kinds, noise per-call ``lognormal(mu, sigma)``."""
+    with (
+        mock.patch.object(engine_module, "_FIRST_BLOCK", first),
+        mock.patch.object(engine_module, "_BLOCK", later),
+    ):
+        engine = arrivals_engine(2, seed=seed)
+        observer = engine.observer = engine._obs = ServeLog()
+        arrivals = record_arrivals(engine)
+        engine.run()
+    assert arrivals == per_call_arrivals(engine)
+    assert sum(map(len, arrivals.values())) == 4 * 240
+    noisy = 0
+    for rt in engine._runtimes:
+        assert rt.noise_sigma > 0
+        rng = engine._rngs.fresh("engine", rt.op_id, str(rt.index), "noise")
+        base = rt.base_service * rt.static_work
+        want = [
+            base * rng.lognormal(rt.noise_mu, rt.noise_sigma)
+            for _ in range(rt.served)
+        ]
+        assert [s for _, s, _ in observer.serves[rt.gid]] == want
+        noisy += rt.served
+    assert noisy == 3 * 4 * 240
+
+
+def test_idle_subtasks_open_no_stream():
+    engine = arrivals_engine(1)
+    engine._begin_run(engine._k)
+    assert all(rt.noise_rng is None for rt in engine._runtimes)
+    drawn = {rt.op_id for rt in engine._runtimes if rt.gaps_rng is not None}
+    assert drawn == {"poisson", "bursty", "profile"}  # constant never draws
+
+
+# ----------------------------------------------- scalar ≡ batch arrivals
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("max_sim_time", [60.0, 0.2])
+def test_scalar_and_batch_see_the_same_arrival_times(
+    parallelism, max_sim_time
+):
+    """Fails before the merge: the scalar loop interleaved noise draws
+    on the one arrival generator, the batch replay did not."""
+    runs = {}
+    for batch_size in (None, 64, 256):
+        engine = arrivals_engine(
+            parallelism, max_sim_time=max_sim_time, batch_size=batch_size
+        )
+        runs[batch_size] = record_arrivals(engine)
+        engine.run()
+        assert engine._last_source_time == max(
+            times[-1] for times in runs[batch_size].values()
+        )
+    assert runs[None] == runs[64] == runs[256]
+    assert len(runs[None]) == 4 * parallelism
+    cut = any(len(t) < 240 // parallelism for t in runs[None].values())
+    assert cut == (max_sim_time < 1.0)
+
+
+# ---------------------------------------------------------- one universe
+
+
+def golden_runs(shards):
+    cluster = homogeneous_cluster(
+        "m510", 4, network_spec=NetworkSpec(base_latency_s=2e-3)
+    )
+    runner = BenchmarkRunner(
+        cluster, RunnerConfig(**GOLDEN_CONFIG, shards=shards)
+    )
+    out = {}
+    for abbrev in GOLDEN_APPS:
+        plan = runner.prepare_app(abbrev, GOLDEN_PARALLELISM).plan
+        out[abbrev] = [
+            (
+                run.extras["events_processed"],
+                run.results,
+                run.latency.to_dict(),
+            )
+            for run in runner.run_plan(plan)
+        ]
+    return out
+
+
+def test_unsharded_single_shard_and_forked_shards_agree():
+    """On ``SHARD_GOLDEN``'s 2 ms cluster. The one residual difference:
+    a sharded run flushes end-of-stream windows at the epoch boundary,
+    not at the last event, which only WC's latencies can see."""
+    plain, one, two = golden_runs(None), golden_runs(1), golden_runs(2)
+    assert one == two
+    for abbrev in ("SG", "AD"):
+        assert plain[abbrev] == one[abbrev]
+    for a, b in zip(plain["WC"], one["WC"]):
+        assert a[:2] == b[:2]
+        assert a[2]["count"] == b[2]["count"]
+        assert abs(a[2]["mean"] - b[2]["mean"]) <= 2e-3
+
+
+# --------------------------------------------------------- timing oracle
+
+WORKS = (0.3, 1.7, 0.6, 2.9, 0.2, 0.2, 1.1)
+GAP = 5e-6  # 200k tuples/s, the scale of the serde overhead
+TUPLES = 60
+
+
+class PacedLogic(OperatorLogic):
+    """Pass-through whose work cycles through ``WORKS`` by tuple index."""
+
+    rescale_supported = True
+
+    def work_units(self, tup):
+        return WORKS[tup.values[0] % len(WORKS)]
+
+    def process(self, tup, now, port=0):
+        return [tup]
+
+
+def counting_generator():
+    count = 0
+
+    def generate(rng, now):
+        nonlocal count
+        count += 1
+        return StreamTuple(
+            values=(count - 1, 0.5), event_time=now, size_bytes=24.0
+        )
+
+    return generate
+
+
+def tandem_engine(stages, observer=None, **config):
+    """const source → hash → ``stages`` paced servers → hash → sink,
+    one subtask each on one node, no service noise anywhere."""
+    plan = LogicalPlan("oracle")
+    plan.add_operator(
+        builders.source(
+            "src", counting_generator(), SCHEMA, 1.0 / GAP, arrival="constant"
+        )
+    )
+    plan.operator("src").cost = OperatorCost(1e-6, cost_noise=0.0)
+    chain = ["src"]
+    for i in range(stages):
+        chain.append(f"stage{i}")
+        plan.add_operator(
+            builders.udo(
+                chain[-1],
+                PacedLogic,
+                cost=OperatorCost((4e-6, 3e-6)[i], cost_noise=0.0),
+                output_schema=SCHEMA,
+            )
+        )
+    chain.append("sink")
+    plan.add_operator(builders.sink("sink"))
+    plan.operator("sink").cost = OperatorCost(1e-6, cost_noise=0.0)
+    for src, dst in zip(chain, chain[1:]):
+        plan.connect(src, dst, HashPartitioner(key_field=0))
+    return StreamEngine(
+        plan,
+        homogeneous_cluster(num_nodes=1),
+        config=SimulationConfig(
+            max_tuples_per_source=TUPLES, warmup_fraction=0.0, **config
+        ),
+        observer=observer,
+    )
+
+
+def lindley(arrive, services, overhead):
+    """One FIFO server by hand: ``start_i = max(arrive_i, done_{i-1} +
+    o)``. Returns per-tuple starts and dones and the server's counters."""
+    free = wait = busy = 0.0
+    starts, dones = [], []
+    for a, s in zip(arrive, services):
+        start = max(a, free)
+        wait += start - a
+        busy += s
+        done = start + s
+        busy += overhead
+        free = done + overhead
+        starts.append(start)
+        dones.append(done)
+    peak = max(
+        1 + sum(1 for s in starts[:i] if s > a) for i, a in enumerate(arrive)
+    )
+    return starts, dones, (wait, busy, len(arrive), peak)
+
+
+def oracle(engine):
+    """The whole tandem by hand; per-op counters and sink latencies."""
+    births = []
+    t = 0.0
+    for _ in range(TUPLES):
+        t += GAP
+        births.append(t)
+    arrive = births
+    counters = {}
+    dones_by_op = {}
+    for rt in engine._runtimes:
+        if rt.op_id.startswith("stage"):
+            services = [
+                rt.base_service * WORKS[i % len(WORKS)] for i in range(TUPLES)
+            ]
+        else:
+            services = [rt.base_service * 1.0] * TUPLES
+        overhead = rt.shuffle_cost_per_output
+        assert (overhead > 0) == (not rt.is_sink)
+        _, dones, counters[rt.op_id] = lindley(arrive, services, overhead)
+        dones_by_op[rt.op_id] = dones
+        # Same node: latency 0.0, infinite bandwidth.
+        arrive = [done + (0.0 + 24.0 / math.inf) + overhead for done in dones]
+    latencies = [done - born for done, born in zip(dones, births)]
+    return counters, latencies, dones_by_op
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+def test_begin_free_step_is_the_lindley_recursion(stages):
+    engine = tandem_engine(stages)
+    metrics = engine.run()
+    counters, latencies, _ = oracle(engine)
+    (sink,) = [
+        rt.logic for rt in engine._runtimes if isinstance(rt.logic, SinkLogic)
+    ]
+    assert sink.latencies == latencies
+    for rt in engine._runtimes:
+        got = (rt.wait_time, rt.busy_time, rt.served, rt.queue_peak)
+        assert got == counters[rt.op_id], rt.op_id
+    # A queue built up and drained, or the recursion was not exercised.
+    assert counters["stage0"][3] > 2 and counters["stage0"][0] > 0
+    # Arrival and DONE at the source, DELIVER and DONE per hop: no BEGIN,
+    # though every hop but the last pays sender overhead.
+    hops = stages + 1
+    assert metrics.extras["events_processed"] == TUPLES * (2 + 2 * hops)
+
+
+def last_window(engine):
+    """``(done, free_at)`` of stage0's last tuple: the server is idle
+    from ``done`` on, and paying sender overhead until ``free_at``."""
+    _, _, dones = oracle(engine)
+    rt = engine._runtimes[1]
+    assert rt.op_id == "stage0"
+    done = dones["stage0"][-1]
+    return done, done + rt.shuffle_cost_per_output
+
+
+def test_stall_inside_a_free_at_window_waits_like_a_busy_server():
+    done, free_at = last_window(tandem_engine(1))
+    inside = done + (free_at - done) / 2
+    for at_time, starts_at in (
+        (inside, inside + 1e-4),  # overhead still being paid: one retry
+        (free_at, free_at),  # window closed: the server is free
+    ):
+        observer = ServeLog()
+        tandem_engine(
+            1,
+            observer=observer,
+            stalls=(StallInjection(at_time, "stage0", 2e-5),),
+        ).run()
+        assert observer.stalls == [starts_at]
+
+
+def test_drain_inside_a_free_at_window_waits_like_a_busy_server():
+    done, free_at = last_window(tandem_engine(1))
+    inside = done + (free_at - done) / 2
+    for at_time, swaps_at in ((inside, free_at), (free_at, free_at)):
+        engine = tandem_engine(
+            1, rescales=(RescaleEvent(at_time, "stage0", 2),)
+        )
+        metrics = engine.run()
+        (swap,) = metrics.extras["elastic"]["log"]
+        assert swap["t"] == swaps_at
+        assert metrics.results == TUPLES
+
+
+def test_serve_spans_of_a_subtask_never_overlap():
+    observer = ServeLog()
+    tandem_engine(2, observer=observer).run()
+    for serves in observer.serves.values():
+        assert len(serves) == TUPLES
+        for (start, service, _), (nxt, _, _) in zip(serves, serves[1:]):
+            assert start + service <= nxt
+
+
+# ------------------------------------------- generations and incarnations
+
+
+def test_rescale_generations_draw_from_their_own_streams():
+    plan = LogicalPlan("gen")
+    plan.add_operator(
+        builders.source("src", kv_generator(), SCHEMA, event_rate=2000.0)
+    )
+    plan.add_operator(builders.map_op("map", lambda t: t, parallelism=2))
+    plan.add_operator(builders.sink("sink"))
+    plan.connect("src", "map", HashPartitioner(key_field=0))
+    plan.connect("map", "sink", HashPartitioner(key_field=0))
+    engine = StreamEngine(
+        plan,
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(
+            max_tuples_per_source=400,
+            rescales=(RescaleEvent(0.05, "map", 3),),
+        ),
+        sanitize=True,
+    )
+    engine.run()
+    ledger = engine.race_detector.rng_ledger
+    born = [rt for rt in engine._runtimes if rt.epoch == 1]
+    assert [rt.index for rt in born] == [0, 1, 2]
+    seen = set()
+    for rt in engine._runtimes:
+        if rt.op_id == "map":
+            assert rt.served > 0
+            suffix = "@e1" if rt.epoch else ""
+            assert f"map[{rt.index}]{suffix}/noise" in ledger
+            seen.add(state_fingerprint(engine._open_stream(rt, "noise")))
+            # its events are numbered from its own counter
+            assert rt.seq >> engine_module.TB_SEQ_BITS == rt.gid
+    assert len(seen) == 5
+
+
+def test_recovery_incarnations_draw_from_their_own_streams():
+    engine = StreamEngine(
+        ft_workload_plan(),
+        homogeneous_cluster(num_nodes=4),
+        config=SimulationConfig(
+            max_tuples_per_source=300,
+            max_sim_time=3.0,
+            scenario="failure:at=0.3,duration=0.1",
+            checkpoint_interval=0.05,
+        ),
+        rng_factory=RngFactory(7),
+    )
+    engine.run()
+    restarted = [rt for rt in engine._runtimes if rt.ft_incarnation]
+    assert restarted
+    ledger = stream_ledger(restarted)
+    for rt in restarted:
+        assert rt.ft_incarnation == 1 and not rt.is_source
+        label = f"{rt.op_id}[{rt.index}]@r1"
+        assert label in ledger
+        if rt.noise_rng is not None:
+            assert label + "/noise" in ledger
+        first = engine._rngs.fresh(
+            "engine", rt.op_id, str(rt.index), "noise"
+        )
+        assert state_fingerprint(first) != state_fingerprint(
+            engine._open_stream(rt, "noise")
+        )
+    assert any(rt.noise_rng is not None for rt in restarted)
+
+
+# ------------------------------------------------------- engine lifetime
+
+
+@pytest.mark.parametrize(
+    "config", [{}, {"batch_size": 64}, {"shards": 1}], ids=str
+)
+def test_a_finished_engine_is_freed_by_refcount(config):
+    """No cycle through the engine once ``run`` returns — including the
+    per-shard copy an in-process sharded run makes, which shares the
+    engine's physical plan."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        engine = arrivals_engine(1, **config)
+        engine.run()
+        refs = [weakref.ref(engine), weakref.ref(engine.physical)]
+        del engine
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    again = arrivals_engine(1, **config)
+    again.run()
+    again.run()  # the next run rebinds what the last one dropped

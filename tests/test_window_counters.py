@@ -18,6 +18,10 @@ chained ``.logics`` members).
 Note: the SA pin reflects the deterministic word-table fix in
 :mod:`repro.apps.sentiment` (sorted sentiment vocabularies); before it,
 SA's tweet stream varied with ``PYTHONHASHSEED``.
+
+Recaptured once for the universe merge (DESIGN.md §14): arrival times
+now come from per-subtask streams, so which tuples share a window moved
+for some apps, and event counts fell everywhere (no BEGIN events).
 """
 
 from __future__ import annotations
@@ -30,20 +34,20 @@ from repro.sps.engine import SimulationConfig, StreamEngine
 
 #: abbrev -> (events_processed, results, windows_fired, matches_emitted)
 PINNED = {
-    "AD": (13164, 31, 31, 403),
-    "BI": (18598, 848, 341, 1454),
-    "CA": (10018, 204, 204, 0),
-    "FD": (7667, 53, 0, 0),
-    "LP": (10095, 6, 6, 0),
-    "LR": (6901, 45, 383, 0),
-    "MO": (8409, 3, 0, 0),
-    "SA": (10426, 406, 406, 0),
-    "SD": (6069, 23, 0, 0),
-    "SG": (8100, 290, 0, 0),
-    "TM": (12001, 66, 1288, 0),
-    "TPCH": (9343, 4, 4, 0),
-    "TQ": (13290, 40, 2378, 0),
-    "WC": (21880, 26, 26, 0),
+    "AD": (10534, 31, 31, 418),
+    "BI": (14728, 839, 319, 1404),
+    "CA": (7628, 209, 209, 0),
+    "FD": (6412, 52, 0, 0),
+    "LP": (9134, 6, 6, 0),
+    "LR": (5656, 45, 383, 0),
+    "MO": (7206, 3, 0, 0),
+    "SA": (8028, 407, 407, 0),
+    "SD": (4846, 23, 0, 0),
+    "SG": (6200, 290, 0, 0),
+    "TM": (11038, 66, 1288, 0),
+    "TPCH": (8436, 4, 4, 0),
+    "TQ": (12050, 40, 2378, 0),
+    "WC": (20680, 26, 26, 0),
 }
 
 

@@ -12,7 +12,6 @@ the per-call draws.
 """
 
 import math
-from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -285,44 +284,38 @@ def four_source_engine(max_tuples, max_sim_time):
 
 
 def per_call_arrivals(engine):
-    """Reference: one ``Generator.exponential(mean)`` call per gap."""
-    rng = engine._rngs.fresh("engine", "arrivals")
+    """Reference: one ``Generator.exponential(mean)`` call per gap, each
+    source on its own ``engine/<op>/<i>/arrivals`` stream."""
     max_time = engine.config.max_sim_time
-    sources = [rt for rt in engine._runtimes if rt.is_source]
-
-    def gap_after(rt, at):
-        kind = rt.arrival_kind
-        if kind == _POISSON:
-            return rng.exponential(rt.mean_gap)
-        if kind == _CONSTANT:
-            return rt.mean_gap
-        if kind == _BURSTY:
-            fast = (at * 10.0) % 1.0 < 0.25
-            return rng.exponential(
-                rt.burst_fast_gap if fast else rt.burst_slow_gap
-            )
-        instant = max(float(rt.rate_profile(at)) / rt.profile_divisor, 1e-9)
-        return rng.exponential(1.0 / instant)
-
-    heap = []
-    counter = 0
-    per = {rt.gid: [] for rt in sources}
-    by_gid = {rt.gid: rt for rt in sources}
-    for rt in sources:
-        gap = gap_after(rt, 0.0)
-        if gap <= max_time:
-            counter += 1
-            heappush(heap, (gap, counter, rt.gid))
-    while heap:
-        at, _, gid = heappop(heap)
-        per[gid].append(at)
-        rt = by_gid[gid]
-        if len(per[gid]) >= rt.arrival_budget:
+    per = {}
+    for rt in engine._runtimes:
+        if not rt.is_source:
             continue
-        at += gap_after(rt, at)
-        if at <= max_time:
-            counter += 1
-            heappush(heap, (at, counter, gid))
+        rng = engine._rngs.fresh(
+            "engine", rt.op_id, str(rt.index), "arrivals"
+        )
+        times = per[rt.gid] = []
+        at = 0.0
+        while len(times) < rt.arrival_budget:
+            kind = rt.arrival_kind
+            if kind == _POISSON:
+                gap = rng.exponential(rt.mean_gap)
+            elif kind == _CONSTANT:
+                gap = rt.mean_gap
+            elif kind == _BURSTY:
+                fast = (at * 10.0) % 1.0 < 0.25
+                gap = rng.exponential(
+                    rt.burst_fast_gap if fast else rt.burst_slow_gap
+                )
+            else:
+                instant = max(
+                    float(rt.rate_profile(at)) / rt.profile_divisor, 1e-9
+                )
+                gap = rng.exponential(1.0 / instant)
+            at += gap
+            if at > max_time:
+                break
+            times.append(at)
     return per
 
 
@@ -341,7 +334,10 @@ def test_block_drawn_gaps_are_the_per_call_gaps(
         monkeypatch.setattr(batch_module, "_GAP_BLOCK", block)
     engine = four_source_engine(max_tuples, max_sim_time)
     executor = ColumnarExecutor(engine)
-    got = executor._replay_arrivals()
+    got = {
+        gid: times.tolist()
+        for gid, times in executor._replay_arrivals().items()
+    }
     want = per_call_arrivals(engine)
     assert got == want
     kinds = {rt.arrival_kind for rt in engine._runtimes if rt.is_source}
