@@ -12,7 +12,7 @@ Run:  python examples/custom_application.py
 import numpy as np
 
 from repro import RunnerConfig, heterogeneous_cluster
-from repro.apps.base import make_generator
+from repro.apps.base import block_source
 from repro.core.runner import BenchmarkRunner
 from repro.report import render_table
 from repro.sps import builders
@@ -39,12 +39,15 @@ BID_SCHEMA = Schema(
 )
 
 
-def sample_bid(rng: np.random.Generator) -> tuple:
-    auction = int(rng.integers(NUM_AUCTIONS))
+def bid_block(rng: np.random.Generator, n: int) -> tuple:
+    """A source is a stateless block sampler: ``n`` rows as one array
+    per field (INT -> int64, DOUBLE -> float64, STRING -> object).
+    Every executor reads it through the same per-subtask chunk buffer,
+    and the operators still receive Python ``int``/``float`` rows."""
     return (
-        auction,
-        int(rng.integers(50_000)),
-        float(rng.lognormal(3.0, 1.0)),
+        rng.integers(NUM_AUCTIONS, size=n),
+        rng.integers(50_000, size=n),
+        rng.lognormal(3.0, 1.0, size=n),
     )
 
 
@@ -64,14 +67,7 @@ class WinningBidLogic(OperatorLogic):
 
 def build_auction_monitor(event_rate: float) -> LogicalPlan:
     plan = LogicalPlan("auction-monitor")
-    plan.add_operator(
-        builders.source(
-            "bids",
-            make_generator(BID_SCHEMA, sample_bid),
-            BID_SCHEMA,
-            event_rate,
-        )
-    )
+    plan.add_operator(block_source("bids", bid_block, BID_SCHEMA, event_rate))
     plan.add_operator(
         builders.filter_op(
             "serious_bids",

@@ -1228,9 +1228,9 @@ def check_batch_friendliness(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             f"source {op.op_id!r} has no vector generator; batch mode "
             "calls its row generator once per tuple",
             op_id=op.op_id,
-            hint="give builders.source a vector_generator, "
-            "(rng, n) -> (columns, sizes); with generator=None it "
-            "serves the scalar loop too",
+            hint="define the source by a vector_generator, "
+            "(rng, n) -> (columns, sizes), in place of the row "
+            "generator; every executor reads it",
         )
 
 

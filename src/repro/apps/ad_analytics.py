@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.costs import OperatorCost
 from repro.sps.logical import LogicalPlan
@@ -57,18 +57,21 @@ _CLICK_SCHEMA = Schema(
 )
 
 
-def _sample_impression(rng: np.random.Generator) -> tuple:
-    ad = int(rng.integers(_NUM_ADS))
-    return (ad, ad % _NUM_CAMPAIGNS, float(rng.uniform(0.01, 2.0)))
+def _impression_block(rng: np.random.Generator, n: int) -> tuple:
+    ad = rng.integers(_NUM_ADS, size=n)
+    cost = rng.uniform(0.01, 2.0, size=n)
+    return (ad, ad % _NUM_CAMPAIGNS, cost)
 
 
-def _sample_click(rng: np.random.Generator) -> tuple:
+def _click_block(rng: np.random.Generator, n: int) -> tuple:
     # Clicks concentrate on a popular subset of ads.
-    if rng.random() < 0.7:
-        ad = int(rng.integers(_NUM_ADS // 10))
-    else:
-        ad = int(rng.integers(_NUM_ADS))
-    return (ad, float(rng.uniform(0.1, 5.0)))
+    popular = rng.random(n) < 0.7
+    ad = np.where(
+        popular,
+        rng.integers(_NUM_ADS // 10, size=n),
+        rng.integers(_NUM_ADS, size=n),
+    )
+    return (ad, rng.uniform(0.1, 5.0, size=n))
 
 
 class CtrLogic(OperatorLogic):
@@ -114,20 +117,15 @@ def build(
     click_rate = event_rate / 3.0
     plan = LogicalPlan("AD")
     plan.add_operator(
-        builders.source(
+        block_source(
             "impressions",
-            make_generator(_IMPRESSION_SCHEMA, _sample_impression),
+            _impression_block,
             _IMPRESSION_SCHEMA,
             impression_rate,
         )
     )
     plan.add_operator(
-        builders.source(
-            "clicks",
-            make_generator(_CLICK_SCHEMA, _sample_click),
-            _CLICK_SCHEMA,
-            click_rate,
-        )
+        block_source("clicks", _click_block, _CLICK_SCHEMA, click_rate)
     )
     window = SlidingTimeWindows(1.0, 0.5)
     join = builders.window_join(

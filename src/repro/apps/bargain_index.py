@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -56,20 +56,22 @@ _QUOTE_SCHEMA = Schema(
 )
 
 
-def _base_price(symbol: int) -> float:
+def _base_price(symbol: np.ndarray) -> np.ndarray:
     return 20.0 + (symbol % 50) * 3.0
 
 
-def _sample_trade(rng: np.random.Generator) -> tuple:
-    symbol = int(rng.integers(_NUM_SYMBOLS))
-    price = _base_price(symbol) * float(rng.uniform(0.97, 1.03))
-    return (symbol, price, float(rng.integers(100, 5_000)))
+def _trade_block(rng: np.random.Generator, n: int) -> tuple:
+    symbol = rng.integers(_NUM_SYMBOLS, size=n)
+    price = _base_price(symbol) * rng.uniform(0.97, 1.03, size=n)
+    volume = rng.integers(100, 5_000, size=n).astype(np.float64)
+    return (symbol, price, volume)
 
 
-def _sample_quote(rng: np.random.Generator) -> tuple:
-    symbol = int(rng.integers(_NUM_SYMBOLS))
-    ask = _base_price(symbol) * float(rng.uniform(0.94, 1.04))
-    return (symbol, ask, float(rng.integers(100, 2_000)))
+def _quote_block(rng: np.random.Generator, n: int) -> tuple:
+    symbol = rng.integers(_NUM_SYMBOLS, size=n)
+    ask = _base_price(symbol) * rng.uniform(0.94, 1.04, size=n)
+    ask_size = rng.integers(100, 2_000, size=n).astype(np.float64)
+    return (symbol, ask, ask_size)
 
 
 class BargainLogic(OperatorLogic):
@@ -98,20 +100,10 @@ def build(
     quote_rate = event_rate / 2.0
     plan = LogicalPlan("BI")
     plan.add_operator(
-        builders.source(
-            "trades",
-            make_generator(_TRADE_SCHEMA, _sample_trade),
-            _TRADE_SCHEMA,
-            trade_rate,
-        )
+        block_source("trades", _trade_block, _TRADE_SCHEMA, trade_rate)
     )
     plan.add_operator(
-        builders.source(
-            "quotes",
-            make_generator(_QUOTE_SCHEMA, _sample_quote),
-            _QUOTE_SCHEMA,
-            quote_rate,
-        )
+        block_source("quotes", _quote_block, _QUOTE_SCHEMA, quote_rate)
     )
     # VWAP approximated as windowed mean of trade prices weighted upstream:
     # price*volume / volume needs two aggregates; we use AVG(price) as the

@@ -5,7 +5,8 @@ Each application module defines:
 - an :class:`AppInfo` describing it (abbreviation, area, whether it uses
   user-defined operators, how data-intensive those are — the properties the
   paper's observations O1-O7 are phrased in terms of),
-- a data generator producing realistic tuples for its domain, and
+- a block sampler drawing realistic tuples for its domain (a source:
+  :func:`block_source`), and
 - a ``build(event_rate, seed, space)`` function returning an
   :class:`AppQuery` whose plan starts at parallelism 1.
 
@@ -21,11 +22,19 @@ from typing import Any
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.sps.logical import LogicalPlan
+from repro.sps import builders
+from repro.sps.logical import LogicalOperator, LogicalPlan
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import Schema
 
-__all__ = ["AppInfo", "AppQuery", "make_generator", "DataIntensity"]
+__all__ = [
+    "AppInfo",
+    "AppQuery",
+    "block_source",
+    "cut_rows",
+    "make_generator",
+    "DataIntensity",
+]
 
 
 class DataIntensity:
@@ -79,11 +88,43 @@ class AppQuery:
         return self
 
 
+def block_source(
+    op_id: str,
+    sampler: Callable[[np.random.Generator, int], tuple],
+    schema: Schema,
+    event_rate: float,
+) -> LogicalOperator:
+    """An application source, drawn in blocks under every executor.
+
+    ``sampler(rng, n)`` returns ``n`` rows as one array per schema field
+    (INT ``int64``, DOUBLE ``float64``, STRING object) and keeps no
+    state; the tuple size comes from the schema.
+    """
+    size = float(schema.tuple_size_bytes())
+
+    def generate_block(rng: np.random.Generator, n: int) -> tuple:
+        return sampler(rng, n), size
+
+    return builders.source(
+        op_id, None, schema, event_rate, vector_generator=generate_block
+    )
+
+
+def cut_rows(flat: list, lengths: np.ndarray) -> list[list]:
+    """Cut one flat block of draws back into rows of ``lengths`` items.
+
+    The text sources draw a block of row lengths, then every row's words
+    in one flat block; this is the step between the two.
+    """
+    stops = np.cumsum(lengths).tolist()
+    return [flat[start:stop] for start, stop in zip([0, *stops], stops)]
+
+
 def make_generator(
     schema: Schema,
     sampler: Callable[[np.random.Generator], tuple],
 ):
-    """Wrap a value sampler into the engine's tuple-generator signature."""
+    """Wrap a per-row value sampler into the row form of a source."""
     size = float(schema.tuple_size_bytes())
 
     def generate(rng: np.random.Generator, now: float) -> StreamTuple:

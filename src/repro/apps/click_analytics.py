@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -50,9 +50,10 @@ _SCHEMA = Schema(
 )
 
 
-def _sample_click(rng: np.random.Generator) -> tuple:
-    visitor = int(rng.integers(_NUM_VISITORS))
-    return (visitor, visitor % _NUM_GEOS, int(rng.integers(_NUM_PAGES)))
+def _click_block(rng: np.random.Generator, n: int) -> tuple:
+    visitor = rng.integers(_NUM_VISITORS, size=n)
+    page = rng.integers(_NUM_PAGES, size=n)
+    return (visitor, visitor % _NUM_GEOS, page)
 
 
 class SessionizerLogic(OperatorLogic):
@@ -93,12 +94,7 @@ def build(
     """Build the CA dataflow at parallelism 1."""
     plan = LogicalPlan("CA")
     plan.add_operator(
-        builders.source(
-            "clicks",
-            make_generator(_SCHEMA, _sample_click),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("clicks", _click_block, _SCHEMA, event_rate)
     )
     sessionizer = builders.udo(
         "sessionize",

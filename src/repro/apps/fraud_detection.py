@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -48,15 +48,16 @@ _SCHEMA = Schema(
 )
 
 
-def _sample_transaction(rng: np.random.Generator) -> tuple:
-    account = int(rng.integers(_NUM_ACCOUNTS))
+def _transaction_block(rng: np.random.Generator, n: int) -> tuple:
+    account = rng.integers(_NUM_ACCOUNTS, size=n)
     # Normal accounts walk between neighbouring states; fraudulent
     # bursts jump randomly.
-    if rng.random() < 0.03:
-        state = int(rng.integers(_NUM_STATES))
-    else:
-        state = int((account + rng.integers(0, 2)) % _NUM_STATES)
-    return (account, state, float(rng.uniform(1.0, 2_000.0)))
+    state = np.where(
+        rng.random(n) < 0.03,
+        rng.integers(_NUM_STATES, size=n),
+        (account + rng.integers(0, 2, size=n)) % _NUM_STATES,
+    )
+    return (account, state, rng.uniform(1.0, 2_000.0, size=n))
 
 
 def _transition_matrix() -> np.ndarray:
@@ -107,12 +108,7 @@ def build(
     """Build the FD dataflow at parallelism 1."""
     plan = LogicalPlan("FD")
     plan.add_operator(
-        builders.source(
-            "transactions",
-            make_generator(_SCHEMA, _sample_transaction),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("transactions", _transaction_block, _SCHEMA, event_rate)
     )
     scorer = builders.udo(
         "markov_score",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -49,18 +49,15 @@ _SCHEMA = Schema(
 )
 
 
-def _sample_report(rng: np.random.Generator) -> tuple:
-    xway = int(rng.integers(_NUM_XWAYS))
-    segment = int(rng.integers(_NUM_SEGMENTS))
+def _report_block(rng: np.random.Generator, n: int) -> tuple:
+    xway = rng.integers(_NUM_XWAYS, size=n)
+    segment = rng.integers(_NUM_SEGMENTS, size=n)
+    vehicle = rng.integers(100_000, size=n)
     # A band of segments is chronically congested.
-    congested = 40 <= segment < 50
-    mean_speed = 12.0 if congested else 28.0
-    speed = float(max(rng.normal(mean_speed, 5.0), 0.0))
-    return (
-        xway * _NUM_SEGMENTS + segment,
-        int(rng.integers(100_000)),
-        speed,
-    )
+    congested = (40 <= segment) & (segment < 50)
+    mean_speed = np.where(congested, 12.0, 28.0)
+    speed = np.maximum(rng.normal(mean_speed, 5.0), 0.0)
+    return (xway * _NUM_SEGMENTS + segment, vehicle, speed)
 
 
 class TollLogic(OperatorLogic):
@@ -89,12 +86,7 @@ def build(
     """Build the LR dataflow at parallelism 1."""
     plan = LogicalPlan("LR")
     plan.add_operator(
-        builders.source(
-            "reports",
-            make_generator(_SCHEMA, _sample_report),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("reports", _report_block, _SCHEMA, event_rate)
     )
     avg_speed = builders.window_agg(
         "segment_speed",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.predicates import FilterFunction, Predicate
@@ -39,11 +39,15 @@ _PATHS = ("/", "/index", "/api/v1/items", "/static/app.js", "/healthz")
 _SCHEMA = Schema([Field("line", DataType.STRING)])
 
 
-def _sample_log_line(rng: np.random.Generator) -> tuple:
-    path = _PATHS[int(rng.integers(len(_PATHS)))]
-    status = _STATUS_CODES[int(rng.integers(len(_STATUS_CODES)))]
-    size = int(rng.integers(200, 20_000))
-    return (f"GET {path} {status} {size}",)
+def _log_line_block(rng: np.random.Generator, n: int) -> tuple:
+    paths = rng.integers(len(_PATHS), size=n).tolist()
+    statuses = rng.integers(len(_STATUS_CODES), size=n).tolist()
+    sizes = rng.integers(200, 20_000, size=n).tolist()
+    lines = [
+        f"GET {_PATHS[path]} {_STATUS_CODES[status]} {size}"
+        for path, status, size in zip(paths, statuses, sizes)
+    ]
+    return (np.array(lines, dtype=object),)
 
 
 def _parse(values: tuple) -> tuple:
@@ -57,12 +61,7 @@ def build(
     """Build the LP dataflow at parallelism 1."""
     plan = LogicalPlan("LP")
     plan.add_operator(
-        builders.source(
-            "logs",
-            make_generator(_SCHEMA, _sample_log_line),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("logs", _log_line_block, _SCHEMA, event_rate)
     )
     plan.add_operator(
         builders.map_op(

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -48,14 +48,17 @@ _SCHEMA = Schema(
 _NUM_MACHINES = 200
 
 
-def _sample_metrics(rng: np.random.Generator) -> tuple:
-    machine = int(rng.integers(_NUM_MACHINES))
+def _metrics_block(rng: np.random.Generator, n: int) -> tuple:
+    machine = rng.integers(_NUM_MACHINES, size=n)
     # A few machines run hot; occasionally any machine spikes.
-    base_cpu = 0.7 if machine % 17 == 0 else 0.35
-    cpu = float(np.clip(rng.normal(base_cpu, 0.1), 0.0, 1.0))
-    if rng.random() < 0.01:
-        cpu = float(np.clip(cpu + rng.uniform(0.3, 0.6), 0.0, 1.0))
-    memory = float(np.clip(rng.normal(0.5, 0.15), 0.0, 1.0))
+    base_cpu = np.where(machine % 17 == 0, 0.7, 0.35)
+    cpu = np.clip(rng.normal(base_cpu, 0.1), 0.0, 1.0)
+    cpu = np.where(
+        rng.random(n) < 0.01,
+        np.clip(cpu + rng.uniform(0.3, 0.6, size=n), 0.0, 1.0),
+        cpu,
+    )
+    memory = np.clip(rng.normal(0.5, 0.15, size=n), 0.0, 1.0)
     return (machine, cpu, memory)
 
 
@@ -96,12 +99,7 @@ def build(
     """Build the MO dataflow at parallelism 1."""
     plan = LogicalPlan("MO")
     plan.add_operator(
-        builders.source(
-            "metrics",
-            make_generator(_SCHEMA, _sample_metrics),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("metrics", _metrics_block, _SCHEMA, event_rate)
     )
     score = builders.udo(
         "zscore",

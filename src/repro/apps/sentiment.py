@@ -14,7 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import (
+    AppInfo,
+    AppQuery,
+    DataIntensity,
+    block_source,
+    cut_rows,
+)
 from repro.sps import builders
 from repro.sps.costs import OperatorCost
 from repro.sps.logical import LogicalPlan
@@ -58,17 +64,23 @@ _SCHEMA = Schema(
 # list feeds the tweet generator — unsorted, SA simulations would not
 # reproduce bit-identically across processes.
 _ALL_WORDS = sorted(_POSITIVE) + sorted(_NEGATIVE) + _NEUTRAL
+_WORD_ARRAY = np.array(_ALL_WORDS)
 
 
-def _sample_tweet(rng: np.random.Generator) -> tuple:
-    length = int(rng.integers(6, 18))
-    words = [
-        _ALL_WORDS[int(rng.integers(len(_ALL_WORDS)))]
-        for _ in range(length)
-    ]
-    if rng.random() < 0.15:
-        words.insert(int(rng.integers(len(words))), "not")
-    return (int(rng.integers(_TOPICS)), " ".join(words))
+def _tweet_block(rng: np.random.Generator, n: int) -> tuple:
+    topic = rng.integers(_TOPICS, size=n)
+    # A block of tweet lengths, every tweet's word indices in one flat
+    # block, then a "not" for 15% of the tweets at a drawn position.
+    lengths = rng.integers(6, 18, size=n)
+    words = _WORD_ARRAY[rng.integers(len(_ALL_WORDS), size=lengths.sum())]
+    negated = (rng.random(n) < 0.15).tolist()
+    positions = rng.integers(0, lengths).tolist()
+    rows = cut_rows(words.tolist(), lengths)
+    for row, negate, position in zip(rows, negated, positions):
+        if negate:
+            row.insert(position, "not")
+    texts = [" ".join(row) for row in rows]
+    return (topic, np.array(texts, dtype=object))
 
 
 class SentimentLogic(OperatorLogic):
@@ -109,12 +121,7 @@ def build(
     """Build the SA dataflow at parallelism 1."""
     plan = LogicalPlan("SA")
     plan.add_operator(
-        builders.source(
-            "tweets",
-            make_generator(_SCHEMA, _sample_tweet),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("tweets", _tweet_block, _SCHEMA, event_rate)
     )
     scorer = builders.udo(
         "score",

@@ -20,7 +20,7 @@ import bisect
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -52,15 +52,16 @@ _SCHEMA = Schema(
 )
 
 
-def _sample_reading(rng: np.random.Generator) -> tuple:
-    house = int(rng.integers(_NUM_HOUSES))
-    plug = int(rng.integers(_PLUGS_PER_HOUSE))
+def _reading_block(rng: np.random.Generator, n: int) -> tuple:
+    house = rng.integers(_NUM_HOUSES, size=n)
+    plug_key = house * _PLUGS_PER_HOUSE + rng.integers(
+        _PLUGS_PER_HOUSE, size=n
+    )
     # Base load per house varies; some plugs run heavy appliances.
     base = 40.0 + 10.0 * (house % 7)
-    if (house * _PLUGS_PER_HOUSE + plug) % 13 == 0:
-        base *= 2.5
-    load = float(max(rng.normal(base, base * 0.2), 0.0))
-    return (house * _PLUGS_PER_HOUSE + plug, house, load)
+    base = np.where(plug_key % 13 == 0, base * 2.5, base)
+    load = np.maximum(rng.normal(base, base * 0.2), 0.0)
+    return (plug_key, house, load)
 
 
 class _SlidingMedian:
@@ -153,12 +154,7 @@ def build(
     """Build the SG dataflow at parallelism 1."""
     plan = LogicalPlan("SG")
     plan.add_operator(
-        builders.source(
-            "plugs",
-            make_generator(_SCHEMA, _sample_reading),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("plugs", _reading_block, _SCHEMA, event_rate)
     )
     plug_median = builders.udo(
         "plug_median",

@@ -16,7 +16,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -43,11 +43,13 @@ _SCHEMA = Schema(
 )
 
 
-def _sample_reading(rng: np.random.Generator) -> tuple:
-    sensor = int(rng.integers(_NUM_SENSORS))
-    value = float(max(rng.normal(20.0 + sensor % 10, 3.0), 0.0))
-    if rng.random() < 0.02:
-        value *= float(rng.uniform(2.0, 4.0))  # genuine spikes
+def _reading_block(rng: np.random.Generator, n: int) -> tuple:
+    sensor = rng.integers(_NUM_SENSORS, size=n)
+    value = np.maximum(rng.normal(20.0 + sensor % 10, 3.0), 0.0)
+    # Genuine spikes: 2% of the readings, scaled 2-4x.
+    value = np.where(
+        rng.random(n) < 0.02, value * rng.uniform(2.0, 4.0, size=n), value
+    )
     return (sensor, value)
 
 
@@ -87,12 +89,7 @@ def build(
     """Build the SD dataflow at parallelism 1."""
     plan = LogicalPlan("SD")
     plan.add_operator(
-        builders.source(
-            "sensors",
-            make_generator(_SCHEMA, _sample_reading),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("sensors", _reading_block, _SCHEMA, event_rate)
     )
     spike = builders.udo(
         "spike",

@@ -13,7 +13,7 @@ import heapq
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -47,15 +47,15 @@ _SCHEMA = Schema(
 )
 
 
-def _sample_trip(rng: np.random.Generator) -> tuple:
-    # Trips cluster around a few hotspots (midtown-style density).
-    def coord() -> float:
-        if rng.random() < 0.6:
-            return float(np.clip(rng.normal(0.5, 0.08), 0.0, 1.0))
-        return float(rng.random())
-
-    return (coord(), coord(), coord(), coord(),
-            float(rng.uniform(3.0, 60.0)))
+def _trip_block(rng: np.random.Generator, n: int) -> tuple:
+    # Trips cluster around a few hotspots (midtown-style density): each
+    # of the four coordinates is a hotspot/uniform mixture.
+    coords = np.where(
+        rng.random((4, n)) < 0.6,
+        np.clip(rng.normal(0.5, 0.08, size=(4, n)), 0.0, 1.0),
+        rng.random((4, n)),
+    )
+    return (*coords, rng.uniform(3.0, 60.0, size=n))
 
 
 def _to_route(values: tuple) -> tuple:
@@ -96,14 +96,7 @@ def build(
 ) -> AppQuery:
     """Build the TQ dataflow at parallelism 1."""
     plan = LogicalPlan("TQ")
-    plan.add_operator(
-        builders.source(
-            "trips",
-            make_generator(_SCHEMA, _sample_trip),
-            _SCHEMA,
-            event_rate,
-        )
-    )
+    plan.add_operator(block_source("trips", _trip_block, _SCHEMA, event_rate))
     plan.add_operator(
         builders.map_op(
             "route",

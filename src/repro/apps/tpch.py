@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import AppInfo, AppQuery, DataIntensity, block_source
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.predicates import FilterFunction, Predicate
@@ -48,13 +48,13 @@ _SCHEMA = Schema(
 )
 
 
-def _sample_lineitem(rng: np.random.Generator) -> tuple:
+def _lineitem_block(rng: np.random.Generator, n: int) -> tuple:
     return (
-        int(rng.integers(_NUM_GROUPS)),
-        int(rng.integers(120)),
-        float(rng.integers(1, 50)),
-        float(rng.uniform(900.0, 105_000.0)),
-        float(rng.uniform(0.0, 0.1)),
+        rng.integers(_NUM_GROUPS, size=n),
+        rng.integers(120, size=n),
+        rng.integers(1, 50, size=n).astype(np.float64),
+        rng.uniform(900.0, 105_000.0, size=n),
+        rng.uniform(0.0, 0.1, size=n),
     )
 
 
@@ -69,12 +69,7 @@ def build(
     """Build the TPCH dataflow at parallelism 1."""
     plan = LogicalPlan("TPCH")
     plan.add_operator(
-        builders.source(
-            "lineitems",
-            make_generator(_SCHEMA, _sample_lineitem),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("lineitems", _lineitem_block, _SCHEMA, event_rate)
     )
     plan.add_operator(
         builders.filter_op(

@@ -13,7 +13,13 @@ import heapq
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import (
+    AppInfo,
+    AppQuery,
+    DataIntensity,
+    block_source,
+    cut_rows,
+)
 from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
@@ -40,14 +46,14 @@ _NUM_TAGS = 1_000
 _SCHEMA = Schema([Field("tags", DataType.STRING)])
 
 
-def _sample_tweet_tags(rng: np.random.Generator) -> tuple:
-    count = int(rng.integers(0, 4))
-    tags = []
-    for _ in range(count):
-        # Approximate Zipf via the inverse-power trick.
-        tag = int(_NUM_TAGS * (rng.random() ** 3))
-        tags.append(f"#t{tag}")
-    return (" ".join(tags),)
+def _tweet_tags_block(rng: np.random.Generator, n: int) -> tuple:
+    # A block of tag counts, then every tweet's tags in one flat block,
+    # approximately Zipf via the inverse-power trick.
+    counts = rng.integers(0, 4, size=n)
+    ids = (_NUM_TAGS * rng.random(counts.sum()) ** 3).astype(np.int64)
+    tags = [f"#t{tag}" for tag in ids.tolist()]
+    tweets = [" ".join(row) for row in cut_rows(tags, counts)]
+    return (np.array(tweets, dtype=object),)
 
 
 def _extract_tags(values: tuple) -> list[tuple]:
@@ -99,12 +105,7 @@ def build(
     """Build the TM dataflow at parallelism 1."""
     plan = LogicalPlan("TM")
     plan.add_operator(
-        builders.source(
-            "tweets",
-            make_generator(_SCHEMA, _sample_tweet_tags),
-            _SCHEMA,
-            event_rate,
-        )
+        block_source("tweets", _tweet_tags_block, _SCHEMA, event_rate)
     )
     plan.add_operator(
         builders.flat_map(

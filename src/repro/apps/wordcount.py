@@ -14,7 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import AppInfo, AppQuery, DataIntensity, make_generator
+from repro.apps.base import (
+    AppInfo,
+    AppQuery,
+    DataIntensity,
+    block_source,
+    cut_rows,
+)
 from repro.sps import builders
 from repro.sps.costs import default_cost
 from repro.sps.logical import LogicalPlan, OperatorKind
@@ -50,24 +56,13 @@ _VOCAB_ARRAY = np.array(_VOCABULARY)
 _SENTENCE_SCHEMA = Schema([Field("sentence", DataType.STRING)])
 
 
-def _sample_sentence(rng: np.random.Generator) -> tuple:
-    # One bulk bounded-integer draw consumes the bit stream exactly like
-    # the equivalent sequence of scalar draws, so sampling the word
-    # indices as a block keeps the sentences bit-identical to the
-    # original per-word loop while shedding its Generator-call overhead.
-    length = int(rng.integers(4, 10))
-    idx = rng.integers(len(_VOCABULARY), size=length)
-    return (" ".join(_VOCAB_ARRAY[idx].tolist()),)
-
-
-def _sample_sentences_vec(rng: np.random.Generator, n: int) -> tuple:
-    # Batch-mode columnar source. Calls _sample_sentence per row in the
-    # scalar order, so the RNG stream is consumed identically to the
-    # per-tuple path (results stay bit-equal against the scalar engine);
-    # only the tuple-object overhead goes.
-    col = np.empty(n, dtype=object)
-    col[:] = [_sample_sentence(rng)[0] for _ in range(n)]
-    return (col,), float(_SENTENCE_SCHEMA.tuple_size_bytes())
+def _sentence_block(rng: np.random.Generator, n: int) -> tuple:
+    # A block of sentence lengths, then every sentence's word indices in
+    # one flat block, cut back into rows.
+    lengths = rng.integers(4, 10, size=n)
+    words = _VOCAB_ARRAY[rng.integers(len(_VOCABULARY), size=lengths.sum())]
+    sentences = [" ".join(row) for row in cut_rows(words.tolist(), lengths)]
+    return (np.array(sentences, dtype=object),)
 
 
 def _tokenize(values: tuple) -> list[tuple]:
@@ -95,12 +90,11 @@ def build(
     """Build the WC dataflow at parallelism 1."""
     plan = LogicalPlan("WC")
     plan.add_operator(
-        builders.source(
+        block_source(
             "sentences",
-            make_generator(_SENTENCE_SCHEMA, _sample_sentence),
+            _sentence_block,
             _SENTENCE_SCHEMA,
             event_rate,
-            vector_generator=_sample_sentences_vec,
         )
     )
     plan.add_operator(

@@ -1,7 +1,8 @@
 """Exp. 1: impact of PQP complexity on performance (Figure 3).
 
 Both figures sweep parallelism-degree categories on the homogeneous
-10 x m510 cluster at the paper's headline event rate of 100k events/s:
+10 x m510 cluster (grown to fit Figure 3 bottom's extended categories)
+at the paper's headline event rate of 100k events/s:
 
 - **Figure 3 (top)** — synthetic query structures from a linear filter
   query up to 5-way joins;
@@ -18,6 +19,7 @@ paradox (O1, O2); UDO apps gain hugely at high degrees while AD stalls
 from __future__ import annotations
 
 from repro.cluster.cluster import Cluster, homogeneous_cluster
+from repro.cluster.hardware import get_hardware
 from repro.core.experiments.persist import persist_cell
 from repro.core.parallel import ParallelRunner
 from repro.core.runner import BenchmarkRunner, RunnerConfig
@@ -154,9 +156,15 @@ def figure3_bottom(
     ``store`` persists one :class:`~repro.core.records.RunRecord` per
     (app, category) cell, observability summary included when observing.
     """
-    cluster = cluster or homogeneous_cluster("m510", 10)
-    runner = BenchmarkRunner(cluster, runner_config)
     categories = categories or EXTENDED_CATEGORIES
+    if cluster is None:
+        # The paper's 10 nodes hold degrees up to 80; the extended
+        # categories need one task slot per instance of the widest
+        # operator (128 -> 16 x m510), or pre-flight rejects the cell.
+        slots = get_hardware("m510").cores
+        nodes = max(10, -(-max(categories.values()) // slots))
+        cluster = homogeneous_cluster("m510", nodes)
+    runner = BenchmarkRunner(cluster, runner_config)
     labels = list(categories)
     # Every (app, category) cell builds its own plan: the full grid fans
     # out at once, keeping the pool busy even when one app is slow.

@@ -34,6 +34,7 @@ from repro.sps import builders
 from repro.sps.logical import LogicalPlan
 from repro.sps.types import DataType, Field, Schema
 from repro.sps.windows import AggregateFunction, TumblingTimeWindows
+from repro.workload.datagen import kv_block
 
 __all__ = [
     "DEFAULT_POLICIES",
@@ -66,23 +67,6 @@ DEFAULT_SCENARIOS = (
 _SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
 
 
-def _kv_generator(num_keys: int = 16):
-    """Keyed tuple generator for the elastic workload source."""
-    from repro.sps.tuples import StreamTuple
-
-    def generate(rng, now: float) -> StreamTuple:
-        return StreamTuple(
-            values=(
-                int(rng.integers(num_keys)),
-                float(rng.random()),
-            ),
-            event_time=now,
-            size_bytes=24.0,
-        )
-
-    return generate
-
-
 def elastic_workload_plan(
     event_rate: float = 3000.0,
     parallelism: int = 2,
@@ -100,7 +84,11 @@ def elastic_workload_plan(
     plan = LogicalPlan("elastic-workload")
     plan.add_operator(
         builders.source(
-            "src", _kv_generator(num_keys), _SCHEMA, event_rate=event_rate
+            "src",
+            None,
+            _SCHEMA,
+            event_rate=event_rate,
+            vector_generator=kv_block(num_keys),
         )
     )
     plan.add_operator(

@@ -45,6 +45,7 @@ from repro.sps.logical import LogicalPlan
 from repro.sps.operators.sink import SinkLogic
 from repro.sps.types import DataType, Field, Schema
 from repro.sps.windows import AggregateFunction, TumblingCountWindows
+from repro.workload.datagen import kv_block
 
 __all__ = [
     "DEFAULT_INTERVALS_MS",
@@ -75,23 +76,6 @@ DEFAULT_DELIVERIES = ("exactly_once", "at_least_once")
 _SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
 
 
-def _kv_generator(num_keys: int):
-    """Keyed tuple generator for the FT workload source."""
-    from repro.sps.tuples import StreamTuple
-
-    def generate(rng, now: float):
-        return StreamTuple(
-            values=(
-                int(rng.integers(num_keys)),
-                float(rng.random()),
-            ),
-            event_time=now,
-            size_bytes=24.0,
-        )
-
-    return generate
-
-
 def ft_workload_plan(
     event_rate: float = 3000.0,
     parallelism: int = 2,
@@ -111,10 +95,11 @@ def ft_workload_plan(
     plan.add_operator(
         builders.source(
             "src",
-            _kv_generator(num_keys),
+            None,
             _SCHEMA,
             event_rate=event_rate,
             parallelism=1,
+            vector_generator=kv_block(num_keys),
         )
     )
     plan.add_operator(

@@ -45,8 +45,6 @@ from contextlib import contextmanager
 from heapq import heappop, heappush
 from pathlib import Path
 
-import numpy as np
-
 from repro.cluster.cluster import homogeneous_cluster
 from repro.common.rng import RngFactory
 from repro.core.parallel import default_workers
@@ -55,13 +53,13 @@ from repro.sps import builders
 from repro.sps.engine import SimulationConfig, StreamEngine
 from repro.sps.logical import LogicalPlan
 from repro.sps.predicates import FilterFunction, Predicate
-from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
 from repro.sps.windows import (
     AggregateFunction,
     SlidingTimeWindows,
     TumblingTimeWindows,
 )
+from repro.workload.datagen import kv_block
 
 __all__ = [
     "ENGINE_WORKLOADS",
@@ -128,26 +126,6 @@ _KV_SCHEMA = Schema(
 )
 
 
-def _kv_generate(rng: np.random.Generator, now: float) -> StreamTuple:
-    """64-key (int, double) tuples shared by the synthetic workloads."""
-    return StreamTuple(
-        values=(int(rng.integers(64)), float(rng.random())),
-        event_time=now,
-        size_bytes=24.0,
-    )
-
-
-def _kv_generate_vec(rng: np.random.Generator, n: int) -> tuple:
-    """Columnar form of :func:`_kv_generate`: one ``(n, 2)`` uniform block.
-
-    Row ``i`` holds tuple ``i``'s two draws contiguously, so the stream
-    is consumed in row order however it is split into calls.
-    """
-    draws = rng.random((n, 2))
-    keys = (draws[:, 0] * 64.0).astype(np.int64)
-    return (keys, np.ascontiguousarray(draws[:, 1])), 24.0
-
-
 def hotpath_plan(
     parallelism: int = _BENCH_PARALLELISM,
     event_rate: float = 4000.0,
@@ -163,9 +141,8 @@ def hotpath_plan(
     plan = LogicalPlan("bench-hotpath")
     plan.add_operator(
         builders.source(
-            "src", _kv_generate, _KV_SCHEMA, event_rate=event_rate,
-            parallelism=parallelism,
-            vector_generator=_kv_generate_vec,
+            "src", None, _KV_SCHEMA, event_rate=event_rate,
+            parallelism=parallelism, vector_generator=kv_block(64),
         )
     )
     plan.add_operator(
@@ -201,9 +178,8 @@ def slide8_plan(parallelism: int = _BENCH_PARALLELISM) -> LogicalPlan:
     plan = LogicalPlan("bench-sliding")
     plan.add_operator(
         builders.source(
-            "src", _kv_generate, _KV_SCHEMA, event_rate=4000.0,
-            parallelism=parallelism,
-            vector_generator=_kv_generate_vec,
+            "src", None, _KV_SCHEMA, event_rate=4000.0,
+            parallelism=parallelism, vector_generator=kv_block(64),
         )
     )
     plan.add_operator(
@@ -227,14 +203,14 @@ def join8_plan(parallelism: int = _BENCH_PARALLELISM) -> LogicalPlan:
     plan = LogicalPlan("bench-join")
     plan.add_operator(
         builders.source(
-            "lhs", _kv_generate, _KV_SCHEMA, event_rate=2000.0,
-            parallelism=parallelism,
+            "lhs", None, _KV_SCHEMA, event_rate=2000.0,
+            parallelism=parallelism, vector_generator=kv_block(64),
         )
     )
     plan.add_operator(
         builders.source(
-            "rhs", _kv_generate, _KV_SCHEMA, event_rate=2000.0,
-            parallelism=parallelism,
+            "rhs", None, _KV_SCHEMA, event_rate=2000.0,
+            parallelism=parallelism, vector_generator=kv_block(64),
         )
     )
     plan.add_operator(

@@ -50,16 +50,14 @@ def source(
 ) -> LogicalOperator:
     """A parallel source emitting ``event_rate`` tuples/s in total.
 
-    ``generator`` is the row form, ``(rng, now) -> StreamTuple``, called
-    once per tuple. ``vector_generator`` is the columnar form, ``(rng,
-    n) -> (columns, sizes)`` (see
-    :data:`~repro.sps.operators.source.VectorTupleGenerator`). A source
-    may give either or both: with ``generator=None`` the columnar form
-    is the stream under every executor, read by each subtask in fixed
-    ``SOURCE_CHUNK``-row chunks (generated queries do this); with both,
-    the scalar loop calls ``generator`` and batch mode calls
-    ``vector_generator`` once per micro-batch; with only a row generator
-    batch mode calls it once per tuple.
+    A source has exactly one form. ``vector_generator`` is the columnar
+    form, ``(rng, n) -> (columns, sizes)`` (see
+    :data:`~repro.sps.operators.source.VectorTupleGenerator`), given
+    with ``generator=None``: it is the stream under every executor, read
+    by each subtask in fixed ``SOURCE_CHUNK``-row chunks (generated
+    queries and the application suite do this). ``generator`` is the row
+    form, ``(rng, now) -> StreamTuple``, for callers that own a row
+    generator (a replayed log); every executor calls it once per tuple.
 
     ``replayable`` declares whether the feed can be re-read from an
     offset after a failure (a durable log such as Kafka). The engine's
@@ -67,9 +65,10 @@ def source(
     lint rules, which warn when checkpointing is enabled over a feed
     that a real deployment could not rewind.
     """
-    if generator is None and vector_generator is None:
+    if (generator is None) == (vector_generator is None):
         raise ConfigurationError(
-            f"source {op_id!r} needs a generator or a vector_generator"
+            f"source {op_id!r} needs a generator or a vector_generator, "
+            "not both"
         )
     if event_rate <= 0:
         raise ConfigurationError("event_rate must be positive")

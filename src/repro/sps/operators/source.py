@@ -3,18 +3,20 @@
 Sources do not consume tuples; the engine polls them through
 :meth:`SourceLogic.generate` each time the subtask's arrival process fires,
 and batch mode through :meth:`SourceLogic.generate_columns` once per
-micro-batch. A source is defined by a row generator ``(rng, event_time) ->
-StreamTuple``, by a columnar generator ``(rng, n) -> (columns, sizes)``, or
-by both — the workload layer supplies synthetic and application-specific
-ones.
+micro-batch. A source is defined by a columnar generator ``(rng, n) ->
+(columns, sizes)`` — the workload layer's and the application suite's form
+— or, for a caller that owns one (a replayed log), by a row generator
+``(rng, event_time) -> StreamTuple``; never by both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import repeat
 
 import numpy as np
 
+from repro.common.errors import ConfigurationError
 from repro.sps.operators.base import OperatorLogic
 from repro.sps.tuples import StreamTuple
 
@@ -27,17 +29,14 @@ TupleGenerator = Callable[[np.random.Generator, float], StreamTuple]
 
 #: Columnar form: ``(rng, n) -> (columns, sizes)`` where ``columns`` is a
 #: tuple of ``n``-row arrays (one per value field) and ``sizes`` is a float
-#: or an ``n``-row array of tuple sizes in bytes. As a source's only form
-#: it may lay its draws out in the RNG stream however it likes (a
-#: ``StreamSpec`` draws column-major): :class:`SourceLogic` calls it for
-#: whole :data:`SOURCE_CHUNK`-row chunks only, so the values cannot depend
-#: on who asks for how many rows. Beside a row generator it is called
-#: directly, once per micro-batch, and stays batch-size invariant the way
-#: its author made it the row form's twin: row ``i``'s draws before row
-#: ``i + 1``'s (``rng.random((n, 2))``), never a layout that depends on ``n``.
+#: or an ``n``-row array of tuple sizes in bytes. It may lay its draws out
+#: in the RNG stream however it likes (a ``StreamSpec`` and the
+#: applications draw column-major): :class:`SourceLogic` calls it for whole
+#: :data:`SOURCE_CHUNK`-row chunks only, so the values cannot depend on who
+#: asks for how many rows.
 VectorTupleGenerator = Callable[[np.random.Generator, int], tuple]
 
-#: Rows per chunk of a columnar-only source. A constant of the stream's
+#: Rows per chunk of a columnar source. A constant of the stream's
 #: definition, not a tuning knob: chunk ``c`` of a subtask is the ``c``-th
 #: ``SOURCE_CHUNK``-row block drawn from its private RNG stream, whatever
 #: the batch size, request size or execution mode. Larger chunks amortise
@@ -49,12 +48,10 @@ SOURCE_CHUNK = 32
 class SourceLogic(OperatorLogic):
     """Wraps a tuple generator; one instance per source subtask.
 
-    A source with a row ``generator`` calls it once per tuple in
-    :meth:`generate`, and its ``vector_generator`` (if any) once per
-    micro-batch in :meth:`generate_columns`. A columnar-only source is
-    read through a per-subtask chunk buffer instead: ``generate_columns``
-    hands out the next rows as column slices and ``generate`` pops the
-    next row of the same buffer — one stream, whichever way it is read.
+    A row ``generator`` is called once per tuple. A ``vector_generator``
+    is read through a per-subtask chunk buffer: :meth:`generate_columns`
+    hands out the next rows as columns and :meth:`generate` pops the next
+    row of the same buffer — one stream, whichever way it is read.
     """
 
     def __init__(
@@ -62,15 +59,20 @@ class SourceLogic(OperatorLogic):
         generator: TupleGenerator | None,
         vector_generator: VectorTupleGenerator | None = None,
     ) -> None:
+        if (generator is None) == (vector_generator is None):
+            raise ConfigurationError(
+                "a source takes one of generator and vector_generator"
+            )
         per_subtask = getattr(generator, "per_subtask", None)
         self._generator = generator if per_subtask is None else per_subtask()
         self._vector_generator = vector_generator
         self.emitted = 0
-        # The chunk buffer: the current chunk's columns plus its sizes
-        # column, the next unread row, and the unread rows as Python
-        # values, last row first (built by the first generate() after a
-        # refill or a columnar read).
+        # The chunk buffer: the current chunk's columns, its scalar tuple
+        # size (None: per-row sizes ride along as a last column), the
+        # next unread row, and the unread rows as Python values, last row
+        # first (built by the first generate() after a refill or a read).
         self._chunk: tuple = ()
+        self._sizes: float | None = None
         self._cursor = SOURCE_CHUNK
         self._rows: list | None = None
 
@@ -81,33 +83,31 @@ class SourceLogic(OperatorLogic):
 
     def _refill(self) -> None:
         columns, sizes = self._vector_generator(self.ctx.rng, SOURCE_CHUNK)
-        self._chunk = (
-            *[np.asarray(column) for column in columns],
-            np.full(SOURCE_CHUNK, sizes, dtype=np.float64),
-        )
+        if isinstance(sizes, np.ndarray):
+            columns, sizes = (*columns, sizes), None
+        self._chunk, self._sizes = columns, sizes
         self._cursor = 0
 
     def generate_columns(self, nows: np.ndarray) -> tuple:
         """Columns + sizes for one micro-batch of arrivals (batch mode)."""
         wanted = len(nows)
         self.emitted += wanted
-        if self._generator is not None:
-            return self._vector_generator(self.ctx.rng, wanted)
         self._rows = None
         pieces = []
         while wanted:
             if self._cursor == SOURCE_CHUNK:
                 self._refill()
             start = self._cursor
-            stop = min(start + wanted, SOURCE_CHUNK)
-            pieces.append([column[start:stop] for column in self._chunk])
-            self._cursor = stop
+            stop = self._cursor = min(start + wanted, SOURCE_CHUNK)
             wanted -= stop - start
-        if len(pieces) == 1:
-            *columns, sizes = pieces[0]
-        else:
-            *columns, sizes = [np.concatenate(part) for part in zip(*pieces)]
-        return tuple(columns), sizes
+            if stop - start == SOURCE_CHUNK:
+                pieces.append(self._chunk)
+            else:
+                pieces.append([col[start:stop] for col in self._chunk])
+        columns = [np.concatenate(part) for part in zip(*pieces)]
+        if self._sizes is None:
+            return tuple(columns[:-1]), columns[-1]
+        return tuple(columns), np.full(len(nows), self._sizes, np.float64)
 
     def generate(self, now: float) -> StreamTuple:
         """Produce the next tuple at simulated time ``now``."""
@@ -121,12 +121,11 @@ class SourceLogic(OperatorLogic):
         if not rows:
             if self._cursor == SOURCE_CHUNK:
                 self._refill()
-            # tolist(): rows carry Python int/float/str exactly as a
-            # scalar sampler returns them, never NumPy scalars. Popped
-            # as they are read, so a consumed row is not kept alive.
-            *fields, sizes = [
-                column[self._cursor :].tolist() for column in self._chunk
-            ]
+            # tolist(): rows carry Python int/float/str, never NumPy
+            # scalars. Popped as read, so a consumed row is not kept alive.
+            fields = [col[self._cursor :].tolist() for col in self._chunk]
+            sizes = self._sizes
+            sizes = fields.pop() if sizes is None else repeat(sizes)
             rows = self._rows = list(zip(zip(*fields), sizes))
             rows.reverse()
         self._cursor += 1

@@ -24,7 +24,24 @@ from repro.workload.distributions import (
 )
 from repro.workload.parameter_space import ParameterSpace
 
-__all__ = ["FieldSpec", "StreamSpec", "random_stream_spec"]
+__all__ = ["FieldSpec", "StreamSpec", "kv_block", "random_stream_spec"]
+
+
+def kv_block(num_keys: int):
+    """Block sampler of a keyed ``(k: INT, v: DOUBLE)`` stream.
+
+    ``k`` is uniform over ``num_keys`` keys, ``v`` uniform on [0, 1) —
+    the source of the bench plans and of the elastic and FT workloads.
+    Row ``i`` holds tuple ``i``'s two draws contiguously, so the stream
+    is consumed in row order however it is split into calls.
+    """
+
+    def generate_block(rng: np.random.Generator, n: int) -> tuple:
+        draws = rng.random((n, 2))
+        keys = (draws[:, 0] * num_keys).astype(np.int64)
+        return (keys, np.ascontiguousarray(draws[:, 1])), 24.0
+
+    return generate_block
 
 
 @dataclass(frozen=True)

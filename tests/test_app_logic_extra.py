@@ -56,16 +56,16 @@ class TestTpch:
         assert revenue == pytest.approx(900.0)
 
     def test_shipdate_filter_selectivity(self):
-        from repro.apps.tpch import _sample_lineitem, build
+        from repro.apps.tpch import _lineitem_block, build
 
         query = build(event_rate=1000.0)
         predicate = query.plan.operator(
             "shipdate_filter"
         ).logic_factory().predicate
-        rng = np.random.default_rng(0)
+        columns = _lineitem_block(np.random.default_rng(0), 2000)
         passed = sum(
-            predicate.evaluate(tup(*_sample_lineitem(rng)))
-            for _ in range(2000)
+            predicate.evaluate(tup(*row))
+            for row in zip(*[column.tolist() for column in columns])
         )
         assert passed / 2000 == pytest.approx(
             predicate.selectivity_hint, abs=0.05
@@ -108,11 +108,10 @@ class TestTaxi:
 
 class TestWordCountData:
     def test_sentences_nonempty(self):
-        from repro.apps.wordcount import _sample_sentence
+        from repro.apps.wordcount import _sentence_block
 
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            (sentence,) = _sample_sentence(rng)
+        (sentences,) = _sentence_block(np.random.default_rng(1), 20)
+        for sentence in sentences.tolist():
             assert 4 <= len(sentence.split()) <= 10
 
     def test_common_words_more_frequent(self):
@@ -125,14 +124,12 @@ class TestSmartGridData:
     def test_plug_key_encodes_house(self):
         from repro.apps.smart_grid import (
             _PLUGS_PER_HOUSE,
-            _sample_reading,
+            _reading_block,
         )
 
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            plug_key, house, load = _sample_reading(rng)
-            assert plug_key // _PLUGS_PER_HOUSE == house
-            assert load >= 0.0
+        plug_key, house, load = _reading_block(np.random.default_rng(2), 50)
+        assert (plug_key // _PLUGS_PER_HOUSE == house).all()
+        assert (load >= 0.0).all()
 
     def test_outlier_scorer_flags_hot_plug(self):
         from repro.apps.smart_grid import HouseOutlierLogic

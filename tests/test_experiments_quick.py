@@ -14,6 +14,7 @@ from repro.core.experiments import (
     figure4_top,
     figure6,
 )
+from repro.core.experiments.exp1 import EXTENDED_CATEGORIES
 from repro.report import figure_to_markdown, render_figure
 from repro.workload import QueryStructure
 
@@ -35,6 +36,25 @@ class TestFigure3Bottom:
         assert all(
             all(v > 0 for v in s.y) for s in figure.series
         )
+
+    def test_default_cluster_holds_the_widest_category(self):
+        """``repro experiment fig3-bottom`` as the CLI calls it: no
+        cluster given, categories up to 4XL = 128 instances. The default
+        cluster grows to 16 x m510 (128 slots); on the paper's 10 nodes
+        pre-flight rejects the first 4XL cell with RES401."""
+        figure = figure3_bottom(
+            runner_config=RunnerConfig(
+                repeats=1, dilation=25.0, max_tuples_per_source=40,
+                max_sim_time=1.0,
+            ),
+            apps=("WC",),
+            categories={
+                label: EXTENDED_CATEGORIES[label] for label in ("XS", "4XL")
+            },
+        )
+        assert "128 slots" in figure.title
+        assert figure.shared_x() == ["XS", "4XL"]
+        assert all(v > 0 for v in figure.series[0].y)
 
 
 class TestFigure4:

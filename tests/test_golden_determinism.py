@@ -8,9 +8,8 @@ ways:
 1. running the same configuration twice yields *identical* metrics
    dictionaries (no hidden global state, no iteration-order dependence);
 2. a set of hardcoded golden values still comes out, to 1e-9 relative
-   precision (``SHARD_GOLDEN``'s results and latencies date from the
-   pre-unification shard executor; ``GOLDEN`` was re-captured once, at
-   the universe merge);
+   precision (``GOLDEN`` was re-captured at the universe merge, and both
+   sets when the applications' sources became block samplers);
 3. the parallel fan-out returns exactly what the serial loop returns.
 
 If an intentional semantic change (e.g. a new cost term) breaks the
@@ -43,47 +42,49 @@ GOLDEN_CONFIG = dict(
 GOLDEN_PARALLELISM = 2
 
 #: Per-app, per-repeat (events_processed, results, mean latency s) at
-#: the config above on a 4-node m510 cluster. Re-captured once, when the
-#: default path adopted per-subtask arrival/noise streams and
-#: producer-local tie-breaks (DESIGN.md §14, "what moved and why"):
-#: results and latencies moved with the universe, event counts also
-#: because a DONE that paid sender overhead no longer pushes a BEGIN.
+#: the config above on a 4-node m510 cluster. Re-captured twice: when
+#: the default path adopted per-subtask arrival/noise streams and
+#: producer-local tie-breaks (DESIGN.md §14, "what moved and why"), and
+#: when the applications' sources became block samplers (DESIGN.md §1,
+#: "chunk layout of an application stream") — the tuples' values are
+#: drawn in another order from the same distributions, so results and
+#: latencies moved and event counts stayed within 2 %; arrival times,
+#: service noise and tie-breaks did not move.
 GOLDEN = {
     "WC": [
-        (20468, 26, 0.32991738849079616),
-        (20478, 26, 0.29991269981414964),
+        (20582, 26, 0.3294078433096102),
+        (20512, 26, 0.3000898370455181),
     ],
     "SG": [
-        (6184, 286, 5.139061416522206),
-        (6216, 294, 5.278859413286459),
+        (6140, 275, 5.327464791665105),
+        (6220, 295, 5.36150175574493),
     ],
     "AD": [
-        (10654, 42, 0.32811454425339914),
-        (10854, 58, 0.3469466268355101),
+        (10582, 41, 0.2610701539584149),
+        (10638, 42, 0.2638424031585989),
     ],
 }
 
 #: The same recipe under ``shards=K`` on the 2 ms cluster the ``-s<K>``
 #: bench workloads use (a wide lookahead keeps the epoch count small).
 #: Per-app, per-repeat (events_processed, results, mean latency s,
-#: epochs). Results and latencies are those captured at ``shards=1``
-#: from the pre-unification ``ShardExecutor`` — drawing in blocks and
-#: dropping the BEGIN round-trip changed no bit of them; only the event
-#: counts (no BEGIN events) and one epoch count were re-captured. The
-#: K-invariance suite compares sharded runs only with each other, so
-#: without these a refactor that shifts every K alike would pass.
+#: epochs), re-captured with ``GOLDEN`` when the sources became block
+#: samplers (until then the results and latencies were those of the
+#: pre-unification ``ShardExecutor``). The K-invariance suite compares
+#: sharded runs only with each other, so without these a refactor that
+#: shifts every K alike would pass.
 SHARD_GOLDEN = {
     "WC": [
-        (20468, 26, 0.3375014204407278, 166),
-        (20478, 26, 0.3074837902083449, 152),
+        (20582, 26, 0.33692417342333997, 166),
+        (20512, 26, 0.30616274977135344, 151),
     ],
     "SG": [
-        (6184, 286, 5.144761416522206, 1820),
-        (6216, 294, 5.28455941328646, 1841),
+        (6140, 275, 5.333164791665106, 1786),
+        (6220, 295, 5.36720175574493, 1792),
     ],
     "AD": [
-        (10652, 42, 0.33001454425339916, 438),
-        (10852, 58, 0.3488466268355101, 419),
+        (10580, 41, 0.2833085753493516, 434),
+        (10634, 42, 0.2657424031585989, 418),
     ],
 }
 

@@ -19,9 +19,13 @@ Note: the SA pin reflects the deterministic word-table fix in
 :mod:`repro.apps.sentiment` (sorted sentiment vocabularies); before it,
 SA's tweet stream varied with ``PYTHONHASHSEED``.
 
-Recaptured once for the universe merge (DESIGN.md §14): arrival times
-now come from per-subtask streams, so which tuples share a window moved
-for some apps, and event counts fell everywhere (no BEGIN events).
+Recaptured for the universe merge (DESIGN.md §14): arrival times now
+come from per-subtask streams, so which tuples share a window moved for
+some apps, and event counts fell everywhere (no BEGIN events). And again
+when the applications' sources became block samplers (DESIGN.md §1):
+the same distributions drawn in another order, so every app's tuples —
+not their arrival times — changed; event counts moved by under 1 %, the
+rare-event apps' result counts (FD, MO, SD) by their sampling noise.
 """
 
 from __future__ import annotations
@@ -34,20 +38,20 @@ from repro.sps.engine import SimulationConfig, StreamEngine
 
 #: abbrev -> (events_processed, results, windows_fired, matches_emitted)
 PINNED = {
-    "AD": (10534, 31, 31, 418),
-    "BI": (14728, 839, 319, 1404),
-    "CA": (7628, 209, 209, 0),
-    "FD": (6412, 52, 0, 0),
-    "LP": (9134, 6, 6, 0),
-    "LR": (5656, 45, 383, 0),
-    "MO": (7206, 3, 0, 0),
-    "SA": (8028, 407, 407, 0),
-    "SD": (4846, 23, 0, 0),
-    "SG": (6200, 290, 0, 0),
-    "TM": (11038, 66, 1288, 0),
-    "TPCH": (8436, 4, 4, 0),
-    "TQ": (12050, 40, 2378, 0),
-    "WC": (20680, 26, 26, 0),
+    "AD": (10594, 42, 42, 431),
+    "BI": (14700, 841, 307, 1400),
+    "CA": (7614, 202, 202, 0),
+    "FD": (6368, 38, 0, 0),
+    "LP": (9116, 6, 6, 0),
+    "LR": (5642, 45, 376, 0),
+    "MO": (7202, 1, 0, 0),
+    "SA": (8026, 406, 406, 0),
+    "SD": (4822, 11, 0, 0),
+    "SG": (6264, 306, 0, 0),
+    "TM": (11092, 60, 1288, 0),
+    "TPCH": (8480, 4, 4, 0),
+    "TQ": (12042, 40, 2374, 0),
+    "WC": (20482, 26, 26, 0),
 }
 
 
