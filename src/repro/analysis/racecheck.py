@@ -31,7 +31,9 @@ into forked processes:
 detector only reads: no RNG draws, no heap pushes, no engine-state
 mutation. It can wrap an inner observer (sharing the inner's counter
 arrays by reference so the engine's direct bumps land once) or stand
-alone, in which case sampling stays disabled (``next_sample`` = inf).
+alone, in which case sampling stays disabled (``next_sample`` = inf)
+and the engine skips every per-event hook but the ``DONE`` of a keyed
+subtask (:attr:`RaceDetector.done_gids`) — the only one it reads.
 """
 
 from __future__ import annotations
@@ -118,12 +120,21 @@ class RaceDetector:
         self.shuffle_bytes: list[float] = []
         self.stall_s: list[float] = []
         self._engine = None
-        #: gid -> (op_id, key_field or None) for tracked keyed subtasks
+        #: gid -> (op_id, key_field or None) for tracked keyed subtasks;
+        #: one dict for the detector's life (the engine holds it too)
         self._keyed: dict[int, tuple[str, int | None]] = {}
         #: op_id -> {key: first-serving subtask index}
         self._owners: dict[str, dict] = {}
         #: (op_id, key) pairs already reported, to avoid flooding
         self._reported: set[tuple[str, str]] = set()
+
+    @property
+    def done_gids(self):
+        """Whose ``DONE`` the engine must report: None for every subtask
+        (an inner observer meters them all, and the serves and counters
+        with them); standing alone, the live set of keyed subtasks —
+        the engine then calls no other per-event hook."""
+        return None if self.inner is not None else self._keyed
 
     # ---------------------------------------------------------- lifecycle
 
@@ -149,7 +160,7 @@ class RaceDetector:
             self.stall_s = [0.0] * n
             self.next_sample = _INF
         self._engine = engine
-        self._keyed = {}
+        self._keyed.clear()
         self._owners = {}
         self._reported = set()
         for runtime in engine._runtimes:

@@ -353,6 +353,7 @@ class ColumnarExecutor:
             bandwidths,
             port,
             shuffle_cost,
+            _,
         ) in table:
             out = batch
             if rekey is not None:

@@ -74,9 +74,14 @@ build time rather than per event:
   (``_refill_gaps``/``_refill_noise``), value for value what per-call
   ``exponential(mean)``/``lognormal(mu, sigma)`` would return.
 - *No BEGIN round-trip*: sender overhead paid at a ``DONE`` is a known
-  delay with nothing to decide at its end, so the plain step starts the
-  next queued service at ``now + overhead`` straight away (or records
+  delay with nothing to decide at its end, so the step starts the next
+  queued service at ``now + overhead`` straight away (or records
   ``free_at`` for the idle fast path) instead of pushing a ``BEGIN``.
+- *One step*: a checkpointed run (DESIGN.md §13) executes the same
+  enqueue → serve → route. A barrier is a queue-item kind met at
+  enqueue and dequeue; deliveries and queue items carry a dense channel
+  id in the slot that otherwise carries the port, so FIFO clocks are a
+  flat list and alignment a set of ints.
 
 None of this changes any simulated result: every floating-point
 expression keeps the exact operand order of the straightforward
@@ -97,6 +102,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappush
+from itertools import repeat
 
 import numpy as np
 
@@ -276,10 +282,13 @@ class SimulationConfig:
     completed checkpoint and replay source offsets. ``delivery``
     selects the guarantee: ``"exactly_once"`` dedupes replayed results
     at the sinks by ``(producer, seq)`` provenance; ``"at_least_once"``
-    delivers duplicates and accounts them. Checkpointing is scalar-
-    engine only and incompatible with batch mode, rescaling,
-    autoscaling and backpressure (each would need its own barrier
-    interaction; rejected at config time).
+    delivers duplicates and accounts them. A checkpointed run executes
+    the plain step — barriers are queue items, and each source keeps a
+    replay log cut back at every completed checkpoint — so it differs
+    from the same run without checkpointing only by what barriers do.
+    Checkpointing is scalar-engine only and incompatible with batch
+    mode, rescaling, autoscaling and backpressure (each would need its
+    own barrier interaction; rejected at config time).
     """
 
     max_tuples_per_source: int = 4000
@@ -440,7 +449,7 @@ class _SubtaskRuntime:
     slot_load: float = 1.0
     #: precompiled routing, one entry per outgoing channel group:
     #: (select, fixed_indices, rekey, consumer_gids, num_channels,
-    #:  latencies, bandwidths, port, shuffle_cost) — fixed_indices
+    #:  latencies, bandwidths, port, shuffle_cost, to_sink) — fixed_indices
     #: replaces the select call for forward/broadcast exchanges whose
     #: fan-out is constant; rekey replaces it on a ``key_field`` hash
     #: exchange (``HashPartitioner.rekey_select``: the key is read
@@ -468,22 +477,26 @@ class _SubtaskRuntime:
     fail_until: float = 0.0
     #: fault-tolerance lifecycle (DESIGN.md §13). ``ft_incarnation``
     #: counts restarts of this subtask (labels recovery RNG streams and
-    #: race-ledger entries); sources keep a durable log of generated
-    #: tuples (``ft_log``) with ``ft_head`` the next offset to deliver;
+    #: race-ledger entries); sources keep a durable log of the tuples
+    #: generated since the last completed checkpoint's offset
+    #: (``ft_log``, whose first entry is tuple number ``ft_base`` of the
+    #: run) with ``ft_head`` the log index to deliver next;
     #: ``ft_emit_seq`` numbers sink-bound emissions for provenance;
-    #: ``ft_ckpt``/``ft_aligned``/``ft_buffer`` track barrier alignment.
+    #: ``ft_ckpt``/``ft_aligned``/``ft_buffer`` track barrier alignment
+    #: (``ft_aligned`` holds channel ids).
     ft_incarnation: int = 0
     ft_log: list | None = None
+    ft_base: int = 0
     ft_head: int = 0
     ft_emit_seq: int = 0
     ft_ckpt: int | None = None
     ft_aligned: set | None = None
     ft_buffer: list | None = None
-    #: the subtask's private randomness (DESIGN.md §14), reset by
-    #: ``StreamEngine._begin_run``: unit-mean arrival gaps (scaled at
-    #: use) and service-noise factors wait in reversed blocks, popped
-    #: from the end and refilled from the subtask's own ``…/arrivals``
-    #: and ``…/noise`` streams, which are opened at the first refill
+    #: the subtask's private randomness (DESIGN.md §14): unit-mean
+    #: arrival gaps (scaled at use) and service-noise factors wait in
+    #: reversed blocks, popped from the end and refilled from the
+    #: subtask's own ``…/arrivals`` and ``…/noise`` streams, which are
+    #: opened at the first refill
     gaps: list | None = None
     gaps_rng: object = None
     noise: list | None = None
@@ -623,9 +636,10 @@ class StreamEngine:
         #: cross-check, and the property tests' fast path)
         self.shard_force_inline = False
         #: the discrete-event kernel: owns the clock and the event
-        #: counter; reset at every run() and written by the batch
-        #: executor and the sharded run's stats merge
+        #: counter; written by the batch executor and the sharded run's
+        #: stats merge
         self._k = Kernel(_WORK_MASK)
+        self._ran = False
         self._build_runtimes()
 
     # ----------------------------------------------------------- build-time
@@ -791,6 +805,7 @@ class StreamEngine:
                         if group.is_shuffle
                         else 0.0
                     ),
+                    self._runtimes[consumers[0]].is_sink,
                 )
             )
         runtime.route_table = table
@@ -798,7 +813,16 @@ class StreamEngine:
     # ------------------------------------------------------------- run-time
 
     def run(self) -> RunMetrics:
-        """Execute the simulation and compute metrics."""
+        """Execute the simulation and compute metrics.
+
+        An engine runs once: its sinks, source budgets and operator
+        state are the run's, so a second call would report the first
+        run again."""
+        if self._ran:
+            raise SimulationError(
+                "a StreamEngine runs once; build a new engine per run"
+            )
+        self._ran = True
         try:
             if self.config.batch_size is not None:
                 from repro.sps.batch import ColumnarExecutor
@@ -809,7 +833,6 @@ class StreamEngine:
 
                 return run_sharded(self)
             k = self._k
-            k.reset()
             self._begin_run(k)
             if self._elastic:
                 self._start_elastic()
@@ -833,8 +856,6 @@ class StreamEngine:
                 f"event budget exceeded ({self.config.max_events}); "
                 "the configuration likely diverged"
             ) from None
-        finally:
-            self._end_run()
 
     def _begin_run(self, kernel: Kernel, owned=None) -> None:
         """Bind one kernel's run state on this object, then seed it.
@@ -864,18 +885,13 @@ class StreamEngine:
         self._congested: set[int] = set()
         self._throttled_arrivals = 0
         self._bp_limit = config.backpressure_queue_limit
-        # Routed-path indirection: the default path binds the plain
-        # implementations here, so checkpointing can swap in its FT
-        # variants without a branch inside the hot path. These cached
-        # bound methods are the object's only references to itself;
-        # ``_end_run`` clears them.
-        self._route_live = self._route
-        self._serve_next = self._begin_service_now
         #: a DONE that paid sender overhead starts the next service
-        #: itself instead of pushing a BEGIN. Backpressure and
-        #: checkpointing keep the event: their hysteresis release and
-        #: barrier/snapshot instants are defined at dequeue time.
-        self._fused = not self._ft and self._bp_limit is None
+        #: itself instead of pushing a BEGIN. Backpressure keeps the
+        #: event: its hysteresis release is defined at dequeue time.
+        self._fused = self._bp_limit is None
+        #: checkpointed runs only (``_ft_init``): per-channel FIFO clocks
+        #: and the channel -> port map, both indexed by channel id
+        self._ft_clocks = self._ft_ports = None
         #: control-plane events (RESCALE/CONTROL/SCENARIO/FT) belong to
         #: no subtask: origin -1 numbers them ahead of every subtask's
         #: events at an equal instant
@@ -886,11 +902,15 @@ class StreamEngine:
             # hooks would need cross-process event ordering (the
             # constructor rejects a user observer for the same reason).
             self._obs = None
+        # Which per-event hooks the attached observer needs, resolved
+        # once: an EngineObserver (wrapped by the race detector or not)
+        # meters every event; a standalone detector reads only the
+        # DONEs of the keyed subtasks in its ``done_gids``, so the serve
+        # hook and the tuples_in/shuffle_bytes counters are not paid for.
+        self._done_gids = getattr(self._obs, "done_gids", None)
+        self._meter = self._obs if self._done_gids is None else None
         for runtime in mine:
             runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
-            runtime.free_at = 0.0
-            runtime.gaps = runtime.noise = None
-            runtime.gaps_rng = runtime.noise_rng = None
         if self._ft:
             self._ft_init()
 
@@ -912,17 +932,10 @@ class StreamEngine:
                 if owned is None or gid in self._owned:
                     self._push(stall.at_time, _STALL, gid, stall.duration, 0)
 
-    def _end_run(self) -> None:
-        """Drop what only a live run needs, so a finished engine holds
-        no reference to itself and is freed by refcount."""
-        self._route_live = self._serve_next = None
-        for runtime in self._runtimes:
-            runtime.gaps = runtime.noise = None
-
     def _make_handlers(self) -> list:
         """The kernel's dispatch table, one entry per event kind."""
         runtimes = self._runtimes
-        enqueue = self._ft_enqueue if self._ft else self._enqueue
+        enqueue = self._ft_deliver if self._ft else self._enqueue
 
         def deliver(gid: int, payload, port: int) -> None:
             enqueue(runtimes[gid], payload, port)
@@ -1080,12 +1093,13 @@ class StreamEngine:
         if self._ft:
             # Durable source log (DESIGN.md §13): every generated tuple
             # is appended; delivery advances ft_head, and recovery
-            # rewinds ft_head to the checkpoint offset and replays.
+            # rewinds ft_head to the checkpoint offset and replays. A
+            # source's own tuples ride the reserved channel 0.
             log = runtime.ft_log
             log.append(tup)
             if not self._ft_recovering and runtime.ft_head == len(log) - 1:
                 runtime.ft_head = len(log)
-                self._ft_enqueue(runtime, (tup, -1), 0)
+                self._enqueue(runtime, tup, 0)
         else:
             self._enqueue(runtime, tup, 0)
         self._schedule_next_arrival(runtime, now)
@@ -1099,7 +1113,7 @@ class StreamEngine:
             # the operator's live subtasks (chaining correctly across
             # multiple rescales, since the live set is looked up fresh).
             runtime = self._runtimes[self._forward_gid(runtime, tup, port)]
-        obs = self._obs
+        obs = self._meter
         k = self._k
         now = k.now
         if obs is not None:
@@ -1134,6 +1148,8 @@ class StreamEngine:
             runtime.busy_time += service
             if obs is not None:
                 obs.on_serve(runtime, start, service, start - now)
+            if self._ft_ports is not None:
+                port = self._ft_ports[port]
             runtime.seq += 1
             k.work += 1
             heappush(
@@ -1162,7 +1178,7 @@ class StreamEngine:
                 obs.on_backpressure(runtime, now, True)
             self._congested.add(runtime.gid)
         if not runtime.busy:
-            self._serve_next(runtime, now)
+            self._begin_service_now(runtime, now)
 
     def _begin_service(self, gid: int) -> None:
         runtime = self._runtimes[gid]
@@ -1171,7 +1187,7 @@ class StreamEngine:
             return
         runtime.busy = False
         if len(runtime.queue) > runtime.queue_head:
-            self._serve_next(runtime, self._k.now)
+            self._begin_service_now(runtime, self._k.now)
 
     def _begin_service_now(
         self, runtime: _SubtaskRuntime, now: float
@@ -1181,6 +1197,16 @@ class StreamEngine:
         queue = runtime.queue
         head = runtime.queue_head
         tup, port, enqueued_at = queue[head]
+        ports = self._ft_ports
+        if ports is not None:
+            # Checkpointed run: the slot holds a channel id, and the
+            # head may be a barrier or data of an aligned channel.
+            if tup.__class__ is _Barrier or runtime.ft_ckpt is not None:
+                if not self._ft_dequeue(runtime, now):
+                    return
+                head = runtime.queue_head
+                tup, port, enqueued_at = queue[head]
+            port = ports[port]
         wait = now - enqueued_at
         runtime.wait_time += wait
         runtime.served += 1
@@ -1193,8 +1219,8 @@ class StreamEngine:
         if limit is not None and runtime.gid in self._congested:
             depth = len(queue) - runtime.queue_head
             if depth <= limit // 2:
-                if self._obs is not None:
-                    self._obs.on_backpressure(runtime, now, False)
+                if self._meter is not None:
+                    self._meter.on_backpressure(runtime, now, False)
                 self._congested.discard(runtime.gid)
         runtime.busy = True
         work = runtime.static_work
@@ -1205,8 +1231,8 @@ class StreamEngine:
             noise = runtime.noise or self._refill_noise(runtime)
             service *= noise.pop()
         runtime.busy_time += service
-        if self._obs is not None:
-            self._obs.on_serve(runtime, now, service, wait)
+        if self._meter is not None:
+            self._meter.on_serve(runtime, now, service, wait)
         k = self._k
         runtime.seq += 1
         k.work += 1
@@ -1223,8 +1249,10 @@ class StreamEngine:
         else:
             outputs = runtime.logic.process(tup, now, port)
         if self._obs is not None:
-            self._obs.on_done(runtime, now, tup, outputs)
-        overhead = self._route_live(runtime, outputs)
+            gids = self._done_gids
+            if gids is None or gid in gids:
+                self._obs.on_done(runtime, now, tup, outputs)
+        overhead = self._route(runtime, outputs)
         runtime.busy_time += overhead
         if runtime.draining:
             # The in-flight tuple this drain was waiting on is done;
@@ -1246,7 +1274,7 @@ class StreamEngine:
             runtime.free_at = now
         runtime.busy = False
         if len(runtime.queue) > runtime.queue_head:
-            self._serve_next(runtime, now)
+            self._begin_service_now(runtime, now)
 
     def _handle_stall(self, gid: int, duration: float) -> None:
         runtime = self._runtimes[gid]
@@ -1280,9 +1308,9 @@ class StreamEngine:
         # timer tick returns [] in O(1); skip routing entirely then
         # (identical result: routing nothing adds 0.0 busy time).
         if outputs:
-            if self._obs is not None:
-                self._obs.on_window_fire(runtime, now, len(outputs))
-            overhead = self._route_live(runtime, outputs)
+            if self._meter is not None:
+                self._meter.on_window_fire(runtime, now, len(outputs))
+            overhead = self._route(runtime, outputs)
             runtime.busy_time += overhead
         interval = logic.timer_interval
         next_time = now + interval
@@ -1956,6 +1984,14 @@ class StreamEngine:
         The dedicated ``("engine", "ft")`` stream keeps recovery noise
         off the arrival/service streams, and every FT data structure is
         built here so checkpoint-off runs carry none of it.
+
+        Channels are compiled from the route tables: every (producer,
+        group, consumer index) gets a dense id, ``group's first id +
+        index``, and the group's table entry carries that first id in
+        its port slot — a ``DELIVER`` and a queue item of a checkpointed
+        run hold the channel where a plain run's hold the port, which
+        ``_ft_ports`` gives back at service start. Channel 0 is every
+        source's own queue.
         """
         self._rng_ft = self._rngs.fresh("engine", "ft")
         self._ft_store = StateStore()
@@ -1963,10 +1999,6 @@ class StreamEngine:
         self._ft_exactly_once = self.config.delivery == "exactly_once"
         #: (producer_gid, emit_seq) provenance ids admitted at the sinks
         self._ft_seen: set[tuple[int, int]] = set()
-        #: per-channel FIFO clock: (src_gid, dst_gid, port) -> last
-        #: scheduled delivery time; clamps keep barriers ordered w.r.t.
-        #: the data around them
-        self._ft_chan_clock: dict[tuple[int, int, int], float] = {}
         self._ft_recovering = False
         self._ft_restore_token = 0
         self._ft_pending = 0
@@ -1975,27 +2007,32 @@ class StreamEngine:
         self._ft_replayed = 0
         self._ft_dupes_dropped = 0
         self._ft_dup_results = 0
-        # Expected barrier count per consumer = its live input channels,
-        # derived from the same compiled route tables the data uses.
+        # Expected barrier count per consumer = its live input channels.
         expected = [0] * len(self._runtimes)
+        ports = [0]
         for runtime in self._runtimes:
-            for entry in runtime.route_table:
+            table = runtime.route_table
+            for i, entry in enumerate(table):
                 fixed = entry[1]
                 consumers = entry[3]
                 indices = fixed if fixed is not None else range(entry[4])
                 for idx in indices:
                     expected[consumers[idx]] += 1
+                table[i] = entry[:7] + (len(ports),) + entry[8:]
+                ports.extend([entry[7]] * entry[4])
+            if runtime.is_source:
+                runtime.ft_log = []
         self._ft_expected = expected
         self._ft_num_acks = sum(
             1
             for runtime in self._runtimes
             if runtime.is_source or expected[runtime.gid] > 0
         )
-        for runtime in self._runtimes:
-            if runtime.is_source:
-                runtime.ft_log = []
-        self._route_live = self._ft_route
-        self._serve_next = self._ft_begin_service_now
+        self._ft_ports = ports
+        #: last scheduled delivery time per channel: clamping to it
+        #: keeps a channel FIFO, so barriers stay ordered with the data
+        #: around them whatever the payload sizes
+        self._ft_clocks = [0.0] * len(ports)
         if self._ft_interval <= self.config.max_sim_time:
             self._push_control(self._ft_interval, _FT, ("trigger",))
 
@@ -2012,7 +2049,7 @@ class StreamEngine:
                 return
             if self._ft_num_acks == 0:
                 return
-            record = store.begin(self._k.now)
+            barrier = _Barrier(store.begin(self._k.now).ckpt_id)
             self._ft_pending = self._ft_num_acks
             for runtime in self._runtimes:
                 if runtime.is_source:
@@ -2021,32 +2058,26 @@ class StreamEngine:
                     # offset is recorded when the source dequeues it,
                     # so the snapshot cut and the offset agree even
                     # when the source has a service backlog.
-                    self._ft_enqueue(
-                        runtime, (_Barrier(record.ckpt_id), -1), 0
-                    )
+                    self._ft_deliver(runtime, barrier, 0)
         else:  # ("restored", token)
             self._ft_restored(action[1])
 
-    def _ft_enqueue(
-        self, runtime: _SubtaskRuntime, payload, port: int
-    ) -> None:
-        """FT delivery path: queue entries are (item, port, at, src).
+    def _ft_deliver(self, runtime: _SubtaskRuntime, item, chan: int) -> None:
+        """What checkpointing puts in front of :meth:`_enqueue`.
 
-        ``payload`` is ``(item, producer_gid)``; ``producer_gid`` is -1
-        for a source's own generated tuples. Barriers join the queue
-        like data; post-barrier data on an already-aligned channel is
-        diverted to the alignment buffer; sink deliveries pass the
-        provenance ledger first.
+        A barrier joins the queue like data, at no cost; a sink
+        delivery passes the provenance ledger first; post-barrier data
+        on an already-aligned channel is diverted to the alignment
+        buffer. Everything else is enqueued by the shared step.
         """
-        tup, src = payload
-        now = self._k.now
-        if tup.__class__ is _Barrier:
-            runtime.queue.append((tup, port, now, src))
+        if item.__class__ is _Barrier:
+            now = self._k.now
+            runtime.queue.append((item, chan, now))
             if not runtime.busy:
-                self._ft_begin_service_now(runtime, now)
+                self._begin_service_now(runtime, max(now, runtime.free_at))
             return
         if runtime.is_sink:
-            prov = tup.prov
+            prov = item.prov
             if prov is not None:
                 seen = self._ft_seen
                 if prov in seen:
@@ -2056,79 +2087,54 @@ class StreamEngine:
                     self._ft_dup_results += 1
                 else:
                     seen.add(prov)
-        obs = self._obs
-        if obs is not None:
-            obs.tuples_in[runtime.gid] += 1
-        if runtime.ft_ckpt is not None and (src, port) in runtime.ft_aligned:
-            runtime.ft_buffer.append((tup, port, now, src))
+        if runtime.ft_ckpt is not None and chan in runtime.ft_aligned:
+            if self._meter is not None:
+                self._meter.tuples_in[runtime.gid] += 1
+            runtime.ft_buffer.append((item, chan, self._k.now))
             return
-        queue = runtime.queue
-        queue.append((tup, port, now, src))
-        depth = len(queue) - runtime.queue_head
-        if depth > runtime.queue_peak:
-            runtime.queue_peak = depth
-        if not runtime.busy:
-            self._ft_begin_service_now(runtime, now)
+        self._enqueue(runtime, item, chan)
 
-    def _ft_begin_service_now(
-        self, runtime: _SubtaskRuntime, now: float
-    ) -> None:
-        """FT head-of-queue step: barriers and aligned-channel data are
-        consumed at zero cost; the first servable tuple starts service
-        exactly as ``_begin_service_now`` would."""
+    def _ft_dequeue(self, runtime: _SubtaskRuntime, now: float) -> bool:
+        """Consume the barriers and aligned-channel data at the head of
+        the queue, at zero cost; True if a servable tuple is left there.
+
+        A snapshot, a barrier forward and an alignment divert happen
+        *when* the item is dequeued, and between a ``DONE`` and the end
+        of its sender overhead a timer may fire or the node may fail.
+        So, like a drain, they do not run ahead of the clock: asked to
+        dequeue at a ``free_at`` still to come, the subtask stays busy
+        and a ``BEGIN`` brings it back at that instant.
+        """
+        if now > self._k.now:
+            runtime.busy = True
+            runtime.free_at = 0.0
+            self._push(now, _BEGIN, runtime.gid, None, 0)
+            return False
         queue = runtime.queue
-        while True:
-            head = runtime.queue_head
-            if head >= len(queue):
-                return
-            tup, port, enqueued_at, src = queue[head]
-            if tup.__class__ is _Barrier:
-                runtime.queue_head = head + 1
-                self._ft_barrier_dequeued(runtime, tup, src, port)
-                continue
-            if (
+        head = runtime.queue_head
+        while head < len(queue):
+            entry = queue[head]
+            if entry[0].__class__ is _Barrier:
+                runtime.queue_head = head = head + 1
+                self._ft_barrier_dequeued(runtime, entry[0], entry[1])
+            elif (
                 runtime.ft_ckpt is not None
-                and (src, port) in runtime.ft_aligned
+                and entry[1] in runtime.ft_aligned
             ):
-                runtime.queue_head = head + 1
-                runtime.ft_buffer.append((tup, port, enqueued_at, src))
-                continue
-            break
-        wait = now - enqueued_at
-        runtime.wait_time += wait
-        runtime.served += 1
-        head += 1
-        runtime.queue_head = head
-        if head > 256 and head * 2 >= len(queue):
-            del queue[:head]
-            runtime.queue_head = 0
-        runtime.busy = True
-        work = runtime.static_work
-        if work is None:
-            work = runtime.logic.work_units(tup)
-        service = runtime.base_service * work
-        if runtime.noise_sigma > 0:
-            noise = runtime.noise or self._refill_noise(runtime)
-            service *= noise.pop()
-        runtime.busy_time += service
-        if self._obs is not None:
-            self._obs.on_serve(runtime, now, service, wait)
-        k = self._k
-        runtime.seq += 1
-        k.work += 1
-        heappush(
-            k.heap,
-            (now + service, runtime.seq, _DONE, runtime.gid, tup, port),
-        )
+                runtime.queue_head = head = head + 1
+                runtime.ft_buffer.append(entry)
+            else:
+                return True
+        return False
 
     def _ft_barrier_dequeued(
-        self, runtime: _SubtaskRuntime, barrier: _Barrier, src: int, port: int
+        self, runtime: _SubtaskRuntime, barrier: _Barrier, chan: int
     ) -> None:
         if runtime.ft_ckpt is None:
             runtime.ft_ckpt = barrier.ckpt_id
             runtime.ft_aligned = set()
             runtime.ft_buffer = []
-        runtime.ft_aligned.add((src, port))
+        runtime.ft_aligned.add(chan)
         if len(runtime.ft_aligned) < self._ft_expected[runtime.gid]:
             return
         # Aligned on every input channel: snapshot, forward, acknowledge
@@ -2140,20 +2146,30 @@ class StreamEngine:
                 # Everything still queued behind the barrier was
                 # generated (or replayed) after it, so the replay
                 # offset is the log cursor minus that backlog.
-                record.source_offsets[runtime.gid] = runtime.ft_head - (
-                    len(runtime.queue) - runtime.queue_head
+                record.source_offsets[runtime.gid] = (
+                    runtime.ft_base
+                    + runtime.ft_head
+                    - (len(runtime.queue) - runtime.queue_head)
                 )
-                record.emit_seqs[runtime.gid] = runtime.ft_emit_seq
-                self._ft_forward_barrier(runtime, record.ckpt_id)
             elif not runtime.is_sink:
                 store.add_snapshot(
                     runtime.gid, runtime.logic.snapshot_state()
                 )
+            if not runtime.is_sink:
                 record.emit_seqs[runtime.gid] = runtime.ft_emit_seq
-                self._ft_forward_barrier(runtime, record.ckpt_id)
+                self._ft_forward_barrier(runtime, barrier)
             self._ft_pending -= 1
             if self._ft_pending == 0:
                 completed = store.complete(self._k.now)
+                # Log retention: a recovery restarts from the newest
+                # completed checkpoint, so nothing before its offset
+                # is ever replayed again.
+                for gid, offset in completed.source_offsets.items():
+                    source = self._runtimes[gid]
+                    cut = offset - source.ft_base
+                    del source.ft_log[:cut]
+                    source.ft_base = offset
+                    source.ft_head -= cut
                 if self._obs is not None:
                     self._obs.on_checkpoint(self, completed)
         # Release input buffered during alignment, ahead of the rest.
@@ -2167,42 +2183,38 @@ class StreamEngine:
         runtime.ft_buffer = None
 
     def _ft_forward_barrier(
-        self, runtime: _SubtaskRuntime, ckpt_id: int
+        self, runtime: _SubtaskRuntime, barrier: _Barrier
     ) -> None:
-        """Send ``ckpt_id``'s barrier down every outgoing channel."""
+        """Send the barrier down every outgoing channel, FIFO-clamped
+        like the data :meth:`_route` sends."""
         k = self._k
         now = k.now
         heap = k.heap
         seq = runtime.seq
-        clock = self._ft_chan_clock
-        runtimes = self._runtimes
-        src_gid = runtime.gid
+        clocks = self._ft_clocks
         pushed = 0
         for entry in runtime.route_table:
             fixed = entry[1]
             consumers = entry[3]
             latencies = entry[5]
-            port = entry[7]
             indices = fixed if fixed is not None else range(entry[4])
-            network = self.cluster.network if latencies is None else None
             for idx in indices:
-                cgid = consumers[idx]
+                dst = consumers[idx]
                 if latencies is not None:
                     delay = latencies[idx]
                 else:
-                    delay = network.transfer_delay(
-                        runtime.node_id, runtimes[cgid].node_id, 0.0
+                    delay = self.cluster.network.transfer_delay(
+                        runtime.node_id, self._runtimes[dst].node_id, 0.0
                     )
                 at = now + delay
-                key = (src_gid, cgid, port)
-                prev = clock.get(key)
-                if prev is not None and at < prev:
-                    at = prev
-                clock[key] = at
+                chan = entry[7] + idx
+                if at < clocks[chan]:
+                    at = clocks[chan]
+                else:
+                    clocks[chan] = at
                 seq += 1
                 pushed += 1
-                payload = (_Barrier(ckpt_id), src_gid)
-                heappush(heap, (at, seq, _DELIVER, cgid, payload, port))
+                heappush(heap, (at, seq, _DELIVER, dst, barrier, chan))
         runtime.seq = seq
         k.work += pushed
 
@@ -2215,7 +2227,7 @@ class StreamEngine:
             return
         tup = log[head]
         runtime.ft_head = head + 1
-        self._ft_enqueue(runtime, (tup, -1), 0)
+        self._enqueue(runtime, tup, 0)
         if runtime.ft_head < len(log):
             gap = runtime.mean_gap * _REPLAY_GAP_FRACTION
             self._push(self._k.now + gap, _REPLAY, gid, None, 0)
@@ -2235,6 +2247,8 @@ class StreamEngine:
             store.abort()
             self._ft_pending = 0
         record = store.latest()
+        emit_seqs = record.emit_seqs if record is not None else {}
+        snapshots = record.snapshots if record is not None else {}
         now = self._k.now
         runtimes = self._runtimes
         heap = self._k.heap
@@ -2255,7 +2269,7 @@ class StreamEngine:
             if (
                 kind == _DELIVER
                 and runtimes[ev[3]].is_sink
-                and ev[4][0].__class__ is _Barrier
+                and ev[4].__class__ is _Barrier
             ):
                 # An in-flight barrier of the aborted checkpoint; were
                 # it delivered it would re-arm alignment on an epoch
@@ -2296,33 +2310,24 @@ class StreamEngine:
                 runtime.ft_aligned = None
                 runtime.ft_buffer = None
                 if not runtime.busy and len(queue) > runtime.queue_head:
-                    self._ft_begin_service_now(runtime, now)
+                    self._begin_service_now(runtime, now)
                 continue
             runtime.busy = True  # paused until the recovery completes
+            runtime.free_at = 0.0  # whatever it was starting is purged
             runtime.ft_ckpt = None
             runtime.ft_aligned = None
             runtime.ft_buffer = None
+            runtime.ft_emit_seq = emit_seqs.get(runtime.gid, 0)
             if runtime.is_source:
-                offset = 0
-                emit = 0
-                if record is not None:
-                    offset = record.source_offsets.get(runtime.gid, 0)
-                    emit = record.emit_seqs.get(runtime.gid, 0)
-                replayed += runtime.ft_head - offset
-                runtime.ft_head = offset
-                runtime.ft_emit_seq = emit
+                # The log starts at the newest completed checkpoint's
+                # offset (at the first tuple when there is none).
+                replayed += runtime.ft_head
+                runtime.ft_head = 0
                 runtime.queue = []
                 runtime.queue_head = 0
                 continue
-            snapshot = None
-            if record is not None:
-                snapshot = record.snapshots.get(runtime.gid)
+            snapshot = snapshots.get(runtime.gid)
             self._restart(runtime).restore_state(snapshot)
-            runtime.ft_emit_seq = (
-                record.emit_seqs.get(runtime.gid, 0)
-                if record is not None
-                else 0
-            )
             restored_items += estimate_items(snapshot)
         pause = (
             duration
@@ -2361,7 +2366,7 @@ class StreamEngine:
                 if log and runtime.ft_head < len(log):
                     self._push(self._k.now, _REPLAY, runtime.gid, None, 0)
             elif len(runtime.queue) > runtime.queue_head:
-                self._ft_begin_service_now(runtime, self._k.now)
+                self._begin_service_now(runtime, self._k.now)
         if self._k.work == 0:
             # The purge may have consumed the last work event without
             # the main loop seeing work hit zero; run the end-of-stream
@@ -2373,98 +2378,6 @@ class StreamEngine:
                 and self._flush_all()
             ):
                 self._flush_rounds += 1
-
-    def _ft_route(
-        self, runtime: _SubtaskRuntime, outputs: list[StreamTuple]
-    ) -> float:
-        """FT variant of :meth:`_route`.
-
-        Identical delay/overhead accounting, plus: deliveries are
-        clamped to per-channel FIFO clocks (so barriers stay ordered
-        with the data around them), payloads are wrapped with the
-        producer gid for alignment, and sink-bound results are stamped
-        with ``(producer, emit_seq)`` provenance for the delivery
-        guarantee's ledger.
-        """
-        if not outputs:
-            return 0.0
-        table = runtime.route_table
-        if not table:
-            return 0.0
-        k = self._k
-        now = k.now
-        heap = k.heap
-        seq = runtime.seq
-        obs = self._obs
-        clock = self._ft_chan_clock
-        runtimes = self._runtimes
-        src_gid = runtime.gid
-        pushed = 0
-        offset = 0.0
-        for (
-            select,
-            fixed,
-            rekey,
-            consumers,
-            num_channels,
-            latencies,
-            bandwidths,
-            port,
-            shuffle_cost,
-        ) in table:
-            routed = []
-            group_overhead = 0.0
-            for tup in outputs:
-                if rekey is not None:
-                    out, indices = rekey(tup, num_channels)
-                else:
-                    out = tup
-                    indices = (
-                        fixed
-                        if fixed is not None
-                        else select(out, num_channels)
-                    )
-                if shuffle_cost:
-                    group_overhead += shuffle_cost * len(indices)
-                routed.append((out, indices))
-            if shuffle_cost:
-                offset += group_overhead
-                if obs is not None:
-                    nbytes = 0.0
-                    for out, indices in routed:
-                        nbytes += out.size_bytes * len(indices)
-                    obs.shuffle_bytes[src_gid] += nbytes
-            network = self.cluster.network if latencies is None else None
-            for out, indices in routed:
-                size = out.size_bytes
-                for idx in indices:
-                    cgid = consumers[idx]
-                    if latencies is not None:
-                        delay = latencies[idx] + size / bandwidths[idx]
-                    else:
-                        delay = network.transfer_delay(
-                            runtime.node_id, runtimes[cgid].node_id, size
-                        )
-                    at = now + delay + offset
-                    key = (src_gid, cgid, port)
-                    prev = clock.get(key)
-                    if prev is not None and at < prev:
-                        at = prev
-                    clock[key] = at
-                    if runtimes[cgid].is_sink:
-                        runtime.ft_emit_seq += 1
-                        out_d = out.with_prov((src_gid, runtime.ft_emit_seq))
-                    else:
-                        out_d = out
-                    seq += 1
-                    pushed += 1
-                    heappush(
-                        heap,
-                        (at, seq, _DELIVER, cgid, (out_d, src_gid), port),
-                    )
-        runtime.seq = seq
-        k.work += pushed
-        return offset
 
     # -------------------------------------------------------------- routing
 
@@ -2488,9 +2401,14 @@ class StreamEngine:
         port, tuple)`` — the tie-break it would have carried on the
         heap is ``pack_tiebreak(origin, seq)`` — for the shard executor
         to ship. The producer's counter advances identically either
-        way, so tie-breaks do not depend on the partition. (Sharding
-        requires the affine network, so the custom-network branch below
-        is always local.)
+        way, so tie-breaks do not depend on the partition.
+
+        **Checkpointed or not.** With ``_ft_clocks`` bound (DESIGN.md
+        §13) a group's port slot holds its first channel id: a delivery
+        is clamped to its channel's FIFO clock, so a barrier stays
+        ordered with the data around it, travels under its channel id,
+        and, when bound for a sink, carries ``(producer, emit seq)``
+        provenance for the delivery guarantee's ledger.
         """
         if not outputs:
             return 0.0
@@ -2501,12 +2419,13 @@ class StreamEngine:
         now = k.now
         heap = k.heap
         seq = runtime.seq
-        obs = self._obs
+        obs = self._meter
         owned = self._owned
         if owned is not None:
             outbox = self._outbox
             origin = runtime.gid
             base = pack_tiebreak(origin, 0)
+        clocks = self._ft_clocks
         pushed = 0
         offset = 0.0
         for (
@@ -2519,6 +2438,7 @@ class StreamEngine:
             bandwidths,
             port,
             shuffle_cost,
+            to_sink,
         ) in table:
             if fixed is not None:
                 # Constant fan-out (forward/broadcast): no per-tuple
@@ -2536,7 +2456,27 @@ class StreamEngine:
                         for out in outputs:
                             nbytes += out.size_bytes
                         obs.shuffle_bytes[runtime.gid] += nbytes * len(fixed)
-                routed = None
+                if latencies is not None and clocks is None:
+                    # The common case, spelled out: nothing to pair up
+                    # and nothing to ask per delivery.
+                    for out in outputs:
+                        size = out.size_bytes
+                        for idx in fixed:
+                            dst = consumers[idx]
+                            delay = latencies[idx] + size / bandwidths[idx]
+                            at = now + delay + offset
+                            seq += 1
+                            if owned is None or dst in owned:
+                                pushed += 1
+                                heappush(
+                                    heap, (at, seq, _DELIVER, dst, out, port)
+                                )
+                            else:
+                                outbox.append(
+                                    (at, origin, seq - base, dst, port, out)
+                                )
+                    continue
+                routed = zip(outputs, repeat(fixed))
             else:
                 # Dynamic fan-out (always a shuffle — only a forward
                 # edge is overhead-free, and its fan-out is constant):
@@ -2559,95 +2499,39 @@ class StreamEngine:
                     for out, indices in routed:
                         nbytes += out.size_bytes * len(indices)
                     obs.shuffle_bytes[runtime.gid] += nbytes
-            if latencies is not None:
-                if fixed is not None:
-                    for out in outputs:
-                        size = out.size_bytes
-                        for idx in fixed:
-                            delay = latencies[idx] + size / bandwidths[idx]
-                            dst = consumers[idx]
-                            seq += 1
-                            if owned is None or dst in owned:
-                                pushed += 1
-                                heappush(
-                                    heap,
-                                    (
-                                        now + delay + offset,
-                                        seq,
-                                        _DELIVER,
-                                        dst,
-                                        out,
-                                        port,
-                                    ),
-                                )
-                            else:
-                                outbox.append(
-                                    (
-                                        now + delay + offset,
-                                        origin,
-                                        seq - base,
-                                        dst,
-                                        port,
-                                        out,
-                                    )
-                                )
-                    continue
-                for out, indices in routed:
-                    size = out.size_bytes
-                    for idx in indices:
+            for out, indices in routed:
+                size = out.size_bytes
+                for idx in indices:
+                    dst = consumers[idx]
+                    if latencies is not None:
                         delay = latencies[idx] + size / bandwidths[idx]
-                        dst = consumers[idx]
-                        seq += 1
-                        if owned is None or dst in owned:
-                            pushed += 1
-                            heappush(
-                                heap,
-                                (
-                                    now + delay + offset,
-                                    seq,
-                                    _DELIVER,
-                                    dst,
-                                    out,
-                                    port,
-                                ),
-                            )
-                        else:
-                            outbox.append(
-                                (
-                                    now + delay + offset,
-                                    origin,
-                                    seq - base,
-                                    dst,
-                                    port,
-                                    out,
-                                )
-                            )
-            else:
-                # Custom network model: ask it for every delivery.
-                network = self.cluster.network
-                src_node = runtime.node_id
-                runtimes = self._runtimes
-                if routed is None:
-                    routed = [(out, fixed) for out in outputs]
-                for out, indices in routed:
-                    for idx in indices:
-                        delay = network.transfer_delay(
-                            src_node,
-                            runtimes[consumers[idx]].node_id,
-                            out.size_bytes,
+                    else:
+                        # Custom network model: ask it per delivery.
+                        delay = self.cluster.network.transfer_delay(
+                            runtime.node_id, self._runtimes[dst].node_id, size
                         )
-                        seq += 1
+                    at = now + delay + offset
+                    seq += 1
+                    if clocks is not None:
+                        chan = port + idx
+                        if at < clocks[chan]:
+                            at = clocks[chan]
+                        else:
+                            clocks[chan] = at
+                        sent = out
+                        if to_sink:
+                            runtime.ft_emit_seq += 1
+                            sent = out.with_prov(
+                                (runtime.gid, runtime.ft_emit_seq)
+                            )
                         pushed += 1
-                        heappush(
-                            heap,
-                            (
-                                now + delay + offset,
-                                seq,
-                                _DELIVER,
-                                consumers[idx],
-                                out,
-                                port,
-                            ),
+                        heappush(heap, (at, seq, _DELIVER, dst, sent, chan))
+                    elif owned is None or dst in owned:
+                        pushed += 1
+                        heappush(heap, (at, seq, _DELIVER, dst, out, port))
+                    else:
+                        outbox.append(
+                            (at, origin, seq - base, dst, port, out)
                         )
         runtime.seq = seq
         k.work += pushed
@@ -2678,7 +2562,7 @@ class StreamEngine:
                     emitted = True
                     if self._obs is not None:
                         self._obs.on_flush(runtime, now, len(outputs))
-                    self._route_live(runtime, outputs)
+                    self._route(runtime, outputs)
         return emitted
 
     # -------------------------------------------------------------- metrics

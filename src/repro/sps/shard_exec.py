@@ -211,7 +211,7 @@ class _InlineHandle:
         return self.executor.stats()
 
     def close(self) -> None:
-        self.executor.engine._end_run()
+        """Nothing to release: the executor lives in this process."""
 
 
 # Control frames are struct-packed, tuple batches ride as wire columns;

@@ -94,6 +94,36 @@ def test_at_least_once_recovery_is_lossless_superset(seed, at, interval):
     assert ft["lost_results"] == 0
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=_SEEDS,
+    at=_FAIL_AT,
+    interval=_INTERVALS,
+    delivery=st.sampled_from(["exactly_once", "at_least_once"]),
+)
+def test_a_truncated_log_still_covers_every_recovery(
+    seed, at, interval, delivery
+):
+    """The source log keeps only what the newest completed checkpoint
+    may replay. A failure after a truncation, and a second one during
+    the first recovery — no checkpoint in between, so the same offset
+    is replayed twice — lose nothing."""
+    _, oracle = _run(seed)
+    scenario = (
+        f"failure:at={at},duration=0.1+failure:at={at + 0.05},duration=0.1"
+    )
+    metrics, recovered = _run(seed, scenario, delivery, interval)
+    ft = metrics.extras["ft"]
+    assert ft["recoveries"] == 2
+    assert ft["lost_results"] == 0
+    missing = Counter(oracle) - Counter(recovered)
+    extra = Counter(recovered) - Counter(oracle)
+    assert not missing
+    assert sum(extra.values()) == ft["duplicate_results"]
+    if delivery == "exactly_once":
+        assert not extra
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=_SEEDS, at=_FAIL_AT)
 def test_recovery_is_deterministic(seed, at):

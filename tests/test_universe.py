@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 import repro.sps.engine as engine_module
 from repro.analysis.racecheck import stream_ledger
 from repro.cluster import NetworkSpec, homogeneous_cluster
+from repro.common.errors import SimulationError
 from repro.common.rng import RngFactory, state_fingerprint
 from repro.core.experiments.exp5 import ft_workload_plan
 from repro.core.runner import BenchmarkRunner, RunnerConfig
@@ -264,7 +265,7 @@ def counting_generator():
     return generate
 
 
-def tandem_engine(stages, observer=None, **config):
+def tandem_engine(stages, observer=None, engine=StreamEngine, **config):
     """const source → hash → ``stages`` paced servers → hash → sink,
     one subtask each on one node, no service noise anywhere."""
     plan = LogicalPlan("oracle")
@@ -290,7 +291,7 @@ def tandem_engine(stages, observer=None, **config):
     plan.operator("sink").cost = OperatorCost(1e-6, cost_noise=0.0)
     for src, dst in zip(chain, chain[1:]):
         plan.connect(src, dst, HashPartitioner(key_field=0))
-    return StreamEngine(
+    return engine(
         plan,
         homogeneous_cluster(num_nodes=1),
         config=SimulationConfig(
@@ -505,6 +506,18 @@ def test_a_finished_engine_is_freed_by_refcount(config):
     finally:
         if enabled:
             gc.enable()
-    again = arrivals_engine(1, **config)
-    again.run()
-    again.run()  # the next run rebinds what the last one dropped
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{}, {"batch_size": 64}, {"shards": 1}, {"checkpoint_interval": 0.05}],
+    ids=str,
+)
+def test_an_engine_runs_once(config):
+    """A second ``run()`` used to return the first run's results after
+    a no-op pass over exhausted sources."""
+    engine = arrivals_engine(1, **config)
+    first = engine.run().to_dict()
+    with pytest.raises(SimulationError, match="runs once"):
+        engine.run()
+    assert arrivals_engine(1, **config).run().to_dict() == first
