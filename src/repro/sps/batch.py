@@ -604,7 +604,7 @@ class ColumnarExecutor:
         n = len(arrival)
         if not n:
             return
-        self._events += 2 * n  # arrival + service completion per tuple
+        self._events += n  # one arrival per tuple, as the scalar step pops
         runtime.emitted += n  # feeds RunMetrics.source_events
         logic = runtime.logic
         vector = logic.has_vector_generator
@@ -643,7 +643,7 @@ class ColumnarExecutor:
         merged, avail, _ = self._merge(entries)
         logic = runtime.logic
         n = len(merged)
-        self._events += 2 * n  # delivery + completion per row
+        self._events += n  # one delivery per row
         size = self.batch_size
         work_per = runtime.static_work
         sorted_avail = np.sort(avail)
@@ -753,7 +753,7 @@ class ColumnarExecutor:
         self, runtime, logic, merged, avail, kind: str
     ) -> None:
         n = len(merged)
-        self._events += 2 * n  # delivery + completion per row
+        self._events += n  # one delivery per row
         size = self.batch_size
         work_per = runtime.static_work
         sorted_avail = np.sort(avail)
@@ -777,7 +777,7 @@ class ColumnarExecutor:
     def _run_flatmap_kernel(self, runtime, logic, merged, avail) -> None:
         """Columnar 1-to-N expansion (``FlatMapLogic.expand_batch``)."""
         n = len(merged)
-        self._events += 2 * n  # delivery + completion per row
+        self._events += n  # one delivery per row
         size = self.batch_size
         sorted_avail = np.sort(avail)
         free = 0.0
@@ -812,7 +812,7 @@ class ColumnarExecutor:
         cursor = 0  # event-time kernels consume ticks per batch span
         if merged is not None:
             n = len(merged)
-            self._events += 2 * n  # delivery + completion per row
+            self._events += n  # one delivery per row
             sorted_avail = np.sort(avail)
             for a in range(0, n, size):
                 b = min(a + size, n)
@@ -891,7 +891,7 @@ class ColumnarExecutor:
         rows.sort(key=_row_order)
         tick_list = self._tick_times(getattr(logic, "timer_interval", None))
         n_ticks = len(tick_list)
-        self._events += n_ticks + 2 * len(rows)
+        self._events += n_ticks + len(rows)
         cursor = 0
         size = self.batch_size
         work_per = runtime.static_work

@@ -16,7 +16,8 @@ Event kinds:
   enqueue it locally, schedule the next arrival.
 - ``DELIVER`` — a tuple reaches a subtask's input queue.
 - ``BEGIN``   — a server starts serving the head-of-queue tuple.
-- ``DONE``    — service completes: run the operator logic, route outputs.
+- ``DONE``    — service completes: run the operator logic, route outputs
+  (evented runs; a computed run's only ``DONE`` ends it, see below).
 - ``TIMER``   — recurring callback for window operators.
 - ``STALL``   — an injected transient fault pauses a subtask.
 - ``RESCALE`` — change one operator's parallelism mid-run: drain its
@@ -38,9 +39,10 @@ checkpointing machinery (§13) only activate when the config asks for
 them; the default path stays bit-identical to engines built before they
 existed.
 
-Termination: when all sources are exhausted and no work events remain, the
-engine flushes stateful operators in rounds (remaining windows fire), then
-stops once a flush round produces nothing.
+Termination: when all sources are exhausted and no work events remain
+(and, on a computed run, the clock has reached the latest completion),
+the engine flushes stateful operators in rounds (remaining windows
+fire), then stops once a flush round produces nothing.
 
 **Hot-path design.** The per-event loop is the simulator's bottleneck, so
 everything that is constant for the lifetime of one engine is resolved at
@@ -62,8 +64,7 @@ build time rather than per event:
 - *Timer path*: the window logics schedule firing through min-heaps of
   pending window ends (see :mod:`repro.sps.operators.aggregate`), so the
   recurring ``TIMER`` event is O(1) when nothing is ready and the timer
-  handler skips routing when a tick fires no window. Timer cadence is
-  unchanged — ``TIMER`` events still count toward ``events_processed``.
+  handler skips routing when a tick fires no window.
 
 - *One universe, drawn in blocks* (DESIGN.md §14): every subtask draws
   arrival gaps and service noise from its own named streams and numbers
@@ -73,10 +74,14 @@ build time rather than per event:
   of use: gaps and noise factors are popped from per-subtask blocks
   (``_refill_gaps``/``_refill_noise``), value for value what per-call
   ``exponential(mean)``/``lognormal(mu, sigma)`` would return.
-- *No BEGIN round-trip*: sender overhead paid at a ``DONE`` is a known
-  delay with nothing to decide at its end, so the step starts the next
-  queued service at ``now + overhead`` straight away (or records
-  ``free_at`` for the idle fast path) instead of pushing a ``BEGIN``.
+- *Completions are computed, not scheduled* (DESIGN.md §14): where
+  nothing but a subtask's own tuples and timers can touch it —
+  ``StreamEngine.step == "computed"``, resolved in ``_begin_run`` from
+  what the run is — a hop is one event: ``_complete`` runs the FIFO
+  server's recursion at the ``DELIVER``, with no queue, ``busy`` flag
+  or ``DONE``. Every other run executes the evented step, the
+  reference the computed one is tested against; its ``DONE`` starts the
+  next queued service at ``now + overhead`` itself, without a ``BEGIN``.
 - *One step*: a checkpointed run (DESIGN.md §13) executes the same
   enqueue → serve → route. A barrier is a queue-item kind met at
   enqueue and dequeue; deliveries and queue items carry a dense channel
@@ -93,13 +98,14 @@ run be traced and metered without perturbing it: every hook only *reads*
 simulation state (no RNG draws, no heap pushes), sampling is lazy (the
 loop checks ``now`` against the next sampling deadline instead of
 scheduling sampler events), and with no observer each hook site is a
-single ``is not None`` test. ``tests/test_obs.py`` pins the on/off
-bit-identity.
+single ``is not None`` test. An observed run executes the evented step;
+``tests/test_obs.py`` pins the on/off identity of everything simulated.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappush
 from itertools import repeat
@@ -295,6 +301,8 @@ class SimulationConfig:
     max_sim_time: float = 120.0
     warmup_fraction: float = 0.1
     keep_sink_values: bool = False
+    #: budget of popped events; a computed run (``StreamEngine.step``)
+    #: pops one per tuple-hop, an evented run two
     max_events: int = 30_000_000
     backpressure_queue_limit: int | None = None
     stalls: tuple[StallInjection, ...] = ()
@@ -508,6 +516,13 @@ class _SubtaskRuntime:
     #: when the sender overhead paid at the last DONE ends: no service
     #: starts, and no stall or drain takes hold, before it
     free_at: float = 0.0
+    #: the computed step (DESIGN.md §14): the latest completion
+    #: instant, the service starts of the tuples that waited (those
+    #: ahead of ``now`` are the queue) and the next timer instant
+    #: ``on_time`` has not run for (``inf``: none)
+    done_at: float = 0.0
+    starts: deque | None = None
+    tick: float = math.inf
 
 
 def _paced_mean_gap(runtime: _SubtaskRuntime, now: float) -> float:
@@ -640,7 +655,15 @@ class StreamEngine:
         #: stats merge
         self._k = Kernel(_WORK_MASK)
         self._ran = False
+        self._step: str | None = None
         self._build_runtimes()
+
+    @property
+    def step(self) -> str | None:
+        """Which scalar step the run executes, ``"computed"`` or
+        ``"evented"``: resolved by :meth:`_begin_run` from what the run
+        is; ``None`` before it, and under the batch executor."""
+        return self._step
 
     # ----------------------------------------------------------- build-time
 
@@ -846,7 +869,11 @@ class StreamEngine:
             k.run(
                 self._make_handlers(),
                 max_events=self.config.max_events,
-                on_idle=self._on_idle,
+                on_idle=(
+                    self._quiesce
+                    if self._step == "computed"
+                    else self._on_idle
+                ),
             )
             if obs is not None:
                 obs.on_run_end(k.now)
@@ -909,6 +936,13 @@ class StreamEngine:
         # hook and the tuples_in/shuffle_bytes counters are not paid for.
         self._done_gids = getattr(self._obs, "done_gids", None)
         self._meter = self._obs if self._done_gids is None else None
+        #: completions are computed when nothing but a subtask's own
+        #: tuples and timers can touch it; each feature excluded here
+        #: still acts on the queue, ``busy`` or the DONE event (§14)
+        computed = owned is None and self._obs is None and not (
+            self._bp_limit or self._ft or self._elastic or config.stalls
+        )
+        self._step = "computed" if computed else "evented"
         for runtime in mine:
             runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
         if self._ft:
@@ -920,6 +954,10 @@ class StreamEngine:
             interval = getattr(runtime.logic, "timer_interval", None)
             if interval:
                 self._push(interval, _TIMER, runtime.gid, None, 0)
+            if computed:
+                runtime.starts = deque()
+                if interval:
+                    runtime.tick = interval
 
         for stall in config.stalls:
             if stall.op_id not in self.physical.op_subtasks:
@@ -980,6 +1018,12 @@ class StreamEngine:
         handlers[_CONTROL] = control
         handlers[_SCENARIO] = scenario
         handlers[_FT] = ft
+        if self._step == "computed":
+            handlers[_ARRIVAL] = self._arrive
+            handlers[_DELIVER] = self._complete
+            handlers[_TIMER] = self._tick
+            # Only the quiescence event: it moves the clock.
+            handlers[_DONE] = lambda gid, payload, port: None
         return handlers
 
     def _on_idle(self) -> bool:
@@ -1317,6 +1361,105 @@ class StreamEngine:
         horizon = self.config.max_sim_time + 10.0 * interval
         if next_time <= horizon:
             self._push(next_time, _TIMER, gid, None, 0)
+
+    # ---------------------------------------------------- the computed step
+
+    def _arrive(self, gid: int, payload, port: int) -> None:
+        """``ARRIVAL``: what :meth:`_handle_arrival` does for a source
+        that is never throttled, failed or logged."""
+        runtime = self._runtimes[gid]
+        now = self._k.now
+        tup = runtime.logic.generate(now)
+        runtime.emitted += 1
+        if now > self._last_source_time:
+            self._last_source_time = now
+        self._complete(gid, tup, 0)
+        self._schedule_next_arrival(runtime, now)
+
+    def _complete(self, gid: int, tup: StreamTuple, port: int) -> None:
+        """``DELIVER``: the whole hop, at arrival (DESIGN.md §14).
+
+        A FIFO single server's completion is decided when the tuple
+        arrives — ``start = max(now, free_at)``, ``done = start +
+        service``, ``free_at = done + overhead`` — and service order is
+        arrival order, so each noise draw, ``process`` call and routed
+        event is the evented step's, in its order."""
+        runtime = self._runtimes[gid]
+        now = self._k.now
+        start = runtime.free_at
+        if start > now:
+            # Queued behind every earlier tuple yet to start.
+            runtime.wait_time += start - now
+            starts = runtime.starts
+            while starts and starts[0] <= now:
+                starts.popleft()
+            starts.append(start)
+            if len(starts) > runtime.queue_peak:
+                runtime.queue_peak = len(starts)
+        else:
+            start = now
+            if runtime.queue_peak < 1:
+                runtime.queue_peak = 1
+        runtime.served += 1
+        work = runtime.static_work
+        if work is None:
+            work = runtime.logic.work_units(tup)
+        service = runtime.base_service * work
+        if runtime.noise_sigma > 0:
+            noise = runtime.noise or self._refill_noise(runtime)
+            service *= noise.pop()
+        runtime.busy_time += service
+        runtime.done_at = done = start + service
+        if runtime.tick <= done:
+            # Ticks the heap has not popped yet run first. One exactly
+            # at ``done`` does only if it was armed before this arrival:
+            # the heap would order the two by which was scheduled first.
+            self._fire(runtime)
+            while runtime.tick < done:
+                self._fire(runtime)
+        if runtime.is_source:
+            outputs = [tup]
+        else:
+            outputs = runtime.logic.process(tup, done, port)
+        if outputs:
+            overhead = self._route(runtime, outputs, done)
+            runtime.busy_time += overhead
+            done += overhead
+        runtime.free_at = done
+
+    def _fire(self, runtime: _SubtaskRuntime) -> None:
+        """Run the subtask's next timer tick — at the clock, or ahead of
+        it for a completion it precedes — and arm the one after."""
+        at = runtime.tick
+        logic = runtime.logic
+        outputs = logic.on_time(at)
+        if outputs:
+            runtime.busy_time += self._route(runtime, outputs, at)
+        interval = logic.timer_interval
+        at += interval
+        if at > self.config.max_sim_time + 10.0 * interval:
+            at = math.inf
+        runtime.tick = at
+
+    def _tick(self, gid: int, payload, port: int) -> None:
+        """``TIMER``: a tick must fire when no tuple comes, so it stays
+        an event; one a completion already ran ahead only re-arms."""
+        runtime = self._runtimes[gid]
+        if runtime.tick == self._k.now:
+            self._fire(runtime)
+        if runtime.tick < math.inf:
+            self._push(runtime.tick, _TIMER, gid, None, 0)
+
+    def _quiesce(self) -> bool:
+        """Work hit zero, but the run ends where its last ``DONE`` would
+        have popped: one work event takes the clock to the latest
+        completion (timers due before it pop first); from there on,
+        :meth:`_on_idle`."""
+        last = max(self._runtimes, key=lambda rt: (rt.done_at, rt.gid))
+        if last.done_at <= self._k.now:
+            return self._on_idle()
+        self._push(last.done_at, _DONE, last.gid, None, 0)
+        return True
 
     # ------------------------------------------------------ elastic runtime
 
@@ -2382,9 +2525,15 @@ class StreamEngine:
     # -------------------------------------------------------------- routing
 
     def _route(
-        self, runtime: _SubtaskRuntime, outputs: list[StreamTuple]
+        self,
+        runtime: _SubtaskRuntime,
+        outputs: list[StreamTuple],
+        now: float | None = None,
     ) -> float:
         """Send outputs downstream; return sender CPU overhead (serde).
+
+        ``now`` is the emission instant: the clock, unless the computed
+        step passes a completion or timer instant it runs ahead of.
 
         **Overhead accounting.** The sender serializes its channel groups
         in plan order; all serde work of a group is paid before any of
@@ -2416,7 +2565,8 @@ class StreamEngine:
         if not table:
             return 0.0
         k = self._k
-        now = k.now
+        if now is None:
+            now = k.now
         heap = k.heap
         seq = runtime.seq
         obs = self._meter

@@ -179,6 +179,7 @@ class ShardExecutor:
             ),
             "last_source_time": engine._last_source_time,
             "flush_time": engine._flush_time,
+            "step": engine.step,
         }
 
 
@@ -409,6 +410,7 @@ def _apply_stats(engine, stats, final_now, controller) -> None:
     engine._last_source_time = max(
         s["last_source_time"] for s in stats
     )
+    engine._step = stats[0]["step"]
     runtimes = engine._runtimes
     ledger: dict = {}
     for shard_stats in stats:

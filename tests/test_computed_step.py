@@ -1,0 +1,570 @@
+"""The computed step against the evented one (DESIGN.md §14).
+
+A plain run computes each completion when the tuple arrives
+(``StreamEngine._complete``); every other run schedules it as a ``DONE``
+(``_enqueue`` → ``_begin_service_now`` → ``_handle_done``). The two are
+different programs over the same draws, so the evented step is the
+reference: attach an observer that records nothing and the same plan
+runs evented. Held here:
+
+1. *differential* — the 14 applications, one plan per generated
+   structure and a hypothesis property agree bit for bit on everything
+   simulated: ``to_dict()`` minus the event count, every sink's
+   latencies and arrival times, every subtask's counters;
+2. *ties* — noise-free constant-rate tandems on a power-of-two grid, so
+   that deliveries, service starts, completions and timer ticks coincide
+   to the bit;
+3. *shape* — an eligible run pops one event per tuple-hop and no
+   ``DONE`` or ``BEGIN`` but the quiescence event;
+4. *flush instant* — the run ends, and open windows flush, where the
+   last ``DONE`` would have popped;
+5. *eligibility* — which runs compute, one row per excluding feature.
+
+Mutations, each run against this file and against the five
+``apps-scalar`` jobs of ``benchmarks/suite`` at seed 3 when the step
+was written. Without the timer catch-up in ``_complete`` the WC and
+slide8 jobs move (SG, AD and join8 hold: no tick separates a delivery
+from its completion there); here 16 tests fail — four applications
+(BI, CA, SA), the property, the ten tick ties and the flush instant.
+Quiescing at the last pop instead of at the latest completion moves all
+five jobs; here every differential and the flush instant fail (83).
+Firing a tick that lands on a completion always, or never, ahead of it
+fails the tick ties.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.apps as apps
+import repro.sps.engine as engine_module
+from repro.cluster import NetworkSpec, homogeneous_cluster
+from repro.common.rng import RngFactory
+from repro.core.runner import BenchmarkRunner, RunnerConfig
+from repro.obs import EngineObserver
+from repro.sps import builders
+from repro.sps.costs import OperatorCost
+from repro.sps.engine import (
+    RescaleEvent,
+    SimulationConfig,
+    StallInjection,
+    StreamEngine,
+)
+from repro.sps.logical import LogicalPlan
+from repro.sps.operators.base import OperatorLogic
+from repro.sps.partitioning import ForwardPartitioner, HashPartitioner
+from repro.sps.tuples import StreamTuple
+from repro.sps.windows import AggregateFunction, SlidingTimeWindows
+from repro.workload.parameter_space import ParameterSpace
+from repro.workload.querygen import QueryStructure, build_structure
+from tests.conftest import kv_generator
+from tests.test_universe import SCHEMA, counting_generator
+
+CLUSTER = homogeneous_cluster("m510", 4)
+CONFIG = dict(max_tuples_per_source=1200, max_sim_time=3.0)
+
+
+def quiet_observer():
+    """Records nothing per event and never samples: its only effect is
+    that the run it is attached to executes the evented step."""
+    return EngineObserver(sample_interval=1e9)
+
+
+def simulated(engine):
+    """Everything a run simulated, the event count aside."""
+    metrics = engine.run().to_dict()
+    events = metrics["extras"].pop("events_processed")
+    sinks = [(sink.latencies, sink.arrival_times) for sink in engine._sinks]
+    counters = [
+        (rt.op_id, rt.wait_time, rt.busy_time, rt.served, rt.queue_peak)
+        for rt in engine._runtimes
+    ]
+    return (metrics, sinks, counters), events
+
+
+def without_depths(simulation):
+    """``simulated()[0]`` less the queue peaks (see the handover tie)."""
+    metrics, sinks, counters = simulation
+    metrics = dict(metrics, operator_queue_peak=None)
+    return metrics, sinks, [counter[:4] for counter in counters]
+
+
+def both_steps(build, seed=3, cluster=CLUSTER, **config):
+    """Run ``build()``'s plan computed and evented; the two engines."""
+    engines = []
+    for observer in (None, quiet_observer()):
+        engines.append(
+            StreamEngine(
+                build(),
+                cluster,
+                config=SimulationConfig(**{**CONFIG, **config}),
+                rng_factory=RngFactory(seed),
+                observer=observer,
+            )
+        )
+    return engines
+
+
+def assert_same_simulation(computed, evented):
+    got, fewer = simulated(computed)
+    want, events = simulated(evented)
+    assert (computed.step, evented.step) == ("computed", "evented")
+    assert got == want
+    assert fewer < events
+    return fewer, events
+
+
+def app_plan(abbrev, parallelism):
+    runner = BenchmarkRunner(CLUSTER, RunnerConfig(repeats=1, dilation=25.0))
+    return runner.prepare_app(abbrev, parallelism).plan
+
+
+def structure_plan(structure):
+    query = build_structure(
+        structure,
+        np.random.default_rng(17),
+        ParameterSpace(
+            window_durations_ms=(500,),
+            sliding_ratios=(0.5,),
+            window_lengths=(100,),
+        ),
+        event_rate=5000.0,
+    )
+    query.plan.set_uniform_parallelism(2)
+    return query.plan
+
+
+# ---------------------------------------------------------- 1. differential
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("abbrev", sorted(apps.REGISTRY))
+def test_applications_simulate_the_same_on_both_steps(
+    abbrev, parallelism, seed
+):
+    fewer, events = assert_same_simulation(
+        *both_steps(lambda: app_plan(abbrev, parallelism), seed=seed)
+    )
+    # DELIVER + DONE became one event; arrivals and ticks stayed.
+    assert fewer < 0.6 * events
+
+
+@pytest.mark.parametrize("structure", list(QueryStructure))
+def test_generated_structures_simulate_the_same_on_both_steps(structure):
+    assert_same_simulation(*both_steps(lambda: structure_plan(structure)))
+
+
+def windowed_plan(rate, parallelism, duration, slide, arrival="poisson"):
+    """source → hash → sliding window sum (timer = slide) → sink."""
+    plan = LogicalPlan("windowed")
+    plan.add_operator(
+        builders.source(
+            "src",
+            kv_generator(),
+            SCHEMA,
+            event_rate=rate,
+            parallelism=parallelism,
+            arrival=arrival,
+        )
+    )
+    plan.add_operator(
+        builders.window_agg(
+            "agg",
+            SlidingTimeWindows(duration, slide),
+            AggregateFunction.SUM,
+            value_field=1,
+            key_field=0,
+            parallelism=parallelism,
+        )
+    )
+    plan.add_operator(builders.sink("sink"))
+    plan.connect("src", "agg")
+    plan.connect("agg", "sink")
+    return plan
+
+
+@given(
+    rate=st.sampled_from([500.0, 4000.0, 60_000.0]),
+    parallelism=st.integers(1, 4),
+    slides=st.integers(1, 4),
+    slide=st.sampled_from([0.002, 0.01, 0.05, 0.3]),
+    arrival=st.sampled_from(["poisson", "constant", "bursty"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=20, deadline=None)
+def test_windowed_plans_simulate_the_same_on_both_steps(
+    rate, parallelism, slides, slide, arrival, seed
+):
+    """Rate against service time decides how deep queues get, the slide
+    how many ticks fall between a delivery and its completion."""
+    assert_same_simulation(
+        *both_steps(
+            lambda: windowed_plan(
+                rate, parallelism, slides * slide, slide, arrival
+            ),
+            seed=seed,
+            max_tuples_per_source=400,
+            max_sim_time=2.0,
+        )
+    )
+
+
+# ------------------------------------------------------------------ 2. ties
+
+#: Every instant of a tie run is a sum of powers of two well inside a
+#: double's 53 bits, so equal instants are equal floats.
+GAP = 2.0**-14
+ONE_NODE = homogeneous_cluster(num_nodes=1)
+
+
+class Ticker(OperatorLogic):
+    """Pass-through that also reports, at every tick, how many tuples it
+    had processed by then — so the order of a tick and a completion at
+    one instant shows in the sink's values. No interval, no timer."""
+
+    def __init__(self, interval):
+        self.timer_interval = interval
+        self.count = 0
+
+    def process(self, tup, now, port=0):
+        self.count += 1
+        return [tup]
+
+    def on_time(self, now):
+        return [
+            StreamTuple(
+                values=(-1, float(self.count)), event_time=now, size_bytes=24.0
+            )
+        ]
+
+
+def tandem(costs, partitioner, interval=None, sources=1, gap=GAP):
+    """``sources`` constant sources → one stage per middle cost → sink,
+    one subtask each, no noise: ``costs`` = (source, *stages, sink)."""
+
+    def build():
+        plan = LogicalPlan("ties")
+        chain = []
+        for i, cost in enumerate(costs[1:-1]):
+            chain.append(f"stage{i}")
+            plan.add_operator(
+                builders.udo(
+                    chain[-1],
+                    lambda: Ticker(interval),
+                    cost=OperatorCost(cost, cost_noise=0.0),
+                    output_schema=SCHEMA,
+                )
+            )
+        chain.append("sink")
+        plan.add_operator(builders.sink("sink"))
+        plan.operator("sink").cost = OperatorCost(costs[-1], cost_noise=0.0)
+        for src, dst in zip(chain, chain[1:]):
+            plan.connect(src, dst, partitioner())
+        for i in range(sources):
+            plan.add_operator(
+                builders.source(
+                    f"src{i}",
+                    counting_generator(),
+                    SCHEMA,
+                    1.0 / gap,
+                    arrival="constant",
+                )
+            )
+            plan.operator(f"src{i}").cost = OperatorCost(
+                costs[0], cost_noise=0.0
+            )
+            plan.connect(f"src{i}", chain[0], partitioner())
+        return plan
+
+    return build
+
+
+def hashed():
+    return HashPartitioner(key_field=0)
+
+
+def tie_steps(build, tuples=41):
+    return both_steps(
+        build,
+        cluster=ONE_NODE,
+        max_tuples_per_source=tuples,
+        warmup_fraction=0.0,
+        keep_sink_values=True,
+    )
+
+
+def pop_log(engine):
+    """Every event the run pops, as ``(kind, now, gid)``, through a
+    wrapped handler table."""
+    pops = []
+    make = engine._make_handlers
+
+    def wrapped():
+        def logging(kind, handler):
+            def handle(gid, payload, port):
+                pops.append((kind, engine._k.now, gid))
+                handler(gid, payload, port)
+
+            return handle
+
+        return [
+            logging(kind, handler) if handler is not None else None
+            for kind, handler in enumerate(make())
+        ]
+
+    engine._make_handlers = wrapped
+    return pops
+
+
+def instants(pops, kind):
+    return {(now, gid) for popped, now, gid in pops if popped == kind}
+
+
+@pytest.mark.parametrize("tuples", [40, 41])
+def test_a_delivery_landing_on_a_service_start(tuples):
+    """Stage 0 serves at half the arrival rate, so every other delivery
+    lands on the instant a completion hands the server to the next
+    queued tuple. Latencies, waits and busy times agree to the bit.
+
+    The queue depth is the one place the steps differ, by design. The
+    delivery pops before the ``DONE`` of its instant (gids follow the
+    plan's topological order, so a producer's is the lower), and the
+    evented step still finds the tuple about to start queued; the
+    computed step counts a tuple whose service starts *now* as in
+    service — the timing oracle's ``1 + #{earlier starts > now}``
+    (``tests/test_universe.py``). Depths differ only at such
+    instants, so peaks differ only when the deepest queue is seen at
+    one: an odd tuple count here. It takes a sender that pays no
+    overhead (a forward edge) and a noise-free grid: behind a shuffle
+    the server's cycle is ``service + overhead``, off any grid."""
+    computed, evented = tie_steps(
+        tandem((2.0**-15, 2.0**-13, 2.0**-16), ForwardPartitioner),
+        tuples=tuples,
+    )
+    pops = pop_log(evented)
+    got, _ = simulated(computed)
+    want, _ = simulated(evented)
+    assert (computed.step, evented.step) == ("computed", "evented")
+    assert without_depths(got) == without_depths(want)
+    stage = evented._op_gids["stage0"][0]
+    landed = instants(pops, engine_module._DELIVER) & instants(
+        pops, engine_module._DONE
+    )
+    assert len(landed) > 15 and {gid for _, gid in landed} == {stage}
+    peaks, peaks_e = (
+        sim[0]["operator_queue_peak"] for sim in (got, want)
+    )
+    assert peaks["stage0"] > 15
+    assert peaks_e.pop("stage0") - peaks.pop("stage0") == tuples % 2
+    assert peaks == peaks_e
+
+
+#: arrival gap, (source, *stages, sink) costs, the stages' timer interval
+TICK_TIES = {
+    "idle server, tick armed long before": (
+        2.0**-14,
+        (2.0**-15, 2.0**-15, 2.0**-16),
+        2.0**-12,
+    ),
+    "service spans two ticks, the second armed by the first": (
+        2.0**-12,
+        (2.0**-14, 2.0**-13, 2.0**-16),
+        2.0**-14,
+    ),
+    "saturated stage, a tick on every completion": (
+        2.0**-14,
+        (2.0**-14, 2.0**-14, 2.0**-16),
+        2.0**-14,
+    ),
+    "backlog, service started by the previous completion": (
+        2.0**-14,
+        (2.0**-15, 2.0**-13, 2.0**-17),
+        2.0**-15,
+    ),
+    "two timed stages in a row": (
+        2.0**-14,
+        (2.0**-14, 2.0**-14, 2.0**-14, 2.0**-16),
+        2.0**-13,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TICK_TIES)
+@pytest.mark.parametrize("partitioner", [ForwardPartitioner, hashed])
+def test_a_tick_landing_on_a_completion(case, partitioner):
+    """What a tick reports — the tuples processed before it — and where
+    the report sits in the sink's sequence show the order of a tick and
+    a completion at one instant: the heap's, by which of the two the
+    subtask scheduled first. The queue depth is left out: on forward
+    edges it meets the handover tie of the test above."""
+    gap, costs, interval = TICK_TIES[case]
+    computed, evented = tie_steps(
+        tandem(costs, partitioner, interval, gap=gap)
+    )
+    pops = pop_log(evented)
+    got, _ = simulated(computed)
+    want, _ = simulated(evented)
+    assert (computed.step, evented.step) == ("computed", "evented")
+    assert without_depths(got) == without_depths(want)
+    values = computed._sinks[0].results
+    assert values == evented._sinks[0].results
+    assert sum(1 for v in values if v[0] == -1) > 4
+    if partitioner is ForwardPartitioner:
+        # Without sender overhead every instant is on the grid.
+        ties = instants(pops, engine_module._TIMER) & instants(
+            pops, engine_module._DONE
+        )
+        assert ties, "no tick landed on a completion"
+
+
+def test_two_producers_delivering_at_one_instant():
+    """Equal-rate sources reach the stage at the same instants; the
+    producer-local tie-break serves the lower gid first on both steps."""
+    computed, evented = tie_steps(
+        tandem((2.0**-15, 2.0**-16, 2.0**-17), hashed, sources=2)
+    )
+    assert_same_simulation(computed, evented)
+    order = [v[0] for v in computed._sinks[0].results]
+    assert order == [i // 2 for i in range(82)]
+    assert order == [v[0] for v in evented._sinks[0].results]
+
+
+# ----------------------------------------------------------------- 3. shape
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+def test_an_eligible_run_pops_one_event_per_hop(stages):
+    tuples = 41
+    costs = (2.0**-16,) + (2.0**-15,) * stages + (2.0**-16,)
+    computed, evented = tie_steps(tandem(costs, hashed), tuples=tuples)
+    pops, reference = pop_log(computed), pop_log(evented)
+    metrics = computed.run()
+    evented.run()
+    hops = stages + 1
+    counts = [0] * 11
+    for kind, _, _ in pops:
+        counts[kind] += 1
+    assert counts[engine_module._ARRIVAL] == tuples
+    assert counts[engine_module._DELIVER] == tuples * hops
+    assert counts[engine_module._BEGIN] == 0
+    assert counts[engine_module._DONE] == 1  # the quiescence event
+    assert len(pops) == metrics.extras["events_processed"]
+    assert len(pops) == tuples * (1 + hops) + 1
+    assert len(instants(reference, engine_module._DONE)) == tuples * (
+        1 + hops
+    )
+    for rt in computed._runtimes:
+        assert not rt.queue and not rt.busy
+
+
+# --------------------------------------------------------- 4. flush instant
+
+
+def slow_window_plan(slide):
+    """A window aggregate slow enough that its last completions come
+    well after the last delivery, under windows still open when the
+    stream ends."""
+    plan = windowed_plan(40_000.0, 1, 64 * slide, slide, "constant")
+    plan.operator("agg").cost = OperatorCost(2e-4, cost_noise=0.1)
+    return plan
+
+
+@pytest.mark.parametrize("slide", [0.5, 0.004])
+def test_the_run_ends_where_the_last_done_would_have_popped(slide):
+    """With the long slide no tick separates the aggregate's last
+    delivery from its last completion; with the short one several do —
+    most run ahead of the completions they precede, and the ``TIMER``
+    still pending pops before the quiescence event, as it did before
+    the last ``DONE``."""
+    computed, evented = both_steps(
+        lambda: slow_window_plan(slide), max_tuples_per_source=300
+    )
+    pops = pop_log(computed)
+    assert_same_simulation(computed, evented)
+    assert computed._flush_time == evented._flush_time
+    # Windows were open at end of stream: the flush emitted them.
+    assert computed._sinks[0].arrival_times[-1] > computed._flush_time
+    kinds = [kind for kind, _, _ in pops]
+    quiescence = kinds.index(engine_module._DONE)
+    horizon = pops[quiescence][1]
+    assert horizon == computed._flush_time
+    agg = computed._op_gids["agg"][0]
+    assert horizon == computed._runtimes[agg].done_at
+    last_delivery = max(
+        at
+        for kind, at, gid in pops
+        if kind == engine_module._DELIVER and gid == agg
+    )
+    ticks = [
+        at
+        for kind, at, gid in pops
+        if kind == engine_module._TIMER and gid == agg
+    ]
+    assert last_delivery < horizon / 4
+    assert any(last_delivery < at < horizon for at in ticks) == (slide < 0.1)
+
+
+# ------------------------------------------------------------ 5. eligibility
+
+
+def kv_plan():
+    return windowed_plan(4000.0, 2, 0.1, 0.1)
+
+
+def begun(plan, cluster=CLUSTER, observer=None, sanitize=False, **config):
+    engine = StreamEngine(
+        plan,
+        cluster,
+        config=SimulationConfig(**{**CONFIG, **config}),
+        observer=observer,
+        sanitize=sanitize,
+    )
+    assert engine.step is None
+    engine._begin_run(engine._k)
+    return engine
+
+
+@pytest.mark.parametrize("abbrev", sorted(apps.REGISTRY))
+def test_every_application_is_computed_by_default(abbrev):
+    assert begun(app_plan(abbrev, 2)).step == "computed"
+
+
+@pytest.mark.parametrize("structure", list(QueryStructure))
+def test_every_generated_structure_is_computed_by_default(structure):
+    assert begun(structure_plan(structure)).step == "computed"
+
+
+@pytest.mark.parametrize(
+    "feature",
+    [
+        dict(backpressure_queue_limit=64),
+        dict(checkpoint_interval=0.25),
+        dict(rescales=(RescaleEvent(0.1, "agg", 3),)),
+        dict(autoscale="reactive:high=4,low=0.5,cooldown=0.3,max=6"),
+        dict(scenario="spike"),
+        dict(stalls=(StallInjection(0.1, "agg", 0.01),)),
+        dict(observer=quiet_observer()),
+        dict(sanitize=True),
+    ],
+    ids=lambda feature: next(iter(feature)),
+)
+def test_each_excluding_feature_alone_keeps_the_evented_step(feature):
+    assert begun(kv_plan(), **feature).step == "evented"
+
+
+def test_a_sharded_run_is_evented_and_a_batch_run_is_neither():
+    cloud = homogeneous_cluster(
+        "m510", 4, network_spec=NetworkSpec(base_latency_s=2e-3)
+    )
+    steps = []
+    for mode in ({}, {"shards": 1}, {"batch_size": 64}):
+        engine = StreamEngine(
+            kv_plan(), cloud, config=SimulationConfig(**CONFIG, **mode)
+        )
+        assert engine.run().results > 0
+        steps.append(engine.step)
+    assert steps == ["computed", "evented", None]

@@ -15,8 +15,12 @@ import pytest
 from repro.core import perf
 
 _FAKE_RESULTS = {
-    "hotpath": {"events_per_sec": 100_000.0, "events": 1000},
-    "WC": {"events_per_sec": 50_000.0, "events": 1000},
+    "hotpath": {
+        "events_per_sec": 100_000.0,
+        "events": 1000,
+        "step": "computed",
+    },
+    "WC": {"events_per_sec": 50_000.0, "events": 1000, "step": "evented"},
 }
 
 

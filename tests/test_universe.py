@@ -1,9 +1,10 @@
 """One universe, drawn in blocks (DESIGN.md §14).
 
 Every execution mode reads the same per-subtask ``…/arrivals`` and
-``…/noise`` streams, in blocks, and the plain step starts a service
+``…/noise`` streams, in blocks, and the evented step starts a service
 straight from the ``DONE`` that paid sender overhead instead of through
-a ``BEGIN`` event. Pinned here:
+a ``BEGIN`` event (the computed step of a plain run has neither event;
+``tests/test_computed_step.py`` holds the two steps equal). Pinned here:
 
 - block ≡ call: whatever the block lengths, a subtask sees the gaps and
   noise factors per-call ``exponential(mean)`` / ``lognormal(mu, σ)``
@@ -220,15 +221,19 @@ def golden_runs(shards):
 
 
 def test_unsharded_single_shard_and_forked_shards_agree():
-    """On ``SHARD_GOLDEN``'s 2 ms cluster. The one residual difference:
-    a sharded run flushes end-of-stream windows at the epoch boundary,
-    not at the last event, which only WC's latencies can see."""
+    """On ``SHARD_GOLDEN``'s 2 ms cluster. Two residual differences: a
+    sharded run flushes end-of-stream windows at the epoch boundary,
+    not at the last event, which only WC's latencies can see; and it
+    executes the evented step where the plain run computes its
+    completions, so event counts are compared between shard counts."""
     plain, one, two = golden_runs(None), golden_runs(1), golden_runs(2)
     assert one == two
     for abbrev in ("SG", "AD"):
-        assert plain[abbrev] == one[abbrev]
+        assert [run[1:] for run in plain[abbrev]] == [
+            run[1:] for run in one[abbrev]
+        ]
     for a, b in zip(plain["WC"], one["WC"]):
-        assert a[:2] == b[:2]
+        assert a[1] == b[1]
         assert a[2]["count"] == b[2]["count"]
         assert abs(a[2]["mean"] - b[2]["mean"]) <= 2e-3
 
@@ -362,10 +367,12 @@ def test_begin_free_step_is_the_lindley_recursion(stages):
         assert got == counters[rt.op_id], rt.op_id
     # A queue built up and drained, or the recursion was not exercised.
     assert counters["stage0"][3] > 2 and counters["stage0"][0] > 0
-    # Arrival and DONE at the source, DELIVER and DONE per hop: no BEGIN,
-    # though every hop but the last pays sender overhead.
+    # An arrival per tuple, a DELIVER per hop and the quiescence event:
+    # the recursion is computed at each of them, so no DONE, and no
+    # BEGIN though every hop but the last pays sender overhead.
     hops = stages + 1
-    assert metrics.extras["events_processed"] == TUPLES * (2 + 2 * hops)
+    assert engine.step == "computed"
+    assert metrics.extras["events_processed"] == TUPLES * (1 + hops) + 1
 
 
 def last_window(engine):

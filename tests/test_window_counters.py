@@ -26,6 +26,9 @@ when the applications' sources became block samplers (DESIGN.md §1):
 the same distributions drawn in another order, so every app's tuples —
 not their arrival times — changed; event counts moved by under 1 %, the
 rare-event apps' result counts (FD, MO, SD) by their sampling noise.
+And in the event counts alone when these runs began computing
+completions instead of scheduling them (DESIGN.md §14, "Completions are
+computed"): one event per tuple-hop, the other three columns untouched.
 """
 
 from __future__ import annotations
@@ -38,20 +41,20 @@ from repro.sps.engine import SimulationConfig, StreamEngine
 
 #: abbrev -> (events_processed, results, windows_fired, matches_emitted)
 PINNED = {
-    "AD": (10594, 42, 42, 431),
-    "BI": (14700, 841, 307, 1400),
-    "CA": (7614, 202, 202, 0),
-    "FD": (6368, 38, 0, 0),
-    "LP": (9116, 6, 6, 0),
-    "LR": (5642, 45, 376, 0),
-    "MO": (7202, 1, 0, 0),
-    "SA": (8026, 406, 406, 0),
-    "SD": (4822, 11, 0, 0),
-    "SG": (6264, 306, 0, 0),
-    "TM": (11092, 60, 1288, 0),
-    "TPCH": (8480, 4, 4, 0),
-    "TQ": (12042, 40, 2374, 0),
-    "WC": (20482, 26, 26, 0),
+    "AD": (5301, 42, 42, 431),
+    "BI": (7354, 841, 307, 1400),
+    "CA": (3814, 202, 202, 0),
+    "FD": (3185, 38, 0, 0),
+    "LP": (4560, 6, 6, 0),
+    "LR": (2823, 45, 376, 0),
+    "MO": (3602, 1, 0, 0),
+    "SA": (4022, 406, 406, 0),
+    "SD": (2412, 11, 0, 0),
+    "SG": (3133, 306, 0, 0),
+    "TM": (5551, 60, 1288, 0),
+    "TPCH": (4242, 4, 4, 0),
+    "TQ": (6030, 40, 2374, 0),
+    "WC": (10243, 26, 26, 0),
 }
 
 
