@@ -1139,48 +1139,19 @@ _FALLBACK_DENSITY = 0.5
 def _batch_fallback_reason(op: LogicalOperator) -> str | None:
     """Why ``op`` would run on the scalar fallback in batch mode.
 
-    Mirrors the kernel dispatch of
-    :meth:`repro.sps.batch.BatchStreamEngine._kernel_mode` statically:
-    the operator's logic is instantiated once (factories are cheap,
-    stateless constructors) and probed for a vectorized form. ``None``
-    means a columnar kernel exists.
+    The executor's own class dispatch
+    (:func:`repro.sps.batch.static_kernel`) is asked about one probe
+    instance of the operator's logic (factories are cheap, stateless
+    constructors). ``None`` means a columnar kernel exists.
     """
-    kind = op.kind
-    if kind in (OperatorKind.SOURCE, OperatorKind.SINK):
+    if op.kind in (OperatorKind.SOURCE, OperatorKind.SINK):
         return None  # sources are BAT703's concern; sinks batch natively
-    if kind is OperatorKind.WINDOW_JOIN:
-        return "window joins keep per-key scalar join state"
-    if kind is OperatorKind.UDO:
-        return "user-defined operators run custom per-tuple logic"
+    from repro.sps.batch import static_kernel
+
     try:
-        logic = op.logic_factory()
+        return static_kernel(op.logic_factory())[1]
     except Exception:  # noqa: BLE001 — probing must never break linting
         return "operator logic could not be instantiated for probing"
-    if kind is OperatorKind.FILTER:
-        from repro.sps.operators.filter_op import FilterLogic
-
-        if isinstance(logic, FilterLogic):
-            return None
-        return "custom filter logic has no columnar predicate"
-    if kind in (OperatorKind.MAP, OperatorKind.FLATMAP):
-        if getattr(logic, "has_vector_fn", False):
-            return None
-        builder = (
-            "map_values" if kind is OperatorKind.MAP else "flat_map"
-        )
-        return (
-            "no vector_fn; pass one to "
-            f"builders.{builder}(..., vector_fn=...)"
-        )
-    if kind is OperatorKind.WINDOW_AGG:
-        try:
-            supports = bool(logic.supports_batch())
-        except Exception:  # noqa: BLE001
-            supports = False
-        if supports:
-            return None
-        return "count-based windows keep scalar ring-buffer state"
-    return None
 
 
 def check_batch_friendliness(ctx: AnalysisContext) -> Iterator[Diagnostic]:

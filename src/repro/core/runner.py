@@ -24,7 +24,7 @@ from repro.cluster.cluster import Cluster
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngFactory
 from repro.core.parallel import ParallelRunner
-from repro.ft.store import validate_delivery
+from repro.sps.capabilities import check, features_of
 from repro.sps.engine import SimulationConfig, StreamEngine
 from repro.sps.logical import LogicalPlan
 from repro.sps.metrics import RunMetrics, aggregate_runs
@@ -113,9 +113,6 @@ class RunnerConfig:
             raise ConfigurationError("repeats must be >= 1")
         if self.checkpoint_ms is not None and self.checkpoint_ms <= 0:
             raise ConfigurationError("checkpoint_ms must be positive")
-        validate_delivery(self.delivery)
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         if self.dilation <= 0:
             raise ConfigurationError("dilation must be positive")
         if self.workers < 1:
@@ -124,28 +121,40 @@ class RunnerConfig:
             raise ConfigurationError(
                 "obs_sample_interval must be positive"
             )
-        if self.shards is not None:
-            if self.shards < 1:
-                raise ConfigurationError("shards must be >= 1")
-            if self.workers > 1:
-                raise ConfigurationError(
-                    "shards and workers > 1 both fork processes; "
-                    "pick repeat-level or intra-run parallelism"
-                )
-            incompatible = {
-                "observe": self.observe,
-                "batch_size": self.batch_size,
-                "autoscale": self.autoscale,
-                "scenario": self.scenario,
-                "rescales": self.rescales or None,
-                "checkpoint_ms": self.checkpoint_ms,
-            }
-            for knob, value in incompatible.items():
-                if value:
-                    raise ConfigurationError(
-                        f"shards is incompatible with {knob} "
-                        "(DESIGN.md §14 lists the sharded subset)"
-                    )
+        if self.shards is not None and self.workers > 1:
+            raise ConfigurationError(
+                "shards and workers > 1 both fork processes; "
+                "pick repeat-level or intra-run parallelism"
+            )
+        # Everything else is the engine's to refuse: the values by the
+        # SimulationConfig every run will use, the feature pairs by the
+        # one table (DESIGN.md §4, "What composes").
+        check(
+            features_of(
+                self.sim_config(), self.observe or None, self.sanitize
+            )
+        )
+
+    def sim_config(self) -> SimulationConfig:
+        """The engine configuration every run of this protocol uses."""
+        return SimulationConfig(
+            max_tuples_per_source=self.max_tuples_per_source,
+            max_sim_time=self.max_sim_time,
+            warmup_fraction=self.warmup_fraction,
+            batch_size=self.batch_size,
+            autoscale=self.autoscale,
+            autoscale_interval=self.autoscale_interval,
+            scenario=self.scenario,
+            rescales=tuple(self.rescales),
+            slo_latency=self.slo_latency,
+            checkpoint_interval=(
+                None
+                if self.checkpoint_ms is None
+                else self.checkpoint_ms / 1000.0
+            ),
+            delivery=self.delivery,
+            shards=self.shards,
+        )
 
 
 class BenchmarkRunner:
@@ -189,25 +198,7 @@ class BenchmarkRunner:
         ``(config.seed, repeat)``, so with ``config.workers > 1`` they
         fan out to a process pool with bit-identical results.
         """
-        sim_config = SimulationConfig(
-            max_tuples_per_source=self.config.max_tuples_per_source,
-            max_sim_time=self.config.max_sim_time,
-            warmup_fraction=self.config.warmup_fraction,
-            batch_size=self.config.batch_size,
-            autoscale=self.config.autoscale,
-            autoscale_interval=self.config.autoscale_interval,
-            scenario=self.config.scenario,
-            rescales=tuple(self.config.rescales),
-            slo_latency=self.config.slo_latency,
-            checkpoint_interval=(
-                None
-                if self.config.checkpoint_ms is None
-                else self.config.checkpoint_ms / 1000.0
-            ),
-            delivery=self.config.delivery,
-            shards=self.config.shards,
-        )
-
+        sim_config = self.config.sim_config()
         observe = self.config.observe
         sanitize = self.config.sanitize
         if sanitize:

@@ -45,15 +45,21 @@ engines produce bit-identical sink samples (``tests/test_batch_engine``).
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.kernel.core import BudgetExceededError
 from repro.sps.columnar import TupleBatch, require_numpy
-from repro.sps.engine import _ARR_CONSTANT, _ARR_POISSON, _paced_mean_gap
+from repro.sps.engine import (
+    _ARR_CONSTANT,
+    _ARR_POISSON,
+    _paced_mean_gap,
+    _static_work,
+)
 from repro.sps.operators.aggregate import (
     RESULT_SIZE_BYTES,
     WindowAggregateLogic,
 )
 from repro.sps.operators.event_aggregate import EventTimeWindowAggregateLogic
 from repro.sps.operators.filter_op import FilterLogic
+from repro.sps.operators.join import WindowJoinLogic
 from repro.sps.operators.map_op import FlatMapLogic, MapLogic
 from repro.sps.operators.sink import SinkLogic
 from repro.sps.partitioning import (
@@ -68,13 +74,45 @@ try:  # pragma: no cover - numpy is present in every supported env
 except ImportError:  # pragma: no cover - guarded by require_numpy()
     np = None  # type: ignore[assignment]
 
-__all__ = ["ColumnarExecutor"]
+__all__ = ["ColumnarExecutor", "static_kernel"]
 
 #: Arrival gaps drawn per RNG call; bounds the block when a time-cut run
 #: carries a tuple budget it will never reach.
 _GAP_BLOCK = 1 << 16
 
 _NUMERIC = (int, float, bool)
+
+_NO_VECTOR_FN = "no vector_fn; pass one to builders.{}(..., vector_fn=...)"
+
+
+def static_kernel(logic) -> tuple[str | None, str | None]:
+    """``(kernel, None)`` if the logic's class has a vectorized kernel,
+    else ``(None, why not)``: the half of the executor's dispatch that
+    needs no data. :meth:`ColumnarExecutor._kernel_mode` adds the checks
+    on the input it actually meets; the ``BAT702`` lint reports the
+    reason (:mod:`repro.analysis.rules`)."""
+    if isinstance(logic, FlatMapLogic):
+        # Fan-out work is dynamic but mirrored exactly by expand_batch,
+        # so the vectorized form needs no static work factor.
+        if logic.has_vector_fn:
+            return "flatmap", None
+        return None, _NO_VECTOR_FN.format("flat_map")
+    if isinstance(logic, WindowJoinLogic):
+        return None, "window joins keep per-key scalar join state"
+    if _static_work(logic) is not None:  # else dynamic work: custom logic
+        if isinstance(
+            logic, (WindowAggregateLogic, EventTimeWindowAggregateLogic)
+        ):
+            if logic.supports_batch():
+                return "window", None
+            return None, "count-based windows keep scalar ring-buffer state"
+        if isinstance(logic, FilterLogic):
+            return "filter", None
+        if isinstance(logic, MapLogic):
+            if logic.has_vector_fn:
+                return "map", None
+            return None, _NO_VECTOR_FN.format("map_values")
+    return None, "user-defined operators run custom per-tuple logic"
 
 
 class ColumnarExecutor:
@@ -89,19 +127,8 @@ class ColumnarExecutor:
 
     def __init__(self, engine) -> None:
         require_numpy()
-        config = engine.config
-        if config.stalls:
-            raise ConfigurationError(
-                "batch mode does not support stall injection; "
-                "unset batch_size to use the scalar engine"
-            )
-        if config.backpressure_queue_limit is not None:
-            raise ConfigurationError(
-                "batch mode does not support backpressure_queue_limit; "
-                "unset batch_size to use the scalar engine"
-            )
         self.engine = engine
-        self.batch_size = int(config.batch_size)
+        self.batch_size = int(engine.config.batch_size)
 
     # ------------------------------------------------------------------ run
 
@@ -152,10 +179,7 @@ class ColumnarExecutor:
                     self._run_instance(runtime)
                 if self._events > self._max_events:
                     kernel.events_processed = self._events
-                    raise SimulationError(
-                        f"event budget exceeded ({self._max_events}); "
-                        "the configuration likely diverged"
-                    )
+                    raise BudgetExceededError(self._max_events)
 
         if self._drain is not None:
             eng._flush_time = self._drain
@@ -286,20 +310,24 @@ class ColumnarExecutor:
             ports = ports[order]
         return merged, avail, ports
 
-    def _serve(self, runtime, work_sum: float, ready: float, free: float):
-        """Lindley step: when does this batch start and finish service?"""
+    def _serve(
+        self, runtime, work, chunk_avail, sorted_avail, served_before, free
+    ) -> float:
+        """Serve one micro-batch and book it; returns its completion.
+
+        The Lindley step — ``start = max(ready, free)`` with ``ready``
+        the batch's last availability, ``done = start + service`` under
+        one noise factor — then waits, the batch-granular queue depth
+        (rows of the instance's whole input available by ``start`` and
+        not served before this batch) and one event-equivalent."""
+        ready = float(np.max(chunk_avail))
         start = ready if ready > free else free
-        service = runtime.base_service * work_sum
+        service = runtime.base_service * work
         sigma = runtime.noise_sigma
         if sigma > 0:
             service *= self._rng_noise.lognormal(runtime.noise_mu, sigma)
         done = start + service
         runtime.busy_time += service
-        return start, service, done
-
-    def _bookkeep(
-        self, runtime, start, service, chunk_avail, sorted_avail, served_before
-    ) -> None:
         n = len(chunk_avail)
         runtime.served += n
         runtime.wait_time += float(np.sum(start - chunk_avail))
@@ -316,6 +344,9 @@ class ColumnarExecutor:
             obs.tuples_in[runtime.gid] += n
             wait = float(np.mean(start - chunk_avail)) if n else 0.0
             obs.on_serve(runtime, start, service, wait)
+        self._events += 1
+        self._track(done)
+        return done
 
     def _track(self, time: float) -> None:
         if time > self._final_now:
@@ -629,12 +660,9 @@ class ColumnarExecutor:
             else:
                 tuples = [generate(t) for t in t_arr.tolist()]
                 batch = TupleBatch.from_tuples(tuples, t_arr, t_arr)
-            start, service, done = self._serve(
-                runtime, work_per * rows, float(t_arr[-1]), free
+            done = self._serve(
+                runtime, work_per * rows, t_arr, arrival, a, free
             )
-            self._bookkeep(runtime, start, service, t_arr, arrival, a)
-            self._events += 1
-            self._track(done)
             free = done + self._emit_pass(runtime, batch, done)
 
     def _run_sink(self, runtime, entries) -> None:
@@ -660,18 +688,14 @@ class ColumnarExecutor:
                     (logic.work_units(t) for t in chunk.to_tuples()), 0
                 )
             )
-            start, service, done = self._serve(
-                runtime, work, float(np.max(chunk_avail)), free
+            free = done = self._serve(
+                runtime, work, chunk_avail, sorted_avail, a, free
             )
-            self._bookkeep(runtime, start, service, chunk_avail, sorted_avail, a)
-            self._events += 1
             logic.absorb_batch(
                 chunk,
                 np.full(rows, done, dtype=np.float64),
                 done - chunk.origin_time,
             )
-            self._track(done)
-            free = done
 
     def _run_instance(self, runtime) -> None:
         ports_map = self._inbox[runtime.gid]
@@ -688,38 +712,24 @@ class ColumnarExecutor:
         merged = avail = None
         if entries:
             merged, avail, _ports = self._merge(entries)
-        kernel = self._kernel_mode(runtime, logic, merged)
+        kernel = self._kernel_mode(logic, merged)
         if kernel is None:
             self._run_fallback(runtime, entries)
         elif kernel == "window":
             self._run_window_kernel(runtime, logic, merged, avail)
-        elif kernel == "flatmap":
-            self._run_flatmap_kernel(runtime, logic, merged, avail)
         else:
             self._run_stateless_kernel(runtime, logic, merged, avail, kernel)
 
-    def _kernel_mode(self, runtime, logic, merged):
-        """Which vectorized path fits this instance, if any.
+    def _kernel_mode(self, logic, merged):
+        """Which vectorized path fits this instance and its input, if
+        any: :func:`static_kernel`, then what the data allows.
 
         Stateful kernels are decided once per instance over the *whole*
         input (never per batch): a window operator must fold every tuple
         through the same representation or its accumulators would mix.
         """
-        if isinstance(logic, FlatMapLogic):
-            # Fan-out work is dynamic but mirrored exactly by
-            # expand_batch, so the vectorized form needs no static_work.
-            if (
-                logic.has_vector_fn
-                and merged is not None
-                and merged.columns is not None
-            ):
-                return "flatmap"
-            return None
-        if runtime.static_work is None:
-            return None  # dynamic work_units implies custom logic
-        if isinstance(logic, (WindowAggregateLogic, EventTimeWindowAggregateLogic)):
-            if not logic.supports_batch():
-                return None  # count windows: scalar ring-buffer state
+        kernel = static_kernel(logic)[0]
+        if kernel == "window":
             if merged is None:
                 return "window"  # tick/flush only
             if merged.columns is None:
@@ -741,61 +751,39 @@ class ColumnarExecutor:
             return "window" if _orderable(keys) else None
         if merged is None or merged.columns is None:
             return None
-        if isinstance(logic, FilterLogic):
-            if logic.predicate.field_index >= len(merged.columns):
-                return None  # fallback raises the scalar IndexError
-            return "filter"
-        if isinstance(logic, MapLogic) and logic.has_vector_fn:
-            return "map"
-        return None
+        if (
+            kernel == "filter"
+            and logic.predicate.field_index >= len(merged.columns)
+        ):
+            return None  # fallback raises the scalar IndexError
+        return kernel
 
     def _run_stateless_kernel(
         self, runtime, logic, merged, avail, kind: str
     ) -> None:
+        """Filter, map and the columnar 1-to-N expansion: each
+        micro-batch in, at most one batch out."""
         n = len(merged)
         self._events += n  # one delivery per row
         size = self.batch_size
-        work_per = runtime.static_work
+        expand = kind == "flatmap"
         sorted_avail = np.sort(avail)
         free = 0.0
         for a in range(0, n, size):
             b = min(a + size, n)
             chunk = merged.slice(a, b)
-            chunk_avail = avail[a:b]
-            start, service, done = self._serve(
-                runtime, work_per * (b - a), float(np.max(chunk_avail)), free
+            if expand:
+                # The fan-out is the work, so the expansion runs first.
+                out, work = logic.expand_batch(chunk)
+            else:
+                work = runtime.static_work * (b - a)
+            free = done = self._serve(
+                runtime, work, avail[a:b], sorted_avail, a, free
             )
-            self._bookkeep(runtime, start, service, chunk_avail, sorted_avail, a)
-            self._events += 1
-            out = logic.process_batch(chunk, done)
-            overhead = 0.0
+            if not expand:
+                out = logic.process_batch(chunk, done)
             if out is not None and len(out):
-                overhead = self._emit_pass(runtime, out, done)
-            self._track(done)
-            free = done + overhead
-
-    def _run_flatmap_kernel(self, runtime, logic, merged, avail) -> None:
-        """Columnar 1-to-N expansion (``FlatMapLogic.expand_batch``)."""
-        n = len(merged)
-        self._events += n  # one delivery per row
-        size = self.batch_size
-        sorted_avail = np.sort(avail)
-        free = 0.0
-        for a in range(0, n, size):
-            b = min(a + size, n)
-            chunk = merged.slice(a, b)
-            chunk_avail = avail[a:b]
-            out, work = logic.expand_batch(chunk)
-            start, service, done = self._serve(
-                runtime, work, float(np.max(chunk_avail)), free
-            )
-            self._bookkeep(runtime, start, service, chunk_avail, sorted_avail, a)
-            self._events += 1
-            overhead = 0.0
-            if len(out):
-                overhead = self._emit_pass(runtime, out, done)
-            self._track(done)
-            free = done + overhead
+                free += self._emit_pass(runtime, out, done)
 
     def _run_window_kernel(self, runtime, logic, merged, avail) -> None:
         event_time = isinstance(logic, EventTimeWindowAggregateLogic)
@@ -818,16 +806,14 @@ class ColumnarExecutor:
                 b = min(a + size, n)
                 chunk = merged.slice(a, b)
                 chunk_avail = avail[a:b]
-                start, service, done = self._serve(
+                done = self._serve(
                     runtime,
                     work_per * (b - a),
-                    float(np.max(chunk_avail)),
+                    chunk_avail,
+                    sorted_avail,
+                    a,
                     free,
                 )
-                self._bookkeep(
-                    runtime, start, service, chunk_avail, sorted_avail, a
-                )
-                self._events += 1
                 if key_field is not None:
                     keys = chunk.columns[key_field]
                 else:
@@ -855,10 +841,8 @@ class ColumnarExecutor:
                     fires = logic.process_time_batch(
                         keys, values, chunk.now, chunk.origin_time, ticks
                     )
-                overhead = self._emit_fires(runtime, fires, prev_done, done)
-                self._track(done)
+                free = done + self._emit_fires(runtime, fires, prev_done, done)
                 prev_done = done
-                free = done + overhead
         # Trailing ticks past the last batch still fire ready windows.
         if event_time:
             empty = np.empty(0, dtype=np.float64)
@@ -911,8 +895,7 @@ class ColumnarExecutor:
             chunk = rows[a:b]
             work_sum = 0.0
             emissions: list = []  # (data_now, tick_triggered, outputs)
-            max_avail = 0.0
-            for now, _seq, port, when, tup in chunk:
+            for now, _seq, port, _when, tup in chunk:
                 while cursor < n_ticks and tick_list[cursor] <= now:
                     t = tick_list[cursor]
                     cursor += 1
@@ -925,18 +908,12 @@ class ColumnarExecutor:
                 outputs = process(tup, now, port)
                 if outputs:
                     emissions.append((now, False, outputs))
-                if when > max_avail:
-                    max_avail = when
-            start, service, done = self._serve(
-                runtime, work_sum, max_avail, free
-            )
             chunk_avail = np.asarray(
                 [row[3] for row in chunk], dtype=np.float64
             )
-            self._bookkeep(
-                runtime, start, service, chunk_avail, avail_sorted, a
+            done = self._serve(
+                runtime, work_sum, chunk_avail, avail_sorted, a, free
             )
-            self._events += 1
             overhead = 0.0
             # Coalesce consecutive tuple-triggered outputs (they all
             # become available at done_b) into one routed batch; a tick
@@ -962,7 +939,6 @@ class ColumnarExecutor:
                 overhead += self._emit_fallback_rows(
                     runtime, pend_out, pend_now, done
                 )
-            self._track(done)
             prev_done = done
             free = done + overhead
         while cursor < n_ticks:

@@ -123,6 +123,7 @@ from repro.kernel.core import (
     pack_tiebreak,
 )
 from repro.ft.store import StateStore, estimate_items, validate_delivery
+from repro.sps.capabilities import check, features_of, step_of
 from repro.sps.costs import COORD_LOG_COST_S, SERDE_COST_S
 from repro.sps.logical import LogicalPlan, OperatorKind
 from repro.sps.metrics import LatencyStats, RunMetrics
@@ -277,8 +278,7 @@ class SimulationConfig:
     through vectorized kernels where available, which is roughly an
     order of magnitude faster to simulate.  Results stay deterministic
     and batch-size invariant on the data plane; timing becomes
-    batch-granular.  Requires numpy, and is incompatible with stall
-    injection and backpressure (both are per-event feedback loops).
+    batch-granular.  Requires numpy.
 
     ``checkpoint_interval`` turns on aligned-barrier checkpointing
     (DESIGN.md §13): barriers injected at the sources every interval
@@ -292,9 +292,11 @@ class SimulationConfig:
     the plain step — barriers are queue items, and each source keeps a
     replay log cut back at every completed checkpoint — so it differs
     from the same run without checkpointing only by what barriers do.
-    Checkpointing is scalar-engine only and incompatible with batch
-    mode, rescaling, autoscaling and backpressure (each would need its
-    own barrier interaction; rejected at config time).
+
+    Which of these features may share a run is decided in one place,
+    :mod:`repro.sps.capabilities` (DESIGN.md §4, "What composes"); an
+    unsupported pair is a ``ConfigurationError`` here, or in
+    :class:`StreamEngine` where it involves an observer or chaining.
     """
 
     max_tuples_per_source: int = 4000
@@ -353,73 +355,21 @@ class SimulationConfig:
             and self.backpressure_queue_limit < 2
         ):
             raise ConfigurationError("backpressure_queue_limit must be >= 2")
-        if self.batch_size is not None:
-            if self.batch_size < 1:
-                raise ConfigurationError("batch_size must be >= 1")
-            if self.stalls:
-                raise ConfigurationError(
-                    "batch mode does not support stall injection; "
-                    "unset batch_size to use the scalar engine"
-                )
-            if self.backpressure_queue_limit is not None:
-                raise ConfigurationError(
-                    "batch mode does not support backpressure_queue_limit; "
-                    "unset batch_size to use the scalar engine"
-                )
-            if self.rescales or self.autoscale or self.scenario:
-                raise ConfigurationError(
-                    "batch mode does not support the elastic runtime "
-                    "(rescales/autoscale/scenario); unset batch_size to "
-                    "use the scalar engine"
-                )
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
         if self.autoscale_interval <= 0:
             raise ConfigurationError("autoscale_interval must be positive")
         if self.slo_latency is not None and self.slo_latency <= 0:
             raise ConfigurationError("slo_latency must be positive")
         validate_delivery(self.delivery)
-        if self.checkpoint_interval is not None:
-            if self.checkpoint_interval <= 0:
-                raise ConfigurationError(
-                    "checkpoint_interval must be positive"
-                )
-            if self.batch_size is not None:
-                raise ConfigurationError(
-                    "checkpointing does not support batch mode; barriers "
-                    "are per-tuple queue items (unset batch_size)"
-                )
-            if self.rescales or self.autoscale:
-                raise ConfigurationError(
-                    "checkpointing does not support rescaling/autoscaling; "
-                    "a rescale would invalidate snapshot ownership"
-                )
-            if self.backpressure_queue_limit is not None:
-                raise ConfigurationError(
-                    "checkpointing does not support backpressure; barrier "
-                    "alignment and source throttling would deadlock"
-                )
-        if self.shards is not None:
-            if self.shards < 1:
-                raise ConfigurationError("shards must be >= 1")
-            if self.batch_size is not None:
-                raise ConfigurationError(
-                    "sharded execution does not support batch mode; "
-                    "unset batch_size to use shards"
-                )
-            if self.backpressure_queue_limit is not None:
-                raise ConfigurationError(
-                    "sharded execution does not support backpressure; "
-                    "source throttling is a global feedback loop"
-                )
-            if self.rescales or self.autoscale or self.scenario:
-                raise ConfigurationError(
-                    "sharded execution does not support the elastic "
-                    "runtime (rescales/autoscale/scenario); unset shards"
-                )
-            if self.checkpoint_interval is not None:
-                raise ConfigurationError(
-                    "sharded execution does not support checkpointing; "
-                    "barrier alignment would need a global channel view"
-                )
+        if (
+            self.checkpoint_interval is not None
+            and self.checkpoint_interval <= 0
+        ):
+            raise ConfigurationError("checkpoint_interval must be positive")
+        if self.shards is not None and self.shards < 1:
+            raise ConfigurationError("shards must be >= 1")
+        check(features_of(self))
 
 
 @dataclass(slots=True)
@@ -611,41 +561,12 @@ class StreamEngine:
         self._rescale_count = 0
         self._migrated_keys_total = 0
         self._rescale_log: list[dict] = []
-        scenario_spec = self.config.scenario
-        if scenario_spec:
-            from repro.elastic.scenarios import make_scenario
-
-            self._scenario = make_scenario(scenario_spec)
-        else:
-            self._scenario = None
-        self._elastic = bool(
-            self.config.rescales
-            or self.config.autoscale
-            or (self._scenario is not None and self._scenario.injections)
+        features = features_of(
+            self.config, observer, sanitize, self.physical.chains
         )
-        if self._elastic and self.physical.chains:
-            raise ConfigurationError(
-                "the elastic runtime does not support operator chaining; "
-                "disable chaining to use rescales/autoscale/scenarios"
-            )
-        self._ft = self.config.checkpoint_interval is not None
-        if self._ft and self.physical.chains:
-            raise ConfigurationError(
-                "checkpointing does not support operator chaining; "
-                "barrier alignment needs per-subtask queues (disable "
-                "chaining to use checkpoint_interval)"
-            )
-        if self.config.shards is not None:
-            if observer is not None:
-                raise ConfigurationError(
-                    "sharded execution does not support an observer; "
-                    "hooks would need cross-process event ordering"
-                )
-            if self.physical.chains:
-                raise ConfigurationError(
-                    "sharded execution does not support operator "
-                    "chaining; disable chaining to use shards"
-                )
+        check(features)
+        self._elastic = not features.isdisjoint(("rescale", "scenario"))
+        self._ft = "checkpoint" in features
         #: force the sharded controller onto in-process workers even
         #: where fork is available (the serial reference of the DET609
         #: cross-check, and the property tests' fast path)
@@ -656,6 +577,9 @@ class StreamEngine:
         self._k = Kernel(_WORK_MASK)
         self._ran = False
         self._step: str | None = None
+        #: end-of-stream flush rounds any executor runs at most: a
+        #: flushed result crosses at most every operator once
+        self._max_flush_rounds = len(plan.operators) + 2
         self._build_runtimes()
 
     @property
@@ -669,41 +593,17 @@ class StreamEngine:
 
     def _build_runtimes(self) -> None:
         for subtask in self.physical.subtasks:
-            op = self.logical.operator(subtask.op_id)
-            cost = self.physical.effective_cost(subtask.op_id)
-            rng = self._rngs.fresh("engine", op.op_id, str(subtask.index))
-            logic = self.physical.effective_factory(subtask.op_id)()
-            logic.setup(
-                OperatorContext(
-                    op_id=op.op_id,
-                    subtask_index=subtask.index,
-                    parallelism=subtask.parallelism,
-                    rng=rng,
-                )
-            )
-            node = self.cluster.node(self.placement.node_of(subtask.gid))
-            load = self.placement.load_of(subtask.gid)
-            coord = cost.coordination_factor(op.parallelism)
-            base_service = cost.base_cpu_s * coord * load / node.speed_factor
-            cv = cost.cost_noise
-            sigma = math.sqrt(math.log(1.0 + cv * cv)) if cv > 0 else 0.0
-            runtime = _SubtaskRuntime(
-                gid=subtask.gid,
-                op_id=op.op_id,
-                index=subtask.index,
-                logic=logic,
-                node_id=node.node_id,
-                base_service=base_service,
-                noise_sigma=sigma,
-                is_source=op.kind is OperatorKind.SOURCE,
-                is_sink=op.kind is OperatorKind.SINK,
-                static_work=_static_work(logic),
-                noise_mu=-0.5 * sigma * sigma,
-                slot_load=load,
+            runtime = self._new_runtime(
+                subtask.op_id,
+                subtask.index,
+                subtask.parallelism,
+                self.placement.node_of(subtask.gid),
+                self.placement.load_of(subtask.gid),
             )
             if runtime.is_source:
+                op = self.logical.operator(subtask.op_id)
                 self._build_arrival_state(runtime, op)
-            self._runtimes.append(runtime)
+            logic = runtime.logic
             if isinstance(logic, SinkLogic):
                 logic.keep_values = self.config.keep_sink_values
                 self._sinks.append(logic)
@@ -720,6 +620,62 @@ class StreamEngine:
             for gid, groups in self.physical.out_channels.items()
         }
         self._build_route_tables()
+
+    def _new_runtime(
+        self,
+        op_id: str,
+        index: int,
+        parallelism: int,
+        node_id: int,
+        load: float,
+        epoch: int = 0,
+    ) -> _SubtaskRuntime:
+        """Append subtask ``index`` of ``op_id``, one of ``parallelism``,
+        at the next gid: the cost model's service time on ``node_id``
+        under slot contention ``load``, and a fresh logic."""
+        op = self.logical.operator(op_id)
+        cost = self.physical.effective_cost(op_id)
+        coord = cost.coordination_factor(parallelism)
+        speed = self.cluster.node(node_id).speed_factor
+        cv = cost.cost_noise
+        sigma = math.sqrt(math.log(1.0 + cv * cv)) if cv > 0 else 0.0
+        gid = len(self._runtimes)
+        runtime = _SubtaskRuntime(
+            gid=gid,
+            op_id=op_id,
+            index=index,
+            logic=None,
+            node_id=node_id,
+            base_service=cost.base_cpu_s * coord * load / speed,
+            noise_sigma=sigma,
+            is_source=op.kind is OperatorKind.SOURCE,
+            is_sink=op.kind is OperatorKind.SINK,
+            noise_mu=-0.5 * sigma * sigma,
+            slot_load=load,
+            epoch=epoch,
+            seq=pack_tiebreak(gid, 0) - 1,
+        )
+        self._new_logic(runtime, parallelism)
+        self._runtimes.append(runtime)
+        return runtime
+
+    def _new_logic(
+        self, runtime: _SubtaskRuntime, parallelism: int
+    ) -> OperatorLogic:
+        """Give the subtask a fresh logic, set up on the stream of the
+        subtask's current name."""
+        logic = self.physical.effective_factory(runtime.op_id)()
+        logic.setup(
+            OperatorContext(
+                op_id=runtime.op_id,
+                subtask_index=runtime.index,
+                parallelism=parallelism,
+                rng=self._rngs.fresh(*self._stream_name(runtime)),
+            )
+        )
+        runtime.logic = logic
+        runtime.static_work = _static_work(logic)
+        return logic
 
     def _build_arrival_state(self, runtime: _SubtaskRuntime, op) -> None:
         """Resolve a source's arrival process once, not per arrival."""
@@ -860,7 +816,6 @@ class StreamEngine:
             if self._elastic:
                 self._start_elastic()
 
-            self._max_flush_rounds = len(self.logical.operators) + 2
             obs = self._obs
             if obs is not None:
                 obs.on_run_start(self)
@@ -875,12 +830,18 @@ class StreamEngine:
                     else self._on_idle
                 ),
             )
+            # What is still scheduled never happens. A control-plane
+            # payload is a bound method: left on the heap it would be a
+            # cycle through the engine, which is freed by refcount.
+            k.heap.clear()
             if obs is not None:
                 obs.on_run_end(k.now)
             return self._collect_metrics()
-        except BudgetExceededError:
+        except BudgetExceededError as exc:
+            # Whichever executor ran out: the scalar kernel, the batch
+            # executor's event-equivalents or a shard's epoch budget.
             raise SimulationError(
-                f"event budget exceeded ({self.config.max_events}); "
+                f"event budget exceeded ({exc.max_events}); "
                 "the configuration likely diverged"
             ) from None
 
@@ -925,9 +886,9 @@ class StreamEngine:
         self._control_seq = pack_tiebreak(-1, 0) - 1
         self._state_loss: dict | None = None
         if owned is not None:
-            # A sanitize=True engine carries a RaceDetector in _obs, but
-            # hooks would need cross-process event ordering (the
-            # constructor rejects a user observer for the same reason).
+            # A sanitize=True engine carries a RaceDetector in _obs,
+            # but no hook fires on a shard (capabilities.EXCLUDES has
+            # why; the constructor refuses a user observer for it).
             self._obs = None
         # Which per-event hooks the attached observer needs, resolved
         # once: an EngineObserver (wrapped by the race detector or not)
@@ -937,12 +898,10 @@ class StreamEngine:
         self._done_gids = getattr(self._obs, "done_gids", None)
         self._meter = self._obs if self._done_gids is None else None
         #: completions are computed when nothing but a subtask's own
-        #: tuples and timers can touch it; each feature excluded here
-        #: still acts on the queue, ``busy`` or the DONE event (§14)
-        computed = owned is None and self._obs is None and not (
-            self._bp_limit or self._ft or self._elastic or config.stalls
-        )
-        self._step = "computed" if computed else "evented"
+        #: tuples and timers can touch it: ``capabilities.EVENTED`` has
+        #: what still acts on the queue, ``busy`` or the DONE event
+        self._step = step_of(features_of(config, self._obs))
+        computed = self._step == "computed"
         for runtime in mine:
             runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
         if self._ft:
@@ -972,52 +931,16 @@ class StreamEngine:
 
     def _make_handlers(self) -> list:
         """The kernel's dispatch table, one entry per event kind."""
-        runtimes = self._runtimes
-        enqueue = self._ft_deliver if self._ft else self._enqueue
-
-        def deliver(gid: int, payload, port: int) -> None:
-            enqueue(runtimes[gid], payload, port)
-
-        def arrival(gid: int, payload, port: int) -> None:
-            self._handle_arrival(gid)
-
-        def begin(gid: int, payload, port: int) -> None:
-            self._begin_service(gid)
-
-        def timer(gid: int, payload, port: int) -> None:
-            if not self._finished:
-                self._handle_timer(gid)
-
-        def stall(gid: int, payload, port: int) -> None:
-            self._handle_stall(gid, payload)
-
-        def replay(gid: int, payload, port: int) -> None:
-            self._handle_replay(gid)
-
-        def rescale(gid: int, payload, port: int) -> None:
-            self._handle_rescale(payload)
-
-        def control(gid: int, payload, port: int) -> None:
-            self._handle_control()
-
-        def scenario(gid: int, payload, port: int) -> None:
-            self._handle_scenario(payload)
-
-        def ft(gid: int, payload, port: int) -> None:
-            self._handle_ft(payload)
-
         handlers: list = [None] * 11
-        handlers[_ARRIVAL] = arrival
-        handlers[_DELIVER] = deliver
-        handlers[_BEGIN] = begin
+        handlers[_ARRIVAL] = self._handle_arrival
+        handlers[_DELIVER] = self._ft_deliver if self._ft else self._enqueue
+        handlers[_BEGIN] = self._begin_service
         handlers[_DONE] = self._handle_done
-        handlers[_TIMER] = timer
-        handlers[_STALL] = stall
-        handlers[_REPLAY] = replay
-        handlers[_RESCALE] = rescale
-        handlers[_CONTROL] = control
-        handlers[_SCENARIO] = scenario
-        handlers[_FT] = ft
+        handlers[_TIMER] = self._handle_timer
+        handlers[_STALL] = self._handle_stall
+        handlers[_REPLAY] = self._handle_replay
+        for kind in (_RESCALE, _CONTROL, _SCENARIO, _FT):
+            handlers[kind] = self._apply
         if self._step == "computed":
             handlers[_ARRIVAL] = self._arrive
             handlers[_DELIVER] = self._complete
@@ -1030,7 +953,7 @@ class StreamEngine:
         """Work counter hit zero: flush rounds, recovery, or stop."""
         if self._ft and self._ft_recovering:
             # A recovery pause drained the last in-flight work; the
-            # scheduled ("restored", ...) control event will re-arm the
+            # scheduled ``_ft_restored`` control event will re-arm the
             # source replay, so neither flush nor terminate yet.
             return True
         if self._flush_rounds < self._max_flush_rounds and self._flush_all():
@@ -1050,25 +973,33 @@ class StreamEngine:
         runtime.seq += 1
         self._k.push_tb(time, runtime.seq, kind, gid, payload, port)
 
-    def _push_control(self, time: float, kind: int, payload) -> None:
-        """Schedule a control-plane event from the engine's own counter."""
+    def _push_control(self, time: float, kind: int, *call) -> None:
+        """Schedule a control-plane event — ``call`` is a bound method
+        and its arguments — numbered from the engine's own counter."""
         self._control_seq += 1
-        self._k.push_tb(time, self._control_seq, kind, 0, payload, 0)
+        self._k.push_tb(time, self._control_seq, kind, 0, call, 0)
 
-    def _open_stream(self, runtime: _SubtaskRuntime, kind: str):
-        """The subtask's private ``arrivals`` or ``noise`` generator.
+    def _apply(self, gid: int, call, port: int) -> None:
+        """A control-plane event fires: make the call it carries."""
+        call[0](*call[1:])
 
-        Streams derive purely from the factory seed and the subtask's
-        stable name — which carries the rescale generation and the
-        recovery incarnation, as the logic's stream does — so every
-        executor, transport and shard count builds identical ones.
-        """
+    @staticmethod
+    def _stream_name(runtime: _SubtaskRuntime) -> list[str]:
+        """The subtask's stable name, ``engine/<op>/<i>[/e<generation>]
+        [/r<incarnation>]``: its logic's stream, and the prefix of its
+        ``arrivals`` and ``noise`` streams. Streams derive purely from
+        the factory seed and this name, so every executor, transport
+        and shard count builds identical ones."""
         name = ["engine", runtime.op_id, str(runtime.index)]
         if runtime.epoch:
             name.append(f"e{runtime.epoch}")
         if runtime.ft_incarnation:
             name.append(f"r{runtime.ft_incarnation}")
-        return self._rngs.fresh(*name, kind)
+        return name
+
+    def _open_stream(self, runtime: _SubtaskRuntime, kind: str):
+        """The subtask's private ``arrivals`` or ``noise`` generator."""
+        return self._rngs.fresh(*self._stream_name(runtime), kind)
 
     def _refill_gaps(self, runtime: _SubtaskRuntime) -> list:
         """The next block of unit-mean arrival gaps, in pop order."""
@@ -1112,7 +1043,7 @@ class StreamEngine:
             return
         self._push(at, _ARRIVAL, runtime.gid, None, 0)
 
-    def _handle_arrival(self, gid: int) -> None:
+    def _handle_arrival(self, gid: int, payload, port: int) -> None:
         runtime = self._runtimes[gid]
         now = self._k.now
         if self._congested:
@@ -1143,14 +1074,13 @@ class StreamEngine:
             log.append(tup)
             if not self._ft_recovering and runtime.ft_head == len(log) - 1:
                 runtime.ft_head = len(log)
-                self._enqueue(runtime, tup, 0)
+                self._enqueue(gid, tup, 0)
         else:
-            self._enqueue(runtime, tup, 0)
+            self._enqueue(gid, tup, 0)
         self._schedule_next_arrival(runtime, now)
 
-    def _enqueue(
-        self, runtime: _SubtaskRuntime, tup: StreamTuple, port: int
-    ) -> None:
+    def _enqueue(self, gid: int, tup: StreamTuple, port: int) -> None:
+        runtime = self._runtimes[gid]
         if runtime.retired:
             # Forwarding tombstone: a tuple was in flight toward a
             # subtask that a rescale replaced. Re-partition it across
@@ -1224,7 +1154,7 @@ class StreamEngine:
         if not runtime.busy:
             self._begin_service_now(runtime, now)
 
-    def _begin_service(self, gid: int) -> None:
+    def _begin_service(self, gid: int, payload, port: int) -> None:
         runtime = self._runtimes[gid]
         if runtime.draining or runtime.retired:
             self._drain_step(runtime)
@@ -1320,7 +1250,7 @@ class StreamEngine:
         if len(runtime.queue) > runtime.queue_head:
             self._begin_service_now(runtime, now)
 
-    def _handle_stall(self, gid: int, duration: float) -> None:
+    def _handle_stall(self, gid: int, duration: float, port: int) -> None:
         runtime = self._runtimes[gid]
         now = self._k.now
         if runtime.retired:
@@ -1339,12 +1269,12 @@ class StreamEngine:
             self._obs.on_stall(runtime, now, duration)
         self._push(now + duration, _BEGIN, gid, None, 0)
 
-    def _handle_timer(self, gid: int) -> None:
+    def _handle_timer(self, gid: int, payload, port: int) -> None:
         runtime = self._runtimes[gid]
         now = self._k.now
-        if runtime.retired:
-            # Replacement subtasks re-armed their own timers at the
-            # swap; let this one lapse without rescheduling.
+        if runtime.retired or self._finished:
+            # A finished run fires no timer, and replacement subtasks
+            # re-armed their own at the swap: lapse, don't reschedule.
             return
         logic = runtime.logic
         outputs = logic.on_time(now)
@@ -1483,7 +1413,11 @@ class StreamEngine:
                 )
             if event.at_time <= self.config.max_sim_time:
                 self._push_control(
-                    event.at_time, _RESCALE, (event.op_id, event.parallelism)
+                    event.at_time,
+                    _RESCALE,
+                    self._handle_rescale,
+                    event.op_id,
+                    event.parallelism,
                 )
         if self.config.autoscale:
             self._policy = make_policy(self.config.autoscale)
@@ -1495,8 +1429,8 @@ class StreamEngine:
             self._control_prev: dict[str, tuple[float, int]] = {}
             interval = self.config.autoscale_interval
             if interval <= self.config.max_sim_time:
-                self._push_control(interval, _CONTROL, None)
-        if self._scenario is not None:
+                self._push_control(interval, _CONTROL, self._handle_control)
+        if self.config.scenario:
             self._schedule_scenario()
 
     def _schedule_scenario(self) -> None:
@@ -1506,67 +1440,54 @@ class StreamEngine:
             NetworkDegradation,
             NodeFailure,
             Straggler,
+            make_scenario,
         )
 
         horizon = self.config.max_sim_time
-        for injection in self._scenario.injections:
+        for injection in make_scenario(self.config.scenario).injections:
             if injection.at > horizon:
                 continue
             if isinstance(injection, NodeFailure):
                 node = injection.node
                 if node is None:
                     node = self._default_failure_node()
-                hit = [
-                    runtime.gid
-                    for runtime in self._runtimes
-                    if runtime.node_id == node
-                ]
-                if not hit:
+                if all(rt.node_id != node for rt in self._runtimes):
                     raise SimulationError(
                         f"node failure targets node {node}, "
                         "which hosts no subtasks"
                     )
-                self._push_control(
-                    injection.at, _SCENARIO, ("fail", node, injection.duration)
+                call = (
+                    self._ft_failure if self._ft else self._fail_node_now,
+                    node,
+                    injection.duration,
                 )
             elif isinstance(injection, LoadSpike):
-                self._push_control(
-                    injection.at,
-                    _SCENARIO,
-                    ("spike", injection.factor, injection.duration),
-                )
+                call = (self._spike, injection.factor, injection.duration)
             elif isinstance(injection, Straggler):
                 op_id = injection.op or self._default_straggler_op()
                 if op_id not in self._op_gids:
                     raise SimulationError(
                         f"straggler targets unknown operator {op_id!r}"
                     )
-                self._push_control(
-                    injection.at,
-                    _SCENARIO,
-                    (
-                        "straggle",
-                        op_id,
-                        injection.subtask,
-                        injection.factor,
-                        injection.duration,
-                    ),
+                call = (
+                    self._straggle,
+                    op_id,
+                    injection.subtask,
+                    injection.factor,
+                    injection.duration,
                 )
             elif isinstance(injection, NetworkDegradation):
-                self._push_control(
-                    injection.at,
-                    _SCENARIO,
-                    (
-                        "degrade",
-                        injection.latency_factor,
-                        injection.bandwidth_factor,
-                        injection.duration,
-                    ),
+                call = (
+                    self._degrade,
+                    injection.latency_factor,
+                    injection.bandwidth_factor,
+                    injection.duration,
                 )
             else:
                 raise SimulationError(
                     f"unknown injection type {type(injection).__name__}"
                 )
+            self._push_control(injection.at, _SCENARIO, *call)
 
     def _default_failure_node(self) -> int:
         """The node hosting the first processing subtask (deterministic)."""
@@ -1595,94 +1516,92 @@ class StreamEngine:
             )
         return best_op
 
-    def _handle_scenario(self, action) -> None:
-        kind = action[0]
-        if kind == "spike":
-            _, factor, duration = action
-            saved = []
-            for runtime in self._runtimes:
-                if runtime.is_source:
-                    saved.append(
-                        (
-                            runtime.gid,
-                            runtime.mean_gap,
-                            runtime.burst_fast_gap,
-                            runtime.burst_slow_gap,
-                        )
+    def _spike(self, factor: float, duration: float) -> None:
+        """Load spike: every source emits ``factor`` times faster."""
+        saved = []
+        for runtime in self._runtimes:
+            if runtime.is_source:
+                saved.append(
+                    (
+                        runtime,
+                        runtime.mean_gap,
+                        runtime.burst_fast_gap,
+                        runtime.burst_slow_gap,
                     )
-                    runtime.mean_gap /= factor
-                    runtime.burst_fast_gap /= factor
-                    runtime.burst_slow_gap /= factor
-            self._push_control(
-                self._k.now + duration, _SCENARIO, ("spike_end", saved)
-            )
-        elif kind == "spike_end":
-            # Restore the exact pre-spike gaps (saved, not re-derived).
-            for gid, mean_gap, fast_gap, slow_gap in action[1]:
-                runtime = self._runtimes[gid]
-                runtime.mean_gap = mean_gap
-                runtime.burst_fast_gap = fast_gap
-                runtime.burst_slow_gap = slow_gap
-        elif kind == "straggle":
-            _, op_id, index, factor, duration = action
-            gids = self._op_gids[op_id]
-            runtime = self._runtimes[gids[index % len(gids)]]
-            original = runtime.base_service
-            runtime.base_service = original * factor
-            self._push_control(
-                self._k.now + duration,
-                _SCENARIO,
-                ("unstraggle", runtime.gid, original),
-            )
-        elif kind == "unstraggle":
-            # Float-exact recovery: the saved value, not a division. A
-            # runtime retired in between was already replaced by clean
-            # cost-model instances — rescaling repaired the straggler.
-            _, gid, original = action
-            runtime = self._runtimes[gid]
-            if not runtime.retired:
-                runtime.base_service = original
-        elif kind == "degrade":
-            _, latency_factor, bandwidth_factor, duration = action
-            saved = []
-            for runtime in self._runtimes:
-                if runtime.retired:
-                    continue
-                for entry in runtime.route_table:
-                    latencies = entry[5]
-                    if latencies is None:
-                        continue  # custom network model: not cacheable
-                    bandwidths = entry[6]
-                    saved.append(
-                        (
-                            latencies,
-                            tuple(latencies),
-                            bandwidths,
-                            tuple(bandwidths),
-                        )
+                )
+                runtime.mean_gap /= factor
+                runtime.burst_fast_gap /= factor
+                runtime.burst_slow_gap /= factor
+        self._push_control(
+            self._k.now + duration, _SCENARIO, self._spike_end, saved
+        )
+
+    def _spike_end(self, saved: list) -> None:
+        """Restore the exact pre-spike gaps (saved, not re-derived)."""
+        for runtime, mean_gap, fast_gap, slow_gap in saved:
+            runtime.mean_gap = mean_gap
+            runtime.burst_fast_gap = fast_gap
+            runtime.burst_slow_gap = slow_gap
+
+    def _straggle(
+        self, op_id: str, index: int, factor: float, duration: float
+    ) -> None:
+        """Straggler: one subtask serves ``factor`` times slower."""
+        gids = self._op_gids[op_id]
+        runtime = self._runtimes[gids[index % len(gids)]]
+        original = runtime.base_service
+        runtime.base_service = original * factor
+        self._push_control(
+            self._k.now + duration,
+            _SCENARIO,
+            self._unstraggle,
+            runtime,
+            original,
+        )
+
+    def _unstraggle(self, runtime: _SubtaskRuntime, original: float) -> None:
+        """Float-exact recovery: the saved value, not a division. A
+        runtime retired in between was already replaced by clean
+        cost-model instances — rescaling repaired the straggler."""
+        if not runtime.retired:
+            runtime.base_service = original
+
+    def _degrade(
+        self, latency_factor: float, bandwidth_factor: float, duration: float
+    ) -> None:
+        """Network degradation: every cross-node channel slows down."""
+        saved = []
+        for runtime in self._runtimes:
+            if runtime.retired:
+                continue
+            for entry in runtime.route_table:
+                latencies = entry[5]
+                if latencies is None:
+                    continue  # custom network model: not cacheable
+                bandwidths = entry[6]
+                saved.append(
+                    (
+                        latencies,
+                        tuple(latencies),
+                        bandwidths,
+                        tuple(bandwidths),
                     )
-                    for i, latency in enumerate(latencies):
-                        if latency > 0.0:  # same-node channels stay free
-                            latencies[i] = latency * latency_factor
-                    for i, bandwidth in enumerate(bandwidths):
-                        bandwidths[i] = bandwidth * bandwidth_factor
-            self._push_control(
-                self._k.now + duration, _SCENARIO, ("restore_net", saved)
-            )
-        elif kind == "restore_net":
-            # Lists mutate in place, so tables recompiled by a rescale
-            # mid-degradation simply drop out (they were rebuilt clean).
-            for latencies, lat0, bandwidths, bw0 in action[1]:
-                latencies[:] = lat0
-                bandwidths[:] = bw0
-        elif kind == "fail":
-            _, node, duration = action
-            if self._ft:
-                self._ft_failure(node, duration)
-            else:
-                self._fail_node_now(node, duration)
-        else:
-            raise SimulationError(f"unknown scenario action {kind!r}")
+                )
+                for i, latency in enumerate(latencies):
+                    if latency > 0.0:  # same-node channels stay free
+                        latencies[i] = latency * latency_factor
+                for i, bandwidth in enumerate(bandwidths):
+                    bandwidths[i] = bandwidth * bandwidth_factor
+        self._push_control(
+            self._k.now + duration, _SCENARIO, self._restore_net, saved
+        )
+
+    def _restore_net(self, saved: list) -> None:
+        """Lists mutate in place, so tables recompiled by a rescale
+        mid-degradation simply drop out (they were rebuilt clean)."""
+        for latencies, lat0, bandwidths, bw0 in saved:
+            latencies[:] = lat0
+            bandwidths[:] = bw0
 
     def _fail_node_now(self, node_id: int, duration: float) -> None:
         """Chaos node failure with checkpointing OFF: state is lost.
@@ -1722,7 +1641,7 @@ class StreamEngine:
             # Downtime enforcement reuses the stall machinery: it waits
             # for any in-flight tuple, fires on_stall, and wakes the
             # subtask with a BEGIN after the outage.
-            self._handle_stall(runtime.gid, duration)
+            self._handle_stall(runtime.gid, duration, 0)
 
     def _restart(self, runtime: _SubtaskRuntime) -> OperatorLogic:
         """Replace a failed subtask's logic and queue with fresh ones.
@@ -1731,26 +1650,9 @@ class StreamEngine:
         is opened here, the service-noise one at its first refill."""
         runtime.ft_incarnation += 1
         runtime.noise = runtime.noise_rng = None
-        logic = self.physical.effective_factory(runtime.op_id)()
-        rng = self._rngs.fresh(
-            "engine",
-            runtime.op_id,
-            str(runtime.index),
-            f"r{runtime.ft_incarnation}",
-        )
-        logic.setup(
-            OperatorContext(
-                op_id=runtime.op_id,
-                subtask_index=runtime.index,
-                parallelism=len(self._op_gids[runtime.op_id]),
-                rng=rng,
-            )
-        )
-        runtime.logic = logic
-        runtime.static_work = _static_work(logic)
         runtime.queue = []
         runtime.queue_head = 0
-        return logic
+        return self._new_logic(runtime, len(self._op_gids[runtime.op_id]))
 
     def _rescale_refusal(self, op_id: str) -> str | None:
         """Why ``op_id`` cannot rescale, or None when it can (cached —
@@ -1806,7 +1708,7 @@ class StreamEngine:
                     )
         return None
 
-    def _handle_rescale(self, payload) -> None:
+    def _handle_rescale(self, op_id: str, new_parallelism: int) -> None:
         """Initiate the drain barrier toward a new parallelism.
 
         Busy subtasks finish their in-flight tuple and are then locked;
@@ -1816,7 +1718,6 @@ class StreamEngine:
         The swap itself (:meth:`_perform_rescale`) runs when the last
         busy subtask completes — synchronously here when all are idle.
         """
-        op_id, new_parallelism = payload
         reason = self._rescale_refusal(op_id)
         if reason is not None:
             raise SimulationError(f"cannot rescale {op_id!r}: {reason}")
@@ -1878,51 +1779,23 @@ class StreamEngine:
         old_runtimes = [self._runtimes[gid] for gid in old_gids]
         epoch = self._op_epoch.get(op_id, 0) + 1
         self._op_epoch[op_id] = epoch
-        cost = self.physical.effective_cost(op_id)
-        coord = cost.coordination_factor(new_parallelism)
-        cv = cost.cost_noise
-        sigma = math.sqrt(math.log(1.0 + cv * cv)) if cv > 0 else 0.0
 
         new_runtimes: list[_SubtaskRuntime] = []
-        new_gids: list[int] = []
         for index in range(new_parallelism):
-            gid = len(self._runtimes)
-            rng = self._rngs.fresh("engine", op_id, str(index), f"e{epoch}")
-            logic = self.physical.effective_factory(op_id)()
-            logic.setup(
-                OperatorContext(
-                    op_id=op_id,
-                    subtask_index=index,
-                    parallelism=new_parallelism,
-                    rng=rng,
-                )
-            )
             # Nodes are reused cyclically from the drained generation:
             # the cluster stays fixed, only the degree changes.
             donor = old_runtimes[index % len(old_runtimes)]
-            node = self.cluster.node(donor.node_id)
-            load = donor.slot_load
-            runtime = _SubtaskRuntime(
-                gid=gid,
-                op_id=op_id,
-                index=index,
-                logic=logic,
-                node_id=donor.node_id,
-                base_service=(
-                    cost.base_cpu_s * coord * load / node.speed_factor
-                ),
-                noise_sigma=sigma,
-                is_source=False,
-                is_sink=False,
-                static_work=_static_work(logic),
-                noise_mu=-0.5 * sigma * sigma,
-                slot_load=load,
-                epoch=epoch,
-                seq=pack_tiebreak(gid, 0) - 1,
+            new_runtimes.append(
+                self._new_runtime(
+                    op_id,
+                    index,
+                    new_parallelism,
+                    donor.node_id,
+                    donor.slot_load,
+                    epoch,
+                )
             )
-            self._runtimes.append(runtime)
-            new_runtimes.append(runtime)
-            new_gids.append(gid)
+        new_gids = [runtime.gid for runtime in new_runtimes]
 
         # Outgoing channels: same logical edges, fresh partitioner
         # clones, consumers looked up from the current live sets.
@@ -2098,10 +1971,12 @@ class StreamEngine:
                 and target != len(self._op_gids[op_id])
                 and self._rescale_refusal(op_id) is None
             ):
-                self._push_control(now, _RESCALE, (op_id, target))
+                self._push_control(
+                    now, _RESCALE, self._handle_rescale, op_id, target
+                )
         next_tick = now + interval
         if next_tick <= self.config.max_sim_time:
-            self._push_control(next_tick, _CONTROL, None)
+            self._push_control(next_tick, _CONTROL, self._handle_control)
 
     def _resource_seconds(self, span: float) -> float:
         """∫ total subtask count dt — the resource-cost numerator."""
@@ -2177,35 +2052,33 @@ class StreamEngine:
         #: around them whatever the payload sizes
         self._ft_clocks = [0.0] * len(ports)
         if self._ft_interval <= self.config.max_sim_time:
-            self._push_control(self._ft_interval, _FT, ("trigger",))
+            self._push_control(self._ft_interval, _FT, self._ft_trigger)
 
-    def _handle_ft(self, action) -> None:
-        if action[0] == "trigger":
-            nxt = self._k.now + self._ft_interval
-            if nxt <= self.config.max_sim_time:
-                self._push_control(nxt, _FT, ("trigger",))
-            store = self._ft_store
-            if self._ft_recovering or store.active is not None:
-                # The previous checkpoint is still aligning (or a
-                # recovery is in flight): count the skip, don't overlap.
-                store.skip()
-                return
-            if self._ft_num_acks == 0:
-                return
-            barrier = _Barrier(store.begin(self._k.now).ckpt_id)
-            self._ft_pending = self._ft_num_acks
-            for runtime in self._runtimes:
-                if runtime.is_source:
-                    # The barrier rides the source's own queue, behind
-                    # any generated-but-unrouted tuples: the replay
-                    # offset is recorded when the source dequeues it,
-                    # so the snapshot cut and the offset agree even
-                    # when the source has a service backlog.
-                    self._ft_deliver(runtime, barrier, 0)
-        else:  # ("restored", token)
-            self._ft_restored(action[1])
+    def _ft_trigger(self) -> None:
+        """Start a checkpoint: a barrier enters every source's queue."""
+        nxt = self._k.now + self._ft_interval
+        if nxt <= self.config.max_sim_time:
+            self._push_control(nxt, _FT, self._ft_trigger)
+        store = self._ft_store
+        if self._ft_recovering or store.active is not None:
+            # The previous checkpoint is still aligning (or a
+            # recovery is in flight): count the skip, don't overlap.
+            store.skip()
+            return
+        if self._ft_num_acks == 0:
+            return
+        barrier = _Barrier(store.begin(self._k.now).ckpt_id)
+        self._ft_pending = self._ft_num_acks
+        for runtime in self._runtimes:
+            if runtime.is_source:
+                # The barrier rides the source's own queue, behind
+                # any generated-but-unrouted tuples: the replay
+                # offset is recorded when the source dequeues it,
+                # so the snapshot cut and the offset agree even
+                # when the source has a service backlog.
+                self._ft_deliver(runtime.gid, barrier, 0)
 
-    def _ft_deliver(self, runtime: _SubtaskRuntime, item, chan: int) -> None:
+    def _ft_deliver(self, gid: int, item, chan: int) -> None:
         """What checkpointing puts in front of :meth:`_enqueue`.
 
         A barrier joins the queue like data, at no cost; a sink
@@ -2213,6 +2086,7 @@ class StreamEngine:
         on an already-aligned channel is diverted to the alignment
         buffer. Everything else is enqueued by the shared step.
         """
+        runtime = self._runtimes[gid]
         if item.__class__ is _Barrier:
             now = self._k.now
             runtime.queue.append((item, chan, now))
@@ -2235,7 +2109,7 @@ class StreamEngine:
                 self._meter.tuples_in[runtime.gid] += 1
             runtime.ft_buffer.append((item, chan, self._k.now))
             return
-        self._enqueue(runtime, item, chan)
+        self._enqueue(gid, item, chan)
 
     def _ft_dequeue(self, runtime: _SubtaskRuntime, now: float) -> bool:
         """Consume the barriers and aligned-channel data at the head of
@@ -2361,7 +2235,7 @@ class StreamEngine:
         runtime.seq = seq
         k.work += pushed
 
-    def _handle_replay(self, gid: int) -> None:
+    def _handle_replay(self, gid: int, payload, port: int) -> None:
         """Redeliver the next logged source tuple after a recovery."""
         runtime = self._runtimes[gid]
         log = runtime.ft_log
@@ -2370,7 +2244,7 @@ class StreamEngine:
             return
         tup = log[head]
         runtime.ft_head = head + 1
-        self._enqueue(runtime, tup, 0)
+        self._enqueue(gid, tup, 0)
         if runtime.ft_head < len(log):
             gap = runtime.mean_gap * _REPLAY_GAP_FRACTION
             self._push(self._k.now + gap, _REPLAY, gid, None, 0)
@@ -2421,12 +2295,7 @@ class StreamEngine:
             kept.append(ev)
         heap[:] = kept
         heapify(heap)
-        work = 0
-        for ev in heap:
-            kind = ev[2]
-            if kind != _TIMER and kind < _RESCALE:
-                work += 1
-        self._k.work = work
+        self._k.work = sum(_WORK_MASK[ev[2]] for ev in heap)
         restored_items = 0
         replayed = 0
         for runtime in runtimes:
@@ -2484,7 +2353,7 @@ class StreamEngine:
         self._ft_restore_token += 1
         self._ft_recovering = True
         self._push_control(
-            now + pause, _FT, ("restored", self._ft_restore_token)
+            now + pause, _FT, self._ft_restored, self._ft_restore_token
         )
         if self._obs is not None:
             self._obs.on_recovery(
@@ -2514,10 +2383,9 @@ class StreamEngine:
             # The purge may have consumed the last work event without
             # the main loop seeing work hit zero; run the end-of-stream
             # flush rounds it would have run.
-            max_ops = len(self.logical.operators) + 2
             while (
                 self._k.work == 0
-                and self._flush_rounds < max_ops
+                and self._flush_rounds < self._max_flush_rounds
                 and self._flush_all()
             ):
                 self._flush_rounds += 1

@@ -496,16 +496,11 @@ def run_sharded(engine):
         handles,
         lookahead=lookahead,
         max_events=config.max_events,
-        max_flush_rounds=len(engine.logical.operators) + 2,
+        max_flush_rounds=engine._max_flush_rounds,
     )
     try:
         final_now = controller.run()
         stats = [handle.fetch_stats() for handle in handles]
-    except BudgetExceededError:
-        raise SimulationError(
-            f"event budget exceeded ({config.max_events}); "
-            "the configuration likely diverged"
-        ) from None
     finally:
         for handle in handles:
             handle.close()

@@ -223,6 +223,23 @@ class TestTermination:
         with pytest.raises(SimulationError, match="budget"):
             engine.run()
 
+    @pytest.mark.parametrize(
+        "mode", [{"batch_size": 64}, {"shards": 1}], ids=str
+    )
+    def test_every_executor_ends_in_the_one_budget_message(self, mode):
+        engine = StreamEngine(
+            passthrough_plan(rate=5000.0),
+            homogeneous_cluster(num_nodes=1),
+            config=SimulationConfig(
+                max_tuples_per_source=5000, max_events=100, **mode
+            ),
+            rng_factory=RngFactory(0),
+        )
+        with pytest.raises(
+            SimulationError, match=r"budget exceeded \(100\); the conf"
+        ):
+            engine.run()
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(max_tuples_per_source=0)

@@ -295,9 +295,9 @@ class Recording(StreamEngine):
         self.dequeues.append((barrier.ckpt_id, runtime.op_id, self._k.now))
         super()._ft_barrier_dequeued(runtime, barrier, chan)
 
-    def _begin_service(self, gid):
+    def _begin_service(self, gid, payload, port):
         self.begins += 1
-        super()._begin_service(gid)
+        super()._begin_service(gid, payload, port)
 
 
 class BeginEvents(Recording):

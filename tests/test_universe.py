@@ -491,16 +491,93 @@ def test_recovery_incarnations_draw_from_their_own_streams():
     assert any(rt.noise_rng is not None for rt in restarted)
 
 
+class Jitter(OperatorLogic):
+    """Rescalable and stateless, but its output is drawn from
+    ``ctx.rng``: the one kind of logic for which the *name* of a
+    restarted subtask's stream decides a simulated value."""
+
+    rescale_supported = True
+
+    def process(self, tup, now, port=0):
+        return [tup.with_values((tup.values[0], self.ctx.rng.random()))]
+
+
+class NamedStreams(RngFactory):
+    """Notes the name of every stream the run opens."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.opened = []
+
+    def fresh(self, *names):
+        self.opened.append(names)
+        return super().fresh(*names)
+
+
+def test_a_restart_in_a_later_generation_opens_a_stream_of_its_own():
+    """``udo[0]`` fails, is rescaled away, and its successor ``udo[0]``
+    of generation 1 fails too: two first restarts of an index-0 subtask.
+    Named without the generation, both logics read ``engine/udo/0/r1``
+    — the same draws twice — while the ledger tells them apart."""
+    plan = LogicalPlan("restarts")
+    plan.add_operator(
+        builders.source("src", kv_generator(), SCHEMA, event_rate=2000.0)
+    )
+    plan.add_operator(
+        builders.udo(
+            "udo", Jitter, parallelism=2, output_schema=SCHEMA, key_field=0
+        )
+    )
+    plan.add_operator(builders.sink("sink"))
+    plan.connect("src", "udo")
+    plan.connect("udo", "sink")
+    rngs = NamedStreams(5)
+    engine = StreamEngine(
+        plan,
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(
+            max_tuples_per_source=1600,
+            rescales=(RescaleEvent(0.3, "udo", 3),),
+            scenario=(
+                "failure:at=0.1,duration=0.02+failure:at=0.6,duration=0.02"
+            ),
+        ),
+        rng_factory=rngs,
+    )
+    metrics = engine.run()
+    assert metrics.extras["elastic"]["rescales"] == 1
+    assert len(set(rngs.opened)) == len(rngs.opened)
+    twice = [rt for rt in engine._runtimes if rt.ft_incarnation]
+    assert {(rt.index, rt.epoch) for rt in twice} >= {(0, 0), (0, 1)}
+    # Every subtask's streams are named by the parts of its ledger
+    # label, ``op[i]@e<generation>@r<incarnation>``.
+    for label in stream_ledger(engine._runtimes):
+        head, _, kind = label.partition("/")
+        op_index, *marks = head.split("@")
+        op_id, _, index = op_index.rstrip("]").partition("[")
+        name = ("engine", op_id, index, *marks) + ((kind,) if kind else ())
+        assert name in rngs.opened, label
+
+
 # ------------------------------------------------------- engine lifetime
 
 
 @pytest.mark.parametrize(
-    "config", [{}, {"batch_size": 64}, {"shards": 1}], ids=str
+    "config",
+    [
+        {},
+        {"batch_size": 64},
+        {"shards": 1},
+        {"checkpoint_interval": 0.05},
+        {"scenario": "spike:at=0.1,duration=50"},
+    ],
+    ids=str,
 )
 def test_a_finished_engine_is_freed_by_refcount(config):
     """No cycle through the engine once ``run`` returns — including the
     per-shard copy an in-process sharded run makes, which shares the
-    engine's physical plan."""
+    engine's physical plan, and the control-plane events a run leaves
+    unpopped, whose payloads are bound methods of the engine."""
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
