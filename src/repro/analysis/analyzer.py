@@ -180,7 +180,9 @@ def analyze_plan(
     ).analyze(plan)
 
 
-def preflight(plan: LogicalPlan, cluster=None, placement=None) -> AnalysisReport:
+def preflight(
+    plan: LogicalPlan, cluster=None, placement=None
+) -> AnalysisReport:
     """Analyze and raise :class:`PreflightError` if any ERROR is found.
 
     Returns the (warning/info-only) report otherwise, so callers can log

@@ -140,7 +140,10 @@ class RaceDetector:
 
     def on_run_start(self, engine) -> None:
         """Bind to the engine, index keyed subtasks, scan RNG sharing."""
-        from repro.analysis.rules import _declared_key_field, _is_keyed_stateful
+        from repro.analysis.rules import (
+            _declared_key_field,
+            _is_keyed_stateful,
+        )
 
         inner = self.inner
         if inner is not None:
@@ -320,7 +323,10 @@ class RaceDetector:
         re-buckets *all* keys by hash, so ownership restarts empty; any
         split observed *after* the swap is a real race again.
         """
-        from repro.analysis.rules import _declared_key_field, _is_keyed_stateful
+        from repro.analysis.rules import (
+            _declared_key_field,
+            _is_keyed_stateful,
+        )
 
         if self.inner is not None:
             # The inner observer grows the shared arrays in place, so

@@ -53,7 +53,9 @@ class HardwareSpec:
         if self.clock_ghz <= 0:
             raise ConfigurationError(f"{self.name}: clock must be positive")
         if self.nic_gbps <= 0:
-            raise ConfigurationError(f"{self.name}: NIC speed must be positive")
+            raise ConfigurationError(
+                f"{self.name}: NIC speed must be positive"
+            )
         if self.speed_factor == 0.0:
             # Default: per-core speed scales with clock relative to 2.0 GHz.
             object.__setattr__(self, "speed_factor", self.clock_ghz / 2.0)

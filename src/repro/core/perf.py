@@ -296,7 +296,7 @@ def _measure(
         "events_per_sec": round(best, 1),
         "events": int(events),
         # which step popped them: a computed run pops one event per
-        # tuple-hop, an evented run two (None: the batch executor)
+        # delivered tuple-hop, an evented run two (None: batch)
         "step": engine.step,
     }
 

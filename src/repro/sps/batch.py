@@ -47,12 +47,7 @@ from __future__ import annotations
 
 from repro.kernel.core import BudgetExceededError
 from repro.sps.columnar import TupleBatch, require_numpy
-from repro.sps.engine import (
-    _ARR_CONSTANT,
-    _ARR_POISSON,
-    _paced_mean_gap,
-    _static_work,
-)
+from repro.sps.engine import _static_work
 from repro.sps.operators.aggregate import (
     RESULT_SIZE_BYTES,
     WindowAggregateLogic,
@@ -194,15 +189,12 @@ class ColumnarExecutor:
     # ------------------------------------------------------------- arrivals
 
     def _replay_arrivals(self):
-        """Every source's ideal arrival times, without generating tuples.
-
-        Each source reads the private ``…/arrivals`` stream the scalar
-        loop reads and folds the same gaps into the same ``at = now +
-        gap`` chain, so scalar, batch and sharded runs agree on every
-        arrival time. Tuple values come from the source's own logic
-        stream, so generation is deferred to :meth:`_run_source` (per
-        micro-batch) where it can be vectorized.
-        """
+        """Every source's ideal arrival times, without generating tuples:
+        the scalar loop's chain (:meth:`_arrival_times`), so scalar,
+        batch and sharded runs agree on every arrival time. Tuple values
+        come from the source's own logic stream, so generation is
+        deferred to :meth:`_run_source` (per micro-batch) where it can
+        be vectorized."""
         eng = self.engine
         per: dict = {}
         last = 0.0
@@ -216,46 +208,20 @@ class ColumnarExecutor:
         return per
 
     def _arrival_times(self, runtime):
-        """One source's arrival times up to its budget or max_sim_time.
-
-        Unit-mean gaps come in blocks and are scaled per gap: ``mean *
-        E`` is what ``exponential(mean)`` computes, draw for draw, and
-        nothing else reads the stream, so drawing ahead of a
-        max_sim_time cut changes no result. ``cumsum`` accumulates left
-        to right, which *is* the scalar chain.
-        """
-        kind = runtime.arrival_kind
-        max_time = self.engine.config.max_sim_time
-        if kind != _ARR_CONSTANT:
-            rng = self.engine._open_stream(runtime, "arrivals")
-        chunks = []
-        left = runtime.arrival_budget  # >= 1
+        """One source's arrival times up to its budget or max_sim_time:
+        the scalar chain (``StreamEngine._arrival_block``), read in
+        ``_GAP_BLOCK``-instant requests. A short block met the cut."""
+        chunks = [np.empty(0)]
+        left = runtime.arrival_budget
         at = 0.0
-        while left > 0 and at <= max_time:
+        while left > 0:
             block = min(left, _GAP_BLOCK)
             left -= block
-            if kind == _ARR_CONSTANT:
-                gaps = np.full(block, runtime.mean_gap)
-            else:
-                gaps = rng.standard_exponential(size=block)
-            if kind == _ARR_CONSTANT or kind == _ARR_POISSON:
-                if kind == _ARR_POISSON:
-                    gaps *= runtime.mean_gap
-                gaps[0] += at
-                times = np.cumsum(gaps)
-            else:
-                # Bursty/profile: a gap's mean depends on the time
-                # reached so far, so the chain stays a loop.
-                times = gaps.tolist()
-                for i, unit in enumerate(times):
-                    times[i] = at = at + unit * _paced_mean_gap(runtime, at)
-                    if at > max_time:
-                        break
-                times = np.asarray(times[: i + 1])
+            times = self.engine._arrival_block(runtime, at, block)
+            chunks.append(times)
+            if len(times) < block:
+                break
             at = float(times[-1])
-            chunks.append(
-                times[: np.searchsorted(times, max_time, side="right")]
-            )
         return np.concatenate(chunks)
 
     # ------------------------------------------------------------- plumbing

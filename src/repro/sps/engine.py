@@ -13,7 +13,8 @@ observations (speedup from parallelism, its paradox, non-linearity).
 Event kinds:
 
 - ``ARRIVAL`` — a source subtask's arrival process fires: generate a tuple,
-  enqueue it locally, schedule the next arrival.
+  enqueue it locally, schedule the next arrival (a computed run: a block
+  of ``SOURCE_CHUNK`` tuples per event, see below).
 - ``DELIVER`` — a tuple reaches a subtask's input queue.
 - ``BEGIN``   — a server starts serving the head-of-queue tuple.
 - ``DONE``    — service completes: run the operator logic, route outputs
@@ -82,6 +83,12 @@ build time rather than per event:
   or ``DONE``. Every other run executes the evented step, the
   reference the computed one is tested against; its ``DONE`` starts the
   next queued service at ``now + overhead`` itself, without a ``BEGIN``.
+- *So are arrivals*: nothing can move such a run's source clocks, so
+  the gap chain is drawn as instants (``_arrival_block``) and one
+  ``ARRIVAL`` emits ``SOURCE_CHUNK`` of them, up to a block ahead of
+  the clock: a heap event per delivered tuple-hop, 1/32 per source
+  tuple. Where a source can be throttled, failed or logged the chain
+  is ``last actual emission + gap``, so the evented step keeps gaps.
 - *One step*: a checkpointed run (DESIGN.md §13) executes the same
   enqueue → serve → route. A barrier is a queue-item kind met at
   enqueue and dequeue; deliveries and queue items carry a dense channel
@@ -129,6 +136,7 @@ from repro.sps.logical import LogicalPlan, OperatorKind
 from repro.sps.metrics import LatencyStats, RunMetrics
 from repro.sps.operators.base import OperatorContext, OperatorLogic
 from repro.sps.operators.sink import SinkLogic
+from repro.sps.operators.source import SOURCE_CHUNK
 from repro.sps.partitioning import (
     ForwardPartitioner,
     HashPartitioner,
@@ -304,7 +312,7 @@ class SimulationConfig:
     warmup_fraction: float = 0.1
     keep_sink_values: bool = False
     #: budget of popped events; a computed run (``StreamEngine.step``)
-    #: pops one per tuple-hop, an evented run two
+    #: pops one per delivered tuple-hop, an evented run two
     max_events: int = 30_000_000
     backpressure_queue_limit: int | None = None
     stalls: tuple[StallInjection, ...] = ()
@@ -699,8 +707,10 @@ class StreamEngine:
         # be constructed; scheduling the first arrival reports it).
         runtime.rate_profile = op.metadata.get("rate_profile")
         runtime.profile_divisor = float(max(op.parallelism, 1))
-        budget = self.config.max_tuples_per_source / max(op.parallelism, 1)
-        runtime.arrival_budget = max(int(budget), 1)
+        tuples = self.config.max_tuples_per_source
+        # The truncating split; below one tuple each, the first get one.
+        budget = int(tuples / max(op.parallelism, 1))
+        runtime.arrival_budget = budget or int(runtime.index < tuples)
 
     def _build_route_tables(self) -> None:
         """Precompile per-channel-group routing state.
@@ -907,9 +917,10 @@ class StreamEngine:
         if self._ft:
             self._ft_init()
 
+        seed = self._push_arrivals if computed else self._schedule_next_arrival
         for runtime in mine:
             if runtime.is_source:
-                self._schedule_next_arrival(runtime, 0.0)
+                seed(runtime, 0.0)
             interval = getattr(runtime.logic, "timer_interval", None)
             if interval:
                 self._push(interval, _TIMER, runtime.gid, None, 0)
@@ -1294,28 +1305,79 @@ class StreamEngine:
 
     # ---------------------------------------------------- the computed step
 
-    def _arrive(self, gid: int, payload, port: int) -> None:
-        """``ARRIVAL``: what :meth:`_handle_arrival` does for a source
-        that is never throttled, failed or logged."""
+    def _arrival_block(self, runtime: _SubtaskRuntime, at: float, n: int):
+        """The ``n`` arrival instants after a source's arrival at ``at``,
+        less those past ``max_sim_time``: the chain ``at += gap`` of
+        :meth:`_schedule_next_arrival`, a block at a time. Unit gaps
+        from the subtask's ``…/arrivals`` stream, ``mean * E`` and a
+        ``cumsum``, which accumulates left to right. Nothing else reads
+        the stream, so the draws past a cut change no result; a block
+        that comes back short is the source's last."""
+        kind = runtime.arrival_kind
+        max_time = self.config.max_sim_time
+        if kind == _ARR_CONSTANT:
+            gaps = np.ones(n)
+        else:
+            rng = runtime.gaps_rng
+            if rng is None:
+                rng = runtime.gaps_rng = self._open_stream(runtime, "arrivals")
+            gaps = rng.standard_exponential(n)
+        if kind == _ARR_CONSTANT or kind == _ARR_POISSON:
+            gaps *= runtime.mean_gap
+            gaps[0] += at
+            times = np.cumsum(gaps)
+        else:
+            # Bursty/profile: a gap's mean depends on the time reached
+            # so far, so the chain stays a loop.
+            times = gaps.tolist()
+            for i, unit in enumerate(times):
+                times[i] = at = at + unit * _paced_mean_gap(runtime, at)
+                if at > max_time:
+                    break
+            times = np.asarray(times[: i + 1])
+        return times[: np.searchsorted(times, max_time, side="right")]
+
+    def _push_arrivals(self, runtime: _SubtaskRuntime, at: float) -> None:
+        """Schedule the source's next block of arrivals, those after the
+        one at ``at``, as one ``ARRIVAL`` at the block's first instant."""
+        n = min(runtime.arrival_budget - runtime.emitted, SOURCE_CHUNK)
+        if n > 0:
+            instants = self._arrival_block(runtime, at, n).tolist()
+            if instants:
+                self._push(instants[0], _ARRIVAL, runtime.gid, instants, 0)
+
+    def _arrive(self, gid: int, instants: list, port: int) -> None:
+        """``ARRIVAL``: a block of a source's arrivals (DESIGN.md §14).
+
+        Nothing can throttle, fail or log this source, so its instants
+        were decided before the run began: each tuple is generated and
+        completed at its own, up to a block ahead of the clock. A block
+        short of ``SOURCE_CHUNK`` met the budget or the ``max_sim_time``
+        cut: nothing follows it."""
         runtime = self._runtimes[gid]
-        now = self._k.now
-        tup = runtime.logic.generate(now)
-        runtime.emitted += 1
+        generate = runtime.logic.generate
+        for now in instants:
+            self._complete(gid, generate(now), 0, now)
+        runtime.emitted += len(instants)
         if now > self._last_source_time:
             self._last_source_time = now
-        self._complete(gid, tup, 0)
-        self._schedule_next_arrival(runtime, now)
+        if len(instants) == SOURCE_CHUNK:
+            self._push_arrivals(runtime, now)
 
-    def _complete(self, gid: int, tup: StreamTuple, port: int) -> None:
+    def _complete(
+        self, gid: int, tup: StreamTuple, port: int, now: float | None = None
+    ) -> None:
         """``DELIVER``: the whole hop, at arrival (DESIGN.md §14).
 
         A FIFO single server's completion is decided when the tuple
         arrives — ``start = max(now, free_at)``, ``done = start +
         service``, ``free_at = done + overhead`` — and service order is
         arrival order, so each noise draw, ``process`` call and routed
-        event is the evented step's, in its order."""
+        event is the evented step's, in its order. ``now`` is the
+        arrival instant: the clock, or one :meth:`_arrive` runs ahead."""
         runtime = self._runtimes[gid]
-        now = self._k.now
+        if now is None:
+            now = self._k.now
         start = runtime.free_at
         if start > now:
             # Queued behind every earlier tuple yet to start.

@@ -468,9 +468,8 @@ class WindowAggregateLogic(OperatorLogic):
         if self._time_based:
             for key in self._keys_by_rank:
                 st = self._time_state[key]
-                items.append(
-                    (key, ("time", st.slices, sorted(st.pending), st.next_mark))
-                )
+                state = ("time", st.slices, sorted(st.pending), st.next_mark)
+                items.append((key, state))
             self._time_state = {}
             self._keys_by_rank = []
             self._fire_heap = []

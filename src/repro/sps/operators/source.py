@@ -7,6 +7,13 @@ micro-batch. A source is defined by a columnar generator ``(rng, n) ->
 (columns, sizes)`` — the workload layer's and the application suite's form
 — or, for a caller that owns one (a replayed log), by a row generator
 ``(rng, event_time) -> StreamTuple``; never by both.
+
+A row generator is called in its subtask's arrival order, with each
+arrival's instant — but on a computed run (``StreamEngine.step``) up to
+a :data:`SOURCE_CHUNK` block ahead of the clock, a block per subtask at
+a time. State a generator shares *between* source subtasks (one without
+``per_subtask()``) is therefore not visited in simulated-time order
+there; state of one subtask is.
 """
 
 from __future__ import annotations

@@ -91,7 +91,9 @@ def draw_predicate(
     """
     lo, hi = band
     if not 0.0 < lo < hi < 1.0:
-        raise ConfigurationError("selectivity band must satisfy 0 < lo < hi < 1")
+        raise ConfigurationError(
+            "selectivity band must satisfy 0 < lo < hi < 1"
+        )
     candidates = functions or _candidate_functions(dist.dtype)
     candidates = [f for f in candidates if f.applies_to(dist.dtype)]
     if not candidates:

@@ -14,8 +14,9 @@ runs evented. Held here:
 2. *ties* — noise-free constant-rate tandems on a power-of-two grid, so
    that deliveries, service starts, completions and timer ticks coincide
    to the bit;
-3. *shape* — an eligible run pops one event per tuple-hop and no
-   ``DONE`` or ``BEGIN`` but the quiescence event;
+3. *shape* — an eligible run pops one event per delivered tuple-hop,
+   one per ``SOURCE_CHUNK`` source tuples and no ``DONE`` or ``BEGIN``
+   but the quiescence event;
 4. *flush instant* — the run ends, and open windows flush, where the
    last ``DONE`` would have popped;
 5. *eligibility* — which runs compute, one row per excluding feature.
@@ -55,6 +56,7 @@ from repro.sps.engine import (
 )
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
+from repro.sps.operators.source import SOURCE_CHUNK
 from repro.sps.partitioning import ForwardPartitioner, HashPartitioner
 from repro.sps.tuples import StreamTuple
 from repro.sps.windows import AggregateFunction, SlidingTimeWindows
@@ -149,7 +151,8 @@ def test_applications_simulate_the_same_on_both_steps(
     fewer, events = assert_same_simulation(
         *both_steps(lambda: app_plan(abbrev, parallelism), seed=seed)
     )
-    # DELIVER + DONE became one event; arrivals and ticks stayed.
+    # DELIVER + DONE became one event, a block of arrivals one; ticks
+    # stayed.
     assert fewer < 0.6 * events
 
 
@@ -448,12 +451,17 @@ def test_an_eligible_run_pops_one_event_per_hop(stages):
     counts = [0] * 11
     for kind, _, _ in pops:
         counts[kind] += 1
-    assert counts[engine_module._ARRIVAL] == tuples
+    blocks = sum(
+        -(-rt.emitted // SOURCE_CHUNK)
+        for rt in computed._runtimes
+        if rt.is_source
+    )
+    assert counts[engine_module._ARRIVAL] == blocks == 2
     assert counts[engine_module._DELIVER] == tuples * hops
     assert counts[engine_module._BEGIN] == 0
     assert counts[engine_module._DONE] == 1  # the quiescence event
     assert len(pops) == metrics.extras["events_processed"]
-    assert len(pops) == tuples * (1 + hops) + 1
+    assert len(pops) == tuples * hops + blocks + 1
     assert len(instants(reference, engine_module._DONE)) == tuples * (
         1 + hops
     )

@@ -48,6 +48,7 @@ from repro.sps.engine import (
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
 from repro.sps.operators.sink import SinkLogic
+from repro.sps.operators.source import SOURCE_CHUNK
 from repro.sps.partitioning import HashPartitioner
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
@@ -179,20 +180,28 @@ def test_scalar_and_batch_see_the_same_arrival_times(
     parallelism, max_sim_time
 ):
     """Fails before the merge: the scalar loop interleaved noise draws
-    on the one arrival generator, the batch replay did not."""
+    on the one arrival generator, the batch replay did not. Three ways
+    since a computed run's sources emit blocks of instants: the evented
+    step (an observer attached) still folds one gap per arrival."""
     runs = {}
-    for batch_size in (None, 64, 256):
+    for mode in ("computed", "evented", 64, 256):
         engine = arrivals_engine(
-            parallelism, max_sim_time=max_sim_time, batch_size=batch_size
+            parallelism,
+            max_sim_time=max_sim_time,
+            batch_size=mode if isinstance(mode, int) else None,
         )
-        runs[batch_size] = record_arrivals(engine)
+        if mode == "evented":
+            engine.observer = engine._obs = ServeLog()
+        runs[mode] = record_arrivals(engine)
         engine.run()
+        assert engine.step == (None if isinstance(mode, int) else mode)
         assert engine._last_source_time == max(
-            times[-1] for times in runs[batch_size].values()
+            times[-1] for times in runs[mode].values()
         )
-    assert runs[None] == runs[64] == runs[256]
-    assert len(runs[None]) == 4 * parallelism
-    cut = any(len(t) < 240 // parallelism for t in runs[None].values())
+    scalar = runs["computed"]
+    assert scalar == runs["evented"] == runs[64] == runs[256]
+    assert len(scalar) == 4 * parallelism
+    cut = any(len(t) < 240 // parallelism for t in scalar.values())
     assert cut == (max_sim_time < 1.0)
 
 
@@ -367,12 +376,14 @@ def test_begin_free_step_is_the_lindley_recursion(stages):
         assert got == counters[rt.op_id], rt.op_id
     # A queue built up and drained, or the recursion was not exercised.
     assert counters["stage0"][3] > 2 and counters["stage0"][0] > 0
-    # An arrival per tuple, a DELIVER per hop and the quiescence event:
-    # the recursion is computed at each of them, so no DONE, and no
-    # BEGIN though every hop but the last pays sender overhead.
+    # An ARRIVAL per block of SOURCE_CHUNK tuples, a DELIVER per hop and
+    # the quiescence event: the recursion is computed at each of them,
+    # so no DONE, and no BEGIN though every hop but the last pays
+    # sender overhead.
     hops = stages + 1
+    blocks = -(-TUPLES // SOURCE_CHUNK)
     assert engine.step == "computed"
-    assert metrics.extras["events_processed"] == TUPLES * (1 + hops) + 1
+    assert metrics.extras["events_processed"] == TUPLES * hops + blocks + 1
 
 
 def last_window(engine):

@@ -29,6 +29,9 @@ rare-event apps' result counts (FD, MO, SD) by their sampling noise.
 And in the event counts alone when these runs began computing
 completions instead of scheduling them (DESIGN.md §14, "Completions are
 computed"): one event per tuple-hop, the other three columns untouched.
+And again, event counts alone, when their sources began emitting
+``SOURCE_CHUNK`` arrivals per event ("Arrivals are computed"): 1 162
+fewer per source operator (two subtasks of 600 tuples, 19 events each).
 """
 
 from __future__ import annotations
@@ -41,20 +44,20 @@ from repro.sps.engine import SimulationConfig, StreamEngine
 
 #: abbrev -> (events_processed, results, windows_fired, matches_emitted)
 PINNED = {
-    "AD": (5301, 42, 42, 431),
-    "BI": (7354, 841, 307, 1400),
-    "CA": (3814, 202, 202, 0),
-    "FD": (3185, 38, 0, 0),
-    "LP": (4560, 6, 6, 0),
-    "LR": (2823, 45, 376, 0),
-    "MO": (3602, 1, 0, 0),
-    "SA": (4022, 406, 406, 0),
-    "SD": (2412, 11, 0, 0),
-    "SG": (3133, 306, 0, 0),
-    "TM": (5551, 60, 1288, 0),
-    "TPCH": (4242, 4, 4, 0),
-    "TQ": (6030, 40, 2374, 0),
-    "WC": (10243, 26, 26, 0),
+    "AD": (2977, 42, 42, 431),
+    "BI": (5030, 841, 307, 1400),
+    "CA": (2652, 202, 202, 0),
+    "FD": (2023, 38, 0, 0),
+    "LP": (3398, 6, 6, 0),
+    "LR": (1661, 45, 376, 0),
+    "MO": (2440, 1, 0, 0),
+    "SA": (2860, 406, 406, 0),
+    "SD": (1250, 11, 0, 0),
+    "SG": (1971, 306, 0, 0),
+    "TM": (4389, 60, 1288, 0),
+    "TPCH": (3080, 4, 4, 0),
+    "TQ": (4868, 40, 2374, 0),
+    "WC": (9081, 26, 26, 0),
 }
 
 
