@@ -1,10 +1,10 @@
 """Runtime race detection for parallel determinism hazards.
 
 The static sanitizer (:mod:`repro.analysis.sanitizer`) can only see
-hazards written in source. :class:`RaceDetector` watches an actual run
-through the engine's nullable observer hooks and flags the two races
-that matter once ``RunnerConfig.workers > 1`` turns in-process subtasks
-into forked processes:
+hazards written in source. :class:`RaceDetector` reads an actual run
+beside the engine's observer and flags the two races that matter once
+``RunnerConfig.workers > 1`` turns in-process subtasks into forked
+processes:
 
 - **DET607 — keyed state aliased across subtasks.** A shadow access
   tracker records, per keyed operator, which subtask instance served
@@ -29,23 +29,23 @@ into forked processes:
 
 **Zero perturbation.** Like :class:`~repro.obs.EngineObserver`, the
 detector only reads: no RNG draws, no heap pushes, no engine-state
-mutation. It can wrap an inner observer (sharing the inner's counter
-arrays by reference so the engine's direct bumps land once) or stand
-alone, in which case sampling stays disabled (``next_sample`` = inf)
-and the engine skips every per-event hook but the ``DONE`` of a keyed
-subtask (:attr:`RaceDetector.done_gids`) — the only one it reads.
+mutation. The engine holds it beside the observer, not around it, and
+calls it at four points: the run's start and end, a rescale, and the
+``DONE`` of a subtask in :attr:`RaceDetector.keyed` — the only event
+it reads.
 """
 
 from __future__ import annotations
 
-import math
-
-from repro.analysis.diagnostics import AnalysisReport, Diagnostic
-from repro.analysis.rules import RULE_CATALOG
+from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
+from repro.analysis.rules import (
+    RULE_CATALOG,
+    _declared_key_field,
+    _is_keyed_stateful,
+)
+from repro.common.rng import state_fingerprint
 
 __all__ = ["RaceDetector", "compare_ledgers", "stream_ledger"]
-
-_INF = math.inf
 
 
 def _diag(code: str, message: str, op_id: str | None = None) -> Diagnostic:
@@ -101,85 +101,39 @@ def _reachable_generators(logic) -> list:
 
 
 class RaceDetector:
-    """Observer-protocol shim that records determinism hazards.
+    """Records the determinism hazards of one run.
 
-    Wraps an optional ``inner`` observer, delegating every hook and
-    sharing the inner's per-gid counter arrays by reference (the engine
-    bumps ``tuples_in``/``shuffle_bytes`` directly). Findings accumulate
-    in :attr:`findings`; :attr:`rng_ledger` holds the terminal RNG state
-    fingerprints after :meth:`on_run_end`.
+    The engine calls :meth:`on_run_start`, :meth:`on_done` for the
+    subtasks in :attr:`keyed`, :meth:`on_rescale` and
+    :meth:`on_run_end`. Findings accumulate in :attr:`findings`;
+    :attr:`rng_ledger` holds the terminal RNG state fingerprints after
+    :meth:`on_run_end`.
     """
 
-    def __init__(self, inner=None) -> None:
-        self.inner = inner
+    def __init__(self) -> None:
         self.findings: list[Diagnostic] = []
         self.rng_ledger: dict[str, str] = {}
-        self.next_sample = _INF
-        self.tuples_in: list[int] = []
-        self.tuples_out: list[int] = []
-        self.shuffle_bytes: list[float] = []
-        self.stall_s: list[float] = []
+        #: gid -> (op_id, key_field or None) of the tracked keyed
+        #: subtasks: the ones whose ``DONE`` the engine reports
+        self.keyed: dict[int, tuple[str, int | None]] = {}
         self._engine = None
-        #: gid -> (op_id, key_field or None) for tracked keyed subtasks;
-        #: one dict for the detector's life (the engine holds it too)
-        self._keyed: dict[int, tuple[str, int | None]] = {}
         #: op_id -> {key: first-serving subtask index}
         self._owners: dict[str, dict] = {}
         #: (op_id, key) pairs already reported, to avoid flooding
         self._reported: set[tuple[str, str]] = set()
 
-    @property
-    def done_gids(self):
-        """Whose ``DONE`` the engine must report: None for every subtask
-        (an inner observer meters them all, and the serves and counters
-        with them); standing alone, the live set of keyed subtasks —
-        the engine then calls no other per-event hook."""
-        return None if self.inner is not None else self._keyed
-
-    # ---------------------------------------------------------- lifecycle
-
     def on_run_start(self, engine) -> None:
         """Bind to the engine, index keyed subtasks, scan RNG sharing."""
-        from repro.analysis.rules import (
-            _declared_key_field,
-            _is_keyed_stateful,
-        )
-
-        inner = self.inner
-        if inner is not None:
-            inner.on_run_start(engine)
-            # Share the inner's freshly allocated arrays so the engine's
-            # direct bumps are counted exactly once.
-            self.tuples_in = inner.tuples_in
-            self.tuples_out = inner.tuples_out
-            self.shuffle_bytes = inner.shuffle_bytes
-            self.stall_s = inner.stall_s
-            self.next_sample = inner.next_sample
-        else:
-            n = len(engine._runtimes)
-            self.tuples_in = [0] * n
-            self.tuples_out = [0] * n
-            self.shuffle_bytes = [0.0] * n
-            self.stall_s = [0.0] * n
-            self.next_sample = _INF
         self._engine = engine
-        self._keyed.clear()
-        self._owners = {}
-        self._reported = set()
         for runtime in engine._runtimes:
             op = engine.logical.operator(runtime.op_id)
             if op.parallelism > 1 and _is_keyed_stateful(op):
-                self._keyed[runtime.gid] = (
-                    op.op_id,
-                    _declared_key_field(op),
-                )
+                self.keyed[runtime.gid] = (op.op_id, _declared_key_field(op))
                 self._owners.setdefault(op.op_id, {})
         self._scan_rng_sharing(engine)
 
     def _scan_rng_sharing(self, engine) -> None:
         """DET608: generators reachable from more than one subtask."""
-        from repro.common.rng import state_fingerprint
-
         by_object: dict[int, list] = {}
         by_state: dict[str, list] = {}
         generators: dict[int, object] = {}
@@ -216,19 +170,9 @@ class RaceDetector:
                     )
                 )
 
-    def on_run_end(self, now: float) -> None:
-        """Delegate to the inner observer, then capture the RNG ledger."""
-        if self.inner is not None:
-            self.inner.on_run_end(now)
-        self._capture_ledger()
-
-    def _capture_ledger(self) -> None:
+    def on_run_end(self) -> None:
         """Fingerprint the terminal state of every named generator."""
-        from repro.common.rng import state_fingerprint
-
         engine = self._engine
-        if engine is None:
-            return
         ledger = stream_ledger(engine._runtimes)
         rescale_rng = getattr(engine, "_rng_rescale", None)
         if rescale_rng is not None:
@@ -238,32 +182,9 @@ class RaceDetector:
             ledger["engine/ft"] = state_fingerprint(ft_rng)
         self.rng_ledger = ledger
 
-    # ------------------------------------------------------------ sampling
-
-    def sample(self, now: float) -> float:
-        """Delegate sampling to the inner observer (inf when standalone)."""
-        if self.inner is not None:
-            self.next_sample = self.inner.sample(now)
-            return self.next_sample
-        return _INF
-
-    # ---------------------------------------------------- hot-path hooks
-
-    def on_serve(self, runtime, now, service, wait) -> None:
-        """Delegate the serve hook; the detector itself reads nothing here."""
-        if self.inner is not None:
-            self.inner.on_serve(runtime, now, service, wait)
-
     def on_done(self, runtime, now, tup, outputs) -> None:
-        """Track which subtask served each key (DET607) and delegate."""
-        if self.inner is not None:
-            self.inner.on_done(runtime, now, tup, outputs)
-        else:
-            self.tuples_out[runtime.gid] += len(outputs)
-        info = self._keyed.get(runtime.gid)
-        if info is None:
-            return
-        op_id, key_field = info
+        """DET607: note which subtask served the tuple's key."""
+        op_id, key_field = self.keyed[runtime.gid]
         key = tup.key
         if key is None and key_field is not None:
             values = tup.values
@@ -287,90 +208,32 @@ class RaceDetector:
                     )
                 )
 
-    def on_window_fire(self, runtime, now, count) -> None:
-        """Delegate window fires (or count outputs when standalone)."""
-        if self.inner is not None:
-            self.inner.on_window_fire(runtime, now, count)
-        else:
-            self.tuples_out[runtime.gid] += count
-
-    def on_flush(self, runtime, now, count) -> None:
-        """Delegate end-of-run flushes (or count outputs when standalone)."""
-        if self.inner is not None:
-            self.inner.on_flush(runtime, now, count)
-        else:
-            self.tuples_out[runtime.gid] += count
-
-    def on_stall(self, runtime, now, duration) -> None:
-        """Delegate stall accounting (or accumulate when standalone)."""
-        if self.inner is not None:
-            self.inner.on_stall(runtime, now, duration)
-        else:
-            self.stall_s[runtime.gid] += duration
-
-    def on_backpressure(self, runtime, now, engaged) -> None:
-        """Delegate backpressure transitions; nothing to record here."""
-        if self.inner is not None:
-            self.inner.on_backpressure(runtime, now, engaged)
-
-    def on_rescale(
-        self, engine, now, op_id, old_gids, new_gids, migrated_keys, pause_s
-    ) -> None:
-        """Re-home key ownership after a rescale and delegate.
+    def on_rescale(self, engine, op_id, old_gids, new_gids) -> None:
+        """Re-home key ownership after a rescale.
 
         Migration legitimately moves keys between subtasks — the old
         ownership map would flag every migrated key as DET607. The swap
         re-buckets *all* keys by hash, so ownership restarts empty; any
-        split observed *after* the swap is a real race again.
+        split observed *after* the swap is a real race again. A
+        recovery leaves ownership alone: hash routing and subtask
+        indices survive a restart.
         """
-        from repro.analysis.rules import (
-            _declared_key_field,
-            _is_keyed_stateful,
-        )
-
-        if self.inner is not None:
-            # The inner observer grows the shared arrays in place, so
-            # this detector's references stay coherent automatically.
-            self.inner.on_rescale(
-                engine, now, op_id, old_gids, new_gids, migrated_keys,
-                pause_s,
-            )
-        else:
-            grow = len(engine._runtimes) - len(self.tuples_in)
-            if grow > 0:
-                self.tuples_in.extend([0] * grow)
-                self.tuples_out.extend([0] * grow)
-                self.shuffle_bytes.extend([0.0] * grow)
-                self.stall_s.extend([0.0] * grow)
         for gid in old_gids:
-            self._keyed.pop(gid, None)
+            self.keyed.pop(gid, None)
         op = engine.logical.operator(op_id)
         if len(new_gids) > 1 and _is_keyed_stateful(op):
             key_field = _declared_key_field(op)
             for gid in new_gids:
-                self._keyed[gid] = (op_id, key_field)
+                self.keyed[gid] = (op_id, key_field)
             self._owners[op_id] = {}
         else:
             self._owners.pop(op_id, None)
-
-    def on_checkpoint(self, engine, record) -> None:
-        """Delegate checkpoint completion; nothing to record here."""
-        if self.inner is not None:
-            self.inner.on_checkpoint(engine, record)
-
-    def on_recovery(self, engine, node_id, pause_s, replayed, ckpt_id) -> None:
-        """Delegate recovery; key ownership survives (hash routing and
-        subtask indices are unchanged by a restart)."""
-        if self.inner is not None:
-            self.inner.on_recovery(engine, node_id, pause_s, replayed, ckpt_id)
 
     # ------------------------------------------------------------- report
 
     @property
     def has_errors(self) -> bool:
         """Whether any ERROR-severity finding was recorded."""
-        from repro.analysis.diagnostics import Severity
-
         return any(d.severity is Severity.ERROR for d in self.findings)
 
     def report(self, plan_name: str = "<run>") -> AnalysisReport:
@@ -391,8 +254,6 @@ def stream_ledger(runtimes) -> dict[str, str]:
     carry an ``@e<epoch>`` suffix; recovery incarnations (checkpoint
     restore or FT-off failure restart) an ``@r<n>`` suffix likewise.
     """
-    from repro.common.rng import state_fingerprint
-
     ledger: dict[str, str] = {}
     for runtime in runtimes:
         label = f"{runtime.op_id}[{runtime.index}]"

@@ -38,27 +38,6 @@ class EngineObserver:
     a registry only.
     """
 
-    #: The observer protocol the engine drives. Anything standing in
-    #: for an observer (e.g. the determinism sanitizer's
-    #: :class:`~repro.analysis.racecheck.RaceDetector`, which wraps one)
-    #: must implement these callables, expose ``next_sample``, and own
-    #: the ``tuples_in``/``tuples_out``/``shuffle_bytes``/``stall_s``
-    #: per-gid arrays the hot path bumps directly.
-    HOOKS = (
-        "on_run_start",
-        "on_run_end",
-        "sample",
-        "on_serve",
-        "on_done",
-        "on_window_fire",
-        "on_flush",
-        "on_stall",
-        "on_backpressure",
-        "on_rescale",
-        "on_checkpoint",
-        "on_recovery",
-    )
-
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
@@ -288,10 +267,9 @@ class EngineObserver:
     ) -> None:
         """A rescale swapped ``op_id``'s subtask generation.
 
-        Grows the per-gid arrays **in place** (``extend``, never
-        reassignment): a wrapping :class:`RaceDetector` shares the same
-        list objects, so both views stay coherent. Retired gids keep
-        their counters — the summary's totals span the whole run.
+        Grows the per-gid arrays by the new generation's gids. Retired
+        gids keep their counters — the summary's totals span the whole
+        run.
         """
         from repro.sps.logical_kinds import OperatorKind
 

@@ -155,6 +155,9 @@ class ColumnarExecutor:
         self._inbox: list[dict[int, list]] = [{} for _ in eng._runtimes]
         if self._obs is not None:
             self._obs.on_run_start(eng)
+        race = eng.race_detector
+        if race is not None:
+            race.on_run_start(eng)
 
         arrivals = self._replay_arrivals()
         self._drain = (
@@ -184,6 +187,8 @@ class ColumnarExecutor:
         kernel.events_processed = self._events
         if self._obs is not None:
             self._obs.on_run_end(kernel.now)
+        if race is not None:
+            race.on_run_end()
         return eng._collect_metrics()
 
     # ------------------------------------------------------------- arrivals
@@ -336,9 +341,6 @@ class ColumnarExecutor:
         if not table:
             return 0.0
         obs = self._obs
-        inbox = self._inbox
-        eng = self.engine
-        runtimes = eng._runtimes
         offset = 0.0
         for (
             select,
@@ -366,7 +368,6 @@ class ColumnarExecutor:
                         )
                 for idx in fixed:
                     self._deliver(
-                        runtime,
                         out,
                         consumers[idx],
                         idx,
@@ -394,7 +395,6 @@ class ColumnarExecutor:
                 for a, b in zip(starts, stops):
                     rows = order[a:b]
                     self._deliver(
-                        runtime,
                         out.take(rows),
                         consumers[int(sorted_idx[a])],
                         int(sorted_idx[a]),
@@ -425,7 +425,6 @@ class ColumnarExecutor:
             for idx in sorted(buckets):
                 rows = np.asarray(buckets[idx], dtype=np.int64)
                 self._deliver(
-                    runtime,
                     out.take(rows),
                     consumers[idx],
                     idx,
@@ -439,7 +438,6 @@ class ColumnarExecutor:
 
     def _deliver(
         self,
-        runtime,
         sub,
         consumer_gid: int,
         idx: int,
@@ -450,15 +448,7 @@ class ColumnarExecutor:
         bandwidths,
     ) -> None:
         total_bytes = float(sub.size_bytes.sum())
-        if latencies is not None:
-            delay = latencies[idx] + total_bytes / bandwidths[idx]
-        else:
-            engine = self.engine
-            delay = engine.cluster.network.transfer_delay(
-                runtime.node_id,
-                engine._runtimes[consumer_gid].node_id,
-                total_bytes,
-            )
+        delay = latencies[idx] + total_bytes / bandwidths[idx]
         avail = emit + delay + offset
         self._track(avail)
         self._inbox[consumer_gid].setdefault(port, []).append((sub, avail))

@@ -54,7 +54,7 @@ EXCLUDES = (
 EVENTED = {
     "shards": "the epoch sequence is defined over pending event times, DONEs included",
     "observer": "hooks take the clock as their instant, and sampling reads the queue",
-    "sanitize": "the race detector is an observer",
+    "sanitize": "the race detector reads the DONE of every keyed subtask",
     "backpressure": "congestion is released by a depth at dequeue and read by sources as the clock passes",
     "checkpoint": "a barrier is a queue item whose snapshot must see the state as of its dequeue",
     "rescale": "a drain locks the server and migrates the queue and the state as of one instant",

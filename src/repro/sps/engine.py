@@ -58,14 +58,14 @@ build time rather than per event:
   pairs (``(0, inf)`` for same-node channels). Because the network delay
   model is affine in payload size, ``latency + size / bandwidth``
   reproduces ``Network.transfer_delay`` bit-for-bit without any per-tuple
-  node lookups. Plans driven by a network subclass that overrides
-  ``transfer_delay`` fall back to calling it per delivery.
+  node lookups.
 - *Service state*: logics that do not override ``work_units`` have their
   constant work factor captured once, skipping a method call per tuple.
 - *Timer path*: the window logics schedule firing through min-heaps of
   pending window ends (see :mod:`repro.sps.operators.aggregate`), so the
-  recurring ``TIMER`` event is O(1) when nothing is ready and the timer
-  handler skips routing when a tick fires no window.
+  recurring ``TIMER`` event is O(1) when nothing is ready, and ``_fire``
+  — the timer step of both scalar steps — skips routing when a tick
+  fires no window.
 
 - *One universe, drawn in blocks* (DESIGN.md §14): every subtask draws
   arrival gaps and service noise from its own named streams and numbers
@@ -105,8 +105,12 @@ run be traced and metered without perturbing it: every hook only *reads*
 simulation state (no RNG draws, no heap pushes), sampling is lazy (the
 loop checks ``now`` against the next sampling deadline instead of
 scheduling sampler events), and with no observer each hook site is a
-single ``is not None`` test. An observed run executes the evented step;
-``tests/test_obs.py`` pins the on/off identity of everything simulated.
+single ``is not None`` test. ``sanitize=True`` holds a
+:class:`repro.analysis.racecheck.RaceDetector` beside the observer,
+called at four points of its own: run start and end, a rescale, and the
+``DONE`` of a keyed subtask (DESIGN.md §10). An observed or sanitized
+run executes the evented step; ``tests/test_obs.py`` pins the on/off
+identity of everything simulated.
 """
 
 from __future__ import annotations
@@ -120,7 +124,6 @@ from itertools import repeat
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.network import Network
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RngFactory
 from repro.kernel.core import (
@@ -419,8 +422,7 @@ class _SubtaskRuntime:
     #: replaces the select call for forward/broadcast exchanges whose
     #: fan-out is constant; rekey replaces it on a ``key_field`` hash
     #: exchange (``HashPartitioner.rekey_select``: the key is read
-    #: once); latencies/bandwidths are None when the network overrides
-    #: ``transfer_delay``
+    #: once)
     route_table: list = field(default_factory=list)
     queue: list = field(default_factory=list)
     queue_head: int = 0
@@ -474,6 +476,8 @@ class _SubtaskRuntime:
     #: when the sender overhead paid at the last DONE ends: no service
     #: starts, and no stall or drain takes hold, before it
     free_at: float = 0.0
+    #: stall seconds waiting for the service in flight to end
+    held: float = 0.0
     #: the computed step (DESIGN.md §14): the latest completion
     #: instant, the service starts of the tuples that waited (those
     #: ahead of ``now`` are the queue) and the next timer instant
@@ -528,19 +532,16 @@ class StreamEngine:
         self.cluster = cluster
         self.config = config or SimulationConfig()
         #: optional EngineObserver; hooks fire only when not None
-        self.observer = observer
-        #: RaceDetector when sanitize=True, else None; it wraps the
-        #: observer so user-facing observation is unchanged, and like
-        #: the observer it only reads — sanitize=False runs stay
-        #: bit-identical (tests/test_racecheck.py pins this).
+        self.observer = self._obs = observer
+        #: RaceDetector when sanitize=True, else None: called beside
+        #: the observer, not through it, and like it only reads —
+        #: sanitize=False runs stay bit-identical
+        #: (tests/test_racecheck.py pins this).
         self.race_detector = None
         if sanitize:
             from repro.analysis.racecheck import RaceDetector
 
-            self.race_detector = RaceDetector(inner=observer)
-            self._obs = self.race_detector
-        else:
-            self._obs = observer
+            self.race_detector = RaceDetector()
         if preflight:
             # Static analysis gate: refuse plans with ERROR diagnostics
             # before building anything. Tests that intentionally build
@@ -722,15 +723,9 @@ class StreamEngine:
         payload size — ``base_latency + size / bandwidth``, zero for
         same-node channels — so the table stores ``(latency, bandwidth)``
         per channel and the hot path evaluates the identical expression
-        without node lookups. Network subclasses overriding
-        ``transfer_delay`` disable the cache (entries store None) and are
-        called per delivery instead.
+        without node lookups.
         """
-        network = self.cluster.network
-        self._net_affine = (
-            type(network).transfer_delay is Network.transfer_delay
-        )
-        self._net_base_latency = network.spec.base_latency_s
+        self._net_base_latency = self.cluster.network.spec.base_latency_s
         for runtime in self._runtimes:
             self._compile_route_table(runtime)
 
@@ -749,7 +744,6 @@ class StreamEngine:
                 )
         runtime.shuffle_cost_per_output = shuffle_cost
         network = self.cluster.network
-        affine = self._net_affine
         base_latency = self._net_base_latency
         inf = float("inf")
         src_node = runtime.node_id
@@ -763,22 +757,18 @@ class StreamEngine:
                 else None
             )
             consumers = list(group.consumer_gids)
-            if affine:
-                latencies = []
-                bandwidths = []
-                for gid in consumers:
-                    dst_node = self._runtimes[gid].node_id
-                    if dst_node == src_node:
-                        latencies.append(0.0)
-                        bandwidths.append(inf)
-                    else:
-                        latencies.append(base_latency)
-                        bandwidths.append(
-                            network.link_bandwidth(src_node, dst_node)
-                        )
-            else:
-                latencies = None
-                bandwidths = None
+            latencies = []
+            bandwidths = []
+            for gid in consumers:
+                dst_node = self._runtimes[gid].node_id
+                if dst_node == src_node:
+                    latencies.append(0.0)
+                    bandwidths.append(inf)
+                else:
+                    latencies.append(base_latency)
+                    bandwidths.append(
+                        network.link_bandwidth(src_node, dst_node)
+                    )
             table.append(
                 (
                     partitioner.select,
@@ -831,6 +821,9 @@ class StreamEngine:
                 obs.on_run_start(self)
                 k.sampler = obs.sample
                 k.sample_next = obs.next_sample
+            race = self.race_detector
+            if race is not None:
+                race.on_run_start(self)
             k.run(
                 self._make_handlers(),
                 max_events=self.config.max_events,
@@ -846,6 +839,8 @@ class StreamEngine:
             k.heap.clear()
             if obs is not None:
                 obs.on_run_end(k.now)
+            if race is not None:
+                race.on_run_end()
             return self._collect_metrics()
         except BudgetExceededError as exc:
             # Whichever executor ran out: the scalar kernel, the batch
@@ -876,7 +871,6 @@ class StreamEngine:
         #: ``(at, origin gid, origin seq, dst gid, port, tuple)``.
         self._owned = None if owned is None else frozenset(owned)
         self._outbox: list = []
-        self._finished = False
         self._flush_rounds = 0
         self._flush_time: float | None = None
         self._last_source_time = 0.0
@@ -896,21 +890,15 @@ class StreamEngine:
         self._control_seq = pack_tiebreak(-1, 0) - 1
         self._state_loss: dict | None = None
         if owned is not None:
-            # A sanitize=True engine carries a RaceDetector in _obs,
-            # but no hook fires on a shard (capabilities.EXCLUDES has
-            # why; the constructor refuses a user observer for it).
-            self._obs = None
-        # Which per-event hooks the attached observer needs, resolved
-        # once: an EngineObserver (wrapped by the race detector or not)
-        # meters every event; a standalone detector reads only the
-        # DONEs of the keyed subtasks in its ``done_gids``, so the serve
-        # hook and the tuples_in/shuffle_bytes counters are not paid for.
-        self._done_gids = getattr(self._obs, "done_gids", None)
-        self._meter = self._obs if self._done_gids is None else None
+            # The detector reads a whole run on one kernel; a sanitized
+            # sharded run takes its ledger from the shards' stats.
+            self.race_detector = None
         #: completions are computed when nothing but a subtask's own
         #: tuples and timers can touch it: ``capabilities.EVENTED`` has
         #: what still acts on the queue, ``busy`` or the DONE event
-        self._step = step_of(features_of(config, self._obs))
+        self._step = step_of(
+            features_of(config, self._obs, self.race_detector is not None)
+        )
         computed = self._step == "computed"
         for runtime in mine:
             runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
@@ -923,11 +911,10 @@ class StreamEngine:
                 seed(runtime, 0.0)
             interval = getattr(runtime.logic, "timer_interval", None)
             if interval:
+                runtime.tick = interval
                 self._push(interval, _TIMER, runtime.gid, None, 0)
             if computed:
                 runtime.starts = deque()
-                if interval:
-                    runtime.tick = interval
 
         for stall in config.stalls:
             if stall.op_id not in self.physical.op_subtasks:
@@ -947,7 +934,7 @@ class StreamEngine:
         handlers[_DELIVER] = self._ft_deliver if self._ft else self._enqueue
         handlers[_BEGIN] = self._begin_service
         handlers[_DONE] = self._handle_done
-        handlers[_TIMER] = self._handle_timer
+        handlers[_TIMER] = self._tick
         handlers[_STALL] = self._handle_stall
         handlers[_REPLAY] = self._handle_replay
         for kind in (_RESCALE, _CONTROL, _SCENARIO, _FT):
@@ -955,7 +942,6 @@ class StreamEngine:
         if self._step == "computed":
             handlers[_ARRIVAL] = self._arrive
             handlers[_DELIVER] = self._complete
-            handlers[_TIMER] = self._tick
             # Only the quiescence event: it moves the clock.
             handlers[_DONE] = lambda gid, payload, port: None
         return handlers
@@ -970,7 +956,6 @@ class StreamEngine:
         if self._flush_rounds < self._max_flush_rounds and self._flush_all():
             self._flush_rounds += 1
             return True
-        self._finished = True
         return False
 
     # -------------------------------------------------------------- events
@@ -1098,7 +1083,7 @@ class StreamEngine:
             # the operator's live subtasks (chaining correctly across
             # multiple rescales, since the live set is looked up fresh).
             runtime = self._runtimes[self._forward_gid(runtime, tup, port)]
-        obs = self._meter
+        obs = self._obs
         k = self._k
         now = k.now
         if obs is not None:
@@ -1170,6 +1155,9 @@ class StreamEngine:
         if runtime.draining or runtime.retired:
             self._drain_step(runtime)
             return
+        if runtime.held:
+            self._hold(runtime, self._k.now)
+            return
         runtime.busy = False
         if len(runtime.queue) > runtime.queue_head:
             self._begin_service_now(runtime, self._k.now)
@@ -1204,8 +1192,8 @@ class StreamEngine:
         if limit is not None and runtime.gid in self._congested:
             depth = len(queue) - runtime.queue_head
             if depth <= limit // 2:
-                if self._meter is not None:
-                    self._meter.on_backpressure(runtime, now, False)
+                if self._obs is not None:
+                    self._obs.on_backpressure(runtime, now, False)
                 self._congested.discard(runtime.gid)
         runtime.busy = True
         work = runtime.static_work
@@ -1216,8 +1204,8 @@ class StreamEngine:
             noise = runtime.noise or self._refill_noise(runtime)
             service *= noise.pop()
         runtime.busy_time += service
-        if self._meter is not None:
-            self._meter.on_serve(runtime, now, service, wait)
+        if self._obs is not None:
+            self._obs.on_serve(runtime, now, service, wait)
         k = self._k
         runtime.seq += 1
         k.work += 1
@@ -1234,9 +1222,10 @@ class StreamEngine:
         else:
             outputs = runtime.logic.process(tup, now, port)
         if self._obs is not None:
-            gids = self._done_gids
-            if gids is None or gid in gids:
-                self._obs.on_done(runtime, now, tup, outputs)
+            self._obs.on_done(runtime, now, tup, outputs)
+        race = self.race_detector
+        if race is not None and gid in race.keyed:
+            race.on_done(runtime, now, tup, outputs)
         overhead = self._route(runtime, outputs)
         runtime.busy_time += overhead
         if runtime.draining:
@@ -1247,6 +1236,11 @@ class StreamEngine:
                 self._push(now + overhead, _BEGIN, gid, None, 0)
             else:
                 self._drain_step(runtime)
+            return
+        if runtime.held:
+            # A stall waited for this service: it takes the server once
+            # the sender overhead is paid, ahead of the queue.
+            self._hold(runtime, now + overhead)
             return
         if overhead > 0:
             if not self._fused:
@@ -1263,45 +1257,27 @@ class StreamEngine:
 
     def _handle_stall(self, gid: int, duration: float, port: int) -> None:
         runtime = self._runtimes[gid]
-        now = self._k.now
         if runtime.retired:
             # The targeted subtask was replaced by a rescale; its
             # successors were built fresh, so the fault evaporates.
-            # (Retired runtimes are permanently busy — retrying would
-            # spin forever.)
             return
-        if runtime.busy or now < runtime.free_at:
-            # Pause begins once the in-flight tuple completes and its
-            # sender overhead is paid.
-            self._push(now + 1e-4, _STALL, gid, duration, 0)
-            return
+        # An idle server is held at once — from the end of the sender
+        # overhead it may still be paying. A busy one is held when the
+        # service in flight is done and its overhead paid
+        # (``_handle_done``, ``_begin_service``, ``_ft_restored``).
+        runtime.held += duration
+        if not runtime.busy:
+            self._hold(runtime, max(self._k.now, runtime.free_at))
+
+    def _hold(self, runtime: _SubtaskRuntime, at: float) -> None:
+        """The pending stalls hold the free server from ``at``; queued
+        tuples wait behind them."""
+        duration = runtime.held
+        runtime.held = 0.0
         runtime.busy = True
         if self._obs is not None:
-            self._obs.on_stall(runtime, now, duration)
-        self._push(now + duration, _BEGIN, gid, None, 0)
-
-    def _handle_timer(self, gid: int, payload, port: int) -> None:
-        runtime = self._runtimes[gid]
-        now = self._k.now
-        if runtime.retired or self._finished:
-            # A finished run fires no timer, and replacement subtasks
-            # re-armed their own at the swap: lapse, don't reschedule.
-            return
-        logic = runtime.logic
-        outputs = logic.on_time(now)
-        # Window logics fire through an end-ordered heap, so an idle
-        # timer tick returns [] in O(1); skip routing entirely then
-        # (identical result: routing nothing adds 0.0 busy time).
-        if outputs:
-            if self._meter is not None:
-                self._meter.on_window_fire(runtime, now, len(outputs))
-            overhead = self._route(runtime, outputs)
-            runtime.busy_time += overhead
-        interval = logic.timer_interval
-        next_time = now + interval
-        horizon = self.config.max_sim_time + 10.0 * interval
-        if next_time <= horizon:
-            self._push(next_time, _TIMER, gid, None, 0)
+            self._obs.on_stall(runtime, at, duration)
+        self._push(at + duration, _BEGIN, runtime.gid, None, 0)
 
     # ---------------------------------------------------- the computed step
 
@@ -1426,6 +1402,8 @@ class StreamEngine:
         logic = runtime.logic
         outputs = logic.on_time(at)
         if outputs:
+            if self._obs is not None:
+                self._obs.on_window_fire(runtime, at, len(outputs))
             runtime.busy_time += self._route(runtime, outputs, at)
         interval = logic.timer_interval
         at += interval
@@ -1435,7 +1413,8 @@ class StreamEngine:
 
     def _tick(self, gid: int, payload, port: int) -> None:
         """``TIMER``: a tick must fire when no tuple comes, so it stays
-        an event; one a completion already ran ahead only re-arms."""
+        an event; one a completion already ran ahead only re-arms, and
+        a retired subtask's (``tick = inf``) lapses."""
         runtime = self._runtimes[gid]
         if runtime.tick == self._k.now:
             self._fire(runtime)
@@ -1638,8 +1617,6 @@ class StreamEngine:
                 continue
             for entry in runtime.route_table:
                 latencies = entry[5]
-                if latencies is None:
-                    continue  # custom network model: not cacheable
                 bandwidths = entry[6]
                 saved.append(
                     (
@@ -1918,6 +1895,7 @@ class StreamEngine:
             runtime.retired = True
             runtime.draining = False
             runtime.busy = True
+            runtime.tick = math.inf  # its pending TIMER lapses
 
         self._op_gids[op_id] = new_gids
 
@@ -1957,9 +1935,8 @@ class StreamEngine:
             self._push(now + pause, _BEGIN, runtime.gid, None, 0)
             interval = getattr(runtime.logic, "timer_interval", None)
             if interval:
-                self._push(
-                    now + pause + interval, _TIMER, runtime.gid, None, 0
-                )
+                runtime.tick = now + pause + interval
+                self._push(runtime.tick, _TIMER, runtime.gid, None, 0)
 
         if self.config.autoscale:
             self._control_prev.pop(op_id, None)
@@ -1980,6 +1957,8 @@ class StreamEngine:
             self._obs.on_rescale(
                 self, now, op_id, old_gids, new_gids, migrated_keys, pause
             )
+        if self.race_detector is not None:
+            self.race_detector.on_rescale(self, op_id, old_gids, new_gids)
 
     def _forward_gid(
         self, runtime: _SubtaskRuntime, tup: StreamTuple, port: int
@@ -2167,8 +2146,8 @@ class StreamEngine:
                 else:
                     seen.add(prov)
         if runtime.ft_ckpt is not None and chan in runtime.ft_aligned:
-            if self._meter is not None:
-                self._meter.tuples_in[runtime.gid] += 1
+            if self._obs is not None:
+                self._obs.tuples_in[runtime.gid] += 1
             runtime.ft_buffer.append((item, chan, self._k.now))
             return
         self._enqueue(gid, item, chan)
@@ -2279,13 +2258,7 @@ class StreamEngine:
             indices = fixed if fixed is not None else range(entry[4])
             for idx in indices:
                 dst = consumers[idx]
-                if latencies is not None:
-                    delay = latencies[idx]
-                else:
-                    delay = self.cluster.network.transfer_delay(
-                        runtime.node_id, self._runtimes[dst].node_id, 0.0
-                    )
-                at = now + delay
+                at = now + latencies[idx]
                 chan = entry[7] + idx
                 if at < clocks[chan]:
                     at = clocks[chan]
@@ -2435,11 +2408,13 @@ class StreamEngine:
             if runtime.is_sink:
                 continue
             runtime.busy = False
+            if runtime.held:
+                self._hold(runtime, self._k.now)
             if runtime.is_source:
                 log = runtime.ft_log
                 if log and runtime.ft_head < len(log):
                     self._push(self._k.now, _REPLAY, runtime.gid, None, 0)
-            elif len(runtime.queue) > runtime.queue_head:
+            elif not runtime.busy and len(runtime.queue) > runtime.queue_head:
                 self._begin_service_now(runtime, self._k.now)
         if self._k.work == 0:
             # The purge may have consumed the last work event without
@@ -2499,7 +2474,7 @@ class StreamEngine:
             now = k.now
         heap = k.heap
         seq = runtime.seq
-        obs = self._meter
+        obs = self._obs
         owned = self._owned
         if owned is not None:
             outbox = self._outbox
@@ -2536,9 +2511,8 @@ class StreamEngine:
                         for out in outputs:
                             nbytes += out.size_bytes
                         obs.shuffle_bytes[runtime.gid] += nbytes * len(fixed)
-                if latencies is not None and clocks is None:
-                    # The common case, spelled out: nothing to pair up
-                    # and nothing to ask per delivery.
+                if clocks is None:
+                    # The common case, spelled out: nothing to pair up.
                     for out in outputs:
                         size = out.size_bytes
                         for idx in fixed:
@@ -2583,13 +2557,7 @@ class StreamEngine:
                 size = out.size_bytes
                 for idx in indices:
                     dst = consumers[idx]
-                    if latencies is not None:
-                        delay = latencies[idx] + size / bandwidths[idx]
-                    else:
-                        # Custom network model: ask it per delivery.
-                        delay = self.cluster.network.transfer_delay(
-                            runtime.node_id, self._runtimes[dst].node_id, size
-                        )
+                    delay = latencies[idx] + size / bandwidths[idx]
                     at = now + delay + offset
                     seq += 1
                     if clocks is not None:

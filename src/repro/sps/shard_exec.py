@@ -401,7 +401,6 @@ def _apply_stats(engine, stats, final_now, controller) -> None:
     kernel.reset()
     kernel.now = final_now
     kernel.events_processed = controller.events_processed
-    engine._finished = True
     engine._throttled_arrivals = 0
     flush_times = [
         s["flush_time"] for s in stats if s["flush_time"] is not None
@@ -444,11 +443,6 @@ def run_sharded(engine):
     """Execute a built engine under ``config.shards`` and collect metrics."""
     config = engine.config
     shards = config.shards
-    if not engine._net_affine:
-        raise ConfigurationError(
-            "sharded execution requires the default affine network model; "
-            "a custom transfer_delay has no static lookahead"
-        )
     lookahead = engine._net_base_latency
     if lookahead <= 0.0:
         raise ConfigurationError(

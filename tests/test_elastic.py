@@ -116,6 +116,28 @@ class TestExplicitRescale:
             > base.extras["elastic"]["resource_seconds"]
         )
 
+    def test_a_retired_subtask_fires_no_timer(self):
+        """The swap sets a retired subtask's next tick to ``inf``, so its
+        pending ``TIMER`` lapses; the new generation ticks its own."""
+        fired = []
+
+        class TickLog(StreamEngine):
+            def _fire(self, runtime):
+                fired.append((runtime.epoch, runtime.retired))
+                super()._fire(runtime)
+
+        TickLog(
+            elastic_workload_plan(parallelism=2),
+            homogeneous_cluster(num_nodes=4),
+            config=SimulationConfig(
+                max_tuples_per_source=_TUPLES,
+                max_sim_time=3.0,
+                rescales=(RescaleEvent(0.3, "agg", 4),),
+            ),
+            rng_factory=RngFactory(7),
+        ).run()
+        assert set(fired) == {(0, False), (1, False)}
+
     def test_noop_rescale_to_same_parallelism(self):
         same, values = _run(rescales=(RescaleEvent(0.3, "agg", 2),))
         assert same.extras["elastic"]["rescales"] == 0

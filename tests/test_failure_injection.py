@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import homogeneous_cluster
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import RngFactory
+from repro.obs import EngineObserver
 from repro.sps import builders
 from repro.sps.engine import (
     SimulationConfig,
@@ -106,3 +107,63 @@ class TestStallInjection:
         )
         # ~2000/s x 0.3s of arrivals queued behind the pause.
         assert stalled.operator_queue_peak["work"] > 300
+
+
+class StallLog(EngineObserver):
+    """The stalled operator's serves, and when each stall took hold."""
+
+    def __init__(self):
+        super().__init__(sample_interval=1e9, serve_spans=False)
+        self.serves = []
+        self.holds = []
+
+    def on_serve(self, runtime, now, service, wait):
+        if runtime.op_id == "work":
+            self.serves.append((now, service))
+
+    def on_stall(self, runtime, now, duration):
+        self.holds.append(now)
+
+
+def stalled(rate, seed, at=0.03):
+    """~0.06 s of arrivals at ``rate`` and a 50 ms stall at ``at``."""
+    observer = StallLog()
+    engine = StreamEngine(
+        passthrough_plan(rate),
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(
+            max_tuples_per_source=int(0.06 * rate),
+            warmup_fraction=0.0,
+            stalls=(StallInjection(at, "work", 0.05),),
+        ),
+        rng_factory=RngFactory(seed),
+        observer=observer,
+    )
+    metrics = engine.run()
+    (work,) = [rt for rt in engine._runtimes if rt.op_id == "work"]
+    return metrics, observer, work.shuffle_cost_per_output
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("rate", [270_000.0, 300_000.0])
+def test_a_stall_on_a_saturated_server_waits_for_one_service(rate, seed):
+    """The subtask serves ~253k tuples/s (2.5 us, plus 1.45 us of
+    sender overhead), so it always has a queue: the stall takes hold
+    when the service in flight and its overhead end, not once the
+    backlog has drained (after the last arrival, ~0.06 s)."""
+    at = 0.03
+    metrics, observer, overhead = stalled(rate, seed, at)
+    (hold,) = observer.holds
+    ends = [
+        start + service + overhead
+        for start, service in observer.serves
+        if start + service >= at
+    ]
+    assert hold == min(ends)
+    assert hold - at < 1e-5
+    assert metrics.results == metrics.source_events
+
+
+def test_a_stall_on_an_idle_server_holds_at_once():
+    _, observer, _ = stalled(2000.0, 5)
+    assert observer.holds == [0.03]

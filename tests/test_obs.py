@@ -281,6 +281,17 @@ class TestEngineObservation:
         totals = summary["totals"]
         assert totals["tuples_in"] > 0 and totals["busy_s"] > 0
 
+    def test_window_results_are_counted_where_they_leave(
+        self, simple_plan
+    ):
+        """A window's results — fired at a timer tick, an arrival or the
+        end-of-stream flush — are each counted once as its output."""
+        observer = EngineObserver(sample_interval=0.25)
+        metrics = _run(simple_plan, observer, tuples=800)
+        agg = observer.summary()["ops"]["agg"]
+        assert agg["tuples_out"] == agg["windows_fired"] == metrics.results
+        assert observer.registry.counter("window_fires", "agg") > 0
+
     def test_exports_are_byte_stable_across_runs(self, tmp_path):
         """Two same-seed runs write byte-identical trace + metrics."""
         payloads = []

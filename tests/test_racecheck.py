@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.racecheck import RaceDetector, compare_ledgers
+from repro.analysis.racecheck import compare_ledgers
 from repro.cluster import homogeneous_cluster
 from repro.common.errors import DeterminismError
 from repro.common.rng import RngFactory, state_fingerprint
@@ -124,15 +124,41 @@ class TestCleanRuns:
                 == e2.race_detector.rng_ledger)
 
 
+def rebalanced_keyed_plan():
+    """``test_rebalanced_keyed_state_flagged``'s plan: keyed state fed
+    round-robin, so DET607 fires."""
+    return simple_plan(
+        CleanLogic, key_field=0,
+        partitioner=RebalancePartitioner(), num_keys=3,
+    )
+
+
 class TestObserverDelegation:
-    def test_inner_observer_still_counts(self):
-        observer = EngineObserver(sample_interval=0.5, serve_spans=False)
-        engine, _ = run_engine(
-            simple_plan(CleanLogic), observer=observer
+    @pytest.mark.parametrize("dirty", [False, True])
+    def test_verdict_independent_of_an_observer(self, dirty):
+        plan = rebalanced_keyed_plan if dirty else (
+            lambda: simple_plan(CleanLogic, key_field=0)
         )
-        summary = observer.summary()
-        assert summary["totals"]["tuples_in"] > 0
-        assert engine.race_detector.tuples_in is observer.tuples_in
+        observer = EngineObserver(sample_interval=0.5, serve_spans=False)
+        observed, _ = run_engine(plan(), observer=observer, preflight=False)
+        alone, _ = run_engine(plan(), preflight=False)
+        assert observer.summary()["totals"]["tuples_in"] > 0
+        a, b = observed.race_detector, alone.race_detector
+        assert a.findings == b.findings
+        assert a.rng_ledger == b.rng_ledger and a.rng_ledger
+        assert ("DET607" in {d.code for d in a.findings}) == dirty
+
+    def test_observation_independent_of_the_detector(self):
+        views = []
+        for sanitize in (True, False):
+            observer = EngineObserver(sample_interval=0.05, serve_spans=False)
+            run_engine(
+                rebalanced_keyed_plan(), sanitize=sanitize,
+                observer=observer, preflight=False,
+            )
+            views.append((observer.summary(), observer.registry.series))
+        assert views[0] == views[1]
+        assert len(views[0][1]) > 10
 
     def test_observed_results_identical_with_detector(self):
         obs_a = EngineObserver(sample_interval=0.5, serve_spans=False)
@@ -334,18 +360,25 @@ class TestRunnerIntegration:
 
 
 class TestStandaloneDetector:
-    def test_detector_without_inner_allocates_arrays(self):
-        detector = RaceDetector()
-        engine, _ = run_engine(
-            simple_plan(CleanLogic), sanitize=False,
-            observer=None,
-        )
-        # Drive the protocol by hand against a fresh engine.
-        detector.on_run_start(engine)
-        assert len(detector.tuples_in) == len(engine._runtimes)
-        assert detector.next_sample == float("inf")
-        detector.on_run_end(1.0)
-        assert detector.rng_ledger
+    def test_batch_mode_ledger_and_shared_rng(self):
+        """The columnar executor calls the detector at start and end:
+        no DONE reaches it, but the ledger and DET608 do."""
+        for logic in (CleanLogic, SharedRngLogic):
+            engine = StreamEngine(
+                simple_plan(logic),
+                homogeneous_cluster(num_nodes=2),
+                config=SimulationConfig(
+                    max_tuples_per_source=200, batch_size=64
+                ),
+                rng_factory=RngFactory(3),
+                sanitize=True,
+            )
+            engine.run()
+            detector = engine.race_detector
+            codes = {d.code for d in detector.findings}
+            assert ("DET608" in codes) == (logic is SharedRngLogic)
+            labels = {"src[0]", "src[0]/arrivals", "udo[1]", "sink[0]"}
+            assert labels <= detector.rng_ledger.keys()
 
     def test_report_wraps_findings(self):
         engine, _ = run_engine(simple_plan(SharedRngLogic))
