@@ -54,6 +54,15 @@ class OpSnapshot:
     base_service_s: float
 
 
+def _check_cooldown(cooldown: float, *thresholds: float) -> None:
+    """Refuse a negative cooldown, and NaN or infinite parameters:
+    NaN passes every ordered comparison a policy makes."""
+    if not all(map(math.isfinite, (cooldown, *thresholds))):
+        raise ConfigurationError("policy parameters must be finite")
+    if cooldown < 0:
+        raise ConfigurationError("cooldown must be >= 0")
+
+
 class AutoscalePolicy:
     """Strategy interface: snapshots of all rescalable operators in,
 
@@ -106,6 +115,7 @@ class ReactiveQueuePolicy(AutoscalePolicy):
         min_parallelism: int = 1,
         max_parallelism: int = 8,
     ) -> None:
+        _check_cooldown(cooldown, high, low)
         if high <= low:
             raise ConfigurationError(
                 "reactive policy needs high > low (hysteresis band)"
@@ -169,6 +179,7 @@ class PredictiveCostPolicy(AutoscalePolicy):
         min_parallelism: int = 1,
         max_parallelism: int = 8,
     ) -> None:
+        _check_cooldown(cooldown)
         if not 0.0 < target_util <= 1.0:
             raise ConfigurationError("target_util must be in (0, 1]")
         if max_parallelism < min_parallelism or min_parallelism < 1:
@@ -258,10 +269,12 @@ def make_policy(spec: str | AutoscalePolicy) -> AutoscalePolicy:
             try:
                 parsed = float(value)
             except ValueError:
+                parsed = math.nan
+            if not math.isfinite(parsed):
                 raise ConfigurationError(
-                    f"policy parameter {key!r} needs a number, "
+                    f"policy parameter {key!r} needs a number (finite), "
                     f"got {value!r}"
-                ) from None
+                )
             kwargs[key] = int(parsed) if key in _INT_PARAMS else parsed
     try:
         return cls(**kwargs)

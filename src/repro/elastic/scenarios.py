@@ -30,6 +30,7 @@ Injection semantics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
@@ -44,7 +45,11 @@ __all__ = [
 ]
 
 
-def _check_window(at: float, duration: float) -> None:
+def _check_window(at: float, duration: float, *factors: float) -> None:
+    if not all(map(math.isfinite, (at, duration, *factors))):
+        # NaN passes every ordered comparison, and would order the
+        # event heap arbitrarily.
+        raise ConfigurationError("injection parameters must be finite")
     if at < 0 or duration <= 0:
         raise ConfigurationError(
             "injection needs at >= 0 and duration > 0"
@@ -74,6 +79,8 @@ class NodeFailure:
 
     def __post_init__(self) -> None:
         _check_window(self.at, self.duration)
+        if self.node is not None and self.node < 0:
+            raise ConfigurationError("failure node must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ class LoadSpike:
     factor: float = 3.0
 
     def __post_init__(self) -> None:
-        _check_window(self.at, self.duration)
+        _check_window(self.at, self.duration, self.factor)
         if self.factor <= 1.0:
             raise ConfigurationError("spike factor must be > 1")
 
@@ -107,7 +114,7 @@ class Straggler:
     subtask: int = 0
 
     def __post_init__(self) -> None:
-        _check_window(self.at, self.duration)
+        _check_window(self.at, self.duration, self.factor)
         if self.factor <= 1.0:
             raise ConfigurationError("straggler factor must be > 1")
         if self.subtask < 0:
@@ -126,7 +133,9 @@ class NetworkDegradation:
     bandwidth_factor: float = 0.1
 
     def __post_init__(self) -> None:
-        _check_window(self.at, self.duration)
+        _check_window(
+            self.at, self.duration, self.latency_factor, self.bandwidth_factor
+        )
         if self.latency_factor < 1.0 or not 0.0 < self.bandwidth_factor <= 1.0:
             raise ConfigurationError(
                 "need latency_factor >= 1 and bandwidth_factor in (0, 1]"
@@ -186,10 +195,12 @@ def _parse_injection(part: str):
             try:
                 parsed = float(value)
             except ValueError:
+                parsed = math.nan
+            if not math.isfinite(parsed):
                 raise ConfigurationError(
-                    f"injection parameter {key!r} needs a number, "
+                    f"injection parameter {key!r} needs a number (finite), "
                     f"got {value!r}"
-                ) from None
+                )
             kwargs[key] = int(parsed) if key in _INT_PARAMS else parsed
     try:
         return cls(**kwargs)

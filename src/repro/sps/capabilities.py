@@ -56,7 +56,6 @@ EVENTED = {
     "observer": "hooks take the clock as their instant, and sampling reads the queue",
     "sanitize": "the race detector reads the DONE of every keyed subtask",
     "backpressure": "congestion is released by a depth at dequeue and read by sources as the clock passes",
-    "checkpoint": "a barrier is a queue item whose snapshot must see the state as of its dequeue",
     "rescale": "a drain locks the server and migrates the queue and the state as of one instant",
     "scenario": "an injection changes service, routes or queues for everything that starts after it",
     "stalls": "a stall holds the server from the first instant it is free",

@@ -10,64 +10,35 @@ throughput therefore *emerge* from queueing dynamics rather than being
 postulated — which is what lets the simulator reproduce the paper's
 observations (speedup from parallelism, its paradox, non-linearity).
 
-Event kinds:
-
-- ``ARRIVAL`` — a source subtask's arrival process fires: generate a tuple,
-  enqueue it locally, schedule the next arrival (a computed run: a block
-  of ``SOURCE_CHUNK`` tuples per event, see below).
-- ``DELIVER`` — a tuple reaches a subtask's input queue.
-- ``BEGIN``   — a server starts serving the head-of-queue tuple.
-- ``DONE``    — service completes: run the operator logic, route outputs
-  (evented runs; a computed run's only ``DONE`` ends it, see below).
-- ``TIMER``   — recurring callback for window operators.
-- ``STALL``   — an injected transient fault pauses a subtask.
-- ``RESCALE`` — change one operator's parallelism mid-run: drain its
-  subtasks to a barrier, migrate keyed state, rewire channels.
-- ``CONTROL`` — the autoscaler's periodic tick: snapshot per-operator
-  load, ask the policy for targets, emit ``RESCALE`` events.
-- ``REPLAY`` — post-recovery redelivery of one logged source tuple
-  (fault tolerance, DESIGN.md §13).
-- ``SCENARIO``— a chaos-scenario action fires (load spike on/off,
-  straggler on/off, network degradation on/off, node failure).
-- ``FT``      — checkpoint control: a barrier trigger fires at the
-  sources, or a recovery pause completes.
-
-``RESCALE``/``CONTROL``/``SCENARIO``/``FT`` are *control-plane* events:
-like ``TIMER`` they carry no work accounting, so a pending control tick
-never keeps a finished run alive. ``REPLAY`` redelivers real tuples and
-counts as work. The elastic machinery (DESIGN.md §12) and the
-checkpointing machinery (§13) only activate when the config asks for
-them; the default path stays bit-identical to engines built before they
-existed.
+Event kinds: ``ARRIVAL`` (a source emits one tuple, or on a computed
+run a block of ``SOURCE_CHUNK``), ``DELIVER`` (a tuple or a checkpoint
+barrier reaches a subtask), ``BEGIN`` (a server starts the head of its
+queue; computed, an alignment buffer is released), ``DONE`` (a service
+completes; a computed run's only ``DONE`` ends it), ``TIMER`` (a window
+tick), ``STALL`` (an injected pause), ``REPLAY`` (a logged source tuple
+is redelivered after a recovery, DESIGN.md §13) and the control-plane
+``RESCALE`` (drain, migrate, rewire), ``CONTROL`` (the autoscaler's
+tick), ``SCENARIO`` (a chaos action) and ``FT`` (a checkpoint trigger,
+or a recovery's end). Like ``TIMER``, control-plane events carry no work
+accounting, so a pending one never keeps a finished run alive. The
+elastic (§12) and checkpointing (§13) machinery only activates when the
+config asks for it.
 
 Termination: when all sources are exhausted and no work events remain
 (and, on a computed run, the clock has reached the latest completion),
 the engine flushes stateful operators in rounds (remaining windows
 fire), then stops once a flush round produces nothing.
 
-**Hot-path design.** The per-event loop is the simulator's bottleneck, so
-everything that is constant for the lifetime of one engine is resolved at
-build time rather than per event:
+**Hot-path design.** Everything constant for an engine's lifetime is
+resolved at build time: a source's arrival process and budget; one
+precompiled route entry per channel group — bound ``select``, re-key,
+consumer gids and per-channel ``(latency, bandwidth)``, which evaluate
+``Network.transfer_delay`` bit for bit as it is affine in payload size;
+and the constant work factor of a logic that keeps ``work_units``.
+Window logics keep min-heaps of pending window ends, so a tick that
+fires nothing is O(1) and ``_fire`` skips routing. And (DESIGN.md §14):
 
-- *Arrival state*: each source runtime carries its per-instance rate, its
-  arrival-process kind and its tuple budget, so scheduling the next
-  arrival never consults the logical plan or its metadata dictionaries.
-- *Routing tables*: each runtime carries one precompiled entry per
-  outgoing channel group — the bound ``select`` method, the resolved
-  re-key function, consumer gids, and per-channel ``(latency, bandwidth)``
-  pairs (``(0, inf)`` for same-node channels). Because the network delay
-  model is affine in payload size, ``latency + size / bandwidth``
-  reproduces ``Network.transfer_delay`` bit-for-bit without any per-tuple
-  node lookups.
-- *Service state*: logics that do not override ``work_units`` have their
-  constant work factor captured once, skipping a method call per tuple.
-- *Timer path*: the window logics schedule firing through min-heaps of
-  pending window ends (see :mod:`repro.sps.operators.aggregate`), so the
-  recurring ``TIMER`` event is O(1) when nothing is ready, and ``_fire``
-  — the timer step of both scalar steps — skips routing when a tick
-  fires no window.
-
-- *One universe, drawn in blocks* (DESIGN.md §14): every subtask draws
+- *One universe, drawn in blocks*: every subtask draws
   arrival gaps and service noise from its own named streams and numbers
   the events it schedules from its own counter, so a sharded run
   (:mod:`repro.sps.shard_exec`) drives this same step over one kernel
@@ -75,7 +46,7 @@ build time rather than per event:
   of use: gaps and noise factors are popped from per-subtask blocks
   (``_refill_gaps``/``_refill_noise``), value for value what per-call
   ``exponential(mean)``/``lognormal(mu, sigma)`` would return.
-- *Completions are computed, not scheduled* (DESIGN.md §14): where
+- *Completions are computed, not scheduled*: where
   nothing but a subtask's own tuples and timers can touch it —
   ``StreamEngine.step == "computed"``, resolved in ``_begin_run`` from
   what the run is — a hop is one event: ``_complete`` runs the FIFO
@@ -89,11 +60,11 @@ build time rather than per event:
   the clock: a heap event per delivered tuple-hop, 1/32 per source
   tuple. Where a source can be throttled, failed or logged the chain
   is ``last actual emission + gap``, so the evented step keeps gaps.
-- *One step*: a checkpointed run (DESIGN.md §13) executes the same
-  enqueue → serve → route. A barrier is a queue-item kind met at
-  enqueue and dequeue; deliveries and queue items carry a dense channel
-  id in the slot that otherwise carries the port, so FIFO clocks are a
-  flat list and alignment a set of ints.
+- *Barriers too*: a checkpointed run (DESIGN.md §13) executes a plain
+  step — computed when failure-free — and deliveries carry a dense
+  channel id where the port would be, so FIFO clocks are a flat list.
+  A computed barrier is decided at its ``DELIVER``, as of its dequeue
+  instant ``max(now, free_at)``; an evented one is a queue item.
 
 None of this changes any simulated result: every floating-point
 expression keeps the exact operand order of the straightforward
@@ -116,10 +87,12 @@ identity of everything simulated.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapify, heappush
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -300,9 +273,10 @@ class SimulationConfig:
     selects the guarantee: ``"exactly_once"`` dedupes replayed results
     at the sinks by ``(producer, seq)`` provenance; ``"at_least_once"``
     delivers duplicates and accounts them. A checkpointed run executes
-    the plain step — barriers are queue items, and each source keeps a
-    replay log cut back at every completed checkpoint — so it differs
-    from the same run without checkpointing only by what barriers do.
+    the plain step — the computed one unless a scenario can fail it
+    (or an observer or ``sanitize`` is attached), the evented one,
+    whose sources keep a replay log, otherwise — so it differs from the
+    same run without checkpointing only by what barriers do.
 
     Which of these features may share a run is decided in one place,
     :mod:`repro.sps.capabilities` (DESIGN.md §4, "What composes"); an
@@ -352,8 +326,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.max_tuples_per_source < 1:
             raise ConfigurationError("max_tuples_per_source must be >= 1")
-        if self.max_sim_time <= 0:
-            raise ConfigurationError("max_sim_time must be positive")
+        # Durations are positive and finite: ``not 0 < x < inf`` also
+        # refuses NaN, which passes every other ordered comparison.
+        if not 0 < self.max_sim_time < math.inf:
+            raise ConfigurationError("max_sim_time must be positive, finite")
         if self.max_events >= 1 << TB_SEQ_BITS:
             raise ConfigurationError(
                 f"max_events must be < 2**{TB_SEQ_BITS}: a subtask's event "
@@ -368,16 +344,12 @@ class SimulationConfig:
             raise ConfigurationError("backpressure_queue_limit must be >= 2")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.autoscale_interval <= 0:
-            raise ConfigurationError("autoscale_interval must be positive")
-        if self.slo_latency is not None and self.slo_latency <= 0:
-            raise ConfigurationError("slo_latency must be positive")
+        names = ("autoscale_interval", "slo_latency", "checkpoint_interval")
+        for name in names:
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigurationError(f"{name} must be positive, finite")
         validate_delivery(self.delivery)
-        if (
-            self.checkpoint_interval is not None
-            and self.checkpoint_interval <= 0
-        ):
-            raise ConfigurationError("checkpoint_interval must be positive")
         if self.shards is not None and self.shards < 1:
             raise ConfigurationError("shards must be >= 1")
         check(features_of(self))
@@ -451,15 +423,18 @@ class _SubtaskRuntime:
     #: run) with ``ft_head`` the log index to deliver next;
     #: ``ft_emit_seq`` numbers sink-bound emissions for provenance;
     #: ``ft_ckpt``/``ft_aligned``/``ft_buffer`` track barrier alignment
-    #: (``ft_aligned`` holds channel ids).
+    #: (``ft_aligned`` maps channel ids to their barrier's dequeue
+    #: instant); on the computed step ``ft_behind`` counts the buffered
+    #: deliveries queued behind the last barrier (``_ft_hold``).
     ft_incarnation: int = 0
     ft_log: list | None = None
     ft_base: int = 0
     ft_head: int = 0
     ft_emit_seq: int = 0
     ft_ckpt: int | None = None
-    ft_aligned: set | None = None
+    ft_aligned: dict | None = None
     ft_buffer: list | None = None
+    ft_behind: int = 0
     #: the subtask's private randomness (DESIGN.md §14): unit-mean
     #: arrival gaps (scaled at use) and service-noise factors wait in
     #: reversed blocks, popped from the end and refilled from the
@@ -479,8 +454,9 @@ class _SubtaskRuntime:
     #: stall seconds waiting for the service in flight to end
     held: float = 0.0
     #: the computed step (DESIGN.md §14): the latest completion
-    #: instant, the service starts of the tuples that waited (those
-    #: ahead of ``now`` are the queue) and the next timer instant
+    #: instant, the instants at which what waited leaves the queue —
+    #: service starts, barrier dequeues (those ahead of ``now`` are the
+    #: queue) — and the next timer instant
     #: ``on_time`` has not run for (``inf``: none)
     done_at: float = 0.0
     starts: deque | None = None
@@ -899,7 +875,10 @@ class StreamEngine:
         self._step = step_of(
             features_of(config, self._obs, self.race_detector is not None)
         )
-        computed = self._step == "computed"
+        self._computed = computed = self._step == "computed"
+        #: the next pending checkpoint trigger, where a computed run's
+        #: sources cut their arrival blocks (``_arrive``)
+        self._ft_next = math.inf
         for runtime in mine:
             runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
         if self._ft:
@@ -941,7 +920,10 @@ class StreamEngine:
             handlers[kind] = self._apply
         if self._step == "computed":
             handlers[_ARRIVAL] = self._arrive
-            handlers[_DELIVER] = self._complete
+            if self._ft:
+                handlers[_BEGIN] = self._ft_release
+            else:
+                handlers[_DELIVER] = self._complete
             # Only the quiescence event: it moves the clock.
             handlers[_DONE] = lambda gid, payload, port: None
         return handlers
@@ -1322,22 +1304,32 @@ class StreamEngine:
             if instants:
                 self._push(instants[0], _ARRIVAL, runtime.gid, instants, 0)
 
-    def _arrive(self, gid: int, instants: list, port: int) -> None:
+    def _arrive(self, gid: int, instants: list, done: int) -> None:
         """``ARRIVAL``: a block of a source's arrivals (DESIGN.md §14).
 
         Nothing can throttle, fail or log this source, so its instants
         were decided before the run began: each tuple is generated and
-        completed at its own, up to a block ahead of the clock. A block
-        short of ``SOURCE_CHUNK`` met the budget or the ``max_sim_time``
-        cut: nothing follows it."""
+        completed at its own, up to a block ahead of the clock — but not
+        past a pending checkpoint trigger, whose barrier is dequeued
+        behind exactly the arrivals before it: the instants from the
+        trigger on arrive as an ``ARRIVAL`` of their own, carrying in
+        ``done`` how many of the block came before them. A block short
+        of ``SOURCE_CHUNK`` met the budget or the ``max_sim_time`` cut:
+        nothing follows it."""
         runtime = self._runtimes[gid]
+        full = done + len(instants) == SOURCE_CHUNK
+        if instants[-1] >= self._ft_next:
+            i = bisect_left(instants, self._ft_next)
+            self._push(instants[i], _ARRIVAL, gid, instants[i:], i + done)
+            instants = instants[:i]
+            full = False
         generate = runtime.logic.generate
         for now in instants:
             self._complete(gid, generate(now), 0, now)
         runtime.emitted += len(instants)
         if now > self._last_source_time:
             self._last_source_time = now
-        if len(instants) == SOURCE_CHUNK:
+        if full:
             self._push_arrivals(runtime, now)
 
     def _complete(
@@ -2079,7 +2071,8 @@ class StreamEngine:
                     expected[consumers[idx]] += 1
                 table[i] = entry[:7] + (len(ports),) + entry[8:]
                 ports.extend([entry[7]] * entry[4])
-            if runtime.is_source:
+            if runtime.is_source and not self._computed:
+                # A computed run has no failure to replay for.
                 runtime.ft_log = []
         self._ft_expected = expected
         self._ft_num_acks = sum(
@@ -2092,24 +2085,37 @@ class StreamEngine:
         #: keeps a channel FIFO, so barriers stay ordered with the data
         #: around them whatever the payload sizes
         self._ft_clocks = [0.0] * len(ports)
-        if self._ft_interval <= self.config.max_sim_time:
-            self._push_control(self._ft_interval, _FT, self._ft_trigger)
+        #: the latest ack instant of the newest checkpoint: it completes
+        #: there, and is still aligning until then
+        self._ft_acked = 0.0
+        self._ft_schedule_trigger(self._ft_interval)
+
+    def _ft_schedule_trigger(self, at: float) -> None:
+        """Arm the checkpoint trigger at ``at``, unless past the run."""
+        self._ft_next = math.inf
+        if at <= self.config.max_sim_time:
+            self._ft_next = at
+            self._push_control(at, _FT, self._ft_trigger)
 
     def _ft_trigger(self) -> None:
         """Start a checkpoint: a barrier enters every source's queue."""
-        nxt = self._k.now + self._ft_interval
-        if nxt <= self.config.max_sim_time:
-            self._push_control(nxt, _FT, self._ft_trigger)
+        now = self._k.now
+        self._ft_schedule_trigger(now + self._ft_interval)
         store = self._ft_store
-        if self._ft_recovering or store.active is not None:
-            # The previous checkpoint is still aligning (or a
-            # recovery is in flight): count the skip, don't overlap.
+        if (
+            self._ft_recovering
+            or store.active is not None
+            or self._ft_acked >= now
+        ):
+            # The last checkpoint is still aligning (computed: until its
+            # latest ack instant), or a recovery is in flight.
             store.skip()
             return
         if self._ft_num_acks == 0:
             return
-        barrier = _Barrier(store.begin(self._k.now).ckpt_id)
+        barrier = _Barrier(store.begin(now).ckpt_id)
         self._ft_pending = self._ft_num_acks
+        self._ft_acked = now
         for runtime in self._runtimes:
             if runtime.is_source:
                 # The barrier rides the source's own queue, behind
@@ -2120,16 +2126,24 @@ class StreamEngine:
                 self._ft_deliver(runtime.gid, barrier, 0)
 
     def _ft_deliver(self, gid: int, item, chan: int) -> None:
-        """What checkpointing puts in front of :meth:`_enqueue`.
-
-        A barrier joins the queue like data, at no cost; a sink
-        delivery passes the provenance ledger first; post-barrier data
-        on an already-aligned channel is diverted to the alignment
-        buffer. Everything else is enqueued by the shared step.
-        """
+        """What checkpointing puts in front of :meth:`_enqueue` or, on
+        the computed step, :meth:`_complete`. A barrier joins the queue,
+        at no cost — or, computed, is decided now, as of its dequeue
+        instant. A sink delivery passes the provenance ledger first;
+        data on an already-aligned channel is diverted to the alignment
+        buffer. Everything else takes the shared step."""
         runtime = self._runtimes[gid]
         if item.__class__ is _Barrier:
             now = self._k.now
+            if self._computed:
+                at = runtime.free_at
+                if at > now:
+                    # Queued until then, it counts toward the depth.
+                    runtime.starts.append(at)
+                else:
+                    at = runtime.free_at = now
+                self._ft_barrier_dequeued(runtime, item, chan, at)
+                return
             runtime.queue.append((item, chan, now))
             if not runtime.busy:
                 self._begin_service_now(runtime, max(now, runtime.free_at))
@@ -2145,24 +2159,71 @@ class StreamEngine:
                     self._ft_dup_results += 1
                 else:
                     seen.add(prov)
-        if runtime.ft_ckpt is not None and chan in runtime.ft_aligned:
+        if runtime.ft_buffer is not None and chan in runtime.ft_aligned:
+            if self._computed:
+                self._ft_hold(runtime, item, chan)
+                return
             if self._obs is not None:
                 self._obs.tuples_in[runtime.gid] += 1
             runtime.ft_buffer.append((item, chan, self._k.now))
             return
-        self._enqueue(gid, item, chan)
+        if self._computed:
+            self._complete(gid, item, self._ft_ports[chan])
+        else:
+            self._enqueue(gid, item, chan)
+
+    def _ft_hold(self, runtime: _SubtaskRuntime, item, chan: int) -> None:
+        """Computed: a delivery behind its channel's barrier joins the
+        buffer, keyed by the instant the evented step diverts it at —
+        its arrival, or, if that barrier is still queued, the
+        ``free_at`` it reaches the head at (counted in the depth until
+        then). Aligned but short of the last barrier's instant
+        (``ft_ckpt`` None), one queued behind a barrier is served
+        after the buffer."""
+        now = self._k.now
+        diverted = now
+        if now < runtime.ft_aligned[chan]:
+            starts = runtime.starts
+            while starts and starts[0] <= now:
+                starts.popleft()
+            if runtime.ft_ckpt is not None:
+                diverted = runtime.free_at
+                starts.append(diverted)
+                depth = len(starts)
+            else:
+                diverted = math.inf
+                runtime.ft_behind += 1
+                depth = len(starts) + runtime.ft_behind
+            if depth > runtime.queue_peak:
+                runtime.queue_peak = depth
+        runtime.ft_buffer.append((item, chan, now, diverted))
+
+    def _ft_release(self, gid: int, payload=None, port: int = 0) -> None:
+        """Computed: serve what alignment held from ``free_at``, the last
+        barrier's dequeue instant — diverted tuples in diversion order,
+        then those queued behind that barrier — each queued until it
+        starts. A ``BEGIN`` at that instant calls it if deliveries can
+        still come before it."""
+        runtime = self._runtimes[gid]
+        buffer = runtime.ft_buffer
+        runtime.ft_aligned = runtime.ft_buffer = None
+        runtime.ft_behind = 0
+        buffer.sort(key=itemgetter(3))
+        starts = runtime.starts
+        ports = self._ft_ports
+        for item, chan, at, _ in buffer:
+            start = runtime.free_at
+            runtime.wait_time += start - at
+            starts.append(start)
+            self._complete(gid, item, ports[chan], start)
 
     def _ft_dequeue(self, runtime: _SubtaskRuntime, now: float) -> bool:
-        """Consume the barriers and aligned-channel data at the head of
-        the queue, at zero cost; True if a servable tuple is left there.
-
-        A snapshot, a barrier forward and an alignment divert happen
-        *when* the item is dequeued, and between a ``DONE`` and the end
-        of its sender overhead a timer may fire or the node may fail.
-        So, like a drain, they do not run ahead of the clock: asked to
-        dequeue at a ``free_at`` still to come, the subtask stays busy
-        and a ``BEGIN`` brings it back at that instant.
-        """
+        """Evented: consume the barriers and aligned-channel data at the
+        head of the queue, at zero cost; True if a servable tuple is
+        left there. Between a ``DONE`` and the end of its overhead a
+        node may fail, so, like a drain, this waits for the clock: asked
+        to dequeue at a ``free_at`` still to come, the subtask stays
+        busy and a ``BEGIN`` brings it back at that instant."""
         if now > self._k.now:
             runtime.busy = True
             runtime.free_at = 0.0
@@ -2174,7 +2235,7 @@ class StreamEngine:
             entry = queue[head]
             if entry[0].__class__ is _Barrier:
                 runtime.queue_head = head = head + 1
-                self._ft_barrier_dequeued(runtime, entry[0], entry[1])
+                self._ft_barrier_dequeued(runtime, entry[0], entry[1], now)
             elif (
                 runtime.ft_ckpt is not None
                 and entry[1] in runtime.ft_aligned
@@ -2185,14 +2246,17 @@ class StreamEngine:
                 return True
         return False
 
-    def _ft_barrier_dequeued(
-        self, runtime: _SubtaskRuntime, barrier: _Barrier, chan: int
-    ) -> None:
+    def _ft_barrier_dequeued(self, runtime, barrier, chan, now) -> None:
+        """The subtask dequeues ``barrier`` from ``chan`` at ``now``: the
+        clock on the evented step, ahead of it on the computed one —
+        which first runs the ticks due by then (evented, they popped)."""
+        while runtime.tick < now:
+            self._fire(runtime)
         if runtime.ft_ckpt is None:
             runtime.ft_ckpt = barrier.ckpt_id
-            runtime.ft_aligned = set()
+            runtime.ft_aligned = {}
             runtime.ft_buffer = []
-        runtime.ft_aligned.add(chan)
+        runtime.ft_aligned[chan] = now
         if len(runtime.ft_aligned) < self._ft_expected[runtime.gid]:
             return
         # Aligned on every input channel: snapshot, forward, acknowledge
@@ -2203,11 +2267,14 @@ class StreamEngine:
             if runtime.is_source:
                 # Everything still queued behind the barrier was
                 # generated (or replayed) after it, so the replay
-                # offset is the log cursor minus that backlog.
+                # offset is the log cursor minus that backlog; a
+                # computed source has completed exactly the arrivals
+                # before the trigger.
+                backlog = len(runtime.queue) - runtime.queue_head
                 record.source_offsets[runtime.gid] = (
-                    runtime.ft_base
-                    + runtime.ft_head
-                    - (len(runtime.queue) - runtime.queue_head)
+                    runtime.emitted
+                    if self._computed
+                    else runtime.ft_base + runtime.ft_head - backlog
                 )
             elif not runtime.is_sink:
                 store.add_snapshot(
@@ -2215,15 +2282,19 @@ class StreamEngine:
                 )
             if not runtime.is_sink:
                 record.emit_seqs[runtime.gid] = runtime.ft_emit_seq
-                self._ft_forward_barrier(runtime, barrier)
+                self._ft_forward_barrier(runtime, barrier, now)
+            if now > self._ft_acked:
+                self._ft_acked = now
             self._ft_pending -= 1
             if self._ft_pending == 0:
-                completed = store.complete(self._k.now)
+                completed = store.complete(self._ft_acked)
                 # Log retention: a recovery restarts from the newest
                 # completed checkpoint, so nothing before its offset
                 # is ever replayed again.
                 for gid, offset in completed.source_offsets.items():
                     source = self._runtimes[gid]
+                    if source.ft_log is None:
+                        continue
                     cut = offset - source.ft_base
                     del source.ft_log[:cut]
                     source.ft_base = offset
@@ -2231,22 +2302,28 @@ class StreamEngine:
                 if self._obs is not None:
                     self._obs.on_checkpoint(self, completed)
         # Release input buffered during alignment, ahead of the rest.
+        runtime.ft_ckpt = None
+        if self._computed:
+            if now > self._k.now and self._ft_expected[runtime.gid] > 1:
+                # Until ``now`` deliveries still divert or queue.
+                self._push(now, _BEGIN, runtime.gid, None, 0)
+            else:
+                self._ft_release(runtime.gid)
+            return
         buffer = runtime.ft_buffer
         if buffer:
             queue = runtime.queue
             head = runtime.queue_head
             queue[head:head] = buffer
-        runtime.ft_ckpt = None
         runtime.ft_aligned = None
         runtime.ft_buffer = None
 
     def _ft_forward_barrier(
-        self, runtime: _SubtaskRuntime, barrier: _Barrier
+        self, runtime: _SubtaskRuntime, barrier: _Barrier, now: float
     ) -> None:
-        """Send the barrier down every outgoing channel, FIFO-clamped
-        like the data :meth:`_route` sends."""
+        """Send the barrier down every outgoing channel at ``now``,
+        FIFO-clamped like the data :meth:`_route` sends."""
         k = self._k
-        now = k.now
         heap = k.heap
         seq = runtime.seq
         clocks = self._ft_clocks

@@ -6,12 +6,18 @@ paths), ``delete_many``, and optional JSON-lines persistence per
 collection. Enough surface to play MongoDB's role in the PDSP-Bench
 workflow: persisting workload runs and serving them back as ML training
 corpora.
+
+A crash mid-append can leave a torn, unterminated last line: loading
+drops it with a warning, so the collection stays readable, while a
+corrupt line that ends in a newline is an error. A complete last line
+without its newline gets one before the next append.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from collections.abc import Callable, Iterable
 from typing import Any
 
@@ -66,32 +72,55 @@ class Collection:
         self._path = path
         self._docs: list[dict] = []
         self._next_id = 1
+        #: the file's last line has no newline: the next append adds one
+        self._unterminated = False
         if path and os.path.exists(path):
             self._load()
 
     # ----------------------------------------------------------- persistence
 
     def _load(self) -> None:
-        with open(self._path, encoding="utf-8") as handle:
+        loaded = 0
+        with open(self._path, "rb") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
+                terminated = line.endswith(b"\n")
                 try:
-                    document = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise StorageError(
-                        f"corrupt document in {self._path}: {exc}"
-                    ) from exc
-                self._docs.append(document)
-                self._next_id = max(
-                    self._next_id, int(document.get("_id", 0)) + 1
-                )
+                    self._load_line(line)
+                except StorageError:
+                    if terminated:
+                        raise
+                    # Only the last line can lack its newline: an append
+                    # the process died in. Nothing acknowledged it.
+                    warnings.warn(
+                        f"{self._path}: dropping a torn last line "
+                        f"({len(line)} bytes)",
+                        RuntimeWarning,
+                        stacklevel=4,
+                    )
+                    os.truncate(self._path, loaded)
+                    return
+                self._unterminated = not terminated
+                loaded += len(line)
+
+    def _load_line(self, line: bytes) -> None:
+        if not line.strip():
+            return
+        try:
+            document = json.loads(line)
+        except ValueError as exc:
+            raise StorageError(
+                f"corrupt document in {self._path}: {exc}"
+            ) from exc
+        self._docs.append(document)
+        self._next_id = max(self._next_id, int(document.get("_id", 0)) + 1)
 
     def _append_to_disk(self, documents: Iterable[dict]) -> None:
         if not self._path:
             return
         with open(self._path, "a", encoding="utf-8") as handle:
+            if self._unterminated:
+                handle.write("\n")
+                self._unterminated = False
             for document in documents:
                 handle.write(json.dumps(document, sort_keys=True) + "\n")
 
@@ -103,6 +132,7 @@ class Collection:
             for document in self._docs:
                 handle.write(json.dumps(document, sort_keys=True) + "\n")
         os.replace(tmp, self._path)
+        self._unterminated = False
 
     # ------------------------------------------------------------- mutation
 

@@ -19,7 +19,11 @@ runs evented. Held here:
    but the quiescence event;
 4. *flush instant* — the run ends, and open windows flush, where the
    last ``DONE`` would have popped;
-5. *eligibility* — which runs compute, one row per excluding feature.
+5. *eligibility* — which runs compute, one row per excluding feature;
+6. *checkpoints* — failure-free checkpointed plans agree on everything
+   above plus the sink values and the checkpoint log, across skipped
+   triggers, alignment buffers and a tick that falls between a
+   barrier's delivery and its dequeue instant.
 
 Mutations, each run against this file and against the five
 ``apps-scalar`` jobs of ``benchmarks/suite`` at seed 3 when the step
@@ -30,7 +34,12 @@ from its completion there); here 16 tests fail — four applications
 Quiescing at the last pop instead of at the latest completion moves all
 five jobs; here every differential and the flush instant fail (83).
 Firing a tick that lands on a completion always, or never, ahead of it
-fails the tick ties.
+fails the tick ties. Of the barrier rules: completing a checkpoint at
+the last ack decided instead of the latest ack instant fails
+``two-sinks``; snapshotting before the ticks due by the dequeue instant
+fails ``tick-in-window``; not cutting a source's arrival block at a
+trigger fails every checkpointed case here and every failure-free
+golden of ``tests/test_ft_step.py``.
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ import repro.apps as apps
 import repro.sps.engine as engine_module
 from repro.cluster import NetworkSpec, homogeneous_cluster
 from repro.common.rng import RngFactory
+from repro.core import perf
+from repro.core.experiments.exp5 import ft_workload_plan
 from repro.core.runner import BenchmarkRunner, RunnerConfig
 from repro.obs import EngineObserver
 from repro.sps import builders
@@ -94,12 +105,12 @@ def without_depths(simulation):
     return metrics, sinks, [counter[:4] for counter in counters]
 
 
-def both_steps(build, seed=3, cluster=CLUSTER, **config):
+def both_steps(build, seed=3, cluster=CLUSTER, engine=StreamEngine, **config):
     """Run ``build()``'s plan computed and evented; the two engines."""
     engines = []
     for observer in (None, quiet_observer()):
         engines.append(
-            StreamEngine(
+            engine(
                 build(),
                 cluster,
                 config=SimulationConfig(**{**CONFIG, **config}),
@@ -550,7 +561,6 @@ def test_every_generated_structure_is_computed_by_default(structure):
     "feature",
     [
         dict(backpressure_queue_limit=64),
-        dict(checkpoint_interval=0.25),
         dict(rescales=(RescaleEvent(0.1, "agg", 3),)),
         dict(autoscale="reactive:high=4,low=0.5,cooldown=0.3,max=6"),
         dict(scenario="spike"),
@@ -562,6 +572,13 @@ def test_every_generated_structure_is_computed_by_default(structure):
 )
 def test_each_excluding_feature_alone_keeps_the_evented_step(feature):
     assert begun(kv_plan(), **feature).step == "evented"
+
+
+def test_a_checkpointed_run_is_computed_until_it_can_fail():
+    ckpt = dict(checkpoint_interval=0.25)
+    assert begun(kv_plan(), **ckpt).step == "computed"
+    failing = begun(kv_plan(), scenario="failure:at=0.3,duration=0.1", **ckpt)
+    assert failing.step == "evented"
 
 
 def test_a_sharded_run_is_evented_and_a_batch_run_is_neither():
@@ -576,3 +593,194 @@ def test_a_sharded_run_is_evented_and_a_batch_run_is_neither():
         assert engine.run().results > 0
         steps.append(engine.step)
     assert steps == ["computed", "evented", None]
+
+
+# ------------------------------------------------------------ 6. checkpoints
+
+
+class Checkpointed(StreamEngine):
+    """Counts what the computed step's barrier rules act on: ticks a
+    barrier runs ahead of the clock, tuples an alignment held, and
+    checkpoints whose last ack is not their latest."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ticks_ahead = self.held = self.late_acks = 0
+
+    def _ft_barrier_dequeued(self, runtime, barrier, chan, now):
+        self.ticks_ahead += runtime.tick < now
+        active = self._ft_store.active
+        super()._ft_barrier_dequeued(runtime, barrier, chan, now)
+        if active is not None and self._ft_store.active is None:
+            self.late_acks += now < self._ft_acked
+
+    def _ft_release(self, gid, payload=None, port=0):
+        self.held += len(self._runtimes[gid].ft_buffer)
+        super()._ft_release(gid, payload, port)
+
+
+def join_plan(rate, keys, duration, slide, parallelism=2):
+    """Two sources → sliding-window join → sink: a join subtask aligns
+    four channels, and every probe's matches pay sender overhead."""
+    plan = LogicalPlan("join")
+    for side in ("lhs", "rhs"):
+        plan.add_operator(
+            builders.source(
+                side,
+                kv_generator(keys),
+                SCHEMA,
+                event_rate=rate,
+                parallelism=parallelism,
+            )
+        )
+    plan.add_operator(
+        builders.window_join(
+            "join",
+            SlidingTimeWindows(duration, slide),
+            left_key_field=0,
+            right_key_field=0,
+            parallelism=parallelism,
+        )
+    )
+    plan.add_operator(builders.sink("sink"))
+    plan.connect("lhs", "join", port=0)
+    plan.connect("rhs", "join", port=1)
+    plan.connect("join", "sink")
+    return plan
+
+
+def checkpoint_log(engine):
+    """Every completed checkpoint, its snapshots aside."""
+    return [
+        {k: v for k, v in vars(record).items() if k != "snapshots"}
+        for record in engine._ft_store.completed
+    ]
+
+
+def two_sinks_plan():
+    """Two sources → hash → two slow sink subtasks: the sink subtask
+    that acks a checkpoint last is often not the one that acks latest."""
+    plan = LogicalPlan("two-sinks")
+    plan.add_operator(
+        builders.source(
+            "src", kv_generator(3), SCHEMA, event_rate=40_000.0, parallelism=2
+        )
+    )
+    plan.add_operator(builders.sink("sink", parallelism=2))
+    plan.operator("sink").cost = OperatorCost(4e-5, cost_noise=0.3)
+    plan.connect("src", "sink", hashed())
+    return plan
+
+
+#: plan, cluster, config, seed: failure-free checkpointed runs
+CHECKPOINTED = {
+    "hotpath": (
+        perf.hotpath_plan,
+        CLUSTER,
+        dict(max_tuples_per_source=3000, checkpoint_interval=0.05),
+        3,
+    ),
+    "hotpath-loaded": (
+        # Overloaded: barriers wait out a backlog longer than the
+        # interval, so triggers find the last checkpoint still aligning.
+        lambda: perf.hotpath_plan(parallelism=2, event_rate=800_000.0),
+        CLUSTER,
+        dict(max_tuples_per_source=6000, checkpoint_interval=0.001),
+        11,
+    ),
+    "exp5": (
+        ft_workload_plan,
+        homogeneous_cluster(num_nodes=4),
+        dict(
+            max_tuples_per_source=300,
+            warmup_fraction=0.0,
+            checkpoint_interval=0.05,
+        ),
+        3,
+    ),
+    "join8": (
+        lambda: perf.join8_plan(parallelism=2),
+        CLUSTER,
+        dict(max_tuples_per_source=1500, checkpoint_interval=0.003),
+        3,
+    ),
+    "two-sinks": (
+        two_sinks_plan,
+        CLUSTER,
+        dict(max_tuples_per_source=1000, checkpoint_interval=0.002),
+        3,
+    ),
+    "tick-in-window": (
+        lambda: join_plan(2000.0, 2, 0.02, 0.005),
+        CLUSTER,
+        dict(max_tuples_per_source=400, checkpoint_interval=0.0005),
+        11,
+    ),
+}
+
+
+#: the computed barrier rule a case exercises, by the counter it moves
+SHOWS = {
+    "hotpath-loaded": "skipped",
+    "join8": "held",
+    "two-sinks": "late_acks",
+    "tick-in-window": "ticks_ahead",
+}
+
+
+@pytest.mark.parametrize("case", CHECKPOINTED)
+def test_checkpointed_plans_simulate_the_same_on_both_steps(case):
+    build, cluster, config, seed = CHECKPOINTED[case]
+    computed, evented = both_steps(
+        build,
+        seed=seed,
+        cluster=cluster,
+        engine=Checkpointed,
+        keep_sink_values=True,
+        **{**CONFIG, "max_sim_time": 8.0, **config},
+    )
+    fewer, events = assert_same_simulation(computed, evented)
+    assert fewer < 0.6 * events
+    sinks = [sink.results for sink in computed._sinks]
+    assert sinks == [sink.results for sink in evented._sinks]
+    assert sum(len(values) for values in sinks) > 30
+    log = checkpoint_log(computed)
+    assert log == checkpoint_log(evented) and len(log) > 1
+    skipped = computed._ft_store.skipped
+    assert skipped == evented._ft_store.skipped
+    # What the case is here for.
+    shown = {
+        "skipped": skipped,
+        "held": computed.held,
+        "ticks_ahead": computed.ticks_ahead,
+        "late_acks": computed.late_acks,
+    }
+    assert shown[SHOWS.get(case, "skipped")] > 0 or case not in SHOWS
+
+
+def test_a_delivery_landing_on_a_barriers_dequeue():
+    """The handover tie, for a barrier: on the noise-free grid a delivery
+    lands on the instant a queued barrier is dequeued. It pops first,
+    and the evented step still counts the barrier as queued; the
+    computed step, whose barrier leaves the queue at that instant, does
+    not. Depths differ by one there; everything else agrees, the
+    checkpoint log included."""
+    gap, costs, interval = TICK_TIES[
+        "saturated stage, a tick on every completion"
+    ]
+    computed, evented = both_steps(
+        tandem(costs, hashed, interval, gap=gap),
+        cluster=ONE_NODE,
+        max_tuples_per_source=41,
+        warmup_fraction=0.0,
+        keep_sink_values=True,
+        checkpoint_interval=2.0**-10,
+    )
+    got, _ = simulated(computed)
+    want, _ = simulated(evented)
+    assert (computed.step, evented.step) == ("computed", "evented")
+    assert without_depths(got) == without_depths(want)
+    assert len(got[0]["extras"]["ft"]["log"]) > 1
+    peaks, peaks_e = (sim[0]["operator_queue_peak"] for sim in (got, want))
+    assert peaks_e.pop("stage0") - peaks.pop("stage0") == 1
+    assert peaks == peaks_e

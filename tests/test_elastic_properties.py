@@ -10,18 +10,31 @@ degrees and reconfiguration times:
   totals match the fixed run, and the window counts sum to the exact
   number of tuples emitted (conservation), including across *multiple*
   generations of rescaling.
+
+And the two spec parsers the runtime reads its control plane from refuse
+whatever is not a finite, validated number.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import homogeneous_cluster
+from repro.common.errors import ConfigurationError
 from repro.common.rng import RngFactory
 from repro.core.experiments.exp4 import elastic_workload_plan
+from repro.elastic.policy import ReactiveQueuePolicy, make_policy
+from repro.elastic.scenarios import (
+    LoadSpike,
+    NodeFailure,
+    Straggler,
+    make_scenario,
+)
 from repro.sps import builders
 from repro.sps.engine import RescaleEvent, SimulationConfig, StreamEngine
 from repro.sps.operators.sink import SinkLogic
@@ -168,3 +181,105 @@ class TestKeyedStatePreservation:
         )
         assert sum(c for _, c in values) == metrics.source_events
         assert metrics.source_events == _TUPLES
+
+
+# ------------------------------------------------------------ spec parsers
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 10).map(str),
+    st.sampled_from(["nan", "-inf", "inf", "1e400", "", "soon", "0x10"]),
+)
+
+
+def _spec(names, keys):
+    """``name:key=value,...`` strings near the grammar, and off it."""
+    pair = st.tuples(st.sampled_from(keys), _NUMBERS).map("=".join)
+    part = st.tuples(
+        st.sampled_from(names), st.lists(pair, max_size=4).map(",".join)
+    ).map(":".join)
+    return st.one_of(st.text(max_size=30), part)
+
+
+def _assert_finite(obj):
+    for name, value in vars(obj).items():
+        if isinstance(value, float):
+            assert math.isfinite(value), (name, value)
+
+
+class TestSpecParsers:
+    """Every spec string either parses to finite, validated values or
+    raises ``ConfigurationError``: NaN passes every ordered comparison,
+    so an unchecked ``at=nan`` would order the event heap arbitrarily."""
+
+    @given(
+        specs=st.lists(
+            _spec(
+                ["failure", "spike", "straggler", "netdeg", "meteor"],
+                [
+                    "at",
+                    "duration",
+                    "factor",
+                    "node",
+                    "subtask",
+                    "op",
+                    "latency_factor",
+                    "bandwidth_factor",
+                ],
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scenario_specs(self, specs):
+        try:
+            scenario = make_scenario("+".join(specs))
+        except ConfigurationError:
+            return
+        for injection in scenario.injections:
+            _assert_finite(injection)
+            assert injection.at >= 0 and injection.duration > 0
+            if isinstance(injection, (LoadSpike, Straggler)):
+                assert injection.factor > 1
+            if isinstance(injection, NodeFailure):
+                assert injection.node is None or injection.node >= 0
+
+    @given(
+        spec=_spec(
+            ["reactive", "predictive", "none", "magic"],
+            ["high", "low", "step", "cooldown", "min", "max", "util"],
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_policy_specs(self, spec):
+        try:
+            policy = make_policy(spec)
+        except ConfigurationError:
+            return
+        _assert_finite(policy)
+        cooldown = getattr(policy, "cooldown", 0.0)
+        assert cooldown >= 0
+        if isinstance(policy, ReactiveQueuePolicy):
+            assert policy.high > policy.low
+
+    def test_nan_is_refused_everywhere(self):
+        for spec in ("spike:at=nan", "failure:at=nan", "straggler:factor=inf"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                make_scenario(spec)
+            with pytest.raises(ConfigurationError, match="finite"):
+                SimulationConfig(scenario=spec)
+        for spec in ("reactive:high=nan", "predictive:cooldown=nan"):
+            with pytest.raises(ConfigurationError, match="finite"):
+                make_policy(spec)
+        with pytest.raises(ConfigurationError, match="cooldown"):
+            make_policy("reactive:cooldown=-1")
+        for knob in (
+            "max_sim_time",
+            "autoscale_interval",
+            "slo_latency",
+            "checkpoint_interval",
+        ):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ConfigurationError, match=knob):
+                    SimulationConfig(**{knob: value})

@@ -1,19 +1,21 @@
-"""Checkpointed runs on the plain step (DESIGN.md §13).
+"""Checkpointed runs on the plain steps (DESIGN.md §13, §14).
 
-A checkpointed run executes the engine's one enqueue → serve → route
-step: barriers are a queue-item kind, deliveries carry a dense channel
-id where a plain run carries the port, and a ``DONE`` that paid sender
-overhead starts the next service itself. None of that may move a
+A checkpointed run executes the engine's plain step: a failure-free one
+the computed step, whose barriers are decided when they are delivered,
+as of their dequeue instant; one with a scenario (and so recovery), an
+observer or ``sanitize`` the evented enqueue → serve → route step,
+where barriers are a queue-item kind. Deliveries carry a dense channel
+id where a plain run carries the port. None of that may move a
 simulated number. Pinned here:
 
-- goldens recorded at the parent commit (the ``_ft_*`` twin step, one
-  ``BEGIN`` per overhead-paying ``DONE``): ``RunMetrics.to_dict()``
-  minus the event counter holds bit for bit, and the new event counts
-  are pinned beside it;
+- goldens recorded before either step carried checkpoints (the ``_ft_*``
+  twin step, one ``BEGIN`` per overhead-paying ``DONE``):
+  ``RunMetrics.to_dict()`` minus the event counter holds bit for bit,
+  and the event counts are pinned beside it;
 - the Lindley oracle of ``tests/test_universe.py`` extended to
-  barriers: a barrier triggered or delivered inside a ``free_at``
-  window is dequeued at ``free_at``, and every counter equals the
-  ``BEGIN``-event engine's;
+  barriers, on both steps: a barrier triggered or delivered inside a
+  ``free_at`` window is dequeued at ``free_at``, and every counter
+  equals the ``BEGIN``-event engine's;
 - per-channel FIFO on delivery order: a small late tuple never
   overtakes a large early one, a barrier never overtakes data;
 - the source log is bounded by one checkpoint interval;
@@ -145,21 +147,23 @@ def simulated(metrics):
     return _sha(record), events
 
 
-#: ``{case: {seed: (digest, events)}}``. The digests are the parent
-#: commit's; the event counts are this step's, the parent's beside them
-#: (what one ``BEGIN`` per overhead-paying ``DONE`` cost).
+#: ``{case: {seed: (digest, events)}}``. The digests are the ``_ft_*``
+#: twin step's. The three failure-free cases run computed: their event
+#: counts are that step's, the evented step's beside them (the twin
+#: step's, one ``BEGIN`` per overhead-paying ``DONE`` more, in
+#: DESIGN.md §13). The recovering cases run evented.
 GOLDEN = {
     "hotpath-ckpt": {
-        3: ("e7f996fdbb1338fa", 22722),  # 24771
-        11: ("22e6bdc8aa77f6ee", 22548),  # 24540
+        3: ("e7f996fdbb1338fa", 7858),  # 22722
+        11: ("22e6bdc8aa77f6ee", 7770),  # 22548
     },
     "hotpath-loaded": {
-        3: ("e603f400be7c9e7a", 30126),  # 33068
-        11: ("b4790c8b269f2216", 30118),  # 33059
+        3: ("e603f400be7c9e7a", 9331),  # 30126
+        11: ("b4790c8b269f2216", 9326),  # 30118
     },
     "exp5-failure-free": {
-        3: ("d9e7ccd3db8c779f", 1287),  # 1613
-        11: ("0461935b65c32b7d", 1286),  # 1612
+        3: ("d9e7ccd3db8c779f", 366),  # 1287
+        11: ("0461935b65c32b7d", 365),  # 1286
     },
     "exp5-exactly-once": {
         3: ("cabfc8c0b72969a1", 1798),  # 2286
@@ -179,7 +183,10 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_simulated_numbers_are_the_parents(case, seed):
-    assert simulated(CASES[case](seed).run()) == GOLDEN[case][seed]
+    engine = CASES[case](seed)
+    assert simulated(engine.run()) == GOLDEN[case][seed]
+    recovers = "failure" in str(engine.config.scenario)
+    assert engine.step == ("evented" if recovers else "computed")
 
 
 # ----------------------------------------------------------- hook sequence
@@ -252,30 +259,43 @@ def test_observers_see_the_parents_hook_sequence(sanitize):
 
 
 class Recording(StreamEngine):
-    """Notes the instant every subtask dequeues every barrier, and
-    counts the ``BEGIN`` events."""
+    """Notes the instant every subtask dequeues every barrier — the one
+    the step passes in, which on the computed step is ahead of the
+    clock — and counts the ``BEGIN`` events."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.dequeues = []
         self.begins = 0
 
-    def _ft_barrier_dequeued(self, runtime, barrier, chan):
-        self.dequeues.append((barrier.ckpt_id, runtime.op_id, self._k.now))
-        super()._ft_barrier_dequeued(runtime, barrier, chan)
+    def _ft_barrier_dequeued(self, runtime, barrier, chan, now):
+        self.dequeues.append((barrier.ckpt_id, runtime.op_id, now))
+        super()._ft_barrier_dequeued(runtime, barrier, chan, now)
 
-    def _begin_service(self, gid, payload, port):
-        self.begins += 1
-        super()._begin_service(gid, payload, port)
+    def _make_handlers(self):
+        handlers = super()._make_handlers()
+        begin = handlers[engine_module._BEGIN]
+
+        def counted(gid, payload, port):
+            self.begins += 1
+            begin(gid, payload, port)
+
+        handlers[engine_module._BEGIN] = counted
+        return handlers
 
 
 class BeginEvents(Recording):
     """The reference: sender overhead ends in a ``BEGIN`` event, always
-    — the step checkpointed runs had before they were fused."""
+    — the evented step checkpointed runs had before it was fused."""
 
     def _begin_run(self, kernel, owned=None):
         super()._begin_run(kernel, owned)
         self._fused = False
+
+
+def quiet():
+    """An observer that records nothing: the run executes evented."""
+    return EngineObserver(sample_interval=1e9, serve_spans=False)
 
 
 def births():
@@ -304,18 +324,30 @@ def barrier_oracle(engine, trigger):
 
 @pytest.mark.parametrize("stages", [1, 2])
 def test_a_barrier_inside_a_free_at_window_waits_for_free_at(stages):
+    for step in ("computed", "evented"):
+        barriers_wait_for_free_at(stages, step)
+
+
+def barriers_wait_for_free_at(stages, step):
     # The source serves a tuple for 1 us and pays 1.45 us of sender
     # overhead, every 5 us: the first trigger lands 0.7 us into the
     # overhead of tuple 9, later ones in service, in overhead and idle.
     interval = births()[9] + 1.7e-6
     engine = tandem_engine(
-        stages, engine=Recording, checkpoint_interval=interval
+        stages,
+        observer=quiet() if step == "evented" else None,
+        engine=Recording,
+        checkpoint_interval=interval,
     )
     metrics = engine.run()
     reference = tandem_engine(
-        stages, engine=BeginEvents, checkpoint_interval=interval
+        stages,
+        observer=quiet(),
+        engine=BeginEvents,
+        checkpoint_interval=interval,
     )
     begin_metrics = reference.run()
+    assert (engine.step, reference.step) == (step, "evented")
 
     records = engine._ft_store.completed
     assert len(records) >= 5
@@ -353,16 +385,19 @@ def test_a_barrier_inside_a_free_at_window_waits_for_free_at(stages):
             ref.queue_peak,
         ), rt.op_id
     assert simulated(metrics)[0] == simulated(begin_metrics)[0]
-    # ... through one BEGIN per overhead-paying DONE; here only a
-    # barrier met inside a window costs one.
+    # ... through one BEGIN per overhead-paying DONE; evented, only a
+    # barrier met inside a window costs one, and computed none does.
     hops = stages + 1
     assert reference.begins == TUPLES * hops
-    assert 0 < engine.begins <= len(engine.dequeues)
-    assert (
-        begin_metrics.extras["events_processed"]
-        - metrics.extras["events_processed"]
-        == reference.begins - engine.begins
-    )
+    if step == "evented":
+        assert 0 < engine.begins <= len(engine.dequeues)
+        assert (
+            begin_metrics.extras["events_processed"]
+            - metrics.extras["events_processed"]
+            == reference.begins - engine.begins
+        )
+    else:
+        assert engine.begins == 0
     # And barriers cost the data nothing: the plain oracle still holds.
     counters, latencies, _ = oracle(engine)
     assert engine._sinks[0].latencies == latencies

@@ -120,6 +120,42 @@ class TestPersistence:
         with pytest.raises(StorageError, match="corrupt"):
             store["bad"]
 
+    def test_a_complete_last_line_without_newline_is_terminated(
+        self, tmp_path
+    ):
+        directory = tmp_path / "db"
+        directory.mkdir()
+        path = directory / "c.jsonl"
+        path.write_text('{"_id": 1, "x": 1}\n{"_id": 2, "x": 2}')
+        DocumentStore(str(directory))["c"].insert_one({"x": 3})
+        assert path.read_text().splitlines()[1:] == [
+            '{"_id": 2, "x": 2}',
+            '{"_id": 3, "x": 3}',
+        ]
+        reopened = DocumentStore(str(directory))["c"]
+        assert [d["x"] for d in reopened.find(sort_by="_id")] == [1, 2, 3]
+
+    def test_a_torn_last_line_is_dropped_loudly(self, tmp_path):
+        directory = tmp_path / "db"
+        directory.mkdir()
+        path = directory / "c.jsonl"
+        torn = '{"_id": 2, "x":'
+        path.write_text('{"_id": 1, "x": 1}\n' + torn)
+        with pytest.warns(RuntimeWarning, match=f"{len(torn)} bytes"):
+            collection = DocumentStore(str(directory))["c"]
+        assert collection.count() == 1
+        collection.insert_one({"x": 3})
+        reopened = DocumentStore(str(directory))["c"]
+        assert [d["_id"] for d in reopened.find(sort_by="_id")] == [1, 2]
+        assert [d["x"] for d in reopened.find(sort_by="_id")] == [1, 3]
+
+    def test_a_bad_line_that_ends_in_a_newline_still_raises(self, tmp_path):
+        directory = tmp_path / "db"
+        directory.mkdir()
+        (directory / "c.jsonl").write_text('{"_id": 1}\n{"_id": 2,\n')
+        with pytest.raises(StorageError, match="corrupt"):
+            DocumentStore(str(directory))["c"]
+
     def test_list_collections_includes_disk(self, tmp_path):
         directory = str(tmp_path / "db")
         DocumentStore(directory)["alpha"].insert_one({"x": 1})
