@@ -10,8 +10,8 @@ accounting from ``extras["ft"]``: how many checkpoints completed, the
 snapshotted state size and the mean barrier round-trip.  Shorter
 intervals mean more barrier traffic, more snapshots and more alignment
 stalls, so throughput decays as the interval shrinks; this sweep makes
-that control-plane cost visible (the regression gate pins one point of
-it via the ``hotpath-ckpt`` workload in ``BENCH_engine.json``).
+that control-plane cost visible (``benchmarks/suite`` times one point of
+it as the ``ft-elastic`` workload's ``hotpath-ckpt`` job).
 
     python benchmarks/bench_ft_overhead.py [--quick]
 """
@@ -27,8 +27,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.cluster import homogeneous_cluster  # noqa: E402
 from repro.common.rng import RngFactory  # noqa: E402
-from repro.core.perf import _BENCH_SEED, hotpath_plan  # noqa: E402
+from repro.core.perf import hotpath_plan  # noqa: E402
 from repro.sps.engine import SimulationConfig, StreamEngine  # noqa: E402
+
+SEED = 17
 
 #: Checkpoint intervals swept, seconds; ``None`` is the FT-off baseline.
 INTERVALS: tuple[float | None, ...] = (None, 1.0, 0.5, 0.25, 0.1, 0.05)
@@ -53,7 +55,7 @@ def run_ft_overhead_sweep(quick: bool = False) -> list[dict]:
                 hotpath_plan(),
                 cluster,
                 config=sim,
-                rng_factory=RngFactory(_BENCH_SEED),
+                rng_factory=RngFactory(SEED),
             )
             start = time.perf_counter()
             metrics = engine.run()

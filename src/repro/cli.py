@@ -28,7 +28,7 @@ import argparse
 import sys
 
 from repro.cluster import heterogeneous_cluster, homogeneous_cluster
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.core.controller import PDSPBench
 from repro.core.runner import BenchmarkRunner, RunnerConfig
 from repro.core.throughput import sustainable_throughput
@@ -193,43 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     _add_common(experiment)
-
-    bench = commands.add_parser(
-        "bench",
-        help="engine performance benchmark (events/sec on fixed seeds)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="small budgets for CI smoke runs",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="fail if throughput regressed vs the committed "
-        "BENCH_engine.json",
-    )
-    bench.add_argument(
-        "--write", action="store_true",
-        help="record the measured numbers in BENCH_engine.json",
-    )
-    bench.add_argument(
-        "--report", default="BENCH_engine.json",
-        help="path of the benchmark report file",
-    )
-    bench.add_argument(
-        "--no-sweep", action="store_true",
-        help="skip the parallel-sweep wall-clock measurement",
-    )
-    bench.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-workload wall-clock guard in seconds; a workload "
-        "exceeding it fails the bench with its name",
-    )
-    bench.add_argument(
-        "--shard-identity", type=int, default=None, metavar="K",
-        help="instead of benchmarking, verify that K-shard execution "
-        "(in-process and forked) is bit-identical to the serial run "
-        "and exit non-zero on any divergence",
-    )
 
     exp4 = commands.add_parser(
         "exp4",
@@ -1207,8 +1170,22 @@ def _cmd_sanitize(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """Entry point; returns a process exit code.
+
+    A value the library refuses (:class:`ReproError`) is a usage error
+    like a malformed argument: one ``repro: error:`` line on stderr and
+    exit status 2, as argparse reports its own, not a traceback.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list-apps":
         return _cmd_list_apps()
     if args.command == "run-app":
@@ -1227,30 +1204,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_exp4(args)
     if args.command == "exp5":
         return _cmd_exp5(args)
-    if args.command == "bench":
-        from repro.core.perf import run_bench, run_shard_identity
-
-        if args.shard_identity is not None:
-            failures = run_shard_identity(
-                args.shard_identity, quick=args.quick
-            )
-            if failures:
-                for message in failures:
-                    print(f"SHARD IDENTITY FAILED: {message}")
-                return 1
-            print(
-                f"shard identity ok: shards={args.shard_identity} "
-                "(inline and forked) bit-identical to the serial run"
-            )
-            return 0
-        return run_bench(
-            quick=args.quick,
-            check=args.check,
-            write=args.write,
-            report_path=args.report,
-            with_sweep=not args.no_sweep,
-            timeout=args.timeout,
-        )
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "tables":

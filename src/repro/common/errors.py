@@ -3,8 +3,12 @@
 All library errors derive from :class:`ReproError` so callers can catch one
 base type. Subclasses mark which subsystem rejected the input, mirroring the
 components of the paper (workload generation, placement, simulation, ML
-training, storage).
+training, storage). :func:`check_time` and :func:`check_count` refuse the
+non-finite and non-integral knob values the configs share.
 """
+
+import math
+import numbers
 
 
 class ReproError(Exception):
@@ -23,6 +27,28 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """An invalid user-supplied configuration value."""
+
+
+def check_time(name: str, value, instant: bool = False) -> None:
+    """Refuse a duration that is not positive and finite, or an instant
+    (``instant=True``) that is not non-negative and finite.
+
+    NaN passes no ordered comparison, so it fails both bounds here; left
+    through, it orders the event heap arbitrarily.
+    """
+    if not ((value >= 0 if instant else value > 0) and value < math.inf):
+        kind = "non-negative" if instant else "positive"
+        raise ConfigurationError(f"{name} must be {kind}, finite")
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Refuse a count that is not an integer ``>= minimum``.
+
+    A float is refused even when integral: NaN, infinities and fractions
+    otherwise fail far from the knob, or never (an event budget of NaN).
+    """
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}")
 
 
 class PlanError(ReproError):

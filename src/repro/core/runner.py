@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.apps import build_app
 from repro.apps.base import AppQuery
 from repro.cluster.cluster import Cluster
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, check_count, check_time
 from repro.common.rng import RngFactory
 from repro.core.parallel import ParallelRunner
 from repro.sps.capabilities import check, features_of
@@ -109,18 +109,12 @@ class RunnerConfig:
     shards: int | None = None
 
     def __post_init__(self) -> None:
-        if self.repeats < 1:
-            raise ConfigurationError("repeats must be >= 1")
-        if self.checkpoint_ms is not None and self.checkpoint_ms <= 0:
-            raise ConfigurationError("checkpoint_ms must be positive")
-        if self.dilation <= 0:
-            raise ConfigurationError("dilation must be positive")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if self.obs_sample_interval <= 0:
-            raise ConfigurationError(
-                "obs_sample_interval must be positive"
-            )
+        check_count("repeats", self.repeats)
+        check_count("workers", self.workers)
+        if self.checkpoint_ms is not None:
+            check_time("checkpoint_ms", self.checkpoint_ms)
+        check_time("dilation", self.dilation)
+        check_time("obs_sample_interval", self.obs_sample_interval)
         if self.shards is not None and self.workers > 1:
             raise ConfigurationError(
                 "shards and workers > 1 both fork processes; "

@@ -97,7 +97,12 @@ from operator import itemgetter
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import (
+    ConfigurationError,
+    SimulationError,
+    check_count,
+    check_time,
+)
 from repro.common.rng import RngFactory
 from repro.kernel.core import (
     TB_SEQ_BITS,
@@ -215,10 +220,8 @@ class StallInjection:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.at_time < 0 or self.duration <= 0:
-            raise ConfigurationError(
-                "stall needs at_time >= 0 and duration > 0"
-            )
+        check_time("stall at_time", self.at_time, instant=True)
+        check_time("stall duration", self.duration)
 
 
 @dataclass(frozen=True)
@@ -234,10 +237,8 @@ class RescaleEvent:
     parallelism: int
 
     def __post_init__(self) -> None:
-        if self.at_time < 0:
-            raise ConfigurationError("rescale needs at_time >= 0")
-        if self.parallelism < 1:
-            raise ConfigurationError("rescale parallelism must be >= 1")
+        check_time("rescale at_time", self.at_time, instant=True)
+        check_count("rescale parallelism", self.parallelism)
 
 
 @dataclass(frozen=True)
@@ -324,12 +325,9 @@ class SimulationConfig:
     shards: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_tuples_per_source < 1:
-            raise ConfigurationError("max_tuples_per_source must be >= 1")
-        # Durations are positive and finite: ``not 0 < x < inf`` also
-        # refuses NaN, which passes every other ordered comparison.
-        if not 0 < self.max_sim_time < math.inf:
-            raise ConfigurationError("max_sim_time must be positive, finite")
+        check_count("max_tuples_per_source", self.max_tuples_per_source)
+        check_time("max_sim_time", self.max_sim_time)
+        check_count("max_events", self.max_events)
         if self.max_events >= 1 << TB_SEQ_BITS:
             raise ConfigurationError(
                 f"max_events must be < 2**{TB_SEQ_BITS}: a subtask's event "
@@ -337,21 +335,19 @@ class SimulationConfig:
             )
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError("warmup_fraction must be in [0, 1)")
-        if (
-            self.backpressure_queue_limit is not None
-            and self.backpressure_queue_limit < 2
-        ):
-            raise ConfigurationError("backpressure_queue_limit must be >= 2")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
+        counts = (
+            ("backpressure_queue_limit", 2),
+            ("batch_size", 1),
+            ("shards", 1),
+        )
+        for name, minimum in counts:
+            if getattr(self, name) is not None:
+                check_count(name, getattr(self, name), minimum)
         names = ("autoscale_interval", "slo_latency", "checkpoint_interval")
         for name in names:
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigurationError(f"{name} must be positive, finite")
+            if getattr(self, name) is not None:
+                check_time(name, getattr(self, name))
         validate_delivery(self.delivery)
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
         check(features_of(self))
 
 

@@ -31,6 +31,40 @@ class TestParser:
                 ["run-synthetic", "--structure", "octopus_join"]
             )
 
+    def test_bench_is_not_a_command(self):
+        """Speed is judged by ``benchmarks/suite`` alone."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--quick"])
+
+
+class TestUsageErrors:
+    """A value the library refuses reads like a bad argument: one
+    ``repro: error:`` line on stderr and exit status 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dilation", "0"], "dilation must be positive, finite"),
+            (["--dilation", "nan"], "dilation must be positive, finite"),
+            (["--checkpoint-ms", "-1"], "checkpoint_ms must be positive"),
+        ],
+    )
+    def test_configuration_error(self, capsys, flags, message):
+        assert main(["run-app", "--app", "WC", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro: error: {message}")
+        assert captured.err.count("\n") == 1 and not captured.out
+
+    def test_preflight_error(self, capsys):
+        code = main(
+            ["run-app", "--app", "WC", "--parallelism", "500",
+             "--nodes", "1", "--repeats", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: pre-flight analysis rejected")
+        assert "RES401" in err and err.count("\n") == 1
+
 
 class TestCommands:
     def test_list_apps(self, capsys):

@@ -11,8 +11,9 @@ degrees and reconfiguration times:
   number of tuples emitted (conservation), including across *multiple*
   generations of rescaling.
 
-And the two spec parsers the runtime reads its control plane from refuse
-whatever is not a finite, validated number.
+And the two spec parsers the runtime reads its control plane from, and
+every instant, duration and count knob of the configs, refuse whatever
+is not a finite, validated number.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ from repro.elastic.scenarios import (
     make_scenario,
 )
 from repro.sps import builders
-from repro.sps.engine import RescaleEvent, SimulationConfig, StreamEngine
+from repro.core.runner import RunnerConfig
+from repro.sps.engine import (
+    RescaleEvent,
+    SimulationConfig,
+    StallInjection,
+    StreamEngine,
+)
 from repro.sps.operators.sink import SinkLogic
 from repro.sps.partitioning import HashPartitioner, RebalancePartitioner
 from repro.sps.types import DataType, Field, Schema
@@ -283,3 +290,77 @@ class TestSpecParsers:
             for value in (math.nan, math.inf):
                 with pytest.raises(ConfigurationError, match=knob):
                     SimulationConfig(**{knob: value})
+
+
+# ------------------------------------------------------------ config knobs
+
+#: Every instant, duration and count knob: how to build a config with
+#: ``value`` in it, and what the value must be to be accepted — an
+#: instant finite and >= 0, a duration finite and > 0, a count an
+#: integer >= its minimum.
+_KNOBS = {
+    "stall.at_time": (
+        lambda v: StallInjection(v, "agg", 0.05), "instant"
+    ),
+    "stall.duration": (lambda v: StallInjection(0.1, "agg", v), "duration"),
+    "rescale.at_time": (lambda v: RescaleEvent(v, "agg", 2), "instant"),
+    "rescale.parallelism": (lambda v: RescaleEvent(0.1, "agg", v), 1),
+    **{
+        f"sim.{name}": (
+            lambda v, name=name: SimulationConfig(**{name: v}), kind
+        )
+        for name, kind in (
+            ("max_tuples_per_source", 1),
+            ("max_events", 1),
+            ("batch_size", 1),
+            ("shards", 1),
+            ("backpressure_queue_limit", 2),
+            ("max_sim_time", "duration"),
+            ("checkpoint_interval", "duration"),
+        )
+    },
+    **{
+        f"runner.{name}": (
+            lambda v, name=name: RunnerConfig(**{name: v}), kind
+        )
+        for name, kind in (
+            ("repeats", 1),
+            ("workers", 1),
+            ("dilation", "duration"),
+            ("obs_sample_interval", "duration"),
+        )
+    },
+}
+
+
+def _acceptable(kind, value) -> bool:
+    if kind == "instant":
+        return math.isfinite(value) and value >= 0
+    if kind == "duration":
+        return math.isfinite(value) and value > 0
+    return isinstance(value, int) and value >= kind
+
+
+class TestConfigKnobs:
+    """A knob value is accepted exactly when it is acceptable: NaN,
+    infinities and fractions raise ``ConfigurationError`` at
+    construction instead of breaking the heap order, never tripping
+    the event budget or dying later inside the run."""
+
+    @given(
+        knob=st.sampled_from(sorted(_KNOBS)),
+        value=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-3, 8),
+            st.sampled_from([0.0, 1.0, 2.5, -0.0, math.nan, math.inf]),
+        ),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_every_knob_validates_or_raises(self, knob, value):
+        build, kind = _KNOBS[knob]
+        try:
+            build(value)
+        except ConfigurationError:
+            assert not _acceptable(kind, value), (knob, value)
+        else:
+            assert _acceptable(kind, value), (knob, value)

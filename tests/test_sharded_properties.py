@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import homogeneous_cluster
+from repro.cluster.network import NetworkSpec
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngFactory
+from repro.core import perf
 from repro.core.runner import BenchmarkRunner, RunnerConfig
 from repro.kernel import Kernel
 from repro.sps import builders
@@ -83,6 +85,7 @@ def run_sharded(
     force_inline=True,
     tuples=150,
     keep_values=False,
+    network_spec=None,
 ):
     config = SimulationConfig(
         max_tuples_per_source=tuples,
@@ -92,7 +95,7 @@ def run_sharded(
     )
     engine = StreamEngine(
         plan,
-        homogeneous_cluster("m510", nodes),
+        homogeneous_cluster("m510", nodes, network_spec),
         config=config,
         rng_factory=RngFactory(seed),
     )
@@ -188,6 +191,21 @@ class TestForkedTransport:
         inline = signature(*run_sharded(plan, 4, 4, 9, True))
         forked = signature(*run_sharded(plan, 4, 4, 9, False))
         assert forked == inline
+
+    def test_shard_shaped_hotpath(self):
+        """The shape sharding is for: ``hotpath`` at 800k ev/s on a 2 ms
+        cluster, so an epoch holds thousands of events. Two shards,
+        inline and forked, equal one — metrics, sinks and RNG ledger."""
+        plan = perf.hotpath_plan(event_rate=800_000.0)
+        shape = {
+            "tuples": 2000,
+            "network_spec": NetworkSpec(base_latency_s=2e-3),
+        }
+        reference = signature(*run_sharded(plan, 4, 1, 17, **shape))
+        assert reference[0] > 0 and reference[8] > 1  # results, epochs
+        for inline in (True, False):
+            candidate = run_sharded(plan, 4, 2, 17, inline, **shape)
+            assert signature(*candidate) == reference, inline
 
 
 class TestKernelExtractionPins:
