@@ -31,8 +31,8 @@ processes:
 detector only reads: no RNG draws, no heap pushes, no engine-state
 mutation. The engine holds it beside the observer, not around it, and
 calls it at four points: the run's start and end, a rescale, and the
-``DONE`` of a subtask in :attr:`RaceDetector.keyed` — the only event
-it reads.
+completion of a tuple at a subtask in :attr:`RaceDetector.keyed` —
+its only per-tuple read.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class RaceDetector:
         self.findings: list[Diagnostic] = []
         self.rng_ledger: dict[str, str] = {}
         #: gid -> (op_id, key_field or None) of the tracked keyed
-        #: subtasks: the ones whose ``DONE`` the engine reports
+        #: subtasks: the ones whose completions the engine reports
         self.keyed: dict[int, tuple[str, int | None]] = {}
         self._engine = None
         #: op_id -> {key: first-serving subtask index}

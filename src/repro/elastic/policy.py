@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, check_count
 
 __all__ = [
     "OpSnapshot",
@@ -275,7 +275,10 @@ def make_policy(spec: str | AutoscalePolicy) -> AutoscalePolicy:
                     f"policy parameter {key!r} needs a number (finite), "
                     f"got {value!r}"
                 )
-            kwargs[key] = int(parsed) if key in _INT_PARAMS else parsed
+            if key in _INT_PARAMS:
+                parsed = int(parsed) if parsed.is_integer() else parsed
+                check_count(f"policy parameter {key!r}", parsed, 0)
+            kwargs[key] = parsed
     try:
         return cls(**kwargs)
     except TypeError as exc:

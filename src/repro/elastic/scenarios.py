@@ -17,15 +17,18 @@ Injection semantics:
   processing subtask restores the last completed checkpoint and the
   sources replay their durable logs.
 - :class:`LoadSpike` — all sources emit ``factor``× faster for the
-  window, then their exact original gaps are restored.
+  window.
 - :class:`Straggler` — one subtask's service time inflates by
-  ``factor`` (a slow disk, a noisy neighbour); the restore event
-  carries the exact pre-inflation value so the recovery is float-exact.
-  If the operator rescales while straggling, the replacement subtasks
-  are built from the clean cost model — rescaling *repairs* the
-  straggler, as it does in production.
+  ``factor`` (a slow disk, a noisy neighbour). If the operator
+  rescales while straggling, the replacement subtasks are built from
+  the clean cost model — rescaling *repairs* the straggler, as it does
+  in production.
 - :class:`NetworkDegradation` — every cross-node channel's latency and
-  bandwidth degrade by the given factors, then restore.
+  bandwidth degrade by the given factors for the window.
+
+Windows of one kind may overlap: while they do, every open window's
+factor applies, to the unperturbed value, in start order; the value
+comes back bit for bit when the last one closes.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, check_count
 
 __all__ = [
     "NodeFailure",
@@ -201,7 +204,10 @@ def _parse_injection(part: str):
                     f"injection parameter {key!r} needs a number (finite), "
                     f"got {value!r}"
                 )
-            kwargs[key] = int(parsed) if key in _INT_PARAMS else parsed
+            if key in _INT_PARAMS:
+                parsed = int(parsed) if parsed.is_integer() else parsed
+                check_count(f"injection parameter {key!r}", parsed, 0)
+            kwargs[key] = parsed
     try:
         return cls(**kwargs)
     except TypeError as exc:

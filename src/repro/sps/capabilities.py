@@ -8,7 +8,8 @@ semantics, or says ``not implemented: …`` where only a seam in the code
 stands in the way — those rows are the ones to lift (ROADMAP).
 :data:`EVENTED` holds the features whose runs still execute the
 clock-ordered step (§14); deleting a row moves that feature onto the
-computed one.
+computed one. Its ``failure`` row is the one that is not a knob: a
+scenario that can fail a node.
 """
 
 from __future__ import annotations
@@ -54,11 +55,9 @@ EXCLUDES = (
 EVENTED = {
     "shards": "the epoch sequence is defined over pending event times, DONEs included",
     "observer": "hooks take the clock as their instant, and sampling reads the queue",
-    "sanitize": "the race detector reads the DONE of every keyed subtask",
     "backpressure": "congestion is released by a depth at dequeue and read by sources as the clock passes",
-    "rescale": "a drain locks the server and migrates the queue and the state as of one instant",
-    "scenario": "an injection changes service, routes or queues for everything that starts after it",
     "stalls": "a stall holds the server from the first instant it is free",
+    "failure": "a failed subtask loses its queue and is held for the downtime; under checkpointing every subtask restores and replays",
 }
 # fmt: on
 
@@ -66,12 +65,14 @@ EVENTED = {
 def features_of(config, observer=None, sanitize=False, chains=()) -> frozenset:
     """The features a run of ``config`` turns on. ``scenario`` means a
     scenario *with injections* (``"none"`` is calm and composes with
-    everything); ``autoscale="none"`` still arms the control loop."""
-    scenario = config.scenario
+    everything), ``failure`` one with a node failure among them;
+    ``autoscale="none"`` still arms the control loop."""
+    scenario = failure = config.scenario
     if scenario:
-        from repro.elastic.scenarios import make_scenario
+        from repro.elastic.scenarios import NodeFailure, make_scenario
 
         scenario = make_scenario(scenario).injections
+        failure = any(isinstance(one, NodeFailure) for one in scenario)
     on = {
         "batch": config.batch_size is not None,
         "shards": config.shards is not None,
@@ -80,6 +81,7 @@ def features_of(config, observer=None, sanitize=False, chains=()) -> frozenset:
         "stalls": config.stalls,
         "rescale": config.rescales or config.autoscale,
         "scenario": scenario,
+        "failure": failure,
         "observer": observer is not None,
         "sanitize": sanitize,
         "chaining": chains,

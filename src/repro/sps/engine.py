@@ -14,62 +14,39 @@ Event kinds: ``ARRIVAL`` (a source emits one tuple, or on a computed
 run a block of ``SOURCE_CHUNK``), ``DELIVER`` (a tuple or a checkpoint
 barrier reaches a subtask), ``BEGIN`` (a server starts the head of its
 queue; computed, an alignment buffer is released), ``DONE`` (a service
-completes; a computed run's only ``DONE`` ends it), ``TIMER`` (a window
-tick), ``STALL`` (an injected pause), ``REPLAY`` (a logged source tuple
-is redelivered after a recovery, DESIGN.md §13) and the control-plane
-``RESCALE`` (drain, migrate, rewire), ``CONTROL`` (the autoscaler's
-tick), ``SCENARIO`` (a chaos action) and ``FT`` (a checkpoint trigger,
-or a recovery's end). Like ``TIMER``, control-plane events carry no work
-accounting, so a pending one never keeps a finished run alive. The
-elastic (§12) and checkpointing (§13) machinery only activates when the
-config asks for it.
+completes; computed, a straddler's, or the one ending the run),
+``TIMER`` (a window tick), ``STALL`` (an injected pause), ``REPLAY`` (a
+logged source tuple is redelivered after a recovery, DESIGN.md §13)
+and the control-plane ``RESCALE`` (drain, migrate, rewire),
+``CONTROL`` (the autoscaler's tick), ``SCENARIO`` (a chaos action) and
+``FT`` (a checkpoint trigger, or a recovery's end). Like ``TIMER``,
+control-plane events carry no work accounting, so a pending one never
+keeps a finished run alive. The elastic (§12) and checkpointing (§13)
+machinery only activates when the config asks for it.
 
 Termination: when all sources are exhausted and no work events remain
 (and, on a computed run, the clock has reached the latest completion),
 the engine flushes stateful operators in rounds (remaining windows
 fire), then stops once a flush round produces nothing.
 
-**Hot-path design.** Everything constant for an engine's lifetime is
-resolved at build time: a source's arrival process and budget; one
-precompiled route entry per channel group — bound ``select``, re-key,
-consumer gids and per-channel ``(latency, bandwidth)``, which evaluate
-``Network.transfer_delay`` bit for bit as it is affine in payload size;
-and the constant work factor of a logic that keeps ``work_units``.
-Window logics keep min-heaps of pending window ends, so a tick that
-fires nothing is O(1) and ``_fire`` skips routing. And (DESIGN.md §14):
-
-- *One universe, drawn in blocks*: every subtask draws
-  arrival gaps and service noise from its own named streams and numbers
-  the events it schedules from its own counter, so a sharded run
-  (:mod:`repro.sps.shard_exec`) drives this same step over one kernel
-  per shard and sees the same bits. Private streams can be drawn ahead
-  of use: gaps and noise factors are popped from per-subtask blocks
-  (``_refill_gaps``/``_refill_noise``), value for value what per-call
-  ``exponential(mean)``/``lognormal(mu, sigma)`` would return.
-- *Completions are computed, not scheduled*: where
-  nothing but a subtask's own tuples and timers can touch it —
-  ``StreamEngine.step == "computed"``, resolved in ``_begin_run`` from
-  what the run is — a hop is one event: ``_complete`` runs the FIFO
-  server's recursion at the ``DELIVER``, with no queue, ``busy`` flag
-  or ``DONE``. Every other run executes the evented step, the
-  reference the computed one is tested against; its ``DONE`` starts the
-  next queued service at ``now + overhead`` itself, without a ``BEGIN``.
-- *So are arrivals*: nothing can move such a run's source clocks, so
-  the gap chain is drawn as instants (``_arrival_block``) and one
-  ``ARRIVAL`` emits ``SOURCE_CHUNK`` of them, up to a block ahead of
-  the clock: a heap event per delivered tuple-hop, 1/32 per source
-  tuple. Where a source can be throttled, failed or logged the chain
-  is ``last actual emission + gap``, so the evented step keeps gaps.
-- *Barriers too*: a checkpointed run (DESIGN.md §13) executes a plain
-  step — computed when failure-free — and deliveries carry a dense
-  channel id where the port would be, so FIFO clocks are a flat list.
-  A computed barrier is decided at its ``DELIVER``, as of its dequeue
-  instant ``max(now, free_at)``; an evented one is a queue item.
-
-None of this changes any simulated result: every floating-point
-expression keeps the exact operand order of the straightforward
-implementation. The golden determinism tests
-(``tests/test_golden_determinism.py``) pin this down.
+**Hot-path design** (DESIGN.md §14). Everything constant for an
+engine's lifetime — arrival process and budget, one precompiled route
+entry per channel group, a logic's constant work factor — is resolved
+at build time. Every subtask draws gaps and noise from its own named
+streams, in blocks, and numbers its events from its own counter, so a
+sharded run (:mod:`repro.sps.shard_exec`) sees the same bits. Where
+nothing but a subtask's own tuples, its timers and the control events
+can touch it (``StreamEngine.step == "computed"``), ``_complete`` runs
+the FIFO server's recursion at the ``DELIVER`` — no queue, ``busy``
+flag or ``DONE`` — up to the *horizon*, the next control instant; a
+hop done at or past it straddles: its ``DONE`` is an event, and the
+server is evented until that ``DONE`` hands its queue back. Arrivals
+are instants drawn a block ahead (``_arrival_block``), and a
+checkpoint barrier is decided at its ``DELIVER``. Every other run
+executes the evented step, the reference the computed one is tested
+against. None of this changes a simulated result: every floating-point
+expression keeps the operand order of the straightforward
+implementation (``tests/test_golden_determinism.py``).
 
 **Observability.** Passing an :class:`repro.obs.EngineObserver` lets the
 run be traced and metered without perturbing it: every hook only *reads*
@@ -79,8 +56,8 @@ scheduling sampler events), and with no observer each hook site is a
 single ``is not None`` test. ``sanitize=True`` holds a
 :class:`repro.analysis.racecheck.RaceDetector` beside the observer,
 called at four points of its own: run start and end, a rescale, and the
-``DONE`` of a keyed subtask (DESIGN.md §10). An observed or sanitized
-run executes the evented step; ``tests/test_obs.py`` pins the on/off
+completion of a keyed subtask's tuple (DESIGN.md §10). An observed run
+executes the evented step; ``tests/test_obs.py`` pins the on/off
 identity of everything simulated.
 """
 
@@ -90,9 +67,9 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappush
+from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, mul, truediv
 
 import numpy as np
 
@@ -174,6 +151,8 @@ _MIGRATION_PER_TUPLE_S = 1e-6
 
 # Arrival-process kinds, resolved once at build time.
 _ARR_POISSON, _ARR_CONSTANT, _ARR_BURSTY, _ARR_PROFILE = range(4)
+#: the arrival gaps a spike scales
+_GAPS = ("mean_gap", "burst_fast_gap", "burst_slow_gap")
 
 _ARRIVAL_KINDS = {
     "poisson": _ARR_POISSON,
@@ -273,16 +252,13 @@ class SimulationConfig:
     completed checkpoint and replay source offsets. ``delivery``
     selects the guarantee: ``"exactly_once"`` dedupes replayed results
     at the sinks by ``(producer, seq)`` provenance; ``"at_least_once"``
-    delivers duplicates and accounts them. A checkpointed run executes
-    the plain step — the computed one unless a scenario can fail it
-    (or an observer or ``sanitize`` is attached), the evented one,
-    whose sources keep a replay log, otherwise — so it differs from the
-    same run without checkpointing only by what barriers do.
+    delivers duplicates and accounts them.
 
-    Which of these features may share a run is decided in one place,
-    :mod:`repro.sps.capabilities` (DESIGN.md §4, "What composes"); an
-    unsupported pair is a ``ConfigurationError`` here, or in
-    :class:`StreamEngine` where it involves an observer or chaining.
+    Which of these features may share a run, and which step it
+    executes, is decided in one place, :mod:`repro.sps.capabilities`
+    (DESIGN.md §4, "What composes"); an unsupported pair is a
+    ``ConfigurationError`` here, or in :class:`StreamEngine` where it
+    involves an observer or chaining.
     """
 
     max_tuples_per_source: int = 4000
@@ -290,7 +266,7 @@ class SimulationConfig:
     warmup_fraction: float = 0.1
     keep_sink_values: bool = False
     #: budget of popped events; a computed run (``StreamEngine.step``)
-    #: pops one per delivered tuple-hop, an evented run two
+    #: pops about one per delivered tuple-hop, an evented run two
     max_events: int = 30_000_000
     backpressure_queue_limit: int | None = None
     stalls: tuple[StallInjection, ...] = ()
@@ -431,6 +407,7 @@ class _SubtaskRuntime:
     ft_aligned: dict | None = None
     ft_buffer: list | None = None
     ft_behind: int = 0
+    ft_rest: list | None = None  # computed: a release left unserved
     #: the subtask's private randomness (DESIGN.md §14): unit-mean
     #: arrival gaps (scaled at use) and service-noise factors wait in
     #: reversed blocks, popped from the end and refilled from the
@@ -457,6 +434,10 @@ class _SubtaskRuntime:
     done_at: float = 0.0
     starts: deque | None = None
     tick: float = math.inf
+    #: a computed source's current arrival block: its unit gaps, and
+    #: the engine's ``_pacing`` its instants were computed under
+    units: object = None
+    paced: int = 0
 
 
 def _paced_mean_gap(runtime: _SubtaskRuntime, now: float) -> float:
@@ -542,6 +523,8 @@ class StreamEngine:
         self._rescale_count = 0
         self._migrated_keys_total = 0
         self._rescale_log: list[dict] = []
+        #: open chaos windows, by what they scale (``_window``)
+        self._windows: dict = {}
         features = features_of(
             self.config, observer, sanitize, self.physical.chains
         )
@@ -866,8 +849,9 @@ class StreamEngine:
             # sharded run takes its ledger from the shards' stats.
             self.race_detector = None
         #: completions are computed when nothing but a subtask's own
-        #: tuples and timers can touch it: ``capabilities.EVENTED`` has
-        #: what still acts on the queue, ``busy`` or the DONE event
+        #: tuples, timers and the control events can touch it:
+        #: ``capabilities.EVENTED`` has what acts on the queue, ``busy``
+        #: or the DONE event otherwise
         self._step = step_of(
             features_of(config, self._obs, self.race_detector is not None)
         )
@@ -875,6 +859,13 @@ class StreamEngine:
         #: the next pending checkpoint trigger, where a computed run's
         #: sources cut their arrival blocks (``_arrive``)
         self._ft_next = math.inf
+        #: the horizon (DESIGN.md §14), the earliest pending control
+        #: instant (``-inf`` while draining): nothing at or past it is
+        #: computed ahead
+        self._horizons: list[float] = []
+        self._h = math.inf
+        #: counts the spikes' re-pacings of the sources (``_arrive``)
+        self._pacing = 0
         for runtime in mine:
             runtime.seq = pack_tiebreak(runtime.gid, 0) - 1
         if self._ft:
@@ -912,16 +903,16 @@ class StreamEngine:
         handlers[_TIMER] = self._tick
         handlers[_STALL] = self._handle_stall
         handlers[_REPLAY] = self._handle_replay
-        for kind in (_RESCALE, _CONTROL, _SCENARIO, _FT):
+        for kind in (_RESCALE, _CONTROL, _SCENARIO):
             handlers[kind] = self._apply
+        handlers[_FT] = lambda gid, call, port: call[0](*call[1:])
         if self._step == "computed":
             handlers[_ARRIVAL] = self._arrive
+            handlers[_DONE] = self._straddled
             if self._ft:
                 handlers[_BEGIN] = self._ft_release
             else:
                 handlers[_DELIVER] = self._complete
-            # Only the quiescence event: it moves the clock.
-            handlers[_DONE] = lambda gid, payload, port: None
         return handlers
 
     def _on_idle(self) -> bool:
@@ -949,13 +940,26 @@ class StreamEngine:
 
     def _push_control(self, time: float, kind: int, *call) -> None:
         """Schedule a control-plane event — ``call`` is a bound method
-        and its arguments — numbered from the engine's own counter."""
+        and its arguments — numbered from the engine's own counter.
+        Every kind but a checkpoint's is a horizon."""
         self._control_seq += 1
         self._k.push_tb(time, self._control_seq, kind, 0, call, 0)
+        if kind != _FT:
+            heappush(self._horizons, time)
+            self._rehorizon()
 
     def _apply(self, gid: int, call, port: int) -> None:
-        """A control-plane event fires: make the call it carries."""
+        """A control event fires: make its call, then move the horizon
+        on to the next."""
+        heappop(self._horizons)
         call[0](*call[1:])
+        self._rehorizon()
+
+    def _rehorizon(self) -> None:
+        """The horizon: the next control instant, none while draining."""
+        self._h = self._horizons[0] if self._horizons else math.inf
+        if self._pending_rescale:
+            self._h = -math.inf
 
     @staticmethod
     def _stream_name(runtime: _SubtaskRuntime) -> list[str]:
@@ -1061,6 +1065,8 @@ class StreamEngine:
             # the operator's live subtasks (chaining correctly across
             # multiple rescales, since the live set is looked up fresh).
             runtime = self._runtimes[self._forward_gid(runtime, tup, port)]
+            if not runtime.busy and self._computed:
+                return self._complete(runtime.gid, tup, port)
         obs = self._obs
         k = self._k
         now = k.now
@@ -1114,7 +1120,13 @@ class StreamEngine:
             return
         queue.append((tup, port, now))
         depth = len(queue) - runtime.queue_head
-        if now < runtime.free_at:
+        starts = runtime.starts
+        if starts is not None:
+            # Computed: so do the hops computed ahead yet to start.
+            while starts and starts[0] <= now:
+                starts.popleft()
+            depth += len(starts)
+        elif now < runtime.free_at:
             # The tuple whose service starts at free_at left the queue
             # early; until then it still counts as waiting.
             depth += 1
@@ -1137,7 +1149,9 @@ class StreamEngine:
             self._hold(runtime, self._k.now)
             return
         runtime.busy = False
-        if len(runtime.queue) > runtime.queue_head:
+        if self._computed:
+            self._hand_back(runtime, self._k.now)
+        elif len(runtime.queue) > runtime.queue_head:
             self._begin_service_now(runtime, self._k.now)
 
     def _begin_service_now(
@@ -1230,7 +1244,9 @@ class StreamEngine:
             now += overhead
             runtime.free_at = now
         runtime.busy = False
-        if len(runtime.queue) > runtime.queue_head:
+        if self._computed:
+            self._hand_back(runtime, now)
+        elif len(runtime.queue) > runtime.queue_head:
             self._begin_service_now(runtime, now)
 
     def _handle_stall(self, gid: int, duration: float, port: int) -> None:
@@ -1262,33 +1278,39 @@ class StreamEngine:
     def _arrival_block(self, runtime: _SubtaskRuntime, at: float, n: int):
         """The ``n`` arrival instants after a source's arrival at ``at``,
         less those past ``max_sim_time``: the chain ``at += gap`` of
-        :meth:`_schedule_next_arrival`, a block at a time. Unit gaps
-        from the subtask's ``…/arrivals`` stream, ``mean * E`` and a
-        ``cumsum``, which accumulates left to right. Nothing else reads
-        the stream, so the draws past a cut change no result; a block
-        that comes back short is the source's last."""
-        kind = runtime.arrival_kind
-        max_time = self.config.max_sim_time
-        if kind == _ARR_CONSTANT:
-            gaps = np.ones(n)
+        :meth:`_schedule_next_arrival`, a block at a time, over ``n``
+        unit gaps from the subtask's ``…/arrivals`` stream. Nothing else
+        reads the stream, so the draws past a cut change no result; a
+        block that comes back short is the source's last."""
+        if runtime.arrival_kind == _ARR_CONSTANT:
+            units = np.ones(n)
         else:
             rng = runtime.gaps_rng
             if rng is None:
                 rng = runtime.gaps_rng = self._open_stream(runtime, "arrivals")
-            gaps = rng.standard_exponential(n)
+            units = rng.standard_exponential(n)
+        runtime.units = units
+        return self._arrival_chain(runtime, at, units)
+
+    def _arrival_chain(self, runtime: _SubtaskRuntime, at: float, units):
+        """The instants ``at`` plus each unit gap's ``mean * E``, in
+        turn, under the source's current pacing: a ``cumsum``, which
+        accumulates left to right, or for a pace that depends on the
+        time reached, a loop."""
+        max_time = self.config.max_sim_time
+        kind = runtime.arrival_kind
         if kind == _ARR_CONSTANT or kind == _ARR_POISSON:
-            gaps *= runtime.mean_gap
-            gaps[0] += at
+            gaps = units * runtime.mean_gap
+            gaps[:1] += at
             times = np.cumsum(gaps)
         else:
-            # Bursty/profile: a gap's mean depends on the time reached
-            # so far, so the chain stays a loop.
-            times = gaps.tolist()
+            times = units.tolist()
             for i, unit in enumerate(times):
                 times[i] = at = at + unit * _paced_mean_gap(runtime, at)
                 if at > max_time:
+                    del times[i + 1 :]
                     break
-            times = np.asarray(times[: i + 1])
+            times = np.asarray(times)
         return times[: np.searchsorted(times, max_time, side="right")]
 
     def _push_arrivals(self, runtime: _SubtaskRuntime, at: float) -> None:
@@ -1297,35 +1319,51 @@ class StreamEngine:
         n = min(runtime.arrival_budget - runtime.emitted, SOURCE_CHUNK)
         if n > 0:
             instants = self._arrival_block(runtime, at, n).tolist()
+            runtime.paced = self._pacing
             if instants:
                 self._push(instants[0], _ARRIVAL, runtime.gid, instants, 0)
 
     def _arrive(self, gid: int, instants: list, done: int) -> None:
         """``ARRIVAL``: a block of a source's arrivals (DESIGN.md §14).
 
-        Nothing can throttle, fail or log this source, so its instants
-        were decided before the run began: each tuple is generated and
-        completed at its own, up to a block ahead of the clock — but not
-        past a pending checkpoint trigger, whose barrier is dequeued
-        behind exactly the arrivals before it: the instants from the
-        trigger on arrive as an ``ARRIVAL`` of their own, carrying in
-        ``done`` how many of the block came before them. A block short
-        of ``SOURCE_CHUNK`` met the budget or the ``max_sim_time`` cut:
-        nothing follows it."""
+        Each tuple is generated and completed at its own instant, ahead
+        of the clock — short of the horizon and of a pending checkpoint
+        trigger (whose barrier is dequeued behind exactly the arrivals
+        before it), and one at a time behind a straddler: the rest
+        arrive as an ``ARRIVAL`` of their own, carrying in ``done`` how
+        many of the block came before them. A spike since the block was
+        drawn re-paces it after its first instant, whose gap was drawn
+        before. A block short of ``SOURCE_CHUNK`` is the source's last."""
         runtime = self._runtimes[gid]
-        full = done + len(instants) == SOURCE_CHUNK
-        if instants[-1] >= self._ft_next:
-            i = bisect_left(instants, self._ft_next)
-            self._push(instants[i], _ARRIVAL, gid, instants[i:], i + done)
-            instants = instants[:i]
-            full = False
+        if runtime.paced != self._pacing:
+            runtime.paced = self._pacing
+            instants = [instants[0]] + self._arrival_chain(
+                runtime, instants[0], runtime.units[done + 1 :]
+            ).tolist()
+        stop = len(instants)
+        cut = self._h if self._h < self._ft_next else self._ft_next
+        if runtime.busy:
+            stop = 1  # queued behind a straddler: one at a time
+        elif instants[-1] >= cut:
+            stop = bisect_left(instants, cut, 1)
+        if stop < len(instants):
+            rest = instants[stop:]
+            self._push(rest[0], _ARRIVAL, gid, rest, done + stop)
         generate = runtime.logic.generate
-        for now in instants:
-            self._complete(gid, generate(now), 0, now)
-        runtime.emitted += len(instants)
+        complete = self._complete
+        i = 0
+        while i < stop:
+            now = instants[i]
+            complete(gid, generate(now), 0, now)
+            i += 1
+            if runtime.busy:
+                break
+        if i < stop:
+            self._push(instants[i], _ARRIVAL, gid, instants[i:stop], done + i)
+        runtime.emitted += i
         if now > self._last_source_time:
             self._last_source_time = now
-        if full:
+        if done + i == SOURCE_CHUNK:
             self._push_arrivals(runtime, now)
 
     def _complete(
@@ -1338,8 +1376,15 @@ class StreamEngine:
         service``, ``free_at = done + overhead`` — and service order is
         arrival order, so each noise draw, ``process`` call and routed
         event is the evented step's, in its order. ``now`` is the
-        arrival instant: the clock, or one :meth:`_arrive` runs ahead."""
+        arrival instant: the clock, or one :meth:`_arrive` runs ahead.
+        A hop done at or past the horizon ``_h`` *straddles*: the server
+        goes busy with a ``DONE`` at ``done``, and what reaches a busy
+        server waits in its queue until :meth:`_hand_back`."""
         runtime = self._runtimes[gid]
+        if runtime.busy:
+            # Checkpointed, only a source's own arrival gets here.
+            (self._ft_deliver if self._ft else self._enqueue)(gid, tup, port)
+            return
         if now is None:
             now = self._k.now
         start = runtime.free_at
@@ -1366,6 +1411,10 @@ class StreamEngine:
             service *= noise.pop()
         runtime.busy_time += service
         runtime.done_at = done = start + service
+        if done >= self._h:
+            runtime.busy = True
+            self._push(done, _DONE, gid, tup, port)
+            return
         if runtime.tick <= done:
             # Ticks the heap has not popped yet run first. One exactly
             # at ``done`` does only if it was armed before this arrival:
@@ -1377,11 +1426,57 @@ class StreamEngine:
             outputs = [tup]
         else:
             outputs = runtime.logic.process(tup, done, port)
+            race = self.race_detector
+            if race is not None and gid in race.keyed:
+                race.on_done(runtime, done, tup, outputs)
         if outputs:
             overhead = self._route(runtime, outputs, done)
             runtime.busy_time += overhead
             done += overhead
         runtime.free_at = done
+
+    def _straddled(self, gid: int, tup, port: int) -> None:
+        """Computed ``DONE``: the run's last, or a straddler's — the
+        ticks ``_complete`` runs ahead of it, then the evented one."""
+        if tup is not None:
+            runtime, done = self._runtimes[gid], self._k.now
+            if runtime.tick <= done:
+                self._fire(runtime)
+                while runtime.tick < done:
+                    self._fire(runtime)
+            self._handle_done(gid, tup, port)
+
+    def _hand_back(self, runtime: _SubtaskRuntime, at: float) -> None:
+        """The server is free from ``at``: what queued meanwhile is
+        computed in FIFO order from its enqueue instant, until one
+        straddles again. ``_enqueue`` counted its depth; checkpointed,
+        :meth:`_ft_deliver` counts it now."""
+        runtime.free_at = at
+        gid = runtime.gid
+        peak = runtime.queue_peak
+        if self._ft:
+            # A released alignment buffer goes first (``_ft_release``).
+            rest, runtime.ft_rest = runtime.ft_rest or (), None
+            for i, (item, chan, arrived, _) in enumerate(rest):
+                if runtime.busy:
+                    runtime.ft_rest = rest[i:]
+                    break
+                start = runtime.free_at
+                runtime.wait_time += start - arrived
+                runtime.starts.append(start)
+                self._complete(gid, item, self._ft_ports[chan], start)
+            deliver = self._ft_deliver
+        else:
+            deliver = self._complete
+        queue = runtime.queue
+        while not runtime.busy and runtime.queue_head < len(queue):
+            item, port, enqueued = queue[runtime.queue_head]
+            runtime.queue_head += 1
+            deliver(gid, item, port, enqueued)
+        del queue[: runtime.queue_head]
+        runtime.queue_head = 0
+        if not self._ft:
+            runtime.queue_peak = peak
 
     def _fire(self, runtime: _SubtaskRuntime) -> None:
         """Run the subtask's next timer tick — at the clock, or ahead of
@@ -1545,32 +1640,41 @@ class StreamEngine:
             )
         return best_op
 
-    def _spike(self, factor: float, duration: float) -> None:
-        """Load spike: every source emits ``factor`` times faster."""
-        saved = []
+    def _window(self, key, original, token, factor, op=mul) -> list:
+        """Open (``factor``) or close (None) chaos window ``token`` on
+        ``key``, whose unperturbed values are ``original``: the values
+        under the windows left open, each factor applied to the original
+        in start order — the original, bit for bit, once none is."""
+        original, op, windows = self._windows.setdefault(
+            key, (original, op, [])
+        )
+        if factor is None:
+            windows[:] = [w for w in windows if w[0] is not token]
+            if not windows:
+                del self._windows[key]
+        else:
+            windows.append((token, factor))
+        values = list(original)
+        for _, scale in windows:
+            values = [op(value, scale) for value in values]
+        return values
+
+    def _spike(self, factor: float, duration: float, token=None) -> None:
+        """Load spike: every source emits ``factor`` times faster; its
+        end (``factor`` None) re-paces them under what is still open."""
+        token = token or object()
         for runtime in self._runtimes:
             if runtime.is_source:
-                saved.append(
-                    (
-                        runtime,
-                        runtime.mean_gap,
-                        runtime.burst_fast_gap,
-                        runtime.burst_slow_gap,
-                    )
+                gaps = [getattr(runtime, name) for name in _GAPS]
+                gaps = self._window(
+                    ("spike", runtime.gid), gaps, token, factor, truediv
                 )
-                runtime.mean_gap /= factor
-                runtime.burst_fast_gap /= factor
-                runtime.burst_slow_gap /= factor
-        self._push_control(
-            self._k.now + duration, _SCENARIO, self._spike_end, saved
-        )
-
-    def _spike_end(self, saved: list) -> None:
-        """Restore the exact pre-spike gaps (saved, not re-derived)."""
-        for runtime, mean_gap, fast_gap, slow_gap in saved:
-            runtime.mean_gap = mean_gap
-            runtime.burst_fast_gap = fast_gap
-            runtime.burst_slow_gap = slow_gap
+                for name, gap in zip(_GAPS, gaps):
+                    setattr(runtime, name, gap)
+        self._pacing += 1
+        if factor is not None:
+            end = self._k.now + duration
+            self._push_control(end, _SCENARIO, self._spike, None, 0, token)
 
     def _straggle(
         self, op_id: str, index: int, factor: float, duration: float
@@ -1578,57 +1682,46 @@ class StreamEngine:
         """Straggler: one subtask serves ``factor`` times slower."""
         gids = self._op_gids[op_id]
         runtime = self._runtimes[gids[index % len(gids)]]
-        original = runtime.base_service
-        runtime.base_service = original * factor
-        self._push_control(
-            self._k.now + duration,
-            _SCENARIO,
-            self._unstraggle,
-            runtime,
-            original,
-        )
+        self._slow(runtime, object(), factor, duration)
 
-    def _unstraggle(self, runtime: _SubtaskRuntime, original: float) -> None:
-        """Float-exact recovery: the saved value, not a division. A
+    def _slow(self, runtime, token, factor, duration=0.0) -> None:
+        """Open or (``factor`` None) close a straggler's window. A
         runtime retired in between was already replaced by clean
         cost-model instances — rescaling repaired the straggler."""
+        key = ("straggle", runtime.gid)
+        (service,) = self._window(key, [runtime.base_service], token, factor)
         if not runtime.retired:
-            runtime.base_service = original
+            runtime.base_service = service
+        if factor is not None:
+            end = self._k.now + duration
+            call = (self._slow, runtime, token, None)
+            self._push_control(end, _SCENARIO, *call)
 
     def _degrade(
         self, latency_factor: float, bandwidth_factor: float, duration: float
     ) -> None:
-        """Network degradation: every cross-node channel slows down."""
-        saved = []
+        """Network degradation: every cross-node channel slows down (a
+        same-node channel's zero latency stays zero)."""
+        token = object()
+        lists = []
         for runtime in self._runtimes:
-            if runtime.retired:
-                continue
-            for entry in runtime.route_table:
-                latencies = entry[5]
-                bandwidths = entry[6]
-                saved.append(
-                    (
-                        latencies,
-                        tuple(latencies),
-                        bandwidths,
-                        tuple(bandwidths),
-                    )
-                )
-                for i, latency in enumerate(latencies):
-                    if latency > 0.0:  # same-node channels stay free
-                        latencies[i] = latency * latency_factor
-                for i, bandwidth in enumerate(bandwidths):
-                    bandwidths[i] = bandwidth * bandwidth_factor
+            if not runtime.retired:
+                for entry in runtime.route_table:
+                    lists.append((entry[5], latency_factor))
+                    lists.append((entry[6], bandwidth_factor))
+        self._scale_net(lists, token)
+        end = [(values, None) for values, _ in lists]
         self._push_control(
-            self._k.now + duration, _SCENARIO, self._restore_net, saved
+            self._k.now + duration, _SCENARIO, self._scale_net, end, token
         )
 
-    def _restore_net(self, saved: list) -> None:
-        """Lists mutate in place, so tables recompiled by a rescale
-        mid-degradation simply drop out (they were rebuilt clean)."""
-        for latencies, lat0, bandwidths, bw0 in saved:
-            latencies[:] = lat0
-            bandwidths[:] = bw0
+    def _scale_net(self, lists: list, token) -> None:
+        """Scale, or (factor None) restore, route-table lists in place;
+        tables recompiled by a rescale mid-degradation simply drop out
+        (they were rebuilt clean)."""
+        for values, factor in lists:
+            key = id(values)
+            values[:] = self._window(key, tuple(values), token, factor)
 
     def _fail_node_now(self, node_id: int, duration: float) -> None:
         """Chaos node failure with checkpointing OFF: state is lost.
@@ -1781,6 +1874,7 @@ class StreamEngine:
         if entry[1] == 0:
             del self._pending_rescale[runtime.op_id]
             self._perform_rescale(runtime.op_id, entry[0])
+            self._rehorizon()
 
     def _perform_rescale(self, op_id: str, new_parallelism: int) -> None:
         """Swap an operator's drained generation for a fresh one.
@@ -1920,6 +2014,7 @@ class StreamEngine:
         pause *= self._rng_rescale.lognormal(-0.02, 0.2)
         for runtime in new_runtimes:
             runtime.busy = True
+            runtime.starts = deque() if self._computed else None
             self._push(now + pause, _BEGIN, runtime.gid, None, 0)
             interval = getattr(runtime.logic, "timer_interval", None)
             if interval:
@@ -2121,17 +2216,32 @@ class StreamEngine:
                 # when the source has a service backlog.
                 self._ft_deliver(runtime.gid, barrier, 0)
 
-    def _ft_deliver(self, gid: int, item, chan: int) -> None:
+    def _ft_deliver(
+        self, gid: int, item, chan: int, now: float | None = None
+    ) -> None:
         """What checkpointing puts in front of :meth:`_enqueue` or, on
         the computed step, :meth:`_complete`. A barrier joins the queue,
         at no cost — or, computed, is decided now, as of its dequeue
         instant. A sink delivery passes the provenance ledger first;
         data on an already-aligned channel is diverted to the alignment
-        buffer. Everything else takes the shared step."""
+        buffer. Everything else takes the shared step. Computed, what
+        reaches a busy server, or a barrier dequeued past the horizon,
+        waits in the queue until :meth:`_hand_back` brings it back."""
         runtime = self._runtimes[gid]
-        if item.__class__ is _Barrier:
+        computed = self._computed
+        if now is None:
             now = self._k.now
-            if self._computed:
+        barrier = item.__class__ is _Barrier
+        if computed and (
+            runtime.busy or barrier and runtime.free_at >= self._h
+        ):
+            if not runtime.busy:  # dequeued there, once the clock is
+                runtime.busy = True
+                self._push(runtime.free_at, _BEGIN, gid, True, 0)
+            runtime.queue.append((item, chan, now))
+            return
+        if barrier:
+            if computed:
                 at = runtime.free_at
                 if at > now:
                     # Queued until then, it counts toward the depth.
@@ -2139,6 +2249,13 @@ class StreamEngine:
                 else:
                     at = runtime.free_at = now
                 self._ft_barrier_dequeued(runtime, item, chan, at)
+                if runtime.ft_ckpt is None:
+                    # Aligned: release the buffer at ``at``, by a BEGIN
+                    # if deliveries can still come before it.
+                    if at > now and self._ft_expected[gid] > 1:
+                        self._push(at, _BEGIN, gid, None, 0)
+                    else:
+                        self._ft_release(gid)
                 return
             runtime.queue.append((item, chan, now))
             if not runtime.busy:
@@ -2156,19 +2273,21 @@ class StreamEngine:
                 else:
                     seen.add(prov)
         if runtime.ft_buffer is not None and chan in runtime.ft_aligned:
-            if self._computed:
-                self._ft_hold(runtime, item, chan)
+            if computed:
+                self._ft_hold(runtime, item, chan, now)
                 return
             if self._obs is not None:
                 self._obs.tuples_in[runtime.gid] += 1
-            runtime.ft_buffer.append((item, chan, self._k.now))
+            runtime.ft_buffer.append((item, chan, now))
             return
-        if self._computed:
-            self._complete(gid, item, self._ft_ports[chan])
+        if computed:
+            self._complete(gid, item, self._ft_ports[chan], now)
         else:
             self._enqueue(gid, item, chan)
 
-    def _ft_hold(self, runtime: _SubtaskRuntime, item, chan: int) -> None:
+    def _ft_hold(
+        self, runtime: _SubtaskRuntime, item, chan: int, now: float
+    ) -> None:
         """Computed: a delivery behind its channel's barrier joins the
         buffer, keyed by the instant the evented step diverts it at —
         its arrival, or, if that barrier is still queued, the
@@ -2176,7 +2295,6 @@ class StreamEngine:
         then). Aligned but short of the last barrier's instant
         (``ft_ckpt`` None), one queued behind a barrier is served
         after the buffer."""
-        now = self._k.now
         diverted = now
         if now < runtime.ft_aligned[chan]:
             starts = runtime.starts
@@ -2199,19 +2317,17 @@ class StreamEngine:
         barrier's dequeue instant — diverted tuples in diversion order,
         then those queued behind that barrier — each queued until it
         starts. A ``BEGIN`` at that instant calls it if deliveries can
-        still come before it."""
+        still come before it; one with a ``payload`` ends a barrier's
+        wait for its dequeue past the horizon (:meth:`_ft_deliver`)."""
+        if payload:
+            return self._begin_service(gid, None, 0)
         runtime = self._runtimes[gid]
         buffer = runtime.ft_buffer
         runtime.ft_aligned = runtime.ft_buffer = None
         runtime.ft_behind = 0
         buffer.sort(key=itemgetter(3))
-        starts = runtime.starts
-        ports = self._ft_ports
-        for item, chan, at, _ in buffer:
-            start = runtime.free_at
-            runtime.wait_time += start - at
-            starts.append(start)
-            self._complete(gid, item, ports[chan], start)
+        runtime.ft_rest = buffer
+        self._hand_back(runtime, runtime.free_at)
 
     def _ft_dequeue(self, runtime: _SubtaskRuntime, now: float) -> bool:
         """Evented: consume the barriers and aligned-channel data at the
@@ -2245,7 +2361,8 @@ class StreamEngine:
     def _ft_barrier_dequeued(self, runtime, barrier, chan, now) -> None:
         """The subtask dequeues ``barrier`` from ``chan`` at ``now``: the
         clock on the evented step, ahead of it on the computed one —
-        which first runs the ticks due by then (evented, they popped)."""
+        which first runs the ticks due by then (evented, they popped),
+        and whose caller releases the buffer."""
         while runtime.tick < now:
             self._fire(runtime)
         if runtime.ft_ckpt is None:
@@ -2269,9 +2386,9 @@ class StreamEngine:
                 backlog = len(runtime.queue) - runtime.queue_head
                 record.source_offsets[runtime.gid] = (
                     runtime.emitted
-                    if self._computed
-                    else runtime.ft_base + runtime.ft_head - backlog
-                )
+                    if runtime.ft_log is None
+                    else runtime.ft_base + runtime.ft_head
+                ) - backlog
             elif not runtime.is_sink:
                 store.add_snapshot(
                     runtime.gid, runtime.logic.snapshot_state()
@@ -2300,11 +2417,6 @@ class StreamEngine:
         # Release input buffered during alignment, ahead of the rest.
         runtime.ft_ckpt = None
         if self._computed:
-            if now > self._k.now and self._ft_expected[runtime.gid] > 1:
-                # Until ``now`` deliveries still divert or queue.
-                self._push(now, _BEGIN, runtime.gid, None, 0)
-            else:
-                self._ft_release(runtime.gid)
             return
         buffer = runtime.ft_buffer
         if buffer:
@@ -2522,20 +2634,12 @@ class StreamEngine:
         the output batch, only on the (deterministic) group order. The
         precompiled routing tables reproduce exactly this accounting.
 
-        **Local or outbox.** A sharded run's kernel holds only the
-        subtasks in ``_owned``; a delivery to any other gid is appended
-        to ``_outbox`` as the wire message ``(at, origin, seq, dst,
-        port, tuple)`` — the tie-break it would have carried on the
-        heap is ``pack_tiebreak(origin, seq)`` — for the shard executor
-        to ship. The producer's counter advances identically either
-        way, so tie-breaks do not depend on the partition.
-
-        **Checkpointed or not.** With ``_ft_clocks`` bound (DESIGN.md
-        §13) a group's port slot holds its first channel id: a delivery
-        is clamped to its channel's FIFO clock, so a barrier stays
-        ordered with the data around it, travels under its channel id,
-        and, when bound for a sink, carries ``(producer, emit seq)``
-        provenance for the delivery guarantee's ledger.
+        A sharded run's delivery to a gid outside ``_owned`` goes to
+        ``_outbox`` as the wire message ``(at, origin, seq, dst, port,
+        tuple)`` (DESIGN.md §14). With ``_ft_clocks`` bound (§13) a
+        group's port slot holds its first channel id, and a delivery is
+        clamped to its channel's FIFO clock and, bound for a sink,
+        carries ``(producer, emit seq)`` provenance.
         """
         if not outputs:
             return 0.0
@@ -2774,6 +2878,8 @@ class StreamEngine:
         }
         extras: dict = {
             "events_processed": self._k.events_processed,
+            #: provenance: which step executed the run
+            "step": self._step or "batch",
             "throttled_arrivals": self._throttled_arrivals,
         }
         if slo is not None:

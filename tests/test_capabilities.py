@@ -173,7 +173,9 @@ def build(features, **config):
 
 def test_the_table_is_the_seventeen_pairs_over_known_features():
     assert len(EXCLUDES) == len(EXCLUDED) == 17
-    assert set(CONFIG_ON) | set(ENGINE_ON) == set(KNOBS) >= set(EVENTED)
+    # ``failure`` is the one row that is not a knob: a scenario's kind.
+    assert set(CONFIG_ON) | set(ENGINE_ON) == set(KNOBS)
+    assert set(KNOBS) | {"failure"} >= set(EVENTED)
     for one, other, reason in EXCLUDES:
         assert {one, other} <= set(KNOBS) and one != other
         assert reason == reason.strip() and not reason.endswith(".")
@@ -243,10 +245,12 @@ def test_a_scenario_without_injections_is_calm_and_composes(mode):
 
 def test_autoscale_none_still_arms_the_control_loop():
     """exp4's baseline cells depend on it: ``"none"`` is a policy, and a
-    run under it is an elastic (evented) run."""
+    run under it is an elastic run — a computed one since its control
+    ticks became horizons."""
     config, engine = build((), autoscale="none")
     assert features_of(config) == {"rescale"}
-    assert "elastic" in engine.run().extras
+    extras = engine.run().extras
+    assert "elastic" in extras and extras["step"] == "computed"
     with pytest.raises(ConfigurationError, match="batch_size"):
         SimulationConfig(autoscale="none", batch_size=64)
 

@@ -23,7 +23,12 @@ runs evented. Held here:
 6. *checkpoints* — failure-free checkpointed plans agree on everything
    above plus the sink values and the checkpoint log, across skipped
    triggers, alignment buffers and a tick that falls between a
-   barrier's delivery and its dequeue instant.
+   barrier's delivery and its dequeue instant;
+7. *control instants* — rescales up and down, the three autoscaling
+   policies, each injection and two at once, ``sanitize`` alone and
+   with the autoscaler, and checkpoint + spike or straggler agree, the
+   race detector's findings too; a power-of-two tie puts a control
+   instant on an arrival, a delivery and a completion at once.
 
 Mutations, each run against this file and against the five
 ``apps-scalar`` jobs of ``benchmarks/suite`` at seed 3 when the step
@@ -40,6 +45,15 @@ the last ack decided instead of the latest ack instant fails
 fails ``tick-in-window``; not cutting a source's arrival block at a
 trigger fails every checkpointed case here and every failure-free
 golden of ``tests/test_ft_step.py``.
+
+Of the horizon's rules (section 7, run against it when the horizon was
+written): no re-pacing of a block after a spike fails the five spiked
+cases, the re-pacing check and the tie; computing a hop done exactly
+at the horizon (``done > _h`` for ``done >= _h``) fails the tie only;
+no hand-back at a straddler's ``DONE`` — the server stays evented
+until its queue drains — fails checkpoint + straggler, whose queued
+barriers only the computed rules decide: without a barrier in play the
+drained backlog simulates the same, only slower.
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ import repro.sps.engine as engine_module
 from repro.cluster import NetworkSpec, homogeneous_cluster
 from repro.common.rng import RngFactory
 from repro.core import perf
+from repro.core.experiments import exp4
 from repro.core.experiments.exp5 import ft_workload_plan
 from repro.core.runner import BenchmarkRunner, RunnerConfig
 from repro.obs import EngineObserver
@@ -90,6 +105,7 @@ def simulated(engine):
     """Everything a run simulated, the event count aside."""
     metrics = engine.run().to_dict()
     events = metrics["extras"].pop("events_processed")
+    assert metrics["extras"].pop("step") == engine.step
     sinks = [(sink.latencies, sink.arrival_times) for sink in engine._sinks]
     counters = [
         (rt.op_id, rt.wait_time, rt.busy_time, rt.served, rt.queue_peak)
@@ -561,17 +577,28 @@ def test_every_generated_structure_is_computed_by_default(structure):
     "feature",
     [
         dict(backpressure_queue_limit=64),
-        dict(rescales=(RescaleEvent(0.1, "agg", 3),)),
-        dict(autoscale="reactive:high=4,low=0.5,cooldown=0.3,max=6"),
-        dict(scenario="spike"),
+        dict(scenario="failure:at=0.3,duration=0.1"),
         dict(stalls=(StallInjection(0.1, "agg", 0.01),)),
         dict(observer=quiet_observer()),
-        dict(sanitize=True),
     ],
     ids=lambda feature: next(iter(feature)),
 )
 def test_each_excluding_feature_alone_keeps_the_evented_step(feature):
     assert begun(kv_plan(), **feature).step == "evented"
+
+
+@pytest.mark.parametrize(
+    "feature",
+    [
+        dict(rescales=(RescaleEvent(0.1, "agg", 3),)),
+        dict(autoscale="reactive:high=4,low=0.5,cooldown=0.3,max=6"),
+        dict(scenario="spike+straggler+netdeg"),
+        dict(sanitize=True),
+    ],
+    ids=lambda feature: next(iter(feature)),
+)
+def test_each_control_feature_alone_takes_the_computed_step(feature):
+    assert begun(kv_plan(), **feature).step == "computed"
 
 
 def test_a_checkpointed_run_is_computed_until_it_can_fail():
@@ -593,6 +620,32 @@ def test_a_sharded_run_is_evented_and_a_batch_run_is_neither():
         assert engine.run().results > 0
         steps.append(engine.step)
     assert steps == ["computed", "evented", None]
+
+
+@pytest.mark.parametrize(
+    "mode, step",
+    [
+        (dict(), "computed"),
+        (dict(observer=True), "evented"),
+        (dict(shards=1), "evented"),
+        (dict(batch_size=64), "batch"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_a_run_names_its_step_in_its_metrics(mode, step):
+    """Provenance: ``extras["step"]`` is the step that executed."""
+    mode = dict(mode)
+    observer = quiet_observer() if mode.pop("observer", False) else None
+    engine = StreamEngine(
+        kv_plan(),
+        homogeneous_cluster(
+            "m510", 4, network_spec=NetworkSpec(base_latency_s=2e-3)
+        ),
+        config=SimulationConfig(**CONFIG, **mode),
+        observer=observer,
+    )
+    assert engine.run().extras["step"] == step
+    assert engine.step == (None if step == "batch" else step)
 
 
 # ------------------------------------------------------------ 6. checkpoints
@@ -784,3 +837,136 @@ def test_a_delivery_landing_on_a_barriers_dequeue():
     peaks, peaks_e = (sim[0]["operator_queue_peak"] for sim in (got, want))
     assert peaks_e.pop("stage0") - peaks.pop("stage0") == 1
     assert peaks == peaks_e
+
+
+# -------------------------------------------------------- 7. control instants
+
+#: the exp4 workload, long enough for every control below to act
+ELASTIC = dict(
+    max_tuples_per_source=3000,
+    max_sim_time=2.5,
+    warmup_fraction=0.0,
+    autoscale_interval=0.2,
+)
+SPIKE = "spike:at=0.3,factor=3,duration=0.5"
+STRAGGLER = "straggler:at=0.3,factor=8,duration=0.5"
+NETDEG = "netdeg:at=0.3,duration=0.5"
+REACTIVE = "reactive:high=4,low=0.5,cooldown=0.3,max=6"
+PREDICTIVE = "predictive:util=0.6,cooldown=0.3,max=6"
+
+#: each feature the horizon moved onto the computed step, alone and in
+#: the pairs the exp4 grid and the checkpointed runs use
+CONTROLLED = {
+    "rescale-up": dict(rescales=(RescaleEvent(0.3, "agg", 4),)),
+    "rescale-down": dict(rescales=(RescaleEvent(0.3, "agg", 1),)),
+    "autoscale-none": dict(autoscale="none"),
+    "autoscale-reactive": dict(autoscale=REACTIVE, scenario=SPIKE),
+    "autoscale-predictive": dict(autoscale=PREDICTIVE, scenario=STRAGGLER),
+    "spike": dict(scenario=SPIKE),
+    "straggler": dict(scenario=STRAGGLER),
+    "netdeg": dict(scenario=NETDEG),
+    "spike+netdeg": dict(
+        scenario="spike:at=0.3,duration=0.5+netdeg:at=0.5,duration=0.5"
+    ),
+    "sanitize": dict(sanitize=True),
+    "sanitize+autoscale": dict(
+        sanitize=True, autoscale=REACTIVE, scenario=SPIKE
+    ),
+    "checkpoint+spike": dict(scenario=SPIKE, checkpoint_interval=0.05),
+    "checkpoint+straggler": dict(scenario=STRAGGLER, checkpoint_interval=0.05),
+}
+
+
+class Straddling(StreamEngine):
+    """Counts the straddlers' completions and the tuples handed back."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.straddlers = self.handed_back = 0
+
+    def _straddled(self, gid, tup, port):
+        self.straddlers += tup is not None
+        super()._straddled(gid, tup, port)
+
+    def _hand_back(self, runtime, at):
+        self.handed_back += len(runtime.queue) - runtime.queue_head
+        super()._hand_back(runtime, at)
+
+
+@pytest.mark.parametrize("case", CONTROLLED)
+def test_controlled_runs_simulate_the_same_on_both_steps(case):
+    """Rescales, the autoscaler, injections and the race detector act
+    at control instants; the computed step stops short of each and the
+    hops that straddle one complete as events."""
+    config = dict(CONTROLLED[case])
+    sanitize = config.pop("sanitize", False)
+    engines = [
+        Straddling(
+            exp4.elastic_workload_plan(),
+            CLUSTER,
+            config=SimulationConfig(**{**ELASTIC, **config}),
+            rng_factory=RngFactory(1),
+            observer=observer,
+            sanitize=sanitize,
+        )
+        for observer in (None, quiet_observer())
+    ]
+    fewer, events = assert_same_simulation(*engines)
+    assert fewer < 0.4 * events
+    computed = engines[0]
+    # A spike acts on arrivals only, and no hop spans the degradation's
+    # instants at this load; the rest meet a busy server.
+    if case not in ("spike", "netdeg", "sanitize", "checkpoint+spike"):
+        assert computed.straddlers + computed.handed_back > 0
+    if sanitize:
+        findings = [e.race_detector.findings for e in engines]
+        assert findings[0] == findings[1]
+    if "rescale" in case or "reactive" in case:
+        assert computed._rescale_count > 0
+
+
+def test_a_spike_re_paces_what_is_left_of_a_block():
+    """The gaps after the first arrival past a spike's start are drawn
+    under the new mean: a block drawn before it is re-paced."""
+    computed, evented = both_steps(
+        exp4.elastic_workload_plan,
+        seed=1,
+        **{**ELASTIC, "scenario": SPIKE, "max_tuples_per_source": 6000},
+    )
+    assert_same_simulation(computed, evented)
+    source = computed._runtimes[computed._op_gids["src"][0]]
+    assert computed._pacing == 2 and source.paced == 2
+
+
+def test_a_control_instant_landing_on_an_arrival_a_delivery_and_a_done():
+    """On the noise-free grid a straggler and a spike both start at an
+    instant where a source arrival, a delivery to the stage and the
+    stage's completion coincide: the control goes first on both steps,
+    so the straddler is the stage's hop done there, and the arrival
+    there is the first drawn under the spike."""
+    at = 22 * GAP
+    spec = "+".join(
+        f"{kind}:at={at!r},duration={20 * GAP!r},factor=2{extra}"
+        for kind, extra in (("straggler", ",op=stage0"), ("spike", ""))
+    )
+    computed, evented = both_steps(
+        tandem((GAP, 2 * GAP, 2.0**-16), ForwardPartitioner),
+        cluster=ONE_NODE,
+        max_tuples_per_source=61,
+        warmup_fraction=0.0,
+        keep_sink_values=True,
+        scenario=spec,
+    )
+    pops = pop_log(evented)
+    got, _ = simulated(computed)
+    want, _ = simulated(evented)
+    assert (computed.step, evented.step) == ("computed", "evented")
+    assert without_depths(got) == without_depths(want)
+    assert computed._sinks[0].results == evented._sinks[0].results
+    source, stage = (evented._op_gids[op][0] for op in ("src0", "stage0"))
+    for kind, gid in (
+        (engine_module._ARRIVAL, source),
+        (engine_module._DELIVER, stage),
+        (engine_module._DONE, stage),
+    ):
+        assert (at, gid) in instants(pops, kind)

@@ -281,6 +281,39 @@ class TestSpecParsers:
                 make_policy(spec)
         with pytest.raises(ConfigurationError, match="cooldown"):
             make_policy("reactive:cooldown=-1")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "reactive:max=6.5",
+            "reactive:step=1.9",
+            "predictive:min=0.5",
+        ],
+    )
+    def test_a_fractional_count_is_refused_not_truncated(self, spec):
+        with pytest.raises(ConfigurationError, match="integer"):
+            make_policy(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "straggler:subtask=1.5",
+            "failure:node=0.7",
+            "straggler:subtask=1.5+failure:node=0.7",
+        ],
+    )
+    def test_a_fractional_index_is_refused_not_truncated(self, spec):
+        with pytest.raises(ConfigurationError, match="integer"):
+            make_scenario(spec)
+        with pytest.raises(ConfigurationError, match="integer"):
+            SimulationConfig(scenario=spec)
+
+    def test_an_integral_count_still_parses(self):
+        policy = make_policy("reactive:max=6.0,step=2")
+        assert (policy.max_parallelism, policy.step) == (6, 2)
+        assert isinstance(policy.max_parallelism, int)
+        (injection,) = make_scenario("straggler:subtask=1").injections
+        assert injection.subtask == 1
         for knob in (
             "max_sim_time",
             "autoscale_interval",
@@ -290,6 +323,97 @@ class TestSpecParsers:
             for value in (math.nan, math.inf):
                 with pytest.raises(ConfigurationError, match=knob):
                     SimulationConfig(**{knob: value})
+
+
+# ------------------------------------------------------- chaos windows
+
+
+def _perturbed(engine):
+    """What an injection may leave behind: every source's gaps, every
+    subtask's service time, every channel's latency and bandwidth."""
+    return [
+        (
+            rt.mean_gap,
+            rt.burst_fast_gap,
+            rt.burst_slow_gap,
+            rt.base_service,
+            [(list(entry[5]), list(entry[6])) for entry in rt.route_table],
+        )
+        for rt in engine._runtimes
+    ]
+
+
+_WINDOW_SPECS = {
+    "spike": "spike:at={at},duration={duration},factor={factor}",
+    "straggler": (
+        "straggler:at={at},duration={duration},factor={factor},op=agg"
+    ),
+    "netdeg": (
+        "netdeg:at={at},duration={duration},latency_factor={factor},"
+        "bandwidth_factor={inverse}"
+    ),
+}
+
+
+class TestOverlappingWindows:
+    """Two injections of one kind, their windows disjoint, nested or
+    overlapping: once both closed, nothing they scaled is left scaled —
+    the values are the unperturbed ones, bit for bit."""
+
+    @given(
+        kind=st.sampled_from(sorted(_WINDOW_SPECS)),
+        first=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        second=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        factors=st.tuples(
+            st.sampled_from([2.0, 3.0, 1.7]), st.sampled_from([4.0, 1.3])
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_the_last_window_to_close_restores_the_original(
+        self, kind, first, second, factors
+    ):
+        spec = "+".join(
+            _WINDOW_SPECS[kind].format(
+                at=0.05 * at,
+                duration=0.05 * length,
+                factor=factor,
+                inverse=1.0 / factor,
+            )
+            for (at, length), factor in zip((first, second), factors)
+        )
+        # Arrivals run to max_sim_time, past every window's end.
+        config = SimulationConfig(
+            max_tuples_per_source=10_000, max_sim_time=1.0, scenario=spec
+        )
+        engine = StreamEngine(
+            elastic_workload_plan(),
+            homogeneous_cluster("m510", 4),
+            config=config,
+            rng_factory=RngFactory(1),
+        )
+        before = _perturbed(engine)
+        engine.run()
+        assert _perturbed(engine) == before
+        assert engine._windows == {}
+
+    def test_overlapping_spikes_leave_the_sources_at_their_rate(self):
+        """Two overlapping spikes used to leave a source at half its
+        gap: each end restored the gap saved at its own start."""
+        spec = (
+            "spike:at=0.5,duration=1,factor=2+spike:at=1,duration=1,factor=2"
+        )
+        engine = StreamEngine(
+            elastic_workload_plan(),
+            homogeneous_cluster("m510", 4),
+            config=SimulationConfig(
+                max_tuples_per_source=20_000, max_sim_time=3.0, scenario=spec
+            ),
+            rng_factory=RngFactory(1),
+        )
+        source = engine._runtimes[engine._op_gids["src"][0]]
+        gap = source.mean_gap
+        engine.run()
+        assert source.mean_gap == gap
 
 
 # ------------------------------------------------------------ config knobs

@@ -144,6 +144,7 @@ def simulated(metrics):
     """``(digest of to_dict() minus the event counter, events)``."""
     record = metrics.to_dict()
     events = record["extras"].pop("events_processed")
+    del record["extras"]["step"]
     return _sha(record), events
 
 

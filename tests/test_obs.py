@@ -269,6 +269,7 @@ class TestEngineObservation:
         for engine in (plain, observed):
             metrics = engine.run().to_dict()
             del metrics["extras"]["events_processed"]
+            del metrics["extras"]["step"]
             simulated.append(json.dumps(metrics, sort_keys=True))
         assert simulated[0] == simulated[1]
         assert (plain.step, observed.step) == ("computed", "evented")
