@@ -11,6 +11,8 @@ Asserts O9: rule-based enumeration reaches the accuracy target with fewer
 queries — and therefore roughly 3x less total time — than random.
 """
 
+import math
+
 from benchmarks.conftest import emit
 from repro.core.experiments import figure6
 from repro.report import render_figure
@@ -38,17 +40,24 @@ def test_fig6_enumeration_strategies(benchmark):
     random_queries = random_.value_at("queries to target")
     rule_hours = rule.value_at("total hours")
     random_hours = random_.value_at("total hours")
-    emit(
-        f"queries to q<= {TARGET_Q}: rule-based={rule_queries:.0f}, "
-        f"random={random_queries:.0f}; hours: "
-        f"rule-based={rule_hours:.1f}, random={random_hours:.1f} "
-        f"(ratio {random_hours / rule_hours:.1f}x)"
-    )
-
-    # O9: rule-based needs no more queries than random, and
-    # substantially less total time (the paper reports ~3x).
-    assert rule_queries <= random_queries
-    assert random_hours >= 1.5 * rule_hours
+    # O9: rule-based reaches the target, and random needs more queries
+    # and substantially more total time (the paper reports ~3x) — or
+    # does not converge at all, which has no hours and no ratio.
+    assert not math.isnan(rule_hours)
+    if math.isnan(random_hours):
+        emit(
+            f"queries to q<= {TARGET_Q}: rule-based={rule_queries:.0f} "
+            f"({rule_hours:.1f} h); {fig6b.notes}"
+        )
+    else:
+        emit(
+            f"queries to q<= {TARGET_Q}: rule-based={rule_queries:.0f}, "
+            f"random={random_queries:.0f}; hours: "
+            f"rule-based={rule_hours:.1f}, random={random_hours:.1f} "
+            f"(ratio {random_hours / rule_hours:.1f}x)"
+        )
+        assert rule_queries <= random_queries
+        assert random_hours >= 1.5 * rule_hours
 
     # Rule-based accuracy improves with corpus size on seen structures.
     seen = fig6a.series_by_label("rule-based (seen)")

@@ -25,10 +25,12 @@ a web UI; the same operations are exposed here):
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from repro.cluster import heterogeneous_cluster, homogeneous_cluster
-from repro.common.errors import ConfigurationError, ReproError
+from repro.common.errors import ConfigurationError, ReproError, SimulationError
 from repro.core.controller import PDSPBench
 from repro.core.runner import BenchmarkRunner, RunnerConfig
 from repro.core.throughput import sustainable_throughput
@@ -64,7 +66,16 @@ def _runner_config(args) -> RunnerConfig:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _bench(args) -> PDSPBench:
+    return PDSPBench(
+        _cluster_from_args(args),
+        storage_dir=args.storage,
+        runner_config=_runner_config(args),
+        seed=args.seed,
+    )
+
+
+def _add_cluster(parser: argparse.ArgumentParser, nodes: int = 10) -> None:
     parser.add_argument(
         "--cluster", default="m510",
         help="hardware type for a homogeneous cluster (default m510)",
@@ -73,7 +84,41 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--hetero", action="store_true",
         help="use the mixed c6525_25g+c6320 heterogeneous cluster",
     )
-    parser.add_argument("--nodes", type=int, default=10)
+    parser.add_argument("--nodes", type=int, default=nodes)
+
+
+def _add_report(parser: argparse.ArgumentParser, rules: str) -> None:
+    """``--strict``, ``--format`` and ``--list-rules`` of a checker."""
+    parser.add_argument(
+        "--strict", action="store_true",
+        help="treat warnings as errors for the exit code",
+    )
+    parser.add_argument(
+        "--format", choices=["text", "json"], default="text",
+        dest="output_format",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help=f"print the {rules} and exit",
+    )
+
+
+def _add_grid(parser: argparse.ArgumentParser) -> None:
+    """``--seed``, ``--workers`` and ``--json-out`` of an exp4/exp5
+    grid."""
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="process-pool size for grid cells (1 = serial)",
+    )
+    parser.add_argument(
+        "--json-out", default=None,
+        help="also write the full JSON report to this path",
+    )
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_cluster(parser)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--dilation", type=float, default=25.0)
     parser.add_argument("--tuples", type=int, default=2500)
@@ -193,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         ],
     )
     _add_common(experiment)
+    experiment.set_defaults(seed=None)
 
     exp4 = commands.add_parser(
         "exp4",
@@ -218,15 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-ms", type=float, default=150.0,
         help="latency SLO in milliseconds (default 150)",
     )
-    exp4.add_argument("--seed", type=int, default=0)
-    exp4.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size for grid cells (1 = serial)",
-    )
-    exp4.add_argument(
-        "--json-out", default=None,
-        help="also write the full JSON report to this path",
-    )
+    _add_grid(exp4)
 
     exp5 = commands.add_parser(
         "exp5",
@@ -255,15 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one interval, one failure per delivery mode "
         "(the CI recovery-smoke shape)",
     )
-    exp5.add_argument("--seed", type=int, default=0)
-    exp5.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool size for grid cells (1 = serial)",
-    )
-    exp5.add_argument(
-        "--json-out", default=None,
-        help="also write the full JSON report to this path",
-    )
+    _add_grid(exp5)
 
     trace = commands.add_parser(
         "trace",
@@ -298,15 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="trace-out",
         help="output directory for trace.json and metrics.jsonl",
     )
-    trace.add_argument(
-        "--cluster", default="m510",
-        help="hardware type for a homogeneous cluster (default m510)",
-    )
-    trace.add_argument(
-        "--hetero", action="store_true",
-        help="use the mixed c6525_25g+c6320 heterogeneous cluster",
-    )
-    trace.add_argument("--nodes", type=int, default=4)
+    _add_cluster(trace, nodes=4)
 
     tables = commands.add_parser(
         "tables", help="render the paper's configuration tables"
@@ -334,18 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("--parallelism", type=int, default=4)
     lint.add_argument("--rate", type=float, default=100_000.0)
-    lint.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as errors for the exit code",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        dest="output_format",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
+    _add_report(lint, "rule catalogue")
     lint.add_argument(
         "--batch", action="store_true",
         help="additionally run the advisory BAT7xx batch-friendliness "
@@ -363,15 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally run the SHD7xx shardability rules against "
         "this shard count (for plans destined for sharded execution)",
     )
-    lint.add_argument(
-        "--cluster", default="m510",
-        help="hardware type for a homogeneous cluster (default m510)",
-    )
-    lint.add_argument(
-        "--hetero", action="store_true",
-        help="use the mixed c6525_25g+c6320 heterogeneous cluster",
-    )
-    lint.add_argument("--nodes", type=int, default=10)
+    _add_cluster(lint)
     lint.add_argument("--seed", type=int, default=0)
 
     san = commands.add_parser(
@@ -399,22 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     san.add_argument("--parallelism", type=int, default=2)
     san.add_argument("--rate", type=float, default=100_000.0)
     san.add_argument("--seed", type=int, default=0)
-    san.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as errors for the exit code",
-    )
-    san.add_argument(
-        "--format", choices=["text", "json"], default="text",
-        dest="output_format",
-    )
-    san.add_argument(
-        "--list-rules", action="store_true",
-        help="print the DET rule family and exit",
-    )
+    _add_report(san, "DET rule family")
     return parser
 
 
-def _cmd_list_apps() -> int:
+def _cmd_list_apps(args=None) -> int:
     from repro.apps import APP_INFOS
 
     rows = [
@@ -435,12 +427,7 @@ def _cmd_list_apps() -> int:
 
 
 def _cmd_run_app(args) -> int:
-    bench = PDSPBench(
-        _cluster_from_args(args),
-        storage_dir=args.storage,
-        runner_config=_runner_config(args),
-        seed=args.seed,
-    )
+    bench = _bench(args)
     record = bench.run_application(
         args.app, parallelism=args.parallelism, event_rate=args.rate
     )
@@ -465,12 +452,7 @@ def _cmd_run_app(args) -> int:
 
 
 def _cmd_run_suite(args) -> int:
-    bench = PDSPBench(
-        _cluster_from_args(args),
-        storage_dir=args.storage,
-        runner_config=_runner_config(args),
-        seed=args.seed,
-    )
+    bench = _bench(args)
     records = bench.run_suite(
         parallelism=args.parallelism,
         apps=args.apps,
@@ -497,12 +479,7 @@ def _cmd_run_suite(args) -> int:
 
 
 def _cmd_run_synthetic(args) -> int:
-    bench = PDSPBench(
-        _cluster_from_args(args),
-        storage_dir=args.storage,
-        runner_config=_runner_config(args),
-        seed=args.seed,
-    )
+    bench = _bench(args)
     record = bench.run_synthetic(
         QueryStructure(args.structure),
         parallelism=args.parallelism,
@@ -545,12 +522,7 @@ def _cmd_throughput(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    bench = PDSPBench(
-        _cluster_from_args(args),
-        storage_dir=args.storage,
-        runner_config=_runner_config(args),
-        seed=args.seed,
-    )
+    bench = _bench(args)
     corpus = bench.build_corpus(count=args.count)
     reports = bench.train_models(corpus)
     rows = [
@@ -577,6 +549,9 @@ def _cmd_train(args) -> int:
 def _cmd_experiment(args) -> int:
     from repro.core import experiments
 
+    # Without --seed, fig5 and fig6 keep their own default seeds.
+    seeded = {} if args.seed is None else {"seed": args.seed}
+    args.seed = args.seed or 0
     config = _runner_config(args)
     if args.figure == "fig3-top":
         figures = [experiments.figure3_top(runner_config=config)]
@@ -587,18 +562,41 @@ def _cmd_experiment(args) -> int:
     elif args.figure == "fig4-bottom":
         figures = [experiments.figure4_bottom(runner_config=config)]
     elif args.figure == "fig5":
-        figures = [experiments.figure5()]
+        figures = [experiments.figure5(**seeded)]
     else:
-        figures = list(experiments.figure6(workers=args.workers))
+        figures = list(experiments.figure6(workers=args.workers, **seeded))
     for figure in figures:
         print(render_figure(figure))
     return 0
 
 
-def _cmd_exp4(args) -> int:
-    import json as json_module
-    from pathlib import Path
+def _scenarios(args, defaults) -> tuple:
+    """``--scenarios``: ``name=spec`` items and names of ``defaults``,
+    all of ``defaults`` when there are none."""
+    named = dict(defaults)
+    scenarios = []
+    for item in args.scenarios or named:
+        if "=" in item:
+            scenarios.append(tuple(item.split("=", 1)))
+        elif item in named:
+            scenarios.append((item, named[item]))
+        else:
+            raise ConfigurationError(
+                f"unknown scenario {item!r}; use name=spec or one of: "
+                f"{', '.join(named)}"
+            )
+    return tuple(scenarios)
 
+
+def _write_json(path, report) -> None:
+    """``--json-out``: the report, sorted and indented, if asked for."""
+    if path:
+        text = json.dumps(report, indent=2, sort_keys=True)
+        Path(path).write_text(text + "\n")
+        print(f"wrote {path}")
+
+
+def _cmd_exp4(args) -> int:
     from repro.core.experiments.exp4 import (
         DEFAULT_POLICIES,
         DEFAULT_SCENARIOS,
@@ -608,28 +606,10 @@ def _cmd_exp4(args) -> int:
     policies = (
         tuple(args.policies) if args.policies else DEFAULT_POLICIES
     )
-    named = dict(DEFAULT_SCENARIOS)
-    if args.scenarios:
-        scenarios = []
-        for item in args.scenarios:
-            if "=" in item:
-                name, _, spec = item.partition("=")
-                scenarios.append((name, spec))
-            elif item in named:
-                scenarios.append((item, named[item]))
-            else:
-                print(
-                    f"error: unknown scenario {item!r}; use name=spec "
-                    f"or one of: {', '.join(named)}",
-                    file=sys.stderr,
-                )
-                return 2
-    else:
-        scenarios = list(DEFAULT_SCENARIOS)
 
     report = policy_comparison(
         policies=policies,
-        scenarios=tuple(scenarios),
+        scenarios=_scenarios(args, DEFAULT_SCENARIOS),
         slo_latency=args.slo_ms / 1e3,
         quick=args.quick,
         seed=args.seed,
@@ -667,11 +647,7 @@ def _cmd_exp4(args) -> int:
             ),
         )
     )
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json_module.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.json_out}")
+    _write_json(args.json_out, report)
     failed = [c for c in report["cells"] if c.get("determinism_error")]
     for cell in failed:
         print(
@@ -683,9 +659,6 @@ def _cmd_exp4(args) -> int:
 
 
 def _cmd_exp5(args) -> int:
-    import json as json_module
-    from pathlib import Path
-
     from repro.core.experiments.exp5 import (
         DEFAULT_DELIVERIES,
         DEFAULT_INTERVALS_MS,
@@ -698,31 +671,13 @@ def _cmd_exp5(args) -> int:
         if args.intervals_ms
         else DEFAULT_INTERVALS_MS
     )
-    named = dict(DEFAULT_SCENARIOS)
-    if args.scenarios:
-        scenarios = []
-        for item in args.scenarios:
-            if "=" in item:
-                name, _, spec = item.partition("=")
-                scenarios.append((name, spec))
-            elif item in named:
-                scenarios.append((item, named[item]))
-            else:
-                print(
-                    f"error: unknown scenario {item!r}; use name=spec "
-                    f"or one of: {', '.join(named)}",
-                    file=sys.stderr,
-                )
-                return 2
-    else:
-        scenarios = list(DEFAULT_SCENARIOS)
     deliveries = (
         tuple(args.deliveries) if args.deliveries else DEFAULT_DELIVERIES
     )
 
     report = recovery_grid(
         intervals_ms=intervals,
-        scenarios=tuple(scenarios),
+        scenarios=_scenarios(args, DEFAULT_SCENARIOS),
         deliveries=deliveries,
         quick=args.quick,
         seed=args.seed,
@@ -756,11 +711,7 @@ def _cmd_exp5(args) -> int:
             ),
         )
     )
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json_module.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.json_out}")
+    _write_json(args.json_out, report)
     bad = [
         c
         for c in report["cells"]
@@ -804,8 +755,6 @@ def _resolve_app(name: str) -> str:
 
 
 def _cmd_trace(args) -> int:
-    from pathlib import Path
-
     from repro.common.rng import RngFactory
     from repro.obs import EngineObserver, MetricsRegistry, SpanTracer
     from repro.obs.export import write_chrome_trace, write_metrics_jsonl
@@ -815,8 +764,6 @@ def _cmd_trace(args) -> int:
         WorkloadGenerator,
         scale_plan_costs,
     )
-
-    from repro.common.errors import SimulationError
 
     cluster = _cluster_from_args(args)
     dilation = args.dilation
@@ -998,9 +945,23 @@ def _lint_targets(args) -> list:
     return targets
 
 
-def _cmd_lint_plan(args) -> int:
-    import json as json_module
+def _failed(reports, args) -> bool:
+    """Whether a checker's ``(name, report)`` pairs fail it (errors,
+    or warnings under ``--strict``); ``--format json`` prints them."""
+    if args.output_format == "json":
+        print(
+            json.dumps(
+                [json.loads(report.to_json()) for _, report in reports],
+                indent=2,
+            )
+        )
+    return any(
+        report.has_errors or (args.strict and report.warnings())
+        for _, report in reports
+    )
 
+
+def _cmd_lint_plan(args) -> int:
     from repro.analysis import RULE_CATALOG, analyze_plan
 
     if args.list_rules:
@@ -1036,23 +997,8 @@ def _cmd_lint_plan(args) -> int:
         )
         for name, plan in _lint_targets(args)
     ]
-    failed = False
-    for _, report in reports:
-        if report.has_errors:
-            failed = True
-        elif args.strict and report.warnings():
-            failed = True
-    if args.output_format == "json":
-        print(
-            json_module.dumps(
-                [
-                    json_module.loads(report.to_json())
-                    for _, report in reports
-                ],
-                indent=2,
-            )
-        )
-    else:
+    failed = _failed(reports, args)
+    if args.output_format == "text":
         for name, report in reports:
             if report.is_clean:
                 print(f"{name}: clean")
@@ -1090,9 +1036,6 @@ def _sanitize_runtime_report(abbrev: str, args):
 
 
 def _cmd_sanitize(args) -> int:
-    import json as json_module
-    from pathlib import Path
-
     from repro.analysis import RULE_CATALOG, sanitize_app, sanitize_paths
 
     if args.list_rules:
@@ -1136,23 +1079,8 @@ def _cmd_sanitize(args) -> int:
         tree = Path(repro.__file__).parent
         reports.extend(sanitize_paths([tree]))
 
-    failed = False
-    for _, report in reports:
-        if report.has_errors:
-            failed = True
-        elif args.strict and report.warnings():
-            failed = True
-    if args.output_format == "json":
-        print(
-            json_module.dumps(
-                [
-                    json_module.loads(report.to_json())
-                    for _, report in reports
-                ],
-                indent=2,
-            )
-        )
-    else:
+    failed = _failed(reports, args)
+    if args.output_format == "text":
         dirty = [
             (name, report)
             for name, report in reports
@@ -1186,33 +1114,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "list-apps":
-        return _cmd_list_apps()
-    if args.command == "run-app":
-        return _cmd_run_app(args)
-    if args.command == "run-suite":
-        return _cmd_run_suite(args)
-    if args.command == "run-synthetic":
-        return _cmd_run_synthetic(args)
-    if args.command == "throughput":
-        return _cmd_throughput(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "exp4":
-        return _cmd_exp4(args)
-    if args.command == "exp5":
-        return _cmd_exp5(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "tables":
-        return _cmd_tables(args)
-    if args.command == "lint-plan":
-        return _cmd_lint_plan(args)
-    if args.command == "sanitize":
-        return _cmd_sanitize(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return {
+        "list-apps": _cmd_list_apps,
+        "run-app": _cmd_run_app,
+        "run-suite": _cmd_run_suite,
+        "run-synthetic": _cmd_run_synthetic,
+        "throughput": _cmd_throughput,
+        "train": _cmd_train,
+        "experiment": _cmd_experiment,
+        "exp4": _cmd_exp4,
+        "exp5": _cmd_exp5,
+        "trace": _cmd_trace,
+        "tables": _cmd_tables,
+        "lint-plan": _cmd_lint_plan,
+        "sanitize": _cmd_sanitize,
+    }[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,6 +18,8 @@ runs per query configuration.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.cluster.cluster import Cluster, homogeneous_cluster
@@ -257,8 +259,10 @@ def figure6(
         ],
     )
     # Figure 6b: total time (collection at the paper's 3 x 5 min protocol
-    # + training) to reach the target accuracy on seen structures.
+    # + training) to reach the target accuracy on seen structures. A
+    # strategy that never reaches it has no such time: NaN, and a note.
     time_series = []
+    missed = []
     for strategy_name in strategies:
         curve = curves[f"{strategy_name} (seen)"]
         queries_needed = None
@@ -271,10 +275,14 @@ def figure6(
                 train_time = wall
                 break
         if queries_needed is None:
-            queries_needed = sizes[-1] * 2  # did not converge in budget
-        total_hours = (
-            queries_needed * COLLECTION_SECONDS_PER_QUERY + train_time
-        ) / 3600.0
+            missed.append(
+                f"{strategy_name} did not converge within {sizes[-1]} queries"
+            )
+            queries_needed = total_hours = math.nan
+        else:
+            total_hours = (
+                queries_needed * COLLECTION_SECONDS_PER_QUERY + train_time
+            ) / 3600.0
         time_series.append(
             Series(
                 strategy_name,
@@ -289,8 +297,10 @@ def figure6(
         x_label="metric",
         y_label="value",
         series=time_series,
-        notes="collection accounted at 3 runs x 5 min per query (paper "
-        "protocol); training wall time added",
+        notes="; ".join(
+            ["collection accounted at 3 runs x 5 min per query (paper "
+             "protocol); training wall time added"] + missed
+        ),
     )
     if not fig6a.series:
         raise TrainingError("figure 6a produced no series")

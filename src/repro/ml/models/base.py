@@ -8,6 +8,8 @@ ML Manager enforces.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.common.errors import TrainingError
@@ -41,6 +43,20 @@ class CostModel:
         """Q-error summary of this model on a dataset."""
         predictions = self.predict(data)
         return summarize_q_errors(data.latencies(), predictions)
+
+    def _result(
+        self, start: float, epochs: int, train: Dataset, best, val_losses
+    ) -> TrainingResult:
+        """What a fit reports: wall time since ``start`` and its size."""
+        return TrainingResult(
+            model_name=self.name,
+            train_time_s=time.perf_counter() - start,
+            epochs=epochs,
+            num_parameters=self.num_parameters(),
+            train_samples=len(train),
+            best_val_loss=best,
+            val_losses=val_losses,
+        )
 
     def _check_fitted(self, attribute: str) -> None:
         if getattr(self, attribute, None) is None:

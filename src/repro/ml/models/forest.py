@@ -177,14 +177,8 @@ class RandomForestModel(CostModel):
             if stop:
                 break
         self.trees = trees[: best_count or len(trees)]
-        return TrainingResult(
-            model_name=self.name,
-            train_time_s=time.perf_counter() - start,
-            epochs=len(trees),
-            num_parameters=self.num_parameters(),
-            train_samples=len(train),
-            best_val_loss=stopper.best_loss,
-            val_losses=val_losses,
+        return self._result(
+            start, len(trees), train, stopper.best_loss, val_losses
         )
 
     def predict(self, data: Dataset) -> np.ndarray:

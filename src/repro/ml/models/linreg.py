@@ -62,14 +62,8 @@ class LinearRegressionModel(CostModel):
             if loss < best_loss:
                 best_loss = loss
                 self.weights, self.bias = weights, bias
-        return TrainingResult(
-            model_name=self.name,
-            train_time_s=time.perf_counter() - start,
-            epochs=len(self.ridge_grid),
-            num_parameters=self.num_parameters(),
-            train_samples=len(train),
-            best_val_loss=best_loss,
-            val_losses=val_losses,
+        return self._result(
+            start, len(self.ridge_grid), train, best_loss, val_losses
         )
 
     def predict(self, data: Dataset) -> np.ndarray:

@@ -130,14 +130,8 @@ class MLPCostModel(CostModel):
             if stop:
                 break
         self.params = best_params
-        return TrainingResult(
-            model_name=self.name,
-            train_time_s=time.perf_counter() - start,
-            epochs=epochs_run,
-            num_parameters=self.num_parameters(),
-            train_samples=len(train),
-            best_val_loss=stopper.best_loss,
-            val_losses=val_losses,
+        return self._result(
+            start, epochs_run, train, stopper.best_loss, val_losses
         )
 
     def predict(self, data: Dataset) -> np.ndarray:

@@ -31,10 +31,9 @@ def q_error(true_cost: float, predicted_cost: float) -> float:
     return max(ratio, 1.0 / ratio)
 
 
-def q_errors(
-    true_costs: np.ndarray, predicted_costs: np.ndarray
-) -> np.ndarray:
-    """Vectorised q-errors; predictions are floored to a tiny positive."""
+def _checked(true_costs, predicted_costs) -> tuple:
+    """Both as float arrays of one shape, the predictions floored to a
+    tiny positive; the true costs must be positive."""
     true_arr = np.asarray(true_costs, dtype=float)
     pred_arr = np.maximum(np.asarray(predicted_costs, dtype=float), 1e-9)
     if true_arr.shape != pred_arr.shape:
@@ -43,6 +42,14 @@ def q_errors(
         )
     if (true_arr <= 0).any():
         raise ConfigurationError("true costs must be positive")
+    return true_arr, pred_arr
+
+
+def q_errors(
+    true_costs: np.ndarray, predicted_costs: np.ndarray
+) -> np.ndarray:
+    """Vectorised q-errors; predictions are floored to a tiny positive."""
+    true_arr, pred_arr = _checked(true_costs, predicted_costs)
     ratio = true_arr / pred_arr
     return np.maximum(ratio, 1.0 / ratio)
 
@@ -70,14 +77,7 @@ def regression_metrics(
     q-error is the headline metric (scale-free, tail-sensitive); these
     standard metrics round out the model reports.
     """
-    true_arr = np.asarray(true_costs, dtype=float)
-    pred_arr = np.maximum(np.asarray(predicted_costs, dtype=float), 1e-9)
-    if true_arr.shape != pred_arr.shape:
-        raise ConfigurationError(
-            f"shape mismatch: {true_arr.shape} vs {pred_arr.shape}"
-        )
-    if (true_arr <= 0).any():
-        raise ConfigurationError("true costs must be positive")
+    true_arr, pred_arr = _checked(true_costs, predicted_costs)
     mape = float(
         np.mean(np.abs(pred_arr - true_arr) / true_arr)
     ) * 100.0

@@ -116,8 +116,9 @@ class AnalyticEstimator:
             wait = (rho * service * (1.0 + cv2) / 2.0) / (1.0 - rho)
             return wait + service, rho
         # Saturated: the backlog grows throughout the run; a tuple arriving
-        # midway waits for roughly half the accumulated excess work.
-        excess = (rho - 1.0) / max(rho, 1e-9)
+        # midway waits for roughly half the accumulated excess work, and
+        # in 0.98 <= rho < 1 there is none to wait for.
+        excess = max(rho - 1.0, 0.0) / rho
         wait = 0.5 * self.run_duration_s * excess
         return wait + service, rho
 

@@ -41,8 +41,10 @@ the FIFO server's recursion at the ``DELIVER`` — no queue, ``busy``
 flag or ``DONE`` — up to the *horizon*, the next control instant; a
 hop done at or past it straddles: its ``DONE`` is an event, and the
 server is evented until that ``DONE`` hands its queue back. Arrivals
-are instants drawn a block ahead (``_arrival_block``), and a
-checkpoint barrier is decided at its ``DELIVER``. Every other run
+are instants drawn a block ahead (``_arrival_block``), a checkpoint
+barrier is decided at its ``DELIVER``, and with neither checkpoints
+nor control instants a sink's deliveries are logged and settled a
+batch at a time (``_settle``). Every other run
 executes the evented step, the reference the computed one is tested
 against. None of this changes a simulated result: every floating-point
 expression keeps the operand order of the straightforward
@@ -167,6 +169,9 @@ _ARRIVAL_KINDS = {
 #: block keeps the briefly active subtasks of a 130-subtask engine cheap.
 _FIRST_BLOCK = 32
 _BLOCK = 64
+#: a sink's delivery log is settled each time it reaches a multiple of
+#: this many entries (DESIGN.md §14, "Sinks are settled")
+_SETTLE = 256
 
 
 class _Barrier:
@@ -265,8 +270,9 @@ class SimulationConfig:
     max_sim_time: float = 120.0
     warmup_fraction: float = 0.1
     keep_sink_values: bool = False
-    #: budget of popped events; a computed run (``StreamEngine.step``)
-    #: pops about one per delivered tuple-hop, an evented run two
+    #: budget of processed events; a computed run (``StreamEngine.step``)
+    #: counts about one per delivered tuple-hop, settled or popped, an
+    #: evented run two
     max_events: int = 30_000_000
     backpressure_queue_limit: int | None = None
     stalls: tuple[StallInjection, ...] = ()
@@ -792,6 +798,10 @@ class StreamEngine:
             # payload is a bound method: left on the heap it would be a
             # cycle through the engine, which is freed by refcount.
             k.heap.clear()
+            # Quiescence settled every log: settled hops are events.
+            k.events_processed += self._settled
+            if k.events_processed > self.config.max_events:
+                raise BudgetExceededError(self.config.max_events)
             if obs is not None:
                 obs.on_run_end(k.now)
             if race is not None:
@@ -881,6 +891,21 @@ class StreamEngine:
                 self._push(interval, _TIMER, runtime.gid, None, 0)
             if computed:
                 runtime.starts = deque()
+        #: with no checkpoint or control instant, a computed run logs a
+        #: delivery ``(at, seq, tuple, port)`` to a plain sink here, by
+        #: gid, instead of pushing it (``_settle``); ``_settled`` counts
+        #: the hops settled
+        self._logs = {}
+        self._settled = 0
+        if computed and not self._ft and not self._elastic:
+            self._logs = {
+                rt.gid: []
+                for rt in mine
+                if rt.is_sink
+                and type(rt.logic).process is SinkLogic.process
+                and rt.static_work is not None
+                and rt.tick == math.inf
+            }
 
         for stall in config.stalls:
             if stall.op_id not in self.physical.op_subtasks:
@@ -1508,12 +1533,78 @@ class StreamEngine:
         """Work hit zero, but the run ends where its last ``DONE`` would
         have popped: one work event takes the clock to the latest
         completion (timers due before it pop first); from there on,
-        :meth:`_on_idle`."""
-        last = max(self._runtimes, key=lambda rt: (rt.done_at, rt.gid))
-        if last.done_at <= self._k.now:
-            return self._on_idle()
-        self._push(last.done_at, _DONE, last.gid, None, 0)
-        return True
+        :meth:`_on_idle`. Only a tick can still reach a sink, by hops
+        numbered after its subtask's last event: the logged hops before
+        the next are settled, and the rest go back on the heap as the
+        ``DELIVER`` events they stood for; from then on the heap orders
+        every sink hop against the ticks."""
+        k = self._k
+        logs = self._logs
+        while True:
+            if logs:
+                until = min((rt.tick, rt.seq + 1) for rt in self._runtimes)
+                for gid, log in logs.items():
+                    self._settle(gid, until)
+                    for at, seq, tup, port in log:
+                        k.push_tb(at, seq, _DELIVER, gid, tup, port)
+                if k.work:
+                    self._logs = logs = {}
+                    return True
+            last = max(self._runtimes, key=lambda rt: (rt.done_at, rt.gid))
+            if last.done_at > k.now:
+                self._push(last.done_at, _DONE, last.gid, None, 0)
+                return True
+            if not self._on_idle():
+                return False
+            if k.work or not logs:
+                return True  # else the flush reached sinks only
+
+    def _settle(self, gid: int, until: tuple) -> None:
+        """Serve sink ``gid``'s logged hops that pop before ``until``,
+        an ``(at, seq)`` key, in the heap's pop order (DESIGN.md §14)."""
+        log = self._logs[gid]
+        log.sort()
+        cut = bisect_left(log, until)
+        if cut:
+            self._settled += cut
+            self._serve(self._runtimes[gid], log[:cut])
+            del log[:cut]
+
+    def _serve(self, runtime: _SubtaskRuntime, hops: list) -> None:
+        """:meth:`_complete` and :meth:`SinkLogic.process` over a batch
+        of sink hops, in one loop over locals: the same expressions,
+        noise draws included, in the same order."""
+        service = runtime.base_service * runtime.static_work
+        noisy = runtime.noise_sigma > 0
+        free, wait = runtime.free_at, runtime.wait_time
+        busy, peak = runtime.busy_time, max(runtime.queue_peak, 1)
+        starts = runtime.starts
+        arrivals, latencies = [], []
+        for now, _, tup, _ in hops:
+            cost = service
+            if noisy:
+                noise = runtime.noise or self._refill_noise(runtime)
+                cost = service * noise.pop()
+            if free > now:
+                wait += free - now
+                while starts and starts[0] <= now:
+                    starts.popleft()
+                starts.append(free)
+                if len(starts) > peak:
+                    peak = len(starts)
+            else:
+                free = now
+            busy += cost
+            free += cost
+            arrivals.append(free)
+            latencies.append(free - tup.origin_time)
+        runtime.wait_time, runtime.busy_time = wait, busy
+        runtime.queue_peak = peak
+        runtime.done_at = runtime.free_at = free
+        runtime.served += len(hops)
+        runtime.logic.absorb_hops(
+            [hop[2] for hop in hops], arrivals, latencies
+        )
 
     # ------------------------------------------------------ elastic runtime
 
@@ -2658,6 +2749,7 @@ class StreamEngine:
             origin = runtime.gid
             base = pack_tiebreak(origin, 0)
         clocks = self._ft_clocks
+        logs = self._logs
         pushed = 0
         offset = 0.0
         for (
@@ -2672,6 +2764,9 @@ class StreamEngine:
             shuffle_cost,
             to_sink,
         ) in table:
+            # A group's consumers are one sink's subtasks: all logged
+            # or none.
+            log = logs if to_sink and consumers[0] in logs else None
             if fixed is not None:
                 # Constant fan-out (forward/broadcast): no per-tuple
                 # select call or index-list allocation. The overhead sum
@@ -2688,25 +2783,6 @@ class StreamEngine:
                         for out in outputs:
                             nbytes += out.size_bytes
                         obs.shuffle_bytes[runtime.gid] += nbytes * len(fixed)
-                if clocks is None:
-                    # The common case, spelled out: nothing to pair up.
-                    for out in outputs:
-                        size = out.size_bytes
-                        for idx in fixed:
-                            dst = consumers[idx]
-                            delay = latencies[idx] + size / bandwidths[idx]
-                            at = now + delay + offset
-                            seq += 1
-                            if owned is None or dst in owned:
-                                pushed += 1
-                                heappush(
-                                    heap, (at, seq, _DELIVER, dst, out, port)
-                                )
-                            else:
-                                outbox.append(
-                                    (at, origin, seq - base, dst, port, out)
-                                )
-                    continue
                 routed = zip(outputs, repeat(fixed))
             else:
                 # Dynamic fan-out (always a shuffle — only a forward
@@ -2751,6 +2827,11 @@ class StreamEngine:
                             )
                         pushed += 1
                         heappush(heap, (at, seq, _DELIVER, dst, sent, chan))
+                    elif log is not None:
+                        entries = log[dst]
+                        entries.append((at, seq, out, port))
+                        if not len(entries) % _SETTLE:
+                            self._settle(dst, (k.now,))
                     elif owned is None or dst in owned:
                         pushed += 1
                         heappush(heap, (at, seq, _DELIVER, dst, out, port))

@@ -34,6 +34,17 @@ class SinkLogic(OperatorLogic):
             self.results.append(tup.values)
         return []
 
+    def absorb_hops(self, tuples, arrival_times, latencies) -> None:
+        """Settled path: what :meth:`process` records for ``tuples``,
+        reaching the sink at ``arrival_times`` with ``latencies`` (all
+        lists, in arrival order)."""
+        self.received += len(tuples)
+        self.latencies += latencies
+        self.arrival_times += arrival_times
+        if self.keep_values and len(self.results) < self.max_kept:
+            room = self.max_kept - len(self.results)
+            self.results += [tup.values for tup in tuples[:room]]
+
     def supports_batch(self) -> bool:
         return True
 

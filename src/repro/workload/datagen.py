@@ -127,17 +127,6 @@ class StreamSpec:
 
         return generate
 
-    def field_index_of_type(
-        self, dtype: DataType, rng: np.random.Generator
-    ) -> int | None:
-        """A random field index with the given type, or None."""
-        indices = [
-            i for i, fs in enumerate(self.fields) if fs.dtype is dtype
-        ]
-        if not indices:
-            return None
-        return int(indices[int(rng.integers(len(indices)))])
-
     def numeric_field_indices(self) -> list[int]:
         """Indices of all numeric (int/double) fields."""
         return [

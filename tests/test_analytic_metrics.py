@@ -1,7 +1,11 @@
 """Tests for the analytic estimator and the metrics layer."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import homogeneous_cluster
 from repro.common.errors import SimulationError
@@ -12,6 +16,12 @@ from repro.sps.metrics import LatencyStats, RunMetrics, aggregate_runs
 from repro.sps.predicates import FilterFunction, Predicate
 from repro.sps.types import DataType, Field, Schema
 from repro.sps.windows import AggregateFunction, TumblingTimeWindows
+from repro.workload.enumeration import (
+    RandomEnumeration,
+    RuleBasedEnumeration,
+)
+from repro.workload.generator import WorkloadGenerator
+from repro.workload.querygen import QueryStructure
 from tests.conftest import kv_generator
 
 SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
@@ -101,6 +111,53 @@ class TestAnalyticEstimator:
         assert estimate.latency_ms == pytest.approx(
             estimate.latency_s * 1e3
         )
+
+
+class TestSaturationBand:
+    """0.98 <= rho < 1 is neither the M/G/1 branch nor a growing
+    backlog: the wait there is zero, never negative."""
+
+    @pytest.mark.parametrize("rho", [0.98, 0.99, 0.999999, 1.0, 1.5])
+    def test_sojourn_is_at_least_the_service(self, rho):
+        est = AnalyticEstimator(homogeneous_cluster("m510", 2))
+        service = 1e-4
+        sojourn, got = est._sojourn(rho / service, 1, service)
+        assert got == pytest.approx(rho)
+        assert service <= sojourn < math.inf
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        structure=st.sampled_from(list(QueryStructure)),
+        seed=st.integers(0, 2**31 - 1),
+        rule_based=st.booleans(),
+    )
+    def test_every_generated_plan_has_a_positive_finite_latency(
+        self, structure, seed, rule_based
+    ):
+        cluster = homogeneous_cluster("m510", 10)
+        strategy = (
+            RuleBasedEnumeration() if rule_based else RandomEnumeration()
+        )
+        (query,) = WorkloadGenerator(seed=seed).generate(
+            cluster, count=1, structures=[structure], strategy=strategy
+        )
+        latency = AnalyticEstimator(cluster).estimate(query.plan).latency_s
+        assert 0.0 < latency < math.inf
+
+    def test_the_seed_8_corpus_labels_are_positive(self):
+        """Figure 5's corpus at seed 8 had operators in the band and a
+        negative label; building it raised ``TrainingError``."""
+        from repro.core.experiments.exp3 import build_labelled_corpus
+
+        corpus = build_labelled_corpus(
+            homogeneous_cluster("m510", 10),
+            450,
+            structures=list(QueryStructure),
+            strategy=RuleBasedEnumeration(),
+            seed=8,
+        )
+        assert len(corpus) == 450
+        assert all(r.latency_s > 0 for r in corpus.records)
 
 
 class TestLatencyStats:

@@ -55,6 +55,13 @@ class TestUsageErrors:
         assert captured.err.startswith(f"repro: error: {message}")
         assert captured.err.count("\n") == 1 and not captured.out
 
+    @pytest.mark.parametrize("command", ["exp4", "exp5"])
+    def test_unknown_scenario(self, capsys, command):
+        assert main([command, "--scenarios", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: unknown scenario")
+        assert captured.err.count("\n") == 1 and not captured.out
+
     def test_preflight_error(self, capsys):
         code = main(
             ["run-app", "--app", "WC", "--parallelism", "500",
@@ -127,6 +134,44 @@ class TestCommands:
         )
         assert code == 0
         assert "heterogeneous" in capsys.readouterr().out
+
+
+class TestExperimentSeed:
+    """``repro experiment fig5|fig6`` pass ``--seed`` on; without it the
+    figures keep their own defaults (5 and 9)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.core import experiments
+        from repro.report.figures import FigureData, Series
+
+        calls = []
+
+        def fake(name):
+            def figure(**kwargs):
+                calls.append((name, kwargs))
+                series = [Series("s", [1], [1.0])]
+                data = FigureData(name, name, "x", "y", series)
+                return data if name == "fig5" else (data, data)
+
+            return figure
+
+        monkeypatch.setattr(experiments, "figure5", fake("fig5"))
+        monkeypatch.setattr(experiments, "figure6", fake("fig6"))
+        return calls
+
+    def test_seed_reaches_the_figure(self, calls, capsys):
+        assert main(["experiment", "fig5", "--seed", "8"]) == 0
+        assert main(["experiment", "fig6", "--seed", "4"]) == 0
+        assert calls == [
+            ("fig5", {"seed": 8}),
+            ("fig6", {"seed": 4, "workers": 1}),
+        ]
+
+    def test_no_seed_keeps_the_figure_default(self, calls, capsys):
+        assert main(["experiment", "fig5"]) == 0
+        assert main(["experiment", "fig6"]) == 0
+        assert calls == [("fig5", {}), ("fig6", {"workers": 1})]
 
 
 class TestLintPlan:

@@ -14,9 +14,10 @@ runs evented. Held here:
 2. *ties* — noise-free constant-rate tandems on a power-of-two grid, so
    that deliveries, service starts, completions and timer ticks coincide
    to the bit;
-3. *shape* — an eligible run pops one event per delivered tuple-hop,
-   one per ``SOURCE_CHUNK`` source tuples and no ``DONE`` or ``BEGIN``
-   but the quiescence event;
+3. *shape* — an eligible run pops one event per tuple-hop delivered
+   short of a sink, one per ``SOURCE_CHUNK`` source tuples and no
+   ``DONE`` or ``BEGIN`` but the quiescence event, and counts the sink
+   hops it settles;
 4. *flush instant* — the run ends, and open windows flush, where the
    last ``DONE`` would have popped;
 5. *eligibility* — which runs compute, one row per excluding feature;
@@ -28,7 +29,10 @@ runs evented. Held here:
    policies, each injection and two at once, ``sanitize`` alone and
    with the autoscaler, and checkpoint + spike or straggler agree, the
    race detector's findings too; a power-of-two tie puts a control
-   instant on an arrival, a delivery and a completion at once.
+   instant on an arrival, a delivery and a completion at once;
+8. *settled sinks* — a sink slow enough to queue (the scalar
+   recursion), a sink that overrides ``process``, the log's bound and
+   an event budget only the settled hops cross.
 
 Mutations, each run against this file and against the five
 ``apps-scalar`` jobs of ``benchmarks/suite`` at seed 3 when the step
@@ -54,6 +58,16 @@ no hand-back at a straddler's ``DONE`` — the server stays evented
 until its queue drains — fails checkpoint + straggler, whose queued
 barriers only the computed rules decide: without a barrier in play the
 drained backlog simulates the same, only slower.
+
+Of the settled sinks (section 8, run when they were written): settling
+a log unsorted, or counting a waiting hop's depth from the batch
+instead of the earlier starts, fails ``AD``; settling every log at the
+threshold, past the clock, moves ``join8``'s pinned engine count;
+settling every log at quiescence fails the tick due before a logged
+hop; bounding quiescence by the tick alone, not by its subtask's next
+event number, fails the tick tie where a service spans two ticks;
+logging on after quiescence put a log's rest back on the heap fails
+the tick due before a logged hop (its sink's depth).
 """
 
 from __future__ import annotations
@@ -66,6 +80,7 @@ from hypothesis import strategies as st
 import repro.apps as apps
 import repro.sps.engine as engine_module
 from repro.cluster import NetworkSpec, homogeneous_cluster
+from repro.common.errors import SimulationError
 from repro.common.rng import RngFactory
 from repro.core import perf
 from repro.core.experiments import exp4
@@ -82,6 +97,7 @@ from repro.sps.engine import (
 )
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
+from repro.sps.operators.sink import SinkLogic
 from repro.sps.operators.source import SOURCE_CHUNK
 from repro.sps.partitioning import ForwardPartitioner, HashPartitioner
 from repro.sps.tuples import StreamTuple
@@ -484,11 +500,14 @@ def test_an_eligible_run_pops_one_event_per_hop(stages):
         if rt.is_source
     )
     assert counts[engine_module._ARRIVAL] == blocks == 2
-    assert counts[engine_module._DELIVER] == tuples * hops
+    # The sink hops are settled, not popped, and still counted.
+    assert counts[engine_module._DELIVER] == tuples * (hops - 1)
+    assert computed._settled == tuples
     assert counts[engine_module._BEGIN] == 0
     assert counts[engine_module._DONE] == 1  # the quiescence event
-    assert len(pops) == metrics.extras["events_processed"]
-    assert len(pops) == tuples * hops + blocks + 1
+    assert len(pops) + tuples == metrics.extras["events_processed"]
+    assert metrics.extras["events_processed"] == tuples * hops + blocks + 1
+    assert not computed._logs[computed._op_gids["sink"][0]]
     assert len(instants(reference, engine_module._DONE)) == tuples * (
         1 + hops
     )
@@ -970,3 +989,158 @@ def test_a_control_instant_landing_on_an_arrival_a_delivery_and_a_done():
         (engine_module._DONE, stage),
     ):
         assert (at, gid) in instants(pops, kind)
+
+
+# ---------------------------------------------------------- 8. settled sinks
+
+
+def slow_sink_tandem():
+    """The tie tandem with a noisy sink twice as slow as the arrivals:
+    nearly every hop finds the sink busy."""
+    plan = tandem((2.0**-16, 2.0**-15, 2.0**-13), hashed)()
+    plan.operator("sink").cost = OperatorCost(2.0**-13, cost_noise=0.3)
+    return plan
+
+
+def test_a_sink_that_queues_is_settled_bit_for_bit(monkeypatch):
+    """Waits, depths and completions of a backlogged noisy sink,
+    computed a settled batch at a time, equal the evented step's."""
+    served = []
+    serve = StreamEngine._serve
+
+    def spy(engine, runtime, hops):
+        served.append(len(hops))
+        return serve(engine, runtime, hops)
+
+    monkeypatch.setattr(StreamEngine, "_serve", spy)
+    computed, evented = both_steps(
+        slow_sink_tandem, cluster=ONE_NODE, max_tuples_per_source=300
+    )
+    assert_same_simulation(computed, evented)
+    sink = computed._runtimes[computed._op_gids["sink"][0]]
+    assert sum(served) == sink.served == 300
+    assert sink.queue_peak > 100 and sink.wait_time > 0
+
+
+def test_a_tick_due_before_a_logged_hop_reaches_the_sink_first():
+    """A slow stage's hops are computed far ahead and logged when the
+    stream ends; a fast stage's ticks still due before them report to
+    the same sink. Quiescence settles only the hops before the next
+    tick and puts the rest back on the heap as ``DELIVER`` events; the
+    ticks' own sink hops are pushed from then on."""
+
+    def build():
+        plan = LogicalPlan("fork")
+        plan.add_operator(
+            builders.udo(
+                "slow",
+                lambda: Ticker(None),
+                cost=OperatorCost(2.0**-11, cost_noise=0.0),
+                output_schema=SCHEMA,
+            )
+        )
+        plan.add_operator(
+            builders.udo(
+                "ticking",
+                lambda: Ticker(2.0**-10),
+                cost=OperatorCost(2.0**-16, cost_noise=0.0),
+                output_schema=SCHEMA,
+            )
+        )
+        plan.add_operator(builders.sink("sink"))
+        plan.add_operator(
+            builders.source(
+                "src",
+                counting_generator(),
+                SCHEMA,
+                event_rate=2.0**13,
+                arrival="constant",
+            )
+        )
+        for stage in ("slow", "ticking"):
+            plan.connect("src", stage, ForwardPartitioner())
+            plan.connect(stage, "sink", ForwardPartitioner())
+        return plan
+
+    computed, evented = tie_steps(build, tuples=64)
+    pops = pop_log(computed)
+    assert_same_simulation(computed, evented)
+    assert computed._sinks[0].results == evented._sinks[0].results
+    sink = computed._op_gids["sink"][0]
+    put_back = [
+        pop
+        for pop in pops
+        if pop[0] == engine_module._DELIVER and pop[2] == sink
+    ]
+    served = computed._runtimes[sink].served
+    assert put_back and computed._settled + len(put_back) == served
+
+
+class Recorder(SinkLogic):
+    """A sink that overrides ``process``: it keeps every hop it is
+    handed, with its instant."""
+
+    def __init__(self):
+        super().__init__()
+        self.hops = []
+
+    def process(self, tup, now, port=0):
+        self.hops.append((now, tup.values))
+        return super().process(tup, now, port)
+
+
+def test_a_sink_that_overrides_process_sees_every_hop_in_order():
+    def build():
+        plan = slow_sink_tandem()
+        plan.operator("sink").logic_factory = Recorder
+        return plan
+
+    computed, evented = both_steps(
+        build, cluster=ONE_NODE, max_tuples_per_source=300
+    )
+    assert_same_simulation(computed, evented)
+    assert computed._settled == 0
+    hops = computed._sinks[0].hops
+    assert hops == evented._sinks[0].hops
+    assert [values[0] for _, values in hops] == list(range(300))
+
+
+def test_a_sink_log_never_holds_more_than_the_settle_threshold():
+    engine = StreamEngine(
+        perf.join8_plan(),
+        CLUSTER,
+        config=SimulationConfig(max_tuples_per_source=800, max_sim_time=8.0),
+        rng_factory=RngFactory(3),
+    )
+    sizes = []
+    settle = engine._settle
+
+    def spy(gid, *until):
+        sizes.append(len(engine._logs[gid]))
+        settle(gid, *until)
+
+    engine._settle = spy
+    metrics = engine.run()
+    assert metrics.results > 4 * engine_module._SETTLE
+    assert max(sizes) == engine_module._SETTLE
+    assert sizes.count(engine_module._SETTLE) >= 4
+
+
+def test_an_event_budget_only_the_settled_hops_cross_still_raises():
+    def engine(budget):
+        return StreamEngine(
+            slow_sink_tandem(),
+            ONE_NODE,
+            config=SimulationConfig(
+                max_tuples_per_source=300, max_events=budget
+            ),
+            rng_factory=RngFactory(3),
+        )
+
+    probe = engine(10_000)
+    pops = pop_log(probe)
+    events = probe.run().extras["events_processed"]
+    budget = (len(pops) + events) // 2
+    assert len(pops) < budget < events
+    with pytest.raises(SimulationError, match="event budget exceeded"):
+        engine(budget).run()

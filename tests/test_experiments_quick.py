@@ -5,6 +5,7 @@ ensure the experiment modules themselves stay correct (series structure,
 labels, persistence round-trips).
 """
 
+import math
 
 from repro.cluster import homogeneous_cluster
 from repro.core import PDSPBench, RunnerConfig
@@ -101,6 +102,23 @@ class TestFigure6Quick:
         assert {s.label for s in fig6b.series} == {
             "rule-based", "random",
         }
+
+    def test_a_strategy_that_misses_the_target_gets_no_hours(self):
+        """No q-error reaches 0.5 (q >= 1): neither strategy converges,
+        and figure 6b reports that instead of an invented count."""
+        _, fig6b = figure6(
+            cluster=homogeneous_cluster("m510", 4),
+            training_sizes=(20, 40),
+            test_size=40,
+            target_q=0.5,
+            seed=3,
+        )
+        for label in ("rule-based", "random"):
+            series = fig6b.series_by_label(label)
+            assert all(math.isnan(y) for y in series.y)
+            assert f"{label} did not converge within 40 queries" in (
+                fig6b.notes
+            )
 
 
 class TestFigurePersistence:
