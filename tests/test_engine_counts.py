@@ -8,6 +8,12 @@ from 100k ev/s; ``-b256`` runs the same plan on the columnar executor
 with 256-row micro-batches. The checkpointed ``hotpath`` is pinned by
 ``tests/test_ft_step.py::GOLDEN``.
 
+The rows named in ``EVENTED`` execute the evented step, each for a
+reason of its own: an observer that records nothing, backpressure that
+throttles the sources, a node failure that drops source tuples, and the
+exp5 plan checkpointed through a failure, its sources replaying their
+logs. Each asserts that what it is there for happened.
+
 An event count depends on the step as well as on the simulation (a
 computed run pops one event per delivered tuple-hop and 1/32 per source
 tuple; the batch executor counts event-equivalents), so a step change
@@ -22,7 +28,9 @@ import pytest
 from repro.cluster import homogeneous_cluster
 from repro.common.rng import RngFactory
 from repro.core import perf
+from repro.core.experiments.exp5 import ft_workload_plan
 from repro.core.runner import BenchmarkRunner, RunnerConfig
+from repro.obs import EngineObserver
 from repro.sps.engine import SimulationConfig, StreamEngine
 
 #: workload -> (step, events, results, mean latency in seconds)
@@ -35,17 +43,51 @@ PINNED = {
     "AD": ("computed", 3869, 67, 0.634657819512432),
     "hotpath-b256": (None, 4161, 378, 0.1850300794962635),
     "WC-b256": (None, 12796, 26, 0.42531138079587577),
+    "hotpath-observed": ("evented", 8246, 378, 0.03136629239487713),
+    "WC-throttled": ("evented", 27090, 26, 0.40037770366622477),
+    "hotpath-failure": ("evented", 7791, 341, 0.035905549015591606),
+    "exp5-ft-failure": ("evented", 9269, 154, 1.4393402414147827),
 }
 
 _PLANS = {
     "hotpath": perf.hotpath_plan,
     "slide8": perf.slide8_plan,
     "join8": perf.join8_plan,
+    "exp5": ft_workload_plan,
+}
+
+#: evented row -> (its plan, what it adds to the shape, the count in
+#: ``extras`` it must make positive)
+EVENTED = {
+    "hotpath-observed": ("hotpath", dict(observer=True), None),
+    "WC-throttled": (
+        "WC",
+        dict(backpressure_queue_limit=4),
+        ("throttled_arrivals",),
+    ),
+    "hotpath-failure": (
+        "hotpath",
+        dict(scenario="failure:at=0.1,duration=0.1"),
+        ("elastic", "state_loss", "lost_source_tuples"),
+    ),
+    "exp5-ft-failure": (
+        "exp5",
+        dict(
+            checkpoint_interval=0.05,
+            scenario="failure:at=0.3,duration=0.1",
+        ),
+        ("ft", "replayed_events"),
+    ),
 }
 
 
 def run(name: str):
     base, _, batch = name.partition("-b")
+    extra, exercised = {}, None
+    if name in EVENTED:
+        base, extra, exercised = EVENTED[name]
+        extra, batch = dict(extra), ""
+    observer = extra.pop("observer", None)
     cluster = homogeneous_cluster("m510", 4)
     if base in _PLANS:
         plan = _PLANS[base]()
@@ -56,11 +98,21 @@ def run(name: str):
         max_tuples_per_source=1500,
         max_sim_time=8.0,
         batch_size=int(batch) if batch else None,
+        **extra,
     )
     engine = StreamEngine(
-        plan, cluster, config=config, rng_factory=RngFactory(17)
+        plan,
+        cluster,
+        config=config,
+        rng_factory=RngFactory(17),
+        observer=EngineObserver(sample_interval=1e9) if observer else None,
     )
     metrics = engine.run()
+    if exercised:
+        count = metrics.extras
+        for key in exercised:
+            count = count[key]
+        assert count > 0, (name, exercised)
     return (
         engine.step,
         metrics.extras["events_processed"],
