@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, check_time
 from repro.sps.costs import OperatorCost, default_cost
 from repro.sps.logical import LogicalOperator, OperatorKind
 from repro.sps.operators.aggregate import WindowAggregateLogic
@@ -70,8 +70,7 @@ def source(
             f"source {op_id!r} needs a generator or a vector_generator, "
             "not both"
         )
-    if event_rate <= 0:
-        raise ConfigurationError("event_rate must be positive")
+    check_time("event_rate", event_rate)
     return LogicalOperator(
         op_id=op_id,
         kind=OperatorKind.SOURCE,

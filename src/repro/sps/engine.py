@@ -10,8 +10,9 @@ throughput therefore *emerge* from queueing dynamics rather than being
 postulated — which is what lets the simulator reproduce the paper's
 observations (speedup from parallelism, its paradox, non-linearity).
 
-Event kinds: ``ARRIVAL`` (a source emits one tuple, or on a computed
-run a block of ``SOURCE_CHUNK``), ``DELIVER`` (a tuple or a checkpoint
+Event kinds: ``ARRIVAL`` (a source's next arrivals, a block of up to
+``SOURCE_CHUNK``: on the evented step it emits the first, on a computed
+run as many as it can), ``DELIVER`` (a tuple or a checkpoint
 barrier reaches a subtask), ``BEGIN`` (a server starts the head of its
 queue; computed, an alignment buffer is released), ``DONE`` (a service
 completes; computed, a straddler's, or the one ending the run),
@@ -40,15 +41,16 @@ can touch it (``StreamEngine.step == "computed"``), ``_complete`` runs
 the FIFO server's recursion at the ``DELIVER`` — no queue, ``busy``
 flag or ``DONE`` — up to the *horizon*, the next control instant; a
 hop done at or past it straddles: its ``DONE`` is an event, and the
-server is evented until that ``DONE`` hands its queue back. Arrivals
-are instants drawn a block ahead (``_arrival_block``), a checkpoint
-barrier is decided at its ``DELIVER``, and with neither checkpoints
-nor control instants a sink's deliveries are logged and settled a
-batch at a time (``_settle``). Every other run
-executes the evented step, the reference the computed one is tested
-against. None of this changes a simulated result: every floating-point
-expression keeps the operand order of the straightforward
-implementation (``tests/test_golden_determinism.py``).
+server is evented until that ``DONE`` hands its queue back. There a
+checkpoint barrier is decided at its ``DELIVER``, and with neither
+checkpoints nor control instants a sink's deliveries are logged and
+settled a batch at a time (``_settle``). Every other run executes the
+evented step, the reference the computed one is tested against. On
+either step a source's arrivals are instants drawn a block ahead
+(``_arrival_block``) and read by one handler (``_arrive``). None of
+this changes a simulated result: every floating-point expression keeps
+the operand order of the straightforward implementation
+(``tests/test_golden_determinism.py``).
 
 **Observability.** Passing an :class:`repro.obs.EngineObserver` lets the
 run be traced and metered without perturbing it: every hook only *reads*
@@ -163,10 +165,11 @@ _ARRIVAL_KINDS = {
     "profile": _ARR_PROFILE,
 }
 
-#: Lengths of a subtask's first and later draw blocks, by measurement
-#: (DESIGN.md §14): a sized draw costs ~4 us whatever its length, so 64
-#: values amortise it; longer blocks were no faster, and a short first
-#: block keeps the briefly active subtasks of a 130-subtask engine cheap.
+#: Lengths of a subtask's first and later service-noise blocks, by
+#: measurement (DESIGN.md §14): a sized draw costs ~4 us whatever its
+#: length, so 64 values amortise it; longer blocks were no faster, and a
+#: short first block keeps the briefly active subtasks of a 130-subtask
+#: engine cheap. A source's arrivals come in ``SOURCE_CHUNK`` blocks.
 _FIRST_BLOCK = 32
 _BLOCK = 64
 #: a sink's delivery log is settled each time it reaches a multiple of
@@ -414,12 +417,12 @@ class _SubtaskRuntime:
     ft_buffer: list | None = None
     ft_behind: int = 0
     ft_rest: list | None = None  # computed: a release left unserved
-    #: the subtask's private randomness (DESIGN.md §14): unit-mean
-    #: arrival gaps (scaled at use) and service-noise factors wait in
-    #: reversed blocks, popped from the end and refilled from the
-    #: subtask's own ``…/arrivals`` and ``…/noise`` streams, which are
-    #: opened at the first refill
-    gaps: list | None = None
+    #: the subtask's private randomness (DESIGN.md §14): a source's
+    #: unit-mean arrival gaps come a block at a time from its own
+    #: ``…/arrivals`` stream (``_arrival_block``); service-noise
+    #: factors wait in a reversed block, popped from the end and
+    #: refilled from its ``…/noise`` stream. Each stream is opened at
+    #: its first draw.
     gaps_rng: object = None
     noise: list | None = None
     noise_rng: object = None
@@ -440,8 +443,9 @@ class _SubtaskRuntime:
     done_at: float = 0.0
     starts: deque | None = None
     tick: float = math.inf
-    #: a computed source's current arrival block: its unit gaps, and
-    #: the engine's ``_pacing`` its instants were computed under
+    #: a source's current arrival block: its unit gaps, and the
+    #: engine's ``_pacing`` its instants were computed under (-1: to be
+    #: re-chained from the next arrival, a throttled one's retry)
     units: object = None
     paced: int = 0
 
@@ -461,7 +465,13 @@ def _paced_mean_gap(runtime: _SubtaskRuntime, now: float) -> float:
             f"{runtime.op_id}: arrival 'profile' needs a "
             "'rate_profile' callable in the source metadata"
         )
-    return 1.0 / max(float(profile(now)) / runtime.profile_divisor, 1e-9)
+    rate = float(profile(now))
+    if not 0.0 <= rate < math.inf:
+        raise ConfigurationError(
+            f"{runtime.op_id}: rate_profile gave {rate!r} at t={now!r}; "
+            "a rate must be non-negative, finite"
+        )
+    return 1.0 / max(rate / runtime.profile_divisor, 1e-9)
 
 
 def _static_work(logic) -> float | None:
@@ -651,8 +661,7 @@ class StreamEngine:
         """Resolve a source's arrival process once, not per arrival."""
         rate = float(op.metadata.get("event_rate", 1000.0))
         per_instance = rate / max(op.parallelism, 1)
-        if per_instance <= 0:
-            raise SimulationError(f"{runtime.op_id}: event rate must be > 0")
+        check_time(f"{runtime.op_id}: event rate", per_instance)
         process = op.metadata.get("arrival", "poisson")
         kind = _ARRIVAL_KINDS.get(process)
         if kind is None:
@@ -788,11 +797,7 @@ class StreamEngine:
             k.run(
                 self._make_handlers(),
                 max_events=self.config.max_events,
-                on_idle=(
-                    self._quiesce
-                    if self._step == "computed"
-                    else self._on_idle
-                ),
+                on_idle=self._quiesce,
             )
             # What is still scheduled never happens. A control-plane
             # payload is a bound method: left on the heap it would be a
@@ -881,10 +886,9 @@ class StreamEngine:
         if self._ft:
             self._ft_init()
 
-        seed = self._push_arrivals if computed else self._schedule_next_arrival
         for runtime in mine:
             if runtime.is_source:
-                seed(runtime, 0.0)
+                self._push_arrivals(runtime, 0.0)
             interval = getattr(runtime.logic, "timer_interval", None)
             if interval:
                 runtime.tick = interval
@@ -921,7 +925,7 @@ class StreamEngine:
     def _make_handlers(self) -> list:
         """The kernel's dispatch table, one entry per event kind."""
         handlers: list = [None] * 11
-        handlers[_ARRIVAL] = self._handle_arrival
+        handlers[_ARRIVAL] = self._arrive
         handlers[_DELIVER] = self._ft_deliver if self._ft else self._enqueue
         handlers[_BEGIN] = self._begin_service
         handlers[_DONE] = self._handle_done
@@ -932,7 +936,6 @@ class StreamEngine:
             handlers[kind] = self._apply
         handlers[_FT] = lambda gid, call, port: call[0](*call[1:])
         if self._step == "computed":
-            handlers[_ARRIVAL] = self._arrive
             handlers[_DONE] = self._straddled
             if self._ft:
                 handlers[_BEGIN] = self._ft_release
@@ -1004,16 +1007,6 @@ class StreamEngine:
         """The subtask's private ``arrivals`` or ``noise`` generator."""
         return self._rngs.fresh(*self._stream_name(runtime), kind)
 
-    def _refill_gaps(self, runtime: _SubtaskRuntime) -> list:
-        """The next block of unit-mean arrival gaps, in pop order."""
-        rng = runtime.gaps_rng
-        size = _BLOCK
-        if rng is None:
-            rng = runtime.gaps_rng = self._open_stream(runtime, "arrivals")
-            size = _FIRST_BLOCK
-        runtime.gaps = rng.standard_exponential(size)[::-1].tolist()
-        return runtime.gaps
-
     def _refill_noise(self, runtime: _SubtaskRuntime) -> list:
         """The next block of service-noise factors, in pop order."""
         rng = runtime.noise_rng
@@ -1024,63 +1017,6 @@ class StreamEngine:
         block = rng.lognormal(runtime.noise_mu, runtime.noise_sigma, size)
         runtime.noise = block[::-1].tolist()
         return runtime.noise
-
-    def _schedule_next_arrival(
-        self, runtime: _SubtaskRuntime, now: float
-    ) -> None:
-        if runtime.emitted >= runtime.arrival_budget:
-            return
-        kind = runtime.arrival_kind
-        if kind == _ARR_CONSTANT:
-            gap = runtime.mean_gap
-        else:
-            # ``mean * E`` with E a unit-mean draw is what
-            # ``Generator.exponential(mean)`` computes, bit for bit.
-            gaps = runtime.gaps or self._refill_gaps(runtime)
-            if kind == _ARR_POISSON:
-                gap = runtime.mean_gap * gaps.pop()
-            else:
-                gap = gaps.pop() * _paced_mean_gap(runtime, now)
-        at = now + gap
-        if at > self.config.max_sim_time:
-            return
-        self._push(at, _ARRIVAL, runtime.gid, None, 0)
-
-    def _handle_arrival(self, gid: int, payload, port: int) -> None:
-        runtime = self._runtimes[gid]
-        now = self._k.now
-        if self._congested:
-            # Backpressure: hold the arrival without emitting; retry
-            # shortly. The event stays "work" so the run cannot end
-            # while sources are merely paused.
-            self._throttled_arrivals += 1
-            retry = now + 1e-3
-            if retry <= self.config.max_sim_time:
-                self._push(retry, _ARRIVAL, gid, None, 0)
-            return
-        tup = runtime.logic.generate(now)
-        runtime.emitted += 1
-        if now < runtime.fail_until:
-            # Failed source (chaos, FT off): the tuple is generated for
-            # RNG parity but never delivered — an explicit data loss.
-            self._state_loss["lost_source_tuples"] += 1
-            self._schedule_next_arrival(runtime, now)
-            return
-        if now > self._last_source_time:
-            self._last_source_time = now
-        if self._ft:
-            # Durable source log (DESIGN.md §13): every generated tuple
-            # is appended; delivery advances ft_head, and recovery
-            # rewinds ft_head to the checkpoint offset and replays. A
-            # source's own tuples ride the reserved channel 0.
-            log = runtime.ft_log
-            log.append(tup)
-            if not self._ft_recovering and runtime.ft_head == len(log) - 1:
-                runtime.ft_head = len(log)
-                self._enqueue(gid, tup, 0)
-        else:
-            self._enqueue(gid, tup, 0)
-        self._schedule_next_arrival(runtime, now)
 
     def _enqueue(self, gid: int, tup: StreamTuple, port: int) -> None:
         runtime = self._runtimes[gid]
@@ -1298,15 +1234,16 @@ class StreamEngine:
             self._obs.on_stall(runtime, at, duration)
         self._push(at + duration, _BEGIN, runtime.gid, None, 0)
 
-    # ---------------------------------------------------- the computed step
+    # ------------------------------------------------------------ arrivals
 
     def _arrival_block(self, runtime: _SubtaskRuntime, at: float, n: int):
         """The ``n`` arrival instants after a source's arrival at ``at``,
-        less those past ``max_sim_time``: the chain ``at += gap`` of
-        :meth:`_schedule_next_arrival`, a block at a time, over ``n``
-        unit gaps from the subtask's ``…/arrivals`` stream. Nothing else
-        reads the stream, so the draws past a cut change no result; a
-        block that comes back short is the source's last."""
+        less those past ``max_sim_time``: the chain ``at += mean * E``
+        over ``n`` unit gaps ``E`` from the subtask's ``…/arrivals``
+        stream — ``mean * E`` is what ``Generator.exponential(mean)``
+        computes, bit for bit. Nothing else reads the stream, so the
+        draws past a cut change no result; a block that comes back
+        short is the source's last."""
         if runtime.arrival_kind == _ARR_CONSTANT:
             units = np.ones(n)
         else:
@@ -1349,22 +1286,64 @@ class StreamEngine:
                 self._push(instants[0], _ARRIVAL, runtime.gid, instants, 0)
 
     def _arrive(self, gid: int, instants: list, done: int) -> None:
-        """``ARRIVAL``: a block of a source's arrivals (DESIGN.md §14).
+        """``ARRIVAL``: a block of a source's arrivals (DESIGN.md §14),
+        carrying in ``done`` how many of the block came before them.
 
-        Each tuple is generated and completed at its own instant, ahead
-        of the clock — short of the horizon and of a pending checkpoint
+        A spike since the block was drawn re-paces it after its first
+        instant, whose gap was drawn before. On the evented step each
+        instant is an event: its tuple is throttled, dropped by a
+        failed source, logged or enqueued, and the rest of the block
+        follows as the next ``ARRIVAL``. On the computed step each
+        tuple is generated and completed at its own instant, ahead of
+        the clock — short of the horizon and of a pending checkpoint
         trigger (whose barrier is dequeued behind exactly the arrivals
-        before it), and one at a time behind a straddler: the rest
-        arrive as an ``ARRIVAL`` of their own, carrying in ``done`` how
-        many of the block came before them. A spike since the block was
-        drawn re-paces it after its first instant, whose gap was drawn
-        before. A block short of ``SOURCE_CHUNK`` is the source's last."""
+        before it), and one at a time behind a straddler. A block
+        short of ``SOURCE_CHUNK`` is the source's last."""
         runtime = self._runtimes[gid]
         if runtime.paced != self._pacing:
             runtime.paced = self._pacing
             instants = [instants[0]] + self._arrival_chain(
                 runtime, instants[0], runtime.units[done + 1 :]
             ).tolist()
+        if not self._computed:
+            now = instants[0]
+            if self._congested:
+                # Backpressure: hold the arrival without emitting and
+                # retry shortly; the rest of the block is re-chained
+                # from the retry that emits. The event stays "work", so
+                # the run cannot end while sources are merely paused.
+                self._throttled_arrivals += 1
+                retry = now + 1e-3
+                if retry <= self.config.max_sim_time:
+                    runtime.paced = -1
+                    self._push(retry, _ARRIVAL, gid, [retry], done)
+                return
+            tup = runtime.logic.generate(now)
+            runtime.emitted += 1
+            if now < runtime.fail_until:
+                # Failed source (chaos, FT off): the tuple is generated
+                # for RNG parity but never delivered — an explicit loss.
+                self._state_loss["lost_source_tuples"] += 1
+            else:
+                if now > self._last_source_time:
+                    self._last_source_time = now
+                log = runtime.ft_log
+                if log is None:
+                    self._enqueue(gid, tup, 0)
+                else:
+                    # Durable source log (DESIGN.md §13): every tuple is
+                    # appended; delivery advances ft_head, and recovery
+                    # rewinds it to the checkpoint offset and replays.
+                    log.append(tup)
+                    head = runtime.ft_head
+                    if not self._ft_recovering and head == len(log) - 1:
+                        runtime.ft_head = len(log)
+                        self._enqueue(gid, tup, 0)
+            if len(instants) > 1:
+                self._push(instants[1], _ARRIVAL, gid, instants[1:], done + 1)
+            elif done + 1 == SOURCE_CHUNK:
+                self._push_arrivals(runtime, now)
+            return
         stop = len(instants)
         cut = self._h if self._h < self._ft_next else self._ft_next
         if runtime.busy:
@@ -1390,6 +1369,8 @@ class StreamEngine:
             self._last_source_time = now
         if done + i == SOURCE_CHUNK:
             self._push_arrivals(runtime, now)
+
+    # ---------------------------------------------------- the computed step
 
     def _complete(
         self, gid: int, tup: StreamTuple, port: int, now: float | None = None
@@ -1537,7 +1518,9 @@ class StreamEngine:
         numbered after its subtask's last event: the logged hops before
         the next are settled, and the rest go back on the heap as the
         ``DELIVER`` events they stood for; from then on the heap orders
-        every sink hop against the ticks."""
+        every sink hop against the ticks. An evented run logs nothing
+        and computes no ``done_at``, so it goes straight to
+        :meth:`_on_idle`."""
         k = self._k
         logs = self._logs
         while True:

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, check_time
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import Schema
 
@@ -143,12 +143,10 @@ def diurnal_rate_profile(
     (night) and ``base_rate * peak_factor`` (evening peak), which is the
     non-stationarity pattern of smart-grid and traffic traces.
     """
-    if base_rate <= 0:
-        raise ConfigurationError("base_rate must be positive")
-    if peak_factor < 1.0:
-        raise ConfigurationError("peak_factor must be >= 1")
-    if day_length_s <= 0:
-        raise ConfigurationError("day_length_s must be positive")
+    check_time("base_rate", base_rate)
+    if not 1.0 <= peak_factor < np.inf:
+        raise ConfigurationError("peak_factor must be >= 1, finite")
+    check_time("day_length_s", day_length_s)
     log_peak = np.log(peak_factor)
 
     def rate_at(now: float) -> float:

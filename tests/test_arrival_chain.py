@@ -1,12 +1,16 @@
 """The arrival chain, one definition read three ways (DESIGN.md §14).
 
 A source's timeline depends on nothing but its own ``…/arrivals``
-stream. Where nothing can move a source's clock — a computed run — the
-engine emits the chain as *instants*, a ``SOURCE_CHUNK`` block per
-``ARRIVAL`` event (``StreamEngine._arrival_block``); where backpressure,
-a failure or a source log can, the evented step folds *gaps* into it one
-arrival at a time; the batch executor reads whole ``_GAP_BLOCK`` blocks
-through the same method. Held here:
+stream and on what holds the source back. The engine draws the chain as
+*instants*, a ``SOURCE_CHUNK`` block at a time
+(``StreamEngine._arrival_block``), and both scalar steps read the blocks
+through ``_arrive``: the computed step a block per ``ARRIVAL`` event,
+the evented step one instant per event; the batch executor reads whole
+``_GAP_BLOCK`` blocks through the same method. Backpressure holds a
+source, and the rest of its block is re-chained from the instant the
+held tuple is emitted; a failed source drops what it generates during
+its downtime and a logged source replays it, and neither moves the
+chain. Held here:
 
 1. *three-way* — per source, the origin times a computed run delivers
    equal the evented run's (the observer that records nothing), the
@@ -16,24 +20,35 @@ through the same method. Held here:
    before the first arrival;
 2. *splits* — ``_arrival_block`` does not depend on how a request for
    instants is cut into calls;
-3. *errors* — a missing ``rate_profile`` is reported by ``run()``;
+3. *errors* — a missing ``rate_profile`` is reported by ``run()``, an
+   event rate that is not positive and finite where it is given, and a
+   profile rate that is NaN, negative or infinite at its instant;
 4. *row generators* — one with ``per_subtask()`` is called in its own
    subtask's arrival order, ``event_time`` the arrival instant;
 5. *budgets* — ``max_tuples_per_source`` below the parallelism is not
    exceeded, in any mode;
-6. *heap* — a source runs at most a block ahead of the clock.
+6. *heap* — a source runs at most a block ahead of the clock;
+7. *held clocks* — against the per-call reference, extended here and
+   independent of the engine: a throttled source retries every 1 ms
+   while the observer's ``on_backpressure`` calls say a subtask is
+   congested, and its next gap is drawn from the emission; a failed
+   source drops exactly the per-call instants inside its downtime; a
+   checkpointed source's replayed log carries the per-call origin
+   times.
 
 Mutations, each run against this file when it was written. Cutting a
 block with ``side="left"`` fails the 20 on-instant cases of (1) and
 nothing else. Seeding the next block from ``instants[0]`` instead of
 ``instants[-1]`` fails 28 of the 32 cases of (1) with a budget above
 ``SOURCE_CHUNK`` (the rest are cut inside their first block), (4) and
-(6).
+(6). Retrying a throttled arrival with its block's stale instants
+instead of re-chaining them fails the four throttled cases of (7).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from unittest import mock
 
 import numpy as np
@@ -45,8 +60,10 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RngFactory
 from repro.core import perf
 from repro.core.runner import BenchmarkRunner, RunnerConfig
+from repro.obs import EngineObserver
 from repro.sps import builders
 from repro.sps.batch import ColumnarExecutor
+from repro.sps.costs import OperatorCost
 from repro.sps.engine import SimulationConfig, StreamEngine
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.sink import SinkLogic
@@ -115,13 +132,18 @@ def stamped(stamp):
 OPS = KINDS + ("pacer",)
 
 
-def chain_plan():
+def chain_plan(relay=None):
     """One source per arrival kind, each stamping its tuples, and a
     fast constant one so that a run cut before a kind's first arrival
-    still has results; one sink."""
+    still has results; one sink, behind ``relay`` if one is given."""
     plan = LogicalPlan("chain")
     plan.add_operator(builders.sink("sink"))
     plan.operator("sink").logic_factory = CapturingSink
+    target = "sink"
+    if relay is not None:
+        plan.add_operator(relay)
+        plan.connect(relay.op_id, "sink")
+        target = relay.op_id
     for stamp, op_id in enumerate(OPS):
         fast = op_id == "pacer"
         op = builders.source(
@@ -134,7 +156,7 @@ def chain_plan():
         if op_id == "profile":
             op.metadata["rate_profile"] = rate_profile
         plan.add_operator(op)
-        plan.connect(op_id, "sink")
+        plan.connect(op_id, target)
     return plan
 
 
@@ -155,6 +177,12 @@ def by_source(engine, per_gid):
     }
 
 
+def sunk(engine):
+    """Per source, the origin times its tuples reached the sink with."""
+    origins = engine._sinks[0].origins
+    return {op: origins.get(stamp, []) for stamp, op in enumerate(OPS)}
+
+
 def delivered(mode, budget, max_sim_time):
     """Per source, the origin times the mode emitted — checked against
     the per-call chain of ``tests/test_window_kernel``."""
@@ -164,8 +192,7 @@ def delivered(mode, budget, max_sim_time):
     else:
         engine.run()
         assert engine.step == mode
-        origins = engine._sinks[0].origins
-        got = {op: origins.get(stamp, []) for stamp, op in enumerate(OPS)}
+        got = sunk(engine)
     assert got == by_source(engine, per_call_arrivals(engine))
     return got
 
@@ -241,17 +268,65 @@ def test_a_block_does_not_depend_on_how_it_is_requested(split):
 # ----------------------------------------------------------------- 3. errors
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_a_missing_rate_profile_is_reported_by_run(mode):
-    plan = LogicalPlan("missing-profile")
-    plan.add_operator(
-        builders.source("src", stamped(0), SCHEMA, RATE, arrival="profile")
-    )
+def one_source_plan(arrival="profile", profile=None):
+    plan = LogicalPlan("one-source")
+    op = builders.source("src", stamped(0), SCHEMA, RATE, arrival=arrival)
+    if profile is not None:
+        op.metadata["rate_profile"] = profile
+    plan.add_operator(op)
     plan.add_operator(builders.sink("sink"))
     plan.connect("src", "sink")
-    engine = engine_of(plan, mode, max_tuples_per_source=10)
+    return plan
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_missing_rate_profile_is_reported_by_run(mode):
+    engine = engine_of(one_source_plan(), mode, max_tuples_per_source=10)
     with pytest.raises(ConfigurationError, match="rate_profile"):
         engine.run()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0, 0.0])
+def test_an_event_rate_that_is_not_positive_and_finite_is_refused(
+    rate, mode
+):
+    """NaN used to pass both checks and end in ``no latency samples``,
+    or on the evented step in an untyped ``ValueError``."""
+    with pytest.raises(ConfigurationError, match="event_rate must be"):
+        builders.source("src", stamped(0), SCHEMA, rate)
+    plan = one_source_plan("poisson")
+    plan.operator("src").metadata["event_rate"] = rate
+    with pytest.raises(ConfigurationError, match="src: event rate must"):
+        engine_of(plan, mode, max_tuples_per_source=10).run()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("bad", [math.nan, -5.0, math.inf])
+def test_a_rate_profile_that_leaves_the_rates_is_refused(bad, mode):
+    """From 0.5 s the profile gives ``bad``: a NaN used to stop the
+    source silently mid-run, a negative rate to be clamped to 1e-9."""
+    engine = engine_of(
+        one_source_plan(profile=lambda t: RATE if t < 0.5 else bad),
+        mode,
+        max_tuples_per_source=2000,
+    )
+    with pytest.raises(
+        ConfigurationError, match=rf"src: rate_profile gave {bad} at t=0\.5"
+    ):
+        engine.run()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_rate_profile_of_zero_pauses_its_source(mode):
+    """A zero rate keeps the clamp: the next gap outlasts the run."""
+    engine = engine_of(
+        one_source_plan(profile=lambda t: RATE if t < 0.5 else 0.0),
+        mode,
+        max_tuples_per_source=2000,
+    )
+    metrics = engine.run()
+    assert 400 < metrics.source_events < 600
 
 
 # --------------------------------------------------------- 4. row generators
@@ -391,3 +466,122 @@ def test_a_source_runs_at_most_a_block_ahead_of_the_clock():
     assert [s.latencies for s in blocked._sinks] == [
         s.latencies for s in single._sinks
     ]
+
+
+# ------------------------------------------------------------ 7. held clocks
+
+
+class FlowLog(EngineObserver):
+    """Records the engagements and releases of backpressure, nothing
+    else."""
+
+    def __init__(self):
+        super().__init__(sample_interval=1e9)
+        self.flow = []
+
+    def on_backpressure(self, runtime, now, engaged):
+        self.flow.append((now, runtime.gid, engaged))
+
+
+def held_by(flow, max_time):
+    """``per_call_arrivals``'s ``held`` for a run whose backpressure
+    engaged and released as ``flow`` says: while any subtask is
+    congested, an arrival is throttled and retried 1 ms later. Returns
+    it and a one-element list that counts the throttled arrivals."""
+    instants, congested, live = [], [], set()
+    for now, gid, engaged in flow:
+        (live.add if engaged else live.discard)(gid)
+        instants.append(now)
+        congested.append(bool(live))
+    throttled = [0]
+
+    def held(at):
+        while at <= max_time:
+            i = bisect_left(instants, at)  # what changed before ``at``
+            if not (i and congested[i - 1]):
+                break
+            throttled[0] += 1
+            at += 1e-3
+        return at
+
+    return held, throttled
+
+
+@pytest.mark.parametrize("seed", [23, 5])
+@pytest.mark.parametrize("max_sim_time", [60.0, 0.04])
+def test_a_throttled_source_resumes_its_chain_where_it_emits(
+    seed, max_sim_time
+):
+    """Every source feeds one slow relay that backs up. The next gap of
+    a held arrival is drawn from its emission, the same stream's next
+    ``exponential(mean)``; a retry past ``max_sim_time`` ends the
+    source."""
+    relay = builders.map_op(
+        "relay", lambda values: values, cost=OperatorCost(base_cpu_s=2e-4)
+    )
+    observer = FlowLog()
+    engine = StreamEngine(
+        chain_plan(relay),
+        CLUSTER,
+        config=SimulationConfig(
+            max_tuples_per_source=65,
+            max_sim_time=max_sim_time,
+            warmup_fraction=0.0,
+            backpressure_queue_limit=2,
+        ),
+        rng_factory=RngFactory(seed),
+        observer=observer,
+    )
+    metrics = engine.run()
+    held, throttled = held_by(observer.flow, max_sim_time)
+    assert sunk(engine) == by_source(engine, per_call_arrivals(engine, held))
+    assert metrics.extras["throttled_arrivals"] == throttled[0] > 0
+
+
+@pytest.mark.parametrize("node", [0, 1])
+def test_a_failed_source_drops_the_instants_of_its_downtime(node):
+    """The chain runs on through the downtime: what a failed source
+    drops is exactly its per-call instants in ``[at, at + duration)``,
+    and the rest reach the sink."""
+    at, duration = 0.02, 0.03
+    engine = engine_of(
+        chain_plan(),
+        "computed",
+        max_tuples_per_source=65,
+        warmup_fraction=0.0,
+        scenario=f"failure:at={at},duration={duration},node={node}",
+    )
+    metrics = engine.run()
+    until = at + duration
+    want, dropped = {}, 0
+    for gid, chain in per_call_arrivals(engine).items():
+        down = engine._runtimes[gid].node_id == node
+        kept = [t for t in chain if not (down and at <= t < until)]
+        dropped += len(chain) - len(kept)
+        want[gid] = kept
+    assert sunk(engine) == by_source(engine, want)
+    loss = metrics.extras["elastic"]["state_loss"]
+    assert loss["lost_source_tuples"] == dropped > 0
+
+
+@pytest.mark.parametrize("delivery", ["exactly_once", "at_least_once"])
+def test_a_replayed_log_carries_the_chains_origin_times(delivery):
+    """Checkpointed through a failure, the sources replay their logs:
+    the sink sees every per-call instant, and under exactly-once each
+    once."""
+    engine = engine_of(
+        chain_plan(),
+        "computed",
+        max_tuples_per_source=65,
+        warmup_fraction=0.0,
+        checkpoint_interval=0.01,
+        delivery=delivery,
+        scenario="failure:at=0.03,duration=0.01,node=0",
+    )
+    metrics = engine.run()
+    assert metrics.extras["ft"]["replayed_events"] > 0
+    want = by_source(engine, per_call_arrivals(engine))
+    got = sunk(engine)
+    assert {op: sorted(set(t)) for op, t in got.items()} == want
+    if delivery == "exactly_once":
+        assert {op: sorted(t) for op, t in got.items()} == want

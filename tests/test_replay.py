@@ -279,3 +279,13 @@ class TestDiurnalProfile:
             diurnal_rate_profile(10.0, peak_factor=0.5)
         with pytest.raises(ConfigurationError):
             diurnal_rate_profile(10.0, day_length_s=0.0)
+
+    @pytest.mark.parametrize(
+        "knob", ["base_rate", "peak_factor", "day_length_s"]
+    )
+    def test_nan_is_refused(self, knob):
+        """NaN passed the ``<= 0`` and ``< 1.0`` checks."""
+        knobs = dict(base_rate=10.0, peak_factor=2.0, day_length_s=5.0)
+        knobs[knob] = float("nan")
+        with pytest.raises(ConfigurationError, match=knob):
+            diurnal_rate_profile(**knobs)

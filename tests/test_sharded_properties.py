@@ -233,7 +233,9 @@ class TestKernelExtractionPins:
 #: step must not start calling the ``RaceDetector`` a ``sanitize=True``
 #: engine carries. The ``/arrivals`` and ``/noise`` entries were
 #: re-captured when those streams began to be drawn in blocks — a
-#: stream now rests at a block boundary past its last used draw.
+#: stream now rests at a block boundary past its last used draw — and
+#: the ``/arrivals`` ones again when the evented step began to read the
+#: computed step's ``SOURCE_CHUNK`` blocks.
 SANITIZED_LEDGER = {
     "agg[0]": "088f1245b8dafc5e",
     "agg[0]/noise": "701c1c27b43a0636",
@@ -242,10 +244,10 @@ SANITIZED_LEDGER = {
     "sink[0]": "ecb66ea1a2563f2e",
     "sink[0]/noise": "7a8eb76bc7869eb5",
     "src[0]": "37970241c54b6152",
-    "src[0]/arrivals": "3803d6f967dc5408",
+    "src[0]/arrivals": "9cfde2a2ec546922",
     "src[0]/noise": "1a50993622e31ffd",
     "src[1]": "88e810849646ab31",
-    "src[1]/arrivals": "b8b7b46b62888c0c",
+    "src[1]/arrivals": "332218e8920a6152",
     "src[1]/noise": "92d3e9d4cb4d1d37",
     "udo[0]": "98a9aa88d90b16cb",
     "udo[0]/noise": "c65ec62e4e917267",

@@ -6,9 +6,9 @@ straight from the ``DONE`` that paid sender overhead instead of through
 a ``BEGIN`` event (the computed step of a plain run has neither event;
 ``tests/test_computed_step.py`` holds the two steps equal). Pinned here:
 
-- block ≡ call: whatever the block lengths, a subtask sees the gaps and
-  noise factors per-call ``exponential(mean)`` / ``lognormal(mu, σ)``
-  would have drawn from its stream;
+- block ≡ call: whatever the noise block lengths, a subtask sees the
+  gaps and noise factors per-call ``exponential(mean)`` /
+  ``lognormal(mu, σ)`` would have drawn from its stream;
 - ``shards=None`` ≡ ``shards=1`` ≡ forked ``shards=2``;
 - scalar and batch mode see the same arrival times;
 - a timing oracle written by hand — the Lindley recursion ``start_i =
@@ -137,8 +137,10 @@ class ServeLog(EngineObserver):
 )
 @settings(max_examples=15, deadline=None)
 def test_blocks_pop_the_per_call_draws(first, later, seed):
-    """Any refill schedule: gaps are per-call ``exponential(mean)`` for
-    all four arrival kinds, noise per-call ``lognormal(mu, sigma)``."""
+    """Any noise refill schedule: gaps are per-call
+    ``exponential(mean)`` for all four arrival kinds, noise per-call
+    ``lognormal(mu, sigma)``. The block lengths patched here size the
+    noise blocks only; arrivals come in ``SOURCE_CHUNK`` blocks."""
     with (
         mock.patch.object(engine_module, "_FIRST_BLOCK", first),
         mock.patch.object(engine_module, "_BLOCK", later),
@@ -182,7 +184,8 @@ def test_scalar_and_batch_see_the_same_arrival_times(
     """Fails before the merge: the scalar loop interleaved noise draws
     on the one arrival generator, the batch replay did not. Three ways
     since a computed run's sources emit blocks of instants: the evented
-    step (an observer attached) still folds one gap per arrival."""
+    step (an observer attached) reads the same blocks, one instant per
+    event."""
     runs = {}
     for mode in ("computed", "evented", 64, 256):
         engine = arrivals_engine(
