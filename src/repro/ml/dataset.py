@@ -198,15 +198,15 @@ class Dataset:
         rng: np.random.Generator,
         val_fraction: float = 0.15,
         test_fraction: float = 0.15,
-    ) -> tuple["Dataset", "Dataset", "Dataset"]:
-        """Shuffled train/validation/test split."""
+    ) -> tuple["Dataset", "Dataset", "Dataset | None"]:
+        """Shuffled train/validation/test split; no test at fraction 0."""
         if val_fraction + test_fraction >= 1.0:
             raise TrainingError("val + test fractions must be < 1")
         n = len(self.records)
         if n < 5:
             raise TrainingError(f"need >= 5 records to split, have {n}")
         order = rng.permutation(n)
-        n_test = max(int(n * test_fraction), 1)
+        n_test = max(int(n * test_fraction), 1) if test_fraction else 0
         n_val = max(int(n * val_fraction), 1)
         test_idx = order[:n_test]
         val_idx = order[n_test : n_test + n_val]
@@ -214,7 +214,7 @@ class Dataset:
         return (
             self.subset(train_idx),
             self.subset(val_idx),
-            self.subset(test_idx),
+            self.subset(test_idx) if n_test else None,
         )
 
     # --------------------------------------------------------- persistence

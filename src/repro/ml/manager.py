@@ -80,14 +80,12 @@ class MLManager:
         only and the provided test set is used for all models.
         """
         rng = np.random.default_rng(self.seed)
-        if test is None:
-            train, val, test = dataset.split(
-                rng, val_fraction=val_fraction, test_fraction=test_fraction
-            )
-        else:
-            train, val, _ = dataset.split(
-                rng, val_fraction=val_fraction, test_fraction=0.02
-            )
+        train, val, held_out = dataset.split(
+            rng,
+            val_fraction=val_fraction,
+            test_fraction=test_fraction if test is None else 0.0,
+        )
+        test = held_out if test is None else test
         latencies = test.latencies()
         reports: dict[str, ModelReport] = {}
         for model in self.models:

@@ -36,8 +36,9 @@ class CostModel:
         raise NotImplementedError
 
     def num_parameters(self) -> int:
-        """Number of learned parameters (model-capacity metric)."""
-        raise NotImplementedError
+        """Learned parameters (capacity metric); by default all ``params``."""
+        params = getattr(self, "params", None) or {}
+        return int(sum(p.size for p in params.values()))
 
     def evaluate(self, data: Dataset) -> dict[str, float]:
         """Q-error summary of this model on a dataset."""

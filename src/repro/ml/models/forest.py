@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import check_count
 from repro.ml.dataset import Dataset
 from repro.ml.models.base import CostModel
 from repro.ml.training import EarlyStopping, TrainingResult
@@ -58,16 +58,16 @@ class _RegressionTree:
         if (
             depth >= self.max_depth
             or len(y) < 2 * self.min_samples_leaf
-            or np.allclose(y, y[0])
+            # np.allclose(y, y[0]) without its per-call overhead: the
+            # same isclose test, exact for finite labels.
+            or (np.abs(y - y[0]) <= 1e-8 + 1e-5 * abs(y[0])).all()
         ):
             return node
         split = self._best_split(x, y)
         if split is None:
             return node
-        feature, threshold = split
-        mask = x[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
+        node.feature, node.threshold = split
+        mask = x[:, node.feature] <= node.threshold
         node.left = self._build(x[mask], y[mask], depth + 1)
         node.right = self._build(x[~mask], y[~mask], depth + 1)
         return node
@@ -79,33 +79,39 @@ class _RegressionTree:
         features = self.rng.choice(
             d, size=min(self.max_features, d), replace=False
         )
-        best_gain = 1e-12
-        best: tuple[int, float] | None = None
+        leaf = self.min_samples_leaf
         parent_sse = float(((y - y.mean()) ** 2).sum())
-        for feature in features:
-            order = np.argsort(x[:, feature], kind="stable")
-            xs = x[order, feature]
-            ys = y[order]
-            # Prefix sums let every split position be scored in O(1).
-            csum = np.cumsum(ys)
-            csum_sq = np.cumsum(ys**2)
-            total = csum[-1]
-            total_sq = csum_sq[-1]
-            leaf = self.min_samples_leaf
-            for i in range(leaf - 1, n - leaf):
-                if xs[i] == xs[i + 1]:
-                    continue
-                n_left = i + 1
-                n_right = n - n_left
-                left_sse = csum_sq[i] - csum[i] ** 2 / n_left
-                right_sum = total - csum[i]
-                right_sse = (
-                    total_sq - csum_sq[i] - right_sum**2 / n_right
-                )
-                gain = parent_sse - left_sse - right_sse
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(feature), float((xs[i] + xs[i + 1]) / 2.0))
+        # Candidate columns as rows: one stable argsort, prefix sums, and
+        # every split "rows 0..i go left" scored at once.
+        cols = x.T[features]
+        order = cols.argsort(axis=1, kind="stable")
+        xs, ys = np.sort(cols, axis=1), y[order]
+        c, c2 = ys.cumsum(axis=1), (ys * ys).cumsum(axis=1)
+        at, n_left = slice(leaf - 1, n - leaf), np.arange(leaf, n - leaf + 1)
+        cl, c2l, t, t2 = c[:, at], c2[:, at], c[:, -1:], c2[:, -1:]
+        gain = (
+            parent_sse
+            - (c2l - cl * cl / n_left)
+            - (t2 - c2l - (t - cl) ** 2 / (n - n_left))
+        )
+        gain[xs[:, at] == xs[:, leaf : n - leaf + 1]] = -np.inf
+        # An array squares by x * x, a scalar's x ** 2 by libm pow, and
+        # the two can differ in the last bit: the positions within a
+        # rounding margin of the best are rescored one by one, in the
+        # scalar arithmetic, and the first strict maximum wins.
+        best_gain, best = 1e-12, None
+        cut = max(gain.max(), best_gain) - 1e-9 * t2.max()
+        for f, i in zip(*np.nonzero(gain >= cut)):
+            i += leaf - 1
+            ci, c2i, tf, t2f = c[f, i], c2[f, i], t[f, 0], t2[f, 0]
+            gain_i = (
+                parent_sse
+                - (c2i - ci**2 / (i + 1))
+                - (t2f - c2i - (tf - ci) ** 2 / (n - i - 1))
+            )
+            if gain_i > best_gain:
+                best_gain = gain_i
+                best = (int(features[f]), float((xs[f, i] + xs[f, i + 1]) / 2))
         return best
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -134,8 +140,9 @@ class RandomForestModel(CostModel):
         min_samples_leaf: int = 3,
         patience: int = 10,
     ) -> None:
-        if max_trees < 1:
-            raise ConfigurationError("max_trees must be >= 1")
+        check_count("max_trees", max_trees)
+        check_count("max_depth", max_depth)
+        check_count("min_samples_leaf", min_samples_leaf)
         self.max_trees = max_trees
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf

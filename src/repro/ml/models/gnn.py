@@ -26,7 +26,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, TrainingError
+from repro.common.errors import TrainingError, check_count
 from repro.ml.dataset import Dataset, QueryRecord
 from repro.ml.encoding import OPERATOR_FEATURE_DIM
 from repro.ml.models.base import CostModel
@@ -88,8 +88,10 @@ class GNNCostModel(CostModel):
         max_epochs: int = 400,
         patience: int = 20,
     ) -> None:
-        if layers < 1 or hidden < 1:
-            raise ConfigurationError("layers and hidden must be >= 1")
+        check_count("hidden", hidden)
+        check_count("layers", layers)
+        check_count("batch_size", batch_size)
+        check_count("max_epochs", max_epochs)
         self.hidden = hidden
         self.layers = layers
         self.head_hidden = head_hidden
@@ -256,8 +258,3 @@ class GNNCostModel(CostModel):
         global_dim = params["W_head1"].shape[0] - 2 * self.hidden
         log_pred = self._log_latency(_Graphs(data.records, global_dim), params)
         return np.exp(np.clip(log_pred, -20.0, 20.0))
-
-    def num_parameters(self) -> int:
-        if self.params is None:
-            return 0
-        return int(sum(p.size for p in self.params.values()))

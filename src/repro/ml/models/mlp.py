@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import check_count
 from repro.ml.dataset import Dataset
 from repro.ml.models.base import CostModel
 from repro.ml.training import (
@@ -37,8 +37,10 @@ class MLPCostModel(CostModel):
         max_epochs: int = 300,
         patience: int = 10,
     ) -> None:
-        if any(h < 1 for h in hidden):
-            raise ConfigurationError("hidden sizes must be >= 1")
+        for size in hidden:
+            check_count("hidden sizes", size)
+        check_count("batch_size", batch_size)
+        check_count("max_epochs", max_epochs)
         self.hidden = hidden
         self.lr = lr
         self.batch_size = batch_size
@@ -139,8 +141,3 @@ class MLPCostModel(CostModel):
         x, _ = data.flat_matrix()
         log_pred, _ = self._forward(self.scaler.transform(x), self.params)
         return np.exp(np.clip(log_pred, -20.0, 20.0))
-
-    def num_parameters(self) -> int:
-        if self.params is None:
-            return 0
-        return int(sum(p.size for p in self.params.values()))

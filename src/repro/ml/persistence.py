@@ -62,8 +62,7 @@ def _restore_tree(state: dict) -> _Node:
 def model_state(model: CostModel) -> dict:
     """The learned state of a fitted model as a JSON-serialisable dict."""
     if isinstance(model, LinearRegressionModel):
-        if model.weights is None:
-            raise TrainingError("LR model is not fitted")
+        model._check_fitted("weights")
         return {
             "model": model.name,
             "weights": model.weights.tolist(),
@@ -71,8 +70,7 @@ def model_state(model: CostModel) -> dict:
             "scaler": _scaler_state(model.scaler),
         }
     if isinstance(model, MLPCostModel):
-        if model.params is None:
-            raise TrainingError("MLP model is not fitted")
+        model._check_fitted("params")
         return {
             "model": model.name,
             "hidden": list(model.hidden),
@@ -80,8 +78,7 @@ def model_state(model: CostModel) -> dict:
             "scaler": _scaler_state(model.scaler),
         }
     if isinstance(model, RandomForestModel):
-        if model.trees is None:
-            raise TrainingError("RF model is not fitted")
+        model._check_fitted("trees")
         return {
             "model": model.name,
             "trees": [
@@ -93,8 +90,7 @@ def model_state(model: CostModel) -> dict:
             ],
         }
     if isinstance(model, GNNCostModel):
-        if model.params is None:
-            raise TrainingError("GNN model is not fitted")
+        model._check_fitted("params")
         return {
             "model": model.name,
             "hidden": model.hidden,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -301,17 +301,12 @@ class StringVocabulary(ValueDistribution):
         self._sorted_words = [words[i] for i in order]
         self._sorted_cdf = np.cumsum([probabilities[i] for i in order])
         self._table = _inverse_cdf_table(probabilities)
+        # An object column: a block hands out the very ``str`` objects
+        # ``sample`` returns, not a fresh copy per draw.
+        self._word_array = _object_column(self.words)
 
     def sample(self, rng: np.random.Generator) -> str:
         return self.words[bisect_right(self._table, rng.random())]
-
-    @cached_property
-    def _word_array(self) -> np.ndarray:
-        # An object column: a block hands out the very ``str`` objects
-        # ``sample`` returns, not a fresh copy per draw. Built on the
-        # first block draw — a corpus holds hundreds of vocabularies
-        # that are encoded but never sampled.
-        return _object_column(self.words)
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self._word_array[_search_table(self._table, rng.random(n))]
@@ -368,10 +363,19 @@ class StringVocabulary(ValueDistribution):
         return f"vocab({len(self.words)} words)"
 
 
+@cache
+def _default_vocabulary() -> StringVocabulary:
+    return StringVocabulary()
+
+
 def default_distribution(
     dtype: DataType, rng: np.random.Generator
 ) -> ValueDistribution:
-    """A randomly parameterised distribution for a field of the given type."""
+    """A randomly parameterised distribution for a field of the given type.
+
+    A string field draws nothing: it gets the one shared, read-only
+    default ``StringVocabulary``, built on first use.
+    """
     if dtype is DataType.INT:
         if rng.random() < 0.3:
             return ZipfInt(n=int(rng.integers(20, 200)), s=1.1)
@@ -384,4 +388,4 @@ def default_distribution(
                 std=float(rng.uniform(0.5, 5.0)),
             )
         return UniformDouble(0.0, float(rng.uniform(1.0, 1000.0)))
-    return StringVocabulary()
+    return _default_vocabulary()

@@ -152,6 +152,14 @@ class TestDataset:
         assert len(train) + len(val) + len(test) == 20
         assert len(train) > len(val) >= 1
 
+    def test_split_without_test_keeps_every_record(self, rng):
+        dataset = Dataset(self._records(20))
+        train, val, test = dataset.split(rng, test_fraction=0.0)
+        assert test is None
+        assert len(train) + len(val) == 20
+        ids = {id(r) for r in train.records} | {id(r) for r in val.records}
+        assert ids == {id(r) for r in dataset.records}
+
     def test_split_too_small(self, rng):
         with pytest.raises(TrainingError):
             Dataset(self._records(3)).split(rng)
@@ -305,6 +313,23 @@ class TestModels:
         assert result.epochs <= 500
         assert len(result.val_losses) == result.epochs
 
+    @pytest.mark.parametrize(
+        "model_cls, knob",
+        [
+            (RandomForestModel, "max_trees"),
+            (RandomForestModel, "max_depth"),
+            (RandomForestModel, "min_samples_leaf"),
+            (MLPCostModel, "batch_size"),
+            (MLPCostModel, "max_epochs"),
+            (GNNCostModel, "batch_size"),
+            (GNNCostModel, "max_epochs"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -1, 2.5, float("nan")])
+    def test_bad_knob_refused_at_construction(self, model_cls, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            model_cls(**{knob: value})
+
     def test_forest_tree_count_bounded(self, rng):
         dataset = _labelled_dataset(40)
         train, val, _ = dataset.split(rng)
@@ -334,6 +359,10 @@ class TestMLManager:
             train_corpus, test=test_corpus
         )
         assert reports["LR"].q_error["count"] == 20
+        # Train and validation share the whole corpus: no record is
+        # split off into a test set nobody reads.
+        n_val = int(50 * 0.15)
+        assert reports["LR"].training.train_samples == 50 - n_val
 
     def test_duplicate_model_names_rejected(self):
         with pytest.raises(TrainingError):
