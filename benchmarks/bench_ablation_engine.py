@@ -68,11 +68,11 @@ def _paradox_ablation():
     the operator saturates with the term and stays comfortable without
     it — the mechanism behind the parallelism paradox (O2).
     """
-    from repro.apps.base import make_generator
     from repro.sps import builders
     from repro.sps.logical import LogicalPlan
     from repro.sps.operators.udo import FunctionUDO
     from repro.sps.types import DataType, Field, Schema
+    from repro.workload.datagen import kv_block
 
     from repro.core.runner import RunnerConfig
 
@@ -88,9 +88,6 @@ def _paradox_ablation():
     schema = Schema([Field("k", DataType.INT),
                      Field("v", DataType.DOUBLE)])
 
-    def sample(rng):
-        return (int(rng.integers(1000)), float(rng.random()))
-
     # 64 instances at 40us/tuple give a nominal capacity of 1.6M/s;
     # the coordination factor at p=64 is 1.63, cutting it to ~982k/s.
     # 1.2M/s sits between the two: saturated *only* with the term.
@@ -103,7 +100,7 @@ def _paradox_ablation():
         plan = LogicalPlan(f"ablation-{label}")
         plan.add_operator(
             builders.source(
-                "src", make_generator(schema, sample), schema, rate
+                "src", None, schema, rate, vector_generator=kv_block(1000)
             )
         )
         plan.add_operator(

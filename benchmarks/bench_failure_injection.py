@@ -8,7 +8,6 @@ distribution against an unperturbed baseline: the median barely moves
 """
 
 from benchmarks.conftest import emit
-from repro.apps.base import make_generator
 from repro.cluster import homogeneous_cluster
 from repro.common.rng import RngFactory
 from repro.report import render_table
@@ -21,18 +20,16 @@ from repro.sps.engine import (
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.udo import FunctionUDO
 from repro.sps.types import DataType, Field, Schema
+from repro.workload.datagen import kv_block
 
 SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
 
 
 def _plan(rate: float) -> LogicalPlan:
-    def sample(rng):
-        return (int(rng.integers(50)), float(rng.random()))
-
     plan = LogicalPlan("stall-bench")
     plan.add_operator(
         builders.source(
-            "src", make_generator(SCHEMA, sample), SCHEMA, rate
+            "src", None, SCHEMA, rate, vector_generator=kv_block(50)
         )
     )
     plan.add_operator(

@@ -14,7 +14,6 @@ Run:  python examples/event_time_and_backpressure.py
 """
 
 from repro import SimulationConfig, StreamEngine, homogeneous_cluster
-from repro.apps.base import make_generator
 from repro.common.rng import RngFactory
 from repro.report import render_table
 from repro.sps import builders
@@ -25,12 +24,16 @@ from repro.sps.operators.event_aggregate import (
 from repro.sps.operators.udo import FunctionUDO
 from repro.sps.types import DataType, Field, Schema
 from repro.sps.windows import AggregateFunction, TumblingTimeWindows
+from repro.workload.datagen import kv_block
 
 SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
 
 
-def sample(rng):
-    return (int(rng.integers(20)), float(rng.random()))
+def source(rate: float):
+    """20 keys, uniform values, drawn a block at a time."""
+    return builders.source(
+        "src", None, SCHEMA, rate, vector_generator=kv_block(20)
+    )
 
 
 def event_time_demo() -> None:
@@ -38,11 +41,7 @@ def event_time_demo() -> None:
     rows = []
     for bound_ms in (1.0, 5.0, 25.0):
         plan = LogicalPlan("event-time-demo")
-        plan.add_operator(
-            builders.source(
-                "src", make_generator(SCHEMA, sample), SCHEMA, 4000.0
-            )
-        )
+        plan.add_operator(source(4000.0))
         # Disorder comes from parallelism: three loaded instances with
         # noisy service times reorder tuples at the merge into the
         # window operator (a single FIFO stage would preserve order).
@@ -100,11 +99,7 @@ def backpressure_demo() -> None:
     rows = []
     for limit in (None, 128, 32):
         plan = LogicalPlan("backpressure-demo")
-        plan.add_operator(
-            builders.source(
-                "src", make_generator(SCHEMA, sample), SCHEMA, 20_000.0
-            )
-        )
+        plan.add_operator(source(20_000.0))
         plan.add_operator(
             builders.udo(
                 "slow",

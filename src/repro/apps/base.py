@@ -24,7 +24,6 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.sps import builders
 from repro.sps.logical import LogicalOperator, LogicalPlan
-from repro.sps.tuples import StreamTuple
 from repro.sps.types import Schema
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "AppQuery",
     "block_source",
     "cut_rows",
-    "make_generator",
     "DataIntensity",
 ]
 
@@ -118,18 +116,3 @@ def cut_rows(flat: list, lengths: np.ndarray) -> list[list]:
     """
     stops = np.cumsum(lengths).tolist()
     return [flat[start:stop] for start, stop in zip([0, *stops], stops)]
-
-
-def make_generator(
-    schema: Schema,
-    sampler: Callable[[np.random.Generator], tuple],
-):
-    """Wrap a per-row value sampler into the row form of a source."""
-    size = float(schema.tuple_size_bytes())
-
-    def generate(rng: np.random.Generator, now: float) -> StreamTuple:
-        return StreamTuple(
-            values=sampler(rng), event_time=now, size_bytes=size
-        )
-
-    return generate

@@ -7,9 +7,9 @@ one row per unsupported pair. A reason is one sentence about simulated
 semantics, or says ``not implemented: …`` where only a seam in the code
 stands in the way — those rows are the ones to lift (ROADMAP).
 :data:`EVENTED` holds the features whose runs still execute the
-clock-ordered step (§14); deleting a row moves that feature onto the
-computed one. Its ``failure`` row is the one that is not a knob: a
-scenario that can fail a node.
+clock-ordered step (§14), each a knob; deleting a row moves that
+feature onto the computed one. Stalls and node failures act at control
+instants, so they compute.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ EVENTED = {
     "shards": "the epoch sequence is defined over pending event times, DONEs included",
     "observer": "hooks take the clock as their instant, and sampling reads the queue",
     "backpressure": "congestion is released by a depth at dequeue and read by sources as the clock passes",
-    "stalls": "a stall holds the server from the first instant it is free",
-    "failure": "a failed subtask loses its queue and is held for the downtime; under checkpointing every subtask restores and replays",
 }
 # fmt: on
 
@@ -65,14 +63,12 @@ EVENTED = {
 def features_of(config, observer=None, sanitize=False, chains=()) -> frozenset:
     """The features a run of ``config`` turns on. ``scenario`` means a
     scenario *with injections* (``"none"`` is calm and composes with
-    everything), ``failure`` one with a node failure among them;
-    ``autoscale="none"`` still arms the control loop."""
-    scenario = failure = config.scenario
+    everything); ``autoscale="none"`` still arms the control loop."""
+    scenario = config.scenario
     if scenario:
-        from repro.elastic.scenarios import NodeFailure, make_scenario
+        from repro.elastic.scenarios import make_scenario
 
         scenario = make_scenario(scenario).injections
-        failure = any(isinstance(one, NodeFailure) for one in scenario)
     on = {
         "batch": config.batch_size is not None,
         "shards": config.shards is not None,
@@ -81,7 +77,6 @@ def features_of(config, observer=None, sanitize=False, chains=()) -> frozenset:
         "stalls": config.stalls,
         "rescale": config.rescales or config.autoscale,
         "scenario": scenario,
-        "failure": failure,
         "observer": observer is not None,
         "sanitize": sanitize,
         "chaining": chains,

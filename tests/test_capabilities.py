@@ -173,9 +173,8 @@ def build(features, **config):
 
 def test_the_table_is_the_seventeen_pairs_over_known_features():
     assert len(EXCLUDES) == len(EXCLUDED) == 17
-    # ``failure`` is the one row that is not a knob: a scenario's kind.
     assert set(CONFIG_ON) | set(ENGINE_ON) == set(KNOBS)
-    assert set(KNOBS) | {"failure"} >= set(EVENTED)
+    assert set(KNOBS) >= set(EVENTED)
     for one, other, reason in EXCLUDES:
         assert {one, other} <= set(KNOBS) and one != other
         assert reason == reason.strip() and not reason.endswith(".")
@@ -253,6 +252,20 @@ def test_autoscale_none_still_arms_the_control_loop():
     assert "elastic" in extras and extras["step"] == "computed"
     with pytest.raises(ConfigurationError, match="batch_size"):
         SimulationConfig(autoscale="none", batch_size=64)
+
+
+def test_evented_keeps_three_knobs_and_faults_compute():
+    """Stalls and node failures are control instants of the computed
+    step; a failure is a scenario like any other."""
+    assert set(EVENTED) == {"shards", "observer", "backpressure"}
+    config = SimulationConfig(
+        scenario="failure:at=0.3,duration=0.1",
+        stalls=(StallInjection(0.1, "src", 0.01),),
+        checkpoint_interval=0.05,
+    )
+    features = features_of(config)
+    assert features == {"scenario", "stalls", "checkpoint"}
+    assert step_of(features) == "computed"
 
 
 def test_the_largest_compatible_set_passes_and_steps_follow_evented():

@@ -32,7 +32,15 @@ runs evented. Held here:
    instant on an arrival, a delivery and a completion at once;
 8. *settled sinks* — a sink slow enough to queue (the scalar
    recursion), a sink that overrides ``process``, the log's bound and
-   an event budget only the settled hops cross.
+   an event budget only the settled hops cross;
+9. *faults* — stalls and node failures, checkpointed or not, act at
+   control instants: stalls of a source, an operator and a sink, two
+   overlapping, one on a tick, one in a sender-overhead window and one
+   past the last arrival, stall + checkpoint or rescale, a failure of a
+   source's node, failure + spike or autoscaler, checkpointed failures
+   under both delivery modes, two, and one landing mid-alignment agree,
+   queue peaks and every hold included; overlapping outages hold a
+   subtask for their union on both steps.
 
 Mutations, each run against this file and against the five
 ``apps-scalar`` jobs of ``benchmarks/suite`` at seed 3 when the step
@@ -58,6 +66,19 @@ no hand-back at a straddler's ``DONE`` — the server stays evented
 until its queue drains — fails checkpoint + straggler, whose queued
 barriers only the computed rules decide: without a barrier in play the
 drained backlog simulates the same, only slower.
+
+Of the faults (section 9, run against it when they were written): no
+horizon at a stall's instant fails the stalled source and the tick;
+holding an idle server from ``free_at`` without the evented step's
+extra queued one fails the overhead window; not booking a purged
+queue's depths fails the checkpointed exp5 failures at seed 3; reading
+a replaying source's arrivals a block ahead fails two failures and the
+mid-alignment one; firing a straddler's tick at its instant whatever
+armed it fails the tick (forward edges); summing overlapping outages
+fails the union. Serving a failed sink's buffer unsorted, or keeping a
+purged subtask's ``starts`` and ``done_at``, fails nothing here: the
+first takes diversions out of order at a sink, the second a recovery
+shorter than a service.
 
 Of the settled sinks (section 8, run when they were written): settling
 a log unsorted, or counting a waiting hop's depth from the batch
@@ -596,8 +617,6 @@ def test_every_generated_structure_is_computed_by_default(structure):
     "feature",
     [
         dict(backpressure_queue_limit=64),
-        dict(scenario="failure:at=0.3,duration=0.1"),
-        dict(stalls=(StallInjection(0.1, "agg", 0.01),)),
         dict(observer=quiet_observer()),
     ],
     ids=lambda feature: next(iter(feature)),
@@ -613,6 +632,10 @@ def test_each_excluding_feature_alone_keeps_the_evented_step(feature):
         dict(autoscale="reactive:high=4,low=0.5,cooldown=0.3,max=6"),
         dict(scenario="spike+straggler+netdeg"),
         dict(sanitize=True),
+        dict(stalls=(StallInjection(0.1, "agg", 0.01),)),
+        pytest.param(
+            dict(scenario="failure:at=0.3,duration=0.1"), id="failure"
+        ),
     ],
     ids=lambda feature: next(iter(feature)),
 )
@@ -620,11 +643,15 @@ def test_each_control_feature_alone_takes_the_computed_step(feature):
     assert begun(kv_plan(), **feature).step == "computed"
 
 
-def test_a_checkpointed_run_is_computed_until_it_can_fail():
+def test_a_checkpointed_run_is_computed_through_its_failures():
+    """A node failure is a control instant: recovery, replay and the
+    source logs run on the computed step too."""
     ckpt = dict(checkpoint_interval=0.25)
     assert begun(kv_plan(), **ckpt).step == "computed"
     failing = begun(kv_plan(), scenario="failure:at=0.3,duration=0.1", **ckpt)
-    assert failing.step == "evented"
+    assert failing.step == "computed"
+    sources = [rt for rt in failing._runtimes if rt.is_source]
+    assert sources and all(rt.ft_log == [] for rt in sources)
 
 
 def test_a_sharded_run_is_evented_and_a_batch_run_is_neither():
@@ -1144,3 +1171,216 @@ def test_an_event_budget_only_the_settled_hops_cross_still_raises():
     assert len(pops) < budget < events
     with pytest.raises(SimulationError, match="event budget exceeded"):
         engine(budget).run()
+
+
+# ---------------------------------------------------------------- 9. faults
+
+
+class Faulted(StreamEngine):
+    """Also records every hold a stall or an outage puts on a server,
+    as ``(op, index, from, to)``, and whether each checkpointed failure
+    met a checkpoint still aligning."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.holds, self.aligning = [], []
+
+    def _hold(self, runtime, at):
+        end = at + runtime.held
+        self.holds.append((runtime.op_id, runtime.index, at, end))
+        super()._hold(runtime, at)
+
+    def _ft_failure(self, node_id, duration):
+        self.aligning.append(self._ft_store.active is not None)
+        super()._ft_failure(node_id, duration)
+
+
+#: the recovery grid's workload: an overloaded keyed aggregate, whose
+#: results replay after a recovery
+EXP5 = dict(
+    max_tuples_per_source=300, max_sim_time=3.0, warmup_fraction=0.0
+)
+
+
+def faulted(seed=1, **config):
+    """The exp4 workload with ``config`` — the exp5 one under
+    ``exp5=True`` — computed and evented."""
+    plan, cluster, shape = exp4.elastic_workload_plan, CLUSTER, ELASTIC
+    if config.pop("exp5", False):
+        plan, shape = ft_workload_plan, EXP5
+        cluster = homogeneous_cluster(num_nodes=4)
+    return [
+        Faulted(
+            plan(),
+            cluster,
+            config=SimulationConfig(**{**shape, **config}),
+            rng_factory=RngFactory(seed),
+            observer=observer,
+        )
+        for observer in (None, quiet_observer())
+    ]
+
+
+def stalls(*specs):
+    return tuple(StallInjection(at, op, span) for op, at, span in specs)
+
+
+FAILURE = "failure:at=0.3,duration=0.2"
+CKPT = dict(checkpoint_interval=0.05, keep_sink_values=True)
+
+#: each fault the computed step now executes, alone and in the pairs
+#: the chaos and recovery grids use: config, and the operator a hold
+#: must have reached (None: no hold)
+FAULTS = {
+    "stall-source": (dict(stalls=stalls(("src", 0.3, 0.1))), "src"),
+    "stall-operator": (dict(stalls=stalls(("agg", 0.3, 0.1))), "agg"),
+    "stall-sink": (dict(stalls=stalls(("sink", 0.3, 0.1))), "sink"),
+    "overlapping-stalls": (
+        dict(stalls=stalls(("agg", 0.3, 0.1), ("agg", 0.35, 0.1))),
+        "agg",
+    ),
+    "stall+checkpoint": (
+        dict(stalls=stalls(("agg", 0.3, 0.1)), **CKPT),
+        "agg",
+    ),
+    "stall+rescale": (
+        dict(
+            stalls=stalls(("agg", 0.3, 0.1)),
+            rescales=(RescaleEvent(0.32, "agg", 4),),
+        ),
+        "agg",
+    ),
+    "failure-of-a-source-node": (
+        dict(scenario="failure:at=0.3,duration=0.2,node=0"),
+        None,
+    ),
+    "failure+spike": (dict(scenario=f"{FAILURE}+{SPIKE}"), "agg"),
+    "failure+autoscale": (dict(scenario=FAILURE, autoscale=REACTIVE), "agg"),
+    "checkpointed-failure": (dict(scenario=FAILURE, exp5=True, **CKPT), None),
+    "checkpointed-failure-at-least-once": (
+        dict(scenario=FAILURE, exp5=True, delivery="at_least_once", **CKPT),
+        None,
+    ),
+    "two-checkpointed-failures": (
+        dict(scenario=f"{FAILURE}+failure:at=0.9,duration=0.1", **CKPT),
+        None,
+    ),
+    "failure-while-aligning": (
+        dict(scenario="failure:at=0.3001,duration=0.1", **CKPT),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("case", FAULTS)
+def test_faulted_runs_simulate_the_same_on_both_steps(case, seed):
+    """Stalls and node failures act at control instants: the computed
+    step stops short of each, and what a fault holds, purges, restores
+    or replays is the evented step's, queue peaks included."""
+    config, held = FAULTS[case]
+    computed, evented = faulted(seed, **config)
+    fewer, events = assert_same_simulation(computed, evented)
+    assert fewer < 0.6 * events
+    assert computed.holds == evented.holds
+    if held is not None:
+        assert held in {op for op, *_ in computed.holds}
+    if "checkpoint_interval" in config:
+        assert [s.results for s in computed._sinks] == [
+            s.results for s in evented._sinks
+        ]
+        assert checkpoint_log(computed) == checkpoint_log(evented)
+        assert checkpoint_log(computed)
+    if "failure" in case and "checkpoint" in case:
+        assert computed._ft_recoveries == case.count("two") + 1
+        assert computed._ft_replayed > 0
+        assert (computed._ft_dup_results > 0) == ("least" in case)
+    if case == "failure-of-a-source-node":
+        assert computed._state_loss["lost_source_tuples"] > 0
+    if case == "failure-while-aligning":
+        assert computed.aligning == evented.aligning == [True]
+
+
+@pytest.mark.parametrize("partitioner", [ForwardPartitioner, hashed])
+def test_a_stall_landing_on_a_timer_tick(partitioner):
+    """On the noise-free grid a stall of the timed stage starts exactly
+    at one of its ticks: the stall, scheduled first, holds the server
+    before the tick runs, on both steps."""
+    gap, costs, interval = TICK_TIES[
+        "saturated stage, a tick on every completion"
+    ]
+    at = 12 * interval
+    computed, evented = both_steps(
+        tandem(costs, partitioner, interval, gap=gap),
+        cluster=ONE_NODE,
+        max_tuples_per_source=41,
+        warmup_fraction=0.0,
+        keep_sink_values=True,
+        stalls=(StallInjection(at, "stage0", 5 * interval),),
+    )
+    pops = pop_log(evented)
+    assert_same_simulation(computed, evented)
+    assert computed._sinks[0].results == evented._sinks[0].results
+    stage = evented._op_gids["stage0"][0]
+    for kind in (engine_module._STALL, engine_module._TIMER):
+        assert (at, stage) in instants(pops, kind)
+
+
+def test_a_stall_past_the_last_arrival_ends_the_run_with_it():
+    """Work is done long before the stall; its hold is the run's last
+    event, so both steps end, and flush, where the hold ends."""
+    at, duration = 2.4, 0.05
+    computed, evented = faulted(stalls=stalls(("agg", at, duration)))
+    assert_same_simulation(computed, evented)
+    assert computed._sinks[0].arrival_times[-1] < at
+    assert max(rt.done_at for rt in computed._runtimes) < at
+    for engine in (computed, evented):
+        assert engine.holds == [("agg", i, at, at + duration) for i in (0, 1)]
+        assert engine._k.now == engine._flush_time == at + duration
+
+
+def test_overlapping_failures_of_one_node_hold_it_for_their_union():
+    """Outages at 0.3 and 0.4, each 0.2 long: a processing subtask on the
+    failed node is down from 0.3 to 0.6 — the second outage extends the
+    hold by the 0.1 the first does not cover — as a source there drops
+    its arrivals until 0.6; both steps alike."""
+    scenario = "failure:at=0.3,duration=0.2+failure:at=0.4,duration=0.2"
+    engines = faulted(scenario=scenario)
+    assert_same_simulation(*engines)
+    for engine in engines:
+        holds = [hold[2:] for hold in engine.holds if hold[:2] == ("agg", 0)]
+        assert holds == [(0.3, 0.5), (0.5, 0.4 + 0.2)]
+        agg = engine._runtimes[engine._op_gids["agg"][0]]
+        assert agg.node_id == 1 and agg.fail_until == 0.4 + 0.2
+
+
+def test_a_stall_inside_a_sender_overhead_window():
+    """The stage serves in 2^-14 - 2^-20 and pays 1.45 us of sender
+    overhead, with a tuple every 2^-14: its first completion leaves it
+    idle until ``free_at``, past the next delivery. A stall landing in
+    between holds it from ``free_at``, and the delivery before then
+    meets the evented step's depth rule — one queued plus the one that
+    ``free_at`` stands for — which the computed step keeps in
+    ``starts``."""
+    build = tandem((2.0**-16, 2.0**-14 - 2.0**-20, 2.0**-16), hashed)
+    probe = StreamEngine(
+        build(), ONE_NODE, config=SimulationConfig(**CONFIG),
+        observer=quiet_observer(),
+    )
+    pops = pop_log(probe)
+    probe.run()
+    stage = probe._op_gids["stage0"][0]
+    done = min(at for at, gid in instants(pops, engine_module._DONE)
+               if gid == stage)
+    arrival = min(at for at, gid in instants(pops, engine_module._DELIVER)
+                  if gid == stage and at > done)
+    free_at = done + probe._runtimes[stage].shuffle_cost_per_output
+    assert done < arrival < free_at
+    computed, evented = both_steps(
+        build,
+        cluster=ONE_NODE,
+        max_tuples_per_source=41,
+        stalls=(StallInjection((done + arrival) / 2, "stage0", 2.0**-16),),
+    )
+    assert_same_simulation(computed, evented)
+    assert computed._runtimes[stage].queue_peak == 2

@@ -8,11 +8,12 @@ from 100k ev/s; ``-b256`` runs the same plan on the columnar executor
 with 256-row micro-batches. The checkpointed ``hotpath`` is pinned by
 ``tests/test_ft_step.py::GOLDEN``.
 
-The rows named in ``EVENTED`` execute the evented step, each for a
-reason of its own: an observer that records nothing, backpressure that
-throttles the sources, a node failure that drops source tuples, and the
-exp5 plan checkpointed through a failure, its sources replaying their
-logs. Each asserts that what it is there for happened.
+The rows named in ``FEATURED`` add one feature each: an observer that
+records nothing and backpressure that throttles the sources, which keep
+the run on the evented step; a node failure that drops source tuples,
+and the exp5 plan checkpointed through a failure, its sources replaying
+their logs — control instants of the computed step. Each asserts that
+what it is there for happened.
 
 An event count depends on the step as well as on the simulation (a
 computed run pops one event per delivered tuple-hop and 1/32 per source
@@ -45,8 +46,8 @@ PINNED = {
     "WC-b256": (None, 12796, 26, 0.42531138079587577),
     "hotpath-observed": ("evented", 8246, 378, 0.03136629239487713),
     "WC-throttled": ("evented", 27090, 26, 0.40037770366622477),
-    "hotpath-failure": ("evented", 7791, 341, 0.035905549015591606),
-    "exp5-ft-failure": ("evented", 9269, 154, 1.4393402414147827),
+    "hotpath-failure": ("computed", 2514, 341, 0.035905549015591606),  # 7791
+    "exp5-ft-failure": ("computed", 4509, 154, 1.4393402414147827),  # 9269
 }
 
 _PLANS = {
@@ -56,9 +57,9 @@ _PLANS = {
     "exp5": ft_workload_plan,
 }
 
-#: evented row -> (its plan, what it adds to the shape, the count in
+#: featured row -> (its plan, what it adds to the shape, the count in
 #: ``extras`` it must make positive)
-EVENTED = {
+FEATURED = {
     "hotpath-observed": ("hotpath", dict(observer=True), None),
     "WC-throttled": (
         "WC",
@@ -84,8 +85,8 @@ EVENTED = {
 def run(name: str):
     base, _, batch = name.partition("-b")
     extra, exercised = {}, None
-    if name in EVENTED:
-        base, extra, exercised = EVENTED[name]
+    if name in FEATURED:
+        base, extra, exercised = FEATURED[name]
         extra, batch = dict(extra), ""
     observer = extra.pop("observer", None)
     cluster = homogeneous_cluster("m510", 4)

@@ -1,12 +1,12 @@
 """Checkpointed runs on the plain steps (DESIGN.md §13, §14).
 
-A checkpointed run executes the engine's plain step: a failure-free one
-the computed step, whose barriers are decided when they are delivered,
-as of their dequeue instant; one with a scenario (and so recovery), an
-observer or ``sanitize`` the evented enqueue → serve → route step,
-where barriers are a queue-item kind. Deliveries carry a dense channel
-id where a plain run carries the port. None of that may move a
-simulated number. Pinned here:
+A checkpointed run executes the engine's plain step: the computed
+step, whose barriers are decided when they are delivered, as of their
+dequeue instant, and whose node failures, recoveries and replays act at
+control instants; one with an observer the evented enqueue → serve →
+route step, where barriers are a queue-item kind. Deliveries carry a
+dense channel id where a plain run carries the port. None of that may
+move a simulated number. Pinned here:
 
 - goldens recorded before either step carried checkpoints (the ``_ft_*``
   twin step, one ``BEGIN`` per overhead-paying ``DONE``):
@@ -149,10 +149,11 @@ def simulated(metrics):
 
 
 #: ``{case: {seed: (digest, events)}}``. The digests are the ``_ft_*``
-#: twin step's. The three failure-free cases run computed: their event
-#: counts are that step's, the evented step's beside them (the twin
-#: step's, one ``BEGIN`` per overhead-paying ``DONE`` more, in
-#: DESIGN.md §13). The recovering cases run evented.
+#: twin step's. Every case runs computed: the event counts are that
+#: step's, the twin step's beside them (one ``BEGIN`` per
+#: overhead-paying ``DONE`` more, in DESIGN.md §13) and, for the three
+#: recovering cases, the evented step's they ran before node failures
+#: became control instants.
 GOLDEN = {
     "hotpath-ckpt": {
         3: ("e7f996fdbb1338fa", 7858),  # 22722
@@ -167,16 +168,16 @@ GOLDEN = {
         11: ("0461935b65c32b7d", 365),  # 1286
     },
     "exp5-exactly-once": {
-        3: ("cabfc8c0b72969a1", 1798),  # 2286
-        11: ("a445461f9895ee0d", 1791),  # 2277
+        3: ("cabfc8c0b72969a1", 695),  # 2286; evented 1798
+        11: ("a445461f9895ee0d", 689),  # 2277; evented 1791
     },
     "exp5-at-least-once": {
-        3: ("c8e5f31c53a2c8ce", 1801),  # 2289
-        11: ("df125036694aec8d", 1792),  # 2278
+        3: ("c8e5f31c53a2c8ce", 695),  # 2289; evented 1801
+        11: ("df125036694aec8d", 689),  # 2278; evented 1792
     },
     "join-two-inputs": {
-        3: ("25636a483989d59b", 89211),  # 95351
-        11: ("ea1210dd1a869e68", 89664),  # 95932
+        3: ("25636a483989d59b", 43791),  # 95351; evented 89211
+        11: ("ea1210dd1a869e68", 44288),  # 95932; evented 89664
     },
 }
 
@@ -186,8 +187,7 @@ GOLDEN = {
 def test_simulated_numbers_are_the_parents(case, seed):
     engine = CASES[case](seed)
     assert simulated(engine.run()) == GOLDEN[case][seed]
-    recovers = "failure" in str(engine.config.scenario)
-    assert engine.step == ("evented" if recovers else "computed")
+    assert engine.step == "computed"
 
 
 # ----------------------------------------------------------- hook sequence
