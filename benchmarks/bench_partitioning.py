@@ -10,7 +10,6 @@ operators the choice changes latency dramatically.
 import numpy as np
 
 from benchmarks.conftest import bench_runner_config, emit
-from repro.apps.base import make_generator
 from repro.cluster import homogeneous_cluster
 from repro.core.runner import BenchmarkRunner
 from repro.report import render_table
@@ -22,18 +21,19 @@ from repro.sps.types import DataType, Field, Schema
 from repro.workload.distributions import ZipfInt
 
 SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
+SIZE = float(SCHEMA.tuple_size_bytes())
 ZIPF = ZipfInt(n=64, s=1.4)  # heavily skewed keys
 
 
 def _plan(partitioner, rate):
-    def sample(rng):
-        return (ZIPF.sample(rng), float(rng.random()))
+    def sample(rng, n):
+        return (ZIPF.sample_block(rng, n), rng.random(n)), SIZE
 
     plan = LogicalPlan(f"skew-{partitioner.name}")
     plan.add_operator(
         builders.source(
-            "src", make_generator(SCHEMA, sample), SCHEMA, rate,
-            parallelism=2,
+            "src", None, SCHEMA, rate, parallelism=2,
+            vector_generator=sample,
         )
     )
     plan.add_operator(
