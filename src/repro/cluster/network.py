@@ -40,7 +40,7 @@ class NetworkSpec:
 
 
 class Network:
-    """Computes transfer delays between nodes of a cluster."""
+    """The links between nodes of a cluster: latency and bandwidth."""
 
     def __init__(self, nodes: list[Node], spec: NetworkSpec | None = None):
         self._spec = spec or NetworkSpec()
@@ -67,12 +67,3 @@ class Network:
         except KeyError as exc:
             raise ConfigurationError(f"unknown node id {exc}") from None
         return bytes_per_second(min(src_nic, dst_nic))
-
-    def transfer_delay(self, src: int, dst: int, size_bytes: float) -> float:
-        """One-way delay (seconds) to move a payload between two nodes."""
-        if size_bytes < 0:
-            raise ConfigurationError("payload size must be non-negative")
-        if src == dst:
-            return 0.0
-        bandwidth = self.link_bandwidth(src, dst)
-        return self._spec.base_latency_s + size_bytes / bandwidth

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["derive_seed", "state_fingerprint", "RngFactory"]
 
@@ -24,12 +26,10 @@ def derive_seed(root_seed: int, *names: str) -> int:
     ``derive_seed(1, "datagen")`` and ``derive_seed(1, "engine")`` are
     unrelated, and the same path always yields the same seed.
     """
-    digest = hashlib.sha256()
-    digest.update(str(int(root_seed)).encode("utf-8"))
-    for name in names:
-        digest.update(b"\x1f")
-        digest.update(name.encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big") >> 1
+    # One buffer: the root, then each name behind a 0x1f separator.
+    path = "\x1f".join((str(int(root_seed)), *names)).encode("utf-8")
+    digest = hashlib.sha256(path).digest()
+    return int.from_bytes(digest[:8], "big") >> 1
 
 
 def state_fingerprint(gen: np.random.Generator) -> str:
@@ -59,29 +59,39 @@ class RngFactory:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    @property
-    def seed(self) -> int:
-        """The root seed this factory was created with."""
-        return self._seed
+        self._streams: dict[tuple, np.random.Generator] = {}
 
     def get(self, *names: str) -> np.random.Generator:
-        """Return the generator for the given name path, creating it once."""
-        key = "/".join(names)
-        if key not in self._streams:
-            self._streams[key] = np.random.default_rng(
-                derive_seed(self._seed, *names)
-            )
-        return self._streams[key]
+        """Return the generator for the given name path, creating it once
+        (``get("a/b")`` and ``get("a", "b")`` are two paths)."""
+        if names not in self._streams:
+            self._streams[names] = self.fresh(*names)
+        return self._streams[names]
 
     def fresh(self, *names: str) -> np.random.Generator:
         """Return a new generator for the path without caching it.
 
-        Useful for repeated runs that must each start from the same state.
+        Useful for repeated runs that must each start from the same state,
+        ``np.random.default_rng``'s for the path's seed.
         """
-        return np.random.default_rng(derive_seed(self._seed, *names))
+        bits = np.random.PCG64(_seeding(self._seed, names))
+        return np.random.Generator(bits)
 
-    def child(self, *names: str) -> "RngFactory":
-        """Return a new factory whose root seed is derived from this one."""
-        return RngFactory(derive_seed(self._seed, *names))
+
+class _Seeding(ISeedSequence):
+    """The four 64-bit words ``PCG64`` seeds itself from for one path,
+    as the path's ``SeedSequence`` generates them, derived once per
+    process (``_seeding``): the engines of a sweep open the same paths
+    over and over (one runner seed, the same operator names and subtask
+    indices). Read-only, as every stream of the path shares them."""
+
+    def __init__(self, root_seed: int, names: tuple) -> None:
+        seq = np.random.SeedSequence(derive_seed(root_seed, *names))
+        words = seq.generate_state(4, np.uint64).tobytes()
+        self.words = np.frombuffer(words, np.uint64)  # read-only
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+_seeding = lru_cache(maxsize=4096)(_Seeding)

@@ -71,6 +71,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import itemgetter, mul, truediv
@@ -421,8 +422,8 @@ class _SubtaskRuntime:
     #: unit-mean arrival gaps come a block at a time from its own
     #: ``…/arrivals`` stream (``_arrival_block``); service-noise
     #: factors wait in a reversed block, popped from the end and
-    #: refilled from its ``…/noise`` stream. Each stream is opened at
-    #: its first draw.
+    #: refilled from its ``…/noise`` stream. Each stream, and the
+    #: logic's ``ctx.rng``, is opened at its first draw.
     gaps_rng: object = None
     noise: list | None = None
     noise_rng: object = None
@@ -560,6 +561,12 @@ class StreamEngine:
         #: end-of-stream flush rounds any executor runs at most: a
         #: flushed result crosses at most every operator once
         self._max_flush_rounds = len(plan.operators) + 2
+        #: build-time memos (``_op_constants``, node speeds, ``_links_to``)
+        self._consts: dict = {}
+        self._speeds = {n.node_id: n.speed_factor for n in cluster.nodes}
+        self._links: dict = {}
+        self._node_links: dict = {}
+        self._net_base_latency = cluster.network.spec.base_latency_s
         self._build_runtimes()
 
     @property
@@ -599,7 +606,8 @@ class StreamEngine:
             gid: list(groups)
             for gid, groups in self.physical.out_channels.items()
         }
-        self._build_route_tables()
+        for runtime in self._runtimes:
+            self._compile_route_table(runtime)
 
     def _new_runtime(
         self,
@@ -613,12 +621,7 @@ class StreamEngine:
         """Append subtask ``index`` of ``op_id``, one of ``parallelism``,
         at the next gid: the cost model's service time on ``node_id``
         under slot contention ``load``, and a fresh logic."""
-        op = self.logical.operator(op_id)
-        cost = self.physical.effective_cost(op_id)
-        coord = cost.coordination_factor(parallelism)
-        speed = self.cluster.node(node_id).speed_factor
-        cv = cost.cost_noise
-        sigma = math.sqrt(math.log(1.0 + cv * cv)) if cv > 0 else 0.0
+        work, sigma, kind, _ = self._op_constants(op_id, parallelism)
         gid = len(self._runtimes)
         runtime = _SubtaskRuntime(
             gid=gid,
@@ -626,10 +629,10 @@ class StreamEngine:
             index=index,
             logic=None,
             node_id=node_id,
-            base_service=cost.base_cpu_s * coord * load / speed,
+            base_service=work * load / self._speeds[node_id],
             noise_sigma=sigma,
-            is_source=op.kind is OperatorKind.SOURCE,
-            is_sink=op.kind is OperatorKind.SINK,
+            is_source=kind is OperatorKind.SOURCE,
+            is_sink=kind is OperatorKind.SINK,
             noise_mu=-0.5 * sigma * sigma,
             slot_load=load,
             epoch=epoch,
@@ -639,18 +642,34 @@ class StreamEngine:
         self._runtimes.append(runtime)
         return runtime
 
+    def _op_constants(self, op_id: str, parallelism: int) -> tuple:
+        """What every subtask of ``op_id`` at ``parallelism`` shares,
+        resolved once: its service work before node speed and slot
+        load, its noise sigma, its kind and its logic factory."""
+        consts = self._consts.get((op_id, parallelism))
+        if consts is None:
+            cost = self.physical.effective_cost(op_id)
+            cv = cost.cost_noise
+            consts = self._consts[op_id, parallelism] = (
+                cost.base_cpu_s * cost.coordination_factor(parallelism),
+                math.sqrt(math.log(1.0 + cv * cv)) if cv > 0 else 0.0,
+                self.logical.operator(op_id).kind,
+                self.physical.effective_factory(op_id),
+            )
+        return consts
+
     def _new_logic(
         self, runtime: _SubtaskRuntime, parallelism: int
     ) -> OperatorLogic:
         """Give the subtask a fresh logic, set up on the stream of the
-        subtask's current name."""
-        logic = self.physical.effective_factory(runtime.op_id)()
+        subtask's current name (opened at the logic's first draw)."""
+        logic = self._op_constants(runtime.op_id, parallelism)[3]()
         logic.setup(
             OperatorContext(
                 op_id=runtime.op_id,
                 subtask_index=runtime.index,
                 parallelism=parallelism,
-                rng=self._rngs.fresh(*self._stream_name(runtime)),
+                rng=partial(self._rngs.fresh, *self._stream_name(runtime)),
             )
         )
         runtime.logic = logic
@@ -683,26 +702,16 @@ class StreamEngine:
         budget = int(tuples / max(op.parallelism, 1))
         runtime.arrival_budget = budget or int(runtime.index < tuples)
 
-    def _build_route_tables(self) -> None:
-        """Precompile per-channel-group routing state.
-
-        Resolves, once per channel group: the bound partitioner ``select``,
-        the keyBy-and-select of a ``key_field`` hash exchange (or None),
-        consumer gids, and per-channel network delay terms.
-        ``Network.transfer_delay`` is affine in the
-        payload size — ``base_latency + size / bandwidth``, zero for
-        same-node channels — so the table stores ``(latency, bandwidth)``
-        per channel and the hot path evaluates the identical expression
-        without node lookups.
-        """
-        self._net_base_latency = self.cluster.network.spec.base_latency_s
-        for runtime in self._runtimes:
-            self._compile_route_table(runtime)
-
     def _compile_route_table(self, runtime: _SubtaskRuntime) -> None:
         """(Re)compile one runtime's routing table, and the sender CPU
         it pays per routed output, from its channel groups.
 
+        Resolves, once per channel group: the bound partitioner
+        ``select``, the keyBy-and-select of a ``key_field`` hash exchange
+        (or None), consumer gids, and per-channel network delay terms.
+        A transfer takes ``base_latency + size / bandwidth``, zero for
+        same-node channels, so the table stores ``(latency, bandwidth)``
+        per channel and the hot path evaluates it without node lookups.
         Called at build time for every runtime and again by
         :meth:`_perform_rescale` for producers whose consumer set
         changed."""
@@ -713,10 +722,6 @@ class StreamEngine:
                     max(group.num_channels, 2)
                 )
         runtime.shuffle_cost_per_output = shuffle_cost
-        network = self.cluster.network
-        base_latency = self._net_base_latency
-        inf = float("inf")
-        src_node = runtime.node_id
         table = []
         for group in self._out_channels[runtime.gid]:
             partitioner = group.partitioner
@@ -727,18 +732,7 @@ class StreamEngine:
                 else None
             )
             consumers = list(group.consumer_gids)
-            latencies = []
-            bandwidths = []
-            for gid in consumers:
-                dst_node = self._runtimes[gid].node_id
-                if dst_node == src_node:
-                    latencies.append(0.0)
-                    bandwidths.append(inf)
-                else:
-                    latencies.append(base_latency)
-                    bandwidths.append(
-                        network.link_bandwidth(src_node, dst_node)
-                    )
+            links = self._links_to(runtime.node_id, consumers)
             table.append(
                 (
                     partitioner.select,
@@ -746,18 +740,33 @@ class StreamEngine:
                     rekey,
                     consumers,
                     len(consumers),
-                    latencies,
-                    bandwidths,
+                    list(links[0]),  # a copy per producer: _degrade
+                    list(links[1]),  # scales each producer's in place
                     group.port,
-                    (
-                        runtime.shuffle_cost_per_output
-                        if group.is_shuffle
-                        else 0.0
-                    ),
+                    shuffle_cost if group.is_shuffle else 0.0,
                     self._runtimes[consumers[0]].is_sink,
                 )
             )
         runtime.route_table = table
+
+    def _links_to(self, src_node: int, consumers: list) -> tuple:
+        """The ``(latencies, bandwidths)`` from ``src_node`` to each
+        consumer: resolved once per source node and consumer list, and
+        each node pair's once per engine."""
+        key = (src_node, *consumers)
+        if key not in self._links:
+            nodes = self._node_links
+            pairs = []
+            for gid in consumers:
+                pair = (src_node, self._runtimes[gid].node_id)
+                if pair not in nodes:
+                    nodes[pair] = (0.0, math.inf)
+                    if pair[1] != src_node:
+                        bandwidth = self.cluster.network.link_bandwidth(*pair)
+                        nodes[pair] = (self._net_base_latency, bandwidth)
+                pairs.append(nodes[pair])
+            self._links[key] = tuple(zip(*pairs))
+        return self._links[key]
 
     # ------------------------------------------------------------- run-time
 
@@ -2860,18 +2869,13 @@ class StreamEngine:
         # sinks and sort lexicographically by (arrival, latency) in one
         # vectorized pass — the same ordering the result list had when it
         # was built as sorted (arrival, latency) tuples.
-        arrays = [
-            (
-                np.asarray(sink.arrival_times, dtype=float),
-                np.asarray(sink.latencies, dtype=float),
-            )
-            for sink in self._sinks
-        ]
-        if len(arrays) == 1:
-            arrival_times, latencies = arrays[0]
-        else:
-            arrival_times = np.concatenate([a for a, _ in arrays])
-            latencies = np.concatenate([b for _, b in arrays])
+        sinks = self._sinks
+        arrival_times = np.concatenate(
+            [np.asarray(sink.arrival_times, dtype=float) for sink in sinks]
+        )
+        latencies = np.concatenate(
+            [np.asarray(sink.latencies, dtype=float) for sink in sinks]
+        )
         order = np.lexsort((latencies, arrival_times))
         arrival_times = arrival_times[order]
         latencies = latencies[order]
@@ -2881,9 +2885,7 @@ class StreamEngine:
         # they are all we have (e.g. windows longer than the whole run).
         if self._flush_time is not None and total_results:
             steady = int(
-                np.searchsorted(
-                    arrival_times, self._flush_time, side="right"
-                )
+                np.searchsorted(arrival_times, self._flush_time, "right")
             )
             if steady > 0:
                 arrival_times = arrival_times[:steady]
@@ -2919,21 +2921,15 @@ class StreamEngine:
         queue_peaks: dict[str, int] = {}
         wait_sums: dict[str, float] = {}
         served_sums: dict[str, int] = {}
-        source_events = 0
         for runtime in self._runtimes:
-            utilization.setdefault(runtime.op_id, []).append(
-                runtime.busy_time / span
-            )
-            previous = queue_peaks.get(runtime.op_id, 0)
-            queue_peaks[runtime.op_id] = max(previous, runtime.queue_peak)
-            wait_sums[runtime.op_id] = (
-                wait_sums.get(runtime.op_id, 0.0) + runtime.wait_time
-            )
-            served_sums[runtime.op_id] = (
-                served_sums.get(runtime.op_id, 0) + runtime.served
-            )
-            if runtime.is_source:
-                source_events += runtime.emitted
+            op_id = runtime.op_id
+            utilization.setdefault(op_id, []).append(runtime.busy_time / span)
+            peak = max(queue_peaks.get(op_id, 0), runtime.queue_peak)
+            queue_peaks[op_id] = peak
+            wait_sums[op_id] = wait_sums.get(op_id, 0.0) + runtime.wait_time
+            served_sums[op_id] = served_sums.get(op_id, 0) + runtime.served
+        sources = [rt for rt in self._runtimes if rt.is_source]
+        source_events = sum(runtime.emitted for runtime in sources)
         avg_wait = {
             op_id: wait_sums[op_id] / served
             for op_id, served in served_sums.items()
@@ -2961,14 +2957,10 @@ class StreamEngine:
         if self._ft:
             store = self._ft_store
             latest = store.latest()
-            stamped = 0
-            for runtime in self._runtimes:
-                stamped += runtime.ft_emit_seq
+            stamped = sum(runtime.ft_emit_seq for runtime in self._runtimes)
             # Stamped-but-never-admitted results: a modeled lower bound
             # on losses; 0 after a successful exactly-once recovery.
-            lost = stamped - len(self._ft_seen)
-            if lost < 0:
-                lost = 0
+            lost = max(stamped - len(self._ft_seen), 0)
             extras["ft"] = {
                 "delivery": self.config.delivery,
                 "checkpoint_interval": self.config.checkpoint_interval,

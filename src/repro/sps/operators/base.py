@@ -10,7 +10,7 @@ engine drives the instance through :meth:`process` for each delivered tuple,
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +29,24 @@ def clone_slots(obj):
     return new
 
 
-@dataclass(frozen=True)
 class OperatorContext:
-    """Runtime information handed to a logic instance at setup."""
+    """Runtime information handed to a logic instance at setup. ``rng``
+    is a generator or, from the engine, a zero-argument callable that
+    opens one at the first read of ``ctx.rng``: a subtask that never
+    draws opens no stream. Every read returns the same generator."""
 
-    op_id: str
-    subtask_index: int
-    parallelism: int
-    rng: np.random.Generator
+    def __init__(
+        self, op_id: str, subtask_index: int, parallelism: int, rng
+    ) -> None:
+        self.op_id = op_id
+        self.subtask_index = subtask_index
+        self.parallelism = parallelism
+        self._rng = rng
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        rng = self._rng
+        return rng if isinstance(rng, np.random.Generator) else rng()
 
 
 class OperatorLogic:

@@ -27,9 +27,6 @@ class Subtask:
     index: int
     parallelism: int
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.op_id}#{self.index}/{self.parallelism}"
-
 
 @dataclass
 class ChannelGroup:

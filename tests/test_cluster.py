@@ -7,7 +7,6 @@ from repro.cluster import (
     Cluster,
     HardwareSpec,
     Network,
-    NetworkSpec,
     Node,
     get_hardware,
     heterogeneous_cluster,
@@ -103,34 +102,17 @@ class TestNetwork:
 
     def test_same_node_free(self):
         net = Network(self._nodes())
-        assert net.transfer_delay(0, 0, 1_000_000) == 0.0
-
-    def test_cross_node_latency_plus_bandwidth(self):
-        spec = NetworkSpec(base_latency_s=1e-4)
-        net = Network(self._nodes(), spec)
-        delay = net.transfer_delay(0, 1, 1.25e9)  # 1 second at 10 Gbps
-        assert delay == pytest.approx(1e-4 + 1.0)
+        assert net.link_bandwidth(0, 0) == float("inf")
 
     def test_bandwidth_is_slower_nic(self):
         net = Network(self._nodes())
         # m510 has 10 Gbps, c6525 25 Gbps: the pair is limited to 10.
         assert net.link_bandwidth(0, 1) == pytest.approx(1.25e9)
 
-    def test_monotone_in_size(self):
-        net = Network(self._nodes())
-        small = net.transfer_delay(0, 1, 100)
-        large = net.transfer_delay(0, 1, 10_000)
-        assert large > small
-
     def test_rejects_unknown_node(self):
         net = Network(self._nodes())
         with pytest.raises(ConfigurationError):
-            net.transfer_delay(0, 99, 10)
-
-    def test_rejects_negative_size(self):
-        net = Network(self._nodes())
-        with pytest.raises(ConfigurationError):
-            net.transfer_delay(0, 1, -1)
+            net.link_bandwidth(0, 99)
 
 
 class TestClusterBuilders:

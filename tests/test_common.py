@@ -39,6 +39,12 @@ class TestDeriveSeed:
         # ("ab",) and ("a", "b") must produce different seeds.
         assert derive_seed(0, "ab") != derive_seed(0, "a", "b")
 
+    def test_pinned_values(self):
+        # Every named stream of every run derives from these bits.
+        assert derive_seed(17, "engine", "src", "0") == 7412616525182909461
+        assert derive_seed(0) == 3456079177858693020
+        assert derive_seed(2**62 + 1, "a/b", "é") == 1424338409371347540
+
 
 class TestRngFactory:
     def test_get_caches(self):
@@ -57,17 +63,38 @@ class TestRngFactory:
         second = rngs.fresh("s").random(10)
         assert np.allclose(first, second)
 
+    def test_fresh_streams_of_one_path_are_independent(self):
+        rngs = RngFactory(5)
+        first, second = rngs.fresh("s"), rngs.fresh("s")
+        assert first is not second
+        first.random(7)
+        assert second.random(3).tolist() == (
+            RngFactory(5).fresh("s").random(3).tolist()
+        )
+
     def test_same_seed_same_streams(self):
         a = RngFactory(9).get("x").random(5)
         b = RngFactory(9).get("x").random(5)
         assert np.allclose(a, b)
 
-    def test_child_factory_differs(self):
-        parent = RngFactory(3)
-        child = parent.child("sub")
-        assert child.seed != parent.seed
-        assert not np.allclose(
-            parent.fresh("x").random(5), child.fresh("x").random(5)
+    def test_get_keys_by_path_not_joined_name(self):
+        rngs = RngFactory(4)
+        joined, split = rngs.get("a/b"), rngs.get("a", "b")
+        assert joined is not split
+        assert joined.random() == RngFactory(4).fresh("a/b").random()
+        assert split.random() == RngFactory(4).fresh("a", "b").random()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**62, 2**62 + 1, 2**62 + 7])
+    @pytest.mark.parametrize(
+        "names",
+        [(), ("x",), ("engine", "src", "0"), ("engine", "op", "3", "noise")],
+    )
+    def test_fresh_is_default_rng_of_the_derived_seed(self, seed, names):
+        fresh = RngFactory(seed).fresh(*names)
+        want = np.random.default_rng(derive_seed(seed, *names))
+        assert fresh.bit_generator.state == want.bit_generator.state
+        assert fresh.integers(2**63, size=4).tolist() == (
+            want.integers(2**63, size=4).tolist()
         )
 
 

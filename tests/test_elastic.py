@@ -10,6 +10,7 @@ metric, sanitizer compatibility, and the exp4 policy-comparison grid.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -285,6 +286,55 @@ class TestScenarios:
             make_scenario("meteor:at=1")
         with pytest.raises(ConfigurationError, match="needs a number"):
             make_scenario("spike:at=soon")
+
+
+def _route_links(engine) -> dict:
+    """Every live producer's ``(latencies, bandwidths)``, copied."""
+    return {
+        rt.gid: [(list(e[5]), list(e[6])) for e in rt.route_table]
+        for rt in engine._runtimes
+        if rt.route_table and not rt.retired
+    }
+
+
+def test_netdeg_scales_each_producers_route_lists_once():
+    """Producers placed on one node share one consumer group, so their
+    route lists are built from one resolution: each must still hold its
+    own lists, scaled once in the window and restored bit for bit
+    after it."""
+    plan = elastic_workload_plan()
+    plan.set_uniform_parallelism(4)
+    engine = StreamEngine(
+        plan,
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(
+            max_tuples_per_source=_TUPLES,
+            scenario="netdeg:at=0.2,duration=0.3,latency_factor=3,"
+            "bandwidth_factor=0.25",
+        ),
+        rng_factory=RngFactory(7),
+    )
+    sources = [rt for rt in engine._runtimes if rt.op_id == "src"]
+    nodes = [rt.node_id for rt in sources]
+    assert len(set(nodes)) < len(nodes)  # two producers share a node
+    base = _route_links(engine)
+    assert any(math.isfinite(b) for lists in base.values()
+               for _, bandwidths in lists for b in bandwidths)
+    seen = []
+    scale_net = engine._scale_net
+
+    def observe(lists, token):
+        scale_net(lists, token)
+        seen.append(_route_links(engine))
+
+    engine._scale_net = observe
+    engine.run()
+    during, after = seen
+    assert after == base
+    for gid, lists in base.items():
+        for (lat, bw), (lat2, bw2) in zip(lists, during[gid]):
+            assert lat2 == [value * 3 for value in lat]
+            assert bw2 == [value * 0.25 for value in bw]
 
 
 class TestPolicies:

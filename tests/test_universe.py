@@ -570,6 +570,71 @@ def test_a_restart_in_a_later_generation_opens_a_stream_of_its_own():
         assert name in rngs.opened, label
 
 
+# ---------------------------------------------------- lazy logic streams
+
+
+class Drawing(OperatorLogic):
+    """A stateless UDO that draws one ``ctx.rng.random()`` per tuple and
+    keeps the draws."""
+
+    def setup(self, ctx):
+        super().setup(ctx)
+        self.draws = []
+
+    def process(self, tup, now, port=0):
+        self.draws.append(self.ctx.rng.random())
+        return [tup]
+
+
+def test_only_subtasks_that_draw_open_their_logic_streams(simple_plan):
+    """src → filter → agg → sink at parallelism 4: the sources draw
+    their tuples from ``ctx.rng``, and no other logic opens its stream
+    — not at build, not in the run."""
+    simple_plan.set_uniform_parallelism(4, sink_parallelism=4)
+    rngs = NamedStreams(11)
+    engine = StreamEngine(
+        simple_plan,
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(max_tuples_per_source=800),
+        rng_factory=rngs,
+    )
+    assert rngs.opened == []
+    assert engine.run().results > 0
+    logic_streams = [name for name in rngs.opened if len(name) == 3]
+    want = [("engine", "src", str(i)) for i in range(4)]
+    assert sorted(logic_streams) == want
+
+
+def test_a_udo_draws_the_stream_of_its_subtask_name():
+    """Opened at the first draw, a logic's stream is the one its name
+    gives: ``RngFactory(seed).fresh("engine", op, str(i))``."""
+    plan = LogicalPlan("drawing")
+    plan.add_operator(
+        builders.source(
+            "src", kv_generator(), SCHEMA, event_rate=2000.0, parallelism=2
+        )
+    )
+    plan.add_operator(
+        builders.udo("udo", Drawing, parallelism=3, output_schema=SCHEMA)
+    )
+    plan.add_operator(builders.sink("sink"))
+    plan.connect("src", "udo")
+    plan.connect("udo", "sink")
+    engine = StreamEngine(
+        plan,
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(max_tuples_per_source=600),
+        rng_factory=RngFactory(17),
+    )
+    engine.run()
+    udos = [rt for rt in engine._runtimes if rt.op_id == "udo"]
+    assert sum(len(rt.logic.draws) for rt in udos) == 600
+    for rt in udos:
+        stream = RngFactory(17).fresh("engine", "udo", str(rt.index))
+        assert rt.logic.draws == [stream.random() for _ in rt.logic.draws]
+        assert rt.logic.ctx.rng is rt.logic.ctx.rng
+
+
 # ------------------------------------------------------- engine lifetime
 
 
