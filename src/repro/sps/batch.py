@@ -60,7 +60,7 @@ from repro.sps.operators.sink import SinkLogic
 from repro.sps.partitioning import (
     HashPartitioner,
     RebalancePartitioner,
-    _stable_hash,
+    _memo_hash,
 )
 from repro.sps.windows import ordered_sum
 
@@ -343,9 +343,9 @@ class ColumnarExecutor:
         obs = self._obs
         offset = 0.0
         for (
-            select,
+            channel,
             fixed,
-            rekey,
+            key_field,
             consumers,
             num_channels,
             latencies,
@@ -353,12 +353,11 @@ class ColumnarExecutor:
             port,
             shuffle_cost,
             _,
+            _,
         ) in table:
             out = batch
-            if rekey is not None:
-                out = batch.with_key(
-                    self._key_column(batch, select.__self__.key_field)
-                )
+            if key_field is not None:
+                out = batch.with_key(self._key_column(batch, key_field))
             if fixed is not None:
                 if shuffle_cost:
                     offset += shuffle_cost * len(fixed) * n
@@ -378,7 +377,7 @@ class ColumnarExecutor:
                         bandwidths,
                     )
                 continue
-            partitioner = select.__self__
+            partitioner = channel.__self__
             idx_arr = self._select_indices(partitioner, out, num_channels)
             if idx_arr is not None:
                 if shuffle_cost:
@@ -405,21 +404,17 @@ class ColumnarExecutor:
                         bandwidths,
                     )
                 continue
-            # Generic path: per-row select for custom partitioners (or
+            # Generic path: per-row channel for custom partitioners (or
             # hash exchanges whose keys need the scalar error message).
             tuples = out.to_tuples()
             buckets: dict[int, list[int]] = {}
-            fanout = 0
             sizes = out.size_bytes
             nbytes = 0.0
             for i, tup in enumerate(tuples):
-                indices = select(tup, num_channels)
-                fanout += len(indices)
-                nbytes += float(sizes[i]) * len(indices)
-                for idx in indices:
-                    buckets.setdefault(idx, []).append(i)
+                nbytes += float(sizes[i])
+                buckets.setdefault(channel(tup, num_channels), []).append(i)
             if shuffle_cost:
-                offset += shuffle_cost * fanout
+                offset += shuffle_cost * len(tuples)
                 if obs is not None:
                     obs.shuffle_bytes[runtime.gid] += nbytes
             for idx in sorted(buckets):
@@ -466,7 +461,7 @@ class ColumnarExecutor:
         n = len(batch)
         if isinstance(partitioner, RebalancePartitioner):
             if num_channels <= 0:
-                return None  # select() raises the PlanError
+                return None  # channel() raises the PlanError
             idx = (
                 partitioner._next + np.arange(n, dtype=np.int64)
             ) % num_channels
@@ -480,7 +475,7 @@ class ColumnarExecutor:
             else:
                 keys = batch.key
                 if keys is None:
-                    return None  # select() raises the "needs a key" error
+                    return None  # channel() raises the "needs a key" error
             kind = keys.dtype.kind
             if kind in "bui" or kind == "i":
                 # int(key) % 2**64 is exactly the uint64 wrap.
@@ -490,30 +485,15 @@ class ColumnarExecutor:
                 # Fixed-width strings cannot hold None and group at C
                 # speed: hash each distinct key once, map back through
                 # the inverse index.
-                uniq, inverse = np.unique(keys, return_inverse=True)
-                cache = partitioner._hash_cache
-                channels = np.empty(len(uniq), dtype=np.int64)
-                for i, key in enumerate(uniq.tolist()):
-                    try:
-                        value = cache[key]
-                    except KeyError:
-                        value = cache[key] = _stable_hash(key)
-                    channels[i] = value % num_channels
-                return channels[inverse]
+                keys, inverse = np.unique(keys, return_inverse=True)
             items = keys.tolist()
             if any(item is None for item in items):
                 return None
-            cache = partitioner._hash_cache
-            out = np.empty(n, dtype=np.int64)
+            cache, key_field = partitioner._hash_cache, partitioner.key_field
+            out = np.empty(len(items), dtype=np.int64)
             for i, key in enumerate(items):
-                try:
-                    value = cache[key]
-                except KeyError:
-                    value = cache[key] = _stable_hash(key)
-                except TypeError:
-                    value = _stable_hash(key)
-                out[i] = value % num_channels
-            return out
+                out[i] = _memo_hash(cache, key, key_field) % num_channels
+            return out[inverse] if kind in "SU" else out
         return None
 
     # ------------------------------------------------------------ emissions

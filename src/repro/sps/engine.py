@@ -73,7 +73,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import repeat
+from itertools import product
 from operator import itemgetter, mul, truediv
 
 import numpy as np
@@ -103,6 +103,7 @@ from repro.sps.operators.source import SOURCE_CHUNK
 from repro.sps.partitioning import (
     ForwardPartitioner,
     HashPartitioner,
+    _memo_hash,
     _stable_hash,
 )
 from repro.sps.physical import ChannelGroup, PhysicalPlan
@@ -371,12 +372,13 @@ class _SubtaskRuntime:
     #: inherit it from their donor subtask
     slot_load: float = 1.0
     #: precompiled routing, one entry per outgoing channel group:
-    #: (select, fixed_indices, rekey, consumer_gids, num_channels,
-    #:  latencies, bandwidths, port, shuffle_cost, to_sink) — fixed_indices
-    #: replaces the select call for forward/broadcast exchanges whose
-    #: fan-out is constant; rekey replaces it on a ``key_field`` hash
-    #: exchange (``HashPartitioner.rekey_select``: the key is read
-    #: once)
+    #: (channel, fixed_indices, key_field, consumer_gids, num_channels,
+    #:  latencies, bandwidths, port, shuffle_cost, to_sink, memo) —
+    #: fixed_indices is the constant fan-out of a forward/broadcast
+    #: exchange; any other group sends each tuple down the one channel
+    #: its partitioner's bound ``channel`` picks, or, on a ``key_field``
+    #: hash exchange, hashes that field inline (``memo``: the
+    #: partitioner's hash memo)
     route_table: list = field(default_factory=list)
     queue: list = field(default_factory=list)
     queue_head: int = 0
@@ -707,8 +709,9 @@ class StreamEngine:
         it pays per routed output, from its channel groups.
 
         Resolves, once per channel group: the bound partitioner
-        ``select``, the keyBy-and-select of a ``key_field`` hash exchange
-        (or None), consumer gids, and per-channel network delay terms.
+        ``channel``, the key field and hash memo of a ``key_field`` hash
+        exchange (or None), consumer gids, and per-channel network delay
+        terms.
         A transfer takes ``base_latency + size / bandwidth``, zero for
         same-node channels, so the table stores ``(latency, bandwidth)``
         per channel and the hot path evaluates it without node lookups.
@@ -725,19 +728,17 @@ class StreamEngine:
         table = []
         for group in self._out_channels[runtime.gid]:
             partitioner = group.partitioner
-            rekey = (
-                partitioner.rekey_select
-                if isinstance(partitioner, HashPartitioner)
-                and partitioner.key_field is not None
-                else None
-            )
+            key_field = memo = None
+            if isinstance(partitioner, HashPartitioner):
+                key_field = partitioner.key_field
+                memo = partitioner._hash_cache
             consumers = list(group.consumer_gids)
             links = self._links_to(runtime.node_id, consumers)
             table.append(
                 (
-                    partitioner.select,
+                    partitioner.channel,
                     partitioner.constant_indices(len(consumers)),
-                    rekey,
+                    key_field,
                     consumers,
                     len(consumers),
                     list(links[0]),  # a copy per producer: _degrade
@@ -745,6 +746,7 @@ class StreamEngine:
                     group.port,
                     shuffle_cost if group.is_shuffle else 0.0,
                     self._runtimes[consumers[0]].is_sink,
+                    memo,
                 )
             )
         runtime.route_table = table
@@ -2049,7 +2051,7 @@ class StreamEngine:
             for tup, port, enqueued_at in queue[runtime.queue_head :]:
                 part = forwarders.get(port)
                 index = (
-                    part.select(tup, new_parallelism)[0]
+                    part.channel(tup, new_parallelism)
                     if part is not None
                     else 0
                 )
@@ -2134,7 +2136,7 @@ class StreamEngine:
         part = self._op_forwarders[runtime.op_id].get(port)
         if part is None:
             return live[0]
-        return live[part.select(tup, len(live))[0]]
+        return live[part.channel(tup, len(live))]
 
     def _handle_control(self) -> None:
         """One autoscaler tick: snapshot, decide, emit rescales."""
@@ -2713,8 +2715,14 @@ class StreamEngine:
         offset by the cumulative overhead of groups ``1..g`` (including
         *g*'s own total). Within a group the offset is identical for all
         tuples — a tuple's delivery time never depends on its position in
-        the output batch, only on the (deterministic) group order. The
-        precompiled routing tables reproduce exactly this accounting.
+        the output batch, only on the (deterministic) group order.
+
+        **One pass.** A forward or broadcast group has a constant
+        fan-out, and every other partitioner picks one channel per tuple
+        (``Partitioner.channel``), so a group's overhead is known before
+        its first tuple departs: each tuple is then chosen and delivered
+        in one step. A ``key_field`` hash is resolved here: an int key is
+        ``key % 2**64`` (``_stable_hash``'s value) and skips the memo.
 
         A sharded run's delivery to a gid outside ``_owned`` goes to
         ``_outbox`` as the wire message ``(at, origin, seq, dst, port,
@@ -2744,9 +2752,9 @@ class StreamEngine:
         pushed = 0
         offset = 0.0
         for (
-            select,
+            channel,
             fixed,
-            rekey,
+            key_field,
             consumers,
             num_channels,
             latencies,
@@ -2754,82 +2762,72 @@ class StreamEngine:
             port,
             shuffle_cost,
             to_sink,
+            memo,
         ) in table:
             # A group's consumers are one sink's subtasks: all logged
             # or none.
             log = logs if to_sink and consumers[0] in logs else None
-            if fixed is not None:
-                # Constant fan-out (forward/broadcast): no per-tuple
-                # select call or index-list allocation. The overhead sum
-                # keeps the original one-addition-per-output order so it
-                # stays bit-identical to the dynamic path.
-                if shuffle_cost:
-                    per_output = shuffle_cost * len(fixed)
-                    group_overhead = 0.0
-                    for _ in outputs:
-                        group_overhead += per_output
-                    offset += group_overhead
-                    if obs is not None:
-                        nbytes = 0.0
-                        for out in outputs:
-                            nbytes += out.size_bytes
-                        obs.shuffle_bytes[runtime.gid] += nbytes * len(fixed)
-                routed = zip(outputs, repeat(fixed))
-            else:
-                # Dynamic fan-out (always a shuffle — only a forward
-                # edge is overhead-free, and its fan-out is constant):
-                # all selects of the group run first so the full group
-                # overhead offsets every delivery, then the buffered
-                # batch departs.
-                routed = []
+            fan = 1 if fixed is None else len(fixed)
+            if shuffle_cost:
+                # Each output takes ``fan`` channels: the group's serde,
+                # one addition per output in output order, is paid
+                # before any of them departs.
+                per_output = shuffle_cost * fan
                 group_overhead = 0.0
-                for tup in outputs:
-                    if rekey is not None:
-                        out, indices = rekey(tup, num_channels)
-                    else:
-                        out = tup
-                        indices = select(out, num_channels)
-                    group_overhead += shuffle_cost * len(indices)
-                    routed.append((out, indices))
+                for out in outputs:
+                    group_overhead += per_output
                 offset += group_overhead
                 if obs is not None:
                     nbytes = 0.0
-                    for out, indices in routed:
-                        nbytes += out.size_bytes * len(indices)
-                    obs.shuffle_bytes[runtime.gid] += nbytes
-            for out, indices in routed:
-                size = out.size_bytes
-                for idx in indices:
-                    dst = consumers[idx]
-                    delay = latencies[idx] + size / bandwidths[idx]
-                    at = now + delay + offset
-                    seq += 1
-                    if clocks is not None:
-                        chan = port + idx
-                        if at < clocks[chan]:
-                            at = clocks[chan]
-                        else:
-                            clocks[chan] = at
-                        sent = out
-                        if to_sink:
-                            runtime.ft_emit_seq += 1
-                            sent = out.with_prov(
-                                (runtime.gid, runtime.ft_emit_seq)
-                            )
-                        pushed += 1
-                        heappush(heap, (at, seq, _DELIVER, dst, sent, chan))
-                    elif log is not None:
-                        entries = log[dst]
-                        entries.append((at, seq, out, port))
-                        if not len(entries) % _SETTLE:
-                            self._settle(dst, (k.now,))
-                    elif owned is None or dst in owned:
-                        pushed += 1
-                        heappush(heap, (at, seq, _DELIVER, dst, out, port))
+                    for out in outputs:
+                        nbytes += out.size_bytes
+                    obs.shuffle_bytes[runtime.gid] += nbytes * fan
+            hops = outputs
+            if fan > 1:
+                hops = product(outputs, fixed)
+            elif fixed is not None:
+                idx = fixed[0]
+            for out in hops:
+                if key_field is not None:
+                    key = out.values[key_field]
+                    if isinstance(key, int):
+                        idx = key % (1 << 64) % num_channels
                     else:
-                        outbox.append(
-                            (at, origin, seq - base, dst, port, out)
-                        )
+                        try:
+                            value = memo[key]
+                        except (KeyError, TypeError):
+                            value = _memo_hash(memo, key, key_field)
+                        idx = value % num_channels
+                    out = out.with_key(key)
+                elif fixed is None:
+                    idx = channel(out, num_channels)
+                elif fan > 1:
+                    out, idx = out
+                dst = consumers[idx]
+                at = now + (latencies[idx] + out.size_bytes / bandwidths[idx])
+                at += offset
+                seq += 1
+                if clocks is not None:
+                    chan = port + idx
+                    if at < clocks[chan]:
+                        at = clocks[chan]
+                    else:
+                        clocks[chan] = at
+                    if to_sink:
+                        runtime.ft_emit_seq += 1
+                        out = out.with_prov((runtime.gid, runtime.ft_emit_seq))
+                    pushed += 1
+                    heappush(heap, (at, seq, _DELIVER, dst, out, chan))
+                elif log is not None:
+                    entries = log[dst]
+                    entries.append((at, seq, out, port))
+                    if not len(entries) % _SETTLE:
+                        self._settle(dst, (k.now,))
+                elif owned is None or dst in owned:
+                    pushed += 1
+                    heappush(heap, (at, seq, _DELIVER, dst, out, port))
+                else:
+                    outbox.append((at, origin, seq - base, dst, port, out))
         runtime.seq = seq
         k.work += pushed
         return offset

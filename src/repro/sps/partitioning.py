@@ -41,6 +41,29 @@ def _stable_hash(key: Any) -> int:
     return int(key) % (1 << 64)
 
 
+def _memo_hash(memo: dict, key: Any, key_field: int | None) -> int:
+    """``_stable_hash(key)``, memoised in ``memo`` for a str key only: an
+    int, float or tuple key can equal a key of another type whose hash
+    differs (``(1,) == (1.0,)``). A key it cannot hash — a list, dict or
+    set (or a tuple holding one), a NaN or an infinite float — is a
+    :class:`PlanError` naming the key and the value's type."""
+    try:
+        return memo[key]
+    except (KeyError, TypeError):
+        pass
+    try:
+        value = _stable_hash(key)
+    except (TypeError, ValueError, OverflowError):
+        where = "tuple key" if key_field is None else f"key field {key_field}"
+        raise PlanError(
+            f"hash partitioning cannot hash the {where}: a "
+            f"{type(key).__name__} value {key!r}"
+        ) from None
+    if isinstance(key, str):
+        memo[key] = value
+    return value
+
+
 class Partitioner:
     """Chooses consumer subtask indices for each tuple of a channel group.
 
@@ -58,18 +81,23 @@ class Partitioner:
     #: Whether each tuple goes to every consumer.
     is_broadcast: bool = False
 
+    def channel(self, tup: StreamTuple, num_consumers: int) -> int:
+        """The one consumer index (in ``range(num_consumers)``) this
+        tuple takes: every strategy but broadcast picks exactly one."""
+        raise NotImplementedError
+
     def select(self, tup: StreamTuple, num_consumers: int) -> list[int]:
         """Consumer indices (in ``range(num_consumers)``) for this tuple."""
-        raise NotImplementedError
+        return [self.channel(tup, num_consumers)]
 
     def constant_indices(self, num_consumers: int) -> list[int] | None:
         """Indices when ``select`` is tuple-independent, else None.
 
         Lets the engine resolve forward/broadcast fan-out once at build
-        time instead of allocating an index list per tuple. Strategies
+        time instead of calling the partitioner per tuple. Strategies
         whose choice depends on the tuple (hash) or on internal state
         (rebalance) return None. Returning None when the configuration
-        is invalid preserves the original runtime error from ``select``.
+        is invalid preserves the runtime error from ``channel``.
         """
         return None
 
@@ -95,13 +123,13 @@ class ForwardPartitioner(Partitioner):
     def __init__(self, producer_index: int = 0) -> None:
         self._producer_index = producer_index
 
-    def select(self, tup: StreamTuple, num_consumers: int) -> list[int]:
+    def channel(self, tup: StreamTuple, num_consumers: int) -> int:
         if self._producer_index >= num_consumers:
             raise PlanError(
                 f"forward channel from producer {self._producer_index} has "
                 f"only {num_consumers} consumers; parallelism must match"
             )
-        return [self._producer_index]
+        return self._producer_index
 
     def constant_indices(self, num_consumers: int) -> list[int] | None:
         if self._producer_index >= num_consumers:
@@ -124,12 +152,12 @@ class RebalancePartitioner(Partitioner):
     def __init__(self) -> None:
         self._next = 0
 
-    def select(self, tup: StreamTuple, num_consumers: int) -> list[int]:
+    def channel(self, tup: StreamTuple, num_consumers: int) -> int:
         if num_consumers <= 0:
             raise PlanError("rebalance needs at least one consumer")
         index = self._next % num_consumers
         self._next += 1
-        return [index]
+        return index
 
 
 class HashPartitioner(Partitioner):
@@ -145,8 +173,11 @@ class HashPartitioner(Partitioner):
         if key_field is not None and key_field < 0:
             raise ConfigurationError("key_field must be non-negative")
         self.key_field = key_field
-        # _stable_hash is pure, and real key domains (words, sensor ids)
-        # repeat heavily — memoize per producer instance.
+        # A str key's _stable_hash is a loop over its bytes, and word
+        # domains repeat: it is memoised per producer (_memo_hash). An
+        # int key is one wrap, `key % 2**64`, and is never memoised:
+        # fig4-bottom's int keys missed a memo keyed by every value
+        # 319 191 times across its 2 304 producers.
         self._hash_cache: dict = {}
 
     def extract_key(self, tup: StreamTuple) -> Any:
@@ -160,37 +191,14 @@ class HashPartitioner(Partitioner):
             )
         return tup.key
 
-    def select(self, tup: StreamTuple, num_consumers: int) -> list[int]:
+    def channel(self, tup: StreamTuple, num_consumers: int) -> int:
         if num_consumers <= 0:
             raise PlanError("hash partitioning needs at least one consumer")
         key = self.extract_key(tup)
-        try:
-            value = self._hash_cache[key]
-        except KeyError:
-            value = self._hash_cache[key] = _stable_hash(key)
-        except TypeError:  # unhashable key: compute without caching
-            value = _stable_hash(key)
-        return [value % num_consumers]
-
-    def rekey_select(
-        self, tup: StreamTuple, num_consumers: int
-    ) -> tuple[StreamTuple, list[int]]:
-        """The keyBy step and :meth:`select` of a ``key_field`` exchange
-        in one: the tuple keyed by that field, and its channel.
-
-        The engine's per-tuple route step; it reads the key once and
-        repeats :meth:`select`'s lookup rather than calling it.
-        """
-        if num_consumers <= 0:
-            raise PlanError("hash partitioning needs at least one consumer")
-        key = tup.values[self.key_field]
-        try:
-            value = self._hash_cache[key]
-        except KeyError:
-            value = self._hash_cache[key] = _stable_hash(key)
-        except TypeError:  # unhashable key: compute without caching
-            value = _stable_hash(key)
-        return tup.with_key(key), [value % num_consumers]
+        if isinstance(key, int):
+            return key % (1 << 64) % num_consumers
+        value = _memo_hash(self._hash_cache, key, self.key_field)
+        return value % num_consumers
 
     def clone(self) -> "HashPartitioner":
         return HashPartitioner(self.key_field)
