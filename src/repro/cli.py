@@ -755,6 +755,7 @@ def _resolve_app(name: str) -> str:
 
 
 def _cmd_trace(args) -> int:
+    from repro.common.errors import check_time
     from repro.common.rng import RngFactory
     from repro.obs import EngineObserver, MetricsRegistry, SpanTracer
     from repro.obs.export import write_chrome_trace, write_metrics_jsonl
@@ -767,6 +768,7 @@ def _cmd_trace(args) -> int:
 
     cluster = _cluster_from_args(args)
     dilation = args.dilation
+    check_time("dilation", dilation)
     if args.structure is not None:
         generator = WorkloadGenerator(seed=args.seed)
         query = generator.generate_one(
@@ -843,6 +845,8 @@ def _cmd_trace(args) -> int:
             "throughput": metrics.throughput,
             "median_latency_ms": metrics.median_latency_ms,
             "sim_duration": metrics.sim_duration,
+            "step": engine.step,
+            "events_processed": metrics.extras["events_processed"],
         },
         summaries=summary["ops"],
     )

@@ -14,7 +14,9 @@ the order of equal-time events is invariant under re-partitioning (see
 pushing one increments :attr:`work`, popping one decrements it, and when
 the counter hits zero the host's ``on_idle`` callback decides whether to
 continue (it typically injects flush work) or stop. Control-plane kinds
-(timers, reconfiguration ticks) never keep a simulation alive.
+(timers, reconfiguration ticks, sampling deadlines) never keep a
+simulation alive; a host acts at its instants by pushing them, so the
+loop tests nothing per event but the budget and the epoch bound.
 
 The kernel draws no randomness of its own; hosts own their RNG streams.
 Every floating-point expression and dispatch decision here keeps the
@@ -68,8 +70,6 @@ class Kernel:
         "work",
         "events_processed",
         "work_mask",
-        "sampler",
-        "sample_next",
     )
 
     def __init__(self, work_mask: tuple[bool, ...]) -> None:
@@ -80,12 +80,6 @@ class Kernel:
         self.seq = 0
         self.work = 0
         self.events_processed = 0
-        #: lazy observer sampling: when an event's time passes
-        #: ``sample_next``, ``sampler(time)`` runs and returns the next
-        #: deadline. Sampling piggy-backs on events already being
-        #: processed, so the heap and tie-break sequence are untouched.
-        self.sampler = None
-        self.sample_next = math.inf
 
     def reset(self) -> None:
         """Restore pristine pre-run state (heap empty, clock at zero)."""
@@ -94,8 +88,6 @@ class Kernel:
         self.seq = 0
         self.work = 0
         self.events_processed = 0
-        self.sampler = None
-        self.sample_next = math.inf
 
     # -------------------------------------------------------------- schedule
 
@@ -150,7 +142,6 @@ class Kernel:
         """
         heap = self.heap
         work_mask = self.work_mask
-        sampler = self.sampler
         events = self.events_processed
         try:
             while heap:
@@ -161,8 +152,6 @@ class Kernel:
                 time, _, kind, gid, payload, port = heappop(heap)
                 events += 1
                 self.now = time
-                if time >= self.sample_next:
-                    self.sample_next = sampler(time)
                 if work_mask[kind]:
                     self.work -= 1
                     handlers[kind](gid, payload, port)

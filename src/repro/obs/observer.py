@@ -2,31 +2,28 @@
 
 :class:`EngineObserver` is the single object the engine knows about.
 It owns per-subtask counter arrays the hot-path hooks bump directly,
-performs the **lazy simulated-clock sampling** that turns those
-counters into per-operator time series, and emits span/instant trace
-events for the structural moments of a run (operator lifetime, tuple
-service, window fires, join batches, stalls, backpressure
-transitions).
+samples them into per-operator time series on the simulated clock, and
+emits span/instant trace events for the structural moments of a run
+(operator lifetime, tuple service, window fires, join batches, stalls,
+backpressure transitions).
 
 **Zero-perturbation invariant.** The observer only *reads* the
-simulation: it never draws from any RNG, never pushes events into the
-engine's heap, and never mutates engine state. Sampling is lazy — the
-engine checks ``now >= next_sample`` on its existing event loop instead
-of scheduling sampler events — so the heap contents, sequence numbers
-and every simulated result are bit-identical with observation on or
-off (pinned by ``tests/test_obs.py``).
+simulation: it never draws from any RNG and never mutates engine state.
+The engine pushes each sampling deadline as a control instant, read
+before anything else at its instant, so an observed run executes the
+step it would without the observer: results are bit-identical, only the
+event count moves (pinned by ``tests/test_obs.py``).
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.common.errors import check_time
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import SpanTracer
 
 __all__ = ["EngineObserver", "merge_summaries"]
-
-_INF = float("inf")
 
 
 class EngineObserver:
@@ -45,13 +42,11 @@ class EngineObserver:
         sample_interval: float = 0.25,
         serve_spans: bool = True,
     ) -> None:
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
+        check_time("sample_interval", sample_interval)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
         self.sample_interval = sample_interval
         self.serve_spans = serve_spans and tracer is not None
-        self.next_sample = _INF
         # Per-gid arrays, allocated at bind time.
         self.tuples_in: list[int] = []
         self.tuples_out: list[int] = []
@@ -96,7 +91,8 @@ class EngineObserver:
             kind = engine.logical.operator(runtime.op_id).kind
             self._is_join[runtime.gid] = kind is OperatorKind.WINDOW_JOIN
         self._lag_max = {op: 0.0 for op in self._ops}
-        self.next_sample = self.sample_interval
+        #: a queue's depth at a deadline, as the evented step holds it
+        self._queued = engine._queued
         tracer = self.tracer
         if tracer is not None:
             self._run_span = tracer.begin(
@@ -125,21 +121,17 @@ class EngineObserver:
 
     # ------------------------------------------------------------ sampling
 
-    def sample(self, now: float) -> float:
-        """Record one time-series row per operator; returns next deadline.
-
-        Rows are stamped at the crossed boundary (a multiple of the
-        sampling interval), not at ``now``, so tick times are stable
-        regardless of which event crossed the boundary.
-        """
-        boundary = self.next_sample
+    def sample(self, boundary: float, now: float) -> float:
+        """Record one time-series row per operator at the deadline
+        ``boundary``; returns the next. Rows are stamped at the last
+        boundary that ``now``, the next event's instant, reaches, so tick
+        times are stable regardless of which event comes next."""
         interval = self.sample_interval
         # Skip boundaries the simulation jumped over entirely.
         while boundary + interval <= now:
             boundary += interval
         self._flush_sample(boundary)
-        self.next_sample = boundary + interval
-        return self.next_sample
+        return boundary + interval
 
     def _flush_sample(self, t: float) -> None:
         registry = self.registry
@@ -157,7 +149,7 @@ class EngineObserver:
             stalled = 0.0
             for gid in gids:
                 runtime = runtimes[gid]
-                depth += len(runtime.queue) - runtime.queue_head
+                depth += self._queued(runtime, t)
                 busy += runtime.busy_time
                 t_in += tuples_in[gid]
                 t_out += tuples_out[gid]

@@ -8,8 +8,8 @@ semantics, or says ``not implemented: …`` where only a seam in the code
 stands in the way — those rows are the ones to lift (ROADMAP).
 :data:`EVENTED` holds the features whose runs still execute the
 clock-ordered step (§14), each a knob; deleting a row moves that
-feature onto the computed one. Stalls and node failures act at control
-instants, so they compute.
+feature onto the computed one. Stalls, node failures and an observer's
+sampling deadlines act at control instants, so they compute.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ EXCLUDES = (
 
 EVENTED = {
     "shards": "the epoch sequence is defined over pending event times, DONEs included",
-    "observer": "hooks take the clock as their instant, and sampling reads the queue",
     "backpressure": "congestion is released by a depth at dequeue and read by sources as the clock passes",
 }
 # fmt: on

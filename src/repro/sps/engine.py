@@ -19,11 +19,12 @@ completes; computed, a straddler's, or the one ending the run),
 ``TIMER`` (a window tick), ``STALL`` (an injected pause), ``REPLAY`` (a
 logged source tuple is redelivered after a recovery, DESIGN.md §13)
 and the control-plane ``RESCALE`` (drain, migrate, rewire),
-``CONTROL`` (the autoscaler's tick), ``SCENARIO`` (a chaos action) and
-``FT`` (a checkpoint trigger, or a recovery's end). Like ``TIMER``,
-control-plane events carry no work accounting, so a pending one never
-keeps a finished run alive. The elastic (§12) and checkpointing (§13)
-machinery only activates when the config asks for it.
+``CONTROL`` (the autoscaler's tick, or an observer's sampling deadline),
+``SCENARIO`` (a chaos action) and ``FT`` (a checkpoint trigger, or a
+recovery's end). Like ``TIMER``, control-plane events carry no work
+accounting, so a pending one never keeps a finished run alive. The
+elastic (§12) and checkpointing (§13) machinery only activates when the
+config asks for it.
 
 Termination: when all sources are exhausted and no work events remain
 (and, on a computed run, the clock has reached the latest completion),
@@ -44,25 +45,22 @@ hop done at or past it straddles: its ``DONE`` is an event, and the
 server is evented until that ``DONE`` hands its queue back. There a
 checkpoint barrier is decided at its ``DELIVER``, and with neither
 checkpoints nor control instants a sink's deliveries are logged and
-settled a batch at a time (``_settle``). Every other run executes the
-evented step, the reference the computed one is tested against. On
-either step a source's arrivals are instants drawn a block ahead
-(``_arrival_block``) and read by one handler (``_arrive``). None of
-this changes a simulated result: every floating-point expression keeps
-the operand order of the straightforward implementation
-(``tests/test_golden_determinism.py``).
+settled a batch at a time (``_settle``). A backpressured or sharded
+run executes the evented step, the reference the computed one is tested
+against. Either reads a source's arrivals, instants drawn a block ahead
+(``_arrival_block``), through ``_arrive``. No simulated result moves:
+every floating-point expression keeps the operand order of the
+straightforward implementation (``tests/test_golden_determinism.py``).
 
-**Observability.** Passing an :class:`repro.obs.EngineObserver` lets the
-run be traced and metered without perturbing it: every hook only *reads*
-simulation state (no RNG draws, no heap pushes), sampling is lazy (the
-loop checks ``now`` against the next sampling deadline instead of
-scheduling sampler events), and with no observer each hook site is a
-single ``is not None`` test. ``sanitize=True`` holds a
-:class:`repro.analysis.racecheck.RaceDetector` beside the observer,
-called at four points of its own: run start and end, a rescale, and the
-completion of a keyed subtask's tuple (DESIGN.md §10). An observed run
-executes the evented step; ``tests/test_obs.py`` pins the on/off
-identity of everything simulated.
+**Observability.** An :class:`repro.obs.EngineObserver` only *reads*
+the simulation, and its sampling deadlines are control instants
+(``_sample``, DESIGN.md §8), so an observed run executes the step it
+would without it; with none, each hook site is one ``is not None``
+test. ``sanitize=True`` holds a race detector
+(:mod:`repro.analysis.racecheck`) beside it, called at run start and
+end, a rescale and a keyed subtask's completion (§10), one test serving
+both per hop (``_read_done``). ``tests/test_obs.py`` pins the on/off
+identity.
 """
 
 from __future__ import annotations
@@ -505,10 +503,8 @@ class StreamEngine:
         self.config = config or SimulationConfig()
         #: optional EngineObserver; hooks fire only when not None
         self.observer = self._obs = observer
-        #: RaceDetector when sanitize=True, else None: called beside
-        #: the observer, not through it, and like it only reads —
-        #: sanitize=False runs stay bit-identical
-        #: (tests/test_racecheck.py pins this).
+        #: RaceDetector when sanitize=True: called beside the observer,
+        #: and like it only reads (tests/test_racecheck.py)
         self.race_detector = None
         if sanitize:
             from repro.analysis.racecheck import RaceDetector
@@ -800,8 +796,6 @@ class StreamEngine:
             obs = self._obs
             if obs is not None:
                 obs.on_run_start(self)
-                k.sampler = obs.sample
-                k.sample_next = obs.next_sample
             race = self.race_detector
             if race is not None:
                 race.on_run_start(self)
@@ -878,10 +872,10 @@ class StreamEngine:
         #: tuples, timers and the control events can touch it:
         #: ``capabilities.EVENTED`` has what acts on the queue, ``busy``
         #: or the DONE event otherwise
-        self._step = step_of(
-            features_of(config, self._obs, self.race_detector is not None)
-        )
+        self._step = step_of(features_of(config))
         self._computed = computed = self._step == "computed"
+        #: an observer or the race detector reads each hop: one test
+        self._reads = self._obs is not None or self.race_detector is not None
         #: the next pending checkpoint trigger, where a computed run's
         #: sources cut their arrival blocks (``_arrive``)
         self._ft_next = math.inf
@@ -917,6 +911,8 @@ class StreamEngine:
                     call = (self._stall, gid, stall.duration)
                     self._push(stall.at_time, _STALL, gid, call, 0)
                     heappush(self._horizons, stall.at_time)
+        if self._obs is not None:
+            self._sample()
         self._rehorizon()
         #: with no checkpoint or control instant, a computed run logs a
         #: delivery ``(at, seq, tuple, port)`` to a plain sink here, by
@@ -987,6 +983,40 @@ class StreamEngine:
             heappush(self._horizons, time)
             self._rehorizon()
 
+    def _sample(self, due: bool = False) -> None:
+        """Push the next sampling deadline: a control instant numbered
+        ahead of every event at it (origin -2), as a row precedes every
+        handler there (DESIGN.md §8). A ``due`` one writes its rows, none
+        with the heap empty, and the next lies past the next event."""
+        k = self._k
+        at = self._obs.sample_interval
+        if due:
+            if not k.heap:
+                return
+            at = self._obs.sample(k.now, k.heap[0][0])
+        call = (self._sample, True)
+        k.push_tb(at, pack_tiebreak(-2, 0), _CONTROL, 0, call, 0)
+        heappush(self._horizons, at)
+        self._rehorizon()
+
+    def _queued(self, runtime: _SubtaskRuntime, at: float) -> int:
+        """The queue's depth at ``at``, a deadline, as the evented step
+        holds it (DESIGN.md §8). Checkpointed and computed, that adds a
+        released buffer yet to be served and, aligning, the held tuples
+        yet to be diverted, less data diverted on arrival that queued
+        behind a straddler."""
+        depth = len(runtime.queue) - runtime.queue_head
+        if not (self._ft and self._computed):
+            return depth
+        depth += len(runtime.ft_rest or ())
+        if runtime.ft_ckpt is None:
+            return depth
+        aligned = runtime.ft_aligned
+        for item, chan, arrived in runtime.queue[runtime.queue_head :]:
+            if item.__class__ is not _Barrier:
+                depth -= aligned.get(chan, math.inf) <= arrived
+        return depth + sum(entry[3] >= at for entry in runtime.ft_buffer)
+
     def _apply(self, gid: int, call, port: int) -> None:
         """A control event fires: make its call, then move the horizon
         on to the next."""
@@ -1040,56 +1070,26 @@ class StreamEngine:
             if not runtime.busy and self._computed:
                 return self._complete(runtime.gid, tup, port)
         obs = self._obs
-        k = self._k
-        now = k.now
+        now = self._k.now
         if obs is not None:
             obs.tuples_in[runtime.gid] += 1
         queue = runtime.queue
         if not runtime.busy and runtime.queue_head == len(queue):
             # An idle server's queue is empty: start service directly,
-            # skipping the append/pop round-trip. Bookkeeping stays
-            # equivalent — the depth would be 1 (peak), and an empty
-            # queue always clears this subtask's congestion flag. The
-            # wait is exactly 0.0 unless the server is still paying the
-            # last tuple's sender overhead: service then starts there.
+            # skipping the append/pop round-trip — the depth would be 1
+            # (peak), and an empty queue clears the congestion flag. It
+            # waits only for the last tuple's sender overhead.
             if runtime.queue_peak < 1:
                 runtime.queue_peak = 1
             if self._bp_limit is not None:
                 if obs is not None and runtime.gid in self._congested:
                     obs.on_backpressure(runtime, now, False)
                 self._congested.discard(runtime.gid)
-            start = now
-            if runtime.free_at > now:
-                start = runtime.free_at
-                runtime.wait_time += start - now
-            runtime.served += 1
-            runtime.busy = True
-            work = runtime.static_work
-            if work is None:
-                work = runtime.logic.work_units(tup)
-            service = runtime.base_service * work
-            if runtime.noise_sigma > 0:
-                noise = runtime.noise or self._refill_noise(runtime)
-                service *= noise.pop()
-            runtime.busy_time += service
-            if obs is not None:
-                obs.on_serve(runtime, start, service, start - now)
+            start = max(now, runtime.free_at)
+            runtime.wait_time += start - now
             if self._ft_ports is not None:
                 port = self._ft_ports[port]
-            runtime.seq += 1
-            k.work += 1
-            heappush(
-                k.heap,
-                (
-                    start + service,
-                    runtime.seq,
-                    _DONE,
-                    runtime.gid,
-                    tup,
-                    port,
-                ),
-            )
-            return
+            return self._start(runtime, tup, port, now, start)
         queue.append((tup, port, now))
         depth = len(queue) - runtime.queue_head
         starts = runtime.starts
@@ -1113,20 +1113,16 @@ class StreamEngine:
     def _begin_service(self, gid: int, payload, port: int) -> None:
         runtime = self._runtimes[gid]
         if runtime.draining or runtime.retired:
-            self._drain_step(runtime)
-            return
+            return self._drain_step(runtime)
         if runtime.held:
-            self._hold(runtime, self._k.now)
-            return
+            return self._hold(runtime, self._k.now)
         runtime.busy = False
         if self._computed:
             self._hand_back(runtime, self._k.now)
         elif len(runtime.queue) > runtime.queue_head:
             self._begin_service_now(runtime, self._k.now)
 
-    def _begin_service_now(
-        self, runtime: _SubtaskRuntime, now: float
-    ) -> None:
+    def _begin_service_now(self, runtime: _SubtaskRuntime, now: float):
         """Start serving the head of the queue at ``now`` — the clock,
         or the end of the sender overhead a DONE just paid."""
         queue = runtime.queue
@@ -1142,9 +1138,7 @@ class StreamEngine:
                 head = runtime.queue_head
                 tup, port, enqueued_at = queue[head]
             port = ports[port]
-        wait = now - enqueued_at
-        runtime.wait_time += wait
-        runtime.served += 1
+        runtime.wait_time += now - enqueued_at
         head += 1
         runtime.queue_head = head
         if head > 256 and head * 2 >= len(queue):
@@ -1152,11 +1146,16 @@ class StreamEngine:
             runtime.queue_head = 0
         limit = self._bp_limit
         if limit is not None and runtime.gid in self._congested:
-            depth = len(queue) - runtime.queue_head
-            if depth <= limit // 2:
+            if len(queue) - runtime.queue_head <= limit // 2:
                 if self._obs is not None:
                     self._obs.on_backpressure(runtime, now, False)
                 self._congested.discard(runtime.gid)
+        self._start(runtime, tup, port, enqueued_at, now)
+
+    def _start(self, runtime, tup, port: int, since: float, start: float):
+        """Serve ``tup`` from ``start``, queued since ``since``: draw its
+        service and schedule its ``DONE``."""
+        runtime.served += 1
         runtime.busy = True
         work = runtime.static_work
         if work is None:
@@ -1167,14 +1166,12 @@ class StreamEngine:
             service *= noise.pop()
         runtime.busy_time += service
         if self._obs is not None:
-            self._obs.on_serve(runtime, now, service, wait)
-        k = self._k
+            self._obs.on_serve(runtime, start, service, start - since)
         runtime.seq += 1
+        k = self._k
         k.work += 1
-        heappush(
-            k.heap,
-            (now + service, runtime.seq, _DONE, runtime.gid, tup, port),
-        )
+        done = start + service
+        heappush(k.heap, (done, runtime.seq, _DONE, runtime.gid, tup, port))
 
     def _handle_done(self, gid: int, tup: StreamTuple, port: int) -> None:
         runtime = self._runtimes[gid]
@@ -1183,11 +1180,8 @@ class StreamEngine:
             outputs = [tup]
         else:
             outputs = runtime.logic.process(tup, now, port)
-        if self._obs is not None:
-            self._obs.on_done(runtime, now, tup, outputs)
-        race = self.race_detector
-        if race is not None and gid in race.keyed:
-            race.on_done(runtime, now, tup, outputs)
+        if self._reads:
+            self._read_done(runtime, now, tup, outputs)
         overhead = self._route(runtime, outputs)
         runtime.busy_time += overhead
         if runtime.draining:
@@ -1202,12 +1196,10 @@ class StreamEngine:
         if runtime.held:
             # A stall waited for this service: it takes the server once
             # the sender overhead is paid, ahead of the queue.
-            self._hold(runtime, now + overhead)
-            return
+            return self._hold(runtime, now + overhead)
         if overhead > 0:
             if not self._fused:
-                self._push(now + overhead, _BEGIN, gid, None, 0)
-                return
+                return self._push(now + overhead, _BEGIN, gid, None, 0)
             # Nothing is decided when the overhead ends, so its end is
             # not an event: the next service starts there directly —
             # ``now`` below is the time a BEGIN would have popped at.
@@ -1335,7 +1327,8 @@ class StreamEngine:
         computed = self._computed
         log = runtime.ft_log
         stop = end = len(instants)
-        if not computed or runtime.busy or log and runtime.ft_head < len(log):
+        ahead = not (runtime.busy or log and runtime.ft_head < len(log))
+        if not (computed and ahead):
             stop = 1
         elif instants[-1] >= self._h or instants[-1] >= self._ft_next:
             stop = bisect_left(instants, min(self._h, self._ft_next), 1)
@@ -1371,6 +1364,8 @@ class StreamEngine:
                 if runtime.busy:
                     break
         runtime.emitted += i
+        if computed and ahead and self._obs is not None:
+            self._obs.tuples_in[gid] += i - lost  # completed ahead
         if i > lost and now > self._last_source_time:
             self._last_source_time = now
         if i < end:
@@ -1380,9 +1375,7 @@ class StreamEngine:
 
     # ---------------------------------------------------- the computed step
 
-    def _complete(
-        self, gid: int, tup: StreamTuple, port: int, now: float | None = None
-    ) -> None:
+    def _complete(self, gid: int, tup, port: int, now=None, waited=0.0):
         """``DELIVER``: the whole hop, at arrival (DESIGN.md §14).
 
         A FIFO single server's completion is decided when the tuple
@@ -1393,7 +1386,8 @@ class StreamEngine:
         arrival instant: the clock, or one :meth:`_arrive` runs ahead.
         A hop done at or past the horizon ``_h`` *straddles*: the server
         goes busy with a ``DONE`` at ``done``, and what reaches a busy
-        server waits in its queue until :meth:`_hand_back`."""
+        server waits in its queue until :meth:`_hand_back`. A released
+        buffer's tuple waited ``waited`` before ``now``."""
         runtime = self._runtimes[gid]
         if runtime.busy:
             # Checkpointed, only a source's own arrival gets here.
@@ -1401,6 +1395,8 @@ class StreamEngine:
             return
         if now is None:
             now = self._k.now
+            if self._obs is not None:
+                self._obs.tuples_in[gid] += 1
         start = runtime.free_at
         if start > now:
             # Queued behind every earlier tuple yet to start.
@@ -1426,6 +1422,9 @@ class StreamEngine:
         runtime.busy_time += service
         runtime.done_at = done = start + service
         if done >= self._h:
+            if self._obs is not None:
+                wait = start - now + waited
+                self._obs.on_serve(runtime, start, service, wait)
             runtime.busy = True
             self._push(done, _DONE, gid, (tup, runtime.tick == done), port)
             return
@@ -1440,14 +1439,24 @@ class StreamEngine:
             outputs = [tup]
         else:
             outputs = runtime.logic.process(tup, done, port)
-            race = self.race_detector
-            if race is not None and gid in race.keyed:
-                race.on_done(runtime, done, tup, outputs)
+        if self._reads:
+            if self._obs is not None:
+                wait = start - now + waited
+                self._obs.on_serve(runtime, start, service, wait)
+            self._read_done(runtime, done, tup, outputs)
         if outputs:
             overhead = self._route(runtime, outputs, done)
             runtime.busy_time += overhead
             done += overhead
         runtime.free_at = done
+
+    def _read_done(self, runtime, done: float, tup, outputs) -> None:
+        """A completion, as the observer and the race detector read it."""
+        if self._obs is not None:
+            self._obs.on_done(runtime, done, tup, outputs)
+        race = self.race_detector
+        if race is not None and runtime.gid in race.keyed:
+            race.on_done(runtime, done, tup, outputs)
 
     def _straddled(self, gid: int, hop, port: int) -> None:
         """Computed ``DONE``: the run's last, or a straddler's. Its
@@ -1477,9 +1486,10 @@ class StreamEngine:
                     runtime.ft_rest = rest[i:]
                     break
                 start = runtime.free_at
-                runtime.wait_time += start - arrived
+                waited = start - arrived
+                runtime.wait_time += waited
                 runtime.starts.append(start)
-                self._complete(gid, item, self._ft_ports[chan], start)
+                self._complete(gid, item, self._ft_ports[chan], start, waited)
             deliver = self._ft_deliver
         else:
             deliver = self._complete
@@ -2300,22 +2310,30 @@ class StreamEngine:
                 # when the source has a service backlog.
                 self._ft_deliver(runtime.gid, barrier, 0)
 
-    def _ft_deliver(
-        self, gid: int, item, chan: int, now: float | None = None
-    ) -> None:
+    def _ft_deliver(self, gid: int, item, chan: int, now=None) -> None:
         """What checkpointing puts in front of :meth:`_enqueue` or, on
-        the computed step, :meth:`_complete`. A barrier joins the queue,
-        at no cost — or, computed, is decided now, as of its dequeue
-        instant. A sink delivery passes the provenance ledger first;
-        data on an already-aligned channel is diverted to the alignment
-        buffer. Everything else takes the shared step. Computed, what
-        reaches a busy server, or a barrier dequeued past the horizon,
-        waits in the queue until :meth:`_hand_back` brings it back."""
+        the computed step, :meth:`_complete`. A sink delivery passes the
+        provenance ledger first. A barrier joins the queue, at no cost —
+        or, computed, is decided now, as of its dequeue instant; data on
+        an already-aligned channel is diverted to the alignment buffer;
+        the rest takes the shared step. Computed, what reaches a busy
+        server, or a barrier dequeued past the horizon, waits in the
+        queue until :meth:`_hand_back` brings it back (``now``)."""
         runtime = self._runtimes[gid]
         computed = self._computed
+        barrier = item.__class__ is _Barrier
         if now is None:
             now = self._k.now
-        barrier = item.__class__ is _Barrier
+            prov = None if barrier or not runtime.is_sink else item.prov
+            if prov in self._ft_seen:
+                if self._ft_exactly_once:
+                    self._ft_dupes_dropped += 1
+                    return
+                self._ft_dup_results += 1
+            elif prov is not None:
+                self._ft_seen.add(prov)
+            if computed and not barrier and self._obs is not None:
+                self._obs.tuples_in[gid] += 1
         if computed and (
             runtime.busy or barrier and runtime.free_at >= self._h
         ):
@@ -2345,17 +2363,6 @@ class StreamEngine:
             if not runtime.busy:
                 self._begin_service_now(runtime, max(now, runtime.free_at))
             return
-        if runtime.is_sink:
-            prov = item.prov
-            if prov is not None:
-                seen = self._ft_seen
-                if prov in seen:
-                    if self._ft_exactly_once:
-                        self._ft_dupes_dropped += 1
-                        return
-                    self._ft_dup_results += 1
-                else:
-                    seen.add(prov)
         if runtime.ft_buffer is not None and chan in runtime.ft_aligned:
             if computed:
                 self._ft_hold(runtime, item, chan, now)
@@ -2672,13 +2679,8 @@ class StreamEngine:
             now + pause, _FT, self._ft_restored, self._ft_restore_token
         )
         if self._obs is not None:
-            self._obs.on_recovery(
-                self,
-                node_id,
-                pause,
-                replayed,
-                record.ckpt_id if record is not None else None,
-            )
+            ckpt_id = record.ckpt_id if record is not None else None
+            self._obs.on_recovery(self, node_id, pause, replayed, ckpt_id)
 
     def _ft_restored(self, token: int) -> None:
         """The recovery pause is over: un-pause and start the replay."""
@@ -2778,9 +2780,7 @@ class StreamEngine:
                     group_overhead += per_output
                 offset += group_overhead
                 if obs is not None:
-                    nbytes = 0.0
-                    for out in outputs:
-                        nbytes += out.size_bytes
+                    nbytes = sum(out.size_bytes for out in outputs)
                     obs.shuffle_bytes[runtime.gid] += nbytes * fan
             hops = outputs
             if fan > 1:

@@ -10,6 +10,7 @@ from the log alone, and never a flake from a slow shared runner.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,27 @@ from repro.sps.predicates import FilterFunction, Predicate
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
 from repro.sps.windows import AggregateFunction, TumblingTimeWindows
+
+
+def _evented_step_of(features):
+    return None if "batch" in features else "evented"
+
+
+def evented(engine):
+    """``engine``, set to run the evented step: the clock-ordered
+    reference the computed step is tested against (DESIGN.md §14).
+
+    No knob of the product picks a step; this patches
+    ``repro.sps.engine.step_of`` for the length of ``engine.run()``.
+    """
+    run = engine.run
+
+    def run_evented():
+        with mock.patch("repro.sps.engine.step_of", _evented_step_of):
+            return run()
+
+    engine.run = run_evented
+    return engine
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ its downtime and a logged source replays it, and neither moves the
 chain. Held here:
 
 1. *three-way* — per source, the origin times a computed run delivers
-   equal the evented run's (the observer that records nothing), the
+   equal the evented run's (``tests.conftest.evented``), the
    batch replay's and a per-call ``exponential(mean)`` reference, for
    every arrival kind, budgets around the block size and a
    ``max_sim_time`` that cuts mid-block, on a block's last instant and
@@ -69,7 +69,7 @@ from repro.sps.logical import LogicalPlan
 from repro.sps.operators.sink import SinkLogic
 from repro.sps.operators.source import SOURCE_CHUNK
 from repro.sps.tuples import StreamTuple
-from tests.test_computed_step import quiet_observer
+from tests.conftest import evented
 from tests.test_universe import SCHEMA, arrivals_engine
 from tests.test_window_kernel import per_call_arrivals
 
@@ -84,21 +84,21 @@ def rate_profile(t):
 BUDGETS = (1, SOURCE_CHUNK - 1, SOURCE_CHUNK, SOURCE_CHUNK + 1, 65)
 CLUSTER = homogeneous_cluster(num_nodes=2)
 
-#: the scalar steps (evented: the observer that records nothing) and
-#: the batch executor
+#: the scalar steps (``evented`` runs the reference) and the batch
+#: executor
 MODES = ("computed", "evented", "batch")
 
 
 def engine_of(plan, mode, seed=23, cluster=CLUSTER, **config):
     if mode == "batch":
         config["batch_size"] = 64
-    return StreamEngine(
+    engine = StreamEngine(
         plan,
         cluster,
         config=SimulationConfig(**config),
         rng_factory=RngFactory(seed),
-        observer=quiet_observer() if mode == "evented" else None,
     )
+    return evented(engine) if mode == "evented" else engine
 
 
 # -------------------------------------------------------------- 1. three-way
@@ -476,7 +476,7 @@ class FlowLog(EngineObserver):
     else."""
 
     def __init__(self):
-        super().__init__(sample_interval=1e9)
+        super().__init__()
         self.flow = []
 
     def on_backpressure(self, runtime, now, engaged):

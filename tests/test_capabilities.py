@@ -254,10 +254,12 @@ def test_autoscale_none_still_arms_the_control_loop():
         SimulationConfig(autoscale="none", batch_size=64)
 
 
-def test_evented_keeps_three_knobs_and_faults_compute():
-    """Stalls and node failures are control instants of the computed
-    step; a failure is a scenario like any other."""
-    assert set(EVENTED) == {"shards", "observer", "backpressure"}
+def test_evented_keeps_two_knobs_and_faults_compute():
+    """Stalls, node failures and an observer's sampling deadlines are
+    control instants of the computed step; a failure is a scenario like
+    any other."""
+    assert set(EVENTED) == {"shards", "backpressure"}
+    assert step_of({"observer", "checkpoint", "scenario"}) == "computed"
     config = SimulationConfig(
         scenario="failure:at=0.3,duration=0.1",
         stalls=(StallInjection(0.1, "src", 0.01),),

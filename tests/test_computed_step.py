@@ -4,8 +4,8 @@ A plain run computes each completion when the tuple arrives
 (``StreamEngine._complete``); every other run schedules it as a ``DONE``
 (``_enqueue`` → ``_begin_service_now`` → ``_handle_done``). The two are
 different programs over the same draws, so the evented step is the
-reference: attach an observer that records nothing and the same plan
-runs evented. Held here:
+reference: ``tests.conftest.evented`` runs the same plan evented. Held
+here:
 
 1. *differential* — the 14 applications, one plan per generated
    structure and a hypothesis property agree bit for bit on everything
@@ -125,17 +125,11 @@ from repro.sps.tuples import StreamTuple
 from repro.sps.windows import AggregateFunction, SlidingTimeWindows
 from repro.workload.parameter_space import ParameterSpace
 from repro.workload.querygen import QueryStructure, build_structure
-from tests.conftest import kv_generator
+from tests.conftest import evented, kv_generator
 from tests.test_universe import SCHEMA, counting_generator
 
 CLUSTER = homogeneous_cluster("m510", 4)
 CONFIG = dict(max_tuples_per_source=1200, max_sim_time=3.0)
-
-
-def quiet_observer():
-    """Records nothing per event and never samples: its only effect is
-    that the run it is attached to executes the evented step."""
-    return EngineObserver(sample_interval=1e9)
 
 
 def simulated(engine):
@@ -160,18 +154,16 @@ def without_depths(simulation):
 
 def both_steps(build, seed=3, cluster=CLUSTER, engine=StreamEngine, **config):
     """Run ``build()``'s plan computed and evented; the two engines."""
-    engines = []
-    for observer in (None, quiet_observer()):
-        engines.append(
-            engine(
-                build(),
-                cluster,
-                config=SimulationConfig(**{**CONFIG, **config}),
-                rng_factory=RngFactory(seed),
-                observer=observer,
-            )
+    engines = [
+        engine(
+            build(),
+            cluster,
+            config=SimulationConfig(**{**CONFIG, **config}),
+            rng_factory=RngFactory(seed),
         )
-    return engines
+        for _ in range(2)
+    ]
+    return [engines[0], evented(engines[1])]
 
 
 def assert_same_simulation(computed, evented):
@@ -615,10 +607,7 @@ def test_every_generated_structure_is_computed_by_default(structure):
 
 @pytest.mark.parametrize(
     "feature",
-    [
-        dict(backpressure_queue_limit=64),
-        dict(observer=quiet_observer()),
-    ],
+    [dict(backpressure_queue_limit=64)],
     ids=lambda feature: next(iter(feature)),
 )
 def test_each_excluding_feature_alone_keeps_the_evented_step(feature):
@@ -632,6 +621,7 @@ def test_each_excluding_feature_alone_keeps_the_evented_step(feature):
         dict(autoscale="reactive:high=4,low=0.5,cooldown=0.3,max=6"),
         dict(scenario="spike+straggler+netdeg"),
         dict(sanitize=True),
+        dict(observer=EngineObserver()),
         dict(stalls=(StallInjection(0.1, "agg", 0.01),)),
         pytest.param(
             dict(scenario="failure:at=0.3,duration=0.1"), id="failure"
@@ -672,16 +662,17 @@ def test_a_sharded_run_is_evented_and_a_batch_run_is_neither():
     "mode, step",
     [
         (dict(), "computed"),
-        (dict(observer=True), "evented"),
+        (dict(backpressure_queue_limit=64), "evented"),
         (dict(shards=1), "evented"),
         (dict(batch_size=64), "batch"),
+        (dict(observer=True), "computed"),
     ],
     ids=lambda value: value if isinstance(value, str) else None,
 )
 def test_a_run_names_its_step_in_its_metrics(mode, step):
     """Provenance: ``extras["step"]`` is the step that executed."""
     mode = dict(mode)
-    observer = quiet_observer() if mode.pop("observer", False) else None
+    observer = EngineObserver() if mode.pop("observer", False) else None
     engine = StreamEngine(
         kv_plan(),
         homogeneous_cluster(
@@ -952,11 +943,11 @@ def test_controlled_runs_simulate_the_same_on_both_steps(case):
             CLUSTER,
             config=SimulationConfig(**{**ELASTIC, **config}),
             rng_factory=RngFactory(1),
-            observer=observer,
             sanitize=sanitize,
         )
-        for observer in (None, quiet_observer())
+        for _ in range(2)
     ]
+    evented(engines[1])
     fewer, events = assert_same_simulation(*engines)
     assert fewer < 0.4 * events
     computed = engines[0]
@@ -1209,16 +1200,16 @@ def faulted(seed=1, **config):
     if config.pop("exp5", False):
         plan, shape = ft_workload_plan, EXP5
         cluster = homogeneous_cluster(num_nodes=4)
-    return [
+    engines = [
         Faulted(
             plan(),
             cluster,
             config=SimulationConfig(**{**shape, **config}),
             rng_factory=RngFactory(seed),
-            observer=observer,
         )
-        for observer in (None, quiet_observer())
+        for _ in range(2)
     ]
+    return [engines[0], evented(engines[1])]
 
 
 def stalls(*specs):
@@ -1363,9 +1354,8 @@ def test_a_stall_inside_a_sender_overhead_window():
     ``free_at`` stands for — which the computed step keeps in
     ``starts``."""
     build = tandem((2.0**-16, 2.0**-14 - 2.0**-20, 2.0**-16), hashed)
-    probe = StreamEngine(
-        build(), ONE_NODE, config=SimulationConfig(**CONFIG),
-        observer=quiet_observer(),
+    probe = evented(
+        StreamEngine(build(), ONE_NODE, config=SimulationConfig(**CONFIG))
     )
     pops = pop_log(probe)
     probe.run()
@@ -1376,11 +1366,11 @@ def test_a_stall_inside_a_sender_overhead_window():
                   if gid == stage and at > done)
     free_at = done + probe._runtimes[stage].shuffle_cost_per_output
     assert done < arrival < free_at
-    computed, evented = both_steps(
+    computed, reference = both_steps(
         build,
         cluster=ONE_NODE,
         max_tuples_per_source=41,
         stalls=(StallInjection((done + arrival) / 2, "stage0", 2.0**-16),),
     )
-    assert_same_simulation(computed, evented)
+    assert_same_simulation(computed, reference)
     assert computed._runtimes[stage].queue_peak == 2

@@ -8,12 +8,12 @@ from 100k ev/s; ``-b256`` runs the same plan on the columnar executor
 with 256-row micro-batches. The checkpointed ``hotpath`` is pinned by
 ``tests/test_ft_step.py::GOLDEN``.
 
-The rows named in ``FEATURED`` add one feature each: an observer that
-records nothing and backpressure that throttles the sources, which keep
-the run on the evented step; a node failure that drops source tuples,
-and the exp5 plan checkpointed through a failure, its sources replaying
-their logs — control instants of the computed step. Each asserts that
-what it is there for happened.
+The rows named in ``FEATURED`` add one feature each: backpressure that
+throttles the sources, which keeps the run on the evented step; an
+observer, whose sampling deadlines, a node failure that drops source
+tuples, and the exp5 plan checkpointed through a failure, its sources
+replaying their logs — control instants of the computed step. Each
+asserts that what it is there for happened.
 
 An event count depends on the step as well as on the simulation (a
 computed run pops one event per delivered tuple-hop and 1/32 per source
@@ -44,7 +44,7 @@ PINNED = {
     "AD": ("computed", 3869, 67, 0.634657819512432),
     "hotpath-b256": (None, 4161, 378, 0.1850300794962635),
     "WC-b256": (None, 12796, 26, 0.42531138079587577),
-    "hotpath-observed": ("evented", 8246, 378, 0.03136629239487713),
+    "hotpath-observed": ("computed", 2694, 378, 0.03136629239487713),  # 8246
     "WC-throttled": ("evented", 27090, 26, 0.40037770366622477),
     "hotpath-failure": ("computed", 2514, 341, 0.035905549015591606),  # 7791
     "exp5-ft-failure": ("computed", 4509, 154, 1.4393402414147827),  # 9269
@@ -106,7 +106,7 @@ def run(name: str):
         cluster,
         config=config,
         rng_factory=RngFactory(17),
-        observer=EngineObserver(sample_interval=1e9) if observer else None,
+        observer=EngineObserver() if observer else None,
     )
     metrics = engine.run()
     if exercised:

@@ -113,7 +113,7 @@ class StallLog(EngineObserver):
     """The stalled operator's serves, and when each stall took hold."""
 
     def __init__(self):
-        super().__init__(sample_interval=1e9, serve_spans=False)
+        super().__init__(serve_spans=False)
         self.serves = []
         self.holds = []
 

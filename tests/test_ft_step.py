@@ -3,8 +3,9 @@
 A checkpointed run executes the engine's plain step: the computed
 step, whose barriers are decided when they are delivered, as of their
 dequeue instant, and whose node failures, recoveries and replays act at
-control instants; one with an observer the evented enqueue → serve →
-route step, where barriers are a queue-item kind. Deliveries carry a
+control instants; as its reference (``tests.conftest.evented``), the
+evented enqueue → serve → route step, where barriers are a queue-item
+kind. Deliveries carry a
 dense channel id where a plain run carries the port. None of that may
 move a simulated number. Pinned here:
 
@@ -49,6 +50,7 @@ from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
 from repro.sps.partitioning import HashPartitioner
 from repro.sps.tuples import StreamTuple
+from tests.conftest import evented
 from tests.test_universe import (
     GAP,
     SCHEMA,
@@ -197,7 +199,7 @@ class HookLog(EngineObserver):
     """Every serve, checkpoint and recovery an observer is told of."""
 
     def __init__(self):
-        super().__init__(sample_interval=1e9, serve_spans=False)
+        super().__init__(serve_spans=False)
         self.serves = {}
         self.lifecycle = []
 
@@ -294,11 +296,6 @@ class BeginEvents(Recording):
         self._fused = False
 
 
-def quiet():
-    """An observer that records nothing: the run executes evented."""
-    return EngineObserver(sample_interval=1e9, serve_spans=False)
-
-
 def births():
     out, t = [], 0.0
     for _ in range(TUPLES):
@@ -335,17 +332,13 @@ def barriers_wait_for_free_at(stages, step):
     # overhead of tuple 9, later ones in service, in overhead and idle.
     interval = births()[9] + 1.7e-6
     engine = tandem_engine(
-        stages,
-        observer=quiet() if step == "evented" else None,
-        engine=Recording,
-        checkpoint_interval=interval,
+        stages, engine=Recording, checkpoint_interval=interval
     )
+    if step == "evented":
+        evented(engine)
     metrics = engine.run()
-    reference = tandem_engine(
-        stages,
-        observer=quiet(),
-        engine=BeginEvents,
-        checkpoint_interval=interval,
+    reference = evented(
+        tandem_engine(stages, engine=BeginEvents, checkpoint_interval=interval)
     )
     begin_metrics = reference.run()
     assert (engine.step, reference.step) == (step, "evented")
@@ -524,7 +517,7 @@ class LogBound(EngineObserver):
     tuples generated since the checkpoint's offset."""
 
     def __init__(self):
-        super().__init__(sample_interval=1e9, serve_spans=False)
+        super().__init__(serve_spans=False)
         self.lengths = []
 
     def on_checkpoint(self, engine, record):

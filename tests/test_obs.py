@@ -255,9 +255,9 @@ class TestEngineObservation:
     def test_observation_never_perturbs_results(self):
         """Same seed, tracing on vs. off: nothing simulated differs.
 
-        The observed run executes the evented step and the plain one
-        computes its completions (DESIGN.md §14), so they differ in how
-        many events the simulator popped, and in nothing else."""
+        Both runs compute their completions (DESIGN.md §14); the
+        observed one also pops its sampling deadlines, so they differ
+        in how many events the simulator popped, and in nothing else."""
         observer = EngineObserver(
             registry=MetricsRegistry(),
             tracer=SpanTracer(),
@@ -272,7 +272,7 @@ class TestEngineObservation:
             del metrics["extras"]["step"]
             simulated.append(json.dumps(metrics, sort_keys=True))
         assert simulated[0] == simulated[1]
-        assert (plain.step, observed.step) == ("computed", "evented")
+        assert (plain.step, observed.step) == ("computed", "computed")
 
     def test_sink_tuples_in_match_results(self):
         observer = EngineObserver(sample_interval=0.25)
@@ -568,6 +568,40 @@ class TestTraceCli:
         assert meta["results"] > 0
         captured = capsys.readouterr()
         assert "sink" in captured.out
+
+    def test_trace_meta_names_the_step_and_its_events(self, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "trace-out"
+        args = ["trace", "--max-tuples", "400", "--out", str(out)]
+        assert main(args) == 0
+        meta = json.loads((out / "metrics.jsonl").read_text().split("\n")[0])
+        assert meta["step"] == "computed"
+        assert meta["events_processed"] > meta["results"] > 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sample-interval", "nan"),
+            ("--sample-interval", "inf"),
+            ("--sample-interval", "0"),
+            ("--sample-interval", "-1"),
+            ("--dilation", "0"),
+            ("--dilation", "-2"),
+            ("--dilation", "nan"),
+        ],
+    )
+    def test_trace_refuses_a_bad_value(self, flag, value, tmp_path, capsys):
+        """A usage error: one line naming the flag, exit status 2."""
+        from repro.cli import main
+
+        out = tmp_path / "trace-out"
+        code = main(["trace", flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro: error: ")
+        assert flag[2:].replace("-", "_") in err
+        assert not out.exists()
 
     def test_trace_unknown_app_fails_cleanly(self, capsys):
         from repro.cli import main

@@ -145,10 +145,10 @@ class TestObserverDelegation:
         assert observer.summary()["totals"]["tuples_in"] > 0
         a, b = observed.race_detector, alone.race_detector
         assert a.findings == b.findings
-        # The observed run is evented, the plain one computed: both
-        # read their sources' arrival blocks alike, so every stream,
-        # ``…/arrivals`` included, ends in the same state.
-        assert (observed.step, alone.step) == ("evented", "computed")
+        # Both runs compute, the observed one stopping at sampling
+        # deadlines: every stream, ``…/arrivals`` included, ends in the
+        # same state.
+        assert (observed.step, alone.step) == ("computed", "computed")
         assert any(k.endswith("/arrivals") for k in a.rng_ledger)
         assert a.rng_ledger == b.rng_ledger
         assert ("DET607" in {d.code for d in a.findings}) == dirty

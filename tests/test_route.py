@@ -105,15 +105,12 @@ def build(groups, sources: int, mode: str) -> StreamEngine:
         checkpoint_interval=1.0 if mode == "checkpointed" else None,
         shards=2 if mode == "sharded" else None,
     )
-    observer = None
-    if mode == "observed":
-        observer = EngineObserver(sample_interval=1e9)
     return StreamEngine(
         plan,
         homogeneous_cluster(num_nodes=3),
         config=config,
         preflight=False,
-        observer=observer,
+        observer=EngineObserver() if mode == "observed" else None,
     )
 
 

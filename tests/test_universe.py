@@ -52,7 +52,7 @@ from repro.sps.operators.source import SOURCE_CHUNK
 from repro.sps.partitioning import HashPartitioner
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
-from tests.conftest import kv_generator
+from tests.conftest import evented, kv_generator
 from tests.test_golden_determinism import (
     GOLDEN_APPS,
     GOLDEN_CONFIG,
@@ -119,7 +119,7 @@ class ServeLog(EngineObserver):
     """Records ``(start, service, wait)`` per subtask, stalls by time."""
 
     def __init__(self):
-        super().__init__(sample_interval=1e9, serve_spans=False)
+        super().__init__(serve_spans=False)
         self.serves = {}
         self.stalls = []
 
@@ -184,8 +184,8 @@ def test_scalar_and_batch_see_the_same_arrival_times(
     """Fails before the merge: the scalar loop interleaved noise draws
     on the one arrival generator, the batch replay did not. Three ways
     since a computed run's sources emit blocks of instants: the evented
-    step (an observer attached) reads the same blocks, one instant per
-    event."""
+    step (``tests.conftest.evented``) reads the same blocks, one instant
+    per event."""
     runs = {}
     for mode in ("computed", "evented", 64, 256):
         engine = arrivals_engine(
@@ -194,7 +194,7 @@ def test_scalar_and_batch_see_the_same_arrival_times(
             batch_size=mode if isinstance(mode, int) else None,
         )
         if mode == "evented":
-            engine.observer = engine._obs = ServeLog()
+            evented(engine)
         runs[mode] = record_arrivals(engine)
         engine.run()
         assert engine.step == (None if isinstance(mode, int) else mode)
