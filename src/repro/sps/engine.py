@@ -349,9 +349,6 @@ class _SubtaskRuntime:
     noise_sigma: float
     is_source: bool
     is_sink: bool
-    #: sender CPU per routed output (serde + channel management of every
-    #: shuffle group); set with the route table
-    shuffle_cost_per_output: float = 0.0
     #: constant work multiplier when the logic keeps the base
     #: ``work_units`` implementation; None forces the dynamic call
     static_work: float | None = None
@@ -701,28 +698,27 @@ class StreamEngine:
         runtime.arrival_budget = budget or int(runtime.index < tuples)
 
     def _compile_route_table(self, runtime: _SubtaskRuntime) -> None:
-        """(Re)compile one runtime's routing table, and the sender CPU
-        it pays per routed output, from its channel groups.
+        """(Re)compile one runtime's routing table from its channel
+        groups.
 
         Resolves, once per channel group: the bound partitioner
         ``channel``, the key field and hash memo of a ``key_field`` hash
-        exchange (or None), consumer gids, and per-channel network delay
-        terms.
+        exchange (or None), consumer gids, per-channel network delay
+        terms, and the sender CPU the group pays per routed output
+        (its own serde and channel management; zero for forward).
         A transfer takes ``base_latency + size / bandwidth``, zero for
         same-node channels, so the table stores ``(latency, bandwidth)``
         per channel and the hot path evaluates it without node lookups.
         Called at build time for every runtime and again by
         :meth:`_perform_rescale` for producers whose consumer set
         changed."""
-        shuffle_cost = 0.0
-        for group in self._out_channels[runtime.gid]:
-            if group.is_shuffle:
-                shuffle_cost += SERDE_COST_S + COORD_LOG_COST_S * math.log2(
-                    max(group.num_channels, 2)
-                )
-        runtime.shuffle_cost_per_output = shuffle_cost
         table = []
         for group in self._out_channels[runtime.gid]:
+            shuffle_cost = 0.0
+            if group.is_shuffle:
+                shuffle_cost = SERDE_COST_S + COORD_LOG_COST_S * math.log2(
+                    max(group.num_channels, 2)
+                )
             partitioner = group.partitioner
             key_field = memo = None
             if isinstance(partitioner, HashPartitioner):
@@ -740,7 +736,7 @@ class StreamEngine:
                     list(links[0]),  # a copy per producer: _degrade
                     list(links[1]),  # scales each producer's in place
                     group.port,
-                    shuffle_cost if group.is_shuffle else 0.0,
+                    shuffle_cost,
                     self._runtimes[consumers[0]].is_sink,
                     memo,
                 )

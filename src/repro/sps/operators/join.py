@@ -4,12 +4,16 @@ A symmetric hash join over processing-time windows: each arriving tuple
 is buffered once in the *slice* shared by all tuples with the same
 covering window-index interval (see
 :meth:`~repro.sps.windows.SlidingTimeWindows.assign_index_range`), not
-once per overlapping window, and immediately probes the opposite side's
-slices covered by each of its windows — ascending window order, slice
-arrival order, so the match sequence is bit-identical to the former
-per-window buffering. Expired slices are popped from the front of the
-slice deque on arrivals and on the recurring timer; no full-state rescan
-is needed because the slice deque is ordered by creation time.
+once per overlapping window. Its probe walks the live slices once and
+gathers the opposite side's bucket for its key from each covering
+slice; a probe that gathers none (most do) returns with no further
+work. The matches are then emitted window-major from the gathered
+buckets — windows ascending, buckets in slice order, each bucket in
+arrival order — the exact sequence per-window buffering produced (a
+pair sharing k windows matches k times). Expired slices are popped
+from the front of the slice deque on arrivals and on the recurring
+timer; no full-state rescan is needed because the slice deque is
+ordered by creation time.
 Multi-way joins in the workload are cascades of these 2-way joins, as in
 Flink.
 
@@ -27,7 +31,7 @@ from collections import deque
 
 from repro.common.errors import ConfigurationError
 from repro.sps.operators.base import OperatorLogic, clone_slots
-from repro.sps.tuples import StreamTuple, merge_origin
+from repro.sps.tuples import StreamTuple
 from repro.sps.windows import WindowAssigner
 
 __all__ = ["WindowJoinLogic"]
@@ -106,10 +110,8 @@ class WindowJoinLogic(OperatorLogic):
             getattr(assigner, "slide", None) or assigner.duration
         )
 
-    def _key_of(self, tup: StreamTuple, port: int) -> object:
-        key_field = self.key_fields[port]
-        if key_field is not None:
-            return tup.values[key_field]
+    def _key_of(self, tup: StreamTuple) -> object:
+        """The pre-assigned key of a tuple on a port without key field."""
         if tup.key is None:
             raise ConfigurationError(
                 "join input has no key; set key fields or key upstream"
@@ -119,19 +121,23 @@ class WindowJoinLogic(OperatorLogic):
     def process(
         self, tup: StreamTuple, now: float, port: int = 0
     ) -> list[StreamTuple]:
-        outputs: list[StreamTuple] = []
         matches = 0
         try:
             if port not in (0, 1):
                 raise ConfigurationError(
                     f"join port must be 0 or 1, got {port}"
                 )
-            self._expire(now)
-            key = self._key_of(tup, port)
+            if now >= self._next_expire:
+                self._expire(now)
+            key_field = self.key_fields[port]
+            if key_field is None:
+                key = self._key_of(tup)
+            else:
+                key = tup.values[key_field]
             assigner = self.assigner
             lo, hi = assigner.assign_index_range(now)
             if lo > hi:  # rounding left no containing window
-                return outputs
+                return []
             slices = self._slices
             # The clock is non-decreasing, so a tuple extends the newest
             # slice or opens the next one.
@@ -151,45 +157,21 @@ class WindowJoinLogic(OperatorLogic):
             if bucket is None:
                 bucket = side[key] = []
             bucket.append(tup)
-            # Probe: windows ascending, covering slices in arrival
-            # order — the exact match sequence per-window buffering
-            # produced (a pair sharing k windows matches k times, as
-            # before).  One bucket lookup per overlapping slice; the
-            # bucket is then fanned out to the windows it covers.
+            # Gather the opposite side's bucket of every covering slice;
+            # most probes find none and stop here.
             opposite = 1 - port
-            cap = self.max_matches_per_probe
-            n_w = hi - lo + 1
-            per_window: list[list | None] = [None] * n_w
+            hits = []
             for s in slices:
                 if s.lo > hi:
                     break
-                if s.hi < lo:
-                    continue
-                candidates = s.sides[opposite].get(key)
-                if candidates:
-                    a = s.lo - lo
-                    if a < 0:
-                        a = 0
-                    z = s.hi - lo
-                    if z > n_w - 1:
-                        z = n_w - 1
-                    for wi in range(a, z + 1):
-                        cell = per_window[wi]
-                        if cell is None:
-                            per_window[wi] = [candidates]
-                        else:
-                            cell.append(candidates)
-            for cell in per_window:
-                if cell is None:
-                    continue
-                for candidates in cell:
-                    for candidate in candidates:
-                        if matches >= cap:
-                            return outputs
-                        outputs.append(
-                            self._join(tup, candidate, port, now, key)
-                        )
-                        matches += 1
+                if s.hi >= lo:
+                    candidates = s.sides[opposite].get(key)
+                    if candidates:
+                        hits.append((s.lo, s.hi, candidates))
+            if not hits:
+                return hits  # the probe's (empty) result
+            outputs = self._emit(tup, port, now, key, lo, hi, hits)
+            matches = len(outputs)
             return outputs
         finally:
             # Billed by work_units on the *next* probe; maintained on
@@ -198,22 +180,37 @@ class WindowJoinLogic(OperatorLogic):
             self._last_matches = matches
             self.matches_emitted += matches
 
-    def _join(
-        self,
-        probe: StreamTuple,
-        build: StreamTuple,
-        probe_port: int,
-        now: float,
-        key: object,
-    ) -> StreamTuple:
-        left, right = (build, probe) if probe_port == 1 else (probe, build)
-        return StreamTuple(
-            values=left.values + right.values,
-            event_time=now,
-            origin_time=merge_origin(left, right),
-            key=key,
-            size_bytes=left.size_bytes + right.size_bytes,
-        )
+    def _emit(self, probe, port, now, key, lo, hi, hits):
+        """The matches of ``probe`` against the gathered ``(lo, hi,
+        bucket)`` hits: windows ascending, then hits in slice order,
+        then each bucket in arrival order, cut at the probe cap."""
+        cap = self.max_matches_per_probe
+        outputs: list[StreamTuple] = []
+        append = outputs.append
+        new = StreamTuple.__new__
+        for w in range(lo, hi + 1):
+            for s_lo, s_hi, bucket in hits:
+                if s_lo > w or s_hi < w:
+                    continue
+                room = cap - len(outputs)
+                if room <= 0:
+                    return outputs
+                if len(bucket) > room:
+                    bucket = bucket[:room]
+                for build in bucket:
+                    left, right = (build, probe) if port else (probe, build)
+                    match = new(StreamTuple)
+                    match.values = left.values + right.values
+                    match.key = key
+                    match.event_time = now
+                    # the earliest contributor's origin, left's on a tie
+                    origin = left.origin_time
+                    other = right.origin_time
+                    match.origin_time = other if other < origin else origin
+                    match.size_bytes = left.size_bytes + right.size_bytes
+                    match.prov = None
+                    append(match)
+        return outputs
 
     def _expire(self, now: float) -> None:
         if now < self._next_expire:

@@ -94,15 +94,3 @@ class StreamTuple:
             f"event_time={self.event_time:.6f})"
         )
 
-
-def merge_origin(left: StreamTuple, right: StreamTuple) -> float:
-    """Origin time of a tuple derived from two: the earlier contributor.
-
-    The paper defines end-to-end latency from the production of the *first*
-    data tuple contributing to a result, so a join match carries the
-    minimum origin time of its two sides (``min``'s tie rule: ``left``'s
-    on equality).
-    """
-    origin = left.origin_time
-    other = right.origin_time
-    return other if other < origin else origin

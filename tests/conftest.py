@@ -88,6 +88,12 @@ def kv_schema() -> Schema:
     return Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
 
 
+def sender_overhead(runtime) -> float:
+    """The sender CPU ``runtime`` pays per routed output: the serde
+    cost of each of its channel groups (route table slot 8), summed."""
+    return sum(entry[8] for entry in runtime.route_table)
+
+
 def kv_generator(num_keys: int = 10):
     """A (rng, now) -> StreamTuple generator over the kv schema."""
 

@@ -125,7 +125,7 @@ from repro.sps.tuples import StreamTuple
 from repro.sps.windows import AggregateFunction, SlidingTimeWindows
 from repro.workload.parameter_space import ParameterSpace
 from repro.workload.querygen import QueryStructure, build_structure
-from tests.conftest import evented, kv_generator
+from tests.conftest import evented, kv_generator, sender_overhead
 from tests.test_universe import SCHEMA, counting_generator
 
 CLUSTER = homogeneous_cluster("m510", 4)
@@ -1364,7 +1364,7 @@ def test_a_stall_inside_a_sender_overhead_window():
                if gid == stage)
     arrival = min(at for at, gid in instants(pops, engine_module._DELIVER)
                   if gid == stage and at > done)
-    free_at = done + probe._runtimes[stage].shuffle_cost_per_output
+    free_at = done + sender_overhead(probe._runtimes[stage])
     assert done < arrival < free_at
     computed, reference = both_steps(
         build,

@@ -14,7 +14,7 @@ from repro.sps.engine import (
 )
 from repro.sps.logical import LogicalPlan
 from repro.sps.types import DataType, Field, Schema
-from tests.conftest import kv_generator
+from tests.conftest import kv_generator, sender_overhead
 
 SCHEMA = Schema([Field("k", DataType.INT), Field("v", DataType.DOUBLE)])
 
@@ -141,7 +141,7 @@ def stalled(rate, seed, at=0.03):
     )
     metrics = engine.run()
     (work,) = [rt for rt in engine._runtimes if rt.op_id == "work"]
-    return metrics, observer, work.shuffle_cost_per_output
+    return metrics, observer, sender_overhead(work)
 
 
 @pytest.mark.parametrize("seed", [5, 11])

@@ -50,7 +50,7 @@ from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
 from repro.sps.partitioning import HashPartitioner
 from repro.sps.tuples import StreamTuple
-from tests.conftest import evented
+from tests.conftest import evented, sender_overhead
 from tests.test_universe import (
     GAP,
     SCHEMA,
@@ -315,7 +315,7 @@ def barrier_oracle(engine, trigger):
     out = {}
     for rt in engine._runtimes:
         if last >= 0:
-            at = max(at, dones[rt.op_id][last] + rt.shuffle_cost_per_output)
+            at = max(at, dones[rt.op_id][last] + sender_overhead(rt))
         out[rt.op_id] = at  # same node: the barrier arrives when sent
     return out
 
@@ -357,7 +357,7 @@ def barriers_wait_for_free_at(stages, step):
     _, _, dones = oracle(engine)
     src = engine._runtimes[0]
     first = barrier_oracle(engine, interval)
-    assert first["src"] == dones["src"][9] + src.shuffle_cost_per_output
+    assert first["src"] == dones["src"][9] + sender_overhead(src)
     assert dones["src"][9] < interval < first["src"]
     waited = [
         barrier_oracle(engine, record.triggered_at)["src"]

@@ -1,5 +1,7 @@
 """Unit tests for operator logics: filter, map, windows, join, UDO, sink."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,27 @@ class TestWindowJoin:
         logic.process(tup("k", 1.0, origin=0.05), now=0.1, port=0)
         out = logic.process(tup("k", 2.0, origin=0.2), now=0.2, port=1)
         assert out[0].origin_time == pytest.approx(0.05)
+
+    def test_origin_is_earliest_with_left_on_tie(self):
+        """A match carries the earlier origin of its pair, from either
+        side; on a tie the left side's (a 0.0/-0.0 tie shows which)."""
+        for left, right, want in (
+            (1.0, 9.0, 1.0),
+            (9.0, 1.0, 1.0),
+            (0.0, -0.0, 0.0),
+            (-0.0, 0.0, -0.0),
+        ):
+            for probe_port in (0, 1):
+                logic = self._logic()
+                origins = (left, right)
+                build = tup("k", 1.0, origin=origins[1 - probe_port])
+                logic.process(build, now=0.1, port=1 - probe_port)
+                probe = tup("k", 2.0, origin=origins[probe_port])
+                (out,) = logic.process(probe, now=0.2, port=probe_port)
+                assert out.origin_time == want
+                assert math.copysign(1.0, out.origin_time) == (
+                    math.copysign(1.0, want)
+                )
 
     def test_multiple_matches(self):
         logic = self._logic()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,12 +121,6 @@ def reference(engine, runtime, outputs, now, clocks, logs, owned):
     gid = runtime.gid
     groups = engine._out_channels[gid]
     network = engine.cluster.network
-    cost = 0.0
-    for group in groups:
-        if group.is_shuffle:
-            cost += SERDE_COST_S + COORD_LOG_COST_S * math.log2(
-                max(group.num_channels, 2)
-            )
     # Checkpointed runs number channels densely, producer-major.
     first = {}
     channels = 1
@@ -139,7 +134,11 @@ def reference(engine, runtime, outputs, now, clocks, logs, owned):
         part = group.partitioner
         consumers = list(group.consumer_gids)
         n = len(consumers)
-        group_cost = cost if group.is_shuffle else 0.0
+        group_cost = 0.0
+        if group.is_shuffle:  # the group's own serde, per channel hop
+            group_cost = SERDE_COST_S + COORD_LOG_COST_S * math.log2(
+                max(group.num_channels, 2)
+            )
         routed = []
         group_overhead = 0.0
         for i, tup in enumerate(outputs):
@@ -290,3 +289,34 @@ def test_each_mode_binds_the_state_it_is_named_for():
     seen = build(groups, 2, "observed")
     seen._begin_run(seen._k)
     assert seen._obs is not None and not seen._logs
+
+
+def test_each_shuffle_group_pays_its_own_serde():
+    """A source feeding two hash-partitioned consumers (2 and 4
+    channels): group 1's deliveries are offset by its own serde, group
+    2's by both groups' (DESIGN.md §7), not each by the sum of both."""
+    engine = build([("hash_field", 2, False), ("hash_field", 4, False)], 1,
+                   "plain")
+    (gid,) = engine.physical.op_subtasks["src"]
+    runtime = engine._runtimes[gid]
+    engine._begin_run(engine._k)
+    engine._k.heap.clear()
+    engine._k.now = now = 1.0
+    outputs = [
+        StreamTuple(values=(k, 1.5), event_time=0.0, size_bytes=24.0)
+        for k in range(5)
+    ]
+    costs = [SERDE_COST_S + COORD_LOG_COST_S * math.log2(n) for n in (2, 4)]
+    offsets = [5 * costs[0], 5 * (costs[0] + costs[1])]
+    assert engine._route(runtime, outputs) == pytest.approx(offsets[1])
+    link = {}
+    for g, entry in enumerate(runtime.route_table):
+        for idx, dst in enumerate(entry[3]):
+            link[dst] = (g, entry[5][idx], entry[6][idx])
+    groups = []
+    for at, _, _, dst, tup, _ in engine._k.heap:
+        g, latency, bandwidth = link[dst]
+        groups.append(g)
+        delay = now + (latency + tup.size_bytes / bandwidth)
+        assert at - delay == pytest.approx(offsets[g], abs=1e-12)
+    assert sorted(groups) == [0] * 5 + [1] * 5

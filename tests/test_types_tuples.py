@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.sps.predicates import FilterFunction, Predicate
-from repro.sps.tuples import StreamTuple, merge_origin
+from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
 from repro.sps.types import uniform_schema
 
@@ -91,12 +91,6 @@ class TestStreamTuple:
         keyed = tup.with_key("k")
         assert keyed.key == "k"
         assert tup.key is None  # original untouched
-
-    def test_merge_origin_takes_earliest(self):
-        early = StreamTuple(values=(1,), event_time=1.0, origin_time=1.0)
-        late = StreamTuple(values=(2,), event_time=9.0, origin_time=9.0)
-        assert merge_origin(early, late) == 1.0
-        assert merge_origin(late, early) == 1.0
 
 
 class TestPredicate:

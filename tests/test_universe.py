@@ -52,7 +52,7 @@ from repro.sps.operators.source import SOURCE_CHUNK
 from repro.sps.partitioning import HashPartitioner
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
-from tests.conftest import evented, kv_generator
+from tests.conftest import evented, kv_generator, sender_overhead
 from tests.test_golden_determinism import (
     GOLDEN_APPS,
     GOLDEN_CONFIG,
@@ -355,7 +355,7 @@ def oracle(engine):
             ]
         else:
             services = [rt.base_service * 1.0] * TUPLES
-        overhead = rt.shuffle_cost_per_output
+        overhead = sender_overhead(rt)
         assert (overhead > 0) == (not rt.is_sink)
         _, dones, counters[rt.op_id] = lindley(arrive, services, overhead)
         dones_by_op[rt.op_id] = dones
@@ -396,7 +396,7 @@ def last_window(engine):
     rt = engine._runtimes[1]
     assert rt.op_id == "stage0"
     done = dones["stage0"][-1]
-    return done, done + rt.shuffle_cost_per_output
+    return done, done + sender_overhead(rt)
 
 
 def test_stall_inside_a_free_at_window_waits_like_a_busy_server():

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.sps.operators.aggregate import WindowAggregateLogic
 from repro.sps.operators.event_aggregate import EventTimeWindowAggregateLogic
 from repro.sps.operators.join import WindowJoinLogic
-from repro.sps.tuples import StreamTuple, merge_origin
+from repro.sps.tuples import StreamTuple
 from repro.sps.windows import (
     AggregateFunction,
     SlidingCountWindows,
@@ -215,15 +215,17 @@ class _NaiveEventAgg:
 class _NaiveJoin:
     """Per-(window, key) buffering symmetric hash join (pre-slicing)."""
 
-    def __init__(self, assigner, cap):
+    def __init__(self, assigner, cap, key_fields=(0, 0)):
         self.assigner = assigner
         self.cap = cap
+        self.key_fields = key_fields
         self._windows: dict[float, tuple[float, list]] = {}
         self.matches_emitted = 0
 
     def process(self, tup, now, port):
         self._expire(now)
-        key = tup.values[0]
+        field = self.key_fields[port]
+        key = tup.key if field is None else tup.values[field]
         outputs = []
         matches = 0
         for window in self.assigner.assign(now):
@@ -242,7 +244,8 @@ class _NaiveJoin:
                     StreamTuple(
                         values=left.values + right.values,
                         event_time=now,
-                        origin_time=merge_origin(left, right),
+                        # min() keeps its first argument on a tie
+                        origin_time=min(left.origin_time, right.origin_time),
                         key=key,
                         size_bytes=left.size_bytes + right.size_bytes,
                     )
@@ -343,6 +346,10 @@ def _assert_same(actual, expected):
         assert got.values == want.values
         assert got.event_time == want.event_time
         assert got.origin_time == want.origin_time
+        # a tie between 0.0 and -0.0 shows which side's origin was kept
+        assert math.copysign(1.0, got.origin_time) == math.copysign(
+            1.0, want.origin_time
+        )
         assert got.key == want.key
         assert got.size_bytes == want.size_bytes
 
@@ -499,6 +506,29 @@ class TestEventTimeAggEquivalence:
         )
 
 
+#: where each join side carries its key: both in field 0, both only in
+#: the pre-assigned ``key`` (how hash exchanges deliver a join's
+#: inputs), or left in field 0 and right in field 1
+_JOIN_KEY_FIELDS = {"fields": (0, 0), "keyed": (None, None), "split": (0, 1)}
+
+
+def _join_tuple(step, port, layout, origin):
+    _, now, key, value, _ = step
+    if layout == "keyed":
+        values = (value,)
+    elif layout == "split" and port == 1:
+        values = (value, key)
+    else:
+        values = (key, value)
+    return StreamTuple(
+        values=values,
+        event_time=now,
+        origin_time=origin,
+        key=key,
+        size_bytes=24.0,
+    )
+
+
 class TestJoinEquivalence:
     @given(
         assigner=_time_assigners,
@@ -510,27 +540,34 @@ class TestJoinEquivalence:
             max_size=60,
         ),
         timer_every=st.integers(min_value=0, max_value=7),
+        layout=st.sampled_from(sorted(_JOIN_KEY_FIELDS)),
+        ties=st.booleans(),
     )
     @settings(max_examples=250, deadline=None)
     def test_equals_naive_per_window(
-        self, assigner, cap, steps, ports, timer_every
+        self, assigner, cap, steps, ports, timer_every, layout, ties
     ):
         """Slice-buffered probing emits the exact per-window match
 
         sequence (duplicates per shared window included), honours the
-        probe cap identically, and tracks the same live-window count."""
+        probe cap identically, and tracks the same live-window count —
+        for key fields, pre-keyed input and per-side key fields, and
+        with every origin a signed zero (``ties``), so every match is
+        an origin tie that only the left side's zero resolves."""
+        left_field, right_field = _JOIN_KEY_FIELDS[layout]
         sliced = WindowJoinLogic(
             assigner,
-            left_key_field=0,
-            right_key_field=0,
+            left_key_field=left_field,
+            right_key_field=right_field,
             max_matches_per_probe=cap,
         )
-        naive = _NaiveJoin(assigner, cap)
+        naive = _NaiveJoin(assigner, cap, _JOIN_KEY_FIELDS[layout])
         i = 0
         for step in steps:
             now = step[1]
-            tup = _tuple_of(step)
             port = ports[i % len(ports)]
+            origin = (-0.0 if i % 2 else 0.0) if ties else step[4]
+            tup = _join_tuple(step, port, layout, origin)
             i += 1
             if timer_every and i % timer_every == 0:
                 sliced.on_time(now)
@@ -542,3 +579,30 @@ class TestJoinEquivalence:
             )
             assert sliced.matches_emitted == naive.matches_emitted
             assert sliced.buffered_windows == naive.buffered_windows
+
+    def test_cap_cuts_a_window_fed_by_two_slices(self):
+        """Windows 1 and 2 of length 1.0 and slide 0.5 cover a probe at
+
+        1.2; window 1 also covers an older slice. Its matches come
+        from both slices, and the cap cuts inside it: the older slice's
+        two, then the newer slice's first."""
+        assigner = SlidingTimeWindows(1.0, 0.5)
+        sliced = WindowJoinLogic(
+            assigner, left_key_field=0, right_key_field=0,
+            max_matches_per_probe=3,
+        )
+        naive = _NaiveJoin(assigner, 3)
+        for now, value in ((0.6, 1.0), (0.7, 2.0), (1.1, 3.0), (1.15, 4.0)):
+            tup = StreamTuple(values=("k", value), event_time=now)
+            assert sliced.process(tup, now, 0) == []
+            naive.process(tup, now, 0)
+        assert assigner.assign_index_range(0.7) == (0, 1)
+        assert assigner.assign_index_range(1.2) == (1, 2)
+        probe = StreamTuple(values=("k", 9.0), event_time=1.2)
+        out = sliced.process(probe, 1.2, 1)
+        _assert_same(out, naive.process(probe, 1.2, 1))
+        assert [m.values for m in out] == [
+            ("k", value, "k", 9.0) for value in (1.0, 2.0, 3.0)
+        ]
+        assert sliced.live_slices == 2
+        assert sliced.matches_emitted == 3
