@@ -252,7 +252,8 @@ def stream_ledger(runtimes) -> dict[str, str]:
     is a block boundary, the same in every run that made the same
     draws). Rescale generations reuse ``(op, index)``, so their labels
     carry an ``@e<epoch>`` suffix; recovery incarnations (checkpoint
-    restore or FT-off failure restart) an ``@r<n>`` suffix likewise.
+    restore or FT-off failure restart) an ``@r<n>`` suffix likewise. A
+    logic stream is read only if open: ``ctx.rng`` would open it.
     """
     ledger: dict[str, str] = {}
     for runtime in runtimes:
@@ -263,7 +264,7 @@ def stream_ledger(runtimes) -> dict[str, str]:
             label += f"@r{runtime.ft_incarnation}"
         ctx = getattr(runtime.logic, "ctx", None)
         for suffix, rng in (
-            ("", getattr(ctx, "rng", None)),
+            ("", getattr(ctx, "__dict__", {}).get("rng")),
             ("/arrivals", runtime.gaps_rng),
             ("/noise", runtime.noise_rng),
         ):

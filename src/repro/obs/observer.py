@@ -91,7 +91,7 @@ class EngineObserver:
             kind = engine.logical.operator(runtime.op_id).kind
             self._is_join[runtime.gid] = kind is OperatorKind.WINDOW_JOIN
         self._lag_max = {op: 0.0 for op in self._ops}
-        #: a queue's depth at a deadline, as the evented step holds it
+        #: a queue's depth at a deadline, as a clock-ordered queue holds it
         self._queued = engine._queued
         tracer = self.tracer
         if tracer is not None:

@@ -1,15 +1,16 @@
 """What composes: the one definition of which execution features may
-share a run, and which scalar step a run executes (DESIGN.md §4).
+share a run, and how a run executes the scalar step (DESIGN.md §4).
 
 A *feature* is something a run turns on beyond the plain scalar engine;
 :data:`KNOBS` spells each the way its user does. :data:`EXCLUDES` holds
 one row per unsupported pair. A reason is one sentence about simulated
 semantics, or says ``not implemented: …`` where only a seam in the code
 stands in the way — those rows are the ones to lift (ROADMAP).
-:data:`EVENTED` holds the features whose runs still execute the
-clock-ordered step (§14), each a knob; deleting a row moves that
-feature onto the computed one. Stalls, node failures and an observer's
-sampling deadlines act at control instants, so they compute.
+:data:`EVENTED` holds the features whose runs pin the step's horizon at
+``-inf`` (§14), each a knob: every hop completes as an event, in clock
+order, and such a run's step reads ``"evented"``. Deleting a row lets
+that feature's runs compute ahead up to the next control instant, as
+stalls, node failures and an observer's sampling deadlines do.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def check(features) -> None:
 
 
 def step_of(features) -> str | None:
-    """``StreamEngine.step`` of a run with ``features``: ``None`` under
-    the batch executor, which runs neither scalar step."""
+    """``StreamEngine.step`` of a run with ``features``: ``"evented"``
+    where the horizon is pinned, ``None`` under the batch executor,
+    which runs no scalar step."""
     if "batch" in features:
         return None
     return "evented" if features & EVENTED.keys() else "computed"

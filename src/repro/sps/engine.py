@@ -11,23 +11,22 @@ postulated — which is what lets the simulator reproduce the paper's
 observations (speedup from parallelism, its paradox, non-linearity).
 
 Event kinds: ``ARRIVAL`` (a source's next arrivals, a block of up to
-``SOURCE_CHUNK``: on the evented step it emits the first, on a computed
-run as many as it can), ``DELIVER`` (a tuple or a checkpoint
-barrier reaches a subtask), ``BEGIN`` (a server starts the head of its
-queue; computed, an alignment buffer is released), ``DONE`` (a service
-completes; computed, a straddler's, or the one ending the run),
-``TIMER`` (a window tick), ``STALL`` (an injected pause), ``REPLAY`` (a
-logged source tuple is redelivered after a recovery, DESIGN.md §13)
-and the control-plane ``RESCALE`` (drain, migrate, rewire),
-``CONTROL`` (the autoscaler's tick, or an observer's sampling deadline),
-``SCENARIO`` (a chaos action) and ``FT`` (a checkpoint trigger, or a
-recovery's end). Like ``TIMER``, control-plane events carry no work
-accounting, so a pending one never keeps a finished run alive. The
-elastic (§12) and checkpointing (§13) machinery only activates when the
-config asks for it.
+``SOURCE_CHUNK``, as many emitted as the horizon allows), ``DELIVER``
+(a tuple or a checkpoint barrier reaches a subtask), ``BEGIN`` (a wait
+ends and the server hands its queue back, or an alignment buffer is
+released), ``DONE`` (a straddler's service completes, or the one
+ending the run), ``TIMER`` (a window tick), ``STALL`` (an injected
+pause), ``REPLAY`` (a logged source tuple is redelivered after a
+recovery, DESIGN.md §13) and the control-plane ``RESCALE`` (drain,
+migrate, rewire), ``CONTROL`` (the autoscaler's tick, or an observer's
+sampling deadline), ``SCENARIO`` (a chaos action) and ``FT`` (a
+checkpoint trigger, or a recovery's end). Like ``TIMER``, control-plane
+events carry no work accounting, so a pending one never keeps a
+finished run alive. The elastic (§12) and checkpointing (§13)
+machinery only activates when the config asks for it.
 
 Termination: when all sources are exhausted and no work events remain
-(and, on a computed run, the clock has reached the latest completion),
+(and the clock has reached the latest completion),
 the engine flushes stateful operators in rounds (remaining windows
 fire), then stops once a flush round produces nothing.
 
@@ -36,18 +35,19 @@ engine's lifetime — arrival process and budget, one precompiled route
 entry per channel group, a logic's constant work factor — is resolved
 at build time. Every subtask draws gaps and noise from its own named
 streams, in blocks, and numbers its events from its own counter, so a
-sharded run (:mod:`repro.sps.shard_exec`) sees the same bits. Where
-nothing but a subtask's own tuples, its timers and the control events
-can touch it (``StreamEngine.step == "computed"``), ``_complete`` runs
-the FIFO server's recursion at the ``DELIVER`` — no queue, ``busy``
-flag or ``DONE`` — up to the *horizon*, the next control instant; a
-hop done at or past it straddles: its ``DONE`` is an event, and the
-server is evented until that ``DONE`` hands its queue back. There a
-checkpoint barrier is decided at its ``DELIVER``, and with neither
-checkpoints nor control instants a sink's deliveries are logged and
-settled a batch at a time (``_settle``). A backpressured or sharded
-run executes the evented step, the reference the computed one is tested
-against. Either reads a source's arrivals, instants drawn a block ahead
+sharded run (:mod:`repro.sps.shard_exec`) sees the same bits. There is
+one step: ``_complete`` runs the FIFO server's recursion at the
+``DELIVER`` — no queue, ``busy`` flag or ``DONE`` — up to the
+*horizon*, the next control instant; a hop done at or past it
+straddles: its ``DONE`` is an event, what reaches the busy server
+queues, and that ``DONE`` hands the queue back. A checkpoint barrier is
+decided at its ``DELIVER``, and with neither checkpoints nor control
+instants a sink's deliveries are logged and settled a batch at a time
+(``_settle``). A backpressured or sharded run — whatever decides
+between two of its events, congestion or an epoch boundary, reads the
+clock — pins the horizon at ``-inf`` (``StreamEngine.step ==
+"evented"``): every hop straddles and a source emits one arrival per
+event. Sources read their arrivals, instants drawn a block ahead
 (``_arrival_block``), through ``_arrive``. No simulated result moves:
 every floating-point expression keeps the operand order of the
 straightforward implementation (``tests/test_golden_determinism.py``).
@@ -273,9 +273,9 @@ class SimulationConfig:
     max_sim_time: float = 120.0
     warmup_fraction: float = 0.1
     keep_sink_values: bool = False
-    #: budget of processed events; a computed run (``StreamEngine.step``)
-    #: counts about one per delivered tuple-hop, settled or popped, an
-    #: evented run two
+    #: budget of processed events; a run counts about one per delivered
+    #: tuple-hop, settled or popped, and one per straddler's ``DONE`` —
+    #: on a pinned run (``StreamEngine.step`` "evented") every hop's
     max_events: int = 30_000_000
     backpressure_queue_limit: int | None = None
     stalls: tuple[StallInjection, ...] = ()
@@ -403,8 +403,8 @@ class _SubtaskRuntime:
     #: ``ft_emit_seq`` numbers sink-bound emissions for provenance;
     #: ``ft_ckpt``/``ft_aligned``/``ft_buffer`` track barrier alignment
     #: (``ft_aligned`` maps channel ids to their barrier's dequeue
-    #: instant); on the computed step ``ft_behind`` counts the buffered
-    #: deliveries queued behind the last barrier (``_ft_hold``).
+    #: instant); ``ft_behind`` counts the buffered deliveries queued
+    #: behind the last barrier (``_ft_hold``).
     ft_incarnation: int = 0
     ft_log: list | None = None
     ft_base: int = 0
@@ -414,7 +414,7 @@ class _SubtaskRuntime:
     ft_aligned: dict | None = None
     ft_buffer: list | None = None
     ft_behind: int = 0
-    ft_rest: list | None = None  # computed: a release left unserved
+    ft_rest: list | None = None  # a release left unserved
     #: the subtask's private randomness (DESIGN.md §14): a source's
     #: unit-mean arrival gaps come a block at a time from its own
     #: ``…/arrivals`` stream (``_arrival_block``); service-noise
@@ -433,13 +433,13 @@ class _SubtaskRuntime:
     free_at: float = 0.0
     #: stall seconds waiting for the service in flight to end
     held: float = 0.0
-    #: the computed step (DESIGN.md §14): the latest completion
+    #: the step (DESIGN.md §14): the latest completion
     #: instant, the instants at which what waited leaves the queue —
     #: service starts, barrier dequeues (those ahead of ``now`` are the
     #: queue) — and the next timer instant
     #: ``on_time`` has not run for (``inf``: none)
     done_at: float = 0.0
-    starts: deque | None = None
+    starts: deque = field(default_factory=deque)
     tick: float = math.inf
     #: a source's current arrival block: its unit gaps, and the
     #: engine's ``_pacing`` its instants were computed under (-1: to be
@@ -566,9 +566,10 @@ class StreamEngine:
 
     @property
     def step(self) -> str | None:
-        """Which scalar step the run executes, ``"computed"`` or
-        ``"evented"``: resolved by :meth:`_begin_run` from what the run
-        is; ``None`` before it, and under the batch executor."""
+        """How the run executes the scalar step: ``"computed"``, or
+        ``"evented"`` — its horizon pinned at ``-inf``, every hop an
+        event. Resolved by :meth:`_begin_run` from what the run is;
+        ``None`` before it, and under the batch executor."""
         return self._step
 
     # ----------------------------------------------------------- build-time
@@ -864,20 +865,21 @@ class StreamEngine:
             # The detector reads a whole run on one kernel; a sanitized
             # sharded run takes its ledger from the shards' stats.
             self.race_detector = None
-        #: completions are computed when nothing but a subtask's own
-        #: tuples, timers and the control events can touch it:
+        #: completions are computed ahead when nothing but a subtask's
+        #: own tuples, timers and the control events can touch it;
         #: ``capabilities.EVENTED`` has what acts on the queue, ``busy``
-        #: or the DONE event otherwise
+        #: or the DONE event otherwise, and pins the horizon at ``-inf``
+        #: (``"evented"``): every hop straddles, one event per instant
         self._step = step_of(features_of(config))
-        self._computed = computed = self._step == "computed"
+        self._pinned = self._step == "evented"
         #: an observer or the race detector reads each hop: one test
         self._reads = self._obs is not None or self.race_detector is not None
         #: the next pending checkpoint trigger, where a computed run's
         #: sources cut their arrival blocks (``_arrive``)
         self._ft_next = math.inf
         #: the horizon (DESIGN.md §14), the earliest pending control
-        #: instant (``-inf`` while draining): nothing at or past it is
-        #: computed ahead
+        #: instant (``-inf`` while draining, or pinned): nothing at or
+        #: past it is computed ahead
         self._horizons: list[float] = []
         self._h = math.inf
         #: counts the spikes' re-pacings of the sources (``_arrive``)
@@ -892,8 +894,6 @@ class StreamEngine:
             if interval:
                 runtime.tick = interval
                 self._push(interval, _TIMER, runtime.gid, None, 0)
-            if computed:
-                runtime.starts = deque()
         for stall in config.stalls:
             if stall.op_id not in self.physical.op_subtasks:
                 raise SimulationError(
@@ -910,13 +910,13 @@ class StreamEngine:
         if self._obs is not None:
             self._sample()
         self._rehorizon()
-        #: with no checkpoint or control instant, a computed run logs a
-        #: delivery ``(at, seq, tuple, port)`` to a plain sink here, by
-        #: gid, instead of pushing it (``_settle``); ``_settled`` counts
-        #: the hops settled
+        #: with no checkpoint, control instant or pinned horizon, a run
+        #: logs a delivery ``(at, seq, tuple, port)`` to a plain sink
+        #: here, by gid, instead of pushing it (``_settle``);
+        #: ``_settled`` counts the hops settled
         self._logs = {}
         self._settled = 0
-        if computed and not (self._ft or self._elastic or self._horizons):
+        if self._h == math.inf and not (self._ft or self._elastic):
             self._logs = {
                 rt.gid: []
                 for rt in mine
@@ -930,7 +930,7 @@ class StreamEngine:
         """The kernel's dispatch table, one entry per event kind."""
         handlers: list = [None] * 11
         handlers[_ARRIVAL] = self._arrive
-        handlers[_DELIVER] = self._ft_deliver if self._ft else self._enqueue
+        handlers[_DELIVER] = self._complete
         handlers[_BEGIN] = self._begin_service
         handlers[_DONE] = self._handle_done
         handlers[_TIMER] = self._tick
@@ -938,12 +938,11 @@ class StreamEngine:
         for kind in (_STALL, _RESCALE, _CONTROL, _SCENARIO):
             handlers[kind] = self._apply
         handlers[_FT] = lambda gid, call, port: call[0](*call[1:])
-        if self._step == "computed":
-            handlers[_DONE] = self._straddled
-            if self._ft:
-                handlers[_BEGIN] = self._ft_release
-            else:
-                handlers[_DELIVER] = self._complete
+        if self._ft:
+            handlers[_DELIVER] = self._ft_deliver
+            handlers[_BEGIN] = self._ft_release
+        elif self.config.backpressure_queue_limit is not None:
+            handlers[_DELIVER] = self._bp_deliver
         return handlers
 
     def _on_idle(self) -> bool:
@@ -996,13 +995,13 @@ class StreamEngine:
         self._rehorizon()
 
     def _queued(self, runtime: _SubtaskRuntime, at: float) -> int:
-        """The queue's depth at ``at``, a deadline, as the evented step
-        holds it (DESIGN.md §8). Checkpointed and computed, that adds a
+        """The queue's depth at ``at``, a deadline, as a clock-ordered
+        queue holds it (DESIGN.md §8). Checkpointed, that adds a
         released buffer yet to be served and, aligning, the held tuples
         yet to be diverted, less data diverted on arrival that queued
         behind a straddler."""
         depth = len(runtime.queue) - runtime.queue_head
-        if not (self._ft and self._computed):
+        if not self._ft:
             return depth
         depth += len(runtime.ft_rest or ())
         if runtime.ft_ckpt is None:
@@ -1021,9 +1020,10 @@ class StreamEngine:
         self._rehorizon()
 
     def _rehorizon(self) -> None:
-        """The horizon: the next control instant, none while draining."""
+        """The horizon: the next control instant; none while draining,
+        or on a run whose step is pinned ``"evented"``."""
         self._h = self._horizons[0] if self._horizons else math.inf
-        if self._pending_rescale:
+        if self._pending_rescale or self._pinned:
             self._h = -math.inf
 
     @staticmethod
@@ -1056,48 +1056,28 @@ class StreamEngine:
         return runtime.noise
 
     def _enqueue(self, gid: int, tup: StreamTuple, port: int) -> None:
+        """What reaches a busy server waits in its queue; its depth
+        counts the hops computed ahead yet to start, and engages
+        backpressure at the limit. A tuple for a subtask a rescale
+        retired is re-partitioned across the operator's live ones
+        (looked up fresh, so chains of rescales forward correctly)."""
         runtime = self._runtimes[gid]
         if runtime.retired:
-            # Forwarding tombstone: a tuple was in flight toward a
-            # subtask that a rescale replaced. Re-partition it across
-            # the operator's live subtasks (chaining correctly across
-            # multiple rescales, since the live set is looked up fresh).
             runtime = self._runtimes[self._forward_gid(runtime, tup, port)]
-            if not runtime.busy and self._computed:
+            if not runtime.busy:
+                if self._bp_limit is not None:
+                    self._release(runtime, self._k.now)
                 return self._complete(runtime.gid, tup, port)
         obs = self._obs
         now = self._k.now
         if obs is not None:
             obs.tuples_in[runtime.gid] += 1
         queue = runtime.queue
-        if not runtime.busy and runtime.queue_head == len(queue):
-            # An idle server's queue is empty: start service directly,
-            # skipping the append/pop round-trip — the depth would be 1
-            # (peak), and an empty queue clears the congestion flag. It
-            # waits only for the last tuple's sender overhead.
-            if runtime.queue_peak < 1:
-                runtime.queue_peak = 1
-            if self._bp_limit is not None:
-                if obs is not None and runtime.gid in self._congested:
-                    obs.on_backpressure(runtime, now, False)
-                self._congested.discard(runtime.gid)
-            start = max(now, runtime.free_at)
-            runtime.wait_time += start - now
-            if self._ft_ports is not None:
-                port = self._ft_ports[port]
-            return self._start(runtime, tup, port, now, start)
         queue.append((tup, port, now))
-        depth = len(queue) - runtime.queue_head
         starts = runtime.starts
-        if starts is not None:
-            # Computed: so do the hops computed ahead yet to start.
-            while starts and starts[0] <= now:
-                starts.popleft()
-            depth += len(starts)
-        elif now < runtime.free_at:
-            # The tuple whose service starts at free_at left the queue
-            # early; until then it still counts as waiting.
-            depth += 1
+        while starts and starts[0] <= now:
+            starts.popleft()
+        depth = len(queue) - runtime.queue_head + len(starts)
         if depth > runtime.queue_peak:
             runtime.queue_peak = depth
         limit = self._bp_limit
@@ -1106,72 +1086,47 @@ class StreamEngine:
                 obs.on_backpressure(runtime, now, True)
             self._congested.add(runtime.gid)
 
+    def _bp_deliver(self, gid: int, tup: StreamTuple, port: int) -> None:
+        """Backpressured ``DELIVER``: a tuple that finds the server idle
+        finds its queue empty, which releases the congestion flag."""
+        runtime = self._runtimes[gid]
+        if not runtime.busy:
+            self._release(runtime, self._k.now)
+        self._complete(gid, tup, port)
+
+    def _release(self, runtime: _SubtaskRuntime, now: float) -> None:
+        """The subtask's queue no longer holds the sources back."""
+        if runtime.gid in self._congested:
+            if self._obs is not None:
+                self._obs.on_backpressure(runtime, now, False)
+            self._congested.discard(runtime.gid)
+
     def _begin_service(self, gid: int, payload, port: int) -> None:
+        """``BEGIN``: a wait ends — sender overhead under backpressure,
+        a stall, a drain or a migration — and the queue is handed
+        back."""
         runtime = self._runtimes[gid]
         if runtime.draining or runtime.retired:
             return self._drain_step(runtime)
         if runtime.held:
             return self._hold(runtime, self._k.now)
         runtime.busy = False
-        if self._computed:
-            self._hand_back(runtime, self._k.now)
-        elif len(runtime.queue) > runtime.queue_head:
-            self._begin_service_now(runtime, self._k.now)
+        self._hand_back(runtime, self._k.now)
 
-    def _begin_service_now(self, runtime: _SubtaskRuntime, now: float):
-        """Start serving the head of the queue at ``now`` — the clock,
-        or the end of the sender overhead a DONE just paid."""
-        queue = runtime.queue
-        head = runtime.queue_head
-        tup, port, enqueued_at = queue[head]
-        ports = self._ft_ports
-        if ports is not None:
-            # Checkpointed run: the slot holds a channel id, and the
-            # head may be a barrier or data of an aligned channel.
-            if tup.__class__ is _Barrier or runtime.ft_ckpt is not None:
-                if not self._ft_dequeue(runtime, now):
-                    return
-                head = runtime.queue_head
-                tup, port, enqueued_at = queue[head]
-            port = ports[port]
-        runtime.wait_time += now - enqueued_at
-        head += 1
-        runtime.queue_head = head
-        if head > 256 and head * 2 >= len(queue):
-            del queue[:head]
-            runtime.queue_head = 0
-        limit = self._bp_limit
-        if limit is not None and runtime.gid in self._congested:
-            if len(queue) - runtime.queue_head <= limit // 2:
-                if self._obs is not None:
-                    self._obs.on_backpressure(runtime, now, False)
-                self._congested.discard(runtime.gid)
-        self._start(runtime, tup, port, enqueued_at, now)
-
-    def _start(self, runtime, tup, port: int, since: float, start: float):
-        """Serve ``tup`` from ``start``, queued since ``since``: draw its
-        service and schedule its ``DONE``."""
-        runtime.served += 1
-        runtime.busy = True
-        work = runtime.static_work
-        if work is None:
-            work = runtime.logic.work_units(tup)
-        service = runtime.base_service * work
-        if runtime.noise_sigma > 0:
-            noise = runtime.noise or self._refill_noise(runtime)
-            service *= noise.pop()
-        runtime.busy_time += service
-        if self._obs is not None:
-            self._obs.on_serve(runtime, start, service, start - since)
-        runtime.seq += 1
-        k = self._k
-        k.work += 1
-        done = start + service
-        heappush(k.heap, (done, runtime.seq, _DONE, runtime.gid, tup, port))
-
-    def _handle_done(self, gid: int, tup: StreamTuple, port: int) -> None:
+    def _handle_done(self, gid: int, hop, port: int) -> None:
+        """``DONE``: the run's last (``hop`` None), or a straddler's —
+        on a pinned run, every hop's. Its earlier ticks popped before
+        it; one at its instant runs first only if it was due when the
+        hop arrived (``_complete``'s tie rule). Then the completion: the
+        tuple is processed and routed, and once its sender overhead is
+        paid the server hands its queue back."""
+        if hop is None:
+            return
+        tup, due = hop
         runtime = self._runtimes[gid]
         now = self._k.now
+        if due and runtime.tick == now:
+            self._fire(runtime)
         if runtime.is_source:
             outputs = [tup]
         else:
@@ -1194,23 +1149,21 @@ class StreamEngine:
             # the sender overhead is paid, ahead of the queue.
             return self._hold(runtime, now + overhead)
         if overhead > 0:
-            if not self._fused:
-                return self._push(now + overhead, _BEGIN, gid, None, 0)
+            if not self._fused:  # a wait's end (``_ft_release``)
+                return self._push(now + overhead, _BEGIN, gid, True, 0)
             # Nothing is decided when the overhead ends, so its end is
-            # not an event: the next service starts there directly —
-            # ``now`` below is the time a BEGIN would have popped at.
+            # not an event: the queue is handed back from there.
             now += overhead
-            runtime.free_at = now
         runtime.busy = False
-        if self._computed:
+        if self._ft or runtime.queue_head < len(runtime.queue):
             self._hand_back(runtime, now)
-        elif len(runtime.queue) > runtime.queue_head:
-            self._begin_service_now(runtime, now)
+        else:
+            runtime.free_at = now
 
     def _stall(self, gid: int, duration: float) -> None:
         """Hold the server for ``duration``. An idle one is held at once
         — from the end of the sender overhead it may still be paying,
-        until which the evented step counts one more queued. A busy one
+        until which it counts one more queued. A busy one
         is held when the service in flight is done and its overhead paid
         (``_handle_done``, ``_begin_service``). A retired one was
         replaced by a rescale, whose fresh successors do not stall."""
@@ -1222,7 +1175,7 @@ class StreamEngine:
             at = runtime.free_at
             if at <= self._k.now:
                 at = self._k.now
-            elif runtime.starts is not None:
+            else:
                 runtime.starts.append(at)
             self._hold(runtime, at)
 
@@ -1295,13 +1248,12 @@ class StreamEngine:
         A spike since the block was drawn re-paces it after its first
         instant, whose gap was drawn before. Each tuple is generated at
         its own instant; a failed source drops it, and a checkpointed
-        one logs it. Evented, each instant is an event: its tuple is
-        throttled or enqueued, and the rest of the block follows as the
-        next ``ARRIVAL``. Computed, each is completed ahead of the
-        clock — short of the horizon and of a pending checkpoint
-        trigger (whose barrier is dequeued behind exactly the arrivals
-        before it), and one at a time behind a straddler or while the
-        log replays. A block short of ``SOURCE_CHUNK`` is the source's
+        one logs it. Each is completed ahead of the clock — short of the
+        horizon and of a pending checkpoint trigger (whose barrier is
+        dequeued behind exactly the arrivals before it) — and one at a
+        time behind a straddler, while the log replays, or with the
+        horizon pinned; the rest of the block follows as the next
+        ``ARRIVAL``. A block short of ``SOURCE_CHUNK`` is the source's
         last."""
         runtime = self._runtimes[gid]
         if runtime.paced != self._pacing:
@@ -1320,15 +1272,14 @@ class StreamEngine:
                 runtime.paced = -1
                 self._push(retry, _ARRIVAL, gid, [retry], done)
             return
-        computed = self._computed
         log = runtime.ft_log
         stop = end = len(instants)
         ahead = not (runtime.busy or log and runtime.ft_head < len(log))
-        if not (computed and ahead):
+        if not ahead or self._pinned:
             stop = 1
         elif instants[-1] >= self._h or instants[-1] >= self._ft_next:
             stop = bisect_left(instants, min(self._h, self._ft_next), 1)
-        if computed and stop < end:
+        if stop < end:
             rest = instants[stop:]
             self._push(rest[0], _ARRIVAL, gid, rest, done + stop)
             end = stop
@@ -1353,14 +1304,11 @@ class StreamEngine:
                 if self._ft_recovering or runtime.ft_head < len(log) - 1:
                     continue
                 runtime.ft_head = len(log)
-            if not computed:
-                self._enqueue(gid, tup, 0)
-            else:
-                self._complete(gid, tup, 0, now)
-                if runtime.busy:
-                    break
+            self._complete(gid, tup, 0, now)
+            if runtime.busy:
+                break
         runtime.emitted += i
-        if computed and ahead and self._obs is not None:
+        if ahead and self._obs is not None:
             self._obs.tuples_in[gid] += i - lost  # completed ahead
         if i > lost and now > self._last_source_time:
             self._last_source_time = now
@@ -1369,7 +1317,7 @@ class StreamEngine:
         if done + i == SOURCE_CHUNK:
             self._push_arrivals(runtime, now)
 
-    # ---------------------------------------------------- the computed step
+    # ------------------------------------------------------------- the step
 
     def _complete(self, gid: int, tup, port: int, now=None, waited=0.0):
         """``DELIVER``: the whole hop, at arrival (DESIGN.md §14).
@@ -1378,7 +1326,7 @@ class StreamEngine:
         arrives — ``start = max(now, free_at)``, ``done = start +
         service``, ``free_at = done + overhead`` — and service order is
         arrival order, so each noise draw, ``process`` call and routed
-        event is the evented step's, in its order. ``now`` is the
+        event is a clock-ordered queue's, in its order. ``now`` is the
         arrival instant: the clock, or one :meth:`_arrive` runs ahead.
         A hop done at or past the horizon ``_h`` *straddles*: the server
         goes busy with a ``DONE`` at ``done``, and what reaches a busy
@@ -1422,7 +1370,11 @@ class StreamEngine:
                 wait = start - now + waited
                 self._obs.on_serve(runtime, start, service, wait)
             runtime.busy = True
-            self._push(done, _DONE, gid, (tup, runtime.tick == done), port)
+            runtime.seq += 1
+            k = self._k
+            k.work += 1
+            hop = (tup, runtime.tick == done)
+            heappush(k.heap, (done, runtime.seq, _DONE, gid, hop, port))
             return
         if runtime.tick <= done:
             # Ticks the heap has not popped yet run first. One exactly
@@ -1454,50 +1406,57 @@ class StreamEngine:
         if race is not None and runtime.gid in race.keyed:
             race.on_done(runtime, done, tup, outputs)
 
-    def _straddled(self, gid: int, hop, port: int) -> None:
-        """Computed ``DONE``: the run's last, or a straddler's. Its
-        earlier ticks popped before it; one at its instant runs first
-        only if it was due when the hop arrived (``_complete``'s tie
-        rule); then the evented completion."""
-        if hop is not None:
-            tup, due = hop
-            runtime = self._runtimes[gid]
-            if due and runtime.tick == self._k.now:
-                self._fire(runtime)
-            self._handle_done(gid, tup, port)
-
     def _hand_back(self, runtime: _SubtaskRuntime, at: float) -> None:
         """The server is free from ``at``: what queued meanwhile is
         computed in FIFO order from its enqueue instant, until one
         straddles again. ``_enqueue`` counted its depth; checkpointed,
-        :meth:`_ft_deliver` counts it now."""
+        :meth:`_ft_deliver` counts it now. Backpressured, a dequeue that
+        leaves at most half the limit queued releases the congestion
+        flag."""
         runtime.free_at = at
-        gid = runtime.gid
-        peak = runtime.queue_peak
+        queue = runtime.queue
         if self._ft:
-            # A released alignment buffer goes first (``_ft_release``).
-            rest, runtime.ft_rest = runtime.ft_rest or (), None
-            for i, (item, chan, arrived, _) in enumerate(rest):
-                if runtime.busy:
-                    runtime.ft_rest = rest[i:]
-                    break
-                start = runtime.free_at
-                waited = start - arrived
-                runtime.wait_time += waited
-                runtime.starts.append(start)
-                self._complete(gid, item, self._ft_ports[chan], start, waited)
-            deliver = self._ft_deliver
-        else:
-            deliver = self._complete
+            self._ft_hand_back(runtime)
+        elif runtime.queue_head < len(queue):
+            gid = runtime.gid
+            peak = runtime.queue_peak
+            limit = self._bp_limit
+            while not runtime.busy and runtime.queue_head < len(queue):
+                item, port, enqueued = queue[runtime.queue_head]
+                runtime.queue_head += 1
+                if limit is not None and gid in self._congested:
+                    if len(queue) - runtime.queue_head <= limit // 2:
+                        self._release(runtime, at)
+                self._complete(gid, item, port, enqueued)
+            runtime.queue_peak = peak
+        # The dequeued head goes once it is all of the queue or the
+        # larger part: handed back an item at a time, a deep queue
+        # costs amortised O(1) per item.
+        head = runtime.queue_head
+        if head == len(queue) or head > 256 and head * 2 >= len(queue):
+            del queue[:head]
+            runtime.queue_head = 0
+
+    def _ft_hand_back(self, runtime: _SubtaskRuntime) -> None:
+        """:meth:`_hand_back`, checkpointed: a released alignment buffer
+        goes first (``_ft_release``), then the queue through
+        :meth:`_ft_deliver`."""
+        gid = runtime.gid
+        rest, runtime.ft_rest = runtime.ft_rest or (), None
+        for i, (item, chan, arrived, _) in enumerate(rest):
+            if runtime.busy:
+                runtime.ft_rest = rest[i:]
+                break
+            start = runtime.free_at
+            waited = start - arrived
+            runtime.wait_time += waited
+            runtime.starts.append(start)
+            self._complete(gid, item, self._ft_ports[chan], start, waited)
         queue = runtime.queue
         while not runtime.busy and runtime.queue_head < len(queue):
-            item, port, enqueued = queue[runtime.queue_head]
+            item, chan, enqueued = queue[runtime.queue_head]
             runtime.queue_head += 1
-            deliver(gid, item, port, enqueued)
-        del queue[: runtime.queue_head]
-        runtime.queue_head = 0
-        if not self._ft:
-            runtime.queue_peak = peak
+            self._ft_deliver(gid, item, chan, enqueued)
 
     def _fire(self, runtime: _SubtaskRuntime) -> None:
         """Run the subtask's next timer tick — at the clock, or ahead of
@@ -1533,8 +1492,8 @@ class StreamEngine:
         numbered after its subtask's last event: the logged hops before
         the next are settled, and the rest go back on the heap as the
         ``DELIVER`` events they stood for; from then on the heap orders
-        every sink hop against the ticks. An evented run logs nothing
-        and computes no ``done_at``, so it goes straight to
+        every sink hop against the ticks. On a pinned run every
+        ``DONE`` is an event and no sink logs, so it goes straight to
         :meth:`_on_idle`."""
         k = self._k
         logs = self._logs
@@ -2105,7 +2064,6 @@ class StreamEngine:
         pause *= self._rng_rescale.lognormal(-0.02, 0.2)
         for runtime in new_runtimes:
             runtime.busy = True
-            runtime.starts = deque() if self._computed else None
             self._push(now + pause, _BEGIN, runtime.gid, None, 0)
             interval = getattr(runtime.logic, "timer_interval", None)
             if interval:
@@ -2307,18 +2265,18 @@ class StreamEngine:
                 self._ft_deliver(runtime.gid, barrier, 0)
 
     def _ft_deliver(self, gid: int, item, chan: int, now=None) -> None:
-        """What checkpointing puts in front of :meth:`_enqueue` or, on
-        the computed step, :meth:`_complete`. A sink delivery passes the
-        provenance ledger first. A barrier joins the queue, at no cost —
-        or, computed, is decided now, as of its dequeue instant; data on
-        an already-aligned channel is diverted to the alignment buffer;
-        the rest takes the shared step. Computed, what reaches a busy
-        server, or a barrier dequeued past the horizon, waits in the
-        queue until :meth:`_hand_back` brings it back (``now``)."""
+        """What checkpointing puts in front of :meth:`_complete`. A sink
+        delivery passes the provenance ledger first. What reaches a busy
+        server waits in the queue until :meth:`_hand_back` brings it
+        back (``now``). A barrier is decided now, as of its dequeue
+        instant ``free_at`` — or, if that lies at or past the horizon
+        and ahead of the clock, stays at the head of the queue until a
+        ``BEGIN`` there; data on an already-aligned channel is diverted
+        to the alignment buffer; the rest takes the shared step."""
         runtime = self._runtimes[gid]
-        computed = self._computed
         barrier = item.__class__ is _Barrier
-        if now is None:
+        fresh = now is None
+        if fresh:
             now = self._k.now
             prov = None if barrier or not runtime.is_sink else item.prov
             if prov in self._ft_seen:
@@ -2328,60 +2286,51 @@ class StreamEngine:
                 self._ft_dup_results += 1
             elif prov is not None:
                 self._ft_seen.add(prov)
-            if computed and not barrier and self._obs is not None:
+            if not barrier and self._obs is not None:
                 self._obs.tuples_in[gid] += 1
-        if computed and (
-            runtime.busy or barrier and runtime.free_at >= self._h
-        ):
-            if not runtime.busy:  # dequeued there, once the clock is
-                runtime.busy = True
-                self._push(runtime.free_at, _BEGIN, gid, True, 0)
-            runtime.queue.append((item, chan, now))
-            return
-        if barrier:
-            if computed:
-                at = runtime.free_at
-                if at > now:
-                    # Queued until then, it counts toward the depth.
-                    runtime.starts.append(at)
-                else:
-                    at = runtime.free_at = now
-                self._ft_barrier_dequeued(runtime, item, chan, at)
-                if runtime.ft_ckpt is None:
-                    # Aligned: release the buffer at ``at``, by a BEGIN
-                    # if deliveries can still come before it.
-                    if at > now and self._ft_expected[gid] > 1:
-                        self._push(at, _BEGIN, gid, None, 0)
-                    else:
-                        self._ft_release(gid)
+            if runtime.busy:
+                runtime.queue.append((item, chan, now))
                 return
-            runtime.queue.append((item, chan, now))
-            if not runtime.busy:
-                self._begin_service_now(runtime, max(now, runtime.free_at))
+        if barrier:
+            at = runtime.free_at
+            if at >= self._h and at > self._k.now:
+                # Dequeued there, once the clock is: back at the head.
+                runtime.busy = True
+                self._push(at, _BEGIN, gid, True, 0)
+                if fresh:
+                    runtime.queue.append((item, chan, now))
+                else:
+                    runtime.queue_head -= 1
+                return
+            if at > now:
+                # Queued until then, it counts toward the depth.
+                runtime.starts.append(at)
+            else:
+                at = runtime.free_at = now
+            self._ft_barrier_dequeued(runtime, item, chan, at)
+            if runtime.ft_ckpt is None:
+                # Aligned: release the buffer at ``at``, by a BEGIN if
+                # deliveries can still come before it.
+                if at > now and self._ft_expected[gid] > 1:
+                    self._push(at, _BEGIN, gid, None, 0)
+                else:
+                    self._ft_release(gid)
             return
         if runtime.ft_buffer is not None and chan in runtime.ft_aligned:
-            if computed:
-                self._ft_hold(runtime, item, chan, now)
-                return
-            if self._obs is not None:
-                self._obs.tuples_in[runtime.gid] += 1
-            runtime.ft_buffer.append((item, chan, now))
-            return
-        if computed:
-            self._complete(gid, item, self._ft_ports[chan], now)
+            self._ft_hold(runtime, item, chan, now)
         else:
-            self._enqueue(gid, item, chan)
+            self._complete(gid, item, self._ft_ports[chan], now)
 
     def _ft_hold(
         self, runtime: _SubtaskRuntime, item, chan: int, now: float
     ) -> None:
-        """Computed: a delivery behind its channel's barrier joins the
-        buffer, keyed by the instant the evented step diverts it at —
-        its arrival, or, if that barrier is still queued, the
-        ``free_at`` it reaches the head at (counted in the depth until
-        then). Aligned but short of the last barrier's instant
-        (``ft_ckpt`` None), one queued behind a barrier is served
-        after the buffer."""
+        """A delivery behind its channel's barrier joins the buffer,
+        keyed by the instant a clock-ordered queue diverts it at — its
+        arrival, or, if that barrier is still queued, the ``free_at``
+        it reaches the head at (counted in the depth until then).
+        Aligned but short of the last barrier's instant (``ft_ckpt``
+        None), one queued behind a barrier is served after the
+        buffer."""
         diverted = now
         if now < runtime.ft_aligned[chan]:
             starts = runtime.starts
@@ -2400,12 +2349,13 @@ class StreamEngine:
         runtime.ft_buffer.append((item, chan, now, diverted))
 
     def _ft_release(self, gid: int, payload=None, port: int = 0) -> None:
-        """Computed: serve what alignment held from ``free_at``, the last
+        """Serve what alignment held from ``free_at``, the last
         barrier's dequeue instant — diverted tuples in diversion order,
         then those queued behind that barrier — each queued until it
         starts. A ``BEGIN`` at that instant calls it if deliveries can
-        still come before it; one with a ``payload`` ends a barrier's
-        wait for its dequeue past the horizon (:meth:`_ft_deliver`)."""
+        still come before it; one with a ``payload`` ends a wait — a
+        stall, sender overhead paid as an event, or a barrier's wait for
+        its dequeue past the horizon (:meth:`_ft_deliver`)."""
         if payload:
             return self._begin_service(gid, None, 0)
         runtime = self._runtimes[gid]
@@ -2416,40 +2366,10 @@ class StreamEngine:
         runtime.ft_rest = buffer
         self._hand_back(runtime, runtime.free_at)
 
-    def _ft_dequeue(self, runtime: _SubtaskRuntime, now: float) -> bool:
-        """Evented: consume the barriers and aligned-channel data at the
-        head of the queue, at zero cost; True if a servable tuple is
-        left there. Between a ``DONE`` and the end of its overhead a
-        node may fail, so, like a drain, this waits for the clock: asked
-        to dequeue at a ``free_at`` still to come, the subtask stays
-        busy and a ``BEGIN`` brings it back at that instant."""
-        if now > self._k.now:
-            runtime.busy = True
-            runtime.free_at = 0.0
-            self._push(now, _BEGIN, runtime.gid, None, 0)
-            return False
-        queue = runtime.queue
-        head = runtime.queue_head
-        while head < len(queue):
-            entry = queue[head]
-            if entry[0].__class__ is _Barrier:
-                runtime.queue_head = head = head + 1
-                self._ft_barrier_dequeued(runtime, entry[0], entry[1], now)
-            elif (
-                runtime.ft_ckpt is not None
-                and entry[1] in runtime.ft_aligned
-            ):
-                runtime.queue_head = head = head + 1
-                runtime.ft_buffer.append(entry)
-            else:
-                return True
-        return False
-
     def _ft_barrier_dequeued(self, runtime, barrier, chan, now) -> None:
-        """The subtask dequeues ``barrier`` from ``chan`` at ``now``: the
-        clock on the evented step, ahead of it on the computed one —
-        which first runs the ticks due by then (evented, they popped),
-        and whose caller releases the buffer."""
+        """The subtask dequeues ``barrier`` from ``chan`` at ``now``, the
+        clock or ahead of it: the ticks due by then run first, and the
+        caller releases the buffer."""
         while runtime.tick < now:
             self._fire(runtime)
         if runtime.ft_ckpt is None:
@@ -2495,14 +2415,8 @@ class StreamEngine:
                     source.ft_head -= cut
                 if self._obs is not None:
                     self._obs.on_checkpoint(self, completed)
-        # Release input buffered during alignment, ahead of the rest.
+        # The caller releases the buffer, ahead of the rest.
         runtime.ft_ckpt = None
-        if self._computed:
-            return
-        head = runtime.queue_head
-        runtime.queue[head:head] = runtime.ft_buffer
-        runtime.ft_aligned = None
-        runtime.ft_buffer = None
 
     def _ft_forward_barrier(
         self, runtime: _SubtaskRuntime, barrier: _Barrier, now: float
@@ -2604,15 +2518,13 @@ class StreamEngine:
                 # ledger, so replay would drop them as duplicates) and
                 # purge queued barriers of the dead epoch, or the next
                 # checkpoint's barriers pair against stale state and
-                # no checkpoint ever completes again. Computed, the
-                # buffer is served as a release serves it.
+                # no checkpoint ever completes again. The buffer is
+                # served as a release serves it.
                 queue = runtime.queue
                 head = runtime.queue_head
                 buffer = runtime.ft_buffer
-                if buffer and self._computed:
+                if buffer:
                     runtime.ft_rest = sorted(buffer, key=itemgetter(3))
-                elif buffer:
-                    queue[head:head] = buffer
                 tail = [
                     entry
                     for entry in queue[head:]
@@ -2625,21 +2537,20 @@ class StreamEngine:
                 if not runtime.busy:
                     self._begin_service(runtime.gid, None, 0)
                 continue
+            # The depths its purged queue reached, which a hand-back
+            # would have counted; data that its aligned channel diverted
+            # on arrival waited in no queue.
             starts = runtime.starts
-            if starts is not None:
-                # Computed: the depths its purged queue reached, which a
-                # hand-back would have counted; data that its aligned
-                # channel diverted on arrival waited in no queue.
-                aligned = runtime.ft_aligned or {}
-                ahead = 0
-                for item, chan, at in runtime.queue[runtime.queue_head :]:
-                    if item.__class__ is _Barrier:
-                        ahead += 1
-                    elif aligned.get(chan, math.inf) > at:
-                        ahead += 1
-                        depth = ahead + len(starts) - bisect_right(starts, at)
-                        runtime.queue_peak = max(runtime.queue_peak, depth)
-                starts.clear()
+            aligned = runtime.ft_aligned or {}
+            ahead = 0
+            for item, chan, at in runtime.queue[runtime.queue_head :]:
+                if item.__class__ is _Barrier:
+                    ahead += 1
+                elif aligned.get(chan, math.inf) > at:
+                    ahead += 1
+                    depth = ahead + len(starts) - bisect_right(starts, at)
+                    runtime.queue_peak = max(runtime.queue_peak, depth)
+            starts.clear()
             runtime.busy = True  # paused until the recovery completes
             # Whatever it was starting, or had computed ahead, is purged.
             runtime.free_at = 0.0

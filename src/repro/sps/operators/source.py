@@ -9,11 +9,11 @@ micro-batch. A source is defined by a columnar generator ``(rng, n) ->
 ``(rng, event_time) -> StreamTuple``; never by both.
 
 A row generator is called in its subtask's arrival order, with each
-arrival's instant. Both engine steps (``StreamEngine.step``) draw a
-subtask's arrival instants a :data:`SOURCE_CHUNK` block ahead; the
-evented step still calls ``generate`` at the clock, one arrival per
-event, but a computed run calls it up to a block ahead of the clock, a
-block per subtask at a time. State a generator shares *between* source
+arrival's instant. The engine draws a subtask's arrival instants a
+:data:`SOURCE_CHUNK` block ahead; a run whose horizon is pinned
+(``StreamEngine.step`` "evented") calls ``generate`` at the clock, one
+arrival per event, but any other calls it up to a block ahead of the
+clock, a block per subtask at a time. State a generator shares *between* source
 subtasks (one without ``per_subtask()``) is therefore not visited in
 simulated-time order there; state of one subtask is.
 """

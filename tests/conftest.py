@@ -48,8 +48,10 @@ def _evented_step_of(features):
 
 
 def evented(engine):
-    """``engine``, set to run the evented step: the clock-ordered
-    reference the computed step is tested against (DESIGN.md §14).
+    """``engine``, set to run with its horizon pinned at ``-inf``
+    (``step == "evented"``): every hop completes as an event, in clock
+    order — the reference the computed run is tested against (DESIGN.md
+    §14, "One step").
 
     No knob of the product picks a step; this patches
     ``repro.sps.engine.step_of`` for the length of ``engine.run()``.

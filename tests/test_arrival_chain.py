@@ -3,9 +3,9 @@
 A source's timeline depends on nothing but its own ``…/arrivals``
 stream and on what holds the source back. The engine draws the chain as
 *instants*, a ``SOURCE_CHUNK`` block at a time
-(``StreamEngine._arrival_block``), and both scalar steps read the blocks
-through ``_arrive``: the computed step a block per ``ARRIVAL`` event,
-the evented step one instant per event; the batch executor reads whole
+(``StreamEngine._arrival_block``), and the scalar step reads the blocks
+through ``_arrive``: a block per ``ARRIVAL`` event, or with its horizon
+pinned one instant per event; the batch executor reads whole
 ``_GAP_BLOCK`` blocks through the same method. Backpressure holds a
 source, and the rest of its block is re-chained from the instant the
 held tuple is emitted; a failed source drops what it generates during
@@ -47,6 +47,7 @@ instead of re-chaining them fails the four throttled cases of (7).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from bisect import bisect_left
 from unittest import mock
@@ -536,6 +537,43 @@ def test_a_throttled_source_resumes_its_chain_where_it_emits(
     held, throttled = held_by(observer.flow, max_sim_time)
     assert sunk(engine) == by_source(engine, per_call_arrivals(engine, held))
     assert metrics.extras["throttled_arrivals"] == throttled[0] > 0
+
+
+#: ``(transitions, engagements, sha256(repr(flow))[:16])`` of the
+#: ``(now, gid, engaged)`` sequence a ``FlowLog`` sees on the
+#: ``WC-throttled`` shape of ``tests/test_engine_counts.py``, recorded
+#: on the clock-ordered step before a backpressured run became the
+#: computed step with its horizon pinned: each engagement at the
+#: enqueue instant its depth reached the limit, each release at the
+#: dequeue instant that left half of it (or at an idle server).
+THROTTLED_FLOW = (816, 408, "c62e47a377dc2cea")
+
+
+def test_backpressure_engages_and_releases_where_it_did():
+    """Results and ``throttled_arrivals`` would not notice a release
+    that moved off its dequeue instant by less than a retry; the flow
+    does."""
+    cluster = homogeneous_cluster("m510", 4)
+    runner = BenchmarkRunner(cluster, RunnerConfig(dilation=25.0))
+    observer = FlowLog()
+    engine = StreamEngine(
+        runner.prepare_app("WC", 4).plan,
+        cluster,
+        config=SimulationConfig(
+            max_tuples_per_source=1500,
+            max_sim_time=8.0,
+            backpressure_queue_limit=4,
+        ),
+        rng_factory=RngFactory(17),
+        observer=observer,
+    )
+    metrics = engine.run()
+    flow = observer.flow
+    digest = hashlib.sha256(repr(flow).encode()).hexdigest()[:16]
+    engaged = sum(entry[2] for entry in flow)
+    assert (len(flow), engaged, digest) == THROTTLED_FLOW
+    assert engine.step == "evented"
+    assert metrics.extras["throttled_arrivals"] == 112
 
 
 @pytest.mark.parametrize("node", [0, 1])

@@ -9,10 +9,11 @@ with 256-row micro-batches. The checkpointed ``hotpath`` is pinned by
 ``tests/test_ft_step.py::GOLDEN``.
 
 The rows named in ``FEATURED`` add one feature each: backpressure that
-throttles the sources, which keeps the run on the evented step; an
-observer, whose sampling deadlines, a node failure that drops source
-tuples, and the exp5 plan checkpointed through a failure, its sources
-replaying their logs — control instants of the computed step. Each
+throttles the sources, which pins the step's horizon (``"evented"``:
+every hop an event); an observer, whose sampling deadlines, a node
+failure that drops source tuples, and the exp5 plan checkpointed
+through a failure, its sources replaying their logs — control instants
+that bound the computed step. Each
 asserts that what it is there for happened.
 
 An event count depends on the step as well as on the simulation (a

@@ -4,8 +4,8 @@ A checkpointed run executes the engine's plain step: the computed
 step, whose barriers are decided when they are delivered, as of their
 dequeue instant, and whose node failures, recoveries and replays act at
 control instants; as its reference (``tests.conftest.evented``), the
-evented enqueue → serve → route step, where barriers are a queue-item
-kind. Deliveries carry a
+same step with its horizon pinned, where a barrier whose dequeue lies
+ahead of the clock waits at the head of its queue for a ``BEGIN``. Deliveries carry a
 dense channel id where a plain run carries the port. None of that may
 move a simulated number. Pinned here:
 

@@ -1,10 +1,10 @@
 """An observed run is the run the benchmarks measure (DESIGN.md §8).
 
 An observer no longer picks the step: an observed run computes unless a
-feature in ``capabilities.EVENTED`` says otherwise, and each sampling
-deadline is a control instant. The evented step (``tests.conftest
-.evented``) stays the reference, so every case here runs observed on
-both steps and asks that they agree:
+feature in ``capabilities.EVENTED`` pins its horizon, and each sampling
+deadline is a control instant. The pinned run (``tests.conftest
+.evented``) stays the reference, so every case here runs observed both
+ways and asks that they agree:
 
 - the metrics, less ``events_processed`` and ``step``: equal;
 - sample rows, per-operator summaries, counters, gauges, and histogram
@@ -15,8 +15,8 @@ both steps and asks that they agree:
 - trace events: equal as a multiset, span ids aside (a span's parent
   is compared by name).
 
-One designed difference is pinned at the end: an aligning checkpointed
-server whose next service starts past a deadline.
+The last case is an aligning checkpointed server whose next service
+starts past a deadline: its rows agree too.
 """
 
 from __future__ import annotations
@@ -181,23 +181,16 @@ def test_a_sample_pops_one_event_per_stamp(app):
 
 
 def test_an_aligning_server_starts_a_late_service_where_it_arrived():
-    """The designed difference. Aligning, the evented step dequeues the
-    next tuple only when the clock reaches the end of the last service's
-    overhead (a node may fail before it, DESIGN.md §13), while the
-    computed step started it at arrival. Where that start lies past a
-    deadline, the computed row counts the tuple in service — one fewer
-    queued, its service in ``busy_s``; every other number agrees."""
+    """An aligning server hands its queue back at a ``DONE``: the next
+    tuple starts at the end of the last service's overhead, and the
+    computed step started it at arrival. Pinned or not, it left the
+    queue then, so a deadline inside that overhead counts it in service
+    on both — every row agrees. (The clock-ordered step this replaced
+    dequeued it only when the clock reached that instant, and its rows
+    there counted one more queued and less ``busy_s``.)"""
     config = dict(checkpoint_interval=0.05, **EXACTLY_ONCE)
     _, got, metrics, _ = observed("BI", 0.002, **config)
     _, want, reference, _ = observed("BI", 0.002, True, **config)
     assert metrics == reference
-    rows = list(zip(got.registry.series, want.registry.series))
-    assert len(rows) == len(want.registry.series)
-    late = [(mine, theirs) for mine, theirs in rows if mine != theirs]
-    assert late
-    for mine, theirs in late:
-        assert mine["op"] == "quote_join"
-        assert mine["busy_s"] > theirs["busy_s"]
-        assert mine["queue_depth"] == theirs["queue_depth"] - 1
-        same = dict(busy_s=0, queue_depth=0)
-        assert dict(mine, **same) == dict(theirs, **same)
+    assert len(want.registry.series) > 100
+    assert got.registry.series == want.registry.series

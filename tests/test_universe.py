@@ -1,10 +1,11 @@
 """One universe, drawn in blocks (DESIGN.md §14).
 
 Every execution mode reads the same per-subtask ``…/arrivals`` and
-``…/noise`` streams, in blocks, and the evented step starts a service
-straight from the ``DONE`` that paid sender overhead instead of through
-a ``BEGIN`` event (the computed step of a plain run has neither event;
-``tests/test_computed_step.py`` holds the two steps equal). Pinned here:
+``…/noise`` streams, in blocks, and a straddler's ``DONE`` that paid
+sender overhead hands its queue back from the overhead's end instead of
+through a ``BEGIN`` event (a plain run has neither event;
+``tests/test_computed_step.py`` holds it equal to the pinned horizon).
+Pinned here:
 
 - block ≡ call: whatever the noise block lengths, a subtask sees the
   gaps and noise factors per-call ``exponential(mean)`` /
@@ -14,6 +15,9 @@ a ``BEGIN`` event (the computed step of a plain run has neither event;
 - a timing oracle written by hand — the Lindley recursion ``start_i =
   max(arrive_i, done_{i-1} + o)`` — for the ``BEGIN``-free step, and a
   stall and a rescale drain landing inside a ``free_at`` window;
+- that recursion over a forward + hash DAG of noisy stateless subtasks
+  on two nodes, from the logged arrivals and the noise streams, held
+  per tuple on the plain, control-instant and pinned horizons;
 - rescale generations and recovery incarnations get streams of their
   own.
 """
@@ -38,7 +42,7 @@ from repro.core.experiments.exp5 import ft_workload_plan
 from repro.core.runner import BenchmarkRunner, RunnerConfig
 from repro.obs import EngineObserver
 from repro.sps import builders
-from repro.sps.costs import OperatorCost
+from repro.sps.costs import COORD_LOG_COST_S, SERDE_COST_S, OperatorCost
 from repro.sps.engine import (
     RescaleEvent,
     SimulationConfig,
@@ -49,7 +53,7 @@ from repro.sps.logical import LogicalPlan
 from repro.sps.operators.base import OperatorLogic
 from repro.sps.operators.sink import SinkLogic
 from repro.sps.operators.source import SOURCE_CHUNK
-from repro.sps.partitioning import HashPartitioner
+from repro.sps.partitioning import ForwardPartitioner, HashPartitioner
 from repro.sps.tuples import StreamTuple
 from repro.sps.types import DataType, Field, Schema
 from tests.conftest import evented, kv_generator, sender_overhead
@@ -235,9 +239,9 @@ def golden_runs(shards):
 def test_unsharded_single_shard_and_forked_shards_agree():
     """On ``SHARD_GOLDEN``'s 2 ms cluster. Two residual differences: a
     sharded run flushes end-of-stream windows at the epoch boundary,
-    not at the last event, which only WC's latencies can see; and it
-    executes the evented step where the plain run computes its
-    completions, so event counts are compared between shard counts."""
+    not at the last event, which only WC's latencies can see; and its
+    horizon is pinned where the plain run computes its completions
+    ahead, so event counts are compared between shard counts."""
     plain, one, two = golden_runs(None), golden_runs(1), golden_runs(2)
     assert one == two
     for abbrev in ("SG", "AD"):
@@ -434,6 +438,211 @@ def test_serve_spans_of_a_subtask_never_overlap():
             assert start + service <= nxt
 
 
+# ----------------------------------------------- timing oracle on a DAG
+
+
+class Relay(OperatorLogic):
+    """Stateless pass-through."""
+
+    def process(self, tup, now, port=0):
+        return [tup]
+
+
+class Sieve(OperatorLogic):
+    """Stateless filter: passes even keys only."""
+
+    def process(self, tup, now, port=0):
+        return [tup] if tup.values[0] % 2 == 0 else []
+
+
+#: the DAG's stateless operators and what each emits for a tuple
+LOGICS = {"relay": Relay, "sieve": Sieve}
+
+
+def dag_engine(observer=None, **config):
+    """Two sources → hash and forward → relay, which fans out forward to
+    a sieve and by hash to the sink, and the sieve by hash to the sink:
+    single-server stateless subtasks, noisy service everywhere, on two
+    nodes, so channels cross the network."""
+    plan = LogicalPlan("dag")
+    for name, rate, parallelism in (("left", 9000.0, 2), ("right", 6000.0, 3)):
+        plan.add_operator(
+            builders.source(
+                name, kv_generator(40), SCHEMA, rate, parallelism=parallelism
+            )
+        )
+        plan.operator(name).cost = OperatorCost(2e-5, cost_noise=0.4)
+    for name, cpu in (("relay", 9e-5), ("sieve", 6e-5)):
+        plan.add_operator(
+            builders.udo(
+                name,
+                LOGICS[name],
+                parallelism=3,
+                cost=OperatorCost(cpu, cost_noise=0.5),
+                output_schema=SCHEMA,
+            )
+        )
+    plan.add_operator(builders.sink("sink", parallelism=2))
+    plan.operator("sink").cost = OperatorCost(3e-5, cost_noise=0.3)
+    plan.connect("left", "relay", HashPartitioner(key_field=0))
+    plan.connect("right", "relay", ForwardPartitioner())
+    plan.connect("relay", "sieve", ForwardPartitioner())
+    plan.connect("relay", "sink", HashPartitioner(key_field=0))
+    plan.connect("sieve", "sink", HashPartitioner(key_field=0))
+    return StreamEngine(
+        plan,
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(
+            max_tuples_per_source=600, warmup_fraction=0.0, **config
+        ),
+        rng_factory=RngFactory(19),
+        observer=observer,
+    )
+
+
+def record_births(engine):
+    """Per-source ``(instant, tuple)`` of every generated tuple."""
+    log = {}
+    for rt in engine._runtimes:
+        if rt.is_source:
+            born = log[rt.gid] = []
+
+            def generate(now, inner=rt.logic.generate, born=born):
+                tup = inner(now)
+                born.append((now, tup))
+                return tup
+
+            rt.logic.generate = generate
+    return log
+
+
+def dag_oracle(engine, births):
+    """The DAG by hand, from DESIGN.md §14's definition of a hop.
+
+    Each subtask is a FIFO single server fed, in ``(instant, producer
+    gid, emission)`` order, by its sources' logged arrivals or its
+    producers' deliveries: ``start = max(now, free_at)``, ``service =
+    base_service · work · noise`` with the subtask's own ``…/noise``
+    stream drawn per served tuple, ``done = start + service``. Each
+    output crosses the producer's channel groups in plan order, each
+    group's serde (``SERDE_COST_S + COORD_LOG_COST_S · log2(channels)``
+    per output on a shuffle, none on forward) paid before any of its
+    tuples depart: a delivery of group *g* arrives ``done + (latency +
+    size / bandwidth) + overhead of groups 1..g``, latency and bandwidth
+    those of the node pair (none on one node). The server is free at
+    ``done`` plus all of it. Returns per-gid ``(wait, busy, served)``
+    and, per sink gid, ``(latencies, arrival times)``."""
+    plan = engine.logical
+    network = engine.cluster.network
+    subtasks = engine.physical.op_subtasks
+    inbox = {gid: [] for gid in range(len(engine._runtimes))}
+    for gid, born in births.items():
+        inbox[gid] = [(at, -1, i, tup) for i, (at, tup) in enumerate(born)]
+    counters, sinks = {}, {}
+    for op_id in plan.topological_order():
+        op = plan.operator(op_id)
+        cv = op.cost.cost_noise
+        sigma = math.sqrt(math.log(1.0 + cv * cv))
+        edges = plan.out_edges(op_id)
+        for gid in subtasks[op_id]:
+            rt = engine._runtimes[gid]
+            noise = engine._rngs.fresh("engine", op_id, str(rt.index), "noise")
+            free = wait = busy = 0.0
+            sent = 0
+            latencies, arrivals = [], []
+            for now, _, _, tup in sorted(inbox[gid], key=lambda a: a[:3]):
+                start = max(now, free)
+                wait += start - now
+                service = rt.base_service * 1.0
+                service *= noise.lognormal(-0.5 * sigma * sigma, sigma)
+                busy += service
+                done = free = start + service
+                if op_id == "sink":
+                    latencies.append(done - tup.origin_time)
+                    arrivals.append(done)
+                    continue
+                outputs = [tup]
+                if op_id in LOGICS:
+                    outputs = LOGICS[op_id]().process(tup, done)
+                if not outputs:
+                    continue
+                offset = 0.0
+                for edge in edges:
+                    consumers = subtasks[edge.dst]
+                    hashed = isinstance(edge.partitioner, HashPartitioner)
+                    assert hashed or isinstance(
+                        edge.partitioner, ForwardPartitioner
+                    )
+                    if hashed:
+                        offset += SERDE_COST_S + COORD_LOG_COST_S * math.log2(
+                            max(len(consumers), 2)
+                        )
+                    for out in outputs:
+                        index = rt.index
+                        if hashed:
+                            index = edge.partitioner.channel(
+                                out, len(consumers)
+                            )
+                        dst = consumers[index]
+                        pair = (rt.node_id, engine._runtimes[dst].node_id)
+                        latency, bandwidth = 0.0, math.inf
+                        if pair[0] != pair[1]:
+                            latency = network.spec.base_latency_s
+                            bandwidth = network.link_bandwidth(*pair)
+                        at = done + (latency + out.size_bytes / bandwidth)
+                        sent += 1
+                        inbox[dst].append((at + offset, gid, sent, out))
+                busy += offset
+                free = done + offset
+            counters[gid] = (wait, busy, len(inbox[gid]))
+            if op_id == "sink":
+                sinks[gid] = (latencies, arrivals)
+    return counters, sinks
+
+
+HORIZONS = {
+    "computed": dict(),
+    "control-instants": dict(scenario="spike:at=0.02,factor=2,duration=0.02"),
+    "sampled": dict(sample_interval=1e-3),
+    "pinned": dict(),
+}
+
+
+@pytest.mark.parametrize("horizon", HORIZONS)
+def test_the_dag_oracle_holds_on_every_horizon(horizon):
+    """Per tuple at the sinks and per subtask, bit for bit: the plain
+    run (no horizon, sinks settled), a run bounded by control instants
+    (a spike's start and end, or an observer's sampling deadlines) and
+    the pinned run, whose every hop straddles."""
+    config = dict(HORIZONS[horizon])
+    interval = config.pop("sample_interval", None)
+    observer = interval and EngineObserver(sample_interval=interval)
+    engine = dag_engine(observer, **config)
+    if horizon == "pinned":
+        evented(engine)
+    births = record_births(engine)
+    metrics = engine.run()
+    assert engine.step == ("evented" if horizon == "pinned" else "computed")
+    counters, sinks = dag_oracle(engine, births)
+    for rt in engine._runtimes:
+        got = (rt.wait_time, rt.busy_time, rt.served)
+        assert got == counters[rt.gid], (rt.op_id, rt.index)
+        if rt.is_sink:
+            latencies, arrivals = sinks[rt.gid]
+            assert rt.logic.latencies == latencies
+            assert rt.logic.arrival_times == arrivals
+    # The oracle was exercised: queues formed, channels crossed nodes,
+    # and the sieve dropped tuples.
+    assert sum(rt.wait_time > 0 for rt in engine._runtimes) > 5
+    assert len({rt.node_id for rt in engine._runtimes}) == 2
+    served = {op: 0 for op in engine.physical.op_subtasks}
+    for rt in engine._runtimes:
+        served[rt.op_id] += rt.served
+    assert served["left"] + served["right"] == 1200
+    assert served["sink"] < served["relay"] + served["sieve"]
+    assert metrics.results == served["sink"]
+
+
 # ------------------------------------------- generations and incarnations
 
 
@@ -490,7 +699,8 @@ def test_recovery_incarnations_draw_from_their_own_streams():
     for rt in restarted:
         assert rt.ft_incarnation == 1 and not rt.is_source
         label = f"{rt.op_id}[{rt.index}]@r1"
-        assert label in ledger
+        # A logic stream is in the ledger iff the incarnation opened it.
+        assert (label in ledger) == ("rng" in vars(rt.logic.ctx))
         if rt.noise_rng is not None:
             assert label + "/noise" in ledger
         first = engine._rngs.fresh(
@@ -633,6 +843,31 @@ def test_a_udo_draws_the_stream_of_its_subtask_name():
         stream = RngFactory(17).fresh("engine", "udo", str(rt.index))
         assert rt.logic.draws == [stream.random() for _ in rt.logic.draws]
         assert rt.logic.ctx.rng is rt.logic.ctx.rng
+
+
+@pytest.mark.parametrize("shards", [None, 1])
+def test_a_ledger_read_opens_no_stream(simple_plan, shards):
+    """``stream_ledger`` fingerprints what a run drew from; reading a
+    never-drawn logic stream's ``ctx.rng`` would open it. A sharded run
+    reads the ledger in each shard's stats, into ``_shard_ledger``."""
+    rngs = NamedStreams(11)
+    engine = StreamEngine(
+        simple_plan,
+        homogeneous_cluster(num_nodes=2),
+        config=SimulationConfig(max_tuples_per_source=400, shards=shards),
+        rng_factory=rngs,
+    )
+    engine.shard_force_inline = True
+    engine.run()
+    opened = list(rngs.opened)
+    ledger = stream_ledger(engine._runtimes)
+    assert rngs.opened == opened
+    if shards is not None:
+        assert engine._shard_ledger == ledger
+    logic = {label for label in ledger if "/" not in label}
+    assert logic == {"src[0]", "src[1]"}  # only the sources draw
+    assert len(ledger) == 2 + 2 + 7  # their logic, arrivals, all noise
+    assert len(opened) == len(ledger)
 
 
 # ------------------------------------------------------- engine lifetime
