@@ -1,16 +1,11 @@
-"""Event-time windows and backpressure — production streaming semantics.
+"""Event-time windows with watermarks — production streaming semantics.
 
-Two facilities real deployments rely on, both available in the simulated
-SUT:
+Results are computed over source timestamps, tolerating the reorder
+introduced by queueing and the network. The example measures how the
+watermark bound trades completeness (late drops) against result
+latency.
 
-1. **Event-time windows with watermarks**: results are computed over
-   source timestamps, tolerating the reorder introduced by queueing and
-   the network. The example measures how the watermark bound trades
-   completeness (late drops) against result latency.
-2. **Backpressure**: bounded input queues throttle the sources under
-   overload, converting unbounded latency growth into reduced throughput.
-
-Run:  python examples/event_time_and_backpressure.py
+Run:  python examples/event_time.py
 """
 
 from repro import SimulationConfig, StreamEngine, homogeneous_cluster
@@ -37,7 +32,7 @@ def source(rate: float):
 
 
 def event_time_demo() -> None:
-    print("1. Event-time windows: watermark bound vs late drops\n")
+    print("Event-time windows: watermark bound vs late drops\n")
     rows = []
     for bound_ms in (1.0, 5.0, 25.0):
         plan = LogicalPlan("event-time-demo")
@@ -94,52 +89,5 @@ def event_time_demo() -> None:
     )
 
 
-def backpressure_demo() -> None:
-    print("\n2. Backpressure: bounded queues under overload\n")
-    rows = []
-    for limit in (None, 128, 32):
-        plan = LogicalPlan("backpressure-demo")
-        plan.add_operator(source(20_000.0))
-        plan.add_operator(
-            builders.udo(
-                "slow",
-                lambda: FunctionUDO(lambda state, t, now: [t]),
-                cost_scale=10.0,  # far under the offered rate
-            )
-        )
-        plan.add_operator(builders.sink("sink"))
-        plan.connect("src", "slow")
-        plan.connect("slow", "sink")
-        engine = StreamEngine(
-            plan,
-            homogeneous_cluster(num_nodes=2),
-            config=SimulationConfig(
-                max_tuples_per_source=6000,
-                max_sim_time=2.0,
-                backpressure_queue_limit=limit,
-            ),
-            rng_factory=RngFactory(12),
-        )
-        metrics = engine.run()
-        rows.append(
-            [
-                "off" if limit is None else limit,
-                metrics.median_latency_ms,
-                metrics.operator_queue_peak["slow"],
-                metrics.source_events,
-                metrics.extras["throttled_arrivals"],
-            ]
-        )
-    print(
-        render_table(
-            ["queue limit", "median latency (ms)", "peak queue",
-             "tuples emitted", "throttled arrivals"],
-            rows,
-            title="overload: unbounded latency vs throttled sources",
-        )
-    )
-
-
 if __name__ == "__main__":
     event_time_demo()
-    backpressure_demo()

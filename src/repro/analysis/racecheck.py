@@ -65,7 +65,8 @@ def _reachable_generators(logic) -> list:
     Looks at the bound :class:`~repro.sps.operators.base.OperatorContext`,
     instance attributes, chained members (``logic.logics``) and one level
     of closure cells of callable attributes — the places application code
-    realistically stashes a generator.
+    realistically stashes a generator; the context's stream only if open:
+    ``ctx.rng`` would open it, and an unopened stream is not shared.
     """
     import numpy as np
 
@@ -81,7 +82,7 @@ def _reachable_generators(logic) -> list:
             return
         ctx = getattr(obj, "ctx", None)
         if ctx is not None:
-            visit(getattr(ctx, "rng", None))
+            visit(getattr(ctx, "__dict__", {}).get("rng"))
         for value in vars(obj).values() if hasattr(obj, "__dict__") else ():
             if isinstance(value, np.random.Generator):
                 visit(value)

@@ -4,8 +4,7 @@
 It owns per-subtask counter arrays the hot-path hooks bump directly,
 samples them into per-operator time series on the simulated clock, and
 emits span/instant trace events for the structural moments of a run
-(operator lifetime, tuple service, window fires, join batches, stalls,
-backpressure transitions).
+(operator lifetime, tuple service, window fires, join batches, stalls).
 
 **Zero-perturbation invariant.** The observer only *reads* the
 simulation: it never draws from any RNG and never mutates engine state.
@@ -349,20 +348,6 @@ class EngineObserver:
                 pause_s,
                 parent_id=self._run_span,
                 replayed=replayed,
-            )
-
-    def on_backpressure(self, runtime, now: float, engaged: bool) -> None:
-        """A subtask engaged (True) or released (False) flow control."""
-        name = "backpressure.engage" if engaged else "backpressure.release"
-        self.registry.inc(name, runtime.op_id)
-        if self.tracer is not None:
-            self.tracer.instant(
-                name,
-                "flow",
-                now,
-                parent_id=self._op_spans[runtime.gid],
-                pid=runtime.node_id,
-                tid=runtime.gid,
             )
 
     # ------------------------------------------------------------ readers

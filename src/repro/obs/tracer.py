@@ -11,9 +11,7 @@ span tree. Event kinds emitted by the engine observer:
 - ``serve`` — one complete span per served tuple (service time);
 - ``stall`` — one complete span per injected stall;
 - ``window.fire`` — instant: a window operator's timer emitted results;
-- ``join.match`` — instant: a join emitted a batch of matches;
-- ``backpressure`` — instant: a subtask engaged or released flow
-  control.
+- ``join.match`` — instant: a join emitted a batch of matches.
 
 Timestamps are **simulated seconds**. Events append in simulation
 order and carry no wall-clock state, so traces of the same seeded run

@@ -37,8 +37,8 @@ in ``DESIGN.md``: service noise is drawn per batch from one stream
 (later fires surface through the end-of-stream flush),
 queue-depth/wait metrics are batch-granular estimates, throughput is
 measured over the full simulated span (batch-granular sink arrivals can
-collapse the scalar first-arrival-to-end window), and backpressure and
-stall injection are not modelled (rejected at configuration time).
+collapse the scalar first-arrival-to-end window), and stall injection
+is not modelled (rejected at configuration time).
 With ``batch_size=1``, zero cost noise and forward exchanges the two
 engines produce bit-identical sink samples (``tests/test_batch_engine``).
 """
@@ -142,7 +142,6 @@ class ColumnarExecutor:
         kernel.now = 0.0
         eng._flush_time = None
         eng._last_source_time = 0.0
-        eng._throttled_arrivals = 0
         self._obs = eng._obs
         self._events = 0
         self._final_now = 0.0

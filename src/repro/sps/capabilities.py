@@ -7,10 +7,10 @@ one row per unsupported pair. A reason is one sentence about simulated
 semantics, or says ``not implemented: …`` where only a seam in the code
 stands in the way — those rows are the ones to lift (ROADMAP).
 :data:`EVENTED` holds the features whose runs pin the step's horizon at
-``-inf`` (§14), each a knob: every hop completes as an event, in clock
-order, and such a run's step reads ``"evented"``. Deleting a row lets
-that feature's runs compute ahead up to the next control instant, as
-stalls, node failures and an observer's sampling deadlines do.
+``-inf`` (§14) — sharding alone: every hop completes as an event, in
+clock order, and such a run's step reads ``"evented"``. Deleting a row
+lets that feature's runs compute ahead up to the next control instant,
+as stalls, node failures and an observer's sampling deadlines do.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ KNOBS = {
     "batch": "batch_size",
     "shards": "shards",
     "checkpoint": "checkpoint_interval",
-    "backpressure": "backpressure_queue_limit",
     "stalls": "stall injection (stalls)",
     "rescale": "rescaling (rescales/autoscale)",
     "scenario": "a chaos scenario",
@@ -35,15 +34,12 @@ KNOBS = {
 # fmt: off
 EXCLUDES = (
     ("batch", "stalls", "not implemented: the batch timing plane serves whole micro-batches and cannot hold a server for an interval"),
-    ("batch", "backpressure", "the columnar executor runs stage at a time, so every source is exhausted before any downstream queue exists to throttle it"),
     ("batch", "rescale", "the columnar executor runs stage at a time, so an operator meets its whole input at once and there is no mid-run instant to drain and migrate it at"),
     ("batch", "scenario", "the columnar executor runs stage at a time, so there is no clock instant at which an injection could act on every stage"),
     ("checkpoint", "batch", "not implemented: barriers are per-tuple queue items and the columnar executor keeps no per-tuple queue"),
     ("checkpoint", "rescale", "not implemented: a snapshot belongs to a subtask gid, and recovery cannot restore it across a rescale generation"),
-    ("checkpoint", "backpressure", "not implemented: the congestion depth does not count alignment buffers, and a recovery purge does not release throttled sources"),
     ("checkpoint", "chaining", "not implemented: ChainedLogic neither snapshots nor restores its members' state"),
     ("shards", "batch", "not implemented: the epoch protocol drives the scalar step, and the columnar executor is one process"),
-    ("shards", "backpressure", "congestion must reach every source at the instant it engages, and shards exchange state only at epoch boundaries"),
     ("shards", "rescale", "a drain barrier and an autoscaler tick read and rewire every subtask at one instant, and shards exchange state only at epoch boundaries"),
     ("shards", "scenario", "not implemented: control-plane events live on one kernel, and a sharded run has one per shard"),
     ("shards", "checkpoint", "not implemented: barrier acknowledgements and FIFO clocks need a global channel view that no shard holds"),
@@ -55,7 +51,6 @@ EXCLUDES = (
 
 EVENTED = {
     "shards": "the epoch sequence is defined over pending event times, DONEs included",
-    "backpressure": "congestion is released by a depth at dequeue and read by sources as the clock passes",
 }
 # fmt: on
 
@@ -73,7 +68,6 @@ def features_of(config, observer=None, sanitize=False, chains=()) -> frozenset:
         "batch": config.batch_size is not None,
         "shards": config.shards is not None,
         "checkpoint": config.checkpoint_interval is not None,
-        "backpressure": config.backpressure_queue_limit is not None,
         "stalls": config.stalls,
         "rescale": config.rescales or config.autoscale,
         "scenario": scenario,

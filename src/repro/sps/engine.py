@@ -43,14 +43,14 @@ straddles: its ``DONE`` is an event, what reaches the busy server
 queues, and that ``DONE`` hands the queue back. A checkpoint barrier is
 decided at its ``DELIVER``, and with neither checkpoints nor control
 instants a sink's deliveries are logged and settled a batch at a time
-(``_settle``). A backpressured or sharded run — whatever decides
-between two of its events, congestion or an epoch boundary, reads the
-clock — pins the horizon at ``-inf`` (``StreamEngine.step ==
-"evented"``): every hop straddles and a source emits one arrival per
-event. Sources read their arrivals, instants drawn a block ahead
-(``_arrival_block``), through ``_arrive``. No simulated result moves:
-every floating-point expression keeps the operand order of the
-straightforward implementation (``tests/test_golden_determinism.py``).
+(``_settle``). A sharded run — whose epoch boundaries are decided
+over pending event times — pins the horizon at ``-inf``
+(``StreamEngine.step == "evented"``): every hop straddles and a source
+emits one arrival per event. Sources read their arrivals, instants
+drawn a block ahead (``_arrival_block``), through ``_arrive``. No
+simulated result moves: every floating-point expression keeps the
+operand order of the straightforward implementation
+(``tests/test_golden_determinism.py``).
 
 **Observability.** An :class:`repro.obs.EngineObserver` only *reads*
 the simulation, and its sampling deadlines are control instants
@@ -237,13 +237,8 @@ class SimulationConfig:
     rates). ``warmup_fraction`` of the earliest sink samples is discarded,
     as the paper's measurements skip ramp-up.
 
-    ``backpressure_queue_limit`` enables credit-style flow control: once
-    any subtask's input queue exceeds the limit, sources pause until the
-    congested queue drains below half the limit (hysteresis), as Flink's
-    bounded network buffers throttle sources. With backpressure, latency
-    is bounded and overload shows up as reduced source throughput
-    instead; without it (None, the default), queues grow unboundedly and
-    overload shows up as growing latency.
+    Input queues are unbounded, as in the paper's experiments: overload
+    shows up as growing latency.
 
     ``batch_size`` switches the run to the columnar micro-batch executor
     (:mod:`repro.sps.batch`): operators consume fixed-size tuple batches
@@ -277,7 +272,6 @@ class SimulationConfig:
     #: tuple-hop, settled or popped, and one per straddler's ``DONE`` —
     #: on a pinned run (``StreamEngine.step`` "evented") every hop's
     max_events: int = 30_000_000
-    backpressure_queue_limit: int | None = None
     stalls: tuple[StallInjection, ...] = ()
     batch_size: int | None = None
     #: planned mid-run reconfigurations (DESIGN.md §12)
@@ -320,14 +314,9 @@ class SimulationConfig:
             )
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError("warmup_fraction must be in [0, 1)")
-        counts = (
-            ("backpressure_queue_limit", 2),
-            ("batch_size", 1),
-            ("shards", 1),
-        )
-        for name, minimum in counts:
+        for name in ("batch_size", "shards"):
             if getattr(self, name) is not None:
-                check_count(name, getattr(self, name), minimum)
+                check_count(name, getattr(self, name))
         names = ("autoscale_interval", "slo_latency", "checkpoint_interval")
         for name in names:
             if getattr(self, name) is not None:
@@ -442,8 +431,7 @@ class _SubtaskRuntime:
     starts: deque = field(default_factory=deque)
     tick: float = math.inf
     #: a source's current arrival block: its unit gaps, and the
-    #: engine's ``_pacing`` its instants were computed under (-1: to be
-    #: re-chained from the next arrival, a throttled one's retry)
+    #: engine's ``_pacing`` its instants were computed under
     units: object = None
     paced: int = 0
 
@@ -482,6 +470,12 @@ def _static_work(logic) -> float | None:
 
 class StreamEngine:
     """Runs one physical plan on one cluster and returns metrics."""
+
+    #: a DONE that paid sender overhead starts the next service itself
+    #: instead of pushing a BEGIN. No run of the product unfuses it:
+    #: ``tests/test_ft_step.BeginEvents`` sets it False for its
+    #: reference, in which that overhead always ends in a ``BEGIN``.
+    _fused = True
 
     def __init__(
         self,
@@ -846,13 +840,6 @@ class StreamEngine:
         self._flush_rounds = 0
         self._flush_time: float | None = None
         self._last_source_time = 0.0
-        self._congested: set[int] = set()
-        self._throttled_arrivals = 0
-        self._bp_limit = config.backpressure_queue_limit
-        #: a DONE that paid sender overhead starts the next service
-        #: itself instead of pushing a BEGIN. Backpressure keeps the
-        #: event: its hysteresis release is defined at dequeue time.
-        self._fused = self._bp_limit is None
         #: checkpointed runs only (``_ft_init``): per-channel FIFO clocks
         #: and the channel -> port map, both indexed by channel id
         self._ft_clocks = self._ft_ports = None
@@ -941,8 +928,6 @@ class StreamEngine:
         if self._ft:
             handlers[_DELIVER] = self._ft_deliver
             handlers[_BEGIN] = self._ft_release
-        elif self.config.backpressure_queue_limit is not None:
-            handlers[_DELIVER] = self._bp_deliver
         return handlers
 
     def _on_idle(self) -> bool:
@@ -1057,16 +1042,14 @@ class StreamEngine:
 
     def _enqueue(self, gid: int, tup: StreamTuple, port: int) -> None:
         """What reaches a busy server waits in its queue; its depth
-        counts the hops computed ahead yet to start, and engages
-        backpressure at the limit. A tuple for a subtask a rescale
-        retired is re-partitioned across the operator's live ones
-        (looked up fresh, so chains of rescales forward correctly)."""
+        counts the hops computed ahead yet to start. A tuple for a
+        subtask a rescale retired is re-partitioned across the
+        operator's live ones (looked up fresh, so chains of rescales
+        forward correctly)."""
         runtime = self._runtimes[gid]
         if runtime.retired:
             runtime = self._runtimes[self._forward_gid(runtime, tup, port)]
             if not runtime.busy:
-                if self._bp_limit is not None:
-                    self._release(runtime, self._k.now)
                 return self._complete(runtime.gid, tup, port)
         obs = self._obs
         now = self._k.now
@@ -1080,31 +1063,11 @@ class StreamEngine:
         depth = len(queue) - runtime.queue_head + len(starts)
         if depth > runtime.queue_peak:
             runtime.queue_peak = depth
-        limit = self._bp_limit
-        if limit is not None and depth >= limit:
-            if obs is not None and runtime.gid not in self._congested:
-                obs.on_backpressure(runtime, now, True)
-            self._congested.add(runtime.gid)
-
-    def _bp_deliver(self, gid: int, tup: StreamTuple, port: int) -> None:
-        """Backpressured ``DELIVER``: a tuple that finds the server idle
-        finds its queue empty, which releases the congestion flag."""
-        runtime = self._runtimes[gid]
-        if not runtime.busy:
-            self._release(runtime, self._k.now)
-        self._complete(gid, tup, port)
-
-    def _release(self, runtime: _SubtaskRuntime, now: float) -> None:
-        """The subtask's queue no longer holds the sources back."""
-        if runtime.gid in self._congested:
-            if self._obs is not None:
-                self._obs.on_backpressure(runtime, now, False)
-            self._congested.discard(runtime.gid)
 
     def _begin_service(self, gid: int, payload, port: int) -> None:
-        """``BEGIN``: a wait ends — sender overhead under backpressure,
-        a stall, a drain or a migration — and the queue is handed
-        back."""
+        """``BEGIN``: a wait ends — a stall, a drain, a migration, or
+        the sender overhead of a test's unfused step (``_fused``) — and
+        the queue is handed back."""
         runtime = self._runtimes[gid]
         if runtime.draining or runtime.retired:
             return self._drain_step(runtime)
@@ -1261,17 +1224,6 @@ class StreamEngine:
             instants = [instants[0]] + self._arrival_chain(
                 runtime, instants[0], runtime.units[done + 1 :]
             ).tolist()
-        if self._congested:
-            # Backpressure: hold the arrival without emitting and retry
-            # shortly; the rest of the block is re-chained from the
-            # retry that emits. The event stays "work", so the run
-            # cannot end while sources are merely paused.
-            self._throttled_arrivals += 1
-            retry = instants[0] + 1e-3
-            if retry <= self.config.max_sim_time:
-                runtime.paced = -1
-                self._push(retry, _ARRIVAL, gid, [retry], done)
-            return
         log = runtime.ft_log
         stop = end = len(instants)
         ahead = not (runtime.busy or log and runtime.ft_head < len(log))
@@ -1410,9 +1362,7 @@ class StreamEngine:
         """The server is free from ``at``: what queued meanwhile is
         computed in FIFO order from its enqueue instant, until one
         straddles again. ``_enqueue`` counted its depth; checkpointed,
-        :meth:`_ft_deliver` counts it now. Backpressured, a dequeue that
-        leaves at most half the limit queued releases the congestion
-        flag."""
+        :meth:`_ft_deliver` counts it now."""
         runtime.free_at = at
         queue = runtime.queue
         if self._ft:
@@ -1420,13 +1370,9 @@ class StreamEngine:
         elif runtime.queue_head < len(queue):
             gid = runtime.gid
             peak = runtime.queue_peak
-            limit = self._bp_limit
             while not runtime.busy and runtime.queue_head < len(queue):
                 item, port, enqueued = queue[runtime.queue_head]
                 runtime.queue_head += 1
-                if limit is not None and gid in self._congested:
-                    if len(queue) - runtime.queue_head <= limit // 2:
-                        self._release(runtime, at)
                 self._complete(gid, item, port, enqueued)
             runtime.queue_peak = peak
         # The dequeued head goes once it is all of the queue or the
@@ -2044,13 +1990,6 @@ class StreamEngine:
                     changed = True
             if changed:
                 self._compile_route_table(producer)
-
-        if self._bp_limit is not None:
-            for gid in old_gids:
-                self._congested.discard(gid)
-            for runtime in new_runtimes:
-                if len(runtime.queue) >= self._bp_limit:
-                    self._congested.add(runtime.gid)
 
         # Migration pause: fixed handshake + per-key and per-tuple
         # transfer costs, noised from the dedicated rescale stream. New
@@ -2844,7 +2783,6 @@ class StreamEngine:
             "events_processed": self._k.events_processed,
             #: provenance: which step executed the run
             "step": self._step or "batch",
-            "throttled_arrivals": self._throttled_arrivals,
         }
         if slo is not None:
             extras["slo_violations"] = slo_violations

@@ -401,7 +401,6 @@ def _apply_stats(engine, stats, final_now, controller) -> None:
     kernel.reset()
     kernel.now = final_now
     kernel.events_processed = controller.events_processed
-    engine._throttled_arrivals = 0
     flush_times = [
         s["flush_time"] for s in stats if s["flush_time"] is not None
     ]

@@ -6,11 +6,9 @@ stream and on what holds the source back. The engine draws the chain as
 (``StreamEngine._arrival_block``), and the scalar step reads the blocks
 through ``_arrive``: a block per ``ARRIVAL`` event, or with its horizon
 pinned one instant per event; the batch executor reads whole
-``_GAP_BLOCK`` blocks through the same method. Backpressure holds a
-source, and the rest of its block is re-chained from the instant the
-held tuple is emitted; a failed source drops what it generates during
-its downtime and a logged source replays it, and neither moves the
-chain. Held here:
+``_GAP_BLOCK`` blocks through the same method. A failed source drops
+what it generates during its downtime and a logged source replays it,
+and neither moves the chain. Held here:
 
 1. *three-way* — per source, the origin times a computed run delivers
    equal the evented run's (``tests.conftest.evented``), the
@@ -28,11 +26,8 @@ chain. Held here:
 5. *budgets* — ``max_tuples_per_source`` below the parallelism is not
    exceeded, in any mode;
 6. *heap* — a source runs at most a block ahead of the clock;
-7. *held clocks* — against the per-call reference, extended here and
-   independent of the engine: a throttled source retries every 1 ms
-   while the observer's ``on_backpressure`` calls say a subtask is
-   congested, and its next gap is drawn from the emission; a failed
-   source drops exactly the per-call instants inside its downtime; a
+7. *held clocks* — against the per-call reference: a failed source
+   drops exactly the per-call instants inside its downtime; a
    checkpointed source's replayed log carries the per-call origin
    times.
 
@@ -41,15 +36,12 @@ block with ``side="left"`` fails the 20 on-instant cases of (1) and
 nothing else. Seeding the next block from ``instants[0]`` instead of
 ``instants[-1]`` fails 28 of the 32 cases of (1) with a budget above
 ``SOURCE_CHUNK`` (the rest are cut inside their first block), (4) and
-(6). Retrying a throttled arrival with its block's stale instants
-instead of re-chaining them fails the four throttled cases of (7).
+(6).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from bisect import bisect_left
 from unittest import mock
 
 import numpy as np
@@ -61,10 +53,8 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RngFactory
 from repro.core import perf
 from repro.core.runner import BenchmarkRunner, RunnerConfig
-from repro.obs import EngineObserver
 from repro.sps import builders
 from repro.sps.batch import ColumnarExecutor
-from repro.sps.costs import OperatorCost
 from repro.sps.engine import SimulationConfig, StreamEngine
 from repro.sps.logical import LogicalPlan
 from repro.sps.operators.sink import SinkLogic
@@ -470,110 +460,6 @@ def test_a_source_runs_at_most_a_block_ahead_of_the_clock():
 
 
 # ------------------------------------------------------------ 7. held clocks
-
-
-class FlowLog(EngineObserver):
-    """Records the engagements and releases of backpressure, nothing
-    else."""
-
-    def __init__(self):
-        super().__init__()
-        self.flow = []
-
-    def on_backpressure(self, runtime, now, engaged):
-        self.flow.append((now, runtime.gid, engaged))
-
-
-def held_by(flow, max_time):
-    """``per_call_arrivals``'s ``held`` for a run whose backpressure
-    engaged and released as ``flow`` says: while any subtask is
-    congested, an arrival is throttled and retried 1 ms later. Returns
-    it and a one-element list that counts the throttled arrivals."""
-    instants, congested, live = [], [], set()
-    for now, gid, engaged in flow:
-        (live.add if engaged else live.discard)(gid)
-        instants.append(now)
-        congested.append(bool(live))
-    throttled = [0]
-
-    def held(at):
-        while at <= max_time:
-            i = bisect_left(instants, at)  # what changed before ``at``
-            if not (i and congested[i - 1]):
-                break
-            throttled[0] += 1
-            at += 1e-3
-        return at
-
-    return held, throttled
-
-
-@pytest.mark.parametrize("seed", [23, 5])
-@pytest.mark.parametrize("max_sim_time", [60.0, 0.04])
-def test_a_throttled_source_resumes_its_chain_where_it_emits(
-    seed, max_sim_time
-):
-    """Every source feeds one slow relay that backs up. The next gap of
-    a held arrival is drawn from its emission, the same stream's next
-    ``exponential(mean)``; a retry past ``max_sim_time`` ends the
-    source."""
-    relay = builders.map_op(
-        "relay", lambda values: values, cost=OperatorCost(base_cpu_s=2e-4)
-    )
-    observer = FlowLog()
-    engine = StreamEngine(
-        chain_plan(relay),
-        CLUSTER,
-        config=SimulationConfig(
-            max_tuples_per_source=65,
-            max_sim_time=max_sim_time,
-            warmup_fraction=0.0,
-            backpressure_queue_limit=2,
-        ),
-        rng_factory=RngFactory(seed),
-        observer=observer,
-    )
-    metrics = engine.run()
-    held, throttled = held_by(observer.flow, max_sim_time)
-    assert sunk(engine) == by_source(engine, per_call_arrivals(engine, held))
-    assert metrics.extras["throttled_arrivals"] == throttled[0] > 0
-
-
-#: ``(transitions, engagements, sha256(repr(flow))[:16])`` of the
-#: ``(now, gid, engaged)`` sequence a ``FlowLog`` sees on the
-#: ``WC-throttled`` shape of ``tests/test_engine_counts.py``, recorded
-#: on the clock-ordered step before a backpressured run became the
-#: computed step with its horizon pinned: each engagement at the
-#: enqueue instant its depth reached the limit, each release at the
-#: dequeue instant that left half of it (or at an idle server).
-THROTTLED_FLOW = (816, 408, "c62e47a377dc2cea")
-
-
-def test_backpressure_engages_and_releases_where_it_did():
-    """Results and ``throttled_arrivals`` would not notice a release
-    that moved off its dequeue instant by less than a retry; the flow
-    does."""
-    cluster = homogeneous_cluster("m510", 4)
-    runner = BenchmarkRunner(cluster, RunnerConfig(dilation=25.0))
-    observer = FlowLog()
-    engine = StreamEngine(
-        runner.prepare_app("WC", 4).plan,
-        cluster,
-        config=SimulationConfig(
-            max_tuples_per_source=1500,
-            max_sim_time=8.0,
-            backpressure_queue_limit=4,
-        ),
-        rng_factory=RngFactory(17),
-        observer=observer,
-    )
-    metrics = engine.run()
-    flow = observer.flow
-    digest = hashlib.sha256(repr(flow).encode()).hexdigest()[:16]
-    engaged = sum(entry[2] for entry in flow)
-    assert (len(flow), engaged, digest) == THROTTLED_FLOW
-    assert engine.step == "evented"
-    assert metrics.extras["throttled_arrivals"] == 112
 
 
 @pytest.mark.parametrize("node", [0, 1])

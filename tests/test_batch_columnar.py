@@ -224,10 +224,6 @@ class TestBatchConfigValidation:
                 stalls=(StallInjection(1.0, "op", 0.5),),
             )
 
-    def test_batch_mode_rejects_backpressure(self):
-        with pytest.raises(ConfigurationError, match="backpressure"):
-            SimulationConfig(batch_size=64, backpressure_queue_limit=100)
-
 
 def udo_heavy_plan():
     """source -> udo -> sink: 2 of 3 operators on the scalar fallback."""

@@ -1,7 +1,7 @@
 """What composes, cell by cell (DESIGN.md §4, ``repro.sps.capabilities``).
 
 One small plan — a chainable filter → map, a hash-keyed tumbling
-aggregate, four nodes — and every pair of the ten execution features:
+aggregate, four nodes — and every pair of the nine execution features:
 
 - a pair with an ``EXCLUDES`` row is refused with a
   ``ConfigurationError`` that names both features, by the earliest
@@ -10,7 +10,7 @@ aggregate, four nodes — and every pair of the ten execution features:
   ``RunnerConfig`` under the names it spells them with;
 - **every other pair builds and runs** 300 tuples to results, on the
   step ``step_of`` says — the cells nothing else runs together
-  (checkpoint × stalls, backpressure × chaining, shards × stalls, …).
+  (checkpoint × stalls, shards × stalls, …).
   A pair that crashes here is not supported: it gets a row and a
   reason, not a skip;
 - a scenario without injections is calm and composes with everything;
@@ -65,7 +65,6 @@ CONFIG_ON = {
     "batch": dict(batch_size=64),
     "shards": dict(shards=2),
     "checkpoint": dict(checkpoint_interval=0.01),
-    "backpressure": dict(backpressure_queue_limit=2),
     "stalls": dict(stalls=(StallInjection(0.01, "agg", 0.005),)),
     "rescale": dict(rescales=(RescaleEvent(0.01, "agg", 3),)),
     "scenario": dict(scenario="straggler:at=0.01,duration=0.02"),
@@ -91,7 +90,6 @@ RUNNER_ON = {
 ACTED = {
     "shards": lambda extras: extras["shards"]["shards"] == 2,
     "checkpoint": lambda extras: extras["ft"]["checkpoints_completed"] > 0,
-    "backpressure": lambda extras: extras["throttled_arrivals"] > 0,
     "rescale": lambda extras: extras["elastic"]["rescales"] == 1,
     "scenario": lambda extras: "elastic" in extras,
 }
@@ -131,7 +129,7 @@ def plan():
             value_field=1,
             key_field=0,
             parallelism=2,
-            # 70 % busy: queues form, so backpressure has a depth to act on
+            # 70 % busy: queues form
             cost=default_cost(OperatorKind.WINDOW_AGG).scaled(32.0),
         )
     )
@@ -171,8 +169,8 @@ def build(features, **config):
     )
 
 
-def test_the_table_is_the_seventeen_pairs_over_known_features():
-    assert len(EXCLUDES) == len(EXCLUDED) == 17
+def test_the_table_is_the_fourteen_pairs_over_known_features():
+    assert len(EXCLUDES) == len(EXCLUDED) == 14
     assert set(CONFIG_ON) | set(ENGINE_ON) == set(KNOBS)
     assert set(KNOBS) >= set(EVENTED)
     for one, other, reason in EXCLUDES:
@@ -254,11 +252,11 @@ def test_autoscale_none_still_arms_the_control_loop():
         SimulationConfig(autoscale="none", batch_size=64)
 
 
-def test_evented_keeps_two_knobs_and_faults_compute():
+def test_evented_keeps_one_knob_and_faults_compute():
     """Stalls, node failures and an observer's sampling deadlines are
     control instants of the computed step; a failure is a scenario like
-    any other."""
-    assert set(EVENTED) == {"shards", "backpressure"}
+    any other. Sharding is the one knob that pins the horizon."""
+    assert set(EVENTED) == {"shards"}
     assert step_of({"observer", "checkpoint", "scenario"}) == "computed"
     config = SimulationConfig(
         scenario="failure:at=0.3,duration=0.1",

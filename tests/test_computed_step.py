@@ -609,15 +609,6 @@ def test_every_generated_structure_is_computed_by_default(structure):
 
 @pytest.mark.parametrize(
     "feature",
-    [dict(backpressure_queue_limit=64)],
-    ids=lambda feature: next(iter(feature)),
-)
-def test_each_excluding_feature_alone_keeps_the_evented_step(feature):
-    assert begun(kv_plan(), **feature).step == "evented"
-
-
-@pytest.mark.parametrize(
-    "feature",
     [
         dict(rescales=(RescaleEvent(0.1, "agg", 3),)),
         dict(autoscale="reactive:high=4,low=0.5,cooldown=0.3,max=6"),
@@ -663,13 +654,11 @@ def test_a_sharded_run_is_evented_and_a_batch_run_is_neither():
 @pytest.mark.parametrize(
     "mode, step",
     [
-        (dict(), "computed"),
-        (dict(backpressure_queue_limit=64), "evented"),
-        (dict(shards=1), "evented"),
-        (dict(batch_size=64), "batch"),
-        (dict(observer=True), "computed"),
+        pytest.param(dict(), "computed", id="mode0-computed"),
+        pytest.param(dict(shards=1), "evented", id="mode2-evented"),
+        pytest.param(dict(batch_size=64), "batch", id="mode3-batch"),
+        pytest.param(dict(observer=True), "computed", id="mode4-computed"),
     ],
-    ids=lambda value: value if isinstance(value, str) else None,
 )
 def test_a_run_names_its_step_in_its_metrics(mode, step):
     """Provenance: ``extras["step"]`` is the step that executed."""

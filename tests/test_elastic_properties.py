@@ -438,7 +438,6 @@ _KNOBS = {
             ("max_events", 1),
             ("batch_size", 1),
             ("shards", 1),
-            ("backpressure_queue_limit", 2),
             ("max_sim_time", "duration"),
             ("checkpoint_interval", "duration"),
         )

@@ -8,12 +8,10 @@ from 100k ev/s; ``-b256`` runs the same plan on the columnar executor
 with 256-row micro-batches. The checkpointed ``hotpath`` is pinned by
 ``tests/test_ft_step.py::GOLDEN``.
 
-The rows named in ``FEATURED`` add one feature each: backpressure that
-throttles the sources, which pins the step's horizon (``"evented"``:
-every hop an event); an observer, whose sampling deadlines, a node
-failure that drops source tuples, and the exp5 plan checkpointed
-through a failure, its sources replaying their logs — control instants
-that bound the computed step. Each
+The rows named in ``FEATURED`` add one feature each: an observer,
+whose sampling deadlines, a node failure that drops source tuples, and
+the exp5 plan checkpointed through a failure, its sources replaying
+their logs — control instants that bound the computed step. Each
 asserts that what it is there for happened.
 
 An event count depends on the step as well as on the simulation (a
@@ -46,7 +44,6 @@ PINNED = {
     "hotpath-b256": (None, 4161, 378, 0.1850300794962635),
     "WC-b256": (None, 12796, 26, 0.42531138079587577),
     "hotpath-observed": ("computed", 2694, 378, 0.03136629239487713),  # 8246
-    "WC-throttled": ("evented", 27090, 26, 0.40037770366622477),
     "hotpath-failure": ("computed", 2514, 341, 0.035905549015591606),  # 7791
     "exp5-ft-failure": ("computed", 4509, 154, 1.4393402414147827),  # 9269
 }
@@ -62,11 +59,6 @@ _PLANS = {
 #: ``extras`` it must make positive)
 FEATURED = {
     "hotpath-observed": ("hotpath", dict(observer=True), None),
-    "WC-throttled": (
-        "WC",
-        dict(backpressure_queue_limit=4),
-        ("throttled_arrivals",),
-    ),
     "hotpath-failure": (
         "hotpath",
         dict(scenario="failure:at=0.1,duration=0.1"),

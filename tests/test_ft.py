@@ -100,12 +100,6 @@ class TestConfigValidation:
                 checkpoint_interval=0.1, autoscale="reactive:high=4"
             )
 
-    def test_rejects_backpressure(self):
-        with pytest.raises(ConfigurationError, match="backpressure"):
-            SimulationConfig(
-                checkpoint_interval=0.1, backpressure_queue_limit=64
-            )
-
     def test_runner_config_validates(self):
         with pytest.raises(ConfigurationError, match="checkpoint_ms"):
             RunnerConfig(checkpoint_ms=-1.0)

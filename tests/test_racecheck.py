@@ -7,6 +7,7 @@ from repro.analysis.racecheck import compare_ledgers
 from repro.cluster import homogeneous_cluster
 from repro.common.errors import DeterminismError
 from repro.common.rng import RngFactory, state_fingerprint
+from repro.core import perf
 from repro.core.parallel import ParallelRunner, fork_unsafe_captures
 from repro.core.runner import BenchmarkRunner, RunnerConfig
 from repro.obs import EngineObserver
@@ -108,7 +109,10 @@ class TestCleanRuns:
         assert "engine/arrivals" not in ledger  # no shared stream
         assert "src[0]/arrivals" in ledger
         for label in ("src[0]", "udo[0]", "udo[1]", "sink[0]"):
-            assert label in ledger and label + "/noise" in ledger
+            assert label + "/noise" in ledger
+        # A logic stream is in it once drawn from: the sink never draws.
+        assert {"src[0]", "udo[0]", "udo[1]"} <= ledger.keys()
+        assert "sink[0]" not in ledger
 
     def test_sanitize_off_is_bit_identical(self):
         _, with_san = run_engine(simple_plan(CleanLogic), sanitize=True)
@@ -382,8 +386,34 @@ class TestStandaloneDetector:
             detector = engine.race_detector
             codes = {d.code for d in detector.findings}
             assert ("DET608" in codes) == (logic is SharedRngLogic)
-            labels = {"src[0]", "src[0]/arrivals", "udo[1]", "sink[0]"}
+            labels = {"src[0]", "src[0]/arrivals"}
+            if logic is CleanLogic:
+                labels.add("udo[1]")
             assert labels <= detector.rng_ledger.keys()
+            assert "sink[0]" not in detector.rng_ledger
+
+    def test_the_ledger_holds_only_the_logic_streams_a_run_drew(self):
+        """DET608's scan reads a context's logic stream only if it is
+        open: reading ``ctx.rng`` used to open every one at the start of
+        a sanitized run, and the ledger listed the hot-path plan's
+        filter, aggregate and sink streams at their seeding. Only its
+        sources draw."""
+        engine = StreamEngine(
+            perf.hotpath_plan(),
+            homogeneous_cluster("m510", 4),
+            config=SimulationConfig(max_tuples_per_source=800),
+            rng_factory=RngFactory(17),
+            sanitize=True,
+        )
+        engine.run()
+        ledger = engine.race_detector.rng_ledger
+        logic = {label: fp for label, fp in ledger.items() if "/" not in label}
+        assert logic.keys() == {f"src[{i}]" for i in range(4)}
+        for runtime in engine._runtimes:
+            label = f"{runtime.op_id}[{runtime.index}]"
+            if label in logic:
+                seeded = engine._rngs.fresh(*engine._stream_name(runtime))
+                assert logic[label] != state_fingerprint(seeded)
 
     def test_report_wraps_findings(self):
         engine, _ = run_engine(simple_plan(SharedRngLogic))

@@ -283,11 +283,9 @@ def four_source_engine(max_tuples, max_sim_time):
     )
 
 
-def per_call_arrivals(engine, held=None):
+def per_call_arrivals(engine):
     """Reference: one ``Generator.exponential(mean)`` call per gap, each
-    source on its own ``engine/<op>/<i>/arrivals`` stream. ``held``
-    maps an arrival instant to the instant its tuple is emitted, from
-    which the next gap is drawn (backpressure holds a source)."""
+    source on its own ``engine/<op>/<i>/arrivals`` stream."""
     max_time = engine.config.max_sim_time
     per = {}
     for rt in engine._runtimes:
@@ -315,8 +313,6 @@ def per_call_arrivals(engine, held=None):
                 )
                 gap = rng.exponential(1.0 / instant)
             at += gap
-            if held is not None:
-                at = held(at)
             if at > max_time:
                 break
             times.append(at)
